@@ -67,7 +67,9 @@ from .locc import (
 )
 from .majorization import (
     MajVerdict,
+    RowFlags,
     compare,
+    compare_rows,
     dephase,
     ds_witness,
     ensemble_exists,

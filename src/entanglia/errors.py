@@ -35,6 +35,10 @@ class TraceMismatch(EntangliaError):
     pass
 
 
+class NonFinite(EntangliaError):
+    pass
+
+
 class NotMajorized(EntangliaError):
     pass
 

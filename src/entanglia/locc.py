@@ -10,11 +10,13 @@ heuristics affect completeness, never soundness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadParam,
     Degenerate,
     EmptyRange,
     NoPlanFound,
@@ -22,11 +24,31 @@ from .errors import (
     RankMismatch,
     TooLarge,
 )
-from .majorization import MajVerdict, as_prob_vector, compare, majorizes
+from .majorization import (
+    MajVerdict,
+    as_prob_vector,
+    compare,
+    compare_rows,
+    majorizes,
+    sorted_padded,
+)
 from .measures import binary_entropy
 from .tolerances import MAJ_TOL
 
 _TIE = 1e-9
+
+# Searches certify candidates a chunk at a time; chunks double from the
+# first size up to the cap, so an early winner costs little and a long scan
+# keeps its arrays small.
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 512
+
+
+def _chunk_sizes():
+    size = _FIRST_CHUNK
+    while True:
+        yield size
+        size = min(2 * size, _MAX_CHUNK)
 
 
 def _schmidt_sorted(v):
@@ -41,8 +63,12 @@ def _strip(v):
 
 
 def vec_kron(a, b):
-    """Schmidt vector of a tensor product (outer product, flattened)."""
-    return np.outer(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).reshape(-1)
+    """Schmidt vector of a tensor product (outer product, flattened).
+
+    Works row-wise on (..., d) stacks, broadcasting the leading shapes.
+    """
+    out = np.asarray(a, dtype=float)[..., :, None] * np.asarray(b, dtype=float)[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def nielsen(a, b, tol=MAJ_TOL):
@@ -67,16 +93,14 @@ def classify(a, b):
     """Full pair classification: verdict, 3x3 interleaving pattern, strong
     incomparability, and the first/last-coefficient catalysis filter."""
     verdict = compare(a, b)
-    sa, sb = _strip(a), _strip(b)
-    d = max(sa.size, sb.size)
-    sa = np.pad(sa, (0, d - sa.size))
-    sb = np.pad(sb, (0, d - sb.size))
+    ra, rb = _strip(a), _strip(b)
+    sa, sb = sorted_padded(ra, rb)
     a1, ad = float(sa[0]), float(sa[-1])
     b1, bd = float(sb[0]), float(sb[-1])
     strong = (a1 < b1 - _TIE and ad < bd - _TIE) or (a1 > b1 + _TIE and ad > bd + _TIE)
     cat = (a1 <= b1 + _TIE) and (ad >= bd - _TIE)
     pattern = None
-    if verdict is MajVerdict.Incomparable and _strip(a).size == 3 and _strip(b).size == 3:
+    if verdict is MajVerdict.Incomparable and ra.size == 3 and rb.size == 3:
         if _chain_ge([a1, b1, sb[1], sa[1], sa[2], sb[2]]):
             pattern = "A"
         elif _chain_ge([b1, a1, sa[1], sb[1], sb[2], sa[2]]):
@@ -84,7 +108,13 @@ def classify(a, b):
     return PairClass(verdict=verdict, pattern_3x3=pattern, strong=strong, catalysis_possible=cat)
 
 
+def _require_copies(k):
+    if k < 1:
+        raise BadParam(f"k = {k} copies: at least one copy is required")
+
+
 def tensor_power(a, k):
+    _require_copies(k)
     out = np.asarray(a, dtype=float)
     for _ in range(k - 1):
         out = vec_kron(out, a)
@@ -93,6 +123,7 @@ def tensor_power(a, k):
 
 def multicopy(a, b, k, tol=MAJ_TOL):
     """Whether k joint copies convert: nielsen on the k-fold tensor powers."""
+    _require_copies(k)
     sa, sb = _strip(a), _strip(b)
     if (sa.size * sb.size) ** k > 10**6:
         raise TooLarge(f"(rank_a * rank_b)^k = {(sa.size * sb.size) ** k} exceeds 10^6")
@@ -100,20 +131,25 @@ def multicopy(a, b, k, tol=MAJ_TOL):
 
 
 def find_catalyst_2x2(a, b, grid_step=1e-3):
-    """First c in [1/2, 1) whose 2x2 catalyst (c, 1-c) makes the conversion
-    pass; None when the necessary condition fails or no grid point works."""
+    """First c = 1/2 + i * grid_step below 1 whose 2x2 catalyst (c, 1-c)
+    makes the conversion pass; None when the necessary condition fails or
+    no grid point works.  The grid is certified a chunk of points at a time."""
+    step = float(grid_step)
+    if not 0.0 < step <= 0.5:  # also rejects NaN and infinity
+        raise BadParam(f"grid_step = {grid_step} must be finite and in (0, 1/2]")
     if not classify(a, b).catalysis_possible:
         return None
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
-    i = 0
-    while True:
-        c = 0.5 + i * grid_step
-        if c >= 1.0 - 1e-12:
+    for start in itertools.count(0, _MAX_CHUNK):
+        c = 0.5 + np.arange(start, start + _MAX_CHUNK) * step
+        c = c[c < 1.0 - 1e-12]
+        if c.size:
+            chi = np.stack((c, 1.0 - c), axis=-1)
+            hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
+            if hit.any():
+                return float(c[hit.argmax()])
+        if c.size < _MAX_CHUNK:
             return None
-        chi = np.array([c, 1.0 - c])
-        if majorizes(vec_kron(sa, chi), vec_kron(sb, chi)):
-            return float(c)
-        i += 1
 
 
 def assist_max_entangled(a, b):
@@ -228,6 +264,19 @@ def coop_validate(a, b, chi, eta):
     )
 
 
+def _coop_flags(sa, sb, chi, eta):
+    """coop_validate over (n, 3) stacks of candidates: which rows are valid,
+    and which are valid with all four cross pairs incomparable (psi_phi
+    holds for every pair coop_construct accepts)."""
+    joint = compare_rows(vec_kron(sa, chi), vec_kron(sb, eta)).fwd
+    psi, phi = np.broadcast_to(sa, chi.shape), np.broadcast_to(sb, eta.shape)
+    chi_eta, psi_eta, chi_phi = compare_rows(
+        np.stack((chi, psi, chi)), np.stack((eta, eta, phi))
+    ).incomparable
+    valid = joint & chi_eta
+    return valid, valid & psi_eta & chi_phi
+
+
 def _coop_case1_candidates(sa, sb):
     """Recipe for a1 > b1: chi = (b1, b1, b2), eta = (a1, a2, a2) shapes."""
     a1, _, a3 = sa
@@ -269,9 +318,10 @@ def _coop_case2_candidates(sa, sb, seed):
             continue
         for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
             yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
-    # loosen the tie
+    # loosen the tie, one draw at a time: the uniform draw depends on beta
+    flat = np.ones(3)
     for _ in range(4000):
-        beta = np.sort(rng.dirichlet(np.ones(3)))[::-1]
+        beta = np.sort(rng.dirichlet(flat))[::-1]
         if beta[0] <= a1 or beta[2] < 1e-3:
             continue
         lo = max(1.0 / 3.0 + 1e-6, a1 * beta[0] / b1 + 1e-6)
@@ -299,31 +349,44 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     else:
         candidates = _coop_case2_candidates(sa, sb, seed)
 
+    # Candidates are certified a chunk at a time; the winner is the one the
+    # one-by-one scan would stop at, re-certified by coop_validate.
     first_valid = None
-    for chi, eta in candidates:
-        plan = coop_validate(sa, sb, chi, eta)
-        if plan.valid:
-            if all(plan.cross_incomparable.values()):
-                return plan
-            if first_valid is None:
-                first_valid = plan
+    sizes = _chunk_sizes()
+    while chunk := list(itertools.islice(candidates, next(sizes))):
+        chi, eta = (np.array(side) for side in zip(*chunk))
+        valid, full = _coop_flags(sa, sb, chi, eta)
+        if full.any():
+            j = full.argmax()
+            return coop_validate(sa, sb, chi[j], eta[j])
+        if first_valid is None and valid.any():
+            j = valid.argmax()
+            first_valid = chi[j], eta[j]
 
     # randomized search; a plan whose four cross pairs are all incomparable
-    # wins over the recipe's partially-comparable one
+    # wins over the recipe's partially-comparable one, and once a fifth of
+    # the samples are spent the next valid plan ends the search
     rng = np.random.default_rng((seed, 99))
-    for i in range(fallback_samples):
-        chi = np.sort(rng.dirichlet(np.ones(3)))[::-1]
-        eta = np.sort(rng.dirichlet(np.ones(3)))[::-1]
-        plan = coop_validate(sa, sb, chi, eta)
-        if plan.valid:
-            if all(plan.cross_incomparable.values()):
-                return plan
-            if first_valid is None:
-                first_valid = plan
-            if i >= fallback_samples // 5:
-                break
+    late = fallback_samples // 5
+    sizes = _chunk_sizes()
+    start = 0
+    while start < fallback_samples:
+        m = min(next(sizes), fallback_samples - start)
+        draws = rng.dirichlet(np.ones(3), size=(m, 2))  # chi_i, eta_i in draw order
+        chi, eta = draws[:, 0], draws[:, 1]
+        valid, full = _coop_flags(sa, sb, chi, eta)
+        if first_valid is None and valid.any():
+            j = valid.argmax()
+            first_valid = chi[j], eta[j]
+        stop = full | (valid & (np.arange(start, start + m) >= late))
+        if stop.any():
+            j = stop.argmax()
+            if full[j]:
+                return coop_validate(sa, sb, chi[j], eta[j])
+            break
+        start += m
     if first_valid is not None:
-        return first_valid
+        return coop_validate(sa, sb, *first_valid)
     raise NoPlanFound("no auxiliary pair found by recipe or randomized search")
 
 
@@ -340,9 +403,9 @@ class SplitRange:
 
 
 def _split_eta(case, x):
-    if case == 1:
-        return np.array([x, x, 1.0 - 2.0 * x])
-    return np.array([1.0 - 2.0 * x, x, x])
+    """eta for every parameter in x, one row each."""
+    edge = 1.0 - 2.0 * x
+    return np.stack((x, x, edge) if case == 1 else (edge, x, x), axis=-1)
 
 
 def split_two_copies(a, b):
@@ -389,13 +452,11 @@ def split_two_copies(a, b):
     if lo >= hi - 1e-12:
         raise EmptyRange(f"empty parameter interval ({lo}, {hi})")
 
-    source_sq = vec_kron(sa, sa)
-    for frac in (0.5, 0.25, 0.75, 0.1, 0.9):
-        x = lo + frac * (hi - lo)
-        eta = _split_eta(case, x)
-        if (
-            majorizes(source_sq, vec_kron(sb, eta))
-            and compare(sa, eta) is MajVerdict.Incomparable
-        ):
-            return SplitRange(case=case, param_interval=(float(lo), float(hi)), eta=eta, subcase=subcase)
-    raise EmptyRange("interval candidates failed the direct validation checks")
+    # probes in order of preference, all checked in one pass
+    eta = _split_eta(case, lo + np.array((0.5, 0.25, 0.75, 0.1, 0.9)) * (hi - lo))
+    ok = compare_rows(vec_kron(sa, sa), vec_kron(sb, eta)).fwd & compare_rows(sa, eta).incomparable
+    if not ok.any():
+        raise EmptyRange("interval candidates failed the direct validation checks")
+    return SplitRange(
+        case=case, param_interval=(float(lo), float(hi)), eta=eta[ok.argmax()], subcase=subcase
+    )

@@ -1,16 +1,19 @@
 """Majorization engine over real vectors plus the doubly-stochastic machinery.
 
 Vectors are accepted unsorted and possibly of unequal length; operations
-sort descending and zero-pad internally, so callers never pre-sort.
+sort descending and zero-pad internally, so callers never pre-sort.  One
+kernel, compare_rows, does the partial-sum work for whole (..., d) stacks;
+majorizes and compare are its single-row views.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadResolution, NotMajorized, TraceMismatch
+from .errors import BadResolution, NonFinite, NotMajorized, TraceMismatch
 from .linalg import eigvals_hermitian, is_hermitian
 from .tolerances import MAJ_TOL, TRACE_TOL
 
@@ -27,6 +30,8 @@ def as_prob_vector(v, tol=TRACE_TOL):
     v = np.asarray(v, dtype=float).copy()
     if v.ndim != 1 or v.size == 0:
         raise TraceMismatch("expected a nonempty 1-d probability vector")
+    if not np.all(np.isfinite(v)):
+        raise NonFinite("probability vector has a NaN or infinite component")
     if np.min(v) < -1e-12:
         raise TraceMismatch(f"negative component {np.min(v)} in probability vector")
     v[v < 0] = 0.0
@@ -35,18 +40,62 @@ def as_prob_vector(v, tol=TRACE_TOL):
     return v
 
 
+class RowFlags(NamedTuple):
+    """Row-wise outcome of compare_rows; each field has the batch shape."""
+
+    fwd: np.ndarray  # x majorized by y: the majorizes result
+    bwd: np.ndarray  # y majorized by x
+    equal: np.ndarray  # compare's Equal verdict
+
+    @property
+    def incomparable(self):
+        return ~(self.fwd | self.bwd | self.equal)
+
+
+def _zero_pad(v, d):
+    if v.shape[-1] == d:
+        return v
+    return np.concatenate((v, np.zeros(v.shape[:-1] + (d - v.shape[-1],))), axis=-1)
+
+
 def sorted_padded(x, y):
-    """Descending-sorted copies zero-padded to a common length."""
-    x = np.sort(np.asarray(x, dtype=float))[::-1]
-    y = np.sort(np.asarray(y, dtype=float))[::-1]
-    d = max(x.size, y.size)
-    x = np.pad(x, (0, d - x.size))
-    y = np.pad(y, (0, d - y.size))
-    return x, y
+    """Descending-sorted copies zero-padded to a common length.
+
+    Works on (..., d) stacks: rows are sorted independently and the shorter
+    side gains zero columns.
+    """
+    x = np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1]
+    y = np.sort(np.asarray(y, dtype=float), axis=-1)[..., ::-1]
+    d = max(x.shape[-1], y.shape[-1], 1)
+    return _zero_pad(x, d), _zero_pad(y, d)
 
 
 def partial_sums(v):
     return np.cumsum(np.sort(np.asarray(v, dtype=float))[::-1])
+
+
+def compare_rows(x, y, tol=MAJ_TOL):
+    """Majorization flags for every row of two (..., d) stacks.
+
+    Row lengths may differ (the shorter side is zero-padded) and the leading
+    shapes broadcast, so one vector can be compared with a whole stack.  One
+    sort and one cumsum per side; every row's totals must be finite and
+    agree within the trace tolerance.
+    """
+    xs, ys = sorted_padded(x, y)
+    cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
+    tx, ty = cx[..., -1], cy[..., -1]
+    gap = abs(tx - ty)  # NaN or inf whenever either row is not finite
+    if not (gap <= TRACE_TOL).all():
+        if not np.isfinite(gap).all():
+            raise NonFinite("majorization input has a NaN or infinite component")
+        row = gap.argmax()
+        tx, ty = np.broadcast_arrays(tx, ty)
+        raise TraceMismatch(f"totals differ: {tx.flat[row]} vs {ty.flat[row]}")
+    fwd = (cx <= cy + tol).all(axis=-1)
+    bwd = (cy <= cx + tol).all(axis=-1)
+    close = abs(xs - ys).max(axis=-1) <= tol
+    return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
 
 
 def majorizes(x, y, tol=MAJ_TOL):
@@ -55,26 +104,17 @@ def majorizes(x, y, tol=MAJ_TOL):
     Every descending partial sum of x must stay <= the corresponding sum of
     y within `tol`; totals must agree within the trace tolerance.
     """
-    xs, ys = sorted_padded(x, y)
-    if abs(xs.sum() - ys.sum()) > TRACE_TOL:
-        raise TraceMismatch(f"totals differ: {xs.sum()} vs {ys.sum()}")
-    return bool(np.all(np.cumsum(xs) <= np.cumsum(ys) + tol))
+    return bool(compare_rows(x, y, tol).fwd)
 
 
 def compare(x, y, tol=MAJ_TOL):
     """Classify the pair: XPrecY, YPrecX, Equal or Incomparable."""
-    xs, ys = sorted_padded(x, y)
-    if abs(xs.sum() - ys.sum()) > TRACE_TOL:
-        raise TraceMismatch(f"totals differ: {xs.sum()} vs {ys.sum()}")
-    if np.max(np.abs(xs - ys)) <= tol:
+    flags = compare_rows(x, y, tol)
+    if flags.equal:
         return MajVerdict.Equal
-    fwd = bool(np.all(np.cumsum(xs) <= np.cumsum(ys) + tol))
-    bwd = bool(np.all(np.cumsum(ys) <= np.cumsum(xs) + tol))
-    if fwd and bwd:
-        return MajVerdict.Equal
-    if fwd:
+    if flags.fwd:
         return MajVerdict.XPrecY
-    if bwd:
+    if flags.bwd:
         return MajVerdict.YPrecX
     return MajVerdict.Incomparable
 

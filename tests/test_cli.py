@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import entanglia
 
 from entanglia.cli import main
 from entanglia.linalg import write_matrix
@@ -71,6 +76,31 @@ def test_trace_mismatch_exit_code(capsys):
     code, _, err = run_cli(capsys, "nielsen", ".5,.5", ".7,.2")
     assert code == 3
     assert "TraceMismatch" in err
+
+
+def test_catalyst_step_zero_exits_3():
+    # a child with a timeout, so an endless grid scan fails instead of hanging
+    src = os.path.dirname(os.path.dirname(entanglia.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "entanglia.cli", "catalyst", ".4,.4,.1,.1", ".5,.25,.25,0", "--step", "0"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert "BadParam" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("nielsen", "nan,1", ".5,.5"), "NonFinite"),
+        (("classify", ".5,.5", "inf,0"), "NonFinite"),
+        (("multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "0"), "BadParam"),
+        (("multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "-3"), "BadParam"),
+    ],
+)
+def test_malformed_input_exit_code(capsys, argv, error):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert error in err
 
 
 def test_usage_error_exit_code():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from entanglia.errors import (
+    BadParam,
     Degenerate,
     EmptyRange,
+    NonFinite,
     NotIncomparable3x3,
     RankMismatch,
     TooLarge,
@@ -20,6 +22,7 @@ from entanglia.locc import (
     multicopy,
     nielsen,
     split_two_copies,
+    tensor_power,
     vec_kron,
 )
 from entanglia.majorization import MajVerdict, compare
@@ -116,6 +119,33 @@ def test_multicopy_k1_is_nielsen():
         assert multicopy(a, b, 1) == nielsen(a, b)
 
 
+def test_multicopy_needs_a_copy():
+    for k in (0, -3):
+        with pytest.raises(BadParam):
+            multicopy(CAT_A, CAT_B, k)
+        with pytest.raises(BadParam):
+            tensor_power(CAT_A, k)
+    assert np.array_equal(tensor_power(CAT_A, 1), CAT_A)
+
+
+def test_nonfinite_input_rejected():
+    nan4 = [np.nan, 0.5, 0.25, 0.25]
+    inf3 = [np.inf, 0.0, 0.0]
+    calls = (
+        lambda v, w: compare(v, w),
+        lambda v, w: nielsen(v, w),
+        lambda v, w: classify(v, w),
+        lambda v, w: multicopy(v, w, 2),
+        lambda v, w: assist_max_entangled(v, w),
+    )
+    for call in calls:
+        for bad, good in ((nan4, CAT_B), (inf3, [0.5, 0.3, 0.2])):
+            with pytest.raises(NonFinite):
+                call(bad, good)
+            with pytest.raises(NonFinite):
+                call(good, bad)
+
+
 def test_multicopy_size_guard():
     with pytest.raises(TooLarge):
         multicopy(random_prob(6, rng_for("g")), random_prob(6, rng_for("g2")), 8)
@@ -132,6 +162,15 @@ def test_catalyst_known_4x4_pair():
         [0.24, 0.24, 0.16, 0.16, 0.06, 0.06, 0.04, 0.04],
         [0.3, 0.2, 0.15, 0.15, 0.1, 0.1, 0, 0],
     )
+
+
+def test_catalyst_grid_step_bounds():
+    for step in (0.0, -1e-3, 0.6, np.nan, np.inf):
+        with pytest.raises(BadParam):
+            find_catalyst_2x2(CAT_A, CAT_B, grid_step=step)
+    # the coarsest step allowed leaves the one-point grid c = 1/2
+    assert find_catalyst_2x2(CAT_A, CAT_B, grid_step=0.5) is None
+    assert find_catalyst_2x2(CAT_A, CAT_B, grid_step=0.1) == 0.6
 
 
 def test_catalyst_none_without_necessary_condition():

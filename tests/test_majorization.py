@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from entanglia.errors import BadResolution, NotMajorized, TraceMismatch
+from entanglia.errors import BadResolution, NonFinite, NotMajorized, TraceMismatch
 from entanglia.linalg import eigvals_hermitian, projector
 from entanglia.majorization import (
     MajVerdict,
+    as_prob_vector,
     compare,
+    compare_rows,
     dephase,
     ds_witness,
     ensemble_exists,
@@ -15,6 +17,7 @@ from entanglia.majorization import (
     majorizes,
     spectra_majorized,
 )
+from entanglia.locc import vec_kron
 from entanglia.measures import von_neumann_entropy
 from entanglia.states import bell
 
@@ -87,6 +90,95 @@ def test_matches_brute_force_oracle():
         d = int(rng.integers(2, 7))
         x, y = random_prob(d, rng), random_prob(d, rng)
         assert majorizes(x, y) == brute_majorized(x, y)
+
+
+def _brute_flags(x, y, tol=1e-9):
+    """(fwd, bwd, equal) from the scalar partial-sum definition."""
+    fwd, bwd = brute_majorized(x, y, tol), brute_majorized(y, x, tol)
+    d = max(len(x), len(y))
+    xs = sorted(x, reverse=True) + [0.0] * (d - len(x))
+    ys = sorted(y, reverse=True) + [0.0] * (d - len(y))
+    close = max(abs(p - q) for p, q in zip(xs, ys)) <= tol
+    return fwd, bwd, close or (fwd and bwd)
+
+
+def _related_rows(rng, n, dx, dy):
+    """n pairs (x of length dx, y of length dy) cycling through the
+    relations: short side above, below, equal to (zero-padded permutation)
+    and independent of the long side."""
+    short, long_ = min(dx, dy), max(dx, dy)
+    xs, ys = [], []
+    for k in range(n):
+        t = rng.dirichlet(np.ones(short))
+        padded = np.concatenate((t, np.zeros(long_ - short)))
+        relation = k % 4
+        if relation == 0:
+            s, l = t, random_doubly_stochastic(long_, rng) @ padded
+        elif relation == 1:
+            s, l = random_doubly_stochastic(short, rng) @ t, padded
+        elif relation == 2:
+            s, l = t, rng.permutation(padded)
+        else:
+            s, l = t, rng.dirichlet(np.ones(long_))
+        x, y = (s, l) if dx <= dy else (l, s)
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def test_compare_rows_matches_partial_sum_definition():
+    rng = rng_for("maj-rows")
+    seen = set()
+    for dx, dy in ((3, 3), (3, 5), (6, 4), (1, 7), (9, 9)):
+        xs, ys = _related_rows(rng, 48, dx, dy)
+        flags = compare_rows(np.array(xs), np.array(ys))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            fwd, bwd, equal = _brute_flags(list(x), list(y))
+            assert (flags.fwd[i], flags.bwd[i], flags.equal[i]) == (fwd, bwd, equal)
+            verdict = (
+                MajVerdict.Equal if equal
+                else MajVerdict.XPrecY if fwd
+                else MajVerdict.YPrecX if bwd
+                else MajVerdict.Incomparable
+            )
+            assert compare(x, y) is verdict
+            seen.add(verdict)
+        # leading shapes broadcast: one row against the whole stack, and a
+        # (2, 24, d) stack row for row
+        one = compare_rows(xs[0], np.array(ys))
+        for i, y in enumerate(ys):
+            assert one.fwd[i] == brute_majorized(list(xs[0]), list(y))
+        deep = compare_rows(np.array(xs).reshape(2, 24, dx), np.array(ys).reshape(2, 24, dy))
+        assert np.array_equal(deep.fwd.reshape(-1), flags.fwd)
+        assert np.array_equal(deep.incomparable.reshape(-1), flags.incomparable)
+    assert seen == set(MajVerdict)
+
+
+def test_compare_rows_catalysis_boundary():
+    # the .80 = .80 partial sum of the catalysed textbook pair passes under
+    # MAJ_TOL inside a stack exactly as it does alone
+    chi = np.array([[0.6, 0.4], [0.5, 0.5], [0.6, 0.4]])
+    a = vec_kron([0.4, 0.4, 0.1, 0.1], chi)
+    b = vec_kron([0.5, 0.25, 0.25, 0.0], chi)
+    flags = compare_rows(a, b)
+    assert flags.fwd.tolist() == [True, False, True]
+    assert flags.fwd.tolist() == [brute_majorized(list(x), list(y)) for x, y in zip(a, b)]
+    assert majorizes(a[0], b[0])
+
+
+def test_compare_rows_rejects_bad_rows():
+    good = np.array([[0.5, 0.5], [0.7, 0.3]])
+    with pytest.raises(TraceMismatch, match="0.9"):
+        compare_rows(np.array([[0.5, 0.5], [0.5, 0.4]]), good)
+    for bad in (np.nan, np.inf):
+        rows = good.copy()
+        rows[1, 0] = bad
+        with pytest.raises(NonFinite):
+            compare_rows(rows, good)
+        with pytest.raises(NonFinite):
+            compare(good[0], rows[1])
+        with pytest.raises(NonFinite):
+            as_prob_vector(rows[1])
 
 
 def test_ascending_formulation_equivalent():
