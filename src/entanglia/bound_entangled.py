@@ -2,27 +2,37 @@
 state of the mixed-plus-product form, and the Tiles unextendible product
 basis with its complement state.
 
-Qubit index 0 is the leftmost tensor factor throughout.
+Qubit index 0 is the leftmost tensor factor (the most significant bit of a
+basis index) throughout.
+
+Every member of the 2N-qubit family is a uniform mixture of
+(|p> +/- |pbar>)/sqrt(2), where pbar flips every bit of p.  Its matrix is
+nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
+(Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
+The family checks, unlock and the hiding protocol work on the two length-2^n
+vectors returned by `ghz_parts`, never on a 2^n x 2^n eigenproblem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import BadLabel, BadParam, OddN, TooLarge
-from .linalg import (
-    eigvals_hermitian,
-    kron,
-    kron_all,
-    partial_trace,
-    partial_transpose,
-    permute_subsystems,
-    projector,
-)
+from .errors import BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
+from .linalg import projector
 from .states import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
+from .tolerances import (
+    MARGINAL_TOL,
+    NPT_TOL,
+    ORTHO_TOL,
+    PAULI_TOL,
+    PERM_TOL,
+    PPT_TOL,
+    UNLOCK_TOL,
+)
 
 LABELS = ("rho+", "rho-", "sigma+", "sigma-")
 
@@ -42,7 +52,6 @@ PAULI_CONNECTION = {"rho+": ID2, "rho-": SIGMA_Z, "sigma+": SIGMA_X, "sigma-": 1
 class BEFamily:
     n_qubits: int
     states: dict  # label -> 2^n x 2^n density matrix
-    support_vectors: dict  # label -> list of 2^n amplitude vectors
 
     @property
     def dims(self):
@@ -88,49 +97,136 @@ def support_vectors(n):
     return out
 
 
+# ---------------------------------------------------------------------------
+# GHZ-diagonal form: (d, o) with d[q] = rho[q, q] and o[q] = rho[q, qbar]
+
+
+def ghz_parts(rho):
+    """Diagonal d[q] = rho[q, q] (real part) and anti-diagonal
+    o[q] = rho[q, qbar] of a 2^n x 2^n matrix.
+
+    Raises NotGHZDiagonal unless every other entry is exactly zero.
+    """
+    rho = np.asarray(rho)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise NotGHZDiagonal(f"want a 2^n x 2^n matrix with n >= 1, got shape {rho.shape}")
+    q = np.arange(dim)
+    diag = rho[q, q]
+    o = rho[q, q ^ (dim - 1)]
+    off = np.count_nonzero(rho) - np.count_nonzero(diag) - np.count_nonzero(o)
+    if off:
+        raise NotGHZDiagonal(f"{off} nonzero entries off the diagonal and anti-diagonal")
+    return diag.real, o
+
+
+def ghz_dense(d, o):
+    """The 2^n x 2^n matrix with diagonal d and anti-diagonal o."""
+    dim = d.size
+    q = np.arange(dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[q, q] = d
+    rho[q, q ^ (dim - 1)] = o
+    return rho
+
+
+def ghz_overlap(a, b):
+    """tr(A B) for GHZ-diagonal A, B given as (d, o) pairs."""
+    (da, oa), (db, ob) = a, b
+    return float(np.real(da @ db + oa @ ob[::-1]))  # ob[::-1][q] = ob[qbar]
+
+
+def reduced_diagonal(d, party):
+    """Diagonal of the state with qubit `party` traced out.
+
+    For a GHZ-diagonal state on n >= 2 qubits this is the whole reduced
+    matrix: no anti-diagonal entry survives the trace.
+    """
+    n = d.size.bit_length() - 1
+    return d.reshape((2,) * n).sum(axis=party).reshape(-1)
+
+
+def pt_min_eigenvalues(parts, cuts):
+    """Smallest partial-transpose eigenvalue of a GHZ-diagonal state per cut.
+
+    Transposing the qubits in a cut with bit mask S moves the entry at
+    (q, qbar) to (q ^ S, qbar ^ S), so the PT splits into 2x2 blocks
+    {r, rbar} with off-diagonal o[r ^ S] and eigenvalues
+    (d_r + d_rbar)/2 +/- sqrt(((d_r - d_rbar)/2)^2 + |o[r ^ S]|^2).
+    """
+    d, o = parts
+    n = d.size.bit_length() - 1
+    masks = np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
+    coupling = np.abs(o[np.arange(d.size) ^ masks[:, None]])
+    mean = (d + d[::-1]) / 2  # d[::-1][r] = d[rbar]
+    half = (d - d[::-1]) / 2
+    return (mean - np.hypot(half, coupling)).min(axis=1)
+
+
+def _pauli_conjugate(parts, u, k):
+    """(d, o) of u rho u^dagger for a single-qubit u with one nonzero per
+    column (a Pauli up to phase) acting on qubit k."""
+    d, o = parts
+    n = d.size.bit_length() - 1
+    flip = 0 if u[0, 0] != 0 else 1  # u|b> = c_b |b ^ flip>
+    c = np.array([u[flip, 0], u[1 - flip, 1]])
+    src = np.arange(d.size) ^ (flip << (n - 1 - k))
+    b = (src >> (n - 1 - k)) & 1
+    return d[src], c[b] * c[1 - b].conj() * o[src]
+
+
+def _support_parts(n, label):
+    """(d, o) of the projector onto a label's n-qubit support set."""
+    d = np.zeros(1 << n)
+    o = np.zeros(1 << n)
+    strings = np.array(support_strings(n)[label[:-1]]).reshape(-1)
+    d[strings] = 0.5
+    o[strings] = 0.5 if label.endswith("+") else -0.5
+    return d, o
+
+
+# ---------------------------------------------------------------------------
+# the family
+
+
+def _family(n, parts):
+    return BEFamily(n_qubits=n, states={lab: ghz_dense(*parts[lab]) for lab in LABELS})
+
+
 def be_family_direct(n):
     """Support-set construction: each state is the uniform mixture of its
     2^(n-2) support vectors."""
     _check_n(n)
-    sup = support_vectors(n)
-    states = {}
-    for label in LABELS:
-        acc = np.zeros((1 << n, 1 << n), dtype=complex)
-        for v in sup[label]:
-            acc += projector(v)
-        states[label] = acc / len(sup[label])
-    return BEFamily(n_qubits=n, states=states, support_vectors=sup)
-
-
-def _base_four_qubit():
-    bells = {k: projector(bell(k)) for k in ("phi+", "phi-", "psi+", "psi-")}
-    mix = lambda pairs: sum(kron(bells[x], bells[y]) for x, y in pairs) / 4.0
-    return {
-        "rho+": mix([("phi+", "phi+"), ("phi-", "phi-"), ("psi+", "psi+"), ("psi-", "psi-")]),
-        "rho-": mix([("phi+", "phi-"), ("phi-", "phi+"), ("psi+", "psi-"), ("psi-", "psi+")]),
-        "sigma+": mix([("phi+", "psi+"), ("phi-", "psi-"), ("psi+", "phi+"), ("psi-", "phi-")]),
-        "sigma-": mix([("phi+", "psi-"), ("phi-", "psi+"), ("psi+", "phi-"), ("psi-", "phi+")]),
-    }
+    size = 1 << (n - 2)
+    return _family(n, {lab: [v / size for v in _support_parts(n, lab)] for lab in LABELS})
 
 
 def be_family(n):
     """Recursive construction: Bell-correlate the four (n-2)-qubit states
-    with the four Bell projectors on two appended qubits."""
+    with the four Bell projectors on two appended qubits.
+
+    The two-qubit members are the Bell states themselves (rho+ -> phi+,
+    rho- -> phi-, sigma+ -> psi+, sigma- -> psi-, the rho+ row of PAIRING).
+    The recursion runs on (d, o): kron(A, B) has diagonal kron(d_A, d_B)
+    and anti-diagonal kron(o_A, o_B), and the entries of each kron off
+    both diagonals cancel in the sum over outcomes.
+    """
     _check_n(n)
-    states = _base_four_qubit()
-    bells = {k: projector(bell(k)) for k in ("phi+", "phi-", "psi+", "psi-")}
-    for _ in range((n - 4) // 2):
-        states = {
-            lab: sum(kron(states[out], bells[PAIRING[lab][out]]) for out in LABELS) / 4.0
+    bells = {k: ghz_parts(projector(bell(k))) for k in PAIRING["rho+"].values()}
+    parts = {lab: bells[PAIRING["rho+"][lab]] for lab in LABELS}
+    for _ in range(n // 2 - 1):
+        parts = {
+            lab: [
+                sum(np.kron(parts[out][i], bells[PAIRING[lab][out]][i]) for out in LABELS) / 4.0
+                for i in (0, 1)
+            ]
             for lab in LABELS
         }
-    return BEFamily(n_qubits=n, states=states, support_vectors=support_vectors(n))
+    return _family(n, parts)
 
 
 def even_cuts(n):
     """Canonical even:even bipartitions (side containing qubit 0)."""
-    from itertools import combinations
-
     cuts = []
     for size in range(2, n - 1, 2):
         for rest in combinations(range(1, n), size - 1):
@@ -165,84 +261,61 @@ class FamilyReport:
         )
 
 
-def _pauli_on(op, k, n):
-    return kron_all([op if j == k else ID2 for j in range(n)])
-
-
-def verify_family(fam, quick=False, npt_tol=1e-6, jobs=1):
+def verify_family(fam, quick=False, npt_tol=NPT_TOL):
     """Run the seven family checks and collect per-cut PT evidence.
 
-    quick=True skips the partial-transpose eigenproblems (intended for
-    n = 10 where full verification is out of desk range); jobs > 1 fans the
-    per-cut eigenproblems over a thread pool with deterministic collection.
+    Every check reads the states through `ghz_parts`, so a state with an
+    entry off its diagonal and anti-diagonal raises NotGHZDiagonal.
+    quick=True skips the per-cut PT minima and leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
-    dims = fam.dims
-    labels = LABELS
+    parts = {lab: ghz_parts(fam.states[lab]) for lab in LABELS}
 
     orthogonal = all(
-        abs(np.trace(fam.states[x] @ fam.states[y]).real) < 1e-12
-        for i, x in enumerate(labels)
-        for y in labels[i + 1:]
+        abs(ghz_overlap(parts[x], parts[y])) < ORTHO_TOL
+        for i, x in enumerate(LABELS)
+        for y in LABELS[i + 1:]
     )
 
-    permutation_symmetric = True
-    for k in range(n - 1):
-        perm = list(range(n))
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        for lab in labels:
-            swapped, _ = permute_subsystems(fam.states[lab], dims, perm)
-            if np.max(np.abs(swapped - fam.states[lab])) > 1e-12:
-                permutation_symmetric = False
+    def swap(v, k):  # exchange qubits k and k + 1
+        return np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1)
+
+    permutation_symmetric = all(
+        np.max(np.abs(swap(v, k) - v)) <= PERM_TOL
+        for k in range(n - 1)
+        for pair in parts.values()
+        for v in pair
+    )
 
     evidence = []
-    even_cut_ppt = True
-    single_vs_rest_npt = True
     if not quick:
-        even = even_cuts(n)
-        tasks = [(lab, cut) for cut in even for lab in labels]
-        tasks += [(lab, (j,)) for j in range(n) for lab in labels]
+        cuts = even_cuts(n) + [(j,) for j in range(n)]
+        mins = {lab: pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
+        evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
+    even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
+    single_vs_rest_npt = all(m < -npt_tol for _, cut, m in evidence if len(cut) == 1)
 
-        def min_pt(task):
-            lab, cut = task
-            return float(eigvals_hermitian(partial_transpose(fam.states[lab], dims, cut))[-1])
+    def max_diff(a, b):
+        return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
 
-        if jobs and jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    pauli_connected = all(
+        max_diff(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab]) <= PAULI_TOL
+        for k in (0, n - 1)
+        for lab in LABELS
+    )
 
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                mins = list(pool.map(min_pt, tasks))
-        else:
-            mins = [min_pt(t) for t in tasks]
-        for (lab, cut), m in zip(tasks, mins):
-            evidence.append((lab, cut, m))
-            if len(cut) > 1:  # even:even cut
-                if m < -1e-9:
-                    even_cut_ppt = False
-            elif m >= -npt_tol:  # 1:(n-1) cut
-                single_vs_rest_npt = False
+    flat = 1.0 / (1 << (n - 1))
+    reduced_max_mixed = all(
+        np.max(np.abs(reduced_diagonal(d, j) - flat)) <= MARGINAL_TOL
+        for j in range(n)
+        for d, _ in parts.values()
+    )
 
-    pauli_connected = True
-    for k in (0, n - 1):
-        for lab in labels:
-            u = _pauli_on(PAULI_CONNECTION[lab], k, n)
-            if np.max(np.abs(u @ fam.states["rho+"] @ u.conj().T - fam.states[lab])) > 1e-9:
-                pauli_connected = False
-
-    eye = np.eye(1 << (n - 1)) / (1 << (n - 1))
-    reduced_max_mixed = True
-    for j in range(n):
-        keep = [i for i in range(n) if i != j]
-        for lab in labels:
-            red = partial_trace(fam.states[lab], dims, keep)
-            if np.max(np.abs(red - eye)) > 1e-12:
-                reduced_max_mixed = False
-
-    unlock_ok = True
-    for lab in labels:
-        for out in unlock(fam, lab):
-            if abs(out["probability"] - 0.25) > 1e-9 or out["fidelity"] < 1.0 - 1e-9:
-                unlock_ok = False
+    unlock_ok = all(
+        abs(out["probability"] - 0.25) <= UNLOCK_TOL and out["fidelity"] >= 1.0 - UNLOCK_TOL
+        for lab in LABELS
+        for out in unlock(fam, lab)
+    )
 
     return FamilyReport(
         n_qubits=n,
@@ -261,22 +334,21 @@ def unlock(fam, label):
     """Group the first n-2 qubits and measure the four family supports.
 
     Every outcome has probability 1/4 and leaves the last two qubits in the
-    Bell state dictated by the recursion pairing.
+    Bell state dictated by the recursion pairing.  With x the first n-2 bits
+    and j the last pair, the support projector P (GHZ-diagonal itself; at
+    n = 4 a Bell projector) leaves cond[j, j] = sum_x P[x, x] d[(x, j)] and
+    cond[j, jbar] = sum_x P[xbar, x] o[(x, j)] before normalization.
     """
     if label not in LABELS:
         raise BadLabel(f"unknown state label {label!r}; want one of {LABELS}")
     n = fam.n_qubits
-    dims = fam.dims
-    rho = fam.states[label]
-    eye4 = np.eye(4)
+    d, o = ghz_parts(fam.states[label])
+    d, o = d.reshape(-1, 4), o.reshape(-1, 4)
     outcomes = []
     for out_label in LABELS:
-        # at n = 4 the (n-2)-qubit supports are exactly the Bell projectors
-        proj = sum(projector(v) for v in support_vectors(n - 2)[out_label])
-        op = kron(proj, eye4)
-        prob = float(np.trace(op @ rho).real)
-        cond = partial_trace(op @ rho @ op, dims, keep=[n - 2, n - 1])
-        cond = cond / np.trace(cond).real
+        pd, po = _support_parts(n - 2, out_label)
+        prob = float(np.sum(pd @ d))
+        cond = ghz_dense(pd @ d, po[::-1] @ o) / prob  # po[::-1][x] = P[xbar, x]
         predicted = PAIRING[label][out_label]
         b = bell(predicted)
         outcomes.append(

@@ -25,6 +25,7 @@ from .bound_entangled import (
     be_family_direct,
     horodecki_insep,
     horodecki_state,
+    support_strings,
     tiles_upb,
     unlock,
     upb_complement,
@@ -70,8 +71,14 @@ from .witness import witness_report
 def parse_vector(text):
     """Inline comma-separated decimals, or a JSON-array file path."""
     if os.path.exists(text):
-        with open(text) as fh:
-            return np.asarray(json.load(fh), dtype=float)
+        try:
+            with open(text) as fh:
+                v = np.asarray(json.load(fh), dtype=float)
+        except (OSError, ValueError, TypeError) as exc:
+            raise BadParam(f"cannot load vector file {text!r}: {exc}") from None
+        if v.ndim != 1:
+            raise BadParam(f"vector file {text!r} must hold a flat JSON array of numbers")
+        return v
     try:
         return np.asarray([float(x) for x in text.split(",") if x.strip()], dtype=float)
     except ValueError as exc:
@@ -364,11 +371,12 @@ def cmd_bound(args):
         delta = max(
             float(np.max(np.abs(fam.states[lab] - direct.states[lab]))) for lab in LABELS
         )
+        strings = support_strings(args.n)
         report = {
             "n": args.n,
             "labels": list(LABELS),
             "recursive_vs_direct_max_delta": delta,
-            "support_sizes": {lab: len(fam.support_vectors[lab]) for lab in LABELS},
+            "support_sizes": {lab: len(strings[lab[:-1]]) for lab in LABELS},
         }
         if args.out:
             os.makedirs(args.out, exist_ok=True)
@@ -379,7 +387,7 @@ def cmd_bound(args):
         return report
     if args.action == "verify":
         fam = be_family(args.n)
-        rep = verify_family(fam, quick=args.quick, jobs=args.jobs)
+        rep = verify_family(fam, quick=args.quick)
         out = {
             "n": rep.n_qubits,
             "orthogonal": rep.orthogonal,
@@ -456,6 +464,17 @@ def cmd_hide(args):
 # ---------------------------------------------------------------------------
 
 
+def _seed(text):
+    """numpy seeds must be non-negative integers; anything else is a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -463,11 +482,10 @@ def build_parser():
     )
     common.add_argument(
         "--seed",
-        type=int,
-        default=int(os.environ.get("ENTANGLIA_SEED", "0")),
+        type=_seed,
+        default=os.environ.get("ENTANGLIA_SEED", "0"),  # a string default goes through _seed
         help="seed for any randomized search (default: ENTANGLIA_SEED or 0)",
     )
-    common.add_argument("--jobs", type=int, default=1, help="worker threads where supported")
 
     p = argparse.ArgumentParser(prog="entanglia", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -552,7 +570,7 @@ def build_parser():
     sp.add_argument("--a", type=float, default=0.5, help="parameter of the 3x3 state")
     sp.add_argument("--out", default=None, help="directory for written matrices (build)")
     sp.add_argument("--trials", type=int, default=64, help="seesaw restarts (upb)")
-    sp.add_argument("--quick", action="store_true", help="skip PT eigenproblems")
+    sp.add_argument("--quick", action="store_true", help="skip the per-cut PT minima")
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("hide", parents=[common], help="data-hiding protocol demo")

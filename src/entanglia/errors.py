@@ -112,3 +112,7 @@ class BadSecret(EntangliaError):
 
 class BadParty(EntangliaError):
     pass
+
+
+class NotGHZDiagonal(EntangliaError):
+    pass

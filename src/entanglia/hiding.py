@@ -3,6 +3,8 @@
 The codebook is fixed: 0 -> rho+, 1 -> rho-, 2 -> sigma+, 3 -> sigma-.
 The parity attack (computational-basis sampling) leaks the family bit by
 design; the +/- bit and every (n-1)-party marginal carry no information.
+Overlaps and marginals are read off the GHZ-diagonal form of the states
+(`bound_entangled.ghz_parts`).
 """
 
 from __future__ import annotations
@@ -11,9 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_entangled import PAIRING, BEFamily, be_family, unlock
-from .errors import BadParty, BadSecret, OddN
-from .linalg import partial_trace, trace_norm
+from .bound_entangled import (
+    PAIRING,
+    BEFamily,
+    be_family,
+    ghz_overlap,
+    ghz_parts,
+    reduced_diagonal,
+    support_strings,
+    unlock,
+)
+from .errors import BadParam, BadParty, BadSecret, OddN
 from .states import bell
 
 CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
@@ -39,14 +49,17 @@ def hide(secret, n, family=None):
     if n % 2 != 0 or n < 4:
         raise OddN(f"need an even qubit count >= 4, got {n}")
     fam = family if family is not None else be_family(n)
+    if fam.n_qubits != n:
+        raise BadParam(f"family is on {fam.n_qubits} qubits, secret asked for {n}")
     label = CODEBOOK[secret]
     return HiddenState(n_qubits=n, secret=secret, label=label, state=fam.states[label], family=fam)
 
 
 def decode_global(h):
     """Authorized global decode: argmax overlap against the codebook."""
+    held = ghz_parts(h.state)
     overlaps = {
-        s: float(np.trace(h.family.states[lab] @ h.state).real) for s, lab in CODEBOOK.items()
+        s: ghz_overlap(ghz_parts(h.family.states[lab]), held) for s, lab in CODEBOOK.items()
     }
     return max(overlaps, key=overlaps.get)
 
@@ -67,9 +80,8 @@ def parity_attack(h, seed=0, shots=1000):
         raise BadSecret(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     n = h.n_qubits
-    support = h.family.support_vectors[h.label]
-    # each support vector is (|p> +/- |pbar>)/sqrt(2): grab the two strings
-    pairs = [tuple(int(i) for i in np.nonzero(v)[0]) for v in support]
+    # each support vector is (|p> +/- |pbar>)/sqrt(2); "rho+" -> "rho" strings
+    pairs = support_strings(n)[h.label[:-1]]
     even_count = 0
     pm_matches = 0
     counts = {}
@@ -97,14 +109,16 @@ def parity_attack(h, seed=0, shots=1000):
 
 def trace_security(h, excluded_party):
     """Trace distance of the remaining parties' marginal from maximal
-    mixedness; zero means the coalition learns nothing."""
+    mixedness; zero means the coalition learns nothing.
+
+    The marginal of a GHZ-diagonal state is diagonal, so its trace norm
+    distance is a sum of absolute differences.
+    """
     n = h.n_qubits
     if not 0 <= excluded_party < n:
         raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
-    keep = [i for i in range(n) if i != excluded_party]
-    reduced = partial_trace(h.state, h.dims, keep)
-    flat = np.eye(1 << (n - 1)) / (1 << (n - 1))
-    return trace_norm(reduced - flat)
+    d, _ = ghz_parts(h.state)
+    return float(np.sum(np.abs(reduced_diagonal(d, excluded_party) - 1.0 / (1 << (n - 1)))))
 
 
 def decode_by_unlock(h, seed=0):
@@ -131,6 +145,8 @@ def run_demo(n, trials, seed=0, shots=500):
 
     Deterministic per seed; returns aggregate rates.
     """
+    if trials < 1:
+        raise BadParam(f"trials must be >= 1, got {trials}")
     fam = be_family(n)
     unlock_hits = 0
     family_hits = 0

@@ -95,12 +95,45 @@ def test_catalyst_step_zero_exits_3():
         (("classify", ".5,.5", "inf,0"), "NonFinite"),
         (("multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "0"), "BadParam"),
         (("multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "-3"), "BadParam"),
+        (("hide", "demo", "--n", "4", "--trials", "0"), "BadParam"),
     ],
 )
 def test_malformed_input_exit_code(capsys, argv, error):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert error in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # a directory: exists but cannot be read as a file
+        "0.5, 0.5",  # not JSON
+        '["a", "b"]',  # non-numeric entries
+        '{"x": 0.5}',  # not an array
+        "[[0.5, 0.5]]",  # not flat
+    ],
+)
+def test_bad_vector_file_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, _, err = run_cli(capsys, "nielsen", str(path), "0.5,0.5")
+    assert code == 3
+    assert "BadParam" in err and str(path) in err
+
+
+def test_seed_must_be_non_negative(monkeypatch):
+    for argv in (["hide", "demo", "--seed", "-3"], ["coop", ".41,.38,.21", ".4,.4,.2", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    monkeypatch.setenv("ENTANGLIA_SEED", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["nielsen", ".5,.5", "1,0"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_code():

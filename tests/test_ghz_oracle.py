@@ -1,0 +1,221 @@
+"""The GHZ-diagonal core of the bound entangled family against dense oracles.
+
+Each oracle below computes on the dense 2^n x 2^n matrices what the library
+reads off the two vectors (d, o): the kron recursion, the support projector
+sums, per-cut partial_transpose + eigvalsh, and the matrix products of
+unlock, the Pauli connection, orthogonality and the hiding marginals.  They
+run at n <= 8 only.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import rng_for
+from entanglia.bound_entangled import (
+    LABELS,
+    PAIRING,
+    PAULI_CONNECTION,
+    _pauli_conjugate,
+    be_family,
+    be_family_direct,
+    even_cuts,
+    ghz_dense,
+    ghz_overlap,
+    ghz_parts,
+    pt_min_eigenvalues,
+    reduced_diagonal,
+    support_vectors,
+    unlock,
+    verify_family,
+)
+from entanglia.errors import NotGHZDiagonal
+from entanglia.hiding import CODEBOOK, decode_global, hide, trace_security
+from entanglia.linalg import (
+    eigvals_hermitian,
+    kron,
+    kron_all,
+    partial_trace,
+    partial_transpose,
+    projector,
+    trace_norm,
+)
+from entanglia.states import ID2, bell
+
+BELLS = ("phi+", "phi-", "psi+", "psi-")
+# Two float64 routes to an O(1) number: a few hundred ulps apart at most.
+TOL = 1e-14
+
+
+def dense_recursive(n):
+    bells = {k: projector(bell(k)) for k in BELLS}
+
+    def mix(pairs):
+        return sum(kron(bells[x], bells[y]) for x, y in pairs) / 4.0
+
+    states = {
+        "rho+": mix([("phi+", "phi+"), ("phi-", "phi-"), ("psi+", "psi+"), ("psi-", "psi-")]),
+        "rho-": mix([("phi+", "phi-"), ("phi-", "phi+"), ("psi+", "psi-"), ("psi-", "psi+")]),
+        "sigma+": mix([("phi+", "psi+"), ("phi-", "psi-"), ("psi+", "phi+"), ("psi-", "phi-")]),
+        "sigma-": mix([("phi+", "psi-"), ("phi-", "psi+"), ("psi+", "phi-"), ("psi-", "phi+")]),
+    }
+    for _ in range((n - 4) // 2):
+        states = {
+            lab: sum(kron(states[out], bells[PAIRING[lab][out]]) for out in LABELS) / 4.0
+            for lab in LABELS
+        }
+    return states
+
+
+def dense_direct(n):
+    sup = support_vectors(n)
+    return {lab: sum(projector(v) for v in sup[lab]) / len(sup[lab]) for lab in LABELS}
+
+
+def dense_pt_min(rho, cut):
+    n = rho.shape[0].bit_length() - 1
+    return float(eigvals_hermitian(partial_transpose(rho, (2,) * n, cut))[-1])
+
+
+def dense_unlock(rho, label):
+    n = rho.shape[0].bit_length() - 1
+    outcomes = []
+    for out_label in LABELS:
+        proj = sum(projector(v) for v in support_vectors(n - 2)[out_label])
+        op = kron(proj, np.eye(4))
+        prob = float(np.trace(op @ rho).real)
+        cond = partial_trace(op @ rho @ op, (2,) * n, keep=[n - 2, n - 1])
+        outcomes.append((prob, cond / np.trace(cond).real))
+    return outcomes
+
+
+def dense_pauli(rho, u, k):
+    n = rho.shape[0].bit_length() - 1
+    full = kron_all([u if j == k else ID2 for j in range(n)])
+    return full @ rho @ full.conj().T
+
+
+def dense_trace_security(rho, party):
+    n = rho.shape[0].bit_length() - 1
+    keep = [i for i in range(n) if i != party]
+    flat = np.eye(1 << (n - 1)) / (1 << (n - 1))
+    return trace_norm(partial_trace(rho, (2,) * n, keep) - flat)
+
+
+def random_ghz(n, rng):
+    """A random GHZ-diagonal density matrix with complex anti-diagonal."""
+    dim = 1 << n
+    d = rng.random(dim)
+    o = (rng.random(dim) - 0.5 + 1j * (rng.random(dim) - 0.5)) * np.minimum(d, d[::-1])
+    o[dim // 2:] = o[: dim // 2][::-1].conj()  # hermitian: o[qbar] = conj(o[q])
+    rho = ghz_dense(d, o)
+    return rho / np.trace(rho).real
+
+
+def all_cuts(n):
+    """Every bipartition, named by the side holding qubit 0."""
+    return [tuple(j for j in range(n) if mask >> j & 1) for mask in range(1, (1 << n) - 1, 2)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_builders_match_dense_oracles(n):
+    rec, direct = be_family(n), be_family_direct(n)
+    ref_rec, ref_direct = dense_recursive(n), dense_direct(n)
+    assert tuple(rec.states) == LABELS and tuple(direct.states) == LABELS
+    for lab in LABELS:
+        assert rec.states[lab].shape == (1 << n, 1 << n)
+        assert np.max(np.abs(rec.states[lab] - ref_rec[lab])) <= TOL
+        assert np.max(np.abs(direct.states[lab] - ref_direct[lab])) <= TOL
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_pt_minimum_equals_eigvalsh(n):
+    fam = be_family(n)
+    cuts = all_cuts(n) if n < 8 else even_cuts(n) + [(j,) for j in range(n)]
+    for lab in LABELS:
+        got = pt_min_eigenvalues(ghz_parts(fam.states[lab]), cuts)
+        want = [dense_pt_min(fam.states[lab], cut) for cut in cuts]
+        assert np.max(np.abs(got - want)) <= TOL
+    evidence = verify_family(fam).cut_evidence
+    assert all(abs(m - dense_pt_min(fam.states[lab], cut)) <= TOL for lab, cut, m in evidence[::7])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ghz_formulas_on_random_states(n):
+    rng = rng_for("ghz-random", n)
+    rho, sigma = random_ghz(n, rng), random_ghz(n, rng)
+    parts = ghz_parts(rho)
+    assert np.array_equal(ghz_dense(*parts), rho)
+    got = pt_min_eigenvalues(parts, all_cuts(n))
+    assert np.max(np.abs(got - [dense_pt_min(rho, cut) for cut in all_cuts(n)])) <= TOL
+    assert abs(ghz_overlap(parts, ghz_parts(sigma)) - np.trace(rho @ sigma).real) <= TOL
+    for j in range(n):
+        red = partial_trace(rho, (2,) * n, [i for i in range(n) if i != j])
+        assert np.max(np.abs(red - np.diag(reduced_diagonal(parts[0], j)))) <= TOL
+        for u in PAULI_CONNECTION.values():
+            want = ghz_parts(dense_pauli(rho, u, j))
+            got = _pauli_conjugate(parts, u, j)
+            assert all(np.max(np.abs(g - w)) <= TOL for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_unlock_matches_dense(n):
+    fam = be_family(n)
+    for lab in LABELS:
+        outs = unlock(fam, lab)
+        assert [o["outcome"] for o in outs] == list(LABELS)
+        for o, (prob, cond) in zip(outs, dense_unlock(fam.states[lab], lab)):
+            assert abs(o["probability"] - prob) <= TOL
+            assert np.max(np.abs(o["conditional"] - cond)) <= TOL
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_family_checks_match_dense(n):
+    fam = be_family(n)
+    parts = {lab: ghz_parts(fam.states[lab]) for lab in LABELS}
+    for x in LABELS:
+        for y in LABELS:
+            want = np.trace(fam.states[x] @ fam.states[y]).real
+            assert abs(ghz_overlap(parts[x], parts[y]) - want) <= TOL
+    for lab in LABELS:
+        for k in (0, n - 1):
+            conj = dense_pauli(fam.states["rho+"], PAULI_CONNECTION[lab], k)
+            assert np.max(np.abs(conj - fam.states[lab])) <= TOL
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_hiding_matches_dense(n):
+    fam = be_family(n)
+    for s, lab in CODEBOOK.items():
+        h = hide(s, n, family=fam)
+        for p in range(n):
+            assert abs(trace_security(h, p) - dense_trace_security(h.state, p)) <= TOL
+        # a noisy, partly mixed-in state still decodes by the dense argmax
+        other = fam.states[CODEBOOK[(s + 1) % 4]]
+        h.state = 0.6 * fam.states[lab] + 0.3 * other + 0.1 * np.eye(1 << n) / (1 << n)
+        dense = {t: np.trace(fam.states[m] @ h.state).real for t, m in CODEBOOK.items()}
+        assert decode_global(h) == max(dense, key=dense.get) == s
+        for p in range(n):
+            assert abs(trace_security(h, p) - dense_trace_security(h.state, p)) <= TOL
+
+
+def test_full_verify_n10():
+    rep = verify_family(be_family(10))
+    assert len(rep.cut_evidence) == 4 * (255 + 10) == 4 * (len(even_cuts(10)) + 10)
+    assert rep.all_pass
+    assert min(m for _, cut, m in rep.cut_evidence if len(cut) > 1) >= -1e-9
+    assert max(m for _, cut, m in rep.cut_evidence if len(cut) == 1) < -1e-6
+
+
+def test_off_structure_entry_rejected():
+    fam = be_family(6)
+    fam.states["sigma+"] = fam.states["sigma+"].copy()
+    fam.states["sigma+"][3, 5] = 1e-3
+    with pytest.raises(NotGHZDiagonal, match="1 nonzero"):
+        verify_family(fam, quick=True)
+    with pytest.raises(NotGHZDiagonal):
+        unlock(fam, "sigma+")
+    with pytest.raises(NotGHZDiagonal):
+        trace_security(hide(2, 6, family=fam), 0)
+    for bad in (np.eye(6), np.ones(4), np.zeros((1, 1)), np.zeros((4, 8))):
+        with pytest.raises(NotGHZDiagonal):
+            ghz_parts(bad)

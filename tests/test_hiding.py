@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entanglia.bound_entangled import be_family
-from entanglia.errors import BadParty, BadSecret, OddN
+from entanglia.errors import BadParam, BadParty, BadSecret, OddN
 from entanglia.hiding import (
     CODEBOOK,
     decode_by_unlock,
@@ -30,6 +30,8 @@ def test_hide_validation():
         hide(0, 5)
     with pytest.raises(OddN):
         hide(0, 2)
+    with pytest.raises(BadParam):
+        hide(0, 6, family=be_family(4))
 
 
 def test_decode_global_all_secrets():
@@ -119,3 +121,9 @@ def test_run_demo_deterministic():
     a = run_demo(4, trials=10, seed=9, shots=100)
     b = run_demo(4, trials=10, seed=9, shots=100)
     assert a == b
+
+
+def test_run_demo_rejects_no_trials():
+    for trials in (0, -2):
+        with pytest.raises(BadParam):
+            run_demo(4, trials=trials)
