@@ -32,6 +32,7 @@ from .tolerances import (
     PERM_TOL,
     PPT_TOL,
     UNLOCK_TOL,
+    UPB_SEESAW_TOL,
 )
 
 LABELS = ("rho+", "rho-", "sigma+", "sigma-")
@@ -261,7 +262,7 @@ class FamilyReport:
         )
 
 
-def verify_family(fam, quick=False, npt_tol=NPT_TOL):
+def verify_family(fam, quick=False):
     """Run the seven family checks and collect per-cut PT evidence.
 
     Every check reads the states through `ghz_parts`, so a state with an
@@ -293,7 +294,7 @@ def verify_family(fam, quick=False, npt_tol=NPT_TOL):
         mins = {lab: pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
         evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
     even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
-    single_vs_rest_npt = all(m < -npt_tol for _, cut, m in evidence if len(cut) == 1)
+    single_vs_rest_npt = all(m < -NPT_TOL for _, cut, m in evidence if len(cut) == 1)
 
     def max_diff(a, b):
         return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
@@ -403,15 +404,20 @@ def tiles_upb():
     return states
 
 
+def _complement(states):
+    """I - sum |psi_j><psi_j| over the given 3x3 product states."""
+    comp = np.eye(9, dtype=complex)
+    for v in states:
+        comp -= projector(v)
+    return comp
+
+
 def upb_complement(states=None):
     """Normalized projector onto the subspace complementary to the product
     basis: (I - sum |psi_j><psi_j|) / (9 - #states)."""
     if states is None:
         states = tiles_upb()
-    comp = np.eye(9, dtype=complex)
-    for v in states:
-        comp -= projector(v)
-    return comp / (9 - len(states))
+    return _complement(states) / (9 - len(states))
 
 
 def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
@@ -421,10 +427,7 @@ def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
         raise BadParam("trials must be >= 1")
     if states is None:
         states = tiles_upb()
-    comp = np.eye(9, dtype=complex)
-    for v in states:
-        comp -= projector(v)
-    t = comp.reshape(3, 3, 3, 3)
+    t = _complement(states).reshape(3, 3, 3, 3)
     best = 0.0
     for r in range(trials):
         rng = np.random.default_rng((seed, r))
@@ -441,7 +444,7 @@ def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
             w, vecs = np.linalg.eigh(mv)
             v = vecs[:, -1]
             val = float(w[-1].real)
-            if abs(val - prev) < 1e-14:
+            if abs(val - prev) < UPB_SEESAW_TOL:
                 break
             prev = val
         best = max(best, prev)

@@ -35,13 +35,7 @@ from .bound_entangled import (
 from .errors import BadParam, EntangliaError
 from .gadgets import angle_preserving_gadget, antiunitary_gadget, flip_gadget
 from .hiding import run_demo
-from .linalg import (
-    eigvals_hermitian,
-    partial_transpose,
-    projector,
-    read_matrix,
-    write_matrix,
-)
+from .linalg import min_eigenvalue, projector, read_matrix, write_matrix
 from .locc import (
     assist_max_entangled,
     assist_max_entangled_direct,
@@ -65,7 +59,8 @@ from .measures import (
     von_neumann_entropy,
 )
 from .states import read_state
-from .witness import witness_report
+from .tolerances import ORTHO_TOL, ZERO_TOL
+from .witness import is_ppt, witness_report
 
 
 def parse_vector(text):
@@ -86,7 +81,11 @@ def parse_vector(text):
 
 
 def parse_cut(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    """Comma-separated subsystem indices."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise BadParam(f"cannot parse cut {text!r}: {exc}") from None
 
 
 def load_any(path):
@@ -423,31 +422,28 @@ def cmd_bound(args):
         }
     if args.action == "horodecki":
         rho = horodecki_state(args.a)
-        m = float(eigvals_hermitian(rho)[-1])
-        pt_min = float(eigvals_hermitian(partial_transpose(rho, (3, 3), (1,)))[-1])
-        ins_min = float(
-            eigvals_hermitian(partial_transpose(horodecki_insep(), (3, 3), (1,)))[-1]
-        )
+        ppt, pt_min = is_ppt(rho, (3, 3), (1,))
+        ins_ppt, ins_min = is_ppt(horodecki_insep(), (3, 3), (1,))
         return {
             "a": args.a,
-            "min_eigenvalue": m,
+            "min_eigenvalue": min_eigenvalue(rho),
             "min_pt_eigenvalue": pt_min,
-            "ppt": pt_min >= -1e-9,
+            "ppt": ppt,
             "insep_part_min_pt_eigenvalue": ins_min,
-            "insep_part_npt": ins_min < -1e-9,
+            "insep_part_npt": not ins_ppt,
         }
     if args.action == "upb":
         states = tiles_upb()
         gram = np.array([[abs(np.vdot(x, y)) for y in states] for x in states])
         comp = upb_complement()
-        pt_min = float(eigvals_hermitian(partial_transpose(comp, (3, 3), (1,)))[-1])
+        ppt, pt_min = is_ppt(comp, (3, 3), (1,))
         score = upb_unextendibility_score(trials=args.trials, seed=args.seed)
         trunc = upb_unextendibility_score(trials=args.trials, seed=args.seed, states=states[:4])
         return {
-            "pairwise_orthogonal": bool(np.max(np.abs(gram - np.eye(5))) < 1e-12),
-            "complement_rank": int(np.sum(eigvals_hermitian(comp) > 1e-12)),
+            "pairwise_orthogonal": bool(np.max(np.abs(gram - np.eye(5))) < ORTHO_TOL),
+            "complement_rank": int(np.linalg.matrix_rank(comp, tol=ZERO_TOL, hermitian=True)),
             "complement_min_pt_eigenvalue": pt_min,
-            "complement_ppt": pt_min >= -1e-9,
+            "complement_ppt": ppt,
             "seesaw_score": score,
             "truncated_seesaw_score": trunc,
             "restarts": args.trials,

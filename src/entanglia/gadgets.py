@@ -20,7 +20,7 @@ from .linalg import cardan_roots, eigvals_hermitian
 from .majorization import MajVerdict, compare
 from .measures import shannon
 from .states import ket, qubit_to_bloch, reduced_density
-from .tolerances import MAJ_TOL
+from .tolerances import CASE_TOL, MAJ_TOL, TRACE_TOL
 
 DIMS = (3, 2, 2)
 
@@ -108,7 +108,7 @@ def _result(psi_i, psi_f, diagnostics=None):
 
 
 def _flip_states(a, b, c, d, theta):
-    if abs(a * a + b * b - 1.0) > 1e-9 or abs(c * c + d * d - 1.0) > 1e-9:
+    if abs(a * a + b * b - 1.0) > TRACE_TOL or abs(c * c + d * d - 1.0) > TRACE_TOL:
         raise BadParam("flip gadget needs a^2 + b^2 = 1 = c^2 + d^2")
     if not 0.0 <= theta <= math.pi:
         raise BadParam(f"theta = {theta} outside [0, pi]")
@@ -172,7 +172,7 @@ def angle_preserving_gadget(alpha, beta):
     defined on the three axis states."""
     alpha = complex(alpha)
     beta = complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TRACE_TOL:
         raise BadParam("|alpha|^2 + |beta|^2 must be 1")
     out_z = alpha * KET_0Z + beta * KET_1Z
     out_x = alpha * KET_0X + beta * KET_1X
@@ -181,11 +181,11 @@ def angle_preserving_gadget(alpha, beta):
     final = _probe([KET_0Z, KET_0X, KET_0Y], [out_z, out_x, out_y])
     res = _result(initial, final)
     a_f, b_f = res.a_final, res.b_final
-    if abs(b_f) <= 1e-12:
+    if abs(b_f) <= CASE_TOL:
         case = "B=0"
     else:
         case = "B<0" if b_f < 0 else "B>0"
-    if abs(a_f - 0.25) <= 1e-12:
+    if abs(a_f - 0.25) <= CASE_TOL:
         case += ",A=1/4"
     elif a_f < 0.25:
         case += ",A<1/4"

@@ -23,10 +23,13 @@ from .bound_entangled import (
     support_strings,
     unlock,
 )
-from .errors import BadParam, BadParty, BadSecret, OddN
+from .errors import BadParam, BadParty, BadSecret, OddN, TooLarge
 from .states import bell
 
 CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
+
+# Shots are drawn one at a time, so a demo or attack draws at most this many.
+MAX_SHOTS = 10**6
 
 
 @dataclass
@@ -77,7 +80,9 @@ def parity_attack(h, seed=0, shots=1000):
     first bit) stays at chance.
     """
     if shots < 1:
-        raise BadSecret(f"shots must be >= 1, got {shots}")
+        raise BadParam(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise TooLarge(f"shots = {shots} exceeds {MAX_SHOTS}")
     rng = np.random.default_rng(seed)
     n = h.n_qubits
     # each support vector is (|p> +/- |pbar>)/sqrt(2); "rho+" -> "rho" strings
@@ -147,6 +152,8 @@ def run_demo(n, trials, seed=0, shots=500):
     """
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
+    if trials * shots > MAX_SHOTS:
+        raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
     fam = be_family(n)
     unlock_hits = 0
     family_hits = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSubset, ComplexRoots, MissingDims, NotHermitian, NotPSD
-from .tolerances import HERM_TOL, PSD_CLAMP
+from .tolerances import CARDAN_TOL, HERM_TOL, PHASE_TOL, PSD_CLAMP
 
 
 def projector(v):
@@ -27,9 +27,9 @@ def dag(a):
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, tol=HERM_TOL):
+def is_hermitian(a):
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dag(a))) <= tol
+    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dag(a))) <= HERM_TOL
 
 
 def kron(a, b):
@@ -130,7 +130,7 @@ class EigResult:
     vectors: np.ndarray
 
 
-def eig_hermitian(h, tol=HERM_TOL):
+def eig_hermitian(h):
     """Full eigendecomposition of a hermitian matrix.
 
     Values come out descending; ties keep the backend order and each
@@ -138,26 +138,31 @@ def eig_hermitian(h, tol=HERM_TOL):
     output is deterministic for golden tests.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise NotHermitian(f"matrix not hermitian within {tol}")
+    if not is_hermitian(h):
+        raise NotHermitian(f"matrix not hermitian within {HERM_TOL}")
     vals, vecs = np.linalg.eigh(h)
     vals = vals[::-1].real.copy()
     vecs = vecs[:, ::-1].copy()
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        nz = np.nonzero(np.abs(col) > PHASE_TOL)[0]
         if nz.size:
             lead = col[nz[0]]
             vecs[:, j] = col * (lead.conjugate() / abs(lead))
     return EigResult(values=vals, vectors=vecs)
 
 
-def eigvals_hermitian(h, tol=HERM_TOL):
+def eigvals_hermitian(h):
     """Descending eigenvalues only (cheaper than eig_hermitian)."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        raise NotHermitian(f"matrix not hermitian within {tol}")
+    if not is_hermitian(h):
+        raise NotHermitian(f"matrix not hermitian within {HERM_TOL}")
     return np.linalg.eigvalsh(h)[::-1].copy()
+
+
+def min_eigenvalue(h):
+    """Smallest eigenvalue of a hermitian matrix."""
+    return float(eigvals_hermitian(h)[-1])
 
 
 def trace_norm(a):
@@ -166,21 +171,21 @@ def trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def psd_sqrt(a, clamp=PSD_CLAMP):
+def psd_sqrt(a):
     """Positive square root of a PSD hermitian matrix.
 
-    Eigenvalues in [-clamp, 0) are treated as numerical noise and clamped
-    to zero; anything below -clamp raises NotPSD.
+    Eigenvalues in [-PSD_CLAMP, 0) are treated as numerical noise and
+    clamped to zero; anything below -PSD_CLAMP raises NotPSD.
     """
     eig = eig_hermitian(a)
     vals = eig.values
-    if vals[-1] < -clamp:
-        raise NotPSD(f"matrix has eigenvalue {vals[-1]:.3e} < -{clamp}")
+    if vals[-1] < -PSD_CLAMP:
+        raise NotPSD(f"matrix has eigenvalue {vals[-1]:.3e} < -{PSD_CLAMP}")
     vals = np.sqrt(np.clip(vals, 0.0, None))
     return (eig.vectors * vals) @ dag(eig.vectors)
 
 
-def cardan_roots(G, H, tol=1e-12):
+def cardan_roots(G, H):
     """Real roots of x^3 - 3 G x + H = 0 (trigonometric form).
 
     Requires G >= 0 and H^2 <= 4 G^3 so that all three roots are real.
@@ -189,10 +194,10 @@ def cardan_roots(G, H, tol=1e-12):
     """
     G = float(G)
     H = float(H)
-    if G < -tol:
+    if G < -CARDAN_TOL:
         raise ComplexRoots(f"G = {G} must be nonnegative")
     G = max(G, 0.0)
-    if H * H > 4.0 * G**3 + tol:
+    if H * H > 4.0 * G**3 + CARDAN_TOL:
         raise ComplexRoots(f"H^2 = {H * H:.3e} exceeds 4 G^3 = {4 * G**3:.3e}")
     if G == 0.0:
         return np.zeros(3)

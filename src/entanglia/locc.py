@@ -33,9 +33,7 @@ from .majorization import (
     sorted_padded,
 )
 from .measures import binary_entropy
-from .tolerances import MAJ_TOL
-
-_TIE = 1e-9
+from .tolerances import COOP_MARGIN, INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
@@ -58,7 +56,7 @@ def _schmidt_sorted(v):
 def _strip(v):
     """Descending sort with trailing zeros removed."""
     v = _schmidt_sorted(v)
-    nz = np.nonzero(v > 1e-12)[0]
+    nz = np.nonzero(v > ZERO_TOL)[0]
     return v[: nz[-1] + 1] if nz.size else v[:1]
 
 
@@ -71,10 +69,10 @@ def vec_kron(a, b):
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-def nielsen(a, b, tol=MAJ_TOL):
+def nielsen(a, b):
     """True iff the state with Schmidt vector a converts to b under
     deterministic LOCC (a majorized by b)."""
-    return majorizes(_schmidt_sorted(a), _schmidt_sorted(b), tol)
+    return majorizes(_schmidt_sorted(a), _schmidt_sorted(b))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class PairClass:
 
 
 def _chain_ge(seq):
-    return all(seq[i] >= seq[i + 1] - _TIE for i in range(len(seq) - 1))
+    return all(seq[i] >= seq[i + 1] - TIE_TOL for i in range(len(seq) - 1))
 
 
 def classify(a, b):
@@ -97,8 +95,8 @@ def classify(a, b):
     sa, sb = sorted_padded(ra, rb)
     a1, ad = float(sa[0]), float(sa[-1])
     b1, bd = float(sb[0]), float(sb[-1])
-    strong = (a1 < b1 - _TIE and ad < bd - _TIE) or (a1 > b1 + _TIE and ad > bd + _TIE)
-    cat = (a1 <= b1 + _TIE) and (ad >= bd - _TIE)
+    strong = (a1 < b1 - TIE_TOL and ad < bd - TIE_TOL) or (a1 > b1 + TIE_TOL and ad > bd + TIE_TOL)
+    cat = (a1 <= b1 + TIE_TOL) and (ad >= bd - TIE_TOL)
     pattern = None
     if verdict is MajVerdict.Incomparable and ra.size == 3 and rb.size == 3:
         if _chain_ge([a1, b1, sb[1], sa[1], sa[2], sb[2]]):
@@ -121,13 +119,21 @@ def tensor_power(a, k):
     return out
 
 
-def multicopy(a, b, k, tol=MAJ_TOL):
-    """Whether k joint copies convert: nielsen on the k-fold tensor powers."""
+def multicopy(a, b, k):
+    """Whether k joint copies convert: nielsen on the k-fold tensor powers.
+
+    (rank_a * rank_b)^k may be at most 10^6.  The power is never formed for
+    large k: r^20 > 10^6 for every r >= 2, and r = 1 (two product states)
+    is the same comparison for every k.
+    """
     _require_copies(k)
     sa, sb = _strip(a), _strip(b)
-    if (sa.size * sb.size) ** k > 10**6:
-        raise TooLarge(f"(rank_a * rank_b)^k = {(sa.size * sb.size) ** k} exceeds 10^6")
-    return majorizes(tensor_power(sa, k), tensor_power(sb, k), tol)
+    r = sa.size * sb.size
+    if r ** min(k, 20) > 10**6:
+        raise TooLarge(f"(rank_a * rank_b)^k = {r}^{k} exceeds 10^6")
+    if r == 1:
+        k = 1
+    return majorizes(tensor_power(sa, k), tensor_power(sb, k))
 
 
 def find_catalyst_2x2(a, b, grid_step=1e-3):
@@ -142,7 +148,7 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
     for start in itertools.count(0, _MAX_CHUNK):
         c = 0.5 + np.arange(start, start + _MAX_CHUNK) * step
-        c = c[c < 1.0 - 1e-12]
+        c = c[c < 1.0 - INTERVAL_MARGIN]
         if c.size:
             chi = np.stack((c, 1.0 - c), axis=-1)
             hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
@@ -312,8 +318,8 @@ def _coop_case2_candidates(sa, sb, seed):
     for beta1 in np.linspace(max(a1, 1.0 / 3.0) + 0.005, min(0.95, a1 + 0.25), 12):
         tail = (1.0 - beta1) / 2.0
         chi = np.array([beta1, tail, tail])
-        lo = max(1.0 / 3.0 + 1e-6, a1 * beta1 / b1 + 1e-6)
-        hi = min(beta1, (beta1 + tail) / 2.0, 0.5 - 1e-6)
+        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta1 / b1 + COOP_MARGIN)
+        hi = min(beta1, (beta1 + tail) / 2.0, 0.5 - COOP_MARGIN)
         if lo >= hi:
             continue
         for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
@@ -324,8 +330,8 @@ def _coop_case2_candidates(sa, sb, seed):
         beta = np.sort(rng.dirichlet(flat))[::-1]
         if beta[0] <= a1 or beta[2] < 1e-3:
             continue
-        lo = max(1.0 / 3.0 + 1e-6, a1 * beta[0] / b1 + 1e-6)
-        hi = min(beta[0], (beta[0] + beta[1]) / 2.0, 0.5 - 1e-6)
+        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta[0] / b1 + COOP_MARGIN)
+        hi = min(beta[0], (beta[0] + beta[1]) / 2.0, 0.5 - COOP_MARGIN)
         if lo >= hi:
             continue
         alpha1 = rng.uniform(lo, hi)
@@ -341,7 +347,7 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     candidate whose four cross pairs are all incomparable is preferred.
     """
     sa, sb = _require_incomparable_3x3(a, b)
-    if sa[0] - sa[1] <= _TIE or sa[1] - sa[2] <= _TIE:
+    if sa[0] - sa[1] <= TIE_TOL or sa[1] - sa[2] <= TIE_TOL:
         raise Degenerate("source vector must have strictly distinct entries")
 
     if sa[0] > sb[0]:
@@ -419,7 +425,7 @@ def split_two_copies(a, b):
     sa, sb = _require_incomparable_3x3(a, b)
     a1, a2, a3 = sa
     b1, b2, b3 = sb
-    if a1 - a2 <= _TIE or a2 - a3 <= _TIE:
+    if a1 - a2 <= TIE_TOL or a2 - a3 <= TIE_TOL:
         raise Degenerate("source Schmidt coefficients must be strictly distinct")
 
     shared = [a1**2 / b1, a1 * (a1 + 2.0 * a2) / (2.0 * b1 + b2), a1 - (a1**2 - a2**2) / 2.0]
@@ -435,7 +441,7 @@ def split_two_copies(a, b):
             if a1 + 2.0 * a2 >= 2.0 * b1 + b2:
                 raise EmptyRange("a1 + 2 a2 >= 2 b1 + b2: no admissible eta")
             lo = max(*shared, a1 * (2.0 - a1) / (2.0 - b3), (a1 + a2) / 2.0)
-        hi = min(a1, 0.5 - 1e-12)
+        hi = min(a1, 0.5 - INTERVAL_MARGIN)
     else:
         case = 2
         if a3 >= 0.5 * (1.0 - a1**2 / b1):
@@ -449,7 +455,7 @@ def split_two_copies(a, b):
             bounds.append(a3 + (a2**2 - a3**2) / 2.0)
         lo = a3
         hi = min(*bounds, (1.0 - a1) / 2.0, 1.0 / 3.0)
-    if lo >= hi - 1e-12:
+    if lo >= hi - INTERVAL_MARGIN:
         raise EmptyRange(f"empty parameter interval ({lo}, {hi})")
 
     # probes in order of preference, all checked in one pass

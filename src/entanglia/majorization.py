@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadResolution, NonFinite, NotMajorized, TraceMismatch
 from .linalg import eigvals_hermitian, is_hermitian
-from .tolerances import MAJ_TOL, TRACE_TOL
+from .tolerances import IMAG_TOL, MAJ_TOL, NOISE_TOL, PROJ_TOL, TRACE_TOL
 
 
 class MajVerdict(enum.Enum):
@@ -25,17 +25,17 @@ class MajVerdict(enum.Enum):
     Incomparable = "Incomparable"
 
 
-def as_prob_vector(v, tol=TRACE_TOL):
-    """Validate and clean a probability vector (clamps -1e-12 noise to 0)."""
+def as_prob_vector(v):
+    """Validate and clean a probability vector (clamps -NOISE_TOL noise to 0)."""
     v = np.asarray(v, dtype=float).copy()
     if v.ndim != 1 or v.size == 0:
         raise TraceMismatch("expected a nonempty 1-d probability vector")
     if not np.all(np.isfinite(v)):
         raise NonFinite("probability vector has a NaN or infinite component")
-    if np.min(v) < -1e-12:
+    if np.min(v) < -NOISE_TOL:
         raise TraceMismatch(f"negative component {np.min(v)} in probability vector")
     v[v < 0] = 0.0
-    if abs(v.sum() - 1.0) > tol:
+    if abs(v.sum() - 1.0) > TRACE_TOL:
         raise TraceMismatch(f"probability vector sums to {v.sum()}, not 1")
     return v
 
@@ -74,7 +74,7 @@ def partial_sums(v):
     return np.cumsum(np.sort(np.asarray(v, dtype=float))[::-1])
 
 
-def compare_rows(x, y, tol=MAJ_TOL):
+def compare_rows(x, y):
     """Majorization flags for every row of two (..., d) stacks.
 
     Row lengths may differ (the shorter side is zero-padded) and the leading
@@ -92,24 +92,24 @@ def compare_rows(x, y, tol=MAJ_TOL):
         row = gap.argmax()
         tx, ty = np.broadcast_arrays(tx, ty)
         raise TraceMismatch(f"totals differ: {tx.flat[row]} vs {ty.flat[row]}")
-    fwd = (cx <= cy + tol).all(axis=-1)
-    bwd = (cy <= cx + tol).all(axis=-1)
-    close = abs(xs - ys).max(axis=-1) <= tol
+    fwd = (cx <= cy + MAJ_TOL).all(axis=-1)
+    bwd = (cy <= cx + MAJ_TOL).all(axis=-1)
+    close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
     return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
 
 
-def majorizes(x, y, tol=MAJ_TOL):
+def majorizes(x, y):
     """True iff x is majorized by y (x more mixed than y).
 
     Every descending partial sum of x must stay <= the corresponding sum of
-    y within `tol`; totals must agree within the trace tolerance.
+    y within MAJ_TOL; totals must agree within the trace tolerance.
     """
-    return bool(compare_rows(x, y, tol).fwd)
+    return bool(compare_rows(x, y).fwd)
 
 
-def compare(x, y, tol=MAJ_TOL):
+def compare(x, y):
     """Classify the pair: XPrecY, YPrecX, Equal or Incomparable."""
-    flags = compare_rows(x, y, tol)
+    flags = compare_rows(x, y)
     if flags.equal:
         return MajVerdict.Equal
     if flags.fwd:
@@ -119,30 +119,30 @@ def compare(x, y, tol=MAJ_TOL):
     return MajVerdict.Incomparable
 
 
-def is_doubly_stochastic(a, tol=MAJ_TOL):
+def is_doubly_stochastic(a):
     """Entries nonnegative, every row and column summing to 1."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     if np.iscomplexobj(a):
-        if np.max(np.abs(a.imag)) > 1e-12:
+        if np.max(np.abs(a.imag)) > IMAG_TOL:
             return False
         a = a.real
     return bool(
-        np.min(a) >= -tol
-        and np.max(np.abs(a.sum(axis=0) - 1.0)) <= tol
-        and np.max(np.abs(a.sum(axis=1) - 1.0)) <= tol
+        np.min(a) >= -MAJ_TOL
+        and np.max(np.abs(a.sum(axis=0) - 1.0)) <= MAJ_TOL
+        and np.max(np.abs(a.sum(axis=1) - 1.0)) <= MAJ_TOL
     )
 
 
-def ds_witness(x, y, tol=MAJ_TOL):
+def ds_witness(x, y):
     """Doubly stochastic A with A @ sort(y) = sort(x), as a T-transform chain.
 
     Classical Hardy-Littlewood-Polya construction: each step mixes the
     identity with one transposition, fixing at least one coordinate, so at
     most d-1 factors are needed.
     """
-    if not majorizes(x, y, tol):
+    if not majorizes(x, y):
         raise NotMajorized("x is not majorized by y")
     xs, ys = sorted_padded(x, y)
     d = xs.size
@@ -150,10 +150,10 @@ def ds_witness(x, y, tol=MAJ_TOL):
     v = ys.copy()
     for _ in range(d):
         diff = v - xs
-        if np.max(np.abs(diff)) <= tol:
+        if np.max(np.abs(diff)) <= MAJ_TOL:
             break
-        j = int(np.argmax(diff > tol))  # first v_j > x_j
-        ks = np.nonzero(diff[j + 1:] < -tol)[0]
+        j = int(np.argmax(diff > MAJ_TOL))  # first v_j > x_j
+        ks = np.nonzero(diff[j + 1:] < -MAJ_TOL)[0]
         if ks.size == 0:
             break
         k = j + 1 + int(ks[0])
@@ -167,12 +167,12 @@ def ds_witness(x, y, tol=MAJ_TOL):
     return a
 
 
-def spectra_majorized(rho, sigma, tol=MAJ_TOL):
+def spectra_majorized(rho, sigma):
     """spectrum(rho) majorized by spectrum(sigma), traces matching."""
-    return majorizes(eigvals_hermitian(rho), eigvals_hermitian(sigma), tol)
+    return majorizes(eigvals_hermitian(rho), eigvals_hermitian(sigma))
 
 
-def dephase(rho, projectors, tol=MAJ_TOL):
+def dephase(rho, projectors):
     """Pinch rho through a complete set of orthogonal projectors.
 
     Returns sum_j P_j rho P_j; its spectrum is majorized by rho's.
@@ -182,10 +182,10 @@ def dephase(rho, projectors, tol=MAJ_TOL):
     total = np.zeros_like(rho)
     for i, p in enumerate(projectors):
         p = np.asarray(p, dtype=complex)
-        if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > 1e-9:
+        if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > PROJ_TOL:
             raise BadResolution(f"element {i} is not an orthogonal projector")
         total += p
-    if np.max(np.abs(total - np.eye(n))) > tol:
+    if np.max(np.abs(total - np.eye(n))) > PROJ_TOL:
         raise BadResolution("projectors do not resolve the identity")
     out = np.zeros_like(rho)
     for p in projectors:
@@ -193,7 +193,7 @@ def dephase(rho, projectors, tol=MAJ_TOL):
     return out
 
 
-def ensemble_exists(p, lam, tol=MAJ_TOL):
+def ensemble_exists(p, lam):
     """Whether a pure-state ensemble with probabilities p realizes a state
     whose spectrum is lam: holds iff p is majorized by lam."""
-    return majorizes(as_prob_vector(p), as_prob_vector(lam), tol)
+    return majorizes(as_prob_vector(p), as_prob_vector(lam))

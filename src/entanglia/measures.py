@@ -1,6 +1,6 @@
 """Classical and quantum entropy/entanglement measures.
 
-All logarithms are base 2 (ebit/cbit units).  Eigenvalues in [-1e-9, 0)
+All logarithms are base 2 (ebit/cbit units).  Eigenvalues in [-PSD_CLAMP, 0)
 are clamped to zero before any entropy is taken.
 """
 
@@ -23,7 +23,7 @@ from .linalg import (
 )
 from .majorization import as_prob_vector
 from .states import SIGMA_Y, schmidt_vector
-from .tolerances import HERM_TOL, PSD_CLAMP, TRACE_TOL
+from .tolerances import NOISE_TOL, PSD_CLAMP, TRACE_TOL
 
 
 def _xlog2x(p):
@@ -63,7 +63,7 @@ def relative_entropy_classical(p, q):
 def mutual_information(joint):
     """I(X;Y) = H(X) + H(Y) - H(X,Y) for a joint probability table."""
     joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2 or np.min(joint) < -1e-12:
+    if joint.ndim != 2 or np.min(joint) < -NOISE_TOL:
         raise BadDistribution("joint table must be a nonnegative matrix")
     joint = np.clip(joint, 0.0, None)
     if abs(joint.sum() - 1.0) > TRACE_TOL:
@@ -74,9 +74,9 @@ def mutual_information(joint):
     return float(hx + hy - hxy)
 
 
-def check_density(rho, tol=HERM_TOL):
+def check_density(rho):
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise NotDensity("density matrix must be hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise NotDensity(f"trace {np.trace(rho).real} != 1")

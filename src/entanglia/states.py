@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BadBloch, BadParam, BadSplit, MissingDims, NotDensity
 from .linalg import eig_hermitian, partial_trace, projector
-from .tolerances import RANK_TOL, TRACE_TOL
+from .tolerances import BLOCH_TOL, RANK_TOL, TRACE_TOL
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -38,9 +38,9 @@ def fix_phase(psi):
     return psi * (lead.conjugate() / abs(lead))
 
 
-def check_pure(psi, dims=None, tol=TRACE_TOL):
+def check_pure(psi, dims=None):
     psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
+    if abs(np.linalg.norm(psi) - 1.0) > TRACE_TOL:
         raise NotDensity(f"amplitude vector has norm {np.linalg.norm(psi)}")
     if dims is not None and math.prod(dims) != psi.size:
         raise MissingDims(f"product of dims {tuple(dims)} != length {psi.size}")
@@ -76,7 +76,7 @@ def bloch_to_qubit(n):
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise BadBloch("Bloch vector must have 3 real components")
-    if np.linalg.norm(n) > 1.0 + 1e-9:
+    if np.linalg.norm(n) > 1.0 + BLOCH_TOL:
         raise BadBloch(f"|n| = {np.linalg.norm(n)} exceeds 1")
     return 0.5 * (ID2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
 
@@ -85,7 +85,7 @@ def qubit_to_bloch(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise NotDensity("expected a 2x2 density matrix")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
+    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise NotDensity(f"trace {np.trace(rho)} != 1")
     return np.array([float(np.trace(rho @ s).real) for s in PAULI])
 

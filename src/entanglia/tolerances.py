@@ -1,36 +1,88 @@
 """Central numerical tolerance constants.
 
-One knob for all numerical gates; modules import from here instead of
-hard-coding literals.
+The one knob for every numerical gate: modules read these names, no
+public function takes a tolerance argument, and `as_dict()` (echoed in
+every CLI report) lists every constant defined here.
 """
 
 # Hermiticity gate: max |H - H^dagger| entry.
 HERM_TOL = 1e-9
 
-# Eigen-reconstruction residual gate.
-RESID_TOL = 1e-9
-
-# Eigenvalues in [-PSD_CLAMP, 0) are clamped to 0 before sqrt/log.
+# Eigenvalues in [-PSD_CLAMP, 0) are numerical noise: clamped to 0 before
+# sqrt/log, and not a violation of the reduction criterion.
 PSD_CLAMP = 1e-9
 
 # Slack for majorization partial-sum inequalities; boundary cases such as
 # the .80 = .80 partial sum in the textbook catalysis pair must pass.
 MAJ_TOL = 1e-9
 
-# Two probability/trace totals are "equal" within this.
+# Two totals are "equal" within this: probability sums, traces, and
+# (squared) norms against 1.
 TRACE_TOL = 1e-9
 
-# Schmidt coefficients below this count as zero rank.
+# Schmidt coefficients below this count as zero rank (Schmidt decomposition).
 RANK_TOL = 1e-10
 
+# Entries at or below this count as zero where a support is read off:
+# stripped trailing Schmidt coefficients in locc, the Tiles complement rank.
+# A separate decision from RANK_TOL, kept at its own value.
+ZERO_TOL = 1e-12
+
+# Negative probability entries down to -NOISE_TOL are rounding noise and
+# clamped to 0; anything lower is rejected.
+NOISE_TOL = 1e-12
+
+# Largest imaginary part a doubly stochastic matrix may carry.
+IMAG_TOL = 1e-12
+
+# An eigenvector's phase is fixed by its first component above this modulus.
+PHASE_TOL = 1e-12
+
+# Two Schmidt coefficients within this are tied (classify's interleaving
+# chains and strong-incomparability test, distinct-entry checks).
+TIE_TOL = 1e-9
+
+# Open interval ends are kept this far away: the catalyst grid stops below
+# c = 1, split2's interval stays below 1/2 and is empty unless lo < hi - this.
+INTERVAL_MARGIN = 1e-12
+
+# The same margin for coop's case-2 alpha interval (both ends).
+COOP_MARGIN = 1e-6
+
+# cardan_roots accepts G >= -CARDAN_TOL and H^2 <= 4 G^3 + CARDAN_TOL.
+CARDAN_TOL = 1e-12
+
+# Angle gadget cases: B within this of 0 is "B=0", A within this of 1/4 is
+# "A=1/4".
+CASE_TOL = 1e-12
+
+# Projectors: max |P P - P| entry, and max |sum P - I| entry for a set to
+# resolve the identity (dephase).
+PROJ_TOL = 1e-9
+
+# Bloch vectors: |n| <= 1 + BLOCH_TOL.
+BLOCH_TOL = 1e-9
+
+# Maximally entangled fraction above 1/d + FMAX_TOL flags entanglement.
+FMAX_TOL = 1e-9
+
+# Seesaw convergence: stop once the objective moves by at most this
+# (relative to max(1, |value|) for the fraction seesaw).
+FRACTION_SEESAW_TOL = 1e-10
+RANK2_SEESAW_TOL = 1e-12
+UPB_SEESAW_TOL = 1e-14
+
 # Bound entangled family checks (verify_family).
-# Largest |tr(rho_x rho_y)| for two family members to count as orthogonal.
+# Largest overlap for two states to count as orthogonal: |tr(rho_x rho_y)|
+# of family members, and each |<x|y> - delta_xy| of the Tiles UPB.
 ORTHO_TOL = 1e-12
 # Max entry change under an adjacent qubit swap for permutation symmetry.
 PERM_TOL = 1e-12
 # Max entry distance of each (n-1)-qubit marginal from I / 2^(n-1).
 MARGINAL_TOL = 1e-12
-# Even:even cuts are PPT when their smallest PT eigenvalue is >= -PPT_TOL.
+# A partial transpose is PPT when its smallest eigenvalue is >= -PPT_TOL
+# (is_ppt, even:even family cuts); a rank-2 overlap with it below -PPT_TOL
+# certifies distillability.
 PPT_TOL = 1e-9
 # Max entry distance between a Pauli-conjugated rho+ and its sibling.
 PAULI_TOL = 1e-9
@@ -41,19 +93,6 @@ NPT_TOL = 1e-6
 
 
 def as_dict():
-    """Tolerances as a plain dict, embedded in CLI reports."""
-    return {
-        "herm_tol": HERM_TOL,
-        "resid_tol": RESID_TOL,
-        "psd_clamp": PSD_CLAMP,
-        "maj_tol": MAJ_TOL,
-        "trace_tol": TRACE_TOL,
-        "rank_tol": RANK_TOL,
-        "ortho_tol": ORTHO_TOL,
-        "perm_tol": PERM_TOL,
-        "marginal_tol": MARGINAL_TOL,
-        "ppt_tol": PPT_TOL,
-        "pauli_tol": PAULI_TOL,
-        "unlock_tol": UNLOCK_TOL,
-        "npt_tol": NPT_TOL,
-    }
+    """Every constant above, keyed by its lowercased name (embedded in CLI
+    reports)."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, MissingDims, TooLarge
+from .errors import BadDims, BadParam, MissingDims, TooLarge
 from .linalg import (
-    eigvals_hermitian,
     kron,
+    min_eigenvalue,
     partial_trace,
     partial_transpose,
     permute_ket,
@@ -24,21 +24,20 @@ from .linalg import (
 )
 from .measures import check_density
 from .states import PAULI, random_unitary
-from .tolerances import PSD_CLAMP
+from .tolerances import FMAX_TOL, FRACTION_SEESAW_TOL, PPT_TOL, PSD_CLAMP, RANK2_SEESAW_TOL
 
 
 def min_pt_eigenvalue(rho, dims, cut):
     """Smallest eigenvalue of the partial transpose across `cut`."""
-    pt = partial_transpose(rho, dims, cut)
-    return float(eigvals_hermitian(pt)[-1])
+    return min_eigenvalue(partial_transpose(rho, dims, cut))
 
 
-def is_ppt(rho, dims, cut, tol=PSD_CLAMP):
-    """(ppt, min PT eigenvalue); ppt iff the minimum stays above -tol."""
+def is_ppt(rho, dims, cut):
+    """(ppt, min PT eigenvalue); ppt iff the minimum stays at or above -PPT_TOL."""
     if dims is None:
         raise MissingDims("is_ppt needs subsystem dimensions")
     m = min_pt_eigenvalue(check_density(rho), dims, cut)
-    return m >= -tol, m
+    return m >= -PPT_TOL, m
 
 
 def chsh_M(rho):
@@ -55,7 +54,7 @@ def chsh_M(rho):
     return float(w[-1] + w[-2])
 
 
-def reduction_check(rho, dims, cut, tol=PSD_CLAMP):
+def reduction_check(rho, dims, cut):
     """True iff the reduction criterion is violated across `cut`.
 
     Checks min eigenvalues of I (x) rho_B - rho and rho_A (x) I - rho,
@@ -70,9 +69,9 @@ def reduction_check(rho, dims, cut, tol=PSD_CLAMP):
     rho_b = partial_trace(rho, dims, rest)
     rho_ab, _ = permute_subsystems(rho, dims, cut + rest)
     da, db = rho_a.shape[0], rho_b.shape[0]
-    m1 = eigvals_hermitian(kron(np.eye(da), rho_b) - rho_ab)[-1]
-    m2 = eigvals_hermitian(kron(rho_a, np.eye(db)) - rho_ab)[-1]
-    return bool(min(m1, m2) < -tol)
+    m1 = min_eigenvalue(kron(np.eye(da), rho_b) - rho_ab)
+    m2 = min_eigenvalue(kron(rho_a, np.eye(db)) - rho_ab)
+    return min(m1, m2) < -PSD_CLAMP
 
 
 def _polar_unitary(m):
@@ -101,7 +100,7 @@ def max_entangled_fraction(rho, dims, restarts=16, iters=50, seed=0):
             vec = u.reshape(-1) / math.sqrt(d)
             grad = (rho @ vec).reshape(d, d)
             val = float((vec.conj() @ rho @ vec).real)
-            if abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
+            if abs(val - prev) <= FRACTION_SEESAW_TOL * max(1.0, abs(val)):
                 break
             prev = val
             u = _polar_unitary(grad)
@@ -126,12 +125,16 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
     A negative best value certifies distillability; a nonnegative one is
     inconclusive (never "undistillable").
     """
+    if copies < 1:
+        raise BadParam(f"copies = {copies}: at least one copy is required")
     if dims is None:
         raise MissingDims("distillable_rank2 needs subsystem dimensions")
     rho = check_density(rho)
     dim = rho.shape[0]
-    if copies * math.log2(dim) > 12 + 1e-9:
-        raise TooLarge(f"{copies} copies of dimension {dim} exceed the size guard")
+    # copies > 12 already exceeds 2^12 for dim >= 2, so no larger power is
+    # formed; it also bounds the copy loop of a 1x1 state
+    if copies > 12 or dim**copies > 2**12:
+        raise TooLarge(f"{copies} copies of dimension {dim} exceed the 2^12 size guard")
     cut = sorted({int(c) for c in cut})
     n = len(dims)
     rest = [i for i in range(n) if i not in cut]
@@ -149,7 +152,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
     if min(da, db) < 2:
         # no Schmidt-rank-2 state exists across a 1-dimensional side; the
         # partial transpose of such a state is PSD anyway
-        val = float(eigvals_hermitian(w)[-1])
+        val = min_eigenvalue(w)
         vec = np.zeros(da * db, dtype=complex)
         vec[0] = 1.0
         return Rank2Result(found=False, value=max(val, 0.0), witness=vec, witness_dims=dims_k)
@@ -179,7 +182,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
             psi_mat = u @ vecs[:, 0].reshape(2, db)
             _, _, vh = np.linalg.svd(psi_mat, full_matrices=False)
             v = vh[:2].conj().T
-            if abs(val - prev) <= 1e-12:
+            if abs(val - prev) <= RANK2_SEESAW_TOL:
                 break
             prev = val
         if prev < best_val:
@@ -191,7 +194,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
     inverse = np.argsort(a_idx + b_idx)
     witness, wdims = permute_ket(best_vec, grouped_dims, inverse)
     return Rank2Result(
-        found=bool(best_val < -1e-9),
+        found=bool(best_val < -PPT_TOL),
         value=best_val,
         witness=witness,
         witness_dims=wdims,
@@ -226,7 +229,7 @@ def witness_report(rho, dims, cut=(0,), seed=0, copies=1):
         rep.chsh_m = chsh_M(rho)
     if len(dims) == 2 and dims[0] == dims[1]:
         rep.fmax = max_entangled_fraction(rho, dims, seed=seed)
-        rep.fmax_flags_entangled = bool(rep.fmax > 1.0 / dims[0] + 1e-9)
+        rep.fmax_flags_entangled = bool(rep.fmax > 1.0 / dims[0] + FMAX_TOL)
     r2 = distillable_rank2(rho, dims, cut, copies=copies, seed=seed)
     rep.distillable = {"found": r2.found, "value": r2.value}
     return rep

@@ -31,6 +31,7 @@ from entanglia.majorization import (
 )
 from entanglia.measures import concurrence_2q, shannon, von_neumann_entropy
 from entanglia.states import werner
+from entanglia.tolerances import MAJ_TOL
 from entanglia.witness import chsh_M, is_ppt
 
 from conftest import random_density, random_doubly_stochastic, random_prob, random_unitary, rng_for
@@ -50,7 +51,8 @@ def test_criterion_01_catalysis_golden():
     tgt = np.sort(vec_kron(b, chi))[::-1]
     assert np.allclose(src, [0.24, 0.24, 0.16, 0.16, 0.06, 0.06, 0.04, 0.04], atol=1e-15)
     assert np.allclose(tgt, [0.3, 0.2, 0.15, 0.15, 0.1, 0.1, 0.0, 0.0], atol=1e-15)
-    assert majorizes(src, tgt, tol=1e-9)  # boundary .80 = .80 passes under slack
+    assert MAJ_TOL == 1e-9
+    assert majorizes(src, tgt)  # boundary .80 = .80 passes under slack
     _report(1, "catalyst (.6,.4) converts the blocked 4x4 pair, boundary included")
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_catalyst_reports_c(capsys):
 
 def test_multicopy(capsys):
     code, out, _ = run_cli(capsys, "multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "3", "--output", "structured")
+    assert code == 0
+    assert json.loads(out)["convertible"] is True
+
+
+@pytest.mark.parametrize("k", ["100000", "1000000000000"])
+def test_multicopy_huge_k_exits_3(capsys, k):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", k)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "TooLarge" in err
+
+
+def test_multicopy_at_the_size_limit(capsys):
+    tenth = ",".join(["0.1"] * 10)
+    code, out, _ = run_cli(capsys, "multicopy", tenth, tenth, "3", "--output", "structured")
     assert code == 0
     assert json.loads(out)["convertible"] is True
 
@@ -171,6 +188,17 @@ def test_witness_report(tmp_path, capsys):
     assert doc["distillable"]["found"] is True
 
 
+def test_witness_copies_and_cut_errors(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    write_matrix(path, werner(0.8), dims=(2, 2))
+    code, _, err = run_cli(capsys, "witness", str(path), "--copies", "0")
+    assert code == 3
+    assert "BadParam" in err and "copies" in err
+    code, _, err = run_cli(capsys, "witness", str(path), "--cut", "x")
+    assert code == 3
+    assert "BadParam" in err and "cut" in err
+
+
 def test_flip_subcommand(capsys):
     s = 1 / np.sqrt(2)
     code, out, _ = run_cli(capsys, "flip", str(s), str(s), str(s), str(s), "1.5707963267948966", "--output", "structured")
@@ -246,6 +274,14 @@ def test_hide_demo(capsys):
     doc = json.loads(out)
     assert doc["unlock_rate"] == 1.0
     assert doc["family_leak_rate"] == 1.0
+
+
+def test_hide_demo_huge_shots_exits_3(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "hide", "demo", "--n", "4", "--trials", "1", "--shots", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "TooLarge" in err
 
 
 def test_env_seed(monkeypatch, capsys):

@@ -1,10 +1,13 @@
-"""Seeded argv fuzz of the bound entangled and hiding subcommands.
+"""Seeded argv fuzz of every subcommand.
 
 Each run is a child process with a timeout, so a hang fails the test
 instead of stalling the suite.  Every argv must end in exit 0 (answer),
-2 (usage error) or 3 (named precondition), never in a traceback.
+2 (usage error) or 3 (named precondition), never in a traceback.  The two
+tests together start 40 children.
 """
 
+import json
+import math
 import os
 import random
 import subprocess
@@ -50,3 +53,97 @@ def test_bound_and_hide_argv_fuzz():
         assert "Traceback" not in done.stderr, (argv, done.stderr)
         codes.add(done.returncode)
     assert codes == {0, 2, 3}  # the seed reaches every kind of ending
+
+
+# ---------------------------------------------------------------------------
+# the other subcommands
+
+
+def run_child(argv):
+    src = os.path.dirname(os.path.dirname(entanglia.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "entanglia.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode in (0, 2, 3), (argv, done.stderr)
+    assert "Traceback" not in done.stderr, (argv, done.stderr)
+    return done.returncode
+
+
+VECTORS = [
+    ".4,.4,.2", ".48,.26,.26", ".41,.38,.21", ".4,.4,.1,.1", ".5,.25,.25,0", ".5,.3,.2",
+    ".55,.24,.21", ".5,.5", "1,0", "1", ".7,.2", "-.1,1.1", "nan,1", "inf,0", "", "a,b",
+]
+FLOATS = ["0", "1", "-1", "0.5", "0.7071067811865476", "1.5707963267948966", "nan", "inf", "x"]
+CUTS = ["0", "1", "2", "0,1", "", "x", "-1"]
+
+
+def write_inputs(tmp_path):
+    """State and matrix files, written with the stdlib: a Bell state, a
+    Werner matrix (p = 0.8), a three-qubit GHZ state, a matrix without
+    dims and a file that is not JSON."""
+    h = 1 / math.sqrt(2)
+    werner = [[0.05, 0, 0, 0], [0, 0.45, -0.4, 0], [0, -0.4, 0.45, 0], [0, 0, 0, 0.05]]
+    zero = [[0.0] * 4 for _ in range(4)]
+    docs = {
+        "bell.json": {"dims": [2, 2], "amp": [[h, 0], [0, 0], [0, 0], [h, 0]]},
+        "werner.json": {"dims": [2, 2], "re": werner, "im": zero},
+        "ghz.json": {"dims": [2, 2, 2], "amp": [[h, 0]] + [[0, 0]] * 6 + [[h, 0]]},
+        "nodims.json": {"dims": None, "re": werner, "im": zero},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "broken.json").write_text("{")
+    return [str(tmp_path / name) for name in (*docs, "broken.json", "missing.json")]
+
+
+def other_argv(rng, kind, files):
+    vec = lambda: rng.choice(VECTORS)
+    num = lambda: rng.choice(FLOATS)
+    if kind in ("majorize", "nielsen", "classify", "coop", "split2"):
+        return [kind, vec(), vec()]
+    if kind == "catalyst":
+        return [kind, vec(), vec(), "--step", rng.choice(["0", "0.001", "0.25", "0.6", "nan", "-1"])]
+    if kind == "multicopy":
+        return [kind, vec(), vec(), rng.choice(["-1", "0", "1", "2", "3", "20", "x"])]
+    if kind == "assist":
+        return [kind, vec(), vec()] + (["--min"] if rng.random() < 0.5 else [])
+    if kind == "measure":
+        what = rng.choice(["entropy", "concurrence", "eof", "negativity", "purity"])
+        return [kind, what, rng.choice(files), "--cut", rng.choice(CUTS)]
+    if kind == "witness":
+        copies = rng.choice(["-1", "0", "1", "2", "13", "1000000000000"])
+        return [kind, rng.choice(files), "--cut", rng.choice(CUTS), "--copies", copies]
+    if kind == "flip":
+        return [kind] + [num() for _ in range(5)]
+    if kind == "antiunitary":
+        return [kind] + [num() for _ in range(3)]
+    if kind == "angle":
+        return [kind, num(), num()] + (["--sweep", rng.choice(["-3", "0", "5"])] if rng.random() < 0.5 else [])
+    if kind == "bound horodecki":
+        return ["bound", "horodecki", "--a", num()]
+    return ["bound", "upb", "--trials", rng.choice(COUNTS)]
+
+
+KINDS = [
+    "majorize", "nielsen", "classify", "catalyst", "multicopy", "assist", "coop", "split2",
+    "measure", "witness", "flip", "antiunitary", "angle", "bound horodecki", "bound upb",
+]
+OTHER_RUNS = 19
+
+
+def test_other_subcommands_argv_fuzz(tmp_path):
+    files = write_inputs(tmp_path)
+    fixed = [
+        ["multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "100000"],
+        ["multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "1000000000000"],
+        ["hide", "demo", "--n", "4", "--trials", "1", "--shots", "1000000000"],
+        ["witness", files[1], "--copies", "0"],
+        ["measure", "entropy", files[0], "--cut", "x"],
+    ]
+    for argv in fixed:
+        assert run_child(argv) == 3, argv
+    rng = random.Random(19990401)
+    codes = {run_child(other_argv(rng, KINDS[i % len(KINDS)], files)) for i in range(OTHER_RUNS)}
+    assert {0, 3} <= codes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entanglia.bound_entangled import be_family
-from entanglia.errors import BadParam, BadParty, BadSecret, OddN
+from entanglia.errors import BadParam, BadParty, BadSecret, OddN, TooLarge
 from entanglia.hiding import (
     CODEBOOK,
     decode_by_unlock,
@@ -127,3 +127,18 @@ def test_run_demo_rejects_no_trials():
     for trials in (0, -2):
         with pytest.raises(BadParam):
             run_demo(4, trials=trials)
+
+
+def test_shot_counts_bounded():
+    h = hide(0, 4)
+    for shots in (0, -5):
+        with pytest.raises(BadParam):
+            parity_attack(h, shots=shots)
+        with pytest.raises(BadParam):
+            run_demo(4, trials=1, shots=shots)
+    with pytest.raises(TooLarge):
+        parity_attack(h, shots=10**6 + 1)
+    with pytest.raises(TooLarge):
+        run_demo(4, trials=2001, shots=500)  # 1000500 shots in all
+    with pytest.raises(TooLarge):
+        run_demo(4, trials=1, shots=10**9)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,20 @@ def test_nonfinite_input_rejected():
 def test_multicopy_size_guard():
     with pytest.raises(TooLarge):
         multicopy(random_prob(6, rng_for("g")), random_prob(6, rng_for("g2")), 8)
+
+
+def test_multicopy_size_guard_never_forms_the_power():
+    for k in (10**5, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"12\\^{k} exceeds"):
+            multicopy(CAT_A, CAT_B, k)
+        assert time.perf_counter() - start < 1.0
+    tenth = np.full(10, 0.1)
+    assert multicopy(tenth, tenth, 3)  # (10 * 10)^3 = 10^6 exactly is allowed
+    with pytest.raises(TooLarge):
+        multicopy(tenth, tenth, 4)
+    # two product states: every power is the state itself
+    assert multicopy([1.0], [1.0, 0.0], 10**12)
 
 
 def test_catalyst_known_4x4_pair():

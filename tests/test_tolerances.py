@@ -1,0 +1,90 @@
+"""Guards that keep `entanglia.tolerances` the only tolerance knob: no gate
+literal elsewhere in the package, no per-call tolerance parameter, no
+constant nobody reads, and a report block that lists every constant."""
+
+import ast
+import importlib
+import inspect
+import pathlib
+import pkgutil
+import tokenize
+
+import entanglia
+from entanglia import tolerances
+
+PACKAGE = pathlib.Path(entanglia.__file__).parent
+TOLERANCES = PACKAGE / "tolerances.py"
+OTHER_SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p != TOLERANCES)
+
+
+def _tokens(path):
+    with open(path) as fh:
+        return list(tokenize.generate_tokens(fh.readline))
+
+
+def _constants():
+    """Module-level upper-case names assigned in tolerances.py."""
+    tree = ast.parse(TOLERANCES.read_text())
+    return [
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    ]
+
+
+def test_no_small_float_literal_outside_tolerances():
+    found = [
+        f"{path.name}:{tok.start[0]}: {tok.string}"
+        for path in OTHER_SOURCES
+        for tok in _tokens(path)
+        if tok.type == tokenize.NUMBER
+        and not tok.string.lower().endswith("j")
+        and 0.0 < float(tok.string) < 1e-5
+    ]
+    assert not found, found
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"entanglia.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for meth_name, meth in vars(obj).items():
+                    if inspect.isfunction(meth) and not meth_name.startswith("_"):
+                        yield f"{module.__name__}.{name}.{meth_name}", meth
+
+
+def test_no_tolerance_parameters():
+    callables = dict(_public_callables())
+    assert "entanglia.majorization.majorizes" in callables
+    offenders = []
+    for qualname, obj in callables.items():
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # builtin-backed classes carry no signature
+            continue
+        offenders += [f"{qualname}({p})" for p in params if p in ("tol", "clamp", "npt_tol")]
+    assert not offenders, offenders
+
+
+def test_every_constant_is_read_elsewhere():
+    names = {
+        tok.string for path in OTHER_SOURCES for tok in _tokens(path) if tok.type == tokenize.NAME
+    }
+    unread = [c for c in _constants() if c not in names]
+    assert not unread, unread
+
+
+def test_as_dict_lists_every_constant():
+    constants = _constants()
+    assert len(constants) == len(set(constants))
+    doc = tolerances.as_dict()
+    assert sorted(doc) == sorted(c.lower() for c in constants)
+    assert all(doc[c.lower()] == getattr(tolerances, c) for c in constants)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entanglia.errors import MissingDims, TooLarge
+from entanglia.errors import BadParam, MissingDims, TooLarge
 from entanglia.linalg import kron, projector
 from entanglia.majorization import sorted_padded
 from entanglia.measures import concurrence_2q
@@ -142,6 +142,18 @@ def test_distillable_two_copies_small():
 def test_distillable_size_guard():
     with pytest.raises(TooLarge):
         distillable_rank2(np.eye(64) / 64, (8, 8), [0], copies=3)
+
+
+def test_distillable_copies_bounds():
+    for copies in (0, -1):
+        with pytest.raises(BadParam, match="copies"):
+            distillable_rank2(werner(0.6), (2, 2), [0], copies=copies)
+    # 4^7 = 2^14 exceeds the guard; 10^12 copies are refused without forming 4^(10^12)
+    for copies in (7, 10**12):
+        with pytest.raises(TooLarge):
+            distillable_rank2(werner(0.6), (2, 2), [0], copies=copies)
+    with pytest.raises(TooLarge):
+        distillable_rank2(np.ones((1, 1)), (1, 1), [0], copies=13)
 
 
 def test_reduction_equivalent_to_ppt_low_dims():
