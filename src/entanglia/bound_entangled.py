@@ -420,11 +420,17 @@ def upb_complement(states=None):
     return _complement(states) / (9 - len(states))
 
 
+# Seesaw restarts of one unextendibility score (about 1 ms each).
+MAX_UPB_TRIALS = 10**4
+
+
 def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
     """Seesaw-maximized overlap of a product state with the complement
     subspace; a value bounded away from 1 evidences unextendibility."""
     if trials < 1:
         raise BadParam("trials must be >= 1")
+    if trials > MAX_UPB_TRIALS:
+        raise TooLarge(f"trials = {trials} exceeds {MAX_UPB_TRIALS}")
     if states is None:
         states = tiles_upb()
     t = _complement(states).reshape(3, 3, 3, 3)

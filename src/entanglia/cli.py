@@ -32,7 +32,7 @@ from .bound_entangled import (
     upb_unextendibility_score,
     verify_family,
 )
-from .errors import BadParam, EntangliaError
+from .errors import BadParam, EntangliaError, TooLarge
 from .gadgets import angle_preserving_gadget, antiunitary_gadget, flip_gadget
 from .hiding import run_demo
 from .linalg import min_eigenvalue, projector, read_matrix, write_matrix
@@ -61,6 +61,9 @@ from .measures import (
 from .states import read_state
 from .tolerances import ORTHO_TOL, ZERO_TOL
 from .witness import is_ppt, witness_report
+
+# Points of one `angle --sweep` CSV (under a millisecond each).
+MAX_SWEEP = 10**4
 
 
 def parse_vector(text):
@@ -342,6 +345,10 @@ def cmd_antiunitary(args):
 
 
 def cmd_angle(args):
+    if args.sweep < 0:
+        raise BadParam(f"--sweep must be >= 0, got {args.sweep}")
+    if args.sweep > MAX_SWEEP:
+        raise TooLarge(f"--sweep = {args.sweep} exceeds {MAX_SWEEP}")
     if args.sweep:
         writer = csv.writer(sys.stdout)
         writer.writerow(["alpha", "beta", "A", "B", "verdict", "entropy_initial", "entropy_final"])

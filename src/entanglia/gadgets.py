@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParam
+from .errors import BadParam, NonFinite
 from .linalg import cardan_roots, eigvals_hermitian
 from .majorization import MajVerdict, compare
 from .measures import shannon
@@ -107,7 +107,16 @@ def _result(psi_i, psi_f, diagnostics=None):
     )
 
 
+def _require_finite(**params):
+    """Name the first NaN or infinite parameter before it reaches a
+    normalization gate (a `>` test, False for NaN) or a math call."""
+    for name, value in params.items():
+        if not cmath.isfinite(value):
+            raise NonFinite(f"gadget parameter {name} = {value} is not finite")
+
+
 def _flip_states(a, b, c, d, theta):
+    _require_finite(a=a, b=b, c=c, d=d, theta=theta)
     if abs(a * a + b * b - 1.0) > TRACE_TOL or abs(c * c + d * d - 1.0) > TRACE_TOL:
         raise BadParam("flip gadget needs a^2 + b^2 = 1 = c^2 + d^2")
     if not 0.0 <= theta <= math.pi:
@@ -124,6 +133,7 @@ def flip_gadget(a, b, c, d, theta, mu=0.0, nu=0.0):
     vanishes; anywhere else the initial/final spectra are incomparable.
     """
     psi, phi = _flip_states(a, b, c, d, theta)
+    _require_finite(mu=mu, nu=nu)
     f0 = ket(1, 2)
     fpsi = cmath.exp(1j * mu) * np.array([b, -a], dtype=complex)
     fphi = cmath.exp(1j * nu) * np.array([d * cmath.exp(-1j * theta), -c], dtype=complex)
@@ -151,6 +161,7 @@ def antiunitary_gadget(theta, alpha, beta):
     axis states.  The final spectrum carries no (theta, alpha, beta)
     dependence; a plain-U leg confirms nothing signals without the
     conjugation."""
+    _require_finite(theta=theta, alpha=alpha, beta=beta)
     u = np.array(
         [
             [math.cos(theta), cmath.exp(1j * alpha) * math.sin(theta)],
@@ -170,6 +181,7 @@ def antiunitary_gadget(theta, alpha, beta):
 def angle_preserving_gadget(alpha, beta):
     """Probe the inner-product preserving map |0_k> -> alpha|0_k> + beta|1_k>
     defined on the three axis states."""
+    _require_finite(alpha=alpha, beta=beta)
     alpha = complex(alpha)
     beta = complex(beta)
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TRACE_TOL:

@@ -3,6 +3,7 @@ import pytest
 
 from entanglia.bound_entangled import (
     LABELS,
+    MAX_UPB_TRIALS,
     PAIRING,
     be_family,
     be_family_direct,
@@ -16,7 +17,7 @@ from entanglia.bound_entangled import (
     upb_unextendibility_score,
     verify_family,
 )
-from entanglia.errors import BadLabel, OddN, TooLarge
+from entanglia.errors import BadLabel, BadParam, OddN, TooLarge
 from entanglia.linalg import (
     eigvals_hermitian,
     kron,
@@ -233,3 +234,12 @@ def test_upb_unextendibility_score():
 def test_upb_score_monotone_in_restarts():
     vals = [upb_unextendibility_score(trials=r, seed=5) for r in (1, 8, 32)]
     assert vals[0] <= vals[1] + 1e-15 <= vals[2] + 2e-15
+
+
+def test_upb_restarts_bounded():
+    for trials in (0, -3):
+        with pytest.raises(BadParam):
+            upb_unextendibility_score(trials=trials)
+    for trials in (MAX_UPB_TRIALS + 1, 10**9):
+        with pytest.raises(TooLarge):
+            upb_unextendibility_score(trials=trials)

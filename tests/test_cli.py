@@ -222,6 +222,27 @@ def test_angle_sweep_csv(capsys):
     assert len(lines) == 9
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("angle", "0", "1", "--sweep", "-3"), "BadParam"),
+        (("angle", "0", "1", "--sweep", "1000000000"), "TooLarge"),
+        (("bound", "upb", "--trials", "1000000000"), "TooLarge"),
+        (("flip", "nan", "0", "1", "0", "1"), "NonFinite"),
+        (("angle", "nan", "0"), "NonFinite"),
+        (("antiunitary", "nan", "0", "0"), "NonFinite"),
+        (("antiunitary", "inf", "0", "0"), "NonFinite"),
+    ],
+)
+def test_gadget_and_loop_guards_exit_3(capsys, argv, error):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert f"[{error}]" in err
+    assert out == ""
+
+
 def test_bound_build_and_write(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bound", "build", "--n", "4", "--out", str(tmp_path), "--output", "structured")
     assert code == 0

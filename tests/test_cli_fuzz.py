@@ -3,7 +3,7 @@
 Each run is a child process with a timeout, so a hang fails the test
 instead of stalling the suite.  Every argv must end in exit 0 (answer),
 2 (usage error) or 3 (named precondition), never in a traceback.  The two
-tests together start 40 children.
+tests together start 44 children.
 """
 
 import json
@@ -141,6 +141,10 @@ def test_other_subcommands_argv_fuzz(tmp_path):
         ["hide", "demo", "--n", "4", "--trials", "1", "--shots", "1000000000"],
         ["witness", files[1], "--copies", "0"],
         ["measure", "entropy", files[0], "--cut", "x"],
+        ["bound", "upb", "--trials", "1000000000"],
+        ["angle", "0", "1", "--sweep", "1000000000"],
+        ["flip", "nan", "0", "1", "0", "1"],
+        ["angle", "nan", "0"],
     ]
     for argv in fixed:
         assert run_child(argv) == 3, argv

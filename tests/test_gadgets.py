@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entanglia.errors import BadParam
+from entanglia.errors import BadParam, NonFinite
 from entanglia.gadgets import (
     angle_preserving_gadget,
     antiunitary_gadget,
@@ -203,6 +203,25 @@ def test_angle_preserving_real_closed_forms():
 def test_angle_preserving_normalization_required():
     with pytest.raises(BadParam):
         angle_preserving_gadget(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "probe,args,name",
+    [
+        (flip_gadget, (math.nan, 0, 1, 0, 1), "a"),
+        (flip_gadget, (1, 0, 1, math.inf, 1), "d"),
+        (flip_gadget, (1, 0, 1, 0, math.nan), "theta"),
+        (flip_gadget, (1, 0, 1, 0, 1, -math.inf), "mu"),
+        (flip_gadget, (1, 0, 1, 0, 1, 0, math.nan), "nu"),
+        (angle_preserving_gadget, (math.nan, 0), "alpha"),
+        (angle_preserving_gadget, (1, complex(0, math.inf)), "beta"),
+        (antiunitary_gadget, (math.nan, 0, 0), "theta"),
+        (antiunitary_gadget, (0, 0, math.inf), "beta"),
+    ],
+)
+def test_gadgets_name_non_finite_parameter(probe, args, name):
+    with pytest.raises(NonFinite, match=f"parameter {name} "):
+        probe(*args)
 
 
 def test_mixed_flip_demo_default():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entanglia.bound_entangled import be_family
+import entanglia.hiding as hiding
+from entanglia.bound_entangled import be_family, support_strings
 from entanglia.errors import BadParam, BadParty, BadSecret, OddN, TooLarge
 from entanglia.hiding import (
     CODEBOOK,
@@ -142,3 +143,83 @@ def test_shot_counts_bounded():
         run_demo(4, trials=2001, shots=500)  # 1000500 shots in all
     with pytest.raises(TooLarge):
         run_demo(4, trials=1, shots=10**9)
+
+
+def per_shot_parity_attack(h, seed, shots):
+    """Reference: the attack drawn one shot at a time, as it was first
+    written; the batched draw must reproduce it for every seed."""
+    rng = np.random.default_rng(seed)
+    n = h.n_qubits
+    pairs = support_strings(n)[h.label[:-1]]
+    even_count = 0
+    pm_matches = 0
+    counts = {}
+    for _ in range(shots):
+        p = pairs[rng.integers(len(pairs))]
+        s = int(p[rng.integers(2)])
+        if (n - bin(s).count("1")) % 2 == 0:
+            even_count += 1
+        if (s >> (n - 1)) & 1 == h.secret & 1:
+            pm_matches += 1
+        key = format(s, f"0{n}b")
+        counts[key] = counts.get(key, 0) + 1
+    family_bit = 0 if even_count * 2 >= shots else 1
+    return {
+        "family_bit": family_bit,
+        "family_bit_correct": family_bit == (h.secret >> 1),
+        "even_parity_fraction": even_count / shots,
+        "pm_match_rate": pm_matches / shots,
+        "counts": counts,
+    }
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_parity_attack_matches_per_shot_draws(n):
+    fam = be_family(n)
+    for secret in range(4):
+        h = hide(secret, n, family=fam)
+        for seed in (0, 29, 2**40 + 3, (5, 2), (17, 0, 1)):
+            for shots in (1, 2, 3, 500, 1001):
+                got = parity_attack(h, seed=seed, shots=shots)
+                want = per_shot_parity_attack(h, seed, shots)
+                assert got == want, (n, secret, seed, shots)
+                assert list(got["counts"]) == list(want["counts"])  # first-seen order
+                assert all(type(v) is int for v in got["counts"].values())
+                assert type(got["even_parity_fraction"]) is float
+                assert type(got["pm_match_rate"]) is float
+
+
+# captured from the per-shot implementation (commit 5af9442)
+DEMO_GOLDEN = [
+    ((4, 25, 3, 200), {"pm_bit_rate": 0.4972, "trace_security_max": 4.440892098500626e-16}),
+    ((6, 20, 7, 300), {"pm_bit_rate": 0.49700000000000005, "trace_security_max": 6.661338147750939e-16}),
+    ((8, 12, 11, 500), {"pm_bit_rate": 0.4958333333333334, "trace_security_max": 8.881784197001252e-16}),
+]
+
+
+@pytest.mark.parametrize("args,rates", DEMO_GOLDEN)
+def test_run_demo_golden(args, rates):
+    n, trials, seed, shots = args
+    want = {"n": n, "trials": trials, "seed": seed, "shots": shots, "unlock_rate": 1.0, "family_leak_rate": 1.0}
+    want.update(rates)
+    got = run_demo(n, trials, seed=seed, shots=shots)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_run_demo_checks_each_label_once(monkeypatch):
+    calls = []
+
+    def counted(h, party):
+        calls.append((h.label, party))
+        return trace_security(h, party)
+
+    monkeypatch.setattr(hiding, "trace_security", counted)
+    for n, trials in ((4, 40), (6, 3)):
+        calls.clear()
+        rep = run_demo(n, trials, seed=2, shots=50)
+        labels = {lab for lab, _ in calls}
+        assert sorted(calls) == sorted((lab, p) for lab in labels for p in range(n))
+        assert len(calls) <= 4 * n  # was trials * n
+        assert rep["trace_security_max"] < 1e-9
+    assert len(labels) <= 3  # three trials see at most three labels
