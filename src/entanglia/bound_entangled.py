@@ -9,15 +9,18 @@ Every member of the 2N-qubit family is a uniform mixture of
 (|p> +/- |pbar>)/sqrt(2), where pbar flips every bit of p.  Its matrix is
 nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
-The family checks, unlock and the hiding protocol work on the two length-2^n
-vectors returned by `ghz_parts`, never on a 2^n x 2^n eigenproblem.
+A family is stored as those two length-2^n vectors per state, (d, o), which
+the family checks, unlock and the hiding protocol read directly; the dense
+matrices are a read-only view built on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,33 +55,46 @@ PAULI_CONNECTION = {"rho+": ID2, "rho-": SIGMA_Z, "sigma+": SIGMA_X, "sigma-": 1
 @dataclass
 class BEFamily:
     n_qubits: int
-    states: dict  # label -> 2^n x 2^n density matrix
+    parts: dict  # label -> (d, o), see ghz_parts
+
+    def __post_init__(self):  # the dense view is cached, so (d, o) stay fixed
+        for d, o in self.parts.values():
+            d.flags.writeable = o.flags.writeable = False
 
     @property
     def dims(self):
         return (2,) * self.n_qubits
 
+    @cached_property
+    def states(self):
+        """Read-only label -> 2^n x 2^n density matrix, built on first use
+        as views into one block (one allocation, freed whole)."""
+        block = ghz_dense(*(np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1)))
+        block.flags.writeable = False
+        return MappingProxyType(dict(zip(LABELS, block)))
 
-def _check_n(n, cap=10):
+
+def _check_n(n):
     if n % 2 != 0:
         raise OddN(f"family exists only for even qubit numbers, got {n}")
-    if not 4 <= n <= cap:
-        raise TooLarge(f"n = {n} outside supported range 4..{cap}")
+    if not 4 <= n <= 10:
+        raise TooLarge(f"n = {n} outside supported range 4..10")
 
 
+@cache
 def support_strings(n):
-    """Basis-string pairs (p, complement of p) per family label.
+    """Basis-string pairs (p, complement of p) per family label, as
+    read-only arrays of shape (pairs, 2).
 
-    p runs over strings with first bit 0; even zero-count strings feed the
-    rho family, odd the sigma family.
+    p runs in increasing order over strings with first bit 0; even
+    zero-count strings feed the rho family, odd the sigma family.
     """
-    pairs = {"rho": [], "sigma": []}
-    mask = (1 << n) - 1
-    for p in range(1 << (n - 1)):  # first (leftmost) qubit is 0
-        zeros = n - bin(p).count("1")
-        fam = "rho" if zeros % 2 == 0 else "sigma"
-        pairs[fam].append((p, p ^ mask))
-    return pairs
+    p = np.arange(1 << (n - 1))  # first (leftmost) qubit is 0
+    pairs = np.stack([p, p ^ ((1 << n) - 1)], axis=1)
+    even = (n - np.bitwise_count(p)) % 2 == 0
+    rho, sigma = pairs[even], pairs[~even]
+    rho.flags.writeable = sigma.flags.writeable = False
+    return MappingProxyType({"rho": rho, "sigma": sigma})
 
 
 def support_vectors(n):
@@ -122,12 +138,13 @@ def ghz_parts(rho):
 
 
 def ghz_dense(d, o):
-    """The 2^n x 2^n matrix with diagonal d and anti-diagonal o."""
-    dim = d.size
+    """The 2^n x 2^n matrix (a stack for stacked d, o) with diagonal d and
+    anti-diagonal o."""
+    dim = d.shape[-1]
     q = np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[q, q] = d
-    rho[q, q ^ (dim - 1)] = o
+    rho = np.zeros(d.shape + (dim,), dtype=complex)
+    rho[..., q, q] = d
+    rho[..., q, q ^ (dim - 1)] = o
     return rho
 
 
@@ -180,7 +197,7 @@ def _support_parts(n, label):
     """(d, o) of the projector onto a label's n-qubit support set."""
     d = np.zeros(1 << n)
     o = np.zeros(1 << n)
-    strings = np.array(support_strings(n)[label[:-1]]).reshape(-1)
+    strings = support_strings(n)[label[:-1]].reshape(-1)
     d[strings] = 0.5
     o[strings] = 0.5 if label.endswith("+") else -0.5
     return d, o
@@ -190,16 +207,12 @@ def _support_parts(n, label):
 # the family
 
 
-def _family(n, parts):
-    return BEFamily(n_qubits=n, states={lab: ghz_dense(*parts[lab]) for lab in LABELS})
-
-
 def be_family_direct(n):
     """Support-set construction: each state is the uniform mixture of its
     2^(n-2) support vectors."""
     _check_n(n)
     size = 1 << (n - 2)
-    return _family(n, {lab: [v / size for v in _support_parts(n, lab)] for lab in LABELS})
+    return BEFamily(n, {lab: tuple(v / size for v in _support_parts(n, lab)) for lab in LABELS})
 
 
 def be_family(n):
@@ -217,13 +230,13 @@ def be_family(n):
     parts = {lab: bells[PAIRING["rho+"][lab]] for lab in LABELS}
     for _ in range(n // 2 - 1):
         parts = {
-            lab: [
+            lab: tuple(
                 sum(np.kron(parts[out][i], bells[PAIRING[lab][out]][i]) for out in LABELS) / 4.0
                 for i in (0, 1)
-            ]
+            )
             for lab in LABELS
         }
-    return _family(n, parts)
+    return BEFamily(n, parts)
 
 
 def even_cuts(n):
@@ -265,12 +278,12 @@ class FamilyReport:
 def verify_family(fam, quick=False):
     """Run the seven family checks and collect per-cut PT evidence.
 
-    Every check reads the states through `ghz_parts`, so a state with an
-    entry off its diagonal and anti-diagonal raises NotGHZDiagonal.
-    quick=True skips the per-cut PT minima and leaves `cut_evidence` empty.
+    Every check reads the stored (d, o) of each state; none builds the
+    dense matrices.  quick=True skips the per-cut PT minima and leaves
+    `cut_evidence` empty.
     """
     n = fam.n_qubits
-    parts = {lab: ghz_parts(fam.states[lab]) for lab in LABELS}
+    parts = fam.parts
 
     orthogonal = all(
         abs(ghz_overlap(parts[x], parts[y])) < ORTHO_TOL
@@ -343,8 +356,7 @@ def unlock(fam, label):
     if label not in LABELS:
         raise BadLabel(f"unknown state label {label!r}; want one of {LABELS}")
     n = fam.n_qubits
-    d, o = ghz_parts(fam.states[label])
-    d, o = d.reshape(-1, 4), o.reshape(-1, 4)
+    d, o = (v.reshape(-1, 4) for v in fam.parts[label])
     outcomes = []
     for out_label in LABELS:
         pd, po = _support_parts(n - 2, out_label)

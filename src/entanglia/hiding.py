@@ -3,8 +3,9 @@
 The codebook is fixed: 0 -> rho+, 1 -> rho-, 2 -> sigma+, 3 -> sigma-.
 The parity attack (computational-basis sampling) leaks the family bit by
 design; the +/- bit and every (n-1)-party marginal carry no information.
-Overlaps and marginals are read off the GHZ-diagonal form of the states
-(`bound_entangled.ghz_parts`).
+Overlaps and marginals are read off the GHZ-diagonal form (d, o) of the
+states: the family's stored parts, and `bound_entangled.ghz_parts` of a
+held dense state.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ def hide(secret, n, family=None):
 def decode_global(h):
     """Authorized global decode: argmax overlap against the codebook."""
     held = ghz_parts(h.state)
-    overlaps = {
-        s: ghz_overlap(ghz_parts(h.family.states[lab]), held) for s, lab in CODEBOOK.items()
-    }
+    overlaps = {s: ghz_overlap(h.family.parts[lab], held) for s, lab in CODEBOOK.items()}
     return max(overlaps, key=overlaps.get)
 
 
@@ -86,7 +85,7 @@ def parity_attack(h, seed=0, shots=1000):
         raise TooLarge(f"shots = {shots} exceeds {MAX_SHOTS}")
     n = h.n_qubits
     # each support vector is (|p> +/- |pbar>)/sqrt(2); "rho+" -> "rho" strings
-    pairs = np.array(support_strings(n)[h.label[:-1]], dtype=np.int64)
+    pairs = support_strings(n)[h.label[:-1]]
     # The seeded stream is pinned to the scalar draws
     # `pairs[rng.integers(len(pairs))][rng.integers(2)]`, shot after shot.
     # Each takes one 32-bit word: for a power-of-two range k (len(pairs) is

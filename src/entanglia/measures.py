@@ -12,11 +12,9 @@ import numpy as np
 
 from .errors import BadDims, BadDistribution, BadParam, MissingDims, NotDensity
 from .linalg import (
-    dag,
     eigvals_hermitian,
     is_hermitian,
     kron,
-    partial_trace,
     partial_transpose,
     psd_sqrt,
     trace_norm,
@@ -139,13 +137,3 @@ def log_negativity(rho, dims, cut):
         raise MissingDims("log_negativity needs subsystem dimensions")
     pt = partial_transpose(check_density(rho), dims, cut)
     return float(max(0.0, math.log2(trace_norm(pt))))
-
-
-def purity(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ dag(rho)).real)
-
-
-def reduced_entropy(rho, dims, keep):
-    """S of a reduced density matrix (helper for the inequality suites)."""
-    return von_neumann_entropy(partial_trace(rho, dims, keep))

@@ -60,10 +60,6 @@ def bell(kind):
     return v / math.sqrt(2.0)
 
 
-def bell_projectors():
-    return {k: projector(bell(k)) for k in BELL_KINDS}
-
-
 def werner(p):
     """p * singlet + (1-p)/4 * I on two qubits; PPT iff p <= 1/3."""
     if not 0.0 <= p <= 1.0:

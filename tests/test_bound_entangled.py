@@ -10,6 +10,7 @@ from entanglia.bound_entangled import (
     even_cuts,
     horodecki_insep,
     horodecki_state,
+    support_strings,
     support_vectors,
     tiles_upb,
     unlock,
@@ -142,6 +143,44 @@ def test_n10_construction_with_reduced_checks():
     assert rep.orthogonal and rep.permutation_symmetric
     assert rep.pauli_connected and rep.reduced_max_mixed and rep.unlock_ok
     assert rep.cut_evidence == []  # per-cut PT minima skipped
+
+
+def test_family_work_builds_no_dense_matrix():
+    fam, direct = be_family(10), be_family_direct(10)
+    assert verify_family(fam, quick=True).all_pass
+    for lab in LABELS:
+        unlock(fam, lab)
+    assert "states" not in vars(fam) and "states" not in vars(direct)
+
+
+def test_dense_view_is_read_only_and_built_once():
+    fam = be_family(4)
+    for d, o in fam.parts.values():
+        assert not d.flags.writeable and not o.flags.writeable
+    view = fam.states
+    assert tuple(view) == LABELS and fam.states is view
+    for lab in LABELS:
+        assert view[lab] is fam.states[lab] and not view[lab].flags.writeable
+
+
+def loop_support_strings(n):
+    """Reference: the per-string loop the table was first written as."""
+    pairs = {"rho": [], "sigma": []}
+    mask = (1 << n) - 1
+    for p in range(1 << (n - 1)):
+        zeros = n - bin(p).count("1")
+        pairs["rho" if zeros % 2 == 0 else "sigma"].append((p, p ^ mask))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_support_strings_match_loop(n):
+    got, want = support_strings(n), loop_support_strings(n)
+    assert list(got) == list(want)
+    for fam in want:
+        assert got[fam].tolist() == [list(pair) for pair in want[fam]]
+        assert not got[fam].flags.writeable
+    assert support_strings(n) is got
 
 
 def test_single_party_trace_out_maximally_mixed():

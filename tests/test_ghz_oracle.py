@@ -208,14 +208,17 @@ def test_full_verify_n10():
 
 def test_off_structure_entry_rejected():
     fam = be_family(6)
-    fam.states["sigma+"] = fam.states["sigma+"].copy()
-    fam.states["sigma+"][3, 5] = 1e-3
+    with pytest.raises(TypeError):
+        fam.states["sigma+"] = fam.states["sigma+"].copy()
+    with pytest.raises(ValueError):
+        fam.states["sigma+"][3, 5] = 1e-3
+    h = hide(2, 6, family=fam)
+    h.state = fam.states["sigma+"].copy()
+    h.state[3, 5] = 1e-3
     with pytest.raises(NotGHZDiagonal, match="1 nonzero"):
-        verify_family(fam, quick=True)
-    with pytest.raises(NotGHZDiagonal):
-        unlock(fam, "sigma+")
-    with pytest.raises(NotGHZDiagonal):
-        trace_security(hide(2, 6, family=fam), 0)
+        trace_security(h, 0)
+    with pytest.raises(NotGHZDiagonal, match="1 nonzero"):
+        decode_global(h)
     for bad in (np.eye(6), np.ones(4), np.zeros((1, 1)), np.zeros((4, 8))):
         with pytest.raises(NotGHZDiagonal):
             ghz_parts(bad)
