@@ -68,8 +68,10 @@ class BEFamily:
     @cached_property
     def states(self):
         """Read-only label -> 2^n x 2^n density matrix, built on first use
-        as views into one block (one allocation, freed whole)."""
-        block = ghz_dense(*(np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1)))
+        as views into one block (one allocation, freed whole).  The block is
+        float64 when every stored o is real, as both constructions make it."""
+        d, o = (np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1))
+        block = ghz_dense(d, o if o.imag.any() else o.real)
         block.flags.writeable = False
         return MappingProxyType(dict(zip(LABELS, block)))
 
@@ -97,23 +99,6 @@ def support_strings(n):
     return MappingProxyType({"rho": rho, "sigma": sigma})
 
 
-def support_vectors(n):
-    """The four orthonormal support sets (|p> +/- |pbar>)/sqrt(2)."""
-    dim = 1 << n
-    pairs = support_strings(n)
-    out = {}
-    for fam in ("rho", "sigma"):
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            vecs = []
-            for p, pbar in pairs[fam]:
-                v = np.zeros(dim, dtype=complex)
-                v[p] = 1.0 / math.sqrt(2.0)
-                v[pbar] = sign / math.sqrt(2.0)
-                vecs.append(v)
-            out[fam + tag] = vecs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GHZ-diagonal form: (d, o) with d[q] = rho[q, q] and o[q] = rho[q, qbar]
 
@@ -139,10 +124,10 @@ def ghz_parts(rho):
 
 def ghz_dense(d, o):
     """The 2^n x 2^n matrix (a stack for stacked d, o) with diagonal d and
-    anti-diagonal o."""
+    anti-diagonal o; real when both are real."""
     dim = d.shape[-1]
     q = np.arange(dim)
-    rho = np.zeros(d.shape + (dim,), dtype=complex)
+    rho = np.zeros(d.shape + (dim,), dtype=np.result_type(d, o))
     rho[..., q, q] = d
     rho[..., q, q ^ (dim - 1)] = o
     return rho
@@ -223,20 +208,24 @@ def be_family(n):
     rho- -> phi-, sigma+ -> psi+, sigma- -> psi-, the rho+ row of PAIRING).
     The recursion runs on (d, o): kron(A, B) has diagonal kron(d_A, d_B)
     and anti-diagonal kron(o_A, o_B), and the entries of each kron off
-    both diagonals cancel in the sum over outcomes.
+    both diagonals cancel in the sum over outcomes.  Each level is one
+    broadcast product of the four states, stacked in label order, with the
+    (label, outcome, 4) table of Bell parts, summed over outcomes in label
+    order as the per-label kron sum was, so every entry is the same bit for
+    bit.
     """
     _check_n(n)
     bells = {k: ghz_parts(projector(bell(k))) for k in PAIRING["rho+"].values()}
-    parts = {lab: bells[PAIRING["rho+"][lab]] for lab in LABELS}
-    for _ in range(n // 2 - 1):
-        parts = {
-            lab: tuple(
-                sum(np.kron(parts[out][i], bells[PAIRING[lab][out]][i]) for out in LABELS) / 4.0
-                for i in (0, 1)
-            )
-            for lab in LABELS
-        }
-    return BEFamily(n, parts)
+    stacks = []
+    for i in (0, 1):
+        table = np.array([[bells[PAIRING[lab][out]][i] for out in LABELS] for lab in LABELS])
+        level = table[0]  # the two-qubit members: the rho+ row of PAIRING
+        for _ in range(n // 2 - 1):
+            # p[lab, out] = kron(level[out], table[lab, out])
+            p = level[None, :, :, None] * table[:, :, None, :]
+            level = ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0).reshape(4, -1)
+        stacks.append(level)
+    return BEFamily(n, {lab: (stacks[0][j], stacks[1][j]) for j, lab in enumerate(LABELS)})
 
 
 def even_cuts(n):

@@ -3,20 +3,19 @@
 The codebook is fixed: 0 -> rho+, 1 -> rho-, 2 -> sigma+, 3 -> sigma-.
 The parity attack (computational-basis sampling) leaks the family bit by
 design; the +/- bit and every (n-1)-party marginal carry no information.
-Overlaps and marginals are read off the GHZ-diagonal form (d, o) of the
-states: the family's stored parts, and `bound_entangled.ghz_parts` of a
-held dense state.
+Every protocol step reads the GHZ-diagonal form (d, o) of the held state:
+the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
+assigned to `HiddenState.state`.  Without such a matrix, hiding, the
+attack, the security check and both decodes never build the family's
+dense view.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bound_entangled import (
     PAIRING,
-    BEFamily,
     be_family,
     ghz_overlap,
     ghz_parts,
@@ -34,13 +33,32 @@ CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
 MAX_SHOTS = 10**6
 
 
-@dataclass
 class HiddenState:
-    n_qubits: int
-    secret: int
-    label: str
-    state: np.ndarray
-    family: BEFamily
+    """A codebook state of a family, held as the family's label.
+
+    `state` is the family's dense matrix until a matrix is assigned to it
+    (a noisy or tampered copy); `parts` is the family's stored (d, o), or
+    `ghz_parts` of the assigned matrix, gated again on every read.
+    """
+
+    def __init__(self, n_qubits, secret, label, state=None, family=None):
+        self.n_qubits = n_qubits
+        self.secret = secret
+        self.label = label
+        self.family = family
+        self._held = state
+
+    @property
+    def state(self):
+        return self.family.states[self.label] if self._held is None else self._held
+
+    @state.setter
+    def state(self, rho):
+        self._held = rho
+
+    @property
+    def parts(self):
+        return self.family.parts[self.label] if self._held is None else ghz_parts(self._held)
 
     @property
     def dims(self):
@@ -56,13 +74,12 @@ def hide(secret, n, family=None):
     fam = family if family is not None else be_family(n)
     if fam.n_qubits != n:
         raise BadParam(f"family is on {fam.n_qubits} qubits, secret asked for {n}")
-    label = CODEBOOK[secret]
-    return HiddenState(n_qubits=n, secret=secret, label=label, state=fam.states[label], family=fam)
+    return HiddenState(n_qubits=n, secret=secret, label=CODEBOOK[secret], family=fam)
 
 
 def decode_global(h):
     """Authorized global decode: argmax overlap against the codebook."""
-    held = ghz_parts(h.state)
+    held = h.parts
     overlaps = {s: ghz_overlap(h.family.parts[lab], held) for s, lab in CODEBOOK.items()}
     return max(overlaps, key=overlaps.get)
 
@@ -72,13 +89,9 @@ def string_distribution(state):
     return np.asarray(state).diagonal().real.copy()
 
 
-def parity_attack(h, seed=0, shots=1000):
-    """Sample basis strings and read the zero-count parity.
-
-    The returned family bit always equals the secret's high bit (the
-    protocol's documented leak); the +/- guess (taken from each string's
-    first bit) stays at chance.
-    """
+def _attack(h, seed, shots):
+    """The parity attack without its string counts: the sampled strings,
+    the family-bit guess and the even zero-count and +/- match counts."""
     if shots < 1:
         raise BadParam(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
@@ -96,9 +109,20 @@ def parity_attack(h, seed=0, shots=1000):
     s = pairs[(raw[:, 0] * len(pairs)) >> 32, side]
     even_count = int(np.count_nonzero(np.bitwise_count(s) % 2 == n % 2))
     pm_matches = int(np.count_nonzero(side == (h.secret & 1)))  # side is the first bit
-    keys, first, freq = np.unique(s, return_index=True, return_counts=True)
-    counts = {format(int(keys[i]), f"0{n}b"): int(freq[i]) for i in np.argsort(first)}
     family_bit = 0 if even_count * 2 >= shots else 1
+    return s, family_bit, even_count, pm_matches
+
+
+def parity_attack(h, seed=0, shots=1000):
+    """Sample basis strings and read the zero-count parity.
+
+    The returned family bit always equals the secret's high bit (the
+    protocol's documented leak); the +/- guess (taken from each string's
+    first bit) stays at chance.
+    """
+    s, family_bit, even_count, pm_matches = _attack(h, seed, shots)
+    keys, first, freq = np.unique(s, return_index=True, return_counts=True)
+    counts = {format(int(keys[i]), f"0{h.n_qubits}b"): int(freq[i]) for i in np.argsort(first)}
     return {
         "family_bit": family_bit,
         "family_bit_correct": family_bit == (h.secret >> 1),
@@ -118,7 +142,7 @@ def trace_security(h, excluded_party):
     n = h.n_qubits
     if not 0 <= excluded_party < n:
         raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
-    d, _ = ghz_parts(h.state)
+    d, _ = h.parts
     return float(np.sum(np.abs(reduced_diagonal(d, excluded_party) - 1.0 / (1 << (n - 1)))))
 
 
@@ -162,9 +186,9 @@ def run_demo(n, trials, seed=0, shots=500):
         rng = np.random.default_rng((seed, t))
         secret = int(rng.integers(4))
         h = hide(secret, n, family=fam)
-        attack = parity_attack(h, seed=(seed, t, 1), shots=shots)
-        family_hits += attack["family_bit_correct"]
-        pm_rate_total += attack["pm_match_rate"]
+        _, family_bit, _, pm_matches = _attack(h, (seed, t, 1), shots)
+        family_hits += family_bit == (secret >> 1)
+        pm_rate_total += pm_matches / shots
         if h.label not in label_security:
             label_security[h.label] = max(trace_security(h, p) for p in range(n))
         sec_max = max(sec_max, label_security[h.label])

@@ -1,8 +1,12 @@
 """Dense complex linear algebra sized for <= 2^10 dimensional matrices.
 
-Matrices are plain complex numpy arrays; composite systems carry an
-explicit tuple of subsystem dimensions whose product equals the matrix
-size.  Everything here is a pure function.
+Matrices are plain numpy arrays; composite systems carry an explicit
+tuple of subsystem dimensions whose product equals the matrix size.  Real
+input (such as the float64 view of the bound entangled family) is
+accepted: every function that computes with a matrix casts it to complex
+on entry, directly or through the function it calls; `dag` and
+`is_hermitian` read real input as it is.
+Everything here is a pure function.
 """
 
 from __future__ import annotations

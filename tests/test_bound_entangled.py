@@ -8,10 +8,10 @@ from entanglia.bound_entangled import (
     be_family,
     be_family_direct,
     even_cuts,
+    ghz_dense,
     horodecki_insep,
     horodecki_state,
     support_strings,
-    support_vectors,
     tiles_upb,
     unlock,
     upb_complement,
@@ -26,8 +26,10 @@ from entanglia.linalg import (
     partial_transpose,
     permute_subsystems,
     projector,
+    write_matrix,
 )
 from entanglia.states import bell
+from test_ghz_oracle import support_vectors
 
 
 def test_rejects_bad_n():
@@ -161,6 +163,18 @@ def test_dense_view_is_read_only_and_built_once():
     assert tuple(view) == LABELS and fam.states is view
     for lab in LABELS:
         assert view[lab] is fam.states[lab] and not view[lab].flags.writeable
+
+
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+def test_dense_view_is_real(build, tmp_path):
+    fam = build(6)
+    for lab in LABELS:
+        view = fam.states[lab]
+        assert view.dtype == np.float64
+        assert np.array_equal(view, ghz_dense(*fam.parts[lab]))  # the complex oracle
+        write_matrix(tmp_path / "real.json", view, dims=fam.dims)
+        write_matrix(tmp_path / "complex.json", view.astype(complex), dims=fam.dims)
+        assert (tmp_path / "real.json").read_bytes() == (tmp_path / "complex.json").read_bytes()
 
 
 def loop_support_strings(n):

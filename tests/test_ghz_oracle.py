@@ -4,7 +4,9 @@ Each oracle below computes on the dense 2^n x 2^n matrices what the library
 reads off the two vectors (d, o): the kron recursion, the support projector
 sums, per-cut partial_transpose + eigvalsh, and the matrix products of
 unlock, the Pauli connection, orthogonality and the hiding marginals.  They
-run at n <= 8 only.
+run at n <= 8 only.  The kron-sum recursion on (d, o) itself, which the
+stacked one in `be_family` replaced, is kept as a bit-exact oracle up to
+n = 10.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from entanglia.bound_entangled import (
     ghz_parts,
     pt_min_eigenvalues,
     reduced_diagonal,
-    support_vectors,
+    support_strings,
     unlock,
     verify_family,
 )
@@ -44,6 +46,37 @@ from entanglia.states import ID2, bell
 BELLS = ("phi+", "phi-", "psi+", "psi-")
 # Two float64 routes to an O(1) number: a few hundred ulps apart at most.
 TOL = 1e-14
+
+
+def support_vectors(n):
+    """The four orthonormal support sets (|p> +/- |pbar>)/sqrt(2)."""
+    out = {}
+    for fam, pairs in support_strings(n).items():
+        for sign, tag in ((1.0, "+"), (-1.0, "-")):
+            vecs = []
+            for p, pbar in pairs:
+                v = np.zeros(1 << n, dtype=complex)
+                v[p] = 1.0 / np.sqrt(2.0)
+                v[pbar] = sign / np.sqrt(2.0)
+                vecs.append(v)
+            out[fam + tag] = vecs
+    return out
+
+
+def kron_recursive_parts(n):
+    """(d, o) per label by the kron sum over outcomes, one label and one
+    vector at a time."""
+    bells = {k: ghz_parts(projector(bell(k))) for k in BELLS}
+    parts = {lab: bells[PAIRING["rho+"][lab]] for lab in LABELS}
+    for _ in range(n // 2 - 1):
+        parts = {
+            lab: tuple(
+                sum(np.kron(parts[out][i], bells[PAIRING[lab][out]][i]) for out in LABELS) / 4.0
+                for i in (0, 1)
+            )
+            for lab in LABELS
+        }
+    return parts
 
 
 def dense_recursive(n):
@@ -125,6 +158,16 @@ def test_builders_match_dense_oracles(n):
         assert rec.states[lab].shape == (1 << n, 1 << n)
         assert np.max(np.abs(rec.states[lab] - ref_rec[lab])) <= TOL
         assert np.max(np.abs(direct.states[lab] - ref_direct[lab])) <= TOL
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_stacked_recursion_is_bit_exact(n):
+    fam, want = be_family(n), kron_recursive_parts(n)
+    for lab in LABELS:
+        for got, ref in zip(fam.parts[lab], want[lab]):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            for a, b in ((got.real, ref.real), (got.imag, ref.imag)):
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -3,9 +3,10 @@ import pytest
 
 import entanglia.hiding as hiding
 from entanglia.bound_entangled import be_family, support_strings
-from entanglia.errors import BadParam, BadParty, BadSecret, OddN, TooLarge
+from entanglia.errors import BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
 from entanglia.hiding import (
     CODEBOOK,
+    HiddenState,
     decode_by_unlock,
     decode_global,
     hide,
@@ -40,6 +41,42 @@ def test_decode_global_all_secrets():
         fam = be_family(n)
         for s in range(4):
             assert decode_global(hide(s, n, family=fam)) == s
+
+
+def test_protocol_builds_no_dense_view():
+    fam = be_family(8)
+    for s in range(4):
+        h = hide(s, 8, family=fam)
+        assert max(trace_security(h, p) for p in range(8)) < 1e-9
+        assert decode_global(h) == decode_by_unlock(h, seed=s) == s
+        assert parity_attack(h, seed=s, shots=50)["family_bit_correct"]
+    assert "states" not in fam.__dict__
+
+
+def test_run_demo_builds_no_dense_view(monkeypatch):
+    built = []
+
+    def capture(n):
+        built.append(be_family(n))
+        return built[-1]
+
+    monkeypatch.setattr(hiding, "be_family", capture)
+    assert run_demo(8, trials=6, seed=1, shots=50)["unlock_rate"] == 1.0
+    assert len(built) == 1 and "states" not in built[0].__dict__
+
+
+def test_assigned_state_regated_on_every_call():
+    fam = be_family(6)
+    h = HiddenState(n_qubits=6, secret=2, label="sigma+", state=fam.states["sigma+"].copy(), family=fam)
+    assert h.state is not fam.states["sigma+"]
+    assert decode_global(h) == 2 and trace_security(h, 0) < 1e-9
+    h.state[3, 5] = 1e-3  # tampered in place after a clean read
+    with pytest.raises(NotGHZDiagonal):
+        trace_security(h, 0)
+    with pytest.raises(NotGHZDiagonal):
+        decode_global(h)
+    h = hide(2, 6, family=fam)
+    assert h.state is fam.states["sigma+"] and h.parts is fam.parts["sigma+"]
 
 
 def test_decode_global_survives_depolarizing():
@@ -189,11 +226,13 @@ def test_parity_attack_matches_per_shot_draws(n):
                 assert type(got["pm_match_rate"]) is float
 
 
-# captured from the per-shot implementation (commit 5af9442)
+# captured from the per-shot implementation (commit 5af9442); the n = 10 row
+# from the dense-view hiding path (commit 5a05ccb)
 DEMO_GOLDEN = [
     ((4, 25, 3, 200), {"pm_bit_rate": 0.4972, "trace_security_max": 4.440892098500626e-16}),
     ((6, 20, 7, 300), {"pm_bit_rate": 0.49700000000000005, "trace_security_max": 6.661338147750939e-16}),
     ((8, 12, 11, 500), {"pm_bit_rate": 0.4958333333333334, "trace_security_max": 8.881784197001252e-16}),
+    ((10, 8, 5, 500), {"pm_bit_rate": 0.51275, "trace_security_max": 1.1102230246251565e-15}),
 ]
 
 
