@@ -169,12 +169,16 @@ def _fmt(v):
 
 
 def emit(report, args):
+    """Print a report; its `diagnostics` block goes to structured output
+    only, so human output stays stable."""
     if args.output == "structured":
         doc = _jsonify(report)
         doc["seed"] = args.seed
         doc["tolerances"] = tolerances.as_dict()
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
+        if isinstance(report, dict):
+            report = {k: v for k, v in report.items() if k != "diagnostics"}
         _human(report)
         tol = " ".join(f"{k}={v:g}" for k, v in tolerances.as_dict().items())
         print(f"[seed {args.seed}; {tol}]")
@@ -264,6 +268,7 @@ def cmd_coop(args):
         "joint_ok": plan.joint_ok,
         "cross_incomparable": plan.cross_incomparable,
         **_sum_table(vec_kron(a, plan.chi), vec_kron(b, plan.eta), ("joint_source", "joint_target")),
+        "diagnostics": {"branch": plan.branch, "candidates": plan.candidates, "margin": plan.margin},
     }
 
 

@@ -11,7 +11,7 @@ heuristics affect completeness, never soundness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .majorization import (
     sorted_padded,
 )
 from .measures import binary_entropy
-from .tolerances import COOP_MARGIN, INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
+from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
@@ -245,6 +245,13 @@ class CoopPlan:
     eta: np.ndarray
     joint_ok: bool
     cross_incomparable: dict  # keys: psi_phi, chi_eta, psi_eta, chi_phi
+    # min over k < d of S_k(b (x) eta) - S_k(a (x) chi): how far the joint
+    # conversion is from failing (joint_ok needs it >= -MAJ_TOL)
+    margin: float | None = None
+    # set by coop_construct: "recipe" or "fallback", whichever found the
+    # plan, and how many candidates a one-by-one scan certifies up to it
+    branch: str | None = None
+    candidates: int = 0
 
     @property
     def valid(self):
@@ -256,18 +263,27 @@ def coop_validate(a, b, chi, eta):
     all four cross-incomparability flags."""
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
     sc, se = _schmidt_sorted(chi), _schmidt_sorted(eta)
+    src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
     inc = lambda x, y: compare(x, y) is MajVerdict.Incomparable
     return CoopPlan(
         chi=sc,
         eta=se,
-        joint_ok=majorizes(vec_kron(sa, sc), vec_kron(sb, se)),
+        joint_ok=majorizes(src, tgt),
         cross_incomparable={
             "psi_phi": inc(sa, sb),
             "chi_eta": inc(sc, se),
             "psi_eta": inc(sa, se),
             "chi_phi": inc(sc, sb),
         },
+        margin=_min_slack(src, tgt),
     )
+
+
+def _min_slack(x, y):
+    """min over k < d of S_k(y) - S_k(x); the totals (k = d) are left out."""
+    xs, ys = sorted_padded(x, y)
+    slack = np.cumsum(ys)[:-1] - np.cumsum(xs)[:-1]
+    return float(slack.min()) if slack.size else 0.0
 
 
 def _coop_flags(sa, sb, chi, eta):
@@ -309,65 +325,45 @@ def _coop_case1_candidates(sa, sb):
             yield np.array([beta1, beta1, beta2]), np.array([alpha1, alpha2, alpha2])
 
 
-def _coop_case2_candidates(sa, sb, seed):
-    """Structured search for a1 < b1: chi = (b1, b2, b3), eta = (a1, a1, a2)."""
-    a1 = sa[0]
-    b1 = sb[0]
-    rng = np.random.default_rng((seed, 2))
-    # first guesses: chi with its two small entries tied
-    for beta1 in np.linspace(max(a1, 1.0 / 3.0) + 0.005, min(0.95, a1 + 0.25), 12):
-        tail = (1.0 - beta1) / 2.0
-        chi = np.array([beta1, tail, tail])
-        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta1 / b1 + COOP_MARGIN)
-        hi = min(beta1, (beta1 + tail) / 2.0, 0.5 - COOP_MARGIN)
-        if lo >= hi:
-            continue
-        for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
-            yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
-    # loosen the tie, one draw at a time: the uniform draw depends on beta
-    flat = np.ones(3)
-    for _ in range(4000):
-        beta = np.sort(rng.dirichlet(flat))[::-1]
-        if beta[0] <= a1 or beta[2] < 1e-3:
-            continue
-        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta[0] / b1 + COOP_MARGIN)
-        hi = min(beta[0], (beta[0] + beta[1]) / 2.0, 0.5 - COOP_MARGIN)
-        if lo >= hi:
-            continue
-        alpha1 = rng.uniform(lo, hi)
-        yield beta, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
+def _coop_found(sa, sb, chi, eta, branch, candidates):
+    """coop_validate's plan, tagged with how coop_construct found it."""
+    return replace(coop_validate(sa, sb, chi, eta), branch=branch, candidates=int(candidates))
 
 
 def coop_construct(a, b, seed=0, fallback_samples=10**5):
     """Auxiliary incomparable pair (chi, eta) making the joint conversion
     a (x) chi -> b (x) eta pass with certainty.
 
-    Follows the 3x3 case recipes first, then a seeded randomized search;
-    every candidate is certified by the direct majorization check, and a
+    Tries the a1 > b1 recipe first, then a seeded randomized search; every
+    candidate is certified by the direct majorization check, and a
     candidate whose four cross pairs are all incomparable is preferred.
+    The plan records which branch found it and how many candidates were
+    certified up to it.
     """
     sa, sb = _require_incomparable_3x3(a, b)
     if sa[0] - sa[1] <= TIE_TOL or sa[1] - sa[2] <= TIE_TOL:
         raise Degenerate("source vector must have strictly distinct entries")
 
-    if sa[0] > sb[0]:
-        candidates = _coop_case1_candidates(sa, sb)
-    else:
-        candidates = _coop_case2_candidates(sa, sb, seed)
+    # a1 <= b1 goes straight to the randomized search: the recipe shape
+    # chi = beta, eta = (alpha, alpha, 1 - 2 alpha) with alpha <= min(beta1,
+    # (beta1 + beta2)/2) has eta majorized by chi, never incomparable
+    candidates = _coop_case1_candidates(sa, sb) if sa[0] > sb[0] else iter(())
 
     # Candidates are certified a chunk at a time; the winner is the one the
     # one-by-one scan would stop at, re-certified by coop_validate.
     first_valid = None
+    tried = 0
     sizes = _chunk_sizes()
     while chunk := list(itertools.islice(candidates, next(sizes))):
         chi, eta = (np.array(side) for side in zip(*chunk))
         valid, full = _coop_flags(sa, sb, chi, eta)
         if full.any():
             j = full.argmax()
-            return coop_validate(sa, sb, chi[j], eta[j])
+            return _coop_found(sa, sb, chi[j], eta[j], "recipe", tried + j + 1)
         if first_valid is None and valid.any():
             j = valid.argmax()
-            first_valid = chi[j], eta[j]
+            first_valid = chi[j], eta[j], "recipe"
+        tried += len(chunk)
 
     # randomized search; a plan whose four cross pairs are all incomparable
     # wins over the recipe's partially-comparable one, and once a fifth of
@@ -383,16 +379,18 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
         valid, full = _coop_flags(sa, sb, chi, eta)
         if first_valid is None and valid.any():
             j = valid.argmax()
-            first_valid = chi[j], eta[j]
+            first_valid = chi[j], eta[j], "fallback"
         stop = full | (valid & (np.arange(start, start + m) >= late))
         if stop.any():
             j = stop.argmax()
+            tried += j + 1
             if full[j]:
-                return coop_validate(sa, sb, chi[j], eta[j])
+                return _coop_found(sa, sb, chi[j], eta[j], "fallback", tried)
             break
         start += m
+        tried += m
     if first_valid is not None:
-        return coop_validate(sa, sb, *first_valid)
+        return _coop_found(sa, sb, *first_valid, tried)
     raise NoPlanFound("no auxiliary pair found by recipe or randomized search")
 
 

@@ -46,9 +46,6 @@ TIE_TOL = 1e-9
 # c = 1, split2's interval stays below 1/2 and is empty unless lo < hi - this.
 INTERVAL_MARGIN = 1e-12
 
-# The same margin for coop's case-2 alpha interval (both ends).
-COOP_MARGIN = 1e-6
-
 # cardan_roots accepts G >= -CARDAN_TOL and H^2 <= 4 G^3 + CARDAN_TOL.
 CARDAN_TOL = 1e-12
 

@@ -89,6 +89,20 @@ def test_coop_and_split2(capsys):
     assert json.loads(out)["case"] == 1
 
 
+def test_coop_diagnostics_structured_only(capsys):
+    argv = ("coop", ".5,.3,.2", ".55,.24,.21", "--seed", "1")
+    code, out, _ = run_cli(capsys, *argv, "--output", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    slack = np.array(doc["joint_target_partial_sums"]) - np.array(doc["joint_source_partial_sums"])
+    assert doc["diagnostics"]["branch"] == "fallback"
+    assert doc["diagnostics"]["candidates"] >= 1
+    assert doc["diagnostics"]["margin"] == pytest.approx(slack[:-1].min(), abs=1e-15)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "diagnostics" not in out and "branch" not in out
+
+
 def test_trace_mismatch_exit_code(capsys):
     code, _, err = run_cli(capsys, "nielsen", ".5,.5", ".7,.2")
     assert code == 3

@@ -6,6 +6,8 @@ candidate per majorization call; the reference scans restate those loops
 over the scalar checks, so any pair can be compared bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from entanglia.locc import (
     split_two_copies,
     vec_kron,
 )
-from entanglia.majorization import MajVerdict, compare, majorizes
+from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes, partial_sums
+from entanglia.tolerances import MAJ_TOL
 
 from conftest import random_prob, rng_for
 
@@ -75,35 +78,75 @@ def test_split_golden():
 # ---------------------------------------------------------------------------
 # one-candidate-at-a-time reference scans
 
+# the open ends of the a1 < b1 search's alpha interval
+COOP_MARGIN = 1e-6
+
+
+def _coop_case2_candidates(sa, sb, seed):
+    """Structured search for a1 < b1: chi = (b1, b2, b3), eta = (a1, a1, a2)."""
+    a1 = sa[0]
+    b1 = sb[0]
+    rng = np.random.default_rng((seed, 2))
+    # first guesses: chi with its two small entries tied
+    for beta1 in np.linspace(max(a1, 1.0 / 3.0) + 0.005, min(0.95, a1 + 0.25), 12):
+        tail = (1.0 - beta1) / 2.0
+        chi = np.array([beta1, tail, tail])
+        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta1 / b1 + COOP_MARGIN)
+        hi = min(beta1, (beta1 + tail) / 2.0, 0.5 - COOP_MARGIN)
+        if lo >= hi:
+            continue
+        for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
+            yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
+    # loosen the tie, one draw at a time: the uniform draw depends on beta
+    flat = np.ones(3)
+    for _ in range(4000):
+        beta = np.sort(rng.dirichlet(flat))[::-1]
+        if beta[0] <= a1 or beta[2] < 1e-3:
+            continue
+        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta[0] / b1 + COOP_MARGIN)
+        hi = min(beta[0], (beta[0] + beta[1]) / 2.0, 0.5 - COOP_MARGIN)
+        if lo >= hi:
+            continue
+        alpha1 = rng.uniform(lo, hi)
+        yield beta, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
+
 
 def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):
+    """The search as it stood before the a1 < b1 structured candidates were
+    removed from coop_construct: the recipe or that search, then the
+    fallback, one candidate per coop_validate call."""
     sa, sb = locc._strip(a), locc._strip(b)
     if candidates is None:
         if sa[0] > sb[0]:
             candidates = locc._coop_case1_candidates(sa, sb)
         else:
-            candidates = locc._coop_case2_candidates(sa, sb, seed)
+            candidates = _coop_case2_candidates(sa, sb, seed)
     first_valid = None
+    tried = 0
     for chi, eta in candidates:
+        tried += 1
         plan = coop_validate(sa, sb, chi, eta)
         if plan.valid:
             if all(plan.cross_incomparable.values()):
-                return plan
+                return replace(plan, branch="recipe", candidates=tried)
             if first_valid is None:
-                first_valid = plan
+                first_valid = replace(plan, branch="recipe")
     rng = np.random.default_rng((seed, 99))
     for i in range(fallback_samples):
+        tried += 1
         chi = np.sort(rng.dirichlet(np.ones(3)))[::-1]
         eta = np.sort(rng.dirichlet(np.ones(3)))[::-1]
         plan = coop_validate(sa, sb, chi, eta)
         if plan.valid:
             if all(plan.cross_incomparable.values()):
-                return plan
+                return replace(plan, branch="fallback", candidates=tried)
             if first_valid is None:
-                first_valid = plan
+                first_valid = replace(plan, branch="fallback")
             if i >= fallback_samples // 5:
                 break
-    return first_valid
+    if first_valid is None:
+        return None
+    return replace(first_valid, candidates=tried)
 
 
 def _catalyst_one_by_one(a, b, grid_step):
@@ -121,6 +164,12 @@ def _catalyst_one_by_one(a, b, grid_step):
         i += 1
 
 
+def _same_diagnostics(got, want):
+    if want is None:
+        return got is None
+    return (got.branch, got.candidates, got.margin) == (want.branch, want.candidates, want.margin)
+
+
 def _same_plan(got, want):
     if want is None:
         return got is None
@@ -132,11 +181,13 @@ def _same_plan(got, want):
     )
 
 
-def _incomparable_pairs(key, count):
+def _incomparable_pairs(key, count, a1_below_b1=False):
     rng = rng_for(key)
     pairs = []
     while len(pairs) < count:
         a, b = random_prob(3, rng), random_prob(3, rng)
+        if a1_below_b1 and a[0] >= b[0]:
+            continue
         if compare(a, b) is MajVerdict.Incomparable and min(a[0] - a[1], a[1] - a[2]) > 1e-9:
             pairs.append((a, b))
     return pairs
@@ -160,6 +211,73 @@ def test_coop_matches_one_by_one_scan():
         want = _coop_one_by_one(a, b, 1, fallback)
         assert all(want.cross_incomparable.values()) is full
         assert _same_plan(coop_construct(a, b, seed=1, fallback_samples=fallback), want)
+
+
+def test_coop_a1_below_b1_goes_straight_to_fallback():
+    # The removed a1 < b1 search paired chi = beta with eta = (alpha, alpha,
+    # 1 - 2 alpha), alpha <= min(beta1, (beta1 + beta2)/2), so eta is
+    # majorized by chi.  Every candidate it yields is invalid, its one-by-one
+    # scan ends with no plan, and the old search returns what the fallback
+    # alone returns: the reference scan below starts there.
+    outcomes = set()
+    yielded_in_all = 0
+    for k, (a, b) in enumerate(_incomparable_pairs("coop-a1-below-b1", 200, a1_below_b1=True)):
+        sa, sb = locc._strip(a), locc._strip(b)
+        yielded = list(_coop_case2_candidates(sa, sb, k))
+        yielded_in_all += len(yielded)
+        if yielded:
+            chi, eta = (np.array(side) for side in zip(*yielded))
+            # compare's Incomparable verdict, row by row
+            assert not compare_rows(chi, eta).incomparable.any(), k
+        for fallback in (0, 37, 300):
+            want = _coop_one_by_one(a, b, k, fallback, candidates=iter(()))
+            try:
+                got = coop_construct(a, b, seed=k, fallback_samples=fallback)
+            except NoPlanFound:
+                got = None
+            assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
+            if got is not None:
+                assert got.branch == "fallback"
+                outcomes.add(all(got.cross_incomparable.values()))
+            else:
+                outcomes.add(None)
+    assert outcomes == {True, False, None}
+    assert yielded_in_all > 60000
+
+
+def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
+    # a1 > b1: the recipe's candidates count before the fallback's
+    pairs = [(a, b) for a, b in _incomparable_pairs("coop-recipe", 40) if a[0] > b[0]]
+    assert len(pairs) >= 10
+    for k, (a, b) in enumerate(pairs[:10]):
+        for fallback in (0, 37, 300):
+            want = _coop_one_by_one(a, b, k, fallback)
+            try:
+                got = coop_construct(a, b, seed=k, fallback_samples=fallback)
+            except NoPlanFound:
+                got = None
+            assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
+    # a fully incomparable recipe plan in the second chunk: 16 + 5 candidates
+    a, b = COOP_GOLDEN[0][:2]
+    fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(20, 2)))
+    stream = fillers + [COOP_GOLDEN[0][2:]]
+    monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
+    got = coop_construct(a, b, seed=1)
+    assert (got.branch, got.candidates) == ("recipe", 21)
+    assert _same_diagnostics(got, _coop_one_by_one(a, b, 1, 0, candidates=iter(stream)))
+
+
+def test_coop_golden_diagnostics():
+    # the three a1 < b1 goldens come from the fallback; every golden's margin
+    # is the smallest gap between the joint partial sums below the total
+    for a, b, chi, eta in COOP_GOLDEN:
+        plan = coop_construct(a, b, seed=1)
+        if a[0] < b[0]:
+            assert plan.branch == "fallback"
+        gap = partial_sums(vec_kron(b, eta)) - partial_sums(vec_kron(a, chi))
+        assert plan.margin == pytest.approx(gap[:-1].min(), abs=1e-15)
+        assert plan.margin >= -MAJ_TOL
+    assert sum(a[0] < b[0] for a, b, _, _ in COOP_GOLDEN) == 3
 
 
 def test_coop_recipe_winner_across_chunks(monkeypatch):
