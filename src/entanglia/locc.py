@@ -23,9 +23,11 @@ from .errors import (
     NotIncomparable3x3,
     RankMismatch,
     TooLarge,
+    TraceMismatch,
 )
 from .majorization import (
     MajVerdict,
+    _zero_pad,
     as_prob_vector,
     compare,
     compare_rows,
@@ -72,7 +74,7 @@ def vec_kron(a, b):
 def nielsen(a, b):
     """True iff the state with Schmidt vector a converts to b under
     deterministic LOCC (a majorized by b)."""
-    return majorizes(_schmidt_sorted(a), _schmidt_sorted(b))
+    return majorizes(as_prob_vector(a), as_prob_vector(b))
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ def classify(a, b):
     incomparability, and the first/last-coefficient catalysis filter."""
     verdict = compare(a, b)
     ra, rb = _strip(a), _strip(b)
-    sa, sb = sorted_padded(ra, rb)
+    d = max(ra.size, rb.size)
+    sa, sb = _zero_pad(ra, d), _zero_pad(rb, d)
     a1, ad = float(sa[0]), float(sa[-1])
     b1, bd = float(sb[0]), float(sb[-1])
     strong = (a1 < b1 - TIE_TOL and ad < bd - TIE_TOL) or (a1 > b1 + TIE_TOL and ad > bd + TIE_TOL)
@@ -160,7 +163,13 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
 
 def assist_max_entangled(a, b):
     """Whether a (x) maxent(d-1) -> b (x) product passes, via the d-1
-    simplified partial-sum conditions k a1/(d-1) <= sum_1^k b_i."""
+    simplified partial-sum conditions k a1/(d-1) <= sum_1^k b_i (within
+    MAJ_TOL), for k = 1..d-1, checked together in one vector comparison.
+
+    Both vectors must have the same Schmidt rank d >= 3 once trailing
+    zeros are stripped.  Costs O(d), against O(d^2) for the product
+    vectors of assist_max_entangled_direct.
+    """
     sa, sb = _strip(a), _strip(b)
     if sa.size != sb.size or sa.size < 3:
         raise RankMismatch(
@@ -168,18 +177,24 @@ def assist_max_entangled(a, b):
         )
     d = sa.size
     sums = np.cumsum(sb)
-    return bool(all(k * sa[0] / (d - 1) <= sums[k - 1] + MAJ_TOL for k in range(1, d)))
+    return bool((np.arange(1, d) * sa[0] / (d - 1) <= sums[:-1] + MAJ_TOL).all())
 
 
 def assist_max_entangled_direct(a, b):
     """The same transformation checked on the explicit product vectors
-    (cross-validation partner of assist_max_entangled)."""
+    (cross-validation partner of assist_max_entangled).
+
+    The product vectors have d(d-1) entries, which may be at most 10^6
+    (d <= 1000); larger ranks raise TooLarge before anything is built.
+    """
     sa, sb = _strip(a), _strip(b)
     if sa.size != sb.size or sa.size < 3:
         raise RankMismatch(
             f"equal Schmidt rank >= 3 required, got ranks {sa.size} and {sb.size}"
         )
     d = sa.size
+    if d * (d - 1) > 10**6:
+        raise TooLarge(f"product vectors of d(d-1) = {d * (d - 1)} entries exceed 10^6")
     maxent = np.full(d - 1, 1.0 / (d - 1))
     product = np.zeros(d - 1)
     product[0] = 1.0
@@ -264,17 +279,23 @@ def coop_validate(a, b, chi, eta):
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
     sc, se = _schmidt_sorted(chi), _schmidt_sorted(eta)
     src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
-    inc = lambda x, y: compare(x, y) is MajVerdict.Incomparable
+    joint_ok = majorizes(src, tgt)
+    # the four cross pairs as rows of one comparison; padding zeros only
+    # repeat a row's total, so each row's flags are those of its own pair
+    pairs = ((sa, sb), (sc, se), (sa, se), (sc, sb))
+    d = max(sa.size, sb.size, sc.size, se.size)
+    x, y = (np.stack([_zero_pad(v, d) for v in side]) for side in zip(*pairs))
+    try:
+        inc = compare_rows(x, y).incomparable
+    except TraceMismatch:
+        for p, q in pairs:  # name the first mismatched pair, not the worst
+            compare(p, q)
+        raise
     return CoopPlan(
         chi=sc,
         eta=se,
-        joint_ok=majorizes(src, tgt),
-        cross_incomparable={
-            "psi_phi": inc(sa, sb),
-            "chi_eta": inc(sc, se),
-            "psi_eta": inc(sa, se),
-            "chi_phi": inc(sc, sb),
-        },
+        joint_ok=joint_ok,
+        cross_incomparable=dict(zip(("psi_phi", "chi_eta", "psi_eta", "chi_phi"), map(bool, inc))),
         margin=_min_slack(src, tgt),
     )
 

@@ -26,17 +26,30 @@ class MajVerdict(enum.Enum):
 
 
 def as_prob_vector(v):
-    """Validate and clean a probability vector (clamps -NOISE_TOL noise to 0)."""
-    v = np.asarray(v, dtype=float).copy()
+    """Validate and clean a probability vector: a float copy with negative
+    entries down to -NOISE_TOL clamped to 0 (-0.0 is kept as it is).
+
+    Raises NonFinite for a NaN or infinite entry, then TraceMismatch for an
+    entry below -NOISE_TOL, then for a total (after the clamp) more than
+    TRACE_TOL from 1.  A valid vector costs one copy, one min and one sum:
+    a NaN or infinity makes the min or the sum fail its check, so the full
+    scans run only on the way to an error or a clamp.  The sum is taken
+    only once the min shows no NaN and no negative entry, so inf - inf
+    is never summed.
+    """
+    v = np.array(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise TraceMismatch("expected a nonempty 1-d probability vector")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("probability vector has a NaN or infinite component")
-    if np.min(v) < -NOISE_TOL:
-        raise TraceMismatch(f"negative component {np.min(v)} in probability vector")
-    v[v < 0] = 0.0
-    if abs(v.sum() - 1.0) > TRACE_TOL:
-        raise TraceMismatch(f"probability vector sums to {v.sum()}, not 1")
+    low = v.min()
+    if not (low >= 0 and abs(v.sum() - 1.0) <= TRACE_TOL):
+        if not np.isfinite(v).all():
+            raise NonFinite("probability vector has a NaN or infinite component")
+        if low < -NOISE_TOL:
+            raise TraceMismatch(f"negative component {low} in probability vector")
+        v[v < 0] = 0.0
+        total = v.sum()
+        if abs(total - 1.0) > TRACE_TOL:
+            raise TraceMismatch(f"probability vector sums to {total}, not 1")
     return v
 
 

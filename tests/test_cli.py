@@ -80,6 +80,24 @@ def test_assist_min(capsys):
     assert doc["certified"] is True
 
 
+@pytest.mark.parametrize("rank, direct", [(1000, True), (1001, None), (2000, None)])
+def test_assist_cross_check_bounded(tmp_path, capsys, rank, direct):
+    """The product-vector cross-check holds d(d-1) entries and runs up to
+    10^6 of them (d = 1000); above that it reports null and builds nothing."""
+    rng = np.random.default_rng(rank)
+    b = rng.dirichlet(np.ones(rank))
+    a = 0.5 * b + 0.5 / rank  # a majorized by b: assistance passes
+    paths = []
+    for name, v in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(v.tolist()))
+    code, out, _ = run_cli(capsys, "assist", str(paths[0]), str(paths[1]), "--output", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["possible"] is True
+    assert doc["cross_check_direct"] is direct
+
+
 def test_coop_and_split2(capsys):
     code, out, _ = run_cli(capsys, "coop", ".41,.38,.21", ".4,.4,.2", "--output", "structured")
     assert code == 0

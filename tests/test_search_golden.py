@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from entanglia import locc
-from entanglia.errors import EmptyRange, NoPlanFound
+from entanglia.errors import EmptyRange, NoPlanFound, TraceMismatch
 from entanglia.locc import (
+    CoopPlan,
     coop_construct,
     coop_validate,
     find_catalyst_2x2,
@@ -149,6 +150,26 @@ def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):
     return replace(first_valid, candidates=tried)
 
 
+def _coop_validate_reference(a, b, chi, eta):
+    """coop_validate as it stood with one compare call per cross pair."""
+    sa, sb = locc._schmidt_sorted(a), locc._schmidt_sorted(b)
+    sc, se = locc._schmidt_sorted(chi), locc._schmidt_sorted(eta)
+    src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
+    inc = lambda x, y: compare(x, y) is MajVerdict.Incomparable
+    return CoopPlan(
+        chi=sc,
+        eta=se,
+        joint_ok=majorizes(src, tgt),
+        cross_incomparable={
+            "psi_phi": inc(sa, sb),
+            "chi_eta": inc(sc, se),
+            "psi_eta": inc(sa, se),
+            "chi_phi": inc(sc, sb),
+        },
+        margin=locc._min_slack(src, tgt),
+    )
+
+
 def _catalyst_one_by_one(a, b, grid_step):
     if not locc.classify(a, b).catalysis_possible:
         return None
@@ -191,6 +212,46 @@ def _incomparable_pairs(key, count, a1_below_b1=False):
         if compare(a, b) is MajVerdict.Incomparable and min(a[0] - a[1], a[1] - a[2]) > 1e-9:
             pairs.append((a, b))
     return pairs
+
+
+def test_coop_validate_matches_reference():
+    """One stacked comparison gives each candidate the four cross flags the
+    per-pair compare calls gave, down to the margin bits and flag types."""
+    seen = set()
+    for k, (a, b) in enumerate(_incomparable_pairs("coop-validate", 12)):
+        rng = rng_for("coop-validate-draws", k)
+        candidates = list(locc._coop_case1_candidates(a, b)) if a[0] > b[0] else []
+        candidates += [tuple(rng.dirichlet(np.ones(3), size=2)) for _ in range(40)]
+        for chi, eta in candidates:
+            got = coop_validate(a, b, chi, eta)
+            want = _coop_validate_reference(a, b, chi, eta)
+            assert _same_plan(got, want)
+            assert [type(v) for v in got.cross_incomparable.values()] == [bool] * 4
+            assert got.margin == want.margin
+            seen.add(tuple(got.cross_incomparable.values()))
+    assert len(seen) >= 4
+    # unequal lengths: the rows are zero-padded to the longest vector
+    ragged = ([0.6, 0.3, 0.1], [0.5, 0.5], [0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.1, 0.0])
+    got, want = coop_validate(*ragged), _coop_validate_reference(*ragged)
+    assert _same_plan(got, want) and got.margin == want.margin
+
+
+def test_coop_validate_names_the_first_mismatched_pair():
+    # each total is within the trace tolerance of 1 and the joint totals
+    # agree, but psi/phi and (by more) chi/eta differ: the per-pair scan
+    # stops at psi/phi, so the stacked check must name that pair too
+    a = [0.5 + 0.5e-9, 0.3, 0.2]
+    b = [0.4 - 0.7e-9, 0.35, 0.25]
+    chi = [0.5 - 0.9e-9, 0.3, 0.2]
+    eta = [0.6 + 0.9e-9, 0.3, 0.1]
+    with pytest.raises(TraceMismatch) as want:
+        _coop_validate_reference(a, b, chi, eta)
+    with pytest.raises(TraceMismatch) as got:
+        coop_validate(a, b, chi, eta)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TraceMismatch) as worst:
+        compare(chi, eta)
+    assert str(worst.value) != str(want.value)
 
 
 def test_coop_matches_one_by_one_scan():
