@@ -27,6 +27,7 @@ from .errors import (
 )
 from .majorization import (
     MajVerdict,
+    _check_totals,
     _zero_pad,
     as_prob_vector,
     compare,
@@ -39,9 +40,12 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
-# keeps its arrays small.
-_FIRST_CHUNK = 16
-_MAX_CHUNK = 512
+# keeps its arrays small.  A cooperation chunk's fixed cost is that of about
+# 500 more rows, so the first chunk holds all of the recipe's candidates and
+# a long scan takes few chunks.  The catalyst grid takes at most _MAX_CHUNK
+# points at a time.
+_FIRST_CHUNK = 256
+_MAX_CHUNK = 2048
 
 
 def _chunk_sizes():
@@ -149,15 +153,18 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
     if not classify(a, b).catalysis_possible:
         return None
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
-    for start in itertools.count(0, _MAX_CHUNK):
-        c = 0.5 + np.arange(start, start + _MAX_CHUNK) * step
+    # at most 0.5 / step + 1 grid points lie below c = 1, so a chunk one
+    # larger holds a whole grid that fits under the cap and shows its end
+    size = int(min(_MAX_CHUNK, 0.5 / step + 2))
+    for start in itertools.count(0, size):
+        c = 0.5 + np.arange(start, start + size) * step
         c = c[c < 1.0 - INTERVAL_MARGIN]
         if c.size:
             chi = np.stack((c, 1.0 - c), axis=-1)
             hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
             if hit.any():
                 return float(c[hit.argmax()])
-        if c.size < _MAX_CHUNK:
+        if c.size < size:
             return None
 
 
@@ -307,16 +314,52 @@ def _min_slack(x, y):
     return float(slack.min()) if slack.size else 0.0
 
 
+def _sorted_columns(v):
+    """The rows of an (n, 3) stack sorted descending, as three columns.
+
+    A three-comparator min/max network: the values are exactly np.sort's.
+    """
+    hi, lo = np.maximum(v[:, 0], v[:, 1]), np.minimum(v[:, 0], v[:, 1])
+    mid, low = np.maximum(lo, v[:, 2]), np.minimum(lo, v[:, 2])
+    return np.maximum(hi, mid), np.minimum(hi, mid), low
+
+
+def _incomparable_columns(x, y):
+    """compare_rows(x, y).incomparable for 3-entry rows given as sorted
+    columns (x1, x2, x3) and (y1, y2, y3), each an array or a scalar.
+
+    On sorted 3-vectors majorization is x1 <= y1 and x1 + x2 <= y1 + y2 once
+    the totals agree.  The partial sums, tolerance tests and close rule are
+    compare_rows' own, so every flag is bit for bit its flag, and a
+    non-finite or mismatched total raises as it does.
+    """
+    (x1, x2, x3), (y1, y2, y3) = x, y
+    cx, cy = x1 + x2, y1 + y2
+    tx, ty = cx + x3, cy + y3
+    _check_totals(tx, ty)
+    fwd = (x1 <= y1 + MAJ_TOL) & (cx <= cy + MAJ_TOL) & (tx <= ty + MAJ_TOL)
+    bwd = (y1 <= x1 + MAJ_TOL) & (cy <= cx + MAJ_TOL) & (ty <= tx + MAJ_TOL)
+    close = (abs(x1 - y1) <= MAJ_TOL) & (abs(x2 - y2) <= MAJ_TOL) & (abs(x3 - y3) <= MAJ_TOL)
+    return ~(fwd | bwd | close)
+
+
 def _coop_flags(sa, sb, chi, eta):
     """coop_validate over (n, 3) stacks of candidates: which rows are valid,
     and which are valid with all four cross pairs incomparable (psi_phi
-    holds for every pair coop_construct accepts)."""
-    joint = compare_rows(vec_kron(sa, chi), vec_kron(sb, eta)).fwd
-    psi, phi = np.broadcast_to(sa, chi.shape), np.broadcast_to(sb, eta.shape)
-    chi_eta, psi_eta, chi_phi = compare_rows(
-        np.stack((chi, psi, chi)), np.stack((eta, eta, phi))
-    ).incomparable
-    valid = joint & chi_eta
+    holds for every pair coop_construct accepts).
+
+    The cross pairs are compared as sorted columns; the 9-entry joint check
+    runs only on the rows whose chi and eta are incomparable (about a
+    quarter of random draws), as a row is valid only if both hold.
+    """
+    sc, se = _sorted_columns(chi), _sorted_columns(eta)
+    chi_eta = _incomparable_columns(sc, se)
+    psi_eta = _incomparable_columns(sa, se)
+    chi_phi = _incomparable_columns(sc, sb)
+    valid = chi_eta.copy()
+    (rows,) = chi_eta.nonzero()
+    if rows.size:
+        valid[rows] = compare_rows(vec_kron(sa, chi[rows]), vec_kron(sb, eta[rows])).fwd
     return valid, valid & psi_eta & chi_phi
 
 

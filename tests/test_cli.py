@@ -127,14 +127,28 @@ def test_trace_mismatch_exit_code(capsys):
     assert "TraceMismatch" in err
 
 
-def test_catalyst_step_zero_exits_3():
-    # a child with a timeout, so an endless grid scan fails instead of hanging
+def run_cli_child(*argv):
+    """The CLI in a child process with a timeout; Python warnings go to its
+    stderr."""
     src = os.path.dirname(os.path.dirname(entanglia.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = [sys.executable, "-m", "entanglia.cli", "catalyst", ".4,.4,.1,.1", ".5,.25,.25,0", "--step", "0"]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    argv = [sys.executable, "-W", "default", "-m", "entanglia.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_catalyst_step_zero_exits_3():
+    # a child with a timeout, so an endless grid scan fails instead of hanging
+    done = run_cli_child("catalyst", ".4,.4,.1,.1", ".5,.25,.25,0", "--step", "0")
     assert done.returncode == 3
     assert "BadParam" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "majorize"])
+def test_inf_and_minus_inf_print_only_the_error(command):
+    # inf + -inf in one vector: no numpy RuntimeWarning before the error line
+    done = run_cli_child(command, "inf,-inf,1", ".5,.3,.2")
+    assert done.returncode == 3
+    assert done.stderr == "error [NonFinite]: majorization input has a NaN or infinite component\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,28 @@ def test_compare_rows_rejects_bad_rows():
             compare(good[0], rows[1])
         with pytest.raises(NonFinite):
             as_prob_vector(rows[1])
+
+
+def test_compare_rows_nonfinite_pair_raises_without_warning():
+    # inf + -inf in a cumsum, or -inf - -inf between totals, would warn; a
+    # -inf behind zero padding meets a finite total
+    inf = np.inf
+    pairs = [
+        ([inf, -inf, 1.0], [0.5, 0.3, 0.2]),
+        ([-inf, 1.0, 1.0], [-inf, 1.0, 1.0]),
+        ([1.0, -inf], [-inf, 1.0, 1.0]),
+        ([1.0, -inf], [0.5, 0.3, 0.2]),
+        ([inf, inf], [inf, inf]),
+        ([np.nan, inf, -inf], [1.0, 0.0, 0.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in pairs:
+            for args in ((x, y), (y, x)):
+                with pytest.raises(NonFinite):
+                    compare_rows(*args)
+                with pytest.raises(NonFinite):
+                    compare(*args)
 
 
 def test_ascending_formulation_equivalent():

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entanglia import locc
+from entanglia import locc, majorization
 from entanglia.errors import EmptyRange, NoPlanFound, TraceMismatch
 from entanglia.locc import (
     CoopPlan,
@@ -22,7 +22,7 @@ from entanglia.locc import (
     vec_kron,
 )
 from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes, partial_sums
-from entanglia.tolerances import MAJ_TOL
+from entanglia.tolerances import MAJ_TOL, TRACE_TOL
 
 from conftest import random_prob, rng_for
 
@@ -318,7 +318,10 @@ def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
             except NoPlanFound:
                 got = None
             assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
-    # a fully incomparable recipe plan in the second chunk: 16 + 5 candidates
+    # a fully incomparable recipe plan in the second chunk of a 16/32
+    # schedule: 16 + 5 candidates
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
     a, b = COOP_GOLDEN[0][:2]
     fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(20, 2)))
     stream = fillers + [COOP_GOLDEN[0][2:]]
@@ -344,7 +347,9 @@ def test_coop_golden_diagnostics():
 def test_coop_recipe_winner_across_chunks(monkeypatch):
     # recipe streams for the cooperation pair built from invalid fillers, a
     # valid but partially comparable plan, and a fully incomparable one,
-    # placed in later chunks
+    # placed in the second and third chunks of a 16/32 schedule
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
     a, b = COOP_GOLDEN[0][:2]
     sa, sb = locc._strip(a), locc._strip(b)
     partial = (
@@ -380,6 +385,93 @@ def test_coop_recipe_winner_across_chunks(monkeypatch):
             assert got is None
 
 
+def _boundary_rows(trace_tol):
+    """(x, y) rows of 3-vectors on and around the majorization boundaries:
+    equal vectors, permutations, ties, zero entries, and partial sums moved
+    by fractions of MAJ_TOL, with totals moved by up to trace_tol / 2."""
+    x, y = [], []
+    base = ([0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2], [1 / 3] * 3, [0.5, 0.5, 0.0], [1.0, 0.0, 0.0])
+    for v in base:
+        for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)):
+            x.append(v)
+            y.append([v[i] for i in perm])
+    x += [[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.4, 0.4, 0.2], [0.45, 0.35, 0.2]]
+    y += [[0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.45, 0.2, 0.35]]
+    steps = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]) * MAJ_TOL
+    for v in ([0.5, 0.3, 0.2], [0.45, 0.35, 0.2], [0.4, 0.3, 0.3]):
+        for d1 in steps:
+            for d2 in steps:
+                for dt in steps[abs(steps) <= trace_tol / 2]:
+                    x.append(v)
+                    y.append([v[0] + d1, v[1] + d2 - d1, v[2] - d2 + dt])
+    return np.array(x), np.array(y)
+
+
+@pytest.mark.parametrize("trace_tol", [TRACE_TOL, 4 * MAJ_TOL])
+def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
+    """The sorted-column cross flags are compare_rows' Incomparable flags
+    bit for bit, with a stack on either side or a vector on one; also under
+    a trace tolerance looser than MAJ_TOL, where the totals' own partial-sum
+    test decides some rows."""
+    monkeypatch.setattr(majorization, "TRACE_TOL", trace_tol)
+    rng = rng_for("coop-columns")
+    stacks = [tuple(rng.dirichlet(np.ones(3), size=(2, 400))), _boundary_rows(trace_tol)]
+    for x, y in stacks:
+        sx, sy = locc._sorted_columns(x), locc._sorted_columns(y)
+        assert np.array_equal(np.stack(sx, axis=-1), np.sort(x)[:, ::-1])
+        got = locc._incomparable_columns(sx, sy)
+        assert got.dtype == bool
+        assert np.array_equal(got, compare_rows(x, y).incomparable)
+        for v in x[::37]:
+            sv = np.sort(v)[::-1]
+            assert np.array_equal(locc._incomparable_columns(sv, sy), compare_rows(v, y).incomparable)
+            assert np.array_equal(locc._incomparable_columns(sx, sv), compare_rows(x, v).incomparable)
+    x, y = _boundary_rows(trace_tol)
+    assert 0 < compare_rows(x, y).incomparable.sum() < len(x)
+    # a total outside the trace tolerance raises with compare_rows' message
+    y[7] *= 1.0 + 2 * trace_tol
+    with pytest.raises(TraceMismatch) as want:
+        compare_rows(x, y)
+    with pytest.raises(TraceMismatch) as got:
+        locc._incomparable_columns(locc._sorted_columns(x), locc._sorted_columns(y))
+    assert str(got.value) == str(want.value)
+
+
+def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch):
+    corpus = [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
+    for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
+        corpus += [(a, b, k, 37), (a, b, k, 300)]
+    runs = []
+    for first, cap in ((1, 1), (16, 512), (locc._FIRST_CHUNK, locc._MAX_CHUNK)):
+        monkeypatch.setattr(locc, "_FIRST_CHUNK", first)
+        monkeypatch.setattr(locc, "_MAX_CHUNK", cap)
+        plans = []
+        for a, b, seed, fallback in corpus:
+            try:
+                plans.append(coop_construct(a, b, seed=seed, fallback_samples=fallback))
+            except NoPlanFound:
+                plans.append(None)
+        runs.append(plans)
+    default = runs[-1]
+    assert {p.branch for p in default if p is not None} == {"recipe", "fallback"}
+    for plans in runs[:-1]:
+        for got, want in zip(plans, default):
+            assert _same_plan(got, want) and _same_diagnostics(got, want)
+
+
+def test_coop_misnormalised_recipe_candidate_raises(monkeypatch):
+    a, b = COOP_GOLDEN[0][:2]
+    chi, eta = (np.array(v) for v in COOP_GOLDEN[0][2:])
+    fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(5, 2)))
+    # chi off, eta off, and both off alike (only the cross pairs with psi
+    # and phi see that)
+    for bad in ((chi * 1.1, eta), (chi, eta * (1 + 3 * MAJ_TOL)), (chi * 1.1, eta * 1.1)):
+        stream = fillers + [bad] + [(chi, eta)]
+        monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
+        with pytest.raises(TraceMismatch):
+            coop_construct(a, b, seed=1)
+
+
 def test_catalyst_matches_one_by_one_scan():
     rng = rng_for("catalyst-scan")
     outcomes = set()
@@ -391,6 +483,26 @@ def test_catalyst_matches_one_by_one_scan():
             assert find_catalyst_2x2(a, b, grid_step=step) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def test_catalyst_grid_across_chunks(monkeypatch):
+    # a 16-point cap splits the default 500-point grid into 32 chunks; the
+    # golden pair's hit at c = 0.6 lies in the seventh, and the incomparable
+    # pairs that pass the necessary condition include full-scan misses
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 16)
+    rng = rng_for("catalyst-chunks")
+    pairs = [(CAT_A, CAT_B)]
+    while len(pairs) < 5:
+        a, b = random_prob(4, rng), random_prob(4, rng)
+        if compare(a, b) is MajVerdict.Incomparable and locc.classify(a, b).catalysis_possible:
+            pairs.append((a, b))
+    outcomes = set()
+    for a, b in pairs:
+        for step in (1e-3, 7.8e-3, 0.3):
+            want = _catalyst_one_by_one(a, b, step)
+            assert find_catalyst_2x2(a, b, grid_step=step) == want
+            outcomes.add(want)
+    assert {None, 0.6} <= outcomes
 
 
 def test_split_matches_one_by_one_scan():
