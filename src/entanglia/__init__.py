@@ -50,10 +50,13 @@ from .linalg import (
 )
 from .locc import (
     AssistPlan,
+    CatalystSearch,
     CoopPlan,
     PairClass,
     SplitRange,
     assist_max_entangled,
+    catalyst_search,
+    catalyst_window_2x2,
     classify,
     coop_construct,
     coop_validate,
@@ -76,6 +79,7 @@ from .majorization import (
     is_doubly_stochastic,
     majorizes,
     spectra_majorized,
+    window_affine,
 )
 from .measures import (
     binary_entropy,

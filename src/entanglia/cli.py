@@ -41,7 +41,7 @@ from .locc import (
     assist_max_entangled_direct,
     classify,
     coop_construct,
-    find_catalyst_2x2,
+    catalyst_search,
     min_assist_3x3,
     multicopy,
     nielsen,
@@ -219,7 +219,8 @@ def cmd_classify(args):
 
 def cmd_catalyst(args):
     a, b = parse_vector(args.a), parse_vector(args.b)
-    c = find_catalyst_2x2(a, b, grid_step=args.step)
+    search = catalyst_search(a, b, grid_step=args.step)
+    c = search.c
     report = {"found": c is not None, "catalyst_c": c}
     if c is not None:
         chi = np.array([c, 1.0 - c])
@@ -228,6 +229,13 @@ def cmd_catalyst(args):
         report["joint_target"] = np.sort(vec_kron(b, chi))[::-1]
         report.update(_sum_table(report["joint_source"], report["joint_target"]))
         report["certified"] = nielsen(report["joint_source"], report["joint_target"])
+    report["diagnostics"] = {
+        "window": [list(w) for w in search.window],
+        "width": sum((hi - lo for lo, hi in search.window), 0.0),
+        "on_grid": search.on_grid,
+        "certified_points": search.certified,
+        "off_grid_c": search.off_grid_c,
+    }
     return report
 
 
@@ -514,7 +522,9 @@ def build_parser():
     sp.add_argument("b")
     sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("catalyst", parents=[common], help="2x2 catalyst grid search")
+    sp = sub.add_parser(
+        "catalyst", parents=[common], help="2x2 catalyst: first certified grid point in the exact window"
+    )
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--step", type=float, default=1e-3)

@@ -11,6 +11,7 @@ heuristics affect completeness, never soundness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 from .majorization import (
     MajVerdict,
     _check_totals,
+    _window_affine,
     _zero_pad,
     as_prob_vector,
     compare,
@@ -36,20 +38,22 @@ from .majorization import (
     sorted_padded,
 )
 from .measures import binary_entropy
-from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
+from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
 # keeps its arrays small.  A cooperation chunk's fixed cost is that of about
 # 500 more rows, so the first chunk holds all of the recipe's candidates and
-# a long scan takes few chunks.  The catalyst grid takes at most _MAX_CHUNK
-# points at a time.
+# a long scan takes few chunks.  The catalyst search certifies only the grid
+# points inside its window, whose first point nearly always passes, so its
+# chunks start at _CATALYST_FIRST_CHUNK points.
 _FIRST_CHUNK = 256
 _MAX_CHUNK = 2048
+_CATALYST_FIRST_CHUNK = 4
 
 
-def _chunk_sizes():
-    size = _FIRST_CHUNK
+def _chunk_sizes(first):
+    size = first
     while True:
         yield size
         size = min(2 * size, _MAX_CHUNK)
@@ -93,6 +97,12 @@ def _chain_ge(seq):
     return all(seq[i] >= seq[i + 1] - TIE_TOL for i in range(len(seq) - 1))
 
 
+def _catalysis_filter(a1, ad, b1, bd):
+    """The necessary condition for any catalyst: a1 <= b1 and ad >= bd, read
+    off the stripped vectors zero-padded to a common length."""
+    return (a1 <= b1 + TIE_TOL) and (ad >= bd - TIE_TOL)
+
+
 def classify(a, b):
     """Full pair classification: verdict, 3x3 interleaving pattern, strong
     incomparability, and the first/last-coefficient catalysis filter."""
@@ -103,7 +113,7 @@ def classify(a, b):
     a1, ad = float(sa[0]), float(sa[-1])
     b1, bd = float(sb[0]), float(sb[-1])
     strong = (a1 < b1 - TIE_TOL and ad < bd - TIE_TOL) or (a1 > b1 + TIE_TOL and ad > bd + TIE_TOL)
-    cat = (a1 <= b1 + TIE_TOL) and (ad >= bd - TIE_TOL)
+    cat = _catalysis_filter(a1, ad, b1, bd)
     pattern = None
     if verdict is MajVerdict.Incomparable and ra.size == 3 and rb.size == 3:
         if _chain_ge([a1, b1, sb[1], sa[1], sa[2], sb[2]]):
@@ -143,29 +153,144 @@ def multicopy(a, b, k):
     return majorizes(tensor_power(sa, k), tensor_power(sb, k))
 
 
-def find_catalyst_2x2(a, b, grid_step=1e-3):
-    """First c = 1/2 + i * grid_step below 1 whose 2x2 catalyst (c, 1-c)
-    makes the conversion pass; None when the necessary condition fails or
-    no grid point works.  The grid is certified a chunk of points at a time."""
+def _catalyst_window(sa, sb, slack):
+    """The window of the affine stacks v0 + c * v1 whose rows hold the
+    entries of a (x) (c, 1-c) and b (x) (c, 1-c): v (1-c) and v c."""
+    d = max(sa.size, sb.size)
+    s = np.stack((_zero_pad(sa, d), _zero_pad(sb, d)))
+    return _window_affine(
+        np.concatenate((s, np.zeros_like(s)), axis=-1),
+        np.concatenate((-s, s), axis=-1),
+        0.5,
+        1.0 - INTERVAL_MARGIN,
+        slack,
+    )
+
+
+def catalyst_window_2x2(a, b):
+    """The c in [1/2, 1 - INTERVAL_MARGIN] whose 2x2 catalyst (c, 1-c) makes
+    a (x) (c, 1-c) majorized by b (x) (c, 1-c) within MAJ_TOL, as sorted
+    disjoint closed intervals (majorization.window_affine in c)."""
+    return _catalyst_window(_schmidt_sorted(a), _schmidt_sorted(b), MAJ_TOL)
+
+
+def _grid_step(grid_step):
     step = float(grid_step)
-    if not 0.0 < step <= 0.5:  # also rejects NaN and infinity
-        raise BadParam(f"grid_step = {grid_step} must be finite and in (0, 1/2]")
-    if not classify(a, b).catalysis_possible:
-        return None
-    sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
-    # at most 0.5 / step + 1 grid points lie below c = 1, so a chunk one
-    # larger holds a whole grid that fits under the cap and shows its end
-    size = int(min(_MAX_CHUNK, 0.5 / step + 2))
-    for start in itertools.count(0, size):
-        c = 0.5 + np.arange(start, start + size) * step
-        c = c[c < 1.0 - INTERVAL_MARGIN]
-        if c.size:
+    # also rejects NaN and infinity; a finer grid has grid indices that a
+    # float no longer holds exactly
+    if not (0.0 < step <= 0.5 and 0.5 / step <= 2**53):
+        raise BadParam(
+            f"grid_step = {grid_step} must be finite and in (0, 1/2], with at most 2^53 grid points"
+        )
+    return step
+
+
+def _grid_span(lo, hi, step):
+    """Index range [start, stop) of the grid points c_i = 1/2 + i * step in
+    [lo, hi] below 1 - INTERVAL_MARGIN.  c_i never falls as i grows, and
+    with at most 2^53 grid points the float estimates of both ends are off
+    by a few indices; the Python float products round as numpy's do."""
+    start = max(int((lo - 0.5) / step) - 8, 0)
+    while 0.5 + start * step < lo:
+        start += 1
+    last = int((hi - 0.5) / step) + 8
+    top = min(hi, math.nextafter(1.0 - INTERVAL_MARGIN, 0.0))  # c <= hi and c < 1 - margin
+    while last >= start and 0.5 + last * step > top:
+        last -= 1
+    return start, last + 1
+
+
+def _catalysis_sorted(a, b):
+    """classify(a, b).catalysis_possible, with a and b validated and sorted
+    (descending) once.
+
+    classify runs instead, raising what it raises, unless both inputs are
+    nonempty 1-d vectors with entries in [0, 1 + TRACE_TOL] (read off the
+    sorted ends, so a NaN fails too and the sums cannot overflow) and
+    totals within TRACE_TOL of 1 and within TRACE_TOL / 2 of each other.
+    Then classify's compare of the raw inputs cannot raise, whatever its
+    summation order, and as_prob_vector returns each input as it is.
+    """
+    va, vb = np.array(a, dtype=float), np.array(b, dtype=float)
+    if va.ndim == vb.ndim == 1 and va.size and vb.size:
+        sa, sb = np.sort(va)[::-1], np.sort(vb)[::-1]
+        top = 1.0 + TRACE_TOL
+        if sa[-1] >= 0 and sb[-1] >= 0 and sa[0] <= top and sb[0] <= top:
+            ta, tb = sa.sum(), sb.sum()
+            near_one = abs(ta - 1.0) <= TRACE_TOL and abs(tb - 1.0) <= TRACE_TOL
+            if near_one and abs(ta - tb) <= TRACE_TOL / 2:
+                # stripped lengths: the entries above ZERO_TOL lead each vector
+                na, nb = (max(int(np.count_nonzero(v > ZERO_TOL)), 1) for v in (sa, sb))
+                ad = float(sa[na - 1]) if na >= nb else 0.0
+                bd = float(sb[nb - 1]) if nb >= na else 0.0
+                return _catalysis_filter(float(sa[0]), ad, float(sb[0]), bd), sa, sb
+    return classify(a, b).catalysis_possible, _schmidt_sorted(a), _schmidt_sorted(b)
+
+
+def _catalyst_grid_search(a, b, step):
+    """find_catalyst_2x2's answer, with the number of grid points certified
+    up to it (counted as a one-by-one scan of the window would)."""
+    possible, sa, sb = _catalysis_sorted(a, b)
+    if not possible:
+        return None, 0
+    sizes = _chunk_sizes(_CATALYST_FIRST_CHUNK)
+    certified = 0
+    # every grid point compare_rows passes lies in the window at twice its
+    # slack, which leaves room for the rounding of both computations
+    for lo, hi in _catalyst_window(sa, sb, 2 * MAJ_TOL):
+        start, stop = _grid_span(lo, hi, step)
+        while start < stop:
+            c = 0.5 + np.arange(start, min(start + next(sizes), stop)) * step
             chi = np.stack((c, 1.0 - c), axis=-1)
             hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
             if hit.any():
-                return float(c[hit.argmax()])
-        if c.size < size:
-            return None
+                first = int(hit.argmax())
+                return float(c[first]), certified + first + 1
+            certified += c.size
+            start += c.size
+    return None, certified
+
+
+def find_catalyst_2x2(a, b, grid_step=1e-3):
+    """First c = 1/2 + i * grid_step below 1 - INTERVAL_MARGIN whose 2x2
+    catalyst (c, 1-c) makes the conversion pass; None when the necessary
+    condition fails or no grid point works.
+
+    Only the grid points inside the exact catalyst window (computed with
+    twice compare_rows' slack) are certified, a few at a time, so the
+    answer is the one a scan of the whole grid returns, and a pair whose
+    window holds no grid point certifies none.
+    """
+    return _catalyst_grid_search(a, b, _grid_step(grid_step))[0]
+
+
+@dataclass(frozen=True)
+class CatalystSearch:
+    c: float | None  # find_catalyst_2x2's answer
+    window: list  # catalyst_window_2x2's intervals
+    on_grid: bool  # some grid point lies in the window
+    certified: int  # grid points certified up to c (all of them on a miss)
+    off_grid_c: float | None  # see catalyst_search
+
+
+def catalyst_search(a, b, grid_step=1e-3):
+    """find_catalyst_2x2 with the evidence behind its answer: the window at
+    MAJ_TOL, whether a grid point lies in it, and the number of grid points
+    certified.  When the window is nonempty but holds no grid point,
+    off_grid_c is the midpoint of its widest interval, certified by
+    compare_rows (None if that check fails); it is never returned as c."""
+    step = _grid_step(grid_step)
+    c, certified = _catalyst_grid_search(a, b, step)
+    window = catalyst_window_2x2(a, b)
+    on_grid = any(start < stop for start, stop in (_grid_span(lo, hi, step) for lo, hi in window))
+    off_grid_c = None
+    if window and not on_grid:
+        lo, hi = max(window, key=lambda w: w[1] - w[0])
+        mid = 0.5 * (lo + hi)
+        chi = (mid, 1.0 - mid)
+        if majorizes(vec_kron(_schmidt_sorted(a), chi), vec_kron(_schmidt_sorted(b), chi)):
+            off_grid_c = mid
+    return CatalystSearch(c, window, on_grid, certified, off_grid_c)
 
 
 def assist_max_entangled(a, b):
@@ -417,7 +542,7 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     # one-by-one scan would stop at, re-certified by coop_validate.
     first_valid = None
     tried = 0
-    sizes = _chunk_sizes()
+    sizes = _chunk_sizes(_FIRST_CHUNK)
     while chunk := list(itertools.islice(candidates, next(sizes))):
         chi, eta = (np.array(side) for side in zip(*chunk))
         valid, full = _coop_flags(sa, sb, chi, eta)
@@ -434,7 +559,7 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     # the samples are spent the next valid plan ends the search
     rng = np.random.default_rng((seed, 99))
     late = fallback_samples // 5
-    sizes = _chunk_sizes()
+    sizes = _chunk_sizes(_FIRST_CHUNK)
     start = 0
     while start < fallback_samples:
         m = min(next(sizes), fallback_samples - start)

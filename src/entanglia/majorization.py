@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +101,27 @@ def _check_totals(tx, ty):
         raise TraceMismatch(f"totals differ: {tx.flat[row]} vs {ty.flat[row]}")
 
 
+# d entries each at most _SUM_BOUND / d in magnitude have every partial sum
+# inside the float range.
+_SUM_BOUND = sys.float_info.max / 2
+
+
+def _check_ends(xs, ys):
+    """compare_rows' slow path for a sorted, padded pair with an end that
+    is not finite or so large that the sums could overflow.  Raises
+    NonFinite for a NaN or infinite entry (also one that zero padding hides
+    from the ends), else TraceMismatch unless the totals, summed scaled down
+    so that numpy never overflows, agree within TRACE_TOL."""
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise NonFinite("majorization input has a NaN or infinite component")
+    tx = float((xs / xs.size).sum()) * xs.size  # Python floats overflow quietly
+    ty = float((ys / ys.size).sum()) * ys.size
+    if not abs(tx - ty) <= TRACE_TOL:
+        if math.isfinite(tx) and math.isfinite(ty):
+            raise TraceMismatch(f"totals differ: {tx} vs {ty}")
+        raise TraceMismatch(f"a total is past the float range: {tx} vs {ty}")
+
+
 def compare_rows(x, y):
     """Majorization flags for every row of two (..., d) stacks.
 
@@ -113,7 +135,9 @@ def compare_rows(x, y):
     on the sorted ends catch every entry that would make the cumsum or the
     totals meet inf - inf: a NaN or +inf sorts first and -inf last, and a
     -inf hidden by zero padding only meets a finite total, which the totals
-    check rejects.  Stacks, which the searches build from validated
+    check rejects.  The same tests bound every end by _SUM_BOUND / d, so an
+    overflowing total is reported, again without a warning, as a
+    TraceMismatch naming it.  Stacks, which the searches build from validated
     vectors, skip those tests (testing a stack's ends, or an np.errstate
     around its cumsum, added 2% or more to a catalyst call), so a stack
     holding inf and -inf raises NonFinite after numpy's invalid-value
@@ -121,9 +145,10 @@ def compare_rows(x, y):
     """
     xs, ys = sorted_padded(x, y)
     if xs.ndim == ys.ndim == 1:
-        finite = math.isfinite
-        if not (finite(xs[0]) and finite(xs[-1]) and finite(ys[0]) and finite(ys[-1])):
-            raise NonFinite("majorization input has a NaN or infinite component")
+        lim = _SUM_BOUND / xs.size  # a NaN fails every comparison
+        x_in = -lim <= float(xs[-1]) and float(xs[0]) <= lim
+        if not (x_in and -lim <= float(ys[-1]) and float(ys[0]) <= lim):
+            _check_ends(xs, ys)
         cx, cy = xs.cumsum(), ys.cumsum()
         _check_totals(cx[-1], cy[-1])
     else:
@@ -154,6 +179,58 @@ def compare(x, y):
     if flags.bwd:
         return MajVerdict.YPrecX
     return MajVerdict.Incomparable
+
+
+def _window_affine(v0, v1, lo, hi, slack):
+    """window_affine on the (2, d) stacks v0 = (x0, y0) and v1 = (x1, y1),
+    with partial-sum slack `slack` in place of MAJ_TOL."""
+    # nodes: lo, hi and every t in (lo, hi) where two entries of one side
+    # cross; parallel entries (equal rise) never cross
+    rise = v1[:, None, :] - v1[:, :, None]
+    t = (v0[:, :, None] - v0[:, None, :]) / np.where(rise == 0.0, np.nan, rise)
+    t = np.sort(np.concatenate(([lo, hi], t[(t > lo) & (t < hi)])))
+    # between adjacent nodes both sort orders are fixed, so every partial
+    # sum, and every gap S_k(y) - S_k(x) + slack, is linear in t
+    sums = np.sort(v0[:, None, :] + t[:, None] * v1[:, None, :], axis=-1)[..., ::-1].cumsum(axis=-1)
+    gap = sums[1] - sums[0] + slack
+    g0, g1 = gap[:-1], gap[1:]
+    neg = gap < 0
+    # a gap that changes sign along a piece is zero at fraction root of it;
+    # one negative at both ends gives end = g0 < 0 <= start, which drops
+    # the piece
+    root = g0 / np.where(neg[:-1] != neg[1:], g0 - g1, 1.0)
+    start = np.where(neg[:-1], root, 0.0).max(axis=-1, initial=0.0)
+    end = np.where(neg[1:], root, 1.0).min(axis=-1)
+    width = np.diff(t)
+    left, right = t[:-1] + start * width, t[1:] - (1.0 - end) * width
+    intervals = []
+    for j in np.flatnonzero(start <= end).tolist():
+        if intervals and start[j] == 0.0 and end[j - 1] == 1.0:  # joins piece j - 1
+            intervals[-1] = (intervals[-1][0], float(right[j]))
+        else:
+            intervals.append((float(left[j]), float(right[j])))
+    return intervals
+
+
+def window_affine(x0, x1, y0, y1, lo, hi):
+    """The t in [lo, hi] (lo <= hi) where x0 + t * x1 is majorized by y0 + t * y1,
+    within compare_rows' MAJ_TOL slack, as sorted disjoint closed
+    intervals [(start, end), ...].
+
+    The nodes are lo, hi and every t between them where two entries of one
+    side cross.  Between adjacent nodes both sort orders are fixed, so each
+    partial-sum gap S_k(y) - S_k(x) is linear and the piece's feasible set
+    is one interval, read off the gaps at its two nodes (Jonathan & Plenio,
+    PRL 83, 3566 (1999)).  All nodes are sorted and summed as one stack.
+    Like compare_rows' fwd flag, the full sums only need S_d(x) <= S_d(y)
+    + MAJ_TOL; the totals are not required to agree.  The shorter side is
+    zero-padded, which for nonnegative entries, as in Schmidt vectors, is
+    compare_rows' padding.
+    """
+    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
+    d = max(x0.shape[-1], y0.shape[-1])
+    x0, x1, y0, y1 = (_zero_pad(v, d) for v in (x0, x1, y0, y1))
+    return _window_affine(np.stack((x0, y0)), np.stack((x1, y1)), lo, hi, MAJ_TOL)
 
 
 def is_doubly_stochastic(a):

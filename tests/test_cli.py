@@ -143,6 +143,50 @@ def test_catalyst_step_zero_exits_3():
     assert "BadParam" in done.stderr
 
 
+def test_catalyst_diagnostics_off_grid(capsys):
+    # the window [0.609528, 0.609750] holds no point of the default grid
+    argv = ("catalyst", ".4,.4,.1,.1", ".4878,.2622,.25,0", "--output", "structured")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is False and doc["catalyst_c"] is None
+    diag = doc["diagnostics"]
+    ((lo, hi),) = diag["window"]
+    assert (round(lo, 6), round(hi, 6)) == (0.609528, 0.60975)
+    assert diag["width"] == pytest.approx(hi - lo)
+    assert diag["on_grid"] is False and diag["certified_points"] == 0
+    assert lo < diag["off_grid_c"] < hi
+    code, out, _ = run_cli(capsys, *argv, "--step", "1e-5")
+    doc = json.loads(out)
+    assert doc["catalyst_c"] == 0.60953 and doc["diagnostics"]["on_grid"] is True
+    assert doc["diagnostics"]["off_grid_c"] is None
+    code, out, _ = run_cli(capsys, *argv[:3])
+    assert code == 0 and "diagnostics" not in out and "on_grid" not in out
+
+
+def test_catalyst_fine_steps_answer_at_once():
+    # a miss with an empty window: a scan of its 10^8 grid points at 1e-8
+    # would take many seconds
+    for step in ("1e-8", "1e-9"):
+        started = time.perf_counter()
+        done = run_cli_child("catalyst", "0.45,0.44,0.08,0.03", "0.64,0.18,0.15,0.03", "--step", step)
+        assert done.returncode == 0 and "found: False" in done.stdout
+        assert time.perf_counter() - started < 10
+    # grid indices past 2^53 (and past the float range at 5e-324)
+    for step in ("1e-17", "5e-324"):
+        done = run_cli_child("catalyst", ".4,.4,.1,.1", ".5,.25,.25,0", "--step", step)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error [BadParam]: grid_step") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "majorize"])
+def test_overflowing_total_prints_only_the_error(command):
+    # 1e308 + 1e308 overflows: the bad total is reported, with no numpy warning
+    done = run_cli_child(command, "1e308,1e308,0", ".5,.3,.2")
+    assert done.returncode == 3
+    assert done.stderr == "error [TraceMismatch]: a total is past the float range: inf vs 1.0\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "majorize"])
 def test_inf_and_minus_inf_print_only_the_error(command):
     # inf + -inf in one vector: no numpy RuntimeWarning before the error line

@@ -104,7 +104,8 @@ def other_argv(rng, kind, files):
     if kind in ("majorize", "nielsen", "classify", "coop", "split2"):
         return [kind, vec(), vec()]
     if kind == "catalyst":
-        return [kind, vec(), vec(), "--step", rng.choice(["0", "0.001", "0.25", "0.6", "nan", "-1"])]
+        steps = ["0", "0.001", "0.25", "0.6", "nan", "-1", "1e-9", "5e-324"]
+        return [kind, vec(), vec(), "--step", rng.choice(steps)]
     if kind == "multicopy":
         return [kind, vec(), vec(), rng.choice(["-1", "0", "1", "2", "3", "20", "x"])]
     if kind == "assist":

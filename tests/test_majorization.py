@@ -16,11 +16,15 @@ from entanglia.majorization import (
     ensemble_exists,
     is_doubly_stochastic,
     majorizes,
+    sorted_padded,
     spectra_majorized,
+    window_affine,
 )
+from entanglia import majorization
 from entanglia.locc import vec_kron
 from entanglia.measures import von_neumann_entropy
 from entanglia.states import bell
+from entanglia.tolerances import MAJ_TOL
 
 from conftest import (
     brute_majorized,
@@ -193,6 +197,8 @@ def test_compare_rows_nonfinite_pair_raises_without_warning():
         ([1.0, -inf], [0.5, 0.3, 0.2]),
         ([inf, inf], [inf, inf]),
         ([np.nan, inf, -inf], [1.0, 0.0, 0.0]),
+        # a -inf behind zero padding while the other side's ends are huge
+        ([-inf, 1.0], [1e308, 1e308, 1.0]),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -202,6 +208,19 @@ def test_compare_rows_nonfinite_pair_raises_without_warning():
                     compare_rows(*args)
                 with pytest.raises(NonFinite):
                     compare(*args)
+
+
+def test_compare_rows_overflowing_totals_raise_without_warning():
+    # finite entries whose sums leave the float range: the totals are
+    # compared scaled down, so no numpy overflow warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceMismatch, match=r"a total is past the float range: inf vs 1\.0"):
+            compare_rows([1e308, 1e308, 0.0], [0.5, 0.3, 0.2])
+        with pytest.raises(TraceMismatch, match=r"totals differ: 1e\+308 vs -1e\+308"):
+            compare_rows([1e308], [-1e308])
+        # large ends whose totals agree go on to the partial sums
+        assert compare([1e308, -1e308], [0.0, 0.0]) is MajVerdict.YPrecX
 
 
 def test_ascending_formulation_equivalent():
@@ -353,3 +372,85 @@ def test_ensemble_exists():
     assert ensemble_exists([0.5, 0.5], [1, 0])
     assert not ensemble_exists([1, 0], [0.5, 0.5])
     assert ensemble_exists([0.6, 0.4], [0.7, 0.3])
+
+
+def _in_window(t, intervals):
+    return any(lo <= t <= hi for lo, hi in intervals)
+
+
+def test_window_affine_matches_dense_scan():
+    # x0 + t x1 against y0 + t y1 on [-1, 1], with zero tails and unequal
+    # lengths; each entry v0_i (1 + t (u_i - m)) stays nonnegative and the
+    # rises sum to 0, so the totals agree at every t
+    rng = rng_for("window-affine-scan")
+    ts = np.linspace(-1.0, 1.0, 801)
+
+    def affine(d, alpha):
+        v0 = np.concatenate((rng.dirichlet(np.full(d, alpha)), np.zeros(rng.integers(0, 3))))
+        u = rng.uniform(-0.5, 0.5, v0.size)
+        return v0, v0 * (u - v0 @ u)
+
+    kinds = set()
+    for _ in range(60):
+        dx, dy = rng.integers(2, 6, size=2)
+        (x0, x1), (y0, y1) = affine(dx, 1.0), affine(dy, 0.3)
+        window = window_affine(x0, x1, y0, y1, -1.0, 1.0)
+        assert all(lo <= hi for lo, hi in window)
+        assert all(a[1] < b[0] for a, b in zip(window, window[1:]))  # sorted, disjoint
+        x, y = x0 + ts[:, None] * x1, y0 + ts[:, None] * y1
+        flags = compare_rows(x, y).fwd
+        xs, ys = sorted_padded(x, y)
+        worst = (ys.cumsum(axis=-1) - xs.cumsum(axis=-1)).min(axis=-1) + MAJ_TOL
+        for t, flag, slack in zip(ts, flags, worst):
+            if abs(slack) > 1e-12:  # away from the window's ends
+                assert _in_window(t, window) == flag
+        kinds.add(flags.all() if flags.any() else None)
+    assert kinds == {None, False, True}  # empty, partial and whole windows
+
+
+def test_window_affine_tangent_and_zero_width_pieces():
+    # x(t) = (1 + t, 1 - t) against y = (1, 1): the first partial sum's gap
+    # is -|t|, which touches 0 at the node t = 0 only
+    x0, x1, y0, y1 = [1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 0.0]
+    assert majorization._window_affine(
+        np.stack((x0, y0)), np.stack((x1, y1)), -1.0, 1.0, 0.0
+    ) == [(0.0, 0.0)]
+    ((lo, hi),) = window_affine(x0, x1, y0, y1, -1.0, 1.0)
+    assert lo == pytest.approx(-MAJ_TOL, rel=1e-6) and hi == pytest.approx(MAJ_TOL, rel=1e-6)
+    # lo == hi is one zero-width piece
+    assert window_affine(x0, x1, y0, y1, 0.0, 0.0) == [(0.0, 0.0)]
+    assert window_affine(x0, x1, y0, y1, 0.5, 0.5) == []
+    # swapping the sides makes every t work: the two pieces meeting at the
+    # node t = 0 join into one interval
+    assert window_affine(y0, y1, x0, x1, -1.0, 1.0) == [(-1.0, 1.0)]
+    # two tangents from zero-tail vectors: (t, -t, 0) against (0, 0, 0) at t = 0
+    assert majorization._window_affine(
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
+        -2.0, 2.0, 0.0,
+    ) == [(0.0, 0.0)]
+
+
+def test_window_affine_piece_feasible_only_inside():
+    # x(t) = (1/2 + t, 1/2 - t, 0) against y = (1/2, 1/4, 1/4): the first
+    # partial sum needs |t| <= 0 at slack 0, the rest hold, so adding slack
+    # s opens [-s, s]; against (0.6, 0.4, 0) every |t| <= 0.1 works
+    x0, x1 = [0.5, 0.5, 0.0], [1.0, -1.0, 0.0]
+    ((lo, hi),) = window_affine(x0, x1, [0.6, 0.4, 0.0], [0.0, 0.0, 0.0], -1.0, 1.0)
+    assert lo == pytest.approx(-0.1 - MAJ_TOL) and hi == pytest.approx(0.1 + MAJ_TOL)
+    # a gap negative at both ends of a piece but never inside drops it,
+    # also when it is the only gap
+    assert window_affine(x0, x1, [0.4, 0.4, 0.2], [0.0, 0.0, 0.0], -1.0, 1.0) == []
+    assert window_affine([2.0], [0.0], [1.0], [0.0], 0.0, 1.0) == []
+
+
+def test_window_affine_single_point_inside_a_piece():
+    # x(t) = (1/2 + t, 3/10 - 2t, 1/5 + t) against (1/2, 3/10, 1/5): no
+    # entries cross on [-1/100, 1/100], and the gaps -t (k = 1) and t (k = 2)
+    # leave only t = 0, in the middle of the one piece
+    x0, x1, y0, y1 = [0.5, 0.3, 0.2], [1.0, -2.0, 1.0], [0.5, 0.3, 0.2], [0.0, 0.0, 0.0]
+    stacks = np.stack((x0, y0)), np.stack((x1, y1))
+    ((lo, hi),) = majorization._window_affine(*stacks, -0.01, 0.01, 0.0)
+    assert lo == hi == pytest.approx(0.0, abs=1e-15)
+    ((lo, hi),) = window_affine(x0, x1, y0, y1, -0.01, 0.01)
+    assert lo == pytest.approx(-MAJ_TOL, rel=1e-6) and hi == pytest.approx(MAJ_TOL, rel=1e-6)

@@ -6,15 +6,20 @@ candidate per majorization call; the reference scans restate those loops
 over the scalar checks, so any pair can be compared bit for bit.
 """
 
+import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from entanglia import locc, majorization
-from entanglia.errors import EmptyRange, NoPlanFound, TraceMismatch
+from entanglia.errors import BadParam, EmptyRange, NoPlanFound, TraceMismatch
 from entanglia.locc import (
+    _MAX_CHUNK,
     CoopPlan,
+    _schmidt_sorted,
+    classify,
     coop_construct,
     coop_validate,
     find_catalyst_2x2,
@@ -22,7 +27,7 @@ from entanglia.locc import (
     vec_kron,
 )
 from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes, partial_sums
-from entanglia.tolerances import MAJ_TOL, TRACE_TOL
+from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL
 
 from conftest import random_prob, rng_for
 
@@ -485,11 +490,25 @@ def test_catalyst_matches_one_by_one_scan():
     assert outcomes == {True, False}
 
 
+# a1 <= b1 and a4 >= b4, but S_2(b) = S_2(a) - 1.2e-9: at c = 1/2 the gap
+# is -1.2 MAJ_TOL, inside the search window (twice MAJ_TOL) but failing
+# compare_rows, and it closes at rate 1/2 in c, so the first 400 points of
+# a 1e-12 grid fail before one passes
+BAND_A = [0.4, 0.3, 0.2, 0.1]
+BAND_B = [0.45, 0.25 - 1.2e-9, 0.25 - 1.2e-9, 0.05 + 2.4e-9]
+
+
 def test_catalyst_grid_across_chunks(monkeypatch):
-    # a 16-point cap splits the default 500-point grid into 32 chunks; the
-    # golden pair's hit at c = 0.6 lies in the seventh, and the incomparable
-    # pairs that pass the necessary condition include full-scan misses
+    # a 16-point cap splits a long certification into many chunks; the
+    # incomparable pairs that pass the necessary condition include misses
     monkeypatch.setattr(locc, "_MAX_CHUNK", 16)
+    chunks = []
+
+    def counting(x, y):
+        chunks.append(len(x))
+        return compare_rows(x, y)
+
+    monkeypatch.setattr(locc, "compare_rows", counting)
     rng = rng_for("catalyst-chunks")
     pairs = [(CAT_A, CAT_B)]
     while len(pairs) < 5:
@@ -503,6 +522,145 @@ def test_catalyst_grid_across_chunks(monkeypatch):
             assert find_catalyst_2x2(a, b, grid_step=step) == want
             outcomes.add(want)
     assert {None, 0.6} <= outcomes
+    chunks.clear()
+    want = _catalyst_one_by_one(BAND_A, BAND_B, 1e-12)
+    assert find_catalyst_2x2(BAND_A, BAND_B, grid_step=1e-12) == want == 0.5 + 400 * 1e-12
+    assert chunks[:4] == [4, 8, 16, 16] and sum(chunks) > 400
+
+
+def _catalyst_corpus(key, per_dim):
+    """Seeded incomparable pairs of 3x3 to 6x6 Schmidt vectors.  From 4x4 on
+    they pass the first/last filter and a third of the targets have a zero
+    tail; no incomparable 3x3 pair passes it (a1 <= b1 and a3 >= b3 make
+    a majorized by b)."""
+    rng = rng_for(key)
+    pairs = []
+    for d in range(3, 7):
+        found = 0
+        while found < per_dim:
+            a, b = random_prob(d, rng), random_prob(d, rng)
+            if d > 3 and found % 3 == 0:
+                b = np.append(random_prob(d - 1, rng), 0.0)
+            if compare(a, b) is MajVerdict.Incomparable and (d == 3 or locc.classify(a, b).catalysis_possible):
+                pairs.append((a, b))
+                found += 1
+    return pairs
+
+
+def test_catalyst_window_search_matches_one_by_one_scan():
+    outcomes = set()
+    for a, b in _catalyst_corpus("catalyst-window-scan", 6) + [(BAND_A, BAND_B)]:
+        for step in (1e-3, 1e-4, 7e-3, 0.25, 0.5):
+            want = _catalyst_one_by_one(a, b, step)
+            assert find_catalyst_2x2(a, b, grid_step=step) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_catalyst_window_midpoints_pass_compare_rows():
+    # a nonempty window at MAJ_TOL never comes with a rejected midpoint, and
+    # a miss off the grid reports that midpoint
+    nonempty = 0
+    for a, b in _catalyst_corpus("catalyst-window-midpoints", 15) + [(CAT_A, CAT_B)]:
+        window = locc.catalyst_window_2x2(a, b)
+        for lo, hi in window:
+            mid = 0.5 * (lo + hi)
+            chi = [mid, 1.0 - mid]
+            assert majorizes(vec_kron(a, chi), vec_kron(b, chi))
+        search = locc.catalyst_search(a, b, grid_step=0.25)
+        assert search.window == window
+        assert (search.off_grid_c is not None) == (bool(window) and not search.on_grid)
+        nonempty += bool(window)
+    assert nonempty >= 5
+
+
+def test_catalyst_off_grid_window():
+    # the window [0.609528, 0.609750] holds no point of the default grid
+    a, b = [0.4, 0.4, 0.1, 0.1], [0.4878, 0.2622, 0.25, 0.0]
+    search = locc.catalyst_search(a, b)
+    ((lo, hi),) = search.window
+    assert (round(lo, 6), round(hi, 6)) == (0.609528, 0.60975)
+    assert search.c is None and not search.on_grid and search.certified == 0
+    assert lo < search.off_grid_c < hi
+    assert find_catalyst_2x2(a, b) is None
+    fine = locc.catalyst_search(a, b, grid_step=1e-5)
+    assert fine.c == find_catalyst_2x2(a, b, grid_step=1e-5) == 0.60953
+    assert fine.on_grid and fine.certified == 1 and fine.off_grid_c is None
+
+
+def ref_find_catalyst_2x2(a, b, grid_step=1e-3):
+    """find_catalyst_2x2 before the window, verbatim: classify's filter,
+    then the whole grid a chunk at a time."""
+    step = float(grid_step)
+    if not 0.0 < step <= 0.5:  # also rejects NaN and infinity
+        raise BadParam(f"grid_step = {grid_step} must be finite and in (0, 1/2]")
+    if not classify(a, b).catalysis_possible:
+        return None
+    sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
+    # at most 0.5 / step + 1 grid points lie below c = 1, so a chunk one
+    # larger holds a whole grid that fits under the cap and shows its end
+    size = int(min(_MAX_CHUNK, 0.5 / step + 2))
+    for start in itertools.count(0, size):
+        c = 0.5 + np.arange(start, start + size) * step
+        c = c[c < 1.0 - INTERVAL_MARGIN]
+        if c.size:
+            chi = np.stack((c, 1.0 - c), axis=-1)
+            hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
+            if hit.any():
+                return float(c[hit.argmax()])
+        if c.size < size:
+            return None
+
+
+def _outcome(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("value", fn(*args))
+        except Exception as exc:  # the class and message are compared
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def test_catalyst_filter_errors_match_verbatim_search():
+    # find_catalyst_2x2 validates and sorts each vector once and reads the
+    # first/last filter off them; answers, exception classes, messages and
+    # warnings must match the classify-first search on valid, borderline
+    # and malformed input
+    rng = rng_for("catalyst-filter-errors")
+    up, down = 1.0 + 0.9 * TRACE_TOL, 1.0 - 0.9 * TRACE_TOL
+    near_up, near_down = 1.0 + 0.3 * TRACE_TOL, 1.0 - 0.3 * TRACE_TOL
+    cases = [
+        (CAT_A, CAT_B),
+        (BAND_A, BAND_B),
+        ([1.0], [1.0]),
+        ([0.5, 0.5], [1.0]),
+        ([0.4, 0.4, 0.1, 0.1], [0.5, 0.25, 0.25, 1e-13]),  # a zero under ZERO_TOL
+        ([0.4, 0.4, 0.1, 0.1 - 5e-12, 5e-12], [0.5, 0.25, 0.25, 0.0]),
+        ([0.4, 0.4, 0.1, 0.1 + 1e-13, -1e-13], CAT_B),  # a clamped entry
+        ([0.4, 0.4, 0.2 + 1e-11, -1e-11], CAT_B),  # below -NOISE_TOL
+        (np.array(CAT_A) * up, np.array(CAT_B) * down),  # raw totals 1.8 TRACE_TOL apart
+        (np.array(CAT_A) * near_up, np.array(CAT_B) * near_down),
+        (np.array(CAT_A) * 1.5, np.array(CAT_B) * 1.5),
+        (np.array(CAT_A) * 1.5, CAT_B),
+        ([0.5 + TIE_TOL, 0.3, 0.2 - TIE_TOL], [0.5, 0.3, 0.2]),
+        ([0.4 + 1.5 * TIE_TOL, 0.4, 0.1, 0.1 - 1.5 * TIE_TOL], [0.4, 0.35, 0.2, 0.05]),
+        ([np.nan, 0.5, 0.5], CAT_B),
+        ([np.inf, 0.0], [1.0, 0.0]),
+        ([np.inf, -np.inf, 1.0], [0.5, 0.5]),
+        ([1e308, 1e308, 0.0], [0.5, 0.3, 0.2]),
+        ([], [1.0]),
+        ([[0.5, 0.5]], [[0.5, 0.5]]),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.6, 0.4]]),
+        (["0.5", "x"], [1.0]),
+    ]
+    for d in range(2, 7):
+        for _ in range(6):
+            cases.append((random_prob(d, rng), random_prob(int(rng.integers(1, 7)), rng)))
+    for a, b in cases:
+        for step in (0.25, 2e-2):
+            got = _outcome(find_catalyst_2x2, a, b, step)
+            assert got == _outcome(ref_find_catalyst_2x2, a, b, step), (a, b, step)
 
 
 def test_split_matches_one_by_one_scan():
