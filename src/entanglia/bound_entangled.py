@@ -11,7 +11,9 @@ nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
 A family is stored as those two length-2^n vectors per state, (d, o), which
 the family checks, unlock and the hiding protocol read directly; the dense
-matrices are a read-only view built on first use.
+matrices are a read-only view built on first use.  The family checks and
+unlock run on the four states stacked as (4, 2^n) arrays, with the index
+tables they read cached per n.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
 from .linalg import projector
-from .states import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
+from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
 from .tolerances import (
     MARGINAL_TOL,
     NPT_TOL,
@@ -51,6 +54,10 @@ PAIRING = {
 # Conjugating rho+ by this Pauli on any single qubit yields the sibling.
 PAULI_CONNECTION = {"rho+": ID2, "rho-": SIGMA_Z, "sigma+": SIGMA_X, "sigma-": 1j * SIGMA_Y}
 
+_BELLS = np.array([bell(k) for k in BELL_KINDS])
+# Index into BELL_KINDS of the Bell state PAIRING predicts, per (label, outcome).
+_PREDICTED = np.array([[BELL_KINDS.index(PAIRING[lab][out]) for out in LABELS] for lab in LABELS])
+
 
 @dataclass
 class BEFamily:
@@ -65,12 +72,17 @@ class BEFamily:
     def dims(self):
         return (2,) * self.n_qubits
 
+    def _stacked(self):
+        """The four states' (d, o) stacked in label order: two (4, 2^n)
+        arrays, freshly copied."""
+        return tuple(np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1))
+
     @cached_property
     def states(self):
         """Read-only label -> 2^n x 2^n density matrix, built on first use
         as views into one block (one allocation, freed whole).  The block is
         float64 when every stored o is real, as both constructions make it."""
-        d, o = (np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1))
+        d, o = self._stacked()
         block = ghz_dense(d, o if o.imag.any() else o.real)
         block.flags.writeable = False
         return MappingProxyType(dict(zip(LABELS, block)))
@@ -149,6 +161,23 @@ def reduced_diagonal(d, party):
     return d.reshape((2,) * n).sum(axis=party).reshape(-1)
 
 
+def _cut_masks(n, cuts):
+    return np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
+
+
+def _pt_minima(d, o, index):
+    """pt_min_eigenvalues of (..., 2^n) stacked parts, shape (..., cuts),
+    for the (cuts, 2^n) table index[c, r] = r ^ mask of cut c."""
+    coupling = np.take(np.abs(o), index, axis=-1)  # |o[r ^ S]|, C-ordered
+    mean = (d + d[..., ::-1]) / 2  # d[::-1][r] = d[rbar]
+    half = (d - d[..., ::-1]) / 2
+    # hypot(0, c) = c exactly, so the costly hypot is skipped when every
+    # d[r] = d[rbar], as in every family member
+    if half.any():
+        np.hypot(half[..., None, :], coupling, out=coupling)
+    return np.subtract(mean[..., None, :], coupling, out=coupling).min(axis=-1)
+
+
 def pt_min_eigenvalues(parts, cuts):
     """Smallest partial-transpose eigenvalue of a GHZ-diagonal state per cut.
 
@@ -158,12 +187,9 @@ def pt_min_eigenvalues(parts, cuts):
     (d_r + d_rbar)/2 +/- sqrt(((d_r - d_rbar)/2)^2 + |o[r ^ S]|^2).
     """
     d, o = parts
-    n = d.size.bit_length() - 1
-    masks = np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
-    coupling = np.abs(o[np.arange(d.size) ^ masks[:, None]])
-    mean = (d + d[::-1]) / 2  # d[::-1][r] = d[rbar]
-    half = (d - d[::-1]) / 2
-    return (mean - np.hypot(half, coupling)).min(axis=1)
+    dim = d.shape[-1]
+    masks = _cut_masks(dim.bit_length() - 1, cuts)
+    return _pt_minima(d, o, np.arange(dim) ^ masks[:, None])
 
 
 def _pauli_conjugate(parts, u, k):
@@ -186,6 +212,47 @@ def _support_parts(n, label):
     d[strings] = 0.5
     o[strings] = 0.5 if label.endswith("+") else -0.5
     return d, o
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
+def _cut_table(n, representative):
+    """verify_family's cuts, read-only: the cuts, the (cuts, 2^n) table
+    r ^ mask and which cuts hold one qubit.  All cuts are every even:even
+    cut, then every single qubit; representative ones are one cut of each
+    size 1, 2, 4, ..., n - 2."""
+    if representative:
+        cuts = [(0,)] + [tuple(range(size)) for size in range(2, n - 1, 2)]
+    else:
+        cuts = even_cuts(n) + [(j,) for j in range(n)]
+    index, single = _read_only(
+        np.arange(1 << n) ^ _cut_masks(n, cuts)[:, None],
+        np.array([len(cut) == 1 for cut in cuts]),
+    )
+    return tuple(cuts), index, single
+
+
+@cache
+def _pauli_table(n):
+    """Read-only source indices and phases, both (2, 4, 2^n): conjugating
+    rho+ by PAULI_CONNECTION[LABELS[j]] on qubit (0, n - 1)[i] gives
+    d[src[i, j]] and phase[i, j] * o[src[i, j]]."""
+    unit = (np.arange(1 << n), np.ones(1 << n))  # _pauli_conjugate of these is (src, phase)
+    table = [_pauli_conjugate(unit, PAULI_CONNECTION[lab], k) for k in (0, n - 1) for lab in LABELS]
+    return _read_only(*(np.array(col).reshape(2, 4, -1) for col in zip(*table)))
+
+
+@cache
+def _outcome_parts(n):
+    """The four (n-2)-qubit support projectors of unlock, read-only rows in
+    label order: diagonals pd[i] and reversed anti-diagonals po[i]."""
+    pd, po = (np.array(col) for col in zip(*(_support_parts(n - 2, lab) for lab in LABELS)))
+    return _read_only(pd, po[:, ::-1])  # po[::-1][x] = P[xbar, x]
 
 
 # ---------------------------------------------------------------------------
@@ -267,57 +334,53 @@ class FamilyReport:
 def verify_family(fam, quick=False):
     """Run the seven family checks and collect per-cut PT evidence.
 
-    Every check reads the stored (d, o) of each state; none builds the
-    dense matrices.  quick=True skips the per-cut PT minima and leaves
-    `cut_evidence` empty.
+    The four states are stacked as (4, 2^n) arrays d, o and each check is a
+    few array operations on them; none builds the dense matrices.
+    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T); the n - 1
+    adjacent swaps run on the 8-row stack of d and o; the Pauli connection
+    on qubits 0 and n - 1 and the per-cut PT minima are gathers through
+    per-n index tables; the marginals are n axis sums of d; unlocking reads
+    `_unlock_table`.
+
+    quick=True leaves `cut_evidence` empty.  Its two PT flags still come
+    from computed minima: from one cut of each size when the states are
+    permutation symmetric (adjacent swaps generate every qubit permutation,
+    and a cut and its complement share the PT spectrum), else from every
+    cut.
     """
     n = fam.n_qubits
-    parts = fam.parts
+    d, o = fam._stacked()
 
-    orthogonal = all(
-        abs(ghz_overlap(parts[x], parts[y])) < ORTHO_TOL
-        for i, x in enumerate(LABELS)
-        for y in LABELS[i + 1:]
-    )
+    gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
+    orthogonal = bool((np.abs(gram[np.triu_indices(4, 1)]) < ORTHO_TOL).all())
 
-    def swap(v, k):  # exchange qubits k and k + 1
-        return np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1)
+    # exchanging qubits k and k + 1 moves only the entries where their bits
+    # differ: the stack is symmetric iff each such entry equals its partner
+    stack = np.concatenate((d, o))
+    pairs = (stack.reshape(8, 1 << k, 2, 2, -1) for k in range(n - 1))
+    permutation_symmetric = all(np.abs(v[:, :, 0, 1] - v[:, :, 1, 0]).max() <= PERM_TOL for v in pairs)
 
-    permutation_symmetric = all(
-        np.max(np.abs(swap(v, k) - v)) <= PERM_TOL
-        for k in range(n - 1)
-        for pair in parts.values()
-        for v in pair
-    )
-
+    cuts, index, single = _cut_table(n, quick and permutation_symmetric)
+    mins = _pt_minima(d, o, index)
+    even_cut_ppt = bool((mins[:, ~single] >= -PPT_TOL).all())
+    single_vs_rest_npt = bool((mins[:, single] < -NPT_TOL).all())
     evidence = []
     if not quick:
-        cuts = even_cuts(n) + [(j,) for j in range(n)]
-        mins = {lab: pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
-        evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
-    even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
-    single_vs_rest_npt = all(m < -NPT_TOL for _, cut, m in evidence if len(cut) == 1)
+        evidence = [(lab, cut, m) for cut, row in zip(cuts, mins.T.tolist()) for lab, m in zip(LABELS, row)]
 
-    def max_diff(a, b):
-        return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
-
-    pauli_connected = all(
-        max_diff(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab]) <= PAULI_TOL
-        for k in (0, n - 1)
-        for lab in LABELS
+    src, phase = _pauli_table(n)
+    pauli_connected = bool(
+        np.abs(d[0][src] - d).max() <= PAULI_TOL and np.abs(phase * o[0][src] - o).max() <= PAULI_TOL
     )
 
     flat = 1.0 / (1 << (n - 1))
-    reduced_max_mixed = all(
-        np.max(np.abs(reduced_diagonal(d, j) - flat)) <= MARGINAL_TOL
-        for j in range(n)
-        for d, _ in parts.values()
-    )
+    qubits = d.reshape((4,) + (2,) * n)  # axis j + 1 is qubit j
+    reduced_max_mixed = all(np.abs(qubits.sum(axis=j) - flat).max() <= MARGINAL_TOL for j in range(1, n + 1))
 
-    unlock_ok = all(
-        abs(out["probability"] - 0.25) <= UNLOCK_TOL and out["fidelity"] >= 1.0 - UNLOCK_TOL
-        for lab in LABELS
-        for out in unlock(fam, lab)
+    table = _unlock_table(fam, LABELS)
+    fidelity = np.take_along_axis(table.fidelity, _PREDICTED[..., None], axis=-1)
+    unlock_ok = bool(
+        (np.abs(table.probability - 0.25) <= UNLOCK_TOL).all() and (fidelity >= 1.0 - UNLOCK_TOL).all()
     )
 
     return FamilyReport(
@@ -333,36 +396,57 @@ def verify_family(fam, quick=False):
     )
 
 
+class _UnlockTable(NamedTuple):
+    probability: np.ndarray  # (rows, outcome)
+    conditional: np.ndarray  # (rows, outcome, 4, 4), normalized
+    fidelity: np.ndarray  # (rows, outcome, Bell state in BELL_KINDS order)
+
+
+def _unlock_table(fam, rows):
+    """Every unlock outcome of the states named in `rows`, in label order.
+
+    With x the first n-2 bits and j the last pair, the support projector P
+    (GHZ-diagonal itself; at n = 4 a Bell projector) leaves cond[j, j] =
+    sum_x P[x, x] d[(x, j)] and cond[j, jbar] = sum_x P[xbar, x] o[(x, j)]
+    before normalization.  Those sums are one product per outcome (a
+    stacked pd @ d sums in another order, so it is not bit-identical); the
+    conditionals are one stacked ghz_dense and their fidelities with the
+    four Bell states one batched matmul.
+    """
+    pd, po = _outcome_parts(fam.n_qubits)
+    diag, anti = [], []
+    for lab in rows:
+        d, o = (v.reshape(-1, 4) for v in fam.parts[lab])
+        diag.append([p @ d for p in pd])
+        anti.append([p @ o for p in po])
+    diag = np.array(diag)
+    probability = diag.sum(axis=-1)
+    cond = ghz_dense(diag, np.array(anti)) / probability[..., None, None]
+    fidelity = (_BELLS.conj()[:, None, :] @ cond[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
+    return _UnlockTable(probability, cond, fidelity)
+
+
 def unlock(fam, label):
     """Group the first n-2 qubits and measure the four family supports.
 
     Every outcome has probability 1/4 and leaves the last two qubits in the
-    Bell state dictated by the recursion pairing.  With x the first n-2 bits
-    and j the last pair, the support projector P (GHZ-diagonal itself; at
-    n = 4 a Bell projector) leaves cond[j, j] = sum_x P[x, x] d[(x, j)] and
-    cond[j, jbar] = sum_x P[xbar, x] o[(x, j)] before normalization.
+    Bell state dictated by the recursion pairing; each outcome reports its
+    fidelity with that state.  One row of `_unlock_table`.
     """
     if label not in LABELS:
         raise BadLabel(f"unknown state label {label!r}; want one of {LABELS}")
-    n = fam.n_qubits
-    d, o = (v.reshape(-1, 4) for v in fam.parts[label])
-    outcomes = []
-    for out_label in LABELS:
-        pd, po = _support_parts(n - 2, out_label)
-        prob = float(np.sum(pd @ d))
-        cond = ghz_dense(pd @ d, po[::-1] @ o) / prob  # po[::-1][x] = P[xbar, x]
-        predicted = PAIRING[label][out_label]
-        b = bell(predicted)
-        outcomes.append(
-            {
-                "outcome": out_label,
-                "probability": prob,
-                "predicted_bell": predicted,
-                "fidelity": float((b.conj() @ cond @ b).real),
-                "conditional": cond,
-            }
-        )
-    return outcomes
+    table = _unlock_table(fam, (label,))
+    predicted = _PREDICTED[LABELS.index(label)]
+    return [
+        {
+            "outcome": out_label,
+            "probability": float(table.probability[0, i]),
+            "predicted_bell": PAIRING[label][out_label],
+            "fidelity": float(table.fidelity[0, i, predicted[i]]),
+            "conditional": table.conditional[0, i],
+        }
+        for i, out_label in enumerate(LABELS)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from .bound_entangled import (
+    LABELS,
     PAIRING,
+    _unlock_table,
     be_family,
     ghz_overlap,
     ghz_parts,
     reduced_diagonal,
     support_strings,
-    unlock,
 )
 from .errors import BadParam, BadParty, BadSecret, OddN, TooLarge
-from .states import bell
+from .states import BELL_KINDS
 
 CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
 
@@ -150,17 +151,18 @@ def decode_by_unlock(h, seed=0):
     """Authorized decode with the first n-2 parties grouped.
 
     They measure the four (n-2)-qubit supports; the conditional Bell state
-    on the last pair pins the secret through the recursion pairing.
+    on the last pair pins the secret through the recursion pairing.  The
+    outcome is drawn from the label's row of the unlock table, and the Bell
+    state is the one of highest fidelity in that row.
     """
-    outcomes = unlock(h.family, h.label)
+    table = _unlock_table(h.family, (h.label,))
     rng = np.random.default_rng(seed)
-    probs = np.array([o["probability"] for o in outcomes])
-    picked = outcomes[rng.choice(len(outcomes), p=probs / probs.sum())]
-    cond = picked["conditional"]
-    fid = {k: float((bell(k).conj() @ cond @ bell(k)).real) for k in ("phi+", "phi-", "psi+", "psi-")}
-    observed_bell = max(fid, key=fid.get)
+    probs = table.probability[0]
+    picked = rng.choice(len(LABELS), p=probs / probs.sum())
+    outcome = LABELS[picked]
+    observed_bell = BELL_KINDS[int(np.argmax(table.fidelity[0, picked]))]
     for secret, lab in CODEBOOK.items():
-        if PAIRING[lab][picked["outcome"]] == observed_bell:
+        if PAIRING[lab][outcome] == observed_bell:
             return secret
     raise BadSecret("outcome/Bell combination matches no codebook state")
 

@@ -74,15 +74,15 @@ def _zero_pad(v, d):
 
 
 def sorted_padded(x, y):
-    """Descending-sorted copies zero-padded to a common length.
+    """Copies zero-padded to a common length, then sorted descending.
 
-    Works on (..., d) stacks: rows are sorted independently and the shorter
-    side gains zero columns.
+    Works on (..., d) stacks: the shorter side gains zero columns and rows
+    are sorted independently, so a zero lands above any negative entry.
     """
-    x = np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1]
-    y = np.sort(np.asarray(y, dtype=float), axis=-1)[..., ::-1]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     d = max(x.shape[-1], y.shape[-1], 1)
-    return _zero_pad(x, d), _zero_pad(y, d)
+    x, y = _zero_pad(x, d), _zero_pad(y, d)
+    return np.sort(x, axis=-1)[..., ::-1], np.sort(y, axis=-1)[..., ::-1]
 
 
 def partial_sums(v):
@@ -109,9 +109,9 @@ _SUM_BOUND = sys.float_info.max / 2
 def _check_ends(xs, ys):
     """compare_rows' slow path for a sorted, padded pair with an end that
     is not finite or so large that the sums could overflow.  Raises
-    NonFinite for a NaN or infinite entry (also one that zero padding hides
-    from the ends), else TraceMismatch unless the totals, summed scaled down
-    so that numpy never overflows, agree within TRACE_TOL."""
+    NonFinite for a NaN or infinite entry, else TraceMismatch unless the
+    totals, summed scaled down so that numpy never overflows, agree within
+    TRACE_TOL."""
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise NonFinite("majorization input has a NaN or infinite component")
     tx = float((xs / xs.size).sum()) * xs.size  # Python floats overflow quietly
@@ -133,9 +133,8 @@ def compare_rows(x, y):
     One pair of vectors, as every verdict and CLI command passes, with a NaN
     or infinity raises NonFinite without a numpy warning.  Four scalar tests
     on the sorted ends catch every entry that would make the cumsum or the
-    totals meet inf - inf: a NaN or +inf sorts first and -inf last, and a
-    -inf hidden by zero padding only meets a finite total, which the totals
-    check rejects.  The same tests bound every end by _SUM_BOUND / d, so an
+    totals meet inf - inf: a NaN or +inf sorts first and -inf last, zero
+    padding included.  The same tests bound every end by _SUM_BOUND / d, so an
     overflowing total is reported, again without a warning, as a
     TraceMismatch naming it.  Stacks, which the searches build from validated
     vectors, skip those tests (testing a stack's ends, or an np.errstate
@@ -224,8 +223,7 @@ def window_affine(x0, x1, y0, y1, lo, hi):
     PRL 83, 3566 (1999)).  All nodes are sorted and summed as one stack.
     Like compare_rows' fwd flag, the full sums only need S_d(x) <= S_d(y)
     + MAJ_TOL; the totals are not required to agree.  The shorter side is
-    zero-padded, which for nonnegative entries, as in Schmidt vectors, is
-    compare_rows' padding.
+    zero-padded before the sort, as in compare_rows.
     """
     x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
     d = max(x0.shape[-1], y0.shape[-1])

@@ -144,7 +144,8 @@ def test_n10_construction_with_reduced_checks():
     rep = verify_family(fam, quick=True)
     assert rep.orthogonal and rep.permutation_symmetric
     assert rep.pauli_connected and rep.reduced_max_mixed and rep.unlock_ok
-    assert rep.cut_evidence == []  # per-cut PT minima skipped
+    assert rep.even_cut_ppt and rep.single_vs_rest_npt  # from one cut per size
+    assert rep.cut_evidence == []  # the per-cut list is left out
 
 
 def test_family_work_builds_no_dense_matrix():

@@ -179,6 +179,11 @@ def test_catalyst_fine_steps_answer_at_once():
         assert done.stderr.startswith("error [BadParam]: grid_step") and "Traceback" not in done.stderr
 
 
+def test_majorize_pads_a_shorter_vector_above_its_negative_entry(capsys):
+    code, out, _ = run_cli(capsys, "majorize", "1.2,-0.2", "0.6,0.5,-0.1", "--output", "structured")
+    assert code == 0 and json.loads(out)["verdict"] == "YPrecX"
+
+
 @pytest.mark.parametrize("command", ["classify", "majorize"])
 def test_overflowing_total_prints_only_the_error(command):
     # 1e308 + 1e308 overflows: the bad total is reported, with no numpy warning

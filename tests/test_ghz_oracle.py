@@ -17,7 +17,10 @@ from entanglia.bound_entangled import (
     LABELS,
     PAIRING,
     PAULI_CONNECTION,
+    BEFamily,
+    FamilyReport,
     _pauli_conjugate,
+    _support_parts,
     be_family,
     be_family_direct,
     even_cuts,
@@ -42,6 +45,15 @@ from entanglia.linalg import (
     trace_norm,
 )
 from entanglia.states import ID2, bell
+from entanglia.tolerances import (
+    MARGINAL_TOL,
+    NPT_TOL,
+    ORTHO_TOL,
+    PAULI_TOL,
+    PERM_TOL,
+    PPT_TOL,
+    UNLOCK_TOL,
+)
 
 BELLS = ("phi+", "phi-", "psi+", "psi-")
 # Two float64 routes to an O(1) number: a few hundred ulps apart at most.
@@ -265,3 +277,241 @@ def test_off_structure_entry_rejected():
     for bad in (np.eye(6), np.ones(4), np.zeros((1, 1)), np.zeros((4, 8))):
         with pytest.raises(NotGHZDiagonal):
             ghz_parts(bad)
+
+
+# ---------------------------------------------------------------------------
+# The loop-based family checks and unlock that the stacked ones replaced,
+# kept verbatim as bit-exact oracles.
+
+
+def loop_pt_min_eigenvalues(parts, cuts):
+    d, o = parts
+    n = d.size.bit_length() - 1
+    masks = np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
+    coupling = np.abs(o[np.arange(d.size) ^ masks[:, None]])
+    mean = (d + d[::-1]) / 2  # d[::-1][r] = d[rbar]
+    half = (d - d[::-1]) / 2
+    return (mean - np.hypot(half, coupling)).min(axis=1)
+
+
+def loop_verify_family(fam, quick=False):
+    n = fam.n_qubits
+    parts = fam.parts
+
+    orthogonal = all(
+        abs(ghz_overlap(parts[x], parts[y])) < ORTHO_TOL
+        for i, x in enumerate(LABELS)
+        for y in LABELS[i + 1:]
+    )
+
+    def swap(v, k):  # exchange qubits k and k + 1
+        return np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1)
+
+    permutation_symmetric = all(
+        np.max(np.abs(swap(v, k) - v)) <= PERM_TOL
+        for k in range(n - 1)
+        for pair in parts.values()
+        for v in pair
+    )
+
+    evidence = []
+    if not quick:
+        cuts = even_cuts(n) + [(j,) for j in range(n)]
+        mins = {lab: loop_pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
+        evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
+    even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
+    single_vs_rest_npt = all(m < -NPT_TOL for _, cut, m in evidence if len(cut) == 1)
+
+    def max_diff(a, b):
+        return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+
+    pauli_connected = all(
+        max_diff(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab]) <= PAULI_TOL
+        for k in (0, n - 1)
+        for lab in LABELS
+    )
+
+    flat = 1.0 / (1 << (n - 1))
+    reduced_max_mixed = all(
+        np.max(np.abs(reduced_diagonal(d, j) - flat)) <= MARGINAL_TOL
+        for j in range(n)
+        for d, _ in parts.values()
+    )
+
+    unlock_ok = all(
+        abs(out["probability"] - 0.25) <= UNLOCK_TOL and out["fidelity"] >= 1.0 - UNLOCK_TOL
+        for lab in LABELS
+        for out in loop_unlock(fam, lab)
+    )
+
+    return FamilyReport(
+        n_qubits=n,
+        orthogonal=orthogonal,
+        permutation_symmetric=permutation_symmetric,
+        even_cut_ppt=even_cut_ppt,
+        single_vs_rest_npt=single_vs_rest_npt,
+        pauli_connected=pauli_connected,
+        reduced_max_mixed=reduced_max_mixed,
+        unlock_ok=unlock_ok,
+        cut_evidence=evidence,
+    )
+
+
+def loop_unlock(fam, label):
+    n = fam.n_qubits
+    d, o = (v.reshape(-1, 4) for v in fam.parts[label])
+    outcomes = []
+    for out_label in LABELS:
+        pd, po = _support_parts(n - 2, out_label)
+        prob = float(np.sum(pd @ d))
+        cond = ghz_dense(pd @ d, po[::-1] @ o) / prob  # po[::-1][x] = P[xbar, x]
+        predicted = PAIRING[label][out_label]
+        b = bell(predicted)
+        outcomes.append(
+            {
+                "outcome": out_label,
+                "probability": prob,
+                "predicted_bell": predicted,
+                "fidelity": float((b.conj() @ cond @ b).real),
+                "conditional": cond,
+            }
+        )
+    return outcomes
+
+
+CHECKS = (
+    "orthogonal",
+    "permutation_symmetric",
+    "even_cut_ppt",
+    "single_vs_rest_npt",
+    "pauli_connected",
+    "reduced_max_mixed",
+    "unlock_ok",
+)
+BUILDERS = {"recursive": be_family, "direct": be_family_direct}
+
+
+def assert_same_report(got, want):
+    assert repr(got) == repr(want)
+    assert [(lab, cut) for lab, cut, _ in got.cut_evidence] == [(lab, cut) for lab, cut, _ in want.cut_evidence]
+    got_m = np.array([m for *_, m in got.cut_evidence])
+    want_m = np.array([m for *_, m in want.cut_evidence])
+    assert np.array_equal(got_m, want_m) and np.array_equal(np.signbit(got_m), np.signbit(want_m))
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_stacked_verify_matches_loop_oracle(build, n):
+    fam = BUILDERS[build](n)
+    full = loop_verify_family(fam)
+    assert full.all_pass
+    assert_same_report(verify_family(fam), full)
+    # quick omits the per-cut list only: its PPT flags are the full ones
+    quick = verify_family(fam, quick=True)
+    assert quick.cut_evidence == []
+    assert all(getattr(quick, c) == getattr(full, c) for c in CHECKS)
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_stacked_unlock_matches_loop_oracle(build, n):
+    fam = BUILDERS[build](n)
+    for lab in LABELS:
+        got, want = unlock(fam, lab), loop_unlock(fam, lab)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            assert {k: g[k] for k in ("outcome", "predicted_bell")} == {k: w[k] for k in ("outcome", "predicted_bell")}
+            for key in ("probability", "fidelity"):
+                assert type(g[key]) is float and repr(g[key]) == repr(w[key])
+            assert g["conditional"].dtype == w["conditional"].dtype
+            assert g["conditional"].shape == w["conditional"].shape == (4, 4)
+            assert g["conditional"].tobytes() == w["conditional"].tobytes()
+
+
+def _flip_o(d, o):  # rho- turns into rho+
+    return d, -o
+
+
+def _off_orbit(d, o):  # weight moved from 0011 to 0010, another weight class
+    d[2], d[3] = d[2] + d[3], 0.0
+    return d, o
+
+
+def _ghz(d, o):  # the pure GHZ state, one support vector of rho+
+    d, o = np.zeros_like(d), np.zeros_like(o)
+    d[[0, -1]] = o[[0, -1]] = 0.5
+    return d, o
+
+
+def _non_flat(d, o):  # symmetric, but the marginals tilt toward 0...0
+    e = d[0] / 4
+    d[0], d[-1] = d[0] + e, d[-1] - e
+    return d, o
+
+
+def _mixed(d, o):  # maximally mixed: PPT on every cut
+    return np.full_like(d, 1.0 / d.size), np.zeros_like(o)
+
+
+def _twist(d, o):  # complex anti-diagonal, still hermitian
+    o = o.astype(complex)
+    o[: o.size // 2] *= 1j
+    o[o.size // 2:] *= -1j
+    return d, o
+
+
+def _one_cut_npt(d, o):
+    """A coupling on 0...0 that only the cut {0, 2} leaves unbalanced:
+    every cut of size 2 but that one pairs it with raised diagonals."""
+    n = d.size.bit_length() - 1
+    e = d[0] / 8
+    o[[0, -1]] += e
+    for cut in even_cuts(n):
+        if cut != (0, 2):
+            mask = sum(1 << (n - 1 - k) for k in cut)
+            d[[mask, mask ^ (d.size - 1)]] += e
+    return d, o
+
+
+TAMPERS = {
+    "flip_o": ("rho-", _flip_o),
+    "off_orbit": ("rho+", _off_orbit),
+    "ghz": ("rho+", _ghz),
+    "non_flat": ("rho+", _non_flat),
+    "mixed": ("rho+", _mixed),
+    "twist": ("sigma+", _twist),
+    "one_cut_npt": ("rho+", _one_cut_npt),
+}
+
+
+def tampered(n, name):
+    fam = be_family(n)
+    label, change = TAMPERS[name]
+    parts = dict(fam.parts)
+    parts[label] = change(*(v.copy() for v in parts[label]))
+    return BEFamily(n, parts)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_tampered_families_fail_where_the_oracle_does(n):
+    failed = set()
+    for name in TAMPERS:
+        fam = tampered(n, name)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an outcome of probability 0
+            want = loop_verify_family(fam)
+            got, quick = verify_family(fam), verify_family(fam, quick=True)
+        assert_same_report(got, want)
+        assert quick.cut_evidence == []
+        assert all(getattr(quick, c) == getattr(want, c) for c in CHECKS), name
+        failed |= {c for c in CHECKS if not getattr(want, c)}
+    assert failed == set(CHECKS)
+
+
+def test_quick_checks_every_cut_when_the_symmetry_fails():
+    fam = tampered(4, "one_cut_npt")
+    rep = verify_family(fam)
+    assert not rep.permutation_symmetric and not rep.even_cut_ppt
+    npt = {cut for lab, cut, m in rep.cut_evidence if len(cut) > 1 and m < -PPT_TOL}
+    assert npt == {(0, 2)}  # the representative cut (0, 1) alone would miss it
+    assert not verify_family(fam, quick=True).even_cut_ppt

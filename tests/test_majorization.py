@@ -54,6 +54,15 @@ def test_zero_padding_automatic():
     assert majorizes([0.5, 0.25, 0.25], [0.5, 0.5])
 
 
+def test_zero_padding_sorts_above_negative_entries():
+    # the padded zero belongs between 1.2 and -0.2: x sums 1.2, 1.2, 1.0
+    x, y = [1.2, -0.2], [0.6, 0.5, -0.1]
+    assert compare(x, y) is compare([1.2, -0.2, 0.0], y) is MajVerdict.YPrecX
+    assert compare(y, x) is MajVerdict.XPrecY
+    xs, ys = sorted_padded(x, y)
+    assert xs.tolist() == [1.2, 0.0, -0.2] and ys.tolist() == [0.6, 0.5, -0.1]
+
+
 def test_compare_examples():
     assert compare([0.5, 0.5], [1, 0]) is MajVerdict.XPrecY
     assert compare([0.4, 0.4, 0.2], [0.48, 0.26, 0.26]) is MajVerdict.Incomparable
