@@ -13,12 +13,15 @@ A family is stored as those two length-2^n vectors per state, (d, o), which
 the family checks, unlock and the hiding protocol read directly; the dense
 matrices are a read-only view built on first use.  The family checks and
 unlock run on the four states stacked as (4, 2^n) arrays, with the index
-tables they read cached per n.
+tables they read cached per n.  Each family's unlock table is likewise
+built once, on first use, and read-only: the family check, `unlock` and
+the hiding decodes read its rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
@@ -59,12 +62,13 @@ _BELLS = np.array([bell(k) for k in BELL_KINDS])
 _PREDICTED = np.array([[BELL_KINDS.index(PAIRING[lab][out]) for out in LABELS] for lab in LABELS])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BEFamily:
     n_qubits: int
-    parts: dict  # label -> (d, o), see ghz_parts
+    parts: Mapping  # label -> (d, o), see ghz_parts
 
-    def __post_init__(self):  # the dense view is cached, so (d, o) stay fixed
+    def __post_init__(self):  # the dense view and unlock table are cached: (d, o) stay fixed
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
         for d, o in self.parts.values():
             d.flags.writeable = o.flags.writeable = False
 
@@ -86,6 +90,15 @@ class BEFamily:
         block = ghz_dense(d, o if o.imag.any() else o.real)
         block.flags.writeable = False
         return MappingProxyType(dict(zip(LABELS, block)))
+
+    @cached_property
+    def _unlock(self):
+        """`_unlock_table` of the four states in label order, read-only,
+        built on first use: verify_family, unlock and the hiding decodes
+        read its rows."""
+        table = _unlock_table([self.parts[lab] for lab in LABELS])
+        _read_only(*table)
+        return table
 
 
 def _check_n(n):
@@ -248,6 +261,16 @@ def _pauli_table(n):
 
 
 @cache
+def _bell_table():
+    """Read-only (label, outcome, 4) diagonals and anti-diagonals of the
+    Bell projector PAIRING pairs with each (label, outcome), gated through
+    ghz_parts."""
+    bells = {k: ghz_parts(projector(bell(k))) for k in PAIRING["rho+"].values()}
+    tables = (np.array([[bells[PAIRING[lab][out]][i] for out in LABELS] for lab in LABELS]) for i in (0, 1))
+    return _read_only(*tables)
+
+
+@cache
 def _outcome_parts(n):
     """The four (n-2)-qubit support projectors of unlock, read-only rows in
     label order: diagonals pd[i] and reversed anti-diagonals po[i]."""
@@ -277,15 +300,13 @@ def be_family(n):
     and anti-diagonal kron(o_A, o_B), and the entries of each kron off
     both diagonals cancel in the sum over outcomes.  Each level is one
     broadcast product of the four states, stacked in label order, with the
-    (label, outcome, 4) table of Bell parts, summed over outcomes in label
-    order as the per-label kron sum was, so every entry is the same bit for
-    bit.
+    (label, outcome, 4) table of Bell parts (built once per process),
+    summed over outcomes in label order as the per-label kron sum was, so
+    every entry is the same bit for bit.
     """
     _check_n(n)
-    bells = {k: ghz_parts(projector(bell(k))) for k in PAIRING["rho+"].values()}
     stacks = []
-    for i in (0, 1):
-        table = np.array([[bells[PAIRING[lab][out]][i] for out in LABELS] for lab in LABELS])
+    for table in _bell_table():
         level = table[0]  # the two-qubit members: the rho+ row of PAIRING
         for _ in range(n // 2 - 1):
             # p[lab, out] = kron(level[out], table[lab, out])
@@ -340,7 +361,7 @@ def verify_family(fam, quick=False):
     adjacent swaps run on the 8-row stack of d and o; the Pauli connection
     on qubits 0 and n - 1 and the per-cut PT minima are gathers through
     per-n index tables; the marginals are n axis sums of d; unlocking reads
-    `_unlock_table`.
+    the family's unlock table, which it builds on first use.
 
     quick=True leaves `cut_evidence` empty.  Its two PT flags still come
     from computed minima: from one cut of each size when the states are
@@ -377,7 +398,7 @@ def verify_family(fam, quick=False):
     qubits = d.reshape((4,) + (2,) * n)  # axis j + 1 is qubit j
     reduced_max_mixed = all(np.abs(qubits.sum(axis=j) - flat).max() <= MARGINAL_TOL for j in range(1, n + 1))
 
-    table = _unlock_table(fam, LABELS)
+    table = fam._unlock
     fidelity = np.take_along_axis(table.fidelity, _PREDICTED[..., None], axis=-1)
     unlock_ok = bool(
         (np.abs(table.probability - 0.25) <= UNLOCK_TOL).all() and (fidelity >= 1.0 - UNLOCK_TOL).all()
@@ -402,8 +423,9 @@ class _UnlockTable(NamedTuple):
     fidelity: np.ndarray  # (rows, outcome, Bell state in BELL_KINDS order)
 
 
-def _unlock_table(fam, rows):
-    """Every unlock outcome of the states named in `rows`, in label order.
+def _unlock_table(rows):
+    """Every unlock outcome of each state in `rows`, a sequence of (d, o)
+    pairs on one number of qubits.
 
     With x the first n-2 bits and j the last pair, the support projector P
     (GHZ-diagonal itself; at n = 4 a Bell projector) leaves cond[j, j] =
@@ -413,10 +435,10 @@ def _unlock_table(fam, rows):
     conditionals are one stacked ghz_dense and their fidelities with the
     four Bell states one batched matmul.
     """
-    pd, po = _outcome_parts(fam.n_qubits)
+    pd, po = _outcome_parts(rows[0][0].size.bit_length() - 1)
     diag, anti = [], []
-    for lab in rows:
-        d, o = (v.reshape(-1, 4) for v in fam.parts[lab])
+    for parts in rows:
+        d, o = (v.reshape(-1, 4) for v in parts)
         diag.append([p @ d for p in pd])
         anti.append([p @ o for p in po])
     diag = np.array(diag)
@@ -431,19 +453,21 @@ def unlock(fam, label):
 
     Every outcome has probability 1/4 and leaves the last two qubits in the
     Bell state dictated by the recursion pairing; each outcome reports its
-    fidelity with that state.  One row of `_unlock_table`.
+    fidelity with that state.  One row of the family's read-only unlock
+    table, so each conditional is a read-only view.
     """
     if label not in LABELS:
         raise BadLabel(f"unknown state label {label!r}; want one of {LABELS}")
-    table = _unlock_table(fam, (label,))
-    predicted = _PREDICTED[LABELS.index(label)]
+    row = LABELS.index(label)
+    table = fam._unlock
+    predicted = _PREDICTED[row]
     return [
         {
             "outcome": out_label,
-            "probability": float(table.probability[0, i]),
+            "probability": float(table.probability[row, i]),
             "predicted_bell": PAIRING[label][out_label],
-            "fidelity": float(table.fidelity[0, i, predicted[i]]),
-            "conditional": table.conditional[0, i],
+            "fidelity": float(table.fidelity[row, i, predicted[i]]),
+            "conditional": table.conditional[row, i],
         }
         for i, out_label in enumerate(LABELS)
     ]

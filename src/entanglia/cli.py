@@ -48,7 +48,7 @@ from .locc import (
     split_two_copies,
     vec_kron,
 )
-from .majorization import compare, partial_sums
+from .majorization import compare, sorted_padded
 from .measures import (
     concurrence_2q,
     concurrence_pure,
@@ -185,9 +185,12 @@ def emit(report, args):
 
 
 def _sum_table(a, b, names=("source", "target")):
+    """The partial sums every verdict reads: both vectors zero-padded to a
+    common length, then sorted descending."""
+    xs, ys = sorted_padded(a, b)
     return {
-        f"{names[0]}_partial_sums": partial_sums(a),
-        f"{names[1]}_partial_sums": partial_sums(b),
+        f"{names[0]}_partial_sums": np.cumsum(xs),
+        f"{names[1]}_partial_sums": np.cumsum(ys),
     }
 
 

@@ -7,7 +7,9 @@ Every protocol step reads the GHZ-diagonal form (d, o) of the held state:
 the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
 assigned to `HiddenState.state`.  Without such a matrix, hiding, the
 attack, the security check and both decodes never build the family's
-dense view.
+dense view, and the unlock decode reads a row of the family's unlock
+table, built once per family.  The demo turns each label's row into a
+decode table once, so a trial's decode is one seeded draw.
 """
 
 from __future__ import annotations
@@ -24,10 +26,19 @@ from .bound_entangled import (
     reduced_diagonal,
     support_strings,
 )
-from .errors import BadParam, BadParty, BadSecret, OddN, TooLarge
+from .errors import BadDims, BadParam, BadParty, BadSecret, OddN, TooLarge
 from .states import BELL_KINDS
 
 CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
+
+# The secret whose state leaves Bell state b on the last pair after unlock
+# outcome o, keyed (o, b): per outcome, PAIRING matches the four states to
+# the four Bell states one to one.
+_DECODE = {(out, PAIRING[lab][out]): s for s, lab in CODEBOOK.items() for out in LABELS}
+
+# Generator.choice's own bound on |sum(p) - 1|, kept so that a decode draw
+# rejects the probabilities that choice rejected.
+_CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
 
 # Shots are drawn in one batch of two 8-byte words each (16 bytes a shot),
 # so this caps the draw buffer of an attack and the shots of a whole demo.
@@ -39,7 +50,8 @@ class HiddenState:
 
     `state` is the family's dense matrix until a matrix is assigned to it
     (a noisy or tampered copy); `parts` is the family's stored (d, o), or
-    `ghz_parts` of the assigned matrix, gated again on every read.
+    `ghz_parts` of the assigned matrix, gated again on every read (its
+    size too).
     """
 
     def __init__(self, n_qubits, secret, label, state=None, family=None):
@@ -59,11 +71,26 @@ class HiddenState:
 
     @property
     def parts(self):
-        return self.family.parts[self.label] if self._held is None else ghz_parts(self._held)
+        if self._held is None:
+            return self.family.parts[self.label]
+        d, o = ghz_parts(self._held)
+        if d.size != 1 << self.n_qubits:
+            raise BadDims(f"assigned matrix is {d.size} x {d.size}, the state is on {self.n_qubits} qubits")
+        return d, o
 
     @property
     def dims(self):
         return (2,) * self.n_qubits
+
+    def _unlock_row(self):
+        """(probability, fidelity) of the held state's unlock outcomes: a
+        row of the family's unlock table, or the table of `parts` when a
+        matrix is assigned."""
+        if self._held is None:
+            table, row = self.family._unlock, LABELS.index(self.label)
+        else:
+            table, row = _unlock_table([self.parts]), 0
+        return table.probability[row], table.fidelity[row]
 
 
 def hide(secret, n, family=None):
@@ -147,24 +174,42 @@ def trace_security(h, excluded_party):
     return float(np.sum(np.abs(reduced_diagonal(d, excluded_party) - 1.0 / (1 << (n - 1)))))
 
 
+def _decode_table(probability, fidelity):
+    """One unlock row as a decode table: the cdf that
+    `Generator.choice(4, p=probability / probability.sum())` draws an
+    outcome from, with choice's checks on p, and the secret each outcome
+    decodes to through its Bell state of highest fidelity."""
+    p = probability / probability.sum()
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf, [_DECODE[out, BELL_KINDS[b]] for out, b in zip(LABELS, fidelity.argmax(axis=-1))]
+
+
+def _draw(cdf, seed):
+    """The outcome `default_rng(seed).choice(4, p=p)` draws, for the cdf
+    `_decode_table` built from p: choice makes one `random()` draw and
+    searches the cdf from the right."""
+    return cdf.searchsorted(np.random.default_rng(seed).random(), side="right")
+
+
 def decode_by_unlock(h, seed=0):
     """Authorized decode with the first n-2 parties grouped.
 
     They measure the four (n-2)-qubit supports; the conditional Bell state
     on the last pair pins the secret through the recursion pairing.  The
-    outcome is drawn from the label's row of the unlock table, and the Bell
-    state is the one of highest fidelity in that row.
+    outcome is drawn from the held state's row of the unlock table (the
+    family's own, unless a matrix is assigned), and the Bell state is the
+    one of highest fidelity in that row.
     """
-    table = _unlock_table(h.family, (h.label,))
-    rng = np.random.default_rng(seed)
-    probs = table.probability[0]
-    picked = rng.choice(len(LABELS), p=probs / probs.sum())
-    outcome = LABELS[picked]
-    observed_bell = BELL_KINDS[int(np.argmax(table.fidelity[0, picked]))]
-    for secret, lab in CODEBOOK.items():
-        if PAIRING[lab][outcome] == observed_bell:
-            return secret
-    raise BadSecret("outcome/Bell combination matches no codebook state")
+    cdf, secrets = _decode_table(*h._unlock_row())
+    return secrets[_draw(cdf, seed)]
 
 
 def run_demo(n, trials, seed=0, shots=500):
@@ -182,8 +227,8 @@ def run_demo(n, trials, seed=0, shots=500):
     pm_rate_total = 0.0
     sec_max = 0.0
     # Every trial of a label reads the same family state, so its worst
-    # marginal distance is computed once per label.
-    label_security = {}
+    # marginal distance and its decode table are computed once per label.
+    per_label = {}
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
         secret = int(rng.integers(4))
@@ -191,10 +236,12 @@ def run_demo(n, trials, seed=0, shots=500):
         _, family_bit, _, pm_matches = _attack(h, (seed, t, 1), shots)
         family_hits += family_bit == (secret >> 1)
         pm_rate_total += pm_matches / shots
-        if h.label not in label_security:
-            label_security[h.label] = max(trace_security(h, p) for p in range(n))
-        sec_max = max(sec_max, label_security[h.label])
-        if decode_by_unlock(h, seed=(seed, t, 2)) == secret:
+        if h.label not in per_label:
+            security = max(trace_security(h, p) for p in range(n))
+            per_label[h.label] = (security, *_decode_table(*h._unlock_row()))
+        security, cdf, secrets = per_label[h.label]
+        sec_max = max(sec_max, security)
+        if secrets[_draw(cdf, (seed, t, 2))] == secret:
             unlock_hits += 1
     return {
         "n": n,

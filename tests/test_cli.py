@@ -181,7 +181,12 @@ def test_catalyst_fine_steps_answer_at_once():
 
 def test_majorize_pads_a_shorter_vector_above_its_negative_entry(capsys):
     code, out, _ = run_cli(capsys, "majorize", "1.2,-0.2", "0.6,0.5,-0.1", "--output", "structured")
-    assert code == 0 and json.loads(out)["verdict"] == "YPrecX"
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "YPrecX"
+    # the printed sums are the padded ones the verdict reads
+    assert doc["x_partial_sums"] == [1.2, 1.2, 1.0] and doc["y_partial_sums"] == [0.6, 1.1, 1.0]
+    code, out, _ = run_cli(capsys, "majorize", "1.2,-0.2", "0.6,0.5,-0.1")
+    assert code == 0 and "x_partial_sums: [1.2, 1.2, 1]\n" in out
 
 
 @pytest.mark.parametrize("command", ["classify", "majorize"])

@@ -9,6 +9,9 @@ stacked one in `be_family` replaced, is kept as a bit-exact oracle up to
 n = 10.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -34,7 +37,7 @@ from entanglia.bound_entangled import (
     verify_family,
 )
 from entanglia.errors import NotGHZDiagonal
-from entanglia.hiding import CODEBOOK, decode_global, hide, trace_security
+from entanglia.hiding import CODEBOOK, decode_by_unlock, decode_global, hide, trace_security
 from entanglia.linalg import (
     eigvals_hermitian,
     kron,
@@ -379,6 +382,21 @@ def loop_unlock(fam, label):
     return outcomes
 
 
+def loop_decode_by_unlock(h, seed):
+    """The unlock decode as it ran before the family memo: the held state's
+    unlock by loop_unlock, the outcome by Generator.choice, and the Bell
+    state of highest fidelity among all four."""
+    held = SimpleNamespace(n_qubits=h.n_qubits, parts={h.label: h.parts})
+    outs = loop_unlock(held, h.label)
+    probs = np.array([o["probability"] for o in outs])
+    picked = np.random.default_rng(seed).choice(len(LABELS), p=probs / probs.sum())
+    cond = outs[picked]["conditional"]
+    observed = BELLS[int(np.argmax([(bell(k).conj() @ cond @ bell(k)).real for k in BELLS]))]
+    for secret, lab in CODEBOOK.items():
+        if PAIRING[lab][LABELS[picked]] == observed:
+            return secret
+
+
 CHECKS = (
     "orthogonal",
     "permutation_symmetric",
@@ -412,21 +430,90 @@ def test_stacked_verify_matches_loop_oracle(build, n):
     assert all(getattr(quick, c) == getattr(full, c) for c in CHECKS)
 
 
+def assert_same_unlock(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        assert {k: g[k] for k in ("outcome", "predicted_bell")} == {k: w[k] for k in ("outcome", "predicted_bell")}
+        for key in ("probability", "fidelity"):
+            assert type(g[key]) is float and repr(g[key]) == repr(w[key])
+        assert g["conditional"].dtype == w["conditional"].dtype
+        assert g["conditional"].shape == w["conditional"].shape == (4, 4)
+        assert g["conditional"].tobytes() == w["conditional"].tobytes()
+
+
 @pytest.mark.parametrize("build", sorted(BUILDERS))
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_stacked_unlock_matches_loop_oracle(build, n):
     fam = BUILDERS[build](n)
     for lab in LABELS:
-        got, want = unlock(fam, lab), loop_unlock(fam, lab)
-        assert len(got) == len(want) == 4
-        for g, w in zip(got, want):
-            assert list(g) == list(w)
-            assert {k: g[k] for k in ("outcome", "predicted_bell")} == {k: w[k] for k in ("outcome", "predicted_bell")}
-            for key in ("probability", "fidelity"):
-                assert type(g[key]) is float and repr(g[key]) == repr(w[key])
-            assert g["conditional"].dtype == w["conditional"].dtype
-            assert g["conditional"].shape == w["conditional"].shape == (4, 4)
-            assert g["conditional"].tobytes() == w["conditional"].tobytes()
+        assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_unlock_memo_serves_every_reader_bit_for_bit(build, n):
+    """unlock, both verifies and decode_by_unlock read one memo, whichever
+    of them builds it."""
+    fam = BUILDERS[build](n)
+    want = loop_verify_family(fam)
+    assert "_unlock" not in fam.__dict__
+    assert_same_unlock(unlock(fam, "sigma-"), loop_unlock(fam, "sigma-"))
+    memo = fam.__dict__["_unlock"]
+    assert_same_report(verify_family(fam), want)
+    assert all(getattr(verify_family(fam, quick=True), c) == getattr(want, c) for c in CHECKS)
+    for s, lab in CODEBOOK.items():
+        assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
+        h = hide(s, n, family=fam)
+        for seed in (0, 1, 2**40 + 3, (5, 2), (17, 0, 2)):
+            assert decode_by_unlock(h, seed) == loop_decode_by_unlock(h, seed) == s
+    assert fam.__dict__["_unlock"] is memo
+
+
+def phi_plus_after_each_outcome(n, rng):
+    """A GHZ-diagonal state that leaves phi+ on the last pair after every
+    unlock outcome, with a little random GHZ-diagonal noise: the rho
+    outcomes decode to secret 0 and the sigma ones to 2, at uneven
+    probabilities, so every draw shows in the decoded secret."""
+    phi = ghz_parts(projector(bell("phi+")))
+    weights = rng.dirichlet(np.ones(2))
+    d, o = (
+        sum(w * np.kron(_support_parts(n - 2, out)[i], phi[i]) for w, out in zip(weights, ("rho+", "sigma+")))
+        for i in (0, 1)
+    )
+    rho = ghz_dense(d, o)
+    return 0.9 * rho / np.trace(rho).real + 0.1 * random_ghz(n, rng)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_decode_of_an_assigned_matrix_matches_loop_oracle(n):
+    fam = be_family(n)
+    rng = rng_for("decode-assigned", n)
+    for s in range(4):
+        h = hide(s, n, family=fam)
+        h.state = phi_plus_after_each_outcome(n, rng)
+        got = [decode_by_unlock(h, seed) for seed in range(200)]
+        assert got == [loop_decode_by_unlock(h, seed) for seed in range(200)]
+        assert set(got) == {0, 2}
+    assert "_unlock" not in fam.__dict__  # an assigned matrix never reads the memo
+
+
+def test_family_memo_cannot_go_stale():
+    fam = be_family(6)
+    with pytest.raises(TypeError):
+        fam.parts["rho+"] = fam.parts["rho-"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.parts = {}
+    for d, o in fam.parts.values():
+        assert not d.flags.writeable and not o.flags.writeable
+    want = loop_unlock(fam, "rho+")
+    got = unlock(fam, "rho+")
+    for out in got:
+        with pytest.raises(ValueError):
+            out["conditional"][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        fam._unlock.probability[0, 0] = 1.0
+    assert_same_unlock(unlock(fam, "rho+"), want)
 
 
 def _flip_o(d, o):  # rho- turns into rho+
@@ -505,6 +592,12 @@ def test_tampered_families_fail_where_the_oracle_does(n):
         assert quick.cut_evidence == []
         assert all(getattr(quick, c) == getattr(want, c) for c in CHECKS), name
         failed |= {c for c in CHECKS if not getattr(want, c)}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, lab in CODEBOOK.items():
+                assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
+                h = hide(s, n, family=fam)
+                for seed in range(5):
+                    assert decode_by_unlock(h, seed) == loop_decode_by_unlock(h, seed), (name, s, seed)
     assert failed == set(CHECKS)
 
 

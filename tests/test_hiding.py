@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import entanglia.bound_entangled as bound_entangled
 import entanglia.hiding as hiding
-from entanglia.bound_entangled import be_family, support_strings
-from entanglia.errors import BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
+from entanglia.bound_entangled import LABELS, be_family, support_strings
+from entanglia.errors import BadDims, BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
 from entanglia.hiding import (
     CODEBOOK,
     HiddenState,
@@ -75,8 +76,22 @@ def test_assigned_state_regated_on_every_call():
         trace_security(h, 0)
     with pytest.raises(NotGHZDiagonal):
         decode_global(h)
+    with pytest.raises(NotGHZDiagonal):
+        decode_by_unlock(h)
     h = hide(2, 6, family=fam)
     assert h.state is fam.states["sigma+"] and h.parts is fam.parts["sigma+"]
+
+
+def test_decode_by_unlock_reads_an_assigned_matrix():
+    fam = be_family(4)
+    h = hide(0, 4, family=fam)
+    h.state = fam.states["sigma-"].copy()
+    assert decode_global(h) == 3
+    assert all(decode_by_unlock(h, seed=seed) == 3 for seed in range(100))
+    h.state = be_family(6).states["sigma-"]  # a state on another number of qubits
+    for read in (decode_global, decode_by_unlock, lambda h: trace_security(h, 0)):
+        with pytest.raises(BadDims):
+            read(h)
 
 
 def test_decode_global_survives_depolarizing():
@@ -262,3 +277,62 @@ def test_run_demo_checks_each_label_once(monkeypatch):
         assert len(calls) <= 4 * n  # was trials * n
         assert rep["trace_security_max"] < 1e-9
     assert len(labels) <= 3  # three trials see at most three labels
+
+
+def test_run_demo_builds_the_unlock_table_once(monkeypatch):
+    tables, decodes = [], []
+    build, decode = bound_entangled._unlock_table, hiding._decode_table
+
+    def counted_table(rows):
+        tables.append(len(rows))
+        return build(rows)
+
+    def counted_decode(probability, fidelity):
+        decodes.append(len(probability))
+        return decode(probability, fidelity)
+
+    monkeypatch.setattr(bound_entangled, "_unlock_table", counted_table)
+    monkeypatch.setattr(hiding, "_decode_table", counted_decode)
+    rep = run_demo(4, 40, seed=2, shots=50)
+    assert rep["unlock_rate"] == 1.0
+    assert tables == [4]  # one table of all four states, not a row per trial
+    assert 1 <= len(decodes) <= 4  # one decode table per label seen
+
+
+# Outcome probabilities the unlock draw sees: the family's rows (each 1/4
+# up to rounding in the recursive construction) and uneven ones.
+DRAW_ROWS = [be_family(10)._unlock.probability[i] for i in range(4)] + [
+    np.array([0.7, 0.2, 0.1, 0.0]),
+    np.array([0.0, 0.5, 0.0, 0.5]),
+    np.array([1e-300, 3.0, 1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("row", range(len(DRAW_ROWS)))
+def test_unlock_draw_equals_generator_choice_on_a_seed_corpus(row):
+    probs = DRAW_ROWS[row]
+    cdf, _ = hiding._decode_table(probs, np.eye(4))
+    for seed in range(10**4):
+        seed = (seed >> 1, 3, 2) if seed & 1 else seed  # run_demo's seeds and plain ones
+        want = np.random.default_rng(seed).choice(len(LABELS), p=probs / probs.sum())
+        assert hiding._draw(cdf, seed) == want, seed
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [np.nan, 0.5, 0.5, 0.0],
+        [np.inf, 1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],  # 0 / 0
+        [0.5, 0.6, -0.1, 0.0],
+        [1e308, 1e308, 0.0, 0.0],  # the total overflows: p is all zero
+    ],
+)
+def test_unlock_draw_rejects_what_generator_choice_rejects(probs):
+    probs = np.array(probs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(0).choice(len(LABELS), p=probs / probs.sum())
+        with pytest.raises(ValueError) as got:
+            hiding._decode_table(probs, np.eye(4))
+    assert str(want.value).startswith(str(got.value))
