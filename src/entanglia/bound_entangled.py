@@ -11,7 +11,10 @@ nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
 A family is stored as those two length-2^n vectors per state, (d, o), which
 the family checks, unlock and the hiding protocol read directly; the dense
-matrices are a read-only view built on first use.  The family checks and
+matrices are a read-only view built on first use.  Both constructions store
+exact float64 parts: every entry is k 2^(1-n) with k in {0, +/-1}, so the
+recursive and the support-set family are the same bit for bit, and every
+sum the checks and unlock take over them is exact.  The family checks and
 unlock run on the four states stacked as (4, 2^n) arrays, with the index
 tables they read cached per n.  Each family's unlock table is likewise
 built once, on first use, and read-only: the family check, `unlock` and
@@ -60,6 +63,8 @@ PAULI_CONNECTION = {"rho+": ID2, "rho-": SIGMA_Z, "sigma+": SIGMA_X, "sigma-": 1
 _BELLS = np.array([bell(k) for k in BELL_KINDS])
 # Index into BELL_KINDS of the Bell state PAIRING predicts, per (label, outcome).
 _PREDICTED = np.array([[BELL_KINDS.index(PAIRING[lab][out]) for out in LABELS] for lab in LABELS])
+# The six pairs of distinct states, as the upper triangle of a 4 x 4 Gram matrix.
+_TRIU = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class BEFamily:
         built on first use: verify_family, unlock and the hiding decodes
         read its rows."""
         table = _unlock_table([self.parts[lab] for lab in LABELS])
-        _read_only(*table)
+        _read_only(table.probability, table.fidelity, *table.conditional)
         return table
 
 
@@ -254,18 +259,45 @@ def _cut_table(n, representative):
 def _pauli_table(n):
     """Read-only source indices and phases, both (2, 4, 2^n): conjugating
     rho+ by PAULI_CONNECTION[LABELS[j]] on qubit (0, n - 1)[i] gives
-    d[src[i, j]] and phase[i, j] * o[src[i, j]]."""
+    d[src[i, j]] and phase[i, j] * o[src[i, j]].  Every phase is +/-1, so
+    the table holds them as float64."""
     unit = (np.arange(1 << n), np.ones(1 << n))  # _pauli_conjugate of these is (src, phase)
     table = [_pauli_conjugate(unit, PAULI_CONNECTION[lab], k) for k in (0, n - 1) for lab in LABELS]
-    return _read_only(*(np.array(col).reshape(2, 4, -1) for col in zip(*table)))
+    src, phase = (np.array(col).reshape(2, 4, -1) for col in zip(*table))
+    return _read_only(src, phase.real.copy())
+
+
+@cache
+def _swap_table(n):
+    """Read-only index pair (a, b), each (n - 1) 2^(n-2) long: for each
+    adjacent qubit pair (k, k + 1) in turn, the basis indices whose bits
+    there read 01, and their partners reading 10.  Exchanging the two
+    qubits swaps each such pair and fixes every other entry."""
+    q = np.arange(1 << n)
+    shifts = range(n - 2, -1, -1)  # qubits k, k + 1 are bits n-1-k, n-2-k
+    a = [q[(q >> s) & 3 == 1] for s in shifts]
+    return _read_only(np.concatenate(a), np.concatenate([x ^ (3 << s) for x, s in zip(a, shifts)]))
+
+
+@cache
+def _marginal_table(n):
+    """Read-only index pair (m0, m1), each n 2^(n-1) long: for each qubit j
+    in turn, the basis indices with its bit 0 in increasing order, and the
+    same indices with it set.  d[m0] + d[m1] is the diagonal of each
+    state with one qubit traced out, one qubit after another."""
+    q = np.arange(1 << n)
+    bits = [1 << (n - 1 - j) for j in range(n)]
+    m0 = [q[q & bit == 0] for bit in bits]
+    return _read_only(np.concatenate(m0), np.concatenate([x | bit for x, bit in zip(m0, bits)]))
 
 
 @cache
 def _bell_table():
     """Read-only (label, outcome, 4) diagonals and anti-diagonals of the
-    Bell projector PAIRING pairs with each (label, outcome), gated through
-    ghz_parts."""
-    bells = {k: ghz_parts(projector(bell(k))) for k in PAIRING["rho+"].values()}
+    Bell projector PAIRING pairs with each (label, outcome), as exact real
+    parts (d, o in {0, +/-1/2}): the two-qubit support projectors, which
+    are the Bell projectors of the rho+ row of PAIRING."""
+    bells = {PAIRING["rho+"][lab]: _support_parts(2, lab) for lab in LABELS}
     tables = (np.array([[bells[PAIRING[lab][out]][i] for out in LABELS] for lab in LABELS]) for i in (0, 1))
     return _read_only(*tables)
 
@@ -300,9 +332,9 @@ def be_family(n):
     and anti-diagonal kron(o_A, o_B), and the entries of each kron off
     both diagonals cancel in the sum over outcomes.  Each level is one
     broadcast product of the four states, stacked in label order, with the
-    (label, outcome, 4) table of Bell parts (built once per process),
-    summed over outcomes in label order as the per-label kron sum was, so
-    every entry is the same bit for bit.
+    (label, outcome, 4) table of exact Bell parts (built once per process),
+    summed over outcomes in label order.  Every product and sum is exact,
+    so the parts are float64 and equal be_family_direct's bit for bit.
     """
     _check_n(n)
     stacks = []
@@ -358,10 +390,10 @@ def verify_family(fam, quick=False):
     The four states are stacked as (4, 2^n) arrays d, o and each check is a
     few array operations on them; none builds the dense matrices.
     Orthogonality is the Gram matrix d d^T + Re(o o_rev^T); the n - 1
-    adjacent swaps run on the 8-row stack of d and o; the Pauli connection
-    on qubits 0 and n - 1 and the per-cut PT minima are gathers through
-    per-n index tables; the marginals are n axis sums of d; unlocking reads
-    the family's unlock table, which it builds on first use.
+    adjacent swaps, the n one-qubit-traced marginals, the Pauli connection
+    on qubits 0 and n - 1 and the per-cut PT minima are each one gather
+    through a per-n index table; unlocking reads the family's unlock table,
+    which it builds on first use.
 
     quick=True leaves `cut_evidence` empty.  Its two PT flags still come
     from computed minima: from one cut of each size when the states are
@@ -373,13 +405,15 @@ def verify_family(fam, quick=False):
     d, o = fam._stacked()
 
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
-    orthogonal = bool((np.abs(gram[np.triu_indices(4, 1)]) < ORTHO_TOL).all())
+    orthogonal = bool((np.abs(gram[_TRIU]) < ORTHO_TOL).all())
 
     # exchanging qubits k and k + 1 moves only the entries where their bits
     # differ: the stack is symmetric iff each such entry equals its partner
     stack = np.concatenate((d, o))
-    pairs = (stack.reshape(8, 1 << k, 2, 2, -1) for k in range(n - 1))
-    permutation_symmetric = all(np.abs(v[:, :, 0, 1] - v[:, :, 1, 0]).max() <= PERM_TOL for v in pairs)
+    a, b = _swap_table(n)
+    gap = np.take(stack, a, axis=1)  # take and in-place updates: fewer large temporaries
+    gap -= np.take(stack, b, axis=1)
+    permutation_symmetric = bool(np.abs(gap).max() <= PERM_TOL)
 
     cuts, index, single = _cut_table(n, quick and permutation_symmetric)
     mins = _pt_minima(d, o, index)
@@ -394,9 +428,11 @@ def verify_family(fam, quick=False):
         np.abs(d[0][src] - d).max() <= PAULI_TOL and np.abs(phase * o[0][src] - o).max() <= PAULI_TOL
     )
 
-    flat = 1.0 / (1 << (n - 1))
-    qubits = d.reshape((4,) + (2,) * n)  # axis j + 1 is qubit j
-    reduced_max_mixed = all(np.abs(qubits.sum(axis=j) - flat).max() <= MARGINAL_TOL for j in range(1, n + 1))
+    m0, m1 = _marginal_table(n)
+    gap = np.take(d, m0, axis=1)  # d[:, m0] + d[:, m1] - 2^(1-n)
+    gap += np.take(d, m1, axis=1)
+    gap -= 1.0 / (1 << (n - 1))
+    reduced_max_mixed = bool(np.abs(gap, out=gap).max() <= MARGINAL_TOL)
 
     table = fam._unlock
     fidelity = np.take_along_axis(table.fidelity, _PREDICTED[..., None], axis=-1)
@@ -419,7 +455,7 @@ def verify_family(fam, quick=False):
 
 class _UnlockTable(NamedTuple):
     probability: np.ndarray  # (rows, outcome)
-    conditional: np.ndarray  # (rows, outcome, 4, 4), normalized
+    conditional: tuple  # per row, (outcome, 4, 4) normalized, in the row's dtype
     fidelity: np.ndarray  # (rows, outcome, Bell state in BELL_KINDS order)
 
 
@@ -430,22 +466,28 @@ def _unlock_table(rows):
     With x the first n-2 bits and j the last pair, the support projector P
     (GHZ-diagonal itself; at n = 4 a Bell projector) leaves cond[j, j] =
     sum_x P[x, x] d[(x, j)] and cond[j, jbar] = sum_x P[xbar, x] o[(x, j)]
-    before normalization.  Those sums are one product per outcome (a
-    stacked pd @ d sums in another order, so it is not bit-identical); the
-    conditionals are one stacked ghz_dense and their fidelities with the
-    four Bell states one batched matmul.
+    before normalization.  Those sums are one stacked product pd @ d and one
+    po @ o per dtype of o, so that each conditional keeps its row's dtype.
+    On dyadic rows, as in every family, each partial sum is exact, so any
+    summation order gives the bits of one product per row and outcome; on
+    other rows, such as a matrix assigned in `hiding`, the last bits may
+    differ from that.  The conditionals are one stacked ghz_dense and their
+    fidelities with the four Bell states one batched matmul per dtype.
     """
     pd, po = _outcome_parts(rows[0][0].size.bit_length() - 1)
-    diag, anti = [], []
-    for parts in rows:
-        d, o = (v.reshape(-1, 4) for v in parts)
-        diag.append([p @ d for p in pd])
-        anti.append([p @ o for p in po])
-    diag = np.array(diag)
-    probability = diag.sum(axis=-1)
-    cond = ghz_dense(diag, np.array(anti)) / probability[..., None, None]
-    fidelity = (_BELLS.conj()[:, None, :] @ cond[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
-    return _UnlockTable(probability, cond, fidelity)
+    probability = np.empty((len(rows), 4))
+    fidelity = np.empty((len(rows), 4, 4))
+    conditional = [None] * len(rows)
+    for dtype in dict.fromkeys(o.dtype for _, o in rows):
+        idx = [i for i, (_, o) in enumerate(rows) if o.dtype == dtype]
+        d, o = (np.array([rows[i][k] for i in idx]).reshape(len(idx), -1, 4) for k in (0, 1))
+        diag = pd @ d  # (row, outcome, j)
+        probability[idx] = prob = diag.sum(axis=-1)
+        cond = ghz_dense(diag, po @ o) / prob[..., None, None]
+        fidelity[idx] = (_BELLS.conj()[:, None, :] @ cond[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
+        for i, c in zip(idx, cond):
+            conditional[i] = c
+    return _UnlockTable(probability, tuple(conditional), fidelity)
 
 
 def unlock(fam, label):
@@ -467,7 +509,7 @@ def unlock(fam, label):
             "probability": float(table.probability[row, i]),
             "predicted_bell": PAIRING[label][out_label],
             "fidelity": float(table.fidelity[row, i, predicted[i]]),
-            "conditional": table.conditional[row, i],
+            "conditional": table.conditional[row][i],
         }
         for i, out_label in enumerate(LABELS)
     ]

@@ -51,7 +51,9 @@ class HiddenState:
     `state` is the family's dense matrix until a matrix is assigned to it
     (a noisy or tampered copy); `parts` is the family's stored (d, o), or
     `ghz_parts` of the assigned matrix, gated again on every read (its
-    size too).
+    size too).  One of the two must be given: a state with neither raises
+    BadParam when it is built, and `state = None` raises it when the
+    state has no family to fall back on.
     """
 
     def __init__(self, n_qubits, secret, label, state=None, family=None):
@@ -59,7 +61,7 @@ class HiddenState:
         self.secret = secret
         self.label = label
         self.family = family
-        self._held = state
+        self.state = state
 
     @property
     def state(self):
@@ -67,6 +69,8 @@ class HiddenState:
 
     @state.setter
     def state(self, rho):
+        if rho is None and self.family is None:
+            raise BadParam("a hidden state needs a family or an assigned matrix")
         self._held = rho
 
     @property
@@ -106,9 +110,11 @@ def hide(secret, n, family=None):
 
 
 def decode_global(h):
-    """Authorized global decode: argmax overlap against the codebook."""
+    """Authorized global decode: argmax overlap against the codebook, the
+    held state's family (or be_family, for a matrix held without one)."""
     held = h.parts
-    overlaps = {s: ghz_overlap(h.family.parts[lab], held) for s, lab in CODEBOOK.items()}
+    fam = h.family if h.family is not None else be_family(h.n_qubits)
+    overlaps = {s: ghz_overlap(fam.parts[lab], held) for s, lab in CODEBOOK.items()}
     return max(overlaps, key=overlaps.get)
 
 

@@ -85,10 +85,6 @@ def sorted_padded(x, y):
     return np.sort(x, axis=-1)[..., ::-1], np.sort(y, axis=-1)[..., ::-1]
 
 
-def partial_sums(v):
-    return np.cumsum(np.sort(np.asarray(v, dtype=float))[::-1])
-
-
 def _check_totals(tx, ty):
     """Raise unless every pair of row totals is finite and agrees within
     TRACE_TOL: NonFinite first, else TraceMismatch naming the worst row."""

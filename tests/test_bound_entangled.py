@@ -172,7 +172,7 @@ def test_dense_view_is_real(build, tmp_path):
     for lab in LABELS:
         view = fam.states[lab]
         assert view.dtype == np.float64
-        assert np.array_equal(view, ghz_dense(*fam.parts[lab]))  # the complex oracle
+        assert np.array_equal(view, ghz_dense(*fam.parts[lab]))
         write_matrix(tmp_path / "real.json", view, dims=fam.dims)
         write_matrix(tmp_path / "complex.json", view.astype(complex), dims=fam.dims)
         assert (tmp_path / "real.json").read_bytes() == (tmp_path / "complex.json").read_bytes()

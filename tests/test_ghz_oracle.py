@@ -78,10 +78,19 @@ def support_vectors(n):
     return out
 
 
+# Exact (d, o) of the four Bell projectors: d[q] = P[q, q], o[q] = P[q, qbar].
+EXACT_BELL_PARTS = {
+    "phi+": (np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.0, 0.5])),
+    "phi-": (np.array([0.5, 0.0, 0.0, 0.5]), np.array([-0.5, 0.0, 0.0, -0.5])),
+    "psi+": (np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0])),
+    "psi-": (np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.0, -0.5, -0.5, 0.0])),
+}
+
+
 def kron_recursive_parts(n):
     """(d, o) per label by the kron sum over outcomes, one label and one
-    vector at a time."""
-    bells = {k: ghz_parts(projector(bell(k))) for k in BELLS}
+    vector at a time, from the exact Bell parts."""
+    bells = EXACT_BELL_PARTS
     parts = {lab: bells[PAIRING["rho+"][lab]] for lab in LABELS}
     for _ in range(n // 2 - 1):
         parts = {
@@ -175,6 +184,12 @@ def test_builders_match_dense_oracles(n):
         assert np.max(np.abs(direct.states[lab] - ref_direct[lab])) <= TOL
 
 
+def test_exact_bell_parts_are_the_bell_projectors():
+    for k, (d, o) in EXACT_BELL_PARTS.items():
+        dense_d, dense_o = ghz_parts(projector(bell(k)))
+        assert np.max(np.abs(d - dense_d)) <= TOL and np.max(np.abs(o - dense_o)) <= TOL
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_stacked_recursion_is_bit_exact(n):
     fam, want = be_family(n), kron_recursive_parts(n)
@@ -183,6 +198,23 @@ def test_stacked_recursion_is_bit_exact(n):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
             for a, b in ((got.real, ref.real), (got.imag, ref.imag)):
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_both_constructions_are_exact_and_the_same(n):
+    rec, direct = be_family(n), be_family_direct(n)
+    unit = 2.0 ** (1 - n)
+    for lab in LABELS:
+        for got, want in zip(rec.parts[lab], direct.parts[lab]):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert set(np.unique(got).tolist()) <= {0.0, unit, -unit}
+    # so the evidence is exact: each 1:(n-1) cut's PT minimum is -2^(1-n),
+    # each even:even cut's 0, and every marginal is flat
+    rep = verify_family(rec)
+    assert {m for _, cut, m in rep.cut_evidence if len(cut) == 1} == {-unit}
+    assert {m for _, cut, m in rep.cut_evidence if len(cut) > 1} == {0.0}
+    assert {trace_security(hide(s, n, family=rec), p) for s in range(4) for p in range(n)} == {0.0}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -548,6 +580,19 @@ def _twist(d, o):  # complex anti-diagonal, still hermitian
     return d, o
 
 
+def _last_pair(d, o):  # a weight on 0...01 that only the swap of the last two qubits moves
+    d[1] += d.max() / 4
+    return d, o
+
+
+def _last_marginal(d, o):
+    """A tilt that only tracing out the last qubit shows: on the strings
+    ending in 0, +/- by the parity of the other bits."""
+    q = np.arange(0, d.size, 2)
+    d[q] += d.max() / 4 * (-1.0) ** np.bitwise_count(q)
+    return d, o
+
+
 def _one_cut_npt(d, o):
     """A coupling on 0...0 that only the cut {0, 2} leaves unbalanced:
     every cut of size 2 but that one pairs it with raised diagonals."""
@@ -568,6 +613,8 @@ TAMPERS = {
     "non_flat": ("rho+", _non_flat),
     "mixed": ("rho+", _mixed),
     "twist": ("sigma+", _twist),
+    "last_pair": ("rho-", _last_pair),
+    "last_marginal": ("sigma-", _last_marginal),
     "one_cut_npt": ("rho+", _one_cut_npt),
 }
 
@@ -578,6 +625,20 @@ def tampered(n, name):
     parts = dict(fam.parts)
     parts[label] = change(*(v.copy() for v in parts[label]))
     return BEFamily(n, parts)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("label", LABELS)
+def test_unlock_table_keeps_each_rows_dtype(n, label):
+    """A complex anti-diagonal in one row leaves the other rows real, and
+    every row equal to the loop oracle's."""
+    parts = dict(be_family(n).parts)
+    parts[label] = _twist(*(v.copy() for v in parts[label]))
+    fam = BEFamily(n, parts)
+    want = [np.complex128 if lab == label else np.float64 for lab in LABELS]
+    assert [c.dtype for c in fam._unlock.conditional] == want
+    for lab in LABELS:
+        assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -26,7 +26,7 @@ from entanglia.locc import (
     split_two_copies,
     vec_kron,
 )
-from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes, partial_sums
+from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes
 from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL
 
 from conftest import random_prob, rng_for
@@ -334,6 +334,10 @@ def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
     got = coop_construct(a, b, seed=1)
     assert (got.branch, got.candidates) == ("recipe", 21)
     assert _same_diagnostics(got, _coop_one_by_one(a, b, 1, 0, candidates=iter(stream)))
+
+
+def partial_sums(v):
+    return np.cumsum(np.sort(np.asarray(v, dtype=float))[::-1])
 
 
 def test_coop_golden_diagnostics():
