@@ -36,16 +36,7 @@ import numpy as np
 from .errors import BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
 from .linalg import projector
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
-from .tolerances import (
-    MARGINAL_TOL,
-    NPT_TOL,
-    ORTHO_TOL,
-    PAULI_TOL,
-    PERM_TOL,
-    PPT_TOL,
-    UNLOCK_TOL,
-    UPB_SEESAW_TOL,
-)
+from .tolerances import NPT_TOL, ORTHO_TOL, PPT_TOL, UPB_SEESAW_TOL
 
 LABELS = ("rho+", "rho-", "sigma+", "sigma-")
 
@@ -303,6 +294,13 @@ def _bell_table():
 
 
 @cache
+def _bell_projectors():
+    """The (label, outcome, 4, 4) Bell projectors of _bell_table as one
+    read-only block: exactly the conditionals unlock leaves on a family."""
+    return _read_only(ghz_dense(*_bell_table()))[0]
+
+
+@cache
 def _outcome_parts(n):
     """The four (n-2)-qubit support projectors of unlock, read-only rows in
     label order: diagonals pd[i] and reversed anti-diagonals po[i]."""
@@ -395,11 +393,16 @@ def verify_family(fam, quick=False):
     through a per-n index table; unlocking reads the family's unlock table,
     which it builds on first use.
 
+    Symmetry, the Pauli connection, the marginals and unlock are exact
+    comparisons (a swap is a gather, a Pauli conjugation a gather times
+    +/-1, and a family's sums are exact); orthogonality and the two PT
+    flags keep their tolerances.
+
     quick=True leaves `cut_evidence` empty.  Its two PT flags still come
-    from computed minima: from one cut of each size when the states are
-    permutation symmetric (adjacent swaps generate every qubit permutation,
-    and a cut and its complement share the PT spectrum), else from every
-    cut.
+    from computed minima: when the exact symmetry check passes, from one
+    cut of each size, whose minimum every cut of that size shares (adjacent
+    swaps generate every qubit permutation, and a cut and its complement
+    share the PT spectrum); else from every cut.
     """
     n = fam.n_qubits
     d, o = fam._stacked()
@@ -411,9 +414,7 @@ def verify_family(fam, quick=False):
     # differ: the stack is symmetric iff each such entry equals its partner
     stack = np.concatenate((d, o))
     a, b = _swap_table(n)
-    gap = np.take(stack, a, axis=1)  # take and in-place updates: fewer large temporaries
-    gap -= np.take(stack, b, axis=1)
-    permutation_symmetric = bool(np.abs(gap).max() <= PERM_TOL)
+    permutation_symmetric = np.array_equal(np.take(stack, a, axis=1), np.take(stack, b, axis=1))
 
     cuts, index, single = _cut_table(n, quick and permutation_symmetric)
     mins = _pt_minima(d, o, index)
@@ -424,21 +425,13 @@ def verify_family(fam, quick=False):
         evidence = [(lab, cut, m) for cut, row in zip(cuts, mins.T.tolist()) for lab, m in zip(LABELS, row)]
 
     src, phase = _pauli_table(n)
-    pauli_connected = bool(
-        np.abs(d[0][src] - d).max() <= PAULI_TOL and np.abs(phase * o[0][src] - o).max() <= PAULI_TOL
-    )
+    pauli_connected = bool((d[0][src] == d).all() and (phase * o[0][src] == o).all())
 
     m0, m1 = _marginal_table(n)
-    gap = np.take(d, m0, axis=1)  # d[:, m0] + d[:, m1] - 2^(1-n)
-    gap += np.take(d, m1, axis=1)
-    gap -= 1.0 / (1 << (n - 1))
-    reduced_max_mixed = bool(np.abs(gap, out=gap).max() <= MARGINAL_TOL)
+    reduced_max_mixed = bool((np.take(d, m0, axis=1) + np.take(d, m1, axis=1) == 1.0 / (1 << (n - 1))).all())
 
     table = fam._unlock
-    fidelity = np.take_along_axis(table.fidelity, _PREDICTED[..., None], axis=-1)
-    unlock_ok = bool(
-        (np.abs(table.probability - 0.25) <= UNLOCK_TOL).all() and (fidelity >= 1.0 - UNLOCK_TOL).all()
-    )
+    unlock_ok = bool((table.probability == 0.25).all()) and np.array_equal(table.conditional, _bell_projectors())
 
     return FamilyReport(
         n_qubits=n,

@@ -592,7 +592,12 @@ def build_parser():
     sp.add_argument("--a", type=float, default=0.5, help="parameter of the 3x3 state")
     sp.add_argument("--out", default=None, help="directory for written matrices (build)")
     sp.add_argument("--trials", type=int, default=64, help="seesaw restarts (upb)")
-    sp.add_argument("--quick", action="store_true", help="leave the per-cut PT list out; the PPT flags read one cut per size")
+    sp.add_argument(
+        "--quick",
+        action="store_true",
+        help="leave the per-cut PT list out; the PPT flags read one cut per size (exact) when the symmetry "
+        "check passes, else every cut",
+    )
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("hide", parents=[common], help="data-hiding protocol demo")

@@ -27,29 +27,34 @@ class MajVerdict(enum.Enum):
     Incomparable = "Incomparable"
 
 
+_TWO_BITS = np.float64(2.0).view(np.uint64)
+
+
 def as_prob_vector(v):
     """Validate and clean a probability vector: a float copy with negative
     entries down to -NOISE_TOL clamped to 0 (-0.0 is kept as it is).
 
     Raises NonFinite for a NaN or infinite entry, then TraceMismatch for an
     entry below -NOISE_TOL, then for a total (after the clamp) more than
-    TRACE_TOL from 1.  A valid vector costs one copy, one min and one sum:
-    a NaN or infinity makes the min or the sum fail its check, so the full
-    scans run only on the way to an error or a clamp.  The sum is taken
-    only once the min shows no NaN and no negative entry, so inf - inf
-    is never summed.
+    TRACE_TOL from 1.  A valid vector costs one copy, one max and one sum:
+    as unsigned integers, float64 bit patterns order like the values from
+    +0.0 up, and a sign bit (a negative entry, -0.0) or a NaN reads above
+    2.0's pattern, so one max shows every entry in [0, 2], where the sum
+    cannot overflow.  Only errors and clamps run the full scans, and a
+    total past the float range is a TraceMismatch without a numpy warning.
     """
     v = np.array(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise TraceMismatch("expected a nonempty 1-d probability vector")
-    low = v.min()
-    if not (low >= 0 and abs(v.sum() - 1.0) <= TRACE_TOL):
+    if not (v.view(np.uint64).max() <= _TWO_BITS and abs(v.sum() - 1.0) <= TRACE_TOL):
         if not np.isfinite(v).all():
             raise NonFinite("probability vector has a NaN or infinite component")
+        low = v.min()
         if low < -NOISE_TOL:
             raise TraceMismatch(f"negative component {low} in probability vector")
         v[v < 0] = 0.0
-        total = v.sum()
+        with np.errstate(over="ignore"):
+            total = v.sum()
         if abs(total - 1.0) > TRACE_TOL:
             raise TraceMismatch(f"probability vector sums to {total}, not 1")
     return v

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ def test_majorize_pads_a_shorter_vector_above_its_negative_entry(capsys):
     assert doc["x_partial_sums"] == [1.2, 1.2, 1.0] and doc["y_partial_sums"] == [0.6, 1.1, 1.0]
     code, out, _ = run_cli(capsys, "majorize", "1.2,-0.2", "0.6,0.5,-0.1")
     assert code == 0 and "x_partial_sums: [1.2, 1.2, 1]\n" in out
+
+
+@pytest.mark.parametrize("command", ["nielsen", "coop", "assist", "split2"])
+def test_overflowing_probability_vector_raises_no_warning(capsys, command):
+    # validation reports the total past the float range before any search
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, command, "1e308,1e308,0", ".5,.3,.2")
+    assert code == 3
+    assert err == "error [TraceMismatch]: probability vector sums to inf, not 1\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "majorize"])

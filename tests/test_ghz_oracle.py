@@ -48,15 +48,7 @@ from entanglia.linalg import (
     trace_norm,
 )
 from entanglia.states import ID2, bell
-from entanglia.tolerances import (
-    MARGINAL_TOL,
-    NPT_TOL,
-    ORTHO_TOL,
-    PAULI_TOL,
-    PERM_TOL,
-    PPT_TOL,
-    UNLOCK_TOL,
-)
+from entanglia.tolerances import NPT_TOL, ORTHO_TOL, PPT_TOL
 
 BELLS = ("phi+", "phi-", "psi+", "psi-")
 # Two float64 routes to an O(1) number: a few hundred ulps apart at most.
@@ -343,7 +335,7 @@ def loop_verify_family(fam, quick=False):
         return np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1)
 
     permutation_symmetric = all(
-        np.max(np.abs(swap(v, k) - v)) <= PERM_TOL
+        np.array_equal(swap(v, k), v)
         for k in range(n - 1)
         for pair in parts.values()
         for v in pair
@@ -357,24 +349,23 @@ def loop_verify_family(fam, quick=False):
     even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
     single_vs_rest_npt = all(m < -NPT_TOL for _, cut, m in evidence if len(cut) == 1)
 
-    def max_diff(a, b):
-        return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
-
     pauli_connected = all(
-        max_diff(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab]) <= PAULI_TOL
+        np.array_equal(got, want)
         for k in (0, n - 1)
         for lab in LABELS
+        for got, want in zip(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab])
     )
 
     flat = 1.0 / (1 << (n - 1))
     reduced_max_mixed = all(
-        np.max(np.abs(reduced_diagonal(d, j) - flat)) <= MARGINAL_TOL
+        (reduced_diagonal(d, j) == flat).all()
         for j in range(n)
         for d, _ in parts.values()
     )
 
     unlock_ok = all(
-        abs(out["probability"] - 0.25) <= UNLOCK_TOL and out["fidelity"] >= 1.0 - UNLOCK_TOL
+        out["probability"] == 0.25
+        and np.array_equal(out["conditional"], ghz_dense(*EXACT_BELL_PARTS[out["predicted_bell"]]))
         for lab in LABELS
         for out in loop_unlock(fam, lab)
     )
@@ -669,3 +660,105 @@ def test_quick_checks_every_cut_when_the_symmetry_fails():
     npt = {cut for lab, cut, m in rep.cut_evidence if len(cut) > 1 and m < -PPT_TOL}
     assert npt == {(0, 2)}  # the representative cut (0, 1) alone would miss it
     assert not verify_family(fam, quick=True).even_cut_ppt
+
+
+@pytest.mark.parametrize("build", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_representative_cut_is_exact(build, n):
+    """Every cut of one size has the same PT minimum, bit for bit, so
+    quick's one cut per size gives exactly the minima of all cuts."""
+    rep = verify_family(BUILDERS[build](n))
+    assert rep.permutation_symmetric
+    minima = {}
+    for _, cut, m in rep.cut_evidence:
+        minima.setdefault(len(cut), set()).add(m.hex())  # hex tells -0.0 from 0.0
+    assert sorted(minima) == [1] + list(range(2, n - 1, 2))
+    assert all(len(found) == 1 for found in minima.values()), minima
+
+
+# ---------------------------------------------------------------------------
+# Changes of one or two ulps of the entries 2^(1-n), which the tolerances of
+# the symmetry (1e-12), Pauli (1e-9), marginal (1e-12) and unlock (1e-9)
+# checks accepted and their exact comparisons reject.
+
+
+def _asymmetric(parts, n, eps):
+    """rho+ with its anti-diagonal raised by eps at 0...0 and lowered at
+    110...0, each with the strings that complementing and flipping the end
+    qubits pair it with; the siblings are its Pauli conjugates.  Each unlock
+    sum gains eps and loses it, but strings of one weight now differ."""
+    d, o = (v.copy() for v in parts["rho+"])
+    top, ends = (1 << n) - 1, (1 << (n - 1)) | 1
+    for q, step in ((0, eps), (3 << (n - 2), -eps)):
+        o[[q, q ^ ends, q ^ top, q ^ top ^ ends]] += step
+    return {lab: tuple(np.real(v) for v in _pauli_conjugate((d, o), PAULI_CONNECTION[lab], 0)) for lab in LABELS}
+
+
+def _white_noise(parts, n, eps, labels=LABELS):
+    """Each member mixed with eps 2^n of I / 2^n."""
+    parts = dict(parts)
+    for lab in labels:
+        d, o = parts[lab]
+        parts[lab] = (np.where(d > 0, d - eps, eps), o - 2 * eps * np.sign(o))
+    return parts
+
+
+def _one_noisy_member(parts, n, eps):
+    return _white_noise(parts, n, eps, labels=("sigma-",))
+
+
+def _off_support(parts, n, eps):
+    """eps on every diagonal entry off each member's support."""
+    return {lab: (np.where(d > 0, d, eps), o) for lab, (d, o) in parts.items()}
+
+
+# name -> (change, the checks it fails).  Exact symmetry, Pauli connection
+# and unlock pin every diagonal, so a marginal failure always comes with one
+# of theirs; the Pauli change here, noise on one member, fails unlock too.
+FEW_ULP = {
+    "asymmetric": (_asymmetric, {"permutation_symmetric"}),
+    "one_noisy_member": (_one_noisy_member, {"pauli_connected", "unlock_ok"}),
+    "off_support": (_off_support, {"reduced_max_mixed", "unlock_ok"}),
+    "white_noise": (_white_noise, {"unlock_ok"}),
+}
+
+
+def tolerance_residuals(fam):
+    """What the four removed tolerances bounded: the largest entry change
+    under an adjacent swap, between a Pauli-conjugated rho+ and its
+    sibling, and of a marginal from flat, and the largest |probability -
+    1/4| or 1 - fidelity of an unlock outcome."""
+    n, parts = fam.n_qubits, fam.parts
+    swap = max(
+        np.abs(np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1) - v).max()
+        for k in range(n - 1)
+        for pair in parts.values()
+        for v in pair
+    )
+    pauli = max(
+        np.abs(got - want).max()
+        for k in (0, n - 1)
+        for lab in LABELS
+        for got, want in zip(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab])
+    )
+    flat = 2.0 ** (1 - n)
+    marginal = max(np.abs(reduced_diagonal(d, j) - flat).max() for j in range(n) for d, _ in parts.values())
+    outcome = max(
+        max(abs(out["probability"] - 0.25), 1.0 - out["fidelity"]) for lab in LABELS for out in unlock(fam, lab)
+    )
+    return swap, pauli, marginal, outcome
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("name", sorted(FEW_ULP))
+def test_few_ulp_changes_fail_the_exact_checks(n, name):
+    change, fails = FEW_ULP[name]
+    eps = np.spacing(2.0 ** (1 - n))  # one ulp of the nonzero entries
+    before = be_family(n).parts
+    fam = BEFamily(n, change(before, n, eps))
+    moved = max(np.abs(a - b).max() for lab in LABELS for a, b in zip(fam.parts[lab], before[lab]))
+    assert 0 < moved <= 2 * eps
+    assert all(r <= tol for r, tol in zip(tolerance_residuals(fam), (1e-12, 1e-9, 1e-12, 1e-9)))
+    rep = verify_family(fam)
+    assert {c for c in CHECKS if not getattr(rep, c)} == fails
+    assert_same_report(rep, loop_verify_family(fam))
