@@ -16,7 +16,8 @@ exact float64 parts: every entry is k 2^(1-n) with k in {0, +/-1}, so the
 recursive and the support-set family are the same bit for bit, and every
 sum the checks and unlock take over them is exact.  The family checks and
 unlock run on the four states stacked as (4, 2^n) arrays, with the index
-tables they read cached per n.  Each family's unlock table is likewise
+tables they read cached per n, and on a symmetric family the cut checks
+read one value per Hamming-weight class.  Each family's unlock table is
 built once, on first use, and read-only: the family check, `unlock` and
 the hiding decodes read its rows.
 """
@@ -174,17 +175,16 @@ def _cut_masks(n, cuts):
     return np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
 
 
-def _pt_minima(d, o, index):
-    """pt_min_eigenvalues of (..., 2^n) stacked parts, shape (..., cuts),
-    for the (cuts, 2^n) table index[c, r] = r ^ mask of cut c."""
-    coupling = np.take(np.abs(o), index, axis=-1)  # |o[r ^ S]|, C-ordered
-    mean = (d + d[..., ::-1]) / 2  # d[::-1][r] = d[rbar]
-    half = (d - d[..., ::-1]) / 2
+def _pt_minima(d, dbar, coupling):
+    """Smallest eigenvalue of the 2x2 blocks [[d, c], [c, dbar]] with
+    c = coupling, minimized over the last axis.  d and dbar broadcast
+    against coupling, a fresh array that is overwritten."""
+    half = (d - dbar) / 2
     # hypot(0, c) = c exactly, so the costly hypot is skipped when every
     # d[r] = d[rbar], as in every family member
     if half.any():
-        np.hypot(half[..., None, :], coupling, out=coupling)
-    return np.subtract(mean[..., None, :], coupling, out=coupling).min(axis=-1)
+        np.hypot(half, coupling, out=coupling)
+    return np.subtract((d + dbar) / 2, coupling, out=coupling).min(axis=-1)
 
 
 def pt_min_eigenvalues(parts, cuts):
@@ -197,8 +197,8 @@ def pt_min_eigenvalues(parts, cuts):
     """
     d, o = parts
     dim = d.shape[-1]
-    masks = _cut_masks(dim.bit_length() - 1, cuts)
-    return _pt_minima(d, o, np.arange(dim) ^ masks[:, None])
+    index = np.arange(dim) ^ _cut_masks(dim.bit_length() - 1, cuts)[:, None]
+    return _pt_minima(d[..., None, :], d[..., None, ::-1], np.take(np.abs(o), index, axis=-1))
 
 
 def _pauli_conjugate(parts, u, k):
@@ -230,20 +230,25 @@ def _read_only(*arrays):
 
 
 @cache
-def _cut_table(n, representative):
-    """verify_family's cuts, read-only: the cuts, the (cuts, 2^n) table
-    r ^ mask and which cuts hold one qubit.  All cuts are every even:even
-    cut, then every single qubit; representative ones are one cut of each
-    size 1, 2, 4, ..., n - 2."""
-    if representative:
-        cuts = [(0,)] + [tuple(range(size)) for size in range(2, n - 1, 2)]
-    else:
-        cuts = even_cuts(n) + [(j,) for j in range(n)]
-    index, single = _read_only(
-        np.arange(1 << n) ^ _cut_masks(n, cuts)[:, None],
-        np.array([len(cut) == 1 for cut in cuts]),
-    )
-    return tuple(cuts), index, single
+def _cut_table(n):
+    """verify_family's cuts, read-only: every even:even cut, then every
+    single qubit; the (cuts, 2^n) table r ^ mask; and each cut's size."""
+    cuts = even_cuts(n) + [(j,) for j in range(n)]
+    index = np.arange(1 << n) ^ _cut_masks(n, cuts)[:, None]
+    return (tuple(cuts), *_read_only(index, np.array([len(cut) for cut in cuts])))
+
+
+@cache
+def _class_table(n):
+    """Read-only rep[w] = 2^w - 1, the least index of weight w; cls[q] =
+    rep[weight of q]; and per cut size s, the (a, b) rows of verify_family's
+    weights a + b, n - a - b, s - a + b, padded by repeating the first."""
+    rep = (1 << np.arange(n + 1)) - 1
+    cls = rep[np.bitwise_count(np.arange(1 << n))]
+    rows = [[(a + b, n - a - b, s - a + b) for a in range(s + 1) for b in range(n - s + 1)] for s in range(n + 1)]
+    width = max(map(len, rows))
+    weights = np.array([row + row[:1] * (width - len(row)) for row in rows]).transpose(2, 0, 1).copy()
+    return _read_only(rep, cls, *weights)
 
 
 @cache
@@ -256,30 +261,6 @@ def _pauli_table(n):
     table = [_pauli_conjugate(unit, PAULI_CONNECTION[lab], k) for k in (0, n - 1) for lab in LABELS]
     src, phase = (np.array(col).reshape(2, 4, -1) for col in zip(*table))
     return _read_only(src, phase.real.copy())
-
-
-@cache
-def _swap_table(n):
-    """Read-only index pair (a, b), each (n - 1) 2^(n-2) long: for each
-    adjacent qubit pair (k, k + 1) in turn, the basis indices whose bits
-    there read 01, and their partners reading 10.  Exchanging the two
-    qubits swaps each such pair and fixes every other entry."""
-    q = np.arange(1 << n)
-    shifts = range(n - 2, -1, -1)  # qubits k, k + 1 are bits n-1-k, n-2-k
-    a = [q[(q >> s) & 3 == 1] for s in shifts]
-    return _read_only(np.concatenate(a), np.concatenate([x ^ (3 << s) for x, s in zip(a, shifts)]))
-
-
-@cache
-def _marginal_table(n):
-    """Read-only index pair (m0, m1), each n 2^(n-1) long: for each qubit j
-    in turn, the basis indices with its bit 0 in increasing order, and the
-    same indices with it set.  d[m0] + d[m1] is the diagonal of each
-    state with one qubit traced out, one qubit after another."""
-    q = np.arange(1 << n)
-    bits = [1 << (n - 1 - j) for j in range(n)]
-    m0 = [q[q & bit == 0] for bit in bits]
-    return _read_only(np.concatenate(m0), np.concatenate([x | bit for x, bit in zip(m0, bits)]))
 
 
 @cache
@@ -387,22 +368,23 @@ def verify_family(fam, quick=False):
 
     The four states are stacked as (4, 2^n) arrays d, o and each check is a
     few array operations on them; none builds the dense matrices.
-    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T); the n - 1
-    adjacent swaps, the n one-qubit-traced marginals, the Pauli connection
-    on qubits 0 and n - 1 and the per-cut PT minima are each one gather
-    through a per-n index table; unlocking reads the family's unlock table,
-    which it builds on first use.
+    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T); the Pauli
+    connection on qubits 0 and n - 1 is one gather through a per-n index
+    table; unlocking reads the family's unlock table, built on first use.
+
+    A stack invariant under every qubit permutation is constant on each
+    Hamming-weight class, so symmetry is one gather: each entry against
+    its class representative.  When it holds, the marginals and PT minima
+    read the n + 1 class values of each state: an index with a ones inside
+    a cut of size s and b outside has diagonal weights a + b and n - a - b
+    and coupling weight s - a + b, so all cuts of one size share the
+    minimum over (a, b).  Else each cut's minimum is a gather r ^ mask over
+    all 2^n entries, and each marginal sums the halves of a qubit's axis.
 
     Symmetry, the Pauli connection, the marginals and unlock are exact
-    comparisons (a swap is a gather, a Pauli conjugation a gather times
-    +/-1, and a family's sums are exact); orthogonality and the two PT
-    flags keep their tolerances.
-
-    quick=True leaves `cut_evidence` empty.  Its two PT flags still come
-    from computed minima: when the exact symmetry check passes, from one
-    cut of each size, whose minimum every cut of that size shares (adjacent
-    swaps generate every qubit permutation, and a cut and its complement
-    share the PT spectrum); else from every cut.
+    comparisons (a Pauli conjugation is a gather times +/-1, and a family's
+    sums are exact); orthogonality and the two PT flags keep their
+    tolerances.  quick=True only leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
     d, o = fam._stacked()
@@ -410,14 +392,21 @@ def verify_family(fam, quick=False):
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
     orthogonal = bool((np.abs(gram[_TRIU]) < ORTHO_TOL).all())
 
-    # exchanging qubits k and k + 1 moves only the entries where their bits
-    # differ: the stack is symmetric iff each such entry equals its partner
+    rep, cls, w, wbar, wcut = _class_table(n)
     stack = np.concatenate((d, o))
-    a, b = _swap_table(n)
-    permutation_symmetric = np.array_equal(np.take(stack, a, axis=1), np.take(stack, b, axis=1))
+    permutation_symmetric = np.array_equal(stack, stack[:, cls])
 
-    cuts, index, single = _cut_table(n, quick and permutation_symmetric)
-    mins = _pt_minima(d, o, index)
+    cuts, index, size = _cut_table(n)
+    flat = 1.0 / (1 << (n - 1))
+    if permutation_symmetric:
+        cd = d[:, rep]
+        mins = _pt_minima(cd[:, w], cd[:, wbar], np.abs(o[:, rep])[:, wcut])[:, size]
+        reduced_max_mixed = bool((cd[:, :-1] + cd[:, 1:] == flat).all())
+    else:
+        mins = _pt_minima(d[:, None], d[:, None, ::-1], np.take(np.abs(o), index, axis=-1))
+        halves = d.reshape((4,) + (2,) * n)
+        reduced_max_mixed = all((halves.sum(axis=j) == flat).all() for j in range(1, n + 1))
+    single = size == 1
     even_cut_ppt = bool((mins[:, ~single] >= -PPT_TOL).all())
     single_vs_rest_npt = bool((mins[:, single] < -NPT_TOL).all())
     evidence = []
@@ -426,9 +415,6 @@ def verify_family(fam, quick=False):
 
     src, phase = _pauli_table(n)
     pauli_connected = bool((d[0][src] == d).all() and (phase * o[0][src] == o).all())
-
-    m0, m1 = _marginal_table(n)
-    reduced_max_mixed = bool((np.take(d, m0, axis=1) + np.take(d, m1, axis=1) == 1.0 / (1 << (n - 1))).all())
 
     table = fam._unlock
     unlock_ok = bool((table.probability == 0.25).all()) and np.array_equal(table.conditional, _bell_projectors())

@@ -13,6 +13,7 @@ import enum
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, is_dataclass
 
@@ -495,6 +496,14 @@ def _seed(text):
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes -0.2,1.2, -1e-3 or -inf,0 for a value, not an option, as argparse takes -1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -507,7 +516,7 @@ def build_parser():
         help="seed for any randomized search (default: ENTANGLIA_SEED or 0)",
     )
 
-    p = argparse.ArgumentParser(prog="entanglia", description=__doc__)
+    p = _Parser(prog="entanglia", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("majorize", parents=[common], help="compare two vectors")
@@ -595,8 +604,7 @@ def build_parser():
     sp.add_argument(
         "--quick",
         action="store_true",
-        help="leave the per-cut PT list out; the PPT flags read one cut per size (exact) when the symmetry "
-        "check passes, else every cut",
+        help="leave the per-cut PT list out; the PPT flags are the same as without it",
     )
     sp.set_defaults(fn=cmd_bound)
 

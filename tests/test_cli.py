@@ -217,6 +217,42 @@ def test_inf_and_minus_inf_print_only_the_error(command):
 
 
 @pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (("majorize", "-0.2,1.2", ".5,.5", "--output", "structured"), "YPrecX"),
+        (("majorize", "--output", "structured", "-0.2,1.2", ".5,.5"), "YPrecX"),
+        (("majorize", ".5,.5", "-0.2,1.2", "--output", "structured"), "XPrecY"),
+    ],
+)
+def test_vector_starting_with_a_minus_sign_answers(capsys, argv, verdict):
+    # majorize reads any real vector, with no "--" before one that starts with a minus sign
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("nielsen", "-0.1,1.1", ".5,.5"), "TraceMismatch"),
+        (("classify", ".5,.5", "-0.1,1.1"), "TraceMismatch"),
+        (("catalyst", "-0.1,1.1", ".5,.5"), "TraceMismatch"),
+        (("multicopy", "-0.1,1.1", ".5,.5", "2"), "TraceMismatch"),
+        (("assist", "-0.1,1.1", ".5,.5"), "TraceMismatch"),
+        (("assist", "-0.1,1.1", ".5,.5", "--min"), "TraceMismatch"),
+        (("coop", "-0.1,1.1", ".5,.5"), "TraceMismatch"),
+        (("split2", "-0.1,1.1", ".5,.5"), "TraceMismatch"),
+        (("majorize", "-inf,0", ".5,.5"), "NonFinite"),
+        (("nielsen", ".5,.5", "-nan,1"), "NonFinite"),
+        (("flip", "-1e-3", "0", "1", "0", "1"), "BadParam"),
+    ],
+)
+def test_vector_starting_with_a_minus_sign_names_the_precondition(capsys, argv, error):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith(f"error [{error}]")
+
+
+@pytest.mark.parametrize(
     "argv, error",
     [
         (("nielsen", "nan,1", ".5,.5"), "NonFinite"),
@@ -265,9 +301,10 @@ def test_seed_must_be_non_negative(monkeypatch):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["nielsen"])
-    assert exc.value.code == 2
+    for argv in (["nielsen"], ["majorize", "-x", ".5,.5"]):  # -x reads as an unknown option, not a vector
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_measure_entropy_state_file(tmp_path, capsys):
@@ -370,6 +407,21 @@ def test_bound_verify(capsys):
     code, out, _ = run_cli(capsys, "bound", "verify", "--n", "4", "--output", "structured")
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+
+
+def test_bound_verify_n10(capsys):
+    flags = (
+        "orthogonal", "permutation_symmetric", "even_cut_ppt", "single_vs_rest_npt",
+        "pauli_connected", "reduced_max_mixed", "unlock_ok", "all_pass",
+    )
+    code, out, _ = run_cli(capsys, "bound", "verify", "--n", "10", "--output", "structured")
+    full = json.loads(out)
+    assert code == 0 and full["all_pass"] is True
+    assert len(full["cuts"]) == 4 * (255 + 10)
+    code, out, _ = run_cli(capsys, "bound", "verify", "--n", "10", "--quick", "--output", "structured")
+    quick = json.loads(out)
+    assert code == 0 and "cuts" not in quick
+    assert {k: quick[k] for k in flags} == {k: full[k] for k in flags}
 
 
 def test_bound_unlock(capsys):

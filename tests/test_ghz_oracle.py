@@ -632,7 +632,7 @@ def test_unlock_table_keeps_each_rows_dtype(n, label):
         assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_tampered_families_fail_where_the_oracle_does(n):
     failed = set()
     for name in TAMPERS:
@@ -651,6 +651,52 @@ def test_tampered_families_fail_where_the_oracle_does(n):
                 for seed in range(5):
                     assert decode_by_unlock(h, seed) == loop_decode_by_unlock(h, seed), (name, s, seed)
     assert failed == set(CHECKS)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("part", ["d", "o"])
+def test_nan_at_an_end_fails_the_symmetry(n, part):
+    """No adjacent swap moves the entries at 0...0 and 1...1; a NaN there
+    still fails permutation symmetry, as in the loop oracle."""
+    for q in (0, (1 << n) - 1):
+        parts = dict(be_family(n).parts)
+        d, o = (v.copy() for v in parts["rho+"])
+        (d if part == "d" else o)[q] = np.nan
+        parts["rho+"] = (d, o)
+        fam = BEFamily(n, parts)
+        with np.errstate(invalid="ignore"):
+            want = loop_verify_family(fam)
+            got, quick = verify_family(fam), verify_family(fam, quick=True)
+        assert not got.permutation_symmetric
+        assert all(getattr(got, c) == getattr(quick, c) == getattr(want, c) for c in CHECKS), q
+
+
+def random_symmetric_family(n, rng):
+    """Four random states constant on each Hamming-weight class, with
+    cd[w] != cd[n - w], so the PT minima take the hypot branch."""
+    weight = np.bitwise_count(np.arange(1 << n))
+    parts = {}
+    for lab in LABELS:
+        cd, co = rng.random(n + 1), rng.standard_normal(n + 1)
+        parts[lab] = (cd[weight], co[weight])
+        assert (cd != cd[::-1]).any()
+    return BEFamily(n, parts)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_random_symmetric_families_match_the_loop_oracle(n):
+    """The weight-class path against the loop oracle on states that no
+    family member resembles: every flag, evidence value and sign bit."""
+    rng = rng_for("symmetric-classes", n)
+    for _ in range(3):
+        fam = random_symmetric_family(n, rng)
+        want = loop_verify_family(fam)
+        got = verify_family(fam)
+        assert got.permutation_symmetric
+        assert_same_report(got, want)
+        quick = verify_family(fam, quick=True)
+        assert quick.cut_evidence == []
+        assert all(getattr(quick, c) == getattr(want, c) for c in CHECKS)
 
 
 def test_quick_checks_every_cut_when_the_symmetry_fails():
