@@ -20,7 +20,6 @@ from .gadgets import (
     antiunitary_gadget,
     coplanarity_gap,
     flip_gadget,
-    mixed_flip_demo,
 )
 from .hiding import (
     CODEBOOK,
@@ -61,7 +60,6 @@ from .locc import (
     coop_construct,
     coop_validate,
     find_catalyst_2x2,
-    maxent_ladder,
     min_assist_3x3,
     multicopy,
     nielsen,
@@ -73,7 +71,6 @@ from .majorization import (
     RowFlags,
     compare,
     compare_rows,
-    dephase,
     ds_witness,
     ensemble_exists,
     is_doubly_stochastic,
@@ -88,9 +85,7 @@ from .measures import (
     entanglement_entropy,
     eof_2q,
     log_negativity,
-    mutual_information,
     negativity,
-    relative_entropy_classical,
     shannon,
     von_neumann_entropy,
 )

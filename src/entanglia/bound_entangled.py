@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
+from .errors import BadDims, BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
 from .linalg import projector
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
 from .tolerances import NPT_TOL, ORTHO_TOL, PPT_TOL, UPB_SEESAW_TOL
@@ -64,9 +64,17 @@ class BEFamily:
     n_qubits: int
     parts: Mapping  # label -> (d, o), see ghz_parts
 
-    def __post_init__(self):  # the dense view and unlock table are cached: (d, o) stay fixed
+    def __post_init__(self):
+        # parts must fit n_qubits (shape tests only, no scan of the entries);
+        # the dense view and unlock table are cached, so (d, o) stay fixed
+        _check_n(self.n_qubits)
         object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
-        for d, o in self.parts.values():
+        if self.parts.keys() != set(LABELS):
+            raise BadLabel(f"family labels {sorted(map(str, self.parts))}, want {LABELS}")
+        dim = 1 << self.n_qubits
+        for lab, (d, o) in self.parts.items():
+            if d.shape != (dim,) or o.shape != (dim,):
+                raise BadDims(f"{lab}: d and o need shape ({dim},), got {d.shape} and {o.shape}")
             d.flags.writeable = o.flags.writeable = False
 
     @property
@@ -232,10 +240,9 @@ def _read_only(*arrays):
 @cache
 def _cut_table(n):
     """verify_family's cuts, read-only: every even:even cut, then every
-    single qubit; the (cuts, 2^n) table r ^ mask; and each cut's size."""
+    single qubit; and each cut's size."""
     cuts = even_cuts(n) + [(j,) for j in range(n)]
-    index = np.arange(1 << n) ^ _cut_masks(n, cuts)[:, None]
-    return (tuple(cuts), *_read_only(index, np.array([len(cut) for cut in cuts])))
+    return tuple(cuts), *_read_only(np.array([len(cut) for cut in cuts]))
 
 
 @cache
@@ -378,8 +385,9 @@ def verify_family(fam, quick=False):
     read the n + 1 class values of each state: an index with a ones inside
     a cut of size s and b outside has diagonal weights a + b and n - a - b
     and coupling weight s - a + b, so all cuts of one size share the
-    minimum over (a, b).  Else each cut's minimum is a gather r ^ mask over
-    all 2^n entries, and each marginal sums the halves of a qubit's axis.
+    minimum over (a, b).  Else pt_min_eigenvalues gives each cut's minimum
+    from all 2^n entries, and each marginal sums the halves of a qubit's
+    axis.
 
     Symmetry, the Pauli connection, the marginals and unlock are exact
     comparisons (a Pauli conjugation is a gather times +/-1, and a family's
@@ -396,14 +404,14 @@ def verify_family(fam, quick=False):
     stack = np.concatenate((d, o))
     permutation_symmetric = np.array_equal(stack, stack[:, cls])
 
-    cuts, index, size = _cut_table(n)
+    cuts, size = _cut_table(n)
     flat = 1.0 / (1 << (n - 1))
     if permutation_symmetric:
         cd = d[:, rep]
         mins = _pt_minima(cd[:, w], cd[:, wbar], np.abs(o[:, rep])[:, wcut])[:, size]
         reduced_max_mixed = bool((cd[:, :-1] + cd[:, 1:] == flat).all())
     else:
-        mins = _pt_minima(d[:, None], d[:, None, ::-1], np.take(np.abs(o), index, axis=-1))
+        mins = pt_min_eigenvalues((d, o), cuts)
         halves = d.reshape((4,) + (2,) * n)
         reduced_max_mixed = all((halves.sum(axis=j) == flat).all() for j in range(1, n + 1))
     single = size == 1
@@ -542,19 +550,20 @@ def _complement(states):
     return comp
 
 
-def upb_complement(states=None):
-    """Normalized projector onto the subspace complementary to the product
-    basis: (I - sum |psi_j><psi_j|) / (9 - #states)."""
-    if states is None:
-        states = tiles_upb()
-    return _complement(states) / (9 - len(states))
+def upb_complement():
+    """Normalized projector onto the subspace complementary to the Tiles
+    UPB: (I - sum |psi_j><psi_j|) / 4."""
+    return _complement(tiles_upb()) / 4.0
 
 
-# Seesaw restarts of one unextendibility score (about 1 ms each).
+# Seesaw restarts of one unextendibility score (about 1 ms each), and the
+# most updates per restart (a restart stops earlier once its value moves by
+# less than UPB_SEESAW_TOL).
 MAX_UPB_TRIALS = 10**4
+UPB_SEESAW_ITERS = 200
 
 
-def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
+def upb_unextendibility_score(trials=64, seed=0, states=None):
     """Seesaw-maximized overlap of a product state with the complement
     subspace; a value bounded away from 1 evidences unextendibility."""
     if trials < 1:
@@ -572,7 +581,7 @@ def upb_unextendibility_score(trials=64, seed=0, states=None, iters=200):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)
         prev = -1.0
-        for _ in range(iters):
+        for _ in range(UPB_SEESAW_ITERS):
             mu = np.einsum("b,abcd,d->ac", v.conj(), t, v)
             w, vecs = np.linalg.eigh(mu)
             u = vecs[:, -1]

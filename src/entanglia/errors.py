@@ -43,10 +43,6 @@ class NotMajorized(EntangliaError):
     pass
 
 
-class BadResolution(EntangliaError):
-    pass
-
-
 # states and measures
 class BadSplit(EntangliaError):
     pass
@@ -65,10 +61,6 @@ class NotDensity(EntangliaError):
 
 
 class BadDims(EntangliaError):
-    pass
-
-
-class BadDistribution(EntangliaError):
     pass
 
 

@@ -19,7 +19,7 @@ from .errors import BadParam, NonFinite
 from .linalg import cardan_roots, eigvals_hermitian
 from .majorization import MajVerdict, compare
 from .measures import shannon
-from .states import ket, qubit_to_bloch, reduced_density
+from .states import ket, reduced_density
 from .tolerances import CASE_TOL, MAJ_TOL, TRACE_TOL
 
 DIMS = (3, 2, 2)
@@ -205,42 +205,3 @@ def angle_preserving_gadget(alpha, beta):
         case += ",A>1/4"
     res.diagnostics["case"] = case
     return res
-
-
-def mixed_flip_demo(n_hat=(0.0, 0.0, 1.0)):
-    """Mixed-qubit flip seen on a one-qubit marginal.
-
-    Encodes the incomparable pair (.51,.30,.19) / (.49,.36,.15) over a
-    composite Bob basis built from a qubit along n_hat; the B1 marginals come
-    out with Bloch vectors +0.02 n_hat and -0.02 n_hat.
-    """
-    n = np.asarray(n_hat, dtype=float)
-    n = n / np.linalg.norm(n)
-    th = math.acos(np.clip(n[2], -1.0, 1.0))
-    ph = math.atan2(n[1], n[0])
-    q = np.array([math.cos(th / 2.0), cmath.exp(1j * ph) * math.sin(th / 2.0)])
-    qbar = np.array([-q[1].conjugate(), q[0].conjugate()])
-
-    lam_psi = np.array([0.51, 0.30, 0.19])
-    lam_phi = np.array([0.49, 0.36, 0.15])
-    basis = [np.kron(q, q), np.kron(qbar, q), np.kron(qbar, qbar)]
-
-    def joint(lam):
-        v = np.zeros(12, dtype=complex)
-        for i in range(3):
-            v += math.sqrt(lam[i]) * np.kron(ket(i, 3), basis[i])
-        return v
-
-    bloch_psi = qubit_to_bloch(reduced_density(joint(lam_psi), DIMS, keep=[1]))
-    bloch_phi = qubit_to_bloch(reduced_density(joint(lam_phi), DIMS, keep=[1]))
-    err = max(
-        float(np.max(np.abs(bloch_psi - 0.02 * n))),
-        float(np.max(np.abs(bloch_phi + 0.02 * n))),
-    )
-    return {
-        "direction": n,
-        "bloch_psi": bloch_psi,
-        "bloch_phi": bloch_phi,
-        "max_error": err,
-        "incomparable": compare(lam_psi, lam_phi) is MajVerdict.Incomparable,
-    }

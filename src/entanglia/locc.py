@@ -374,14 +374,6 @@ def min_assist_3x3(a, b):
     )
 
 
-def maxent_ladder(d):
-    """2x2 Schmidt vectors whose joint product reaches the rank-d maximally
-    entangled state: ((d-i)/(d-i+1), 1/(d-i+1)) for i = 1..d-1."""
-    if d < 2:
-        raise RankMismatch(f"d = {d} must be at least 2")
-    return [np.array([(d - i) / (d - i + 1.0), 1.0 / (d - i + 1.0)]) for i in range(1, d)]
-
-
 # ---------------------------------------------------------------------------
 # mutual cooperation
 

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadResolution, NonFinite, NotMajorized, TraceMismatch
-from .linalg import eigvals_hermitian, is_hermitian
-from .tolerances import IMAG_TOL, MAJ_TOL, NOISE_TOL, PROJ_TOL, TRACE_TOL
+from .errors import NonFinite, NotMajorized, TraceMismatch
+from .linalg import eigvals_hermitian
+from .tolerances import IMAG_TOL, MAJ_TOL, NOISE_TOL, TRACE_TOL
 
 
 class MajVerdict(enum.Enum):
@@ -283,27 +283,6 @@ def ds_witness(x, y):
 def spectra_majorized(rho, sigma):
     """spectrum(rho) majorized by spectrum(sigma), traces matching."""
     return majorizes(eigvals_hermitian(rho), eigvals_hermitian(sigma))
-
-
-def dephase(rho, projectors):
-    """Pinch rho through a complete set of orthogonal projectors.
-
-    Returns sum_j P_j rho P_j; its spectrum is majorized by rho's.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    total = np.zeros_like(rho)
-    for i, p in enumerate(projectors):
-        p = np.asarray(p, dtype=complex)
-        if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > PROJ_TOL:
-            raise BadResolution(f"element {i} is not an orthogonal projector")
-        total += p
-    if np.max(np.abs(total - np.eye(n))) > PROJ_TOL:
-        raise BadResolution("projectors do not resolve the identity")
-    out = np.zeros_like(rho)
-    for p in projectors:
-        out += np.asarray(p, dtype=complex) @ rho @ np.asarray(p, dtype=complex)
-    return out
 
 
 def ensemble_exists(p, lam):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import BadDims, BadDistribution, BadParam, MissingDims, NotDensity
+from .errors import BadDims, BadParam, MissingDims, NotDensity
 from .linalg import (
     eigvals_hermitian,
     is_hermitian,
@@ -21,7 +21,7 @@ from .linalg import (
 )
 from .majorization import as_prob_vector
 from .states import SIGMA_Y, schmidt_vector
-from .tolerances import NOISE_TOL, PSD_CLAMP, TRACE_TOL
+from .tolerances import PSD_CLAMP, TRACE_TOL
 
 
 def _xlog2x(p):
@@ -42,34 +42,6 @@ def binary_entropy(x):
     if not 0.0 <= x <= 1.0:
         raise BadParam(f"binary entropy argument {x} outside [0, 1]")
     return shannon(np.array([x, 1.0 - x]))
-
-
-def relative_entropy_classical(p, q):
-    """D(p||q) = sum p_i log2(p_i / q_i); +inf when support(p) leaves support(q)."""
-    p = as_prob_vector(p)
-    q = as_prob_vector(q)
-    if p.size != q.size:
-        d = max(p.size, q.size)
-        p = np.pad(p, (0, d - p.size))
-        q = np.pad(q, (0, d - q.size))
-    if np.any((p > 0) & (q == 0)):
-        return math.inf
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log2(p[nz] / q[nz])))
-
-
-def mutual_information(joint):
-    """I(X;Y) = H(X) + H(Y) - H(X,Y) for a joint probability table."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2 or np.min(joint) < -NOISE_TOL:
-        raise BadDistribution("joint table must be a nonnegative matrix")
-    joint = np.clip(joint, 0.0, None)
-    if abs(joint.sum() - 1.0) > TRACE_TOL:
-        raise BadDistribution(f"joint table sums to {joint.sum()}, not 1")
-    hx = -np.sum(_xlog2x(joint.sum(axis=1)))
-    hy = -np.sum(_xlog2x(joint.sum(axis=0)))
-    hxy = -np.sum(_xlog2x(joint.reshape(-1)))
-    return float(hx + hy - hxy)
 
 
 def check_density(rho):

@@ -53,10 +53,6 @@ CARDAN_TOL = 1e-12
 # "A=1/4".
 CASE_TOL = 1e-12
 
-# Projectors: max |P P - P| entry, and max |sum P - I| entry for a set to
-# resolve the identity (dephase).
-PROJ_TOL = 1e-9
-
 # Bloch vectors: |n| <= 1 + BLOCH_TOL.
 BLOCH_TOL = 1e-9
 

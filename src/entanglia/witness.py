@@ -26,6 +26,11 @@ from .measures import check_density
 from .states import PAULI, random_unitary
 from .tolerances import FMAX_TOL, FRACTION_SEESAW_TOL, PPT_TOL, PSD_CLAMP, RANK2_SEESAW_TOL
 
+# Most updates per restart of each seesaw; a restart stops earlier once its
+# value moves by at most FRACTION_SEESAW_TOL or RANK2_SEESAW_TOL.
+FRACTION_SEESAW_ITERS = 50
+RANK2_SEESAW_ITERS = 40
+
 
 def min_pt_eigenvalue(rho, dims, cut):
     """Smallest eigenvalue of the partial transpose across `cut`."""
@@ -79,7 +84,7 @@ def _polar_unitary(m):
     return u @ vh
 
 
-def max_entangled_fraction(rho, dims, restarts=16, iters=50, seed=0):
+def max_entangled_fraction(rho, dims, restarts=16, seed=0):
     """Lower bound on max <Psi| rho |Psi> over maximally entangled |Psi>.
 
     Parametrizes |Psi> = (U (x) I)|Phi+_d> and runs alternating
@@ -96,7 +101,7 @@ def max_entangled_fraction(rho, dims, restarts=16, iters=50, seed=0):
     for r in range(restarts):
         u = np.eye(d, dtype=complex) if r == 0 else random_unitary(d, (seed, r))
         prev = -math.inf
-        for _ in range(iters):
+        for _ in range(FRACTION_SEESAW_ITERS):
             vec = u.reshape(-1) / math.sqrt(d)
             grad = (rho @ vec).reshape(d, d)
             val = float((vec.conj() @ rho @ vec).real)
@@ -118,7 +123,7 @@ class Rank2Result:
     witness_dims: tuple
 
 
-def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
+def distillable_rank2(rho, dims, cut, copies=1, restarts=8, seed=0):
     """Seesaw search for a Schmidt-rank-2 state with negative overlap
     against (rho^{T_cut})^(x copies).
 
@@ -170,7 +175,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, iters=40, seed=0):
         v = orthonormal_pair(rng, db)
         psi_mat = None
         prev = math.inf
-        for _ in range(iters):
+        for _ in range(RANK2_SEESAW_ITERS):
             hv = np.einsum("bs,abcd,dt->asct", v.conj(), wt, v).reshape(2 * da, 2 * da)
             vals, vecs = np.linalg.eigh(hv)
             psi_mat = vecs[:, 0].reshape(da, 2) @ v.T

@@ -3,6 +3,7 @@ import pytest
 
 from entanglia.bound_entangled import (
     LABELS,
+    BEFamily,
     MAX_UPB_TRIALS,
     PAIRING,
     be_family,
@@ -18,7 +19,7 @@ from entanglia.bound_entangled import (
     upb_unextendibility_score,
     verify_family,
 )
-from entanglia.errors import BadLabel, BadParam, OddN, TooLarge
+from entanglia.errors import BadDims, BadLabel, BadParam, OddN, TooLarge
 from entanglia.linalg import (
     eigvals_hermitian,
     kron,
@@ -39,6 +40,25 @@ def test_rejects_bad_n():
         be_family(2)
     with pytest.raises(TooLarge):
         be_family_direct(12)
+
+
+@pytest.mark.parametrize(
+    "n, parts, error",
+    [
+        (4, lambda: be_family(6).parts, BadDims),  # parts of a larger family
+        (6, lambda: be_family(4).parts, BadDims),
+        (2, lambda: be_family(4).parts, TooLarge),
+        (5, lambda: be_family(4).parts, OddN),
+        (4, lambda: {lab: v for lab, v in be_family(4).parts.items() if lab != "sigma-"}, BadLabel),
+        (4, lambda: {("tau" if lab == "sigma-" else lab): v for lab, v in be_family(4).parts.items()}, BadLabel),
+        (4, lambda: {**be_family(4).parts, "tau": be_family(4).parts["rho+"]}, BadLabel),
+        (4, lambda: {**be_family(4).parts, "rho+": (np.zeros((4, 4)), np.zeros((4, 4)))}, BadDims),
+        (4, lambda: {**be_family(4).parts, "rho-": (np.zeros(16), np.zeros(8))}, BadDims),
+    ],
+)
+def test_family_rejects_parts_that_do_not_fit(n, parts, error):
+    with pytest.raises(error):
+        BEFamily(n, parts())
 
 
 def test_n4_rho_plus_is_bell_mixture():

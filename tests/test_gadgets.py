@@ -9,7 +9,6 @@ from entanglia.gadgets import (
     antiunitary_gadget,
     coplanarity_gap,
     flip_gadget,
-    mixed_flip_demo,
 )
 from entanglia.majorization import MajVerdict, compare
 
@@ -222,20 +221,6 @@ def test_angle_preserving_normalization_required():
 def test_gadgets_name_non_finite_parameter(probe, args, name):
     with pytest.raises(NonFinite, match=f"parameter {name} "):
         probe(*args)
-
-
-def test_mixed_flip_demo_default():
-    rep = mixed_flip_demo()
-    assert rep["max_error"] < 1e-9
-    assert rep["incomparable"]
-    assert np.allclose(rep["bloch_psi"], [0, 0, 0.02], atol=1e-9)
-    assert np.allclose(rep["bloch_phi"], [0, 0, -0.02], atol=1e-9)
-
-
-def test_mixed_flip_demo_x_axis():
-    rep = mixed_flip_demo((1.0, 0.0, 0.0))
-    assert rep["max_error"] < 1e-9
-    assert np.allclose(rep["bloch_psi"], [0.02, 0, 0], atol=1e-9)
 
 
 def test_mixed_flip_pair_incomparable():

@@ -19,7 +19,6 @@ from entanglia.locc import (
     coop_construct,
     coop_validate,
     find_catalyst_2x2,
-    maxent_ladder,
     min_assist_3x3,
     multicopy,
     nielsen,
@@ -40,6 +39,10 @@ def test_nielsen_maxent_and_product():
     assert nielsen([1 / 3, 1 / 3, 1 / 3], [0.5, 0.3, 0.2])
     assert nielsen([0.7, 0.2, 0.1], [1, 0, 0])
     assert not nielsen(CAT_A, CAT_B)
+    # 2x2 products that reach the rank-3 and rank-4 maximally entangled states
+    assert nielsen(vec_kron([2 / 3, 1 / 3], [0.5, 0.5]), [1 / 3, 1 / 3, 1 / 3, 0])
+    ladder = vec_kron(vec_kron([3 / 4, 1 / 4], [2 / 3, 1 / 3]), [0.5, 0.5])
+    assert nielsen(ladder, [0.25] * 4 + [0.0] * 4)
 
 
 def test_nielsen_entropy_consequence():
@@ -267,22 +270,6 @@ def test_min_assist_type2():
 def test_min_assist_rejects_comparable():
     with pytest.raises(NotIncomparable3x3):
         min_assist_3x3([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
-
-
-def test_maxent_ladder():
-    lad = maxent_ladder(3)
-    assert np.allclose(lad[0], [2 / 3, 1 / 3])
-    assert np.allclose(lad[1], [0.5, 0.5])
-    prod = vec_kron(lad[0], lad[1])
-    assert np.allclose(np.sort(prod)[::-1], [1 / 3, 1 / 3, 1 / 6, 1 / 6])
-    assert nielsen(prod, [1 / 3, 1 / 3, 1 / 3, 0])
-
-    assert np.allclose(maxent_ladder(2)[0], [0.5, 0.5])
-
-    lad4 = maxent_ladder(4)
-    assert len(lad4) == 3
-    prod4 = vec_kron(vec_kron(lad4[0], lad4[1]), lad4[2])
-    assert nielsen(prod4, [0.25] * 4 + [0.0] * 4)
 
 
 def test_coop_validate_example1():

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from entanglia.errors import BadResolution, NonFinite, NotMajorized, TraceMismatch
+from entanglia.errors import NonFinite, NotMajorized, TraceMismatch
 from entanglia.linalg import eigvals_hermitian, projector
 from entanglia.majorization import (
     MajVerdict,
     as_prob_vector,
     compare,
     compare_rows,
-    dephase,
     ds_witness,
     ensemble_exists,
     is_doubly_stochastic,
@@ -326,6 +325,8 @@ def test_spectra_majorized():
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     assert not spectra_majorized(projector(psi), np.eye(4) / 4)
+    # pinching phi+ in the computational basis
+    assert spectra_majorized(np.diag([0.5, 0, 0, 0.5]), projector(bell("phi+")))
 
 
 def test_uhlmann_random_unitary_mixture():
@@ -337,44 +338,8 @@ def test_uhlmann_random_unitary_mixture():
             w[i] * (u := random_unitary(4, rng)) @ rho @ u.conj().T for i in range(3)
         )
         assert spectra_majorized(mix, rho)
-
-
-def test_dephase_in_eigenbasis_is_identity():
-    rng = rng_for("maj-deph")
-    rho = random_density(4, rng)
-    _, vecs = np.linalg.eigh(rho)
-    projs = [projector(vecs[:, i]) for i in range(4)]
-    assert np.max(np.abs(dephase(rho, projs) - rho)) < 1e-12
-
-
-def test_dephase_bell_state():
-    rho = projector(bell("phi+"))
-    projs = [projector(np.eye(4)[:, i]) for i in range(4)]
-    out = dephase(rho, projs)
-    assert np.allclose(out, np.diag([0.5, 0, 0, 0.5]))
-    assert spectra_majorized(out, rho)
-
-
-def test_dephase_diagonal_unchanged():
-    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    projs = [projector(np.eye(4)[:, i]) for i in range(4)]
-    assert np.max(np.abs(dephase(rho, projs) - rho)) < 1e-12
-
-
-def test_dephase_bad_resolution():
-    with pytest.raises(BadResolution):
-        dephase(np.eye(2) / 2, [projector(np.array([1, 0]))])
-
-
-def test_dephase_increases_entropy():
-    rng = rng_for("maj-deph-ent")
-    for k in range(10):
-        rho = random_density(4, rng)
-        u = random_unitary(4, rng)
-        projs = [projector(u[:, i]) for i in range(4)]
-        out = dephase(rho, projs)
-        assert von_neumann_entropy(out) >= von_neumann_entropy(rho) - 1e-9
-        assert majorizes(eigvals_hermitian(out), eigvals_hermitian(rho))
+        assert majorizes(eigvals_hermitian(mix), eigvals_hermitian(rho))
+        assert von_neumann_entropy(mix) >= von_neumann_entropy(rho) - 1e-9
 
 
 def test_ensemble_exists():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entanglia.errors import BadDistribution, BadParam, NotDensity
+from entanglia.errors import BadParam, NotDensity
 from entanglia.linalg import kron, partial_trace, projector
 from entanglia.majorization import spectra_majorized
 from entanglia.measures import (
@@ -13,9 +13,7 @@ from entanglia.measures import (
     entanglement_entropy,
     eof_2q,
     log_negativity,
-    mutual_information,
     negativity,
-    relative_entropy_classical,
     shannon,
     von_neumann_entropy,
 )
@@ -38,36 +36,6 @@ def test_binary_entropy():
     assert abs(binary_entropy(0.3) - binary_entropy(0.7)) < 1e-12
     with pytest.raises(BadParam):
         binary_entropy(1.2)
-
-
-def test_relative_entropy():
-    assert relative_entropy_classical([0.5, 0.5], [0.5, 0.5]) == 0
-    assert relative_entropy_classical([1, 0], [0, 1]) == math.inf
-    got = relative_entropy_classical([0.5, 0.5], [0.75, 0.25])
-    assert abs(got - (0.5 * math.log2(0.5 / 0.75) + 0.5 * math.log2(2.0))) < 1e-12
-    assert abs(got - 0.20751874963942185) < 1e-9
-
-
-def test_relative_entropy_nonnegative():
-    rng = rng_for("rel-ent")
-    for k in range(30):
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4))
-        assert relative_entropy_classical(p, q) >= -1e-12
-
-
-def test_mutual_information():
-    indep = np.outer([0.3, 0.7], [0.6, 0.4])
-    assert abs(mutual_information(indep)) < 1e-12
-    corr = np.diag([0.5, 0.5])
-    assert abs(mutual_information(corr) - 1.0) < 1e-12
-    rng = rng_for("mi")
-    for k in range(10):
-        j = rng.dirichlet(np.ones(6)).reshape(2, 3)
-        assert abs(mutual_information(j) - mutual_information(j.T)) < 1e-12
-        assert mutual_information(j) >= -1e-12
-    with pytest.raises(BadDistribution):
-        mutual_information([[0.6, 0.6], [0.0, 0.0]])
 
 
 def test_von_neumann_entropy():

@@ -1,6 +1,7 @@
 """Guards that keep `entanglia.tolerances` the only tolerance knob: no gate
 literal elsewhere in the package, no per-call tolerance parameter, no
-constant nobody reads, and a report block that lists every constant."""
+constant nobody reads, a report block and a README table that list every
+constant; and no error class nobody raises."""
 
 import ast
 import importlib
@@ -14,7 +15,9 @@ from entanglia import tolerances
 
 PACKAGE = pathlib.Path(entanglia.__file__).parent
 TOLERANCES = PACKAGE / "tolerances.py"
+ERRORS = PACKAGE / "errors.py"
 OTHER_SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p != TOLERANCES)
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _tokens(path):
@@ -74,12 +77,29 @@ def test_no_tolerance_parameters():
     assert not offenders, offenders
 
 
+def _names(paths):
+    return {tok.string for path in paths for tok in _tokens(path) if tok.type == tokenize.NAME}
+
+
 def test_every_constant_is_read_elsewhere():
-    names = {
-        tok.string for path in OTHER_SOURCES for tok in _tokens(path) if tok.type == tokenize.NAME
-    }
+    names = _names(OTHER_SOURCES)
     unread = [c for c in _constants() if c not in names]
     assert not unread, unread
+
+
+def test_every_error_class_is_named_elsewhere():
+    classes = [node.name for node in ast.parse(ERRORS.read_text()).body if isinstance(node, ast.ClassDef)]
+    assert "TraceMismatch" in classes
+    names = _names(p for p in OTHER_SOURCES if p != ERRORS)
+    unnamed = [c for c in classes if c != "EntangliaError" and c not in names]
+    assert not unnamed, unnamed
+
+
+def test_readme_table_lists_every_constant():
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {name.strip().strip("`"): float(value) for name, value in rows}
+    assert table == {c: getattr(tolerances, c) for c in _constants()}
 
 
 def test_as_dict_lists_every_constant():
