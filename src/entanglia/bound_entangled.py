@@ -12,14 +12,13 @@ nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 A family is stored as those two length-2^n vectors per state, (d, o), which
 the family checks, unlock and the hiding protocol read directly; the dense
 matrices are a read-only view built on first use.  Both constructions store
-exact float64 parts: every entry is k 2^(1-n) with k in {0, +/-1}, so the
-recursive and the support-set family are the same bit for bit, and every
-sum the checks and unlock take over them is exact.  The family checks and
-unlock run on the four states stacked as (4, 2^n) arrays, with the index
-tables they read cached per n, and on a symmetric family the cut checks
-read one value per Hamming-weight class.  Each family's unlock table is
-built once, on first use, and read-only: the family check, `unlock` and
-the hiding decodes read its rows.
+exact float64 parts, every entry k 2^(1-n) with k in {0, +/-1}, so they are
+the same bit for bit.  The family checks certify only dyadic parts (else
+NotDyadic) and decide all seven checks exactly, on the four states stacked
+as (4, 2^n) arrays and, for a symmetric family, on one value per
+Hamming-weight class.  Each family's unlock table is built once, on first
+use, and read-only: the family check, `unlock` and the hiding decodes read
+its rows.
 """
 
 from __future__ import annotations
@@ -34,12 +33,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDims, BadLabel, BadParam, NotGHZDiagonal, OddN, TooLarge
+from .errors import BadDims, BadLabel, BadParam, NotDyadic, NotGHZDiagonal, OddN, TooLarge
 from .linalg import projector
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
-from .tolerances import NPT_TOL, ORTHO_TOL, PPT_TOL, UPB_SEESAW_TOL
+from .tolerances import UPB_SEESAW_TOL
 
 LABELS = ("rho+", "rho-", "sigma+", "sigma-")
+
+# The seven family checks, in report order: the flags of a FamilyReport.
+CHECKS = (
+    "orthogonal",
+    "permutation_symmetric",
+    "even_cut_ppt",
+    "single_vs_rest_npt",
+    "pauli_connected",
+    "reduced_max_mixed",
+    "unlock_ok",
+)
 
 # Bell state paired with each measurement outcome, per family label.
 PAIRING = {
@@ -68,7 +78,8 @@ class BEFamily:
         # parts must fit n_qubits (shape tests only, no scan of the entries);
         # the dense view and unlock table are cached, so (d, o) stay fixed
         _check_n(self.n_qubits)
-        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
+        parts = {lab: tuple(map(np.asarray, pair)) for lab, pair in self.parts.items()}
+        object.__setattr__(self, "parts", MappingProxyType(parts))
         if self.parts.keys() != set(LABELS):
             raise BadLabel(f"family labels {sorted(map(str, self.parts))}, want {LABELS}")
         dim = 1 << self.n_qubits
@@ -107,6 +118,8 @@ class BEFamily:
 
 
 def _check_n(n):
+    if not isinstance(n, (int, np.integer)):
+        raise BadParam(f"qubit number must be an integer, got {n!r}")
     if n % 2 != 0:
         raise OddN(f"family exists only for even qubit numbers, got {n}")
     if not 4 <= n <= 10:
@@ -183,16 +196,14 @@ def _cut_masks(n, cuts):
     return np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
 
 
-def _pt_minima(d, dbar, coupling):
-    """Smallest eigenvalue of the 2x2 blocks [[d, c], [c, dbar]] with
-    c = coupling, minimized over the last axis.  d and dbar broadcast
-    against coupling, a fresh array that is overwritten."""
+def _pt_minima(d, dbar, c2):
+    """Smallest eigenvalue (d + dbar)/2 - sqrt(((d - dbar)/2)^2 + c2) of the
+    2x2 blocks [[d, c], [c*, dbar]], c2 = |c|^2 (a fresh array, overwritten),
+    minimized over the last axis.  On verify_family's gated parts the root's
+    argument is exact and IEEE sqrt correctly rounded: each sign is exact."""
     half = (d - dbar) / 2
-    # hypot(0, c) = c exactly, so the costly hypot is skipped when every
-    # d[r] = d[rbar], as in every family member
-    if half.any():
-        np.hypot(half, coupling, out=coupling)
-    return np.subtract((d + dbar) / 2, coupling, out=coupling).min(axis=-1)
+    np.sqrt(np.add(half * half, c2, out=c2), out=c2)
+    return np.subtract((d + dbar) / 2, c2, out=c2).min(axis=-1)
 
 
 def pt_min_eigenvalues(parts, cuts):
@@ -200,13 +211,12 @@ def pt_min_eigenvalues(parts, cuts):
 
     Transposing the qubits in a cut with bit mask S moves the entry at
     (q, qbar) to (q ^ S, qbar ^ S), so the PT splits into 2x2 blocks
-    {r, rbar} with off-diagonal o[r ^ S] and eigenvalues
-    (d_r + d_rbar)/2 +/- sqrt(((d_r - d_rbar)/2)^2 + |o[r ^ S]|^2).
+    {r, rbar} with off-diagonal o[r ^ S], whose minima _pt_minima takes.
     """
     d, o = parts
     dim = d.shape[-1]
     index = np.arange(dim) ^ _cut_masks(dim.bit_length() - 1, cuts)[:, None]
-    return _pt_minima(d[..., None, :], d[..., None, ::-1], np.take(np.abs(o), index, axis=-1))
+    return _pt_minima(d[..., None, :], d[..., None, ::-1], np.take((o * o.conj()).real, index, axis=-1))
 
 
 def _pauli_conjugate(parts, u, k):
@@ -357,66 +367,54 @@ class FamilyReport:
 
     @property
     def all_pass(self):
-        return all(
-            [
-                self.orthogonal,
-                self.permutation_symmetric,
-                self.even_cut_ppt,
-                self.single_vs_rest_npt,
-                self.pauli_connected,
-                self.reduced_max_mixed,
-                self.unlock_ok,
-            ]
-        )
+        return all(getattr(self, check) for check in CHECKS)
 
 
 def verify_family(fam, quick=False):
-    """Run the seven family checks and collect per-cut PT evidence.
-
-    The four states are stacked as (4, 2^n) arrays d, o and each check is a
-    few array operations on them; none builds the dense matrices.
-    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T); the Pauli
-    connection on qubits 0 and n - 1 is one gather through a per-n index
-    table; unlocking reads the family's unlock table, built on first use.
+    """Run the seven family checks and collect per-cut PT evidence on the
+    four states stacked as (4, 2^n) arrays d, o; none builds a dense matrix.
 
     A stack invariant under every qubit permutation is constant on each
-    Hamming-weight class, so symmetry is one gather: each entry against
-    its class representative.  When it holds, the marginals and PT minima
-    read the n + 1 class values of each state: an index with a ones inside
-    a cut of size s and b outside has diagonal weights a + b and n - a - b
-    and coupling weight s - a + b, so all cuts of one size share the
-    minimum over (a, b).  Else pt_min_eigenvalues gives each cut's minimum
-    from all 2^n entries, and each marginal sums the halves of a qubit's
-    axis.
+    Hamming-weight class, so symmetry is one gather: each entry against its
+    class representative.  Then _check_dyadic gates the n + 1 class values
+    of a symmetric stack, or every entry of another.  On gated parts at
+    n <= 10 every product and sum below is an integer under 2^51 in units
+    of 16^-n, so all seven checks are exact comparisons.
 
-    Symmetry, the Pauli connection, the marginals and unlock are exact
-    comparisons (a Pauli conjugation is a gather times +/-1, and a family's
-    sums are exact); orthogonality and the two PT flags keep their
-    tolerances.  quick=True only leaves `cut_evidence` empty.
+    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T) against 0.  On a
+    symmetric stack the marginals and PT minima read the class values: an
+    index with a ones inside a cut of size s and b outside has diagonal
+    weights a + b and n - a - b and coupling weight s - a + b, so all cuts
+    of one size share the minimum over (a, b); else pt_min_eigenvalues
+    gives each cut's minimum and each marginal sums the halves of a qubit's
+    axis.  The PT flags read each minimum's sign, the Pauli connection on
+    qubits 0 and n - 1 is a gather times +/-1, and unlock reads the
+    family's unlock table.  quick=True only leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
     d, o = fam._stacked()
 
-    gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
-    orthogonal = bool((np.abs(gram[_TRIU]) < ORTHO_TOL).all())
-
     rep, cls, w, wbar, wcut = _class_table(n)
     stack = np.concatenate((d, o))
     permutation_symmetric = np.array_equal(stack, stack[:, cls])
+    _check_dyadic(stack[:, rep] if permutation_symmetric else stack, n)
+
+    gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
+    orthogonal = bool((gram[_TRIU] == 0).all())
 
     cuts, size = _cut_table(n)
     flat = 1.0 / (1 << (n - 1))
     if permutation_symmetric:
-        cd = d[:, rep]
-        mins = _pt_minima(cd[:, w], cd[:, wbar], np.abs(o[:, rep])[:, wcut])[:, size]
+        cd, co = d[:, rep], o[:, rep]
+        mins = _pt_minima(cd[:, w], cd[:, wbar], (co * co.conj()).real[:, wcut])[:, size]
         reduced_max_mixed = bool((cd[:, :-1] + cd[:, 1:] == flat).all())
     else:
         mins = pt_min_eigenvalues((d, o), cuts)
         halves = d.reshape((4,) + (2,) * n)
         reduced_max_mixed = all((halves.sum(axis=j) == flat).all() for j in range(1, n + 1))
     single = size == 1
-    even_cut_ppt = bool((mins[:, ~single] >= -PPT_TOL).all())
-    single_vs_rest_npt = bool((mins[:, single] < -NPT_TOL).all())
+    even_cut_ppt = bool((mins[:, ~single] >= 0).all())
+    single_vs_rest_npt = bool((mins[:, single] < 0).all())
     evidence = []
     if not quick:
         evidence = [(lab, cut, m) for cut, row in zip(cuts, mins.T.tolist()) for lab, m in zip(LABELS, row)]
@@ -440,6 +438,15 @@ def verify_family(fam, quick=False):
     )
 
 
+def _check_dyadic(x, n):
+    """Raise NotDyadic unless each real and imaginary part of x is k 4^-n, k an integer, |k| <= 4^n."""
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        k = np.where(np.abs(part) <= 1, part, np.nan) * 4.0**n  # NaN fails k == rint(k)
+        if not (k == np.rint(k)).all():
+            bad = float(part[k != np.rint(k)][0])
+            raise NotDyadic(f"family entry {bad!r} is not an integer multiple of 4^-{n} with modulus <= 1")
+
+
 class _UnlockTable(NamedTuple):
     probability: np.ndarray  # (rows, outcome)
     conditional: tuple  # per row, (outcome, 4, 4) normalized, in the row's dtype
@@ -455,11 +462,11 @@ def _unlock_table(rows):
     sum_x P[x, x] d[(x, j)] and cond[j, jbar] = sum_x P[xbar, x] o[(x, j)]
     before normalization.  Those sums are one stacked product pd @ d and one
     po @ o per dtype of o, so that each conditional keeps its row's dtype.
-    On dyadic rows, as in every family, each partial sum is exact, so any
-    summation order gives the bits of one product per row and outcome; on
-    other rows, such as a matrix assigned in `hiding`, the last bits may
-    differ from that.  The conditionals are one stacked ghz_dense and their
-    fidelities with the four Bell states one batched matmul per dtype.
+    On dyadic rows, as in every family, each sum is exact in any order; on
+    other rows, such as a matrix assigned in `hiding`, its last bits may
+    depend on the order.  The conditionals are one stacked ghz_dense and their
+    fidelities with the four Bell states one batched matmul per dtype; an
+    outcome of probability 0 gets a NaN conditional and fidelity.
     """
     pd, po = _outcome_parts(rows[0][0].size.bit_length() - 1)
     probability = np.empty((len(rows), 4))
@@ -470,7 +477,8 @@ def _unlock_table(rows):
         d, o = (np.array([rows[i][k] for i in idx]).reshape(len(idx), -1, 4) for k in (0, 1))
         diag = pd @ d  # (row, outcome, j)
         probability[idx] = prob = diag.sum(axis=-1)
-        cond = ghz_dense(diag, po @ o) / prob[..., None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = ghz_dense(diag, po @ o) / prob[..., None, None]
         fidelity[idx] = (_BELLS.conj()[:, None, :] @ cond[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
         for i, c in zip(idx, cond):
             conditional[i] = c

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import tolerances
 from .bound_entangled import (
+    CHECKS,
     LABELS,
     be_family,
     be_family_direct,
@@ -412,17 +413,7 @@ def cmd_bound(args):
     if args.action == "verify":
         fam = be_family(args.n)
         rep = verify_family(fam, quick=args.quick)
-        out = {
-            "n": rep.n_qubits,
-            "orthogonal": rep.orthogonal,
-            "permutation_symmetric": rep.permutation_symmetric,
-            "even_cut_ppt": rep.even_cut_ppt,
-            "single_vs_rest_npt": rep.single_vs_rest_npt,
-            "pauli_connected": rep.pauli_connected,
-            "reduced_max_mixed": rep.reduced_max_mixed,
-            "unlock_ok": rep.unlock_ok,
-            "all_pass": rep.all_pass,
-        }
+        out = {"n": rep.n_qubits, **{check: getattr(rep, check) for check in CHECKS}, "all_pass": rep.all_pass}
         if rep.cut_evidence:
             out["cuts"] = [
                 {"state": lab, "cut": list(cut), "min_pt_eigenvalue": m}

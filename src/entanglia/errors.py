@@ -108,3 +108,7 @@ class BadParty(EntangliaError):
 
 class NotGHZDiagonal(EntangliaError):
     pass
+
+
+class NotDyadic(EntangliaError):
+    pass

@@ -65,18 +65,12 @@ FRACTION_SEESAW_TOL = 1e-10
 RANK2_SEESAW_TOL = 1e-12
 UPB_SEESAW_TOL = 1e-14
 
-# Bound entangled family checks (verify_family).  Permutation symmetry, the
-# Pauli connection, the marginals and unlock compare exact values and need
-# no tolerance; the three below gate computed sums and differences.
-# Largest overlap for two states to count as orthogonal: |tr(rho_x rho_y)|
-# of family members, and each |<x|y> - delta_xy| of the Tiles UPB.
+# verify_family reads no tolerance: it gates its input and compares exact values.
+# Largest |<x|y> - delta_xy| for the Tiles UPB states to count as orthonormal.
 ORTHO_TOL = 1e-12
 # A partial transpose is PPT when its smallest eigenvalue is >= -PPT_TOL
-# (is_ppt, even:even family cuts); a rank-2 overlap with it below -PPT_TOL
-# certifies distillability.
+# (is_ppt); a rank-2 overlap with it below -PPT_TOL certifies distillability.
 PPT_TOL = 1e-9
-# 1:(n-1) cuts are NPT when their smallest PT eigenvalue is < -NPT_TOL.
-NPT_TOL = 1e-6
 
 
 def as_dict():

@@ -4,6 +4,7 @@ import pytest
 from entanglia.bound_entangled import (
     LABELS,
     BEFamily,
+    FamilyReport,
     MAX_UPB_TRIALS,
     PAIRING,
     be_family,
@@ -59,6 +60,23 @@ def test_rejects_bad_n():
 def test_family_rejects_parts_that_do_not_fit(n, parts, error):
     with pytest.raises(error):
         BEFamily(n, parts())
+
+
+def test_family_takes_number_lists_and_rejects_a_non_integer_n():
+    fam = be_family(4)
+    lists = {lab: tuple(v.tolist() for v in pair) for lab, pair in fam.parts.items()}
+    built = BEFamily(4, lists)
+    assert all(np.array_equal(a, b) for lab in LABELS for a, b in zip(built.parts[lab], fam.parts[lab]))
+    assert verify_family(built).all_pass
+    with pytest.raises(BadDims):
+        BEFamily(4, {**lists, "rho+": ([0.0] * 16, [[0.0] * 4] * 4)})
+    for n in (4.0, "4", None):
+        with pytest.raises(BadParam):
+            BEFamily(n, fam.parts)
+    with pytest.raises(BadParam):
+        be_family(4.0)
+    with pytest.raises(BadParam):
+        be_family_direct(6.0)
 
 
 def test_n4_rho_plus_is_bell_mixture():
@@ -149,6 +167,24 @@ def test_verify_family_n4_n6():
         evens = [m for _, cut, m in rep.cut_evidence if len(cut) > 1]
         assert max(singles) < -1e-6
         assert min(evens) >= -1e-9
+
+
+def test_all_pass_needs_every_check():
+    checks = dict.fromkeys(
+        [
+            "orthogonal",
+            "permutation_symmetric",
+            "even_cut_ppt",
+            "single_vs_rest_npt",
+            "pauli_connected",
+            "reduced_max_mixed",
+            "unlock_ok",
+        ],
+        True,
+    )
+    assert FamilyReport(4, **checks).all_pass
+    for check in checks:
+        assert not FamilyReport(4, **{**checks, check: False}).all_pass, check
 
 
 def test_verify_family_deterministic():

@@ -10,12 +10,17 @@ n = 10.
 """
 
 import dataclasses
+import math
+import warnings
+from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import rng_for
+from entanglia import hiding
 from entanglia.bound_entangled import (
     LABELS,
     PAIRING,
@@ -36,7 +41,7 @@ from entanglia.bound_entangled import (
     unlock,
     verify_family,
 )
-from entanglia.errors import NotGHZDiagonal
+from entanglia.errors import NotDyadic, NotGHZDiagonal
 from entanglia.hiding import CODEBOOK, decode_by_unlock, decode_global, hide, trace_security
 from entanglia.linalg import (
     eigvals_hermitian,
@@ -48,7 +53,6 @@ from entanglia.linalg import (
     trace_norm,
 )
 from entanglia.states import ID2, bell
-from entanglia.tolerances import NPT_TOL, ORTHO_TOL, PPT_TOL
 
 BELLS = ("phi+", "phi-", "psi+", "psi-")
 # Two float64 routes to an O(1) number: a few hundred ulps apart at most.
@@ -308,28 +312,24 @@ def test_off_structure_entry_rejected():
 
 # ---------------------------------------------------------------------------
 # The loop-based family checks and unlock that the stacked ones replaced,
-# kept verbatim as bit-exact oracles.
+# kept as bit-exact oracles; like verify_family, they compare exact values.
 
 
 def loop_pt_min_eigenvalues(parts, cuts):
     d, o = parts
     n = d.size.bit_length() - 1
     masks = np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
-    coupling = np.abs(o[np.arange(d.size) ^ masks[:, None]])
+    c2 = (o * o.conj()).real[np.arange(d.size) ^ masks[:, None]]
     mean = (d + d[::-1]) / 2  # d[::-1][r] = d[rbar]
     half = (d - d[::-1]) / 2
-    return (mean - np.hypot(half, coupling)).min(axis=1)
+    return (mean - np.sqrt(half * half + c2)).min(axis=1)
 
 
-def loop_verify_family(fam, quick=False):
+def loop_verify_family(fam):
     n = fam.n_qubits
     parts = fam.parts
 
-    orthogonal = all(
-        abs(ghz_overlap(parts[x], parts[y])) < ORTHO_TOL
-        for i, x in enumerate(LABELS)
-        for y in LABELS[i + 1:]
-    )
+    orthogonal = all(ghz_overlap(parts[x], parts[y]) == 0 for i, x in enumerate(LABELS) for y in LABELS[i + 1:])
 
     def swap(v, k):  # exchange qubits k and k + 1
         return np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1)
@@ -341,13 +341,11 @@ def loop_verify_family(fam, quick=False):
         for v in pair
     )
 
-    evidence = []
-    if not quick:
-        cuts = even_cuts(n) + [(j,) for j in range(n)]
-        mins = {lab: loop_pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
-        evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
-    even_cut_ppt = all(m >= -PPT_TOL for _, cut, m in evidence if len(cut) > 1)
-    single_vs_rest_npt = all(m < -NPT_TOL for _, cut, m in evidence if len(cut) == 1)
+    cuts = even_cuts(n) + [(j,) for j in range(n)]
+    mins = {lab: loop_pt_min_eigenvalues(parts[lab], cuts) for lab in LABELS}
+    evidence = [(lab, cut, float(mins[lab][i])) for i, cut in enumerate(cuts) for lab in LABELS]
+    even_cut_ppt = all(m >= 0 for _, cut, m in evidence if len(cut) > 1)
+    single_vs_rest_npt = all(m < 0 for _, cut, m in evidence if len(cut) == 1)
 
     pauli_connected = all(
         np.array_equal(got, want)
@@ -637,27 +635,47 @@ def test_tampered_families_fail_where_the_oracle_does(n):
     failed = set()
     for name in TAMPERS:
         fam = tampered(n, name)
-        with np.errstate(divide="ignore", invalid="ignore"):  # an outcome of probability 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # the oracle divides by an outcome of probability 0
             want = loop_verify_family(fam)
-            got, quick = verify_family(fam), verify_family(fam, quick=True)
+        got, quick = verify_family(fam), verify_family(fam, quick=True)
         assert_same_report(got, want)
         assert quick.cut_evidence == []
         assert all(getattr(quick, c) == getattr(want, c) for c in CHECKS), name
         failed |= {c for c in CHECKS if not getattr(want, c)}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s, lab in CODEBOOK.items():
-                assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
-                h = hide(s, n, family=fam)
-                for seed in range(5):
-                    assert decode_by_unlock(h, seed) == loop_decode_by_unlock(h, seed), (name, s, seed)
+        for s, lab in CODEBOOK.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want_unlock = loop_unlock(fam, lab)
+                want_secrets = [loop_decode_by_unlock(hide(s, n, family=fam), seed) for seed in range(5)]
+            assert_same_unlock(unlock(fam, lab), want_unlock)
+            h = hide(s, n, family=fam)
+            assert [decode_by_unlock(h, seed) for seed in range(5)] == want_secrets, (name, s)
     assert failed == set(CHECKS)
+
+
+def test_zero_probability_outcome_is_nan_and_never_drawn():
+    """The GHZ state in place of rho+ leaves two unlock outcomes at
+    probability 0: they condition to NaN without a numpy warning, and no
+    decode draws them."""
+    fam = tampered(4, "ghz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = unlock(fam, "rho+")
+        h = hide(0, 4, family=fam)
+        cdf, secrets = hiding._decode_table(*h._unlock_row())
+        drawn = {int(hiding._draw(cdf, seed)) for seed in range(1000)}
+        decoded = {decode_by_unlock(h, seed) for seed in range(1000)}
+    zero = {i for i, out in enumerate(outs) if out["probability"] == 0.0}
+    assert zero and drawn and not zero & drawn
+    assert all(np.isnan(outs[i]["conditional"]).all() and np.isnan(outs[i]["fidelity"]) for i in zero)
+    assert decoded == {secrets[i] for i in drawn}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 @pytest.mark.parametrize("part", ["d", "o"])
 def test_nan_at_an_end_fails_the_symmetry(n, part):
     """No adjacent swap moves the entries at 0...0 and 1...1; a NaN there
-    still fails permutation symmetry, as in the loop oracle."""
+    still fails permutation symmetry, as in the loop oracle, so the gate
+    reads every entry and rejects the family before any check runs."""
     for q in (0, (1 << n) - 1):
         parts = dict(be_family(n).parts)
         d, o = (v.copy() for v in parts["rho+"])
@@ -665,20 +683,26 @@ def test_nan_at_an_end_fails_the_symmetry(n, part):
         parts["rho+"] = (d, o)
         fam = BEFamily(n, parts)
         with np.errstate(invalid="ignore"):
-            want = loop_verify_family(fam)
-            got, quick = verify_family(fam), verify_family(fam, quick=True)
-        assert not got.permutation_symmetric
-        assert all(getattr(got, c) == getattr(quick, c) == getattr(want, c) for c in CHECKS), q
+            assert not loop_verify_family(fam).permutation_symmetric
+        for quick in (False, True):
+            with pytest.raises(NotDyadic, match="nan"):
+                verify_family(fam, quick=quick)
+        assert "_unlock" not in fam.__dict__
 
 
 def random_symmetric_family(n, rng):
-    """Four random states constant on each Hamming-weight class, with
-    cd[w] != cd[n - w], so the PT minima take the hypot branch."""
+    """Four random states constant on each Hamming-weight class, on the
+    4^-n grid, with cd[w] != cd[n - w], so that PT blocks have unequal
+    diagonals.  The couplings are drawn up to a bound per family, about
+    half the time below every diagonal entry, so some families are PPT on
+    every cut and others are not."""
     weight = np.bitwise_count(np.arange(1 << n))
+    quarter = 1 << (2 * n - 2)  # 1/4 in units of 4^-n
+    bound = int(rng.integers(1, 2 * quarter))
     parts = {}
     for lab in LABELS:
-        cd, co = rng.random(n + 1), rng.standard_normal(n + 1)
-        parts[lab] = (cd[weight], co[weight])
+        cd, co = rng.integers(quarter, 2 * quarter, n + 1), rng.integers(-bound, bound + 1, n + 1)
+        parts[lab] = (cd[weight] / (4 * quarter), co[weight] / (4 * quarter))
         assert (cd != cd[::-1]).any()
     return BEFamily(n, parts)
 
@@ -703,7 +727,7 @@ def test_quick_checks_every_cut_when_the_symmetry_fails():
     fam = tampered(4, "one_cut_npt")
     rep = verify_family(fam)
     assert not rep.permutation_symmetric and not rep.even_cut_ppt
-    npt = {cut for lab, cut, m in rep.cut_evidence if len(cut) > 1 and m < -PPT_TOL}
+    npt = {cut for lab, cut, m in rep.cut_evidence if len(cut) > 1 and m < 0}
     assert npt == {(0, 2)}  # the representative cut (0, 1) alone would miss it
     assert not verify_family(fam, quick=True).even_cut_ppt
 
@@ -723,9 +747,10 @@ def test_representative_cut_is_exact(build, n):
 
 
 # ---------------------------------------------------------------------------
-# Changes of one or two ulps of the entries 2^(1-n), which the tolerances of
-# the symmetry (1e-12), Pauli (1e-9), marginal (1e-12) and unlock (1e-9)
-# checks accepted and their exact comparisons reject.
+# Changes of one or two ulps of the entries 2^(1-n), which the removed
+# tolerances of the symmetry (1e-12), Pauli (1e-9), marginal (1e-12) and
+# unlock (1e-9) checks accepted: each leaves the 4^-n grid, so the dyadic
+# gate rejects it before any check runs.
 
 
 def _asymmetric(parts, n, eps):
@@ -758,53 +783,176 @@ def _off_support(parts, n, eps):
     return {lab: (np.where(d > 0, d, eps), o) for lab, (d, o) in parts.items()}
 
 
-# name -> (change, the checks it fails).  Exact symmetry, Pauli connection
-# and unlock pin every diagonal, so a marginal failure always comes with one
-# of theirs; the Pauli change here, noise on one member, fails unlock too.
 FEW_ULP = {
-    "asymmetric": (_asymmetric, {"permutation_symmetric"}),
-    "one_noisy_member": (_one_noisy_member, {"pauli_connected", "unlock_ok"}),
-    "off_support": (_off_support, {"reduced_max_mixed", "unlock_ok"}),
-    "white_noise": (_white_noise, {"unlock_ok"}),
+    "asymmetric": _asymmetric,
+    "one_noisy_member": _one_noisy_member,
+    "off_support": _off_support,
+    "white_noise": _white_noise,
 }
-
-
-def tolerance_residuals(fam):
-    """What the four removed tolerances bounded: the largest entry change
-    under an adjacent swap, between a Pauli-conjugated rho+ and its
-    sibling, and of a marginal from flat, and the largest |probability -
-    1/4| or 1 - fidelity of an unlock outcome."""
-    n, parts = fam.n_qubits, fam.parts
-    swap = max(
-        np.abs(np.swapaxes(v.reshape((2,) * n), k, k + 1).reshape(-1) - v).max()
-        for k in range(n - 1)
-        for pair in parts.values()
-        for v in pair
-    )
-    pauli = max(
-        np.abs(got - want).max()
-        for k in (0, n - 1)
-        for lab in LABELS
-        for got, want in zip(_pauli_conjugate(parts["rho+"], PAULI_CONNECTION[lab], k), parts[lab])
-    )
-    flat = 2.0 ** (1 - n)
-    marginal = max(np.abs(reduced_diagonal(d, j) - flat).max() for j in range(n) for d, _ in parts.values())
-    outcome = max(
-        max(abs(out["probability"] - 0.25), 1.0 - out["fidelity"]) for lab in LABELS for out in unlock(fam, lab)
-    )
-    return swap, pauli, marginal, outcome
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 @pytest.mark.parametrize("name", sorted(FEW_ULP))
 def test_few_ulp_changes_fail_the_exact_checks(n, name):
-    change, fails = FEW_ULP[name]
     eps = np.spacing(2.0 ** (1 - n))  # one ulp of the nonzero entries
     before = be_family(n).parts
-    fam = BEFamily(n, change(before, n, eps))
+    fam = BEFamily(n, FEW_ULP[name](before, n, eps))
     moved = max(np.abs(a - b).max() for lab in LABELS for a, b in zip(fam.parts[lab], before[lab]))
     assert 0 < moved <= 2 * eps
-    assert all(r <= tol for r, tol in zip(tolerance_residuals(fam), (1e-12, 1e-9, 1e-12, 1e-9)))
+    for quick in (False, True):
+        with pytest.raises(NotDyadic):
+            verify_family(fam, quick=quick)
+
+
+# ---------------------------------------------------------------------------
+# The dyadic gate, and the three flags it makes exact against an oracle in
+# rational arithmetic.
+
+# name -> (part, index, value per n) of rho+; indices 0 and -1 are classes
+# of one string each, so a change there keeps the family symmetric and the
+# gate reads class values, while index 1 breaks the symmetry.
+NOT_DYADIC = {
+    "nan": ("d", 0, lambda n: np.nan),
+    "inf": ("o", 0, lambda n: np.inf),
+    "minus_inf": ("d", -1, lambda n: -np.inf),
+    "one_ulp": ("d", 0, lambda n: np.nextafter(2.0 ** (1 - n), 1.0)),
+    "one_ulp_asymmetric": ("o", 1, lambda n: np.spacing(0.0)),
+    "modulus_above_1": ("d", 0, lambda n: 1.25),
+    "modulus_above_1_asymmetric": ("o", 1, lambda n: -2.0),
+    "off_grid_imaginary": ("o", 0, lambda n: 2.0 ** (1 - n) + 1j * 4.0 ** -(n + 1)),
+}
+# the grid's edges pass: modulus 1 and one unit 4^-n, real or imaginary
+ON_GRID = {
+    "one": ("d", 0, lambda n: 1.0),
+    "minus_one": ("o", -1, lambda n: -1.0),
+    "one_unit": ("d", 1, lambda n: 4.0**-n),
+    "imaginary_unit": ("o", 0, lambda n: 2.0 ** (1 - n) - 1j * 4.0**-n),
+}
+
+
+def with_entry(n, part, q, value):
+    parts = dict(be_family(n).parts)
+    d, o = parts["rho+"]
+    v = (d if part == "d" else o).astype(np.result_type(d, value))
+    v[q] = value
+    parts["rho+"] = (v, o) if part == "d" else (d, v)
+    return BEFamily(n, parts)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("name", sorted(NOT_DYADIC))
+def test_gate_rejects_what_is_off_the_grid(n, name):
+    part, q, value = NOT_DYADIC[name]
+    fam = with_entry(n, part, q, value(n))
+    for quick in (False, True):
+        with pytest.raises(NotDyadic, match=f"4\\^-{n}"):
+            verify_family(fam, quick=quick)
+    assert "_unlock" not in fam.__dict__  # no check ran
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("name", sorted(ON_GRID))
+def test_gate_accepts_the_grid_edges(n, name):
+    part, q, value = ON_GRID[name]
+    rep = verify_family(with_entry(n, part, q, value(n)))
+    assert not rep.all_pass
+
+
+def fraction_flags(fam):
+    """(orthogonal, even_cut_ppt, single_vs_rest_npt) in exact rational
+    arithmetic, from the entries alone.  A PT block [[a, c], [c*, b]] is
+    PSD iff a + b >= 0 and a b >= |c|^2; each state's a b and |c|^2 are
+    compared as integer numerators over one common denominator."""
+    n = fam.n_qubits
+    top = (1 << n) - 1
+    d, o = {}, {}
+    for lab in LABELS:
+        dv, ov = (v.tolist() for v in fam.parts[lab])
+        d[lab] = [Fraction(x) for x in dv]
+        o[lab] = [(Fraction(complex(z).real), Fraction(complex(z).imag)) for z in ov]
+
+    def overlap(x, y):  # tr(rho_x rho_y)
+        diag = sum(a * b for a, b in zip(d[x], d[y]))
+        anti = sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(o[x], reversed(o[y])))
+        return diag + anti
+
+    orthogonal = all(overlap(x, y) == 0 for i, x in enumerate(LABELS) for y in LABELS[i + 1:])
+
+    def mask(cut):
+        return sum(1 << (n - 1 - k) for k in cut)
+
+    even = [mask((0,) + rest) for size in range(2, n - 1, 2) for rest in combinations(range(1, n), size - 1)]
+    single = [mask((k,)) for k in range(n)]
+    even_cut_ppt = single_vs_rest_npt = True
+    for lab in LABELS:
+        dd = d[lab]
+        trace_ok = [dd[r] + dd[r ^ top] >= 0 for r in range(top + 1)]
+        det = [dd[r] * dd[r ^ top] for r in range(top + 1)]
+        c2 = [re * re + im * im for re, im in o[lab]]
+        den = math.lcm(*(x.denominator for x in det + c2))
+        det, c2 = ([x.numerator * (den // x.denominator) for x in v] for v in (det, c2))
+
+        def psd(r, s):
+            return trace_ok[r] and det[r] >= c2[r ^ s]
+
+        even_cut_ppt &= all(psd(r, s) for s in even for r in range(top + 1))
+        single_vs_rest_npt &= all(not all(psd(r, s) for r in range(top + 1)) for s in single)
+    return orthogonal, even_cut_ppt, single_vs_rest_npt
+
+
+def exact_flags(rep):
+    return rep.orthogonal, rep.even_cut_ppt, rep.single_vs_rest_npt
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_fraction_oracle_on_the_family_and_tampered_ones(n):
+    seen = set()
+    for fam in [be_family(n), be_family_direct(n)] + [tampered(n, name) for name in TAMPERS]:
+        want = fraction_flags(fam)
+        assert exact_flags(verify_family(fam)) == want
+        seen.add(want)
+    assert {flag for flags in seen for flag in flags} == {True, False}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_fraction_oracle_on_random_dyadic_families(n):
+    rng = rng_for("fraction-oracle", n)
+    seen = set()
+    for _ in range(50):
+        fam = random_symmetric_family(n, rng)
+        want = fraction_flags(fam)
+        assert exact_flags(verify_family(fam, quick=True)) == want
+        seen.add(want[1:])
+    assert seen >= {(True, False), (False, True)}
+
+
+def boundary_family(n, d_hi, d_mid, d_lo, c, bump=0):
+    """Every state with diagonal d_hi on weights below n/2, d_mid at n/2 and
+    d_lo above, and coupling c on every weight but c + bump on weight 1,
+    all in units of 4^-n: with d_hi d_lo = d_mid^2 = c^2 every PT block
+    has determinant exactly 0."""
+    weight = np.bitwise_count(np.arange(1 << n))
+    cd = np.where(weight < n // 2, d_hi, np.where(weight == n // 2, d_mid, d_lo)) * 4.0**-n
+    co = np.where(weight == 1, c + bump, c) * 4.0**-n
+    return BEFamily(n, {lab: (cd, co) for lab in LABELS})
+
+
+BOUNDARY = {
+    # name -> (d_hi, d_mid, d_lo, c, bump), exact flags (orthogonal, even_cut_ppt, single_vs_rest_npt)
+    "3-4-5": ((128, 64, 32, 64, 0), (False, True, False)),  # (128 - 32)/2 = 48, 48^2 + 64^2 = 80^2
+    "3-4-5_bumped": ((128, 64, 32, 64, 1), (False, False, True)),
+    "3-4-5_lowered": ((128, 64, 32, 64, -1), (False, True, False)),
+    "equal_diagonals": ((64, 64, 64, 64, 0), (False, True, False)),
+    "equal_diagonals_bumped": ((64, 64, 64, 64, 1), (False, False, True)),
+}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_fraction_oracle_on_zero_determinant_blocks(n, name):
+    args, want = BOUNDARY[name]
+    fam = boundary_family(n, *args)
     rep = verify_family(fam)
-    assert {c for c in CHECKS if not getattr(rep, c)} == fails
-    assert_same_report(rep, loop_verify_family(fam))
+    assert exact_flags(rep) == fraction_flags(fam) == want
+    if args[-1] == 0:  # the mean equals the exact root: every minimum is +0.0
+        assert {m.hex() for *_, m in rep.cut_evidence} == {(0.0).hex()}

@@ -103,18 +103,14 @@ def _coop_case2_candidates(sa, sb, seed):
             continue
         for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
             yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
-    # loosen the tie, one draw at a time: the uniform draw depends on beta
-    flat = np.ones(3)
-    for _ in range(4000):
-        beta = np.sort(rng.dirichlet(flat))[::-1]
-        if beta[0] <= a1 or beta[2] < 1e-3:
-            continue
-        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta[0] / b1 + COOP_MARGIN)
-        hi = min(beta[0], (beta[0] + beta[1]) / 2.0, 0.5 - COOP_MARGIN)
-        if lo >= hi:
-            continue
-        alpha1 = rng.uniform(lo, hi)
-        yield beta, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
+    # loosen the tie: 4000 betas in one draw, then one uniform alpha for
+    # each beta that leaves a nonempty interval
+    beta = np.sort(rng.dirichlet(np.ones(3), size=4000), axis=1)[:, ::-1]
+    lo = np.maximum(1.0 / 3.0 + COOP_MARGIN, a1 * beta[:, 0] / b1 + COOP_MARGIN)
+    hi = np.minimum(np.minimum(beta[:, 0], (beta[:, 0] + beta[:, 1]) / 2.0), 0.5 - COOP_MARGIN)
+    keep = (beta[:, 0] > a1) & (beta[:, 2] >= 1e-3) & (lo < hi)
+    for chi, alpha1 in zip(beta[keep], rng.uniform(lo[keep], hi[keep])):
+        yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
 
 
 def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):

@@ -1,17 +1,20 @@
 """Guards that keep `entanglia.tolerances` the only tolerance knob: no gate
 literal elsewhere in the package, no per-call tolerance parameter, no
 constant nobody reads, a report block and a README table that list every
-constant; and no error class nobody raises."""
+constant, no tolerance in the family decision; and no error class nobody
+raises."""
 
 import ast
 import importlib
 import inspect
+import io
 import pathlib
 import pkgutil
 import tokenize
 
 import entanglia
 from entanglia import tolerances
+from entanglia.bound_entangled import verify_family
 
 PACKAGE = pathlib.Path(entanglia.__file__).parent
 TOLERANCES = PACKAGE / "tolerances.py"
@@ -93,6 +96,25 @@ def test_every_error_class_is_named_elsewhere():
     names = _names(p for p in OTHER_SOURCES if p != ERRORS)
     unnamed = [c for c in classes if c != "EntangliaError" and c not in names]
     assert not unnamed, unnamed
+
+
+def test_family_checks_read_no_tolerance():
+    """verify_family, the unlock table it reads through `BEFamily._unlock`,
+    and every function of their module that they call, at any depth
+    (cached ones included), name no tolerance constant: the family decision
+    stays exact."""
+    module = inspect.getmodule(verify_family)
+    unwrapped = {name: inspect.unwrap(obj) for name, obj in vars(module).items() if callable(obj)}
+    functions = {name: obj for name, obj in unwrapped.items() if inspect.isfunction(obj)}
+    names, todo = {}, ["verify_family", "_unlock_table"]
+    while todo:
+        name = todo.pop()
+        source = io.StringIO(inspect.getsource(functions[name]))
+        names[name] = {tok.string for tok in tokenize.generate_tokens(source.readline) if tok.type == tokenize.NAME}
+        todo += [f for f in names[name] & functions.keys() if f not in names and f not in todo]
+    assert {"_check_dyadic", "_pt_minima", "pt_min_eigenvalues", "_class_table", "_outcome_parts"} <= names.keys()
+    read = {name: sorted(found & set(_constants())) for name, found in names.items()}
+    assert not any(read.values()), read
 
 
 def test_readme_table_lists_every_constant():
