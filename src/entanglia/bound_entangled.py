@@ -75,8 +75,9 @@ class BEFamily:
     parts: Mapping  # label -> (d, o), see ghz_parts
 
     def __post_init__(self):
-        # parts must fit n_qubits (shape tests only, no scan of the entries);
-        # the dense view and unlock table are cached, so (d, o) stay fixed
+        # parts must fit n_qubits, with a real d (shape and dtype tests only,
+        # no scan of the entries); the dense view and unlock table are
+        # cached, so (d, o) stay fixed
         _check_n(self.n_qubits)
         parts = {lab: tuple(map(np.asarray, pair)) for lab, pair in self.parts.items()}
         object.__setattr__(self, "parts", MappingProxyType(parts))
@@ -86,6 +87,8 @@ class BEFamily:
         for lab, (d, o) in self.parts.items():
             if d.shape != (dim,) or o.shape != (dim,):
                 raise BadDims(f"{lab}: d and o need shape ({dim},), got {d.shape} and {o.shape}")
+            if np.iscomplexobj(d):
+                raise BadParam(f"{lab}: d is a density matrix's diagonal and must be real, got dtype {d.dtype}")
             d.flags.writeable = o.flags.writeable = False
 
     @property
@@ -182,14 +185,30 @@ def ghz_overlap(a, b):
     return float(np.real(da @ db + oa @ ob[::-1]))  # ob[::-1][q] = ob[qbar]
 
 
+@cache
+def _halves(n):
+    """Read-only (n, 2, 2^(n-1)) basis indices: [p, b, r] is the index
+    whose qubit p reads b and whose other qubits spell r."""
+    r = np.arange(1 << (n - 1))
+    k = n - 1 - np.arange(n)[:, None]  # qubit p's place value is 2^k
+    low = ((r >> k) << (k + 1)) | (r & ((1 << k) - 1))
+    halves = np.stack([low, low | (1 << k)], axis=1)
+    halves.flags.writeable = False
+    return halves
+
+
 def reduced_diagonal(d, party):
-    """Diagonal of the state with qubit `party` traced out.
+    """Diagonal of the state with qubit `party` traced out, for diagonals
+    d of shape (..., 2^n).  A slice or an array of parties gives one
+    reduced diagonal per party, on an axis before the last.
 
     For a GHZ-diagonal state on n >= 2 qubits this is the whole reduced
-    matrix: no anti-diagonal entry survives the trace.
+    matrix: no anti-diagonal entry survives the trace.  Each entry is the
+    sum of the two entries of d that differ only at the traced qubit.
     """
-    n = d.size.bit_length() - 1
-    return d.reshape((2,) * n).sum(axis=party).reshape(-1)
+    n = d.shape[-1].bit_length() - 1
+    pair = d.take(_halves(n)[party], axis=-1)
+    return pair[..., 0, :] + pair[..., 1, :]
 
 
 def _cut_masks(n, cuts):
@@ -327,19 +346,19 @@ def be_family(n):
     The recursion runs on (d, o): kron(A, B) has diagonal kron(d_A, d_B)
     and anti-diagonal kron(o_A, o_B), and the entries of each kron off
     both diagonals cancel in the sum over outcomes.  Each level is one
-    broadcast product of the four states, stacked in label order, with the
-    (label, outcome, 4) table of exact Bell parts (built once per process),
-    summed over outcomes in label order.  Every product and sum is exact,
-    so the parts are float64 and equal be_family_direct's bit for bit.
+    matrix product of the four states, stacked in label order, with the
+    (label, outcome, 4) table of exact Bell parts (built once per process):
+    new[lab, (x, j)] = sum over outcomes of level[out, x] table[lab, out, j],
+    over 4.  Every product and sum is exact, so the parts are float64 and
+    equal be_family_direct's bit for bit.
     """
     _check_n(n)
     stacks = []
     for table in _bell_table():
         level = table[0]  # the two-qubit members: the rho+ row of PAIRING
         for _ in range(n // 2 - 1):
-            # p[lab, out] = kron(level[out], table[lab, out])
-            p = level[None, :, :, None] * table[:, :, None, :]
-            level = ((p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4.0).reshape(4, -1)
+            # new[lab, (x, j)] = sum_out level[out, x] table[lab, out, j] / 4
+            level = (level.T @ table / 4.0).reshape(4, -1)
         stacks.append(level)
     return BEFamily(n, {lab: (stacks[0][j], stacks[1][j]) for j, lab in enumerate(LABELS)})
 

@@ -8,11 +8,16 @@ the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
 assigned to `HiddenState.state`.  Without such a matrix, hiding, the
 attack, the security check and both decodes never build the family's
 dense view, and the unlock decode reads a row of the family's unlock
-table, built once per family.  The demo turns each label's row into a
-decode table once, so a trial's decode is one seeded draw.
+table, built once per family.  A demo trial makes only its seeded draws:
+the attack statistics of all trials are one batch of the shot kernel
+that `parity_attack` runs on one trial, the security check is one marginal
+pass over the family's four diagonals, and each label seen turns its
+unlock row into a decode table once.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -123,27 +128,64 @@ def string_distribution(state):
     return np.asarray(state).diagonal().real.copy()
 
 
-def _attack(h, seed, shots):
-    """The parity attack without its string counts: the sampled strings,
-    the family-bit guess and the even zero-count and +/- match counts."""
+def _check_shots(shots):
     if shots < 1:
         raise BadParam(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise TooLarge(f"shots = {shots} exceeds {MAX_SHOTS}")
-    n = h.n_qubits
-    # each support vector is (|p> +/- |pbar>)/sqrt(2); "rho+" -> "rho" strings
-    pairs = support_strings(n)[h.label[:-1]]
-    # The seeded stream is pinned to the scalar draws
-    # `pairs[rng.integers(len(pairs))][rng.integers(2)]`, shot after shot.
-    # Each takes one 32-bit word: for a power-of-two range k (len(pairs) is
-    # 2^(n-2)), Lemire's bounded draw keeps the word's top log2(k) bits and
-    # never rejects, so (word * k) >> 32 is that draw.
-    raw = np.random.default_rng(seed).integers(0, 1 << 32, size=(shots, 2), dtype=np.uint64)
-    side = raw[:, 1] >> 31
-    s = pairs[(raw[:, 0] * len(pairs)) >> 32, side]
-    even_count = int(np.count_nonzero(np.bitwise_count(s) % 2 == n % 2))
-    pm_matches = int(np.count_nonzero(side == (h.secret & 1)))  # side is the first bit
-    family_bit = 0 if even_count * 2 >= shots else 1
+
+
+def _shot_words(seed, shots):
+    """The attack's seeded draw: two 32-bit words a shot, (shots, 2) uint32.
+
+    The stream is pinned to the scalar draws
+    `pairs[rng.integers(len(pairs))][rng.integers(2)]`, shot after shot.
+    Each takes one 32-bit word: for a power-of-two range k (len(pairs) is
+    2^(n-2)), Lemire's bounded draw keeps the word's top log2(k) bits and
+    never rejects, so word >> (32 - log2(k)) is that draw.
+    """
+    return np.random.default_rng(seed).integers(0, 1 << 32, size=(shots, 2), dtype=np.uint32)
+
+
+# Block of _pair_table per family, the label without its sign: each support
+# vector of "rho+" or "rho-" is (|p> +/- |pbar>)/sqrt(2) for a "rho" pair.
+_KINDS = {"rho": 0, "sigma": 1}
+
+
+@cache
+def _pair_table(n):
+    """support_strings(n) of both families in one flat read-only table:
+    side b of pair r of family block k is entry ((k * pairs + r) << 1) | b."""
+    strings = support_strings(n)
+    table = np.concatenate([strings[kind].reshape(-1) for kind in _KINDS])
+    table.flags.writeable = False
+    return table
+
+
+@cache
+def _bit_strings(n):
+    """Every n-bit string, indexed by its value: the keys of the attack's counts."""
+    return tuple(format(q, f"0{n}b") for q in range(1 << n))
+
+
+def _shots(n, kind, pm_bit, words):
+    """The parity attack on a batch of trials.  Trial t reads row t of
+    `words` ((trials, shots, 2), see _shot_words) as shots on the support
+    strings of family block kind[t].  Returns the sampled strings
+    (trials, shots) and, per trial, the family-bit guess, the count of
+    strings with an even number of zeros, and the count of first bits
+    equal to pm_bit[t]."""
+    side = words[..., 1] >> 31  # the pair's side is the string's first bit
+    index = words[..., 0] >> (34 - n)  # the pair, of 2^(n-2)
+    index += (np.asarray(kind, dtype=np.uint32) << (n - 2))[:, None]
+    index <<= 1
+    index |= side
+    s = _pair_table(n)[index]
+    shots = words.shape[1]
+    even_count = shots - ((np.bitwise_count(s) & 1) ^ (n & 1)).sum(axis=-1, dtype=np.int64)
+    ones = side.sum(axis=-1, dtype=np.int64)
+    pm_matches = np.where(np.asarray(pm_bit) == 1, ones, shots - ones)
+    family_bit = (even_count * 2 < shots).astype(np.int64)
     return s, family_bit, even_count, pm_matches
 
 
@@ -152,32 +194,47 @@ def parity_attack(h, seed=0, shots=1000):
 
     The returned family bit always equals the secret's high bit (the
     protocol's documented leak); the +/- guess (taken from each string's
-    first bit) stays at chance.
+    first bit) stays at chance.  The shots are `_shots` on a batch of one
+    trial, and the counts keep the strings in first-seen order.
     """
-    s, family_bit, even_count, pm_matches = _attack(h, seed, shots)
-    keys, first, freq = np.unique(s, return_index=True, return_counts=True)
-    counts = {format(int(keys[i]), f"0{h.n_qubits}b"): int(freq[i]) for i in np.argsort(first)}
+    _check_shots(shots)
+    n = h.n_qubits
+    kind = _KINDS[h.label[:-1]]
+    s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], _shot_words(seed, shots)[None])
+    keys, first, freq = np.unique(s[0], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    names = _bit_strings(n)
+    family_bit = int(family_bit[0])
     return {
         "family_bit": family_bit,
         "family_bit_correct": family_bit == (h.secret >> 1),
-        "even_parity_fraction": even_count / shots,
-        "pm_match_rate": pm_matches / shots,
-        "counts": counts,
+        "even_parity_fraction": int(even_count[0]) / shots,
+        "pm_match_rate": int(pm_matches[0]) / shots,
+        "counts": {names[k]: f for k, f in zip(keys[order].tolist(), freq[order].tolist())},
     }
 
 
-def trace_security(h, excluded_party):
-    """Trace distance of the remaining parties' marginal from maximal
-    mixedness; zero means the coalition learns nothing.
+def _marginal_distances(d, parties):
+    """Trace distance from maximal mixedness of each diagonal in d
+    (..., 2^n) with each of `parties` (a party, a slice or an array)
+    traced out, one distance per party.
 
     The marginal of a GHZ-diagonal state is diagonal, so its trace norm
     distance is a sum of absolute differences.
     """
+    n = d.shape[-1].bit_length() - 1
+    return np.abs(reduced_diagonal(d, parties) - 1.0 / (1 << (n - 1))).sum(axis=-1)
+
+
+def trace_security(h, excluded_party):
+    """Trace distance of the remaining parties' marginal from maximal
+    mixedness; zero means the coalition learns nothing."""
     n = h.n_qubits
-    if not 0 <= excluded_party < n:
+    integer = isinstance(excluded_party, (int, np.integer)) and not isinstance(excluded_party, bool)
+    if not integer or not 0 <= excluded_party < n:
         raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
     d, _ = h.parts
-    return float(np.sum(np.abs(reduced_diagonal(d, excluded_party) - 1.0 / (1 << (n - 1)))))
+    return float(_marginal_distances(d, excluded_party))
 
 
 def _decode_table(probability, fidelity):
@@ -221,41 +278,46 @@ def decode_by_unlock(h, seed=0):
 def run_demo(n, trials, seed=0, shots=500):
     """Full protocol simulation: hide, attack, security check, unlock-decode.
 
-    Deterministic per seed; returns aggregate rates.
+    Deterministic per seed; returns aggregate rates.  Trial t draws its
+    secret from the seed (seed, t), its attack words from (seed, t, 1) and
+    its decode uniform from (seed, t, 2); those seeded draws are the only
+    per-trial work.  The attack statistics of all trials are one `_shots`
+    batch, the security check is one marginal pass over the family's four
+    diagonals for every party, and each label seen gets its decode table
+    once.
     """
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > MAX_SHOTS:
         raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
     fam = be_family(n)
-    unlock_hits = 0
-    family_hits = 0
-    pm_rate_total = 0.0
-    sec_max = 0.0
-    # Every trial of a label reads the same family state, so its worst
-    # marginal distance and its decode table are computed once per label.
-    per_label = {}
+    secrets = np.array([np.random.default_rng((seed, t)).integers(4) for t in range(trials)])
+    _check_shots(shots)  # after the first secret, where a trial's attack checks it
+    words = np.empty((trials, shots, 2), dtype=np.uint32)
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        secret = int(rng.integers(4))
-        h = hide(secret, n, family=fam)
-        _, family_bit, _, pm_matches = _attack(h, (seed, t, 1), shots)
-        family_hits += family_bit == (secret >> 1)
-        pm_rate_total += pm_matches / shots
-        if h.label not in per_label:
-            security = max(trace_security(h, p) for p in range(n))
-            per_label[h.label] = (security, *_decode_table(*h._unlock_row()))
-        security, cdf, secrets = per_label[h.label]
-        sec_max = max(sec_max, security)
-        if secrets[_draw(cdf, (seed, t, 2))] == secret:
-            unlock_hits += 1
+        words[t] = _shot_words((seed, t, 1), shots)
+    uniforms = np.array([np.random.default_rng((seed, t, 2)).random() for t in range(trials)])
+
+    # CODEBOOK holds the rho family at secrets 0, 1 and sigma at 2, 3
+    _, family_bit, _, pm_matches = _shots(n, secrets >> 1, secrets & 1, words)
+    pm_rate_total = 0.0
+    for matches in pm_matches.tolist():  # summed in trial order
+        pm_rate_total += matches / shots
+
+    seen = np.flatnonzero(np.bincount(secrets, minlength=4))
+    distances = _marginal_distances(np.array([fam.parts[lab][0] for lab in CODEBOOK.values()]), slice(None))
+    unlock_hits = 0
+    for secret in seen.tolist():
+        cdf, decoded = _decode_table(*hide(secret, n, family=fam)._unlock_row())
+        drawn = cdf.searchsorted(uniforms[secrets == secret], side="right")
+        unlock_hits += int(np.count_nonzero(np.array(decoded)[drawn] == secret))
     return {
         "n": n,
         "trials": trials,
         "seed": seed,
         "shots": shots,
         "unlock_rate": unlock_hits / trials,
-        "family_leak_rate": family_hits / trials,
+        "family_leak_rate": int(np.count_nonzero(family_bit == secrets >> 1)) / trials,
         "pm_bit_rate": pm_rate_total / trials,
-        "trace_security_max": sec_max,
+        "trace_security_max": float(distances[seen].max()),
     }

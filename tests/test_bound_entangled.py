@@ -62,6 +62,17 @@ def test_family_rejects_parts_that_do_not_fit(n, parts, error):
         BEFamily(n, parts())
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_family_rejects_a_complex_diagonal(n):
+    parts = dict(be_family(n).parts)
+    d, o = parts["rho+"]
+    parts["rho+"] = (d.astype(complex), o)
+    with pytest.raises(BadParam, match="rho\\+: d is"):
+        BEFamily(n, parts)
+    parts["rho+"] = (d, o.astype(complex))  # a complex anti-diagonal is allowed
+    assert verify_family(BEFamily(n, parts)).all_pass
+
+
 def test_family_takes_number_lists_and_rejects_a_non_integer_n():
     fam = be_family(4)
     lists = {lab: tuple(v.tolist() for v in pair) for lab, pair in fam.parts.items()}

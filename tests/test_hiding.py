@@ -3,7 +3,7 @@ import pytest
 
 import entanglia.bound_entangled as bound_entangled
 import entanglia.hiding as hiding
-from entanglia.bound_entangled import LABELS, be_family, support_strings
+from entanglia.bound_entangled import LABELS, BEFamily, be_family, be_family_direct, reduced_diagonal, support_strings
 from entanglia.errors import BadDims, BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
 from entanglia.hiding import (
     CODEBOOK,
@@ -155,8 +155,10 @@ def test_trace_security_exact():
         h = hide(s, 4, family=fam)
         for p in range(4):
             assert trace_security(h, p) < 1e-9
-    with pytest.raises(BadParty):
-        trace_security(hide(0, 4, family=fam), 4)
+    for party in (4, -1, True, 1.0, "1", None):  # the party indexes a table: only an integer in range
+        with pytest.raises(BadParty):
+            trace_security(hide(0, 4, family=fam), party)
+    assert trace_security(hide(0, 4, family=fam), np.int64(3)) == 0.0
 
 
 def test_marginals_secret_independent():
@@ -277,22 +279,40 @@ def test_run_demo_golden(args, rates):
     assert list(got) == list(want)
 
 
+def _random_family(n, seed, far=None):
+    """A family of random non-dyadic diagonals (o = 0): no marginal is
+    flat, and the one of label `far` is the farthest from flat."""
+    rng = np.random.default_rng(seed)
+    parts = {}
+    for lab in LABELS:
+        d = rng.random(1 << n) + (50.0 * np.eye(1 << n)[0] if lab == far else 0.0)
+        parts[lab] = (d / d.sum(), np.zeros(1 << n))
+    return BEFamily(n, parts)
+
+
 def test_run_demo_checks_each_label_once(monkeypatch):
-    calls = []
+    """One marginal pass per demo, and trace_security_max is the largest
+    trace_security over the labels the trials saw, not over all four."""
+    passes = []
+    stacked = hiding._marginal_distances
 
-    def counted(h, party):
-        calls.append((h.label, party))
-        return trace_security(h, party)
+    def counted(d, parties):
+        passes.append(d.shape)
+        return stacked(d, parties)
 
-    monkeypatch.setattr(hiding, "trace_security", counted)
-    for n, trials in ((4, 40), (6, 3)):
-        calls.clear()
-        rep = run_demo(n, trials, seed=2, shots=50)
-        labels = {lab for lab, _ in calls}
-        assert sorted(calls) == sorted((lab, p) for lab in labels for p in range(n))
-        assert len(calls) <= 4 * n  # was trials * n
-        assert rep["trace_security_max"] < 1e-9
-    assert len(labels) <= 3  # three trials see at most three labels
+    monkeypatch.setattr(hiding, "_marginal_distances", counted)
+    for n, trials, seed in ((4, 40, 2), (6, 3, 2), (8, 2, 5)):
+        seen = {CODEBOOK[int(np.random.default_rng((seed, t)).integers(4))] for t in range(trials)}
+        unseen = sorted(set(LABELS) - seen)
+        fam = _random_family(n, seed, far=unseen[0] if unseen else None)
+        monkeypatch.setattr(hiding, "be_family", lambda n, fam=fam: fam)
+        passes.clear()
+        rep = run_demo(n, trials, seed=seed, shots=50)
+        assert passes == [(4, 1 << n)]
+        want = max(trace_security(hide(s, n, family=fam), p) for s in range(4) if CODEBOOK[s] in seen for p in range(n))
+        assert rep["trace_security_max"] == want > 0.0
+        if unseen:
+            assert want < max(trace_security(hide(LABELS.index(unseen[0]), n, family=fam), p) for p in range(n))
 
 
 def test_run_demo_builds_the_unlock_table_once(monkeypatch):
@@ -352,3 +372,132 @@ def test_unlock_draw_rejects_what_generator_choice_rejects(probs):
         with pytest.raises(ValueError) as got:
             hiding._decode_table(probs, np.eye(4))
     assert str(want.value).startswith(str(got.value))
+
+
+# ---------------------------------------------------------------------------
+# the batched demo against the per-trial protocol it replaced
+
+
+def loop_attack(h, seed, shots):
+    """The per-trial attack as it was before the shots were batched."""
+    if shots < 1:
+        raise BadParam(f"shots must be >= 1, got {shots}")
+    if shots > hiding.MAX_SHOTS:
+        raise TooLarge(f"shots = {shots} exceeds {hiding.MAX_SHOTS}")
+    n = h.n_qubits
+    pairs = support_strings(n)[h.label[:-1]]
+    raw = np.random.default_rng(seed).integers(0, 1 << 32, size=(shots, 2), dtype=np.uint64)
+    side = raw[:, 1] >> 31
+    s = pairs[(raw[:, 0] * len(pairs)) >> 32, side]
+    even_count = int(np.count_nonzero(np.bitwise_count(s) % 2 == n % 2))
+    pm_matches = int(np.count_nonzero(side == (h.secret & 1)))
+    family_bit = 0 if even_count * 2 >= shots else 1
+    return s, family_bit, even_count, pm_matches
+
+
+def loop_trace_security(h, excluded_party):
+    """trace_security as it was before the stacked marginal pass."""
+    n = h.n_qubits
+    if not 0 <= excluded_party < n:
+        raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
+    d, _ = h.parts
+    reduced = d.reshape((2,) * n).sum(axis=excluded_party).reshape(-1)
+    return float(np.sum(np.abs(reduced - 1.0 / (1 << (n - 1)))))
+
+
+def loop_run_demo(n, trials, seed=0, shots=500):
+    """run_demo as it was before the trials were batched: every trial
+    hides, attacks and decodes on its own."""
+    if trials < 1:
+        raise BadParam(f"trials must be >= 1, got {trials}")
+    if trials * shots > hiding.MAX_SHOTS:
+        raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {hiding.MAX_SHOTS}")
+    fam = be_family(n)
+    unlock_hits = 0
+    family_hits = 0
+    pm_rate_total = 0.0
+    sec_max = 0.0
+    per_label = {}
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        secret = int(rng.integers(4))
+        h = hide(secret, n, family=fam)
+        _, family_bit, _, pm_matches = loop_attack(h, (seed, t, 1), shots)
+        family_hits += family_bit == (secret >> 1)
+        pm_rate_total += pm_matches / shots
+        if h.label not in per_label:
+            security = max(loop_trace_security(h, p) for p in range(n))
+            per_label[h.label] = (security, *hiding._decode_table(*h._unlock_row()))
+        security, cdf, secrets = per_label[h.label]
+        sec_max = max(sec_max, security)
+        if secrets[hiding._draw(cdf, (seed, t, 2))] == secret:
+            unlock_hits += 1
+    return {
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "shots": shots,
+        "unlock_rate": unlock_hits / trials,
+        "family_leak_rate": family_hits / trials,
+        "pm_bit_rate": pm_rate_total / trials,
+        "trace_security_max": sec_max,
+    }
+
+
+def _same(got, want):
+    """Equal dicts: keys in order, value types, and float bits."""
+    assert list(got) == list(want)
+    for key in want:
+        assert type(got[key]) is type(want[key]), key
+        if isinstance(want[key], float):
+            assert got[key].hex() == want[key].hex(), key
+        else:
+            assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_run_demo_equals_the_per_trial_loop(n):
+    for trials in (1, 2, 7, 40):
+        for shots in (1, 2, 3, 500, 1001):
+            for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5):
+                _same(run_demo(n, trials, seed=seed, shots=shots), loop_run_demo(n, trials, seed=seed, shots=shots))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (4, 0, 0, 500),  # no trials
+        (4, -3, 0, 500),
+        (6, 2001, 1, 500),  # 1000500 shots in all
+        (8, 1, 1, 10**6 + 1),
+        (5, 4, 0, 0),  # odd n is named before the shots
+        (5, 4, 0, -1),
+        (12, 4, 0, 0),  # so is an n out of range
+        (4, 4, 0, 0),
+        (4, 4, 0, -7),
+    ],
+)
+def test_run_demo_raises_what_the_per_trial_loop_raises(args):
+    n, trials, seed, shots = args
+    with pytest.raises(Exception) as want:
+        loop_run_demo(n, trials, seed=seed, shots=shots)
+    with pytest.raises(type(want.value)) as got:
+        run_demo(n, trials, seed=seed, shots=shots)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_marginal_pass_equals_trace_security_bit_for_bit(n):
+    families = [be_family(n), be_family_direct(n)] + [_random_family(n, seed) for seed in range(3)]
+    for fam in families:
+        d = np.array([fam.parts[lab][0] for lab in LABELS])
+        distances = hiding._marginal_distances(d, slice(None))
+        reduced = reduced_diagonal(d, slice(None))
+        assert distances.shape == (4, n) and reduced.shape == (4, n, 1 << (n - 1))
+        for s, lab in CODEBOOK.items():
+            h = hide(s, n, family=fam)
+            for p in range(n):
+                want = d[s].reshape((2,) * n).sum(axis=p).reshape(-1)
+                assert reduced[s, p].tobytes() == reduced_diagonal(d[s], p).tobytes() == want.tobytes()
+                want = loop_trace_security(h, p)
+                assert trace_security(h, p).hex() == float(distances[s, p]).hex() == want.hex(), (lab, p)

@@ -40,14 +40,28 @@ def _constants():
     ]
 
 
-def test_no_small_float_literal_outside_tolerances():
-    found = [
-        f"{path.name}:{tok.start[0]}: {tok.string}"
-        for path in OTHER_SOURCES
-        for tok in _tokens(path)
+def _small_float_literals(tokens):
+    """(line, text) of each real number literal in (0, 1e-5): a gate
+    literal.  Any literal Python accepts is read, hex, octal, binary and
+    underscored ones included."""
+    return [
+        (tok.start[0], tok.string)
+        for tok in tokens
         if tok.type == tokenize.NUMBER
         and not tok.string.lower().endswith("j")
-        and 0.0 < float(tok.string) < 1e-5
+        and 0.0 < ast.literal_eval(tok.string) < 1e-5
+    ]
+
+
+def test_small_float_literal_scan_reads_every_integer_form():
+    source = "mask = 0xFFFFFFFF\nbig = 1_000_000\nbits = 0b101 | 0o17\ntiny = 1e-6\nunit = 2.5e-6j\nok = 1e-5\n"
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    assert _small_float_literals(tokens) == [(4, "1e-6")]
+
+
+def test_no_small_float_literal_outside_tolerances():
+    found = [
+        f"{path.name}:{line}: {text}" for path in OTHER_SOURCES for line, text in _small_float_literals(_tokens(path))
     ]
     assert not found, found
 
