@@ -9,16 +9,16 @@ Every member of the 2N-qubit family is a uniform mixture of
 (|p> +/- |pbar>)/sqrt(2), where pbar flips every bit of p.  Its matrix is
 nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
-A family is stored as those two length-2^n vectors per state, (d, o), which
-the family checks, unlock and the hiding protocol read directly; the dense
-matrices are a read-only view built on first use.  Both constructions store
-exact float64 parts, every entry k 2^(1-n) with k in {0, +/-1}, so they are
-the same bit for bit.  The family checks certify only dyadic parts (else
-NotDyadic) and decide all seven checks exactly, on the four states stacked
-as (4, 2^n) arrays and, for a symmetric family, on one value per
-Hamming-weight class.  Each family's unlock table is built once, on first
-use, and read-only: the family check, `unlock` and the hiding decodes read
-its rows.
+A family copies its four states once into two read-only (4, 2^n) stacks
+in label order, the diagonals d and anti-diagonals o, which the family
+checks, unlock and the hiding protocol read directly; `parts` holds their
+row views and the dense matrices are a read-only view built on first use.
+Both constructions store exact float64 parts, every entry k 2^(1-n) with k
+in {0, +/-1}, so they are the same bit for bit.  The family checks certify
+only dyadic parts (else NotDyadic) and decide all seven checks exactly, on
+the stacks and, for a symmetric family, on one value per Hamming-weight
+class.  Each family's unlock table is built once, on first use, and
+read-only: the family check, `unlock` and the hiding decodes read its rows.
 """
 
 from __future__ import annotations
@@ -69,55 +69,50 @@ _PREDICTED = np.array([[BELL_KINDS.index(PAIRING[lab][out]) for out in LABELS] f
 _TRIU = np.triu_indices(4, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BEFamily:
     n_qubits: int
-    parts: Mapping  # label -> (d, o), see ghz_parts
+    parts: Mapping  # label -> (d, o), see ghz_parts; read-only rows of d and o
+    d: np.ndarray = field(init=False, repr=False)  # (4, 2^n) diagonals in LABELS order
+    o: np.ndarray = field(init=False, repr=False)  # (4, 2^n) anti-diagonals, one dtype
 
     def __post_init__(self):
         # parts must fit n_qubits, with a real d (shape and dtype tests only,
-        # no scan of the entries); the dense view and unlock table are
-        # cached, so (d, o) stay fixed
+        # no scan of the entries); they are copied once into the read-only
+        # stacks d and o, so the cached dense view and unlock table stay fixed
         _check_n(self.n_qubits)
-        parts = {lab: tuple(map(np.asarray, pair)) for lab, pair in self.parts.items()}
-        object.__setattr__(self, "parts", MappingProxyType(parts))
         if self.parts.keys() != set(LABELS):
             raise BadLabel(f"family labels {sorted(map(str, self.parts))}, want {LABELS}")
         dim = 1 << self.n_qubits
-        for lab, (d, o) in self.parts.items():
+        rows = [tuple(map(np.asarray, self.parts[lab])) for lab in LABELS]
+        for lab, (d, o) in zip(LABELS, rows):
             if d.shape != (dim,) or o.shape != (dim,):
                 raise BadDims(f"{lab}: d and o need shape ({dim},), got {d.shape} and {o.shape}")
             if np.iscomplexobj(d):
                 raise BadParam(f"{lab}: d is a density matrix's diagonal and must be real, got dtype {d.dtype}")
-            d.flags.writeable = o.flags.writeable = False
+        d, o = _read_only(*(np.array(col) for col in zip(*rows)))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "o", o)
+        object.__setattr__(self, "parts", MappingProxyType(dict(zip(LABELS, zip(d, o)))))
 
     @property
     def dims(self):
         return (2,) * self.n_qubits
 
-    def _stacked(self):
-        """The four states' (d, o) stacked in label order: two (4, 2^n)
-        arrays, freshly copied."""
-        return tuple(np.array([self.parts[lab][i] for lab in LABELS]) for i in (0, 1))
-
     @cached_property
     def states(self):
         """Read-only label -> 2^n x 2^n density matrix, built on first use
         as views into one block (one allocation, freed whole).  The block is
-        float64 when every stored o is real, as both constructions make it."""
-        d, o = self._stacked()
-        block = ghz_dense(d, o if o.imag.any() else o.real)
+        float64 when o has no imaginary part, as both constructions make it."""
+        block = ghz_dense(self.d, self.o if self.o.imag.any() else self.o.real)
         block.flags.writeable = False
         return MappingProxyType(dict(zip(LABELS, block)))
 
     @cached_property
     def _unlock(self):
-        """`_unlock_table` of the four states in label order, read-only,
-        built on first use: verify_family, unlock and the hiding decodes
-        read its rows."""
-        table = _unlock_table([self.parts[lab] for lab in LABELS])
-        _read_only(table.probability, table.fidelity, *table.conditional)
-        return table
+        """`_unlock_table` of the stacks, built on first use: verify_family,
+        unlock and the hiding decodes read its rows."""
+        return _unlock_table(self.d, self.o)
 
 
 def _check_n(n):
@@ -360,7 +355,7 @@ def be_family(n):
             # new[lab, (x, j)] = sum_out level[out, x] table[lab, out, j] / 4
             level = (level.T @ table / 4.0).reshape(4, -1)
         stacks.append(level)
-    return BEFamily(n, {lab: (stacks[0][j], stacks[1][j]) for j, lab in enumerate(LABELS)})
+    return BEFamily(n, dict(zip(LABELS, zip(*stacks))))
 
 
 def even_cuts(n):
@@ -391,7 +386,7 @@ class FamilyReport:
 
 def verify_family(fam, quick=False):
     """Run the seven family checks and collect per-cut PT evidence on the
-    four states stacked as (4, 2^n) arrays d, o; none builds a dense matrix.
+    family's stacks fam.d and fam.o, in place; none builds a dense matrix.
 
     A stack invariant under every qubit permutation is constant on each
     Hamming-weight class, so symmetry is one gather: each entry against its
@@ -405,18 +400,18 @@ def verify_family(fam, quick=False):
     index with a ones inside a cut of size s and b outside has diagonal
     weights a + b and n - a - b and coupling weight s - a + b, so all cuts
     of one size share the minimum over (a, b); else pt_min_eigenvalues
-    gives each cut's minimum and each marginal sums the halves of a qubit's
-    axis.  The PT flags read each minimum's sign, the Pauli connection on
+    gives each cut's minimum and reduced_diagonal every marginal, in one
+    gather.  The PT flags read each minimum's sign, the Pauli connection on
     qubits 0 and n - 1 is a gather times +/-1, and unlock reads the
     family's unlock table.  quick=True only leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
-    d, o = fam._stacked()
+    d, o = fam.d, fam.o
 
     rep, cls, w, wbar, wcut = _class_table(n)
-    stack = np.concatenate((d, o))
-    permutation_symmetric = np.array_equal(stack, stack[:, cls])
-    _check_dyadic(stack[:, rep] if permutation_symmetric else stack, n)
+    permutation_symmetric = all(np.array_equal(x, x[:, cls]) for x in (d, o))
+    for x in (d, o):
+        _check_dyadic(x[:, rep] if permutation_symmetric else x, n)
 
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
     orthogonal = bool((gram[_TRIU] == 0).all())
@@ -429,8 +424,7 @@ def verify_family(fam, quick=False):
         reduced_max_mixed = bool((cd[:, :-1] + cd[:, 1:] == flat).all())
     else:
         mins = pt_min_eigenvalues((d, o), cuts)
-        halves = d.reshape((4,) + (2,) * n)
-        reduced_max_mixed = all((halves.sum(axis=j) == flat).all() for j in range(1, n + 1))
+        reduced_max_mixed = bool((reduced_diagonal(d, slice(None)) == flat).all())
     single = size == 1
     even_cut_ppt = bool((mins[:, ~single] >= 0).all())
     single_vs_rest_npt = bool((mins[:, single] < 0).all())
@@ -468,40 +462,32 @@ def _check_dyadic(x, n):
 
 class _UnlockTable(NamedTuple):
     probability: np.ndarray  # (rows, outcome)
-    conditional: tuple  # per row, (outcome, 4, 4) normalized, in the row's dtype
+    conditional: np.ndarray  # (rows, outcome, 4, 4) normalized, in the dtype of o
     fidelity: np.ndarray  # (rows, outcome, Bell state in BELL_KINDS order)
 
 
-def _unlock_table(rows):
-    """Every unlock outcome of each state in `rows`, a sequence of (d, o)
-    pairs on one number of qubits.
+def _unlock_table(d, o):
+    """Every unlock outcome of each state in the stacks d, o of shape
+    (rows, 2^n), as BEFamily stores them, in read-only arrays.
 
     With x the first n-2 bits and j the last pair, the support projector P
     (GHZ-diagonal itself; at n = 4 a Bell projector) leaves cond[j, j] =
     sum_x P[x, x] d[(x, j)] and cond[j, jbar] = sum_x P[xbar, x] o[(x, j)]
     before normalization.  Those sums are one stacked product pd @ d and one
-    po @ o per dtype of o, so that each conditional keeps its row's dtype.
-    On dyadic rows, as in every family, each sum is exact in any order; on
-    other rows, such as a matrix assigned in `hiding`, its last bits may
-    depend on the order.  The conditionals are one stacked ghz_dense and their
-    fidelities with the four Bell states one batched matmul per dtype; an
-    outcome of probability 0 gets a NaN conditional and fidelity.
+    po @ o, so the conditionals take the dtype of o.  On dyadic rows, as in
+    every family, each sum is exact in any order; on other rows, such as a
+    matrix assigned in `hiding`, its last bits may depend on the order.  The
+    conditionals are one stacked ghz_dense and their fidelities with the four
+    Bell states one batched matmul; an outcome of probability 0 gets a NaN
+    conditional and fidelity.
     """
-    pd, po = _outcome_parts(rows[0][0].size.bit_length() - 1)
-    probability = np.empty((len(rows), 4))
-    fidelity = np.empty((len(rows), 4, 4))
-    conditional = [None] * len(rows)
-    for dtype in dict.fromkeys(o.dtype for _, o in rows):
-        idx = [i for i, (_, o) in enumerate(rows) if o.dtype == dtype]
-        d, o = (np.array([rows[i][k] for i in idx]).reshape(len(idx), -1, 4) for k in (0, 1))
-        diag = pd @ d  # (row, outcome, j)
-        probability[idx] = prob = diag.sum(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = ghz_dense(diag, po @ o) / prob[..., None, None]
-        fidelity[idx] = (_BELLS.conj()[:, None, :] @ cond[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
-        for i, c in zip(idx, cond):
-            conditional[i] = c
-    return _UnlockTable(probability, tuple(conditional), fidelity)
+    pd, po = _outcome_parts(d.shape[-1].bit_length() - 1)
+    diag = pd @ d.reshape(len(d), -1, 4)  # (row, outcome, j)
+    probability = diag.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditional = ghz_dense(diag, po @ o.reshape(len(o), -1, 4)) / probability[..., None, None]
+    fidelity = (_BELLS.conj()[:, None, :] @ conditional[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
+    return _UnlockTable(*_read_only(probability, conditional, fidelity))
 
 
 def unlock(fam, label):
@@ -523,7 +509,7 @@ def unlock(fam, label):
             "probability": float(table.probability[row, i]),
             "predicted_bell": PAIRING[label][out_label],
             "fidelity": float(table.fidelity[row, i, predicted[i]]),
-            "conditional": table.conditional[row][i],
+            "conditional": table.conditional[row, i],
         }
         for i, out_label in enumerate(LABELS)
     ]

@@ -394,8 +394,7 @@ def cmd_bound(args):
         fam = be_family(args.n)
         direct = be_family_direct(args.n)
         # the dense delta: every entry off the diagonal and anti-diagonal is 0 in both
-        pairs = (zip(fam.parts[lab], direct.parts[lab]) for lab in LABELS)
-        delta = max(float(np.max(np.abs(x - y))) for pair in pairs for x, y in pair)
+        delta = max(float(np.abs(x - y).max()) for x, y in ((fam.d, direct.d), (fam.o, direct.o)))
         strings = support_strings(args.n)
         report = {
             "n": args.n,

@@ -11,7 +11,7 @@ dense view, and the unlock decode reads a row of the family's unlock
 table, built once per family.  A demo trial makes only its seeded draws:
 the attack statistics of all trials are one batch of the shot kernel
 that `parity_attack` runs on one trial, the security check is one marginal
-pass over the family's four diagonals, and each label seen turns its
+pass over the family's diagonal stack, and each label seen turns its
 unlock row into a decode table once.
 """
 
@@ -34,7 +34,7 @@ from .bound_entangled import (
 from .errors import BadDims, BadParam, BadParty, BadSecret, OddN, TooLarge
 from .states import BELL_KINDS
 
-CODEBOOK = {0: "rho+", 1: "rho-", 2: "sigma+", 3: "sigma-"}
+CODEBOOK = dict(enumerate(LABELS))  # secret s -> LABELS[s], row s of a family's stacks
 
 # The secret whose state leaves Bell state b on the last pair after unlock
 # outcome o, keyed (o, b): per outcome, PAIRING matches the four states to
@@ -98,7 +98,7 @@ class HiddenState:
         if self._held is None:
             table, row = self.family._unlock, LABELS.index(self.label)
         else:
-            table, row = _unlock_table([self.parts]), 0
+            table, row = _unlock_table(*(np.array([v]) for v in self.parts)), 0
         return table.probability[row], table.fidelity[row]
 
 
@@ -128,7 +128,14 @@ def string_distribution(state):
     return np.asarray(state).diagonal().real.copy()
 
 
+def _check_count(name, value):
+    """Raise BadParam unless value is an integer: a Python or numpy int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParam(f"{name} must be an integer, got {value!r}")
+
+
 def _check_shots(shots):
+    _check_count("shots", shots)
     if shots < 1:
         raise BadParam(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
@@ -282,10 +289,13 @@ def run_demo(n, trials, seed=0, shots=500):
     secret from the seed (seed, t), its attack words from (seed, t, 1) and
     its decode uniform from (seed, t, 2); those seeded draws are the only
     per-trial work.  The attack statistics of all trials are one `_shots`
-    batch, the security check is one marginal pass over the family's four
-    diagonals for every party, and each label seen gets its decode table
-    once.
+    batch, the security check is one marginal pass over the family's
+    diagonal stack for every party, and each label seen gets its decode
+    table once, from the family's unlock table.
     """
+    _check_count("trials", trials)
+    _check_count("shots", shots)
+    trials, shots = int(trials), int(shots)  # a numpy product could wrap below MAX_SHOTS
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > MAX_SHOTS:
@@ -305,10 +315,10 @@ def run_demo(n, trials, seed=0, shots=500):
         pm_rate_total += matches / shots
 
     seen = np.flatnonzero(np.bincount(secrets, minlength=4))
-    distances = _marginal_distances(np.array([fam.parts[lab][0] for lab in CODEBOOK.values()]), slice(None))
+    distances = _marginal_distances(fam.d, slice(None))
     unlock_hits = 0
     for secret in seen.tolist():
-        cdf, decoded = _decode_table(*hide(secret, n, family=fam)._unlock_row())
+        cdf, decoded = _decode_table(fam._unlock.probability[secret], fam._unlock.fidelity[secret])
         drawn = cdf.searchsorted(uniforms[secrets == secret], side="right")
         unlock_hits += int(np.count_nonzero(np.array(decoded)[drawn] == secret))
     return {

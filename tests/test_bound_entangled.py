@@ -223,6 +223,41 @@ def test_family_work_builds_no_dense_matrix():
     assert "states" not in vars(fam) and "states" not in vars(direct)
 
 
+def test_family_copies_its_inputs_once_into_read_only_stacks():
+    """The rows of `parts` are read-only views of the family's stacks; the
+    caller's arrays stay writable, and writing to them changes neither the
+    family's rows, nor its checks, nor its unlock."""
+    given = {lab: tuple(v.copy() for v in pair) for lab, pair in be_family(6).parts.items()}
+    fam = BEFamily(6, given)
+    assert fam.d.shape == fam.o.shape == (4, 64)
+    assert not fam.d.flags.writeable and not fam.o.flags.writeable
+    for i, lab in enumerate(LABELS):
+        d, o = fam.parts[lab]
+        assert np.shares_memory(d, fam.d) and np.shares_memory(o, fam.o)
+        assert np.array_equal(d, fam.d[i]) and np.array_equal(o, fam.o[i])
+        assert not d.flags.writeable and not o.flags.writeable
+        assert not np.shares_memory(d, given[lab][0]) and given[lab][0].flags.writeable
+    for d, o in given.values():
+        d[:] = 0.5
+        o[:] = -1.0
+    ref = be_family(6)
+    assert all(np.array_equal(a, b) for lab in LABELS for a, b in zip(fam.parts[lab], ref.parts[lab]))
+    assert "_unlock" not in vars(fam)  # the table is built after the write
+    assert verify_family(fam).all_pass
+    for lab in LABELS:
+        for got, want in zip(unlock(fam, lab), unlock(ref, lab)):
+            assert got["probability"] == want["probability"] and got["fidelity"] == want["fidelity"]
+            assert np.array_equal(got["conditional"], want["conditional"])
+
+
+def test_families_compare_and_hash_by_identity():
+    fam, other = be_family(4), be_family(4)
+    assert fam == fam and hash(fam) == hash(fam)
+    assert fam != other and not fam == other
+    assert {fam, fam, other} == {fam, other} and len({fam, other}) == 2
+    assert fam in {fam: 1}
+
+
 def test_dense_view_is_read_only_and_built_once():
     fam = be_family(4)
     for d, o in fam.parts.values():

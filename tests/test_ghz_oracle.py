@@ -616,16 +616,17 @@ def tampered(n, name):
     return BEFamily(n, parts)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 @pytest.mark.parametrize("label", LABELS)
 def test_unlock_table_keeps_each_rows_dtype(n, label):
-    """A complex anti-diagonal in one row leaves the other rows real, and
-    every row equal to the loop oracle's."""
+    """A complex anti-diagonal in one row makes the family's o stack, every
+    row's o and every unlock conditional complex128, and every row stays
+    equal to the loop oracle's."""
     parts = dict(be_family(n).parts)
     parts[label] = _twist(*(v.copy() for v in parts[label]))
     fam = BEFamily(n, parts)
-    want = [np.complex128 if lab == label else np.float64 for lab in LABELS]
-    assert [c.dtype for c in fam._unlock.conditional] == want
+    assert fam.o.dtype == fam._unlock.conditional.dtype == np.complex128
+    assert all(fam.parts[lab][1].dtype == np.complex128 for lab in LABELS)
     for lab in LABELS:
         assert_same_unlock(unlock(fam, lab), loop_unlock(fam, lab))
 

@@ -215,6 +215,27 @@ def test_shot_counts_bounded():
         run_demo(4, trials=1, shots=10**9)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2", None, np.float64(2.0)])
+def test_non_integer_counts_raise_bad_param(bad):
+    h = hide(0, 4)
+    with pytest.raises(BadParam, match="shots must be an integer"):
+        parity_attack(h, shots=bad)
+    with pytest.raises(BadParam, match="trials must be an integer"):
+        run_demo(4, bad)
+    with pytest.raises(BadParam, match="shots must be an integer"):
+        run_demo(4, 3, shots=bad)
+    with pytest.raises(BadParam, match="trials must be an integer"):
+        run_demo(5, bad, shots=0)  # the types are tested before n and the values
+
+
+def test_numpy_integer_counts_are_accepted():
+    h = hide(2, 4)
+    assert parity_attack(h, seed=3, shots=np.int64(40)) == parity_attack(h, seed=3, shots=40)
+    assert run_demo(4, np.int32(5), seed=1, shots=np.int64(20)) == run_demo(4, 5, seed=1, shots=20)
+    with pytest.raises(TooLarge):  # 2^16 * 2^16 wraps to 0 in int32
+        run_demo(4, np.int32(1 << 16), shots=np.int32(1 << 16))
+
+
 def per_shot_parity_attack(h, seed, shots):
     """Reference: the attack drawn one shot at a time, as it was first
     written; the batched draw must reproduce it for every seed."""
@@ -319,9 +340,9 @@ def test_run_demo_builds_the_unlock_table_once(monkeypatch):
     tables, decodes = [], []
     build, decode = bound_entangled._unlock_table, hiding._decode_table
 
-    def counted_table(rows):
-        tables.append(len(rows))
-        return build(rows)
+    def counted_table(d, o):
+        tables.append(len(d))
+        return build(d, o)
 
     def counted_decode(probability, fidelity):
         decodes.append(len(probability))
