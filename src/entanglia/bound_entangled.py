@@ -9,10 +9,12 @@ Every member of the 2N-qubit family is a uniform mixture of
 (|p> +/- |pbar>)/sqrt(2), where pbar flips every bit of p.  Its matrix is
 nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
-A family copies its four states once into two read-only (4, 2^n) stacks
-in label order, the diagonals d and anti-diagonals o, which the family
-checks, unlock and the hiding protocol read directly; `parts` holds their
-row views and the dense matrices are a read-only view built on first use.
+A family holds its four states as two read-only (4, 2^n) stacks in label
+order, the diagonals d and anti-diagonals o, which the family checks,
+unlock and the hiding protocol read directly; the constructions hand over
+the stacks they build, and `BEFamily(n, parts)` copies the given rows in
+once.  `parts` holds the stacks' row views and the dense matrices are a
+read-only view built on first use.
 Both constructions store exact float64 parts, every entry k 2^(1-n) with k
 in {0, +/-1}, so they are the same bit for bit.  The family checks certify
 only dyadic parts (else NotDyadic) and decide all seven checks exactly, on
@@ -90,7 +92,19 @@ class BEFamily:
                 raise BadDims(f"{lab}: d and o need shape ({dim},), got {d.shape} and {o.shape}")
             if np.iscomplexobj(d):
                 raise BadParam(f"{lab}: d is a density matrix's diagonal and must be real, got dtype {d.dtype}")
-        d, o = _read_only(*(np.array(col) for col in zip(*rows)))
+        self._hold(*(np.array(col) for col in zip(*rows)))
+
+    @classmethod
+    def _of_stacks(cls, n, d, o):
+        """The family of the constructions' own fresh (4, 2^n) float64
+        stacks in LABELS order, held as they are: no check and no copy."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "n_qubits", n)
+        fam._hold(d, o)
+        return fam
+
+    def _hold(self, d, o):
+        d, o = _read_only(d, o)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "o", o)
         object.__setattr__(self, "parts", MappingProxyType(dict(zip(LABELS, zip(d, o)))))
@@ -116,7 +130,7 @@ class BEFamily:
 
 
 def _check_n(n):
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise BadParam(f"qubit number must be an integer, got {n!r}")
     if n % 2 != 0:
         raise OddN(f"family exists only for even qubit numbers, got {n}")
@@ -328,8 +342,8 @@ def be_family_direct(n):
     """Support-set construction: each state is the uniform mixture of its
     2^(n-2) support vectors."""
     _check_n(n)
-    size = 1 << (n - 2)
-    return BEFamily(n, {lab: tuple(v / size for v in _support_parts(n, lab)) for lab in LABELS})
+    d, o = (np.array(col) / (1 << (n - 2)) for col in zip(*(_support_parts(n, lab) for lab in LABELS)))
+    return BEFamily._of_stacks(n, d, o)
 
 
 def be_family(n):
@@ -355,7 +369,7 @@ def be_family(n):
             # new[lab, (x, j)] = sum_out level[out, x] table[lab, out, j] / 4
             level = (level.T @ table / 4.0).reshape(4, -1)
         stacks.append(level)
-    return BEFamily(n, dict(zip(LABELS, zip(*stacks))))
+    return BEFamily._of_stacks(n, *stacks)
 
 
 def even_cuts(n):

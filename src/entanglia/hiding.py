@@ -8,11 +8,12 @@ the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
 assigned to `HiddenState.state`.  Without such a matrix, hiding, the
 attack, the security check and both decodes never build the family's
 dense view, and the unlock decode reads a row of the family's unlock
-table, built once per family.  A demo trial makes only its seeded draws:
-the attack statistics of all trials are one batch of the shot kernel
-that `parity_attack` runs on one trial, the security check is one marginal
-pass over the family's diagonal stack, and each label seen turns its
-unlock row into a decode table once.
+table, built once per family.  A demo trial makes only its three seeded
+draws, read as raw PCG64 outputs from streams seeded with the words the
+demo's seed is turned into once: the attack statistics of all trials are
+one batch of the shot kernel that `parity_attack` runs on one trial, the
+security check is one marginal pass over the family's diagonal stack, and
+each label seen turns its unlock row into a decode table once.
 """
 
 from __future__ import annotations
@@ -103,9 +104,12 @@ class HiddenState:
 
 
 def hide(secret, n, family=None):
-    """Encode a 2-bit secret as the codebook state on n qubits."""
-    if secret not in CODEBOOK:
+    """Encode a 2-bit secret, a Python or numpy integer 0..3 (not a bool),
+    as the codebook state on n qubits."""
+    if not _is_integer(secret) or secret not in CODEBOOK:
         raise BadSecret(f"secret must be 0..3, got {secret}")
+    if not _is_integer(n):
+        raise BadParam(f"qubit number must be an integer, got {n!r}")
     if n % 2 != 0 or n < 4:
         raise OddN(f"need an even qubit count >= 4, got {n}")
     fam = family if family is not None else be_family(n)
@@ -128,9 +132,14 @@ def string_distribution(state):
     return np.asarray(state).diagonal().real.copy()
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name, value):
     """Raise BadParam unless value is an integer: a Python or numpy int, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise BadParam(f"{name} must be an integer, got {value!r}")
 
 
@@ -142,16 +151,53 @@ def _check_shots(shots):
         raise TooLarge(f"shots = {shots} exceeds {MAX_SHOTS}")
 
 
-def _shot_words(seed, shots):
-    """The attack's seeded draw: two 32-bit words a shot, (shots, 2) uint32.
+# Every draw reads raw 64-bit outputs of a fresh PCG64 stream, and each read
+# equals the Generator call that would draw from the same stream.
+
+
+def _secret(raw):
+    """`integers(4)` of a stream whose first raw output is raw (an int or a
+    uint64 array): Lemire's bounded draw on the output's low 32-bit half
+    keeps its top two bits and never rejects."""
+    return (raw & 0xFFFFFFFF) >> 30
+
+
+def _uniform(raw):
+    """`random()` of a stream whose first raw output is raw (an int or a
+    uint64 array): its top 53 bits over 2^53."""
+    return (raw >> 11) * 2.0**-53
+
+
+def _shot_words(stream, shots):
+    """The attack's draw from a fresh PCG64 stream: two 32-bit words a shot,
+    (shots, 2) uint32, equal to `integers(0, 2**32, size=(shots, 2),
+    dtype=np.uint32)`, which takes each raw output's low 32-bit half, then
+    its high half (the halves of a little-endian view).
 
     The stream is pinned to the scalar draws
-    `pairs[rng.integers(len(pairs))][rng.integers(2)]`, shot after shot.
-    Each takes one 32-bit word: for a power-of-two range k (len(pairs) is
-    2^(n-2)), Lemire's bounded draw keeps the word's top log2(k) bits and
-    never rejects, so word >> (32 - log2(k)) is that draw.
+    `pairs[rng.integers(len(pairs))][rng.integers(2)]`, shot after shot:
+    for a power-of-two range k (len(pairs) is 2^(n-2)), each draw is
+    Lemire's bounded draw on one word, word >> (32 - log2(k)).
     """
-    return np.random.default_rng(seed).integers(0, 1 << 32, size=(shots, 2), dtype=np.uint32)
+    return stream.random_raw(shots).view(np.uint32).reshape(shots, 2)
+
+
+def _seed_words(seed):
+    """The uint32 entropy words `SeedSequence` makes of a non-negative
+    integer seed: its little-endian 32-bit words, one zero word for 0."""
+    seed = int(seed)
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def _trial_streams(words, t):
+    """Trial t's three fresh PCG64 streams for the seed whose `_seed_words`
+    are words: those of `default_rng((seed, t))`, `default_rng((seed, t,
+    1))` and `default_rng((seed, t, 2))`, each seeded from one uint32 array
+    (t < 2^32 is one word), the entropy `SeedSequence` makes of the tuple."""
+    return [
+        np.random.PCG64(np.random.SeedSequence(np.array([*words, t, *tail], dtype=np.uint32)))
+        for tail in ((), (1,), (2,))
+    ]
 
 
 # Block of _pair_table per family, the label without its sign: each support
@@ -202,12 +248,15 @@ def parity_attack(h, seed=0, shots=1000):
     The returned family bit always equals the secret's high bit (the
     protocol's documented leak); the +/- guess (taken from each string's
     first bit) stays at chance.  The shots are `_shots` on a batch of one
-    trial, and the counts keep the strings in first-seen order.
+    trial, and the counts keep the strings in first-seen order.  The seed is
+    any seed `np.random.PCG64` takes (an int, a sequence of ints, a
+    SeedSequence): every seed `default_rng` turns into a PCG64 stream.
     """
     _check_shots(shots)
     n = h.n_qubits
     kind = _KINDS[h.label[:-1]]
-    s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], _shot_words(seed, shots)[None])
+    words = _shot_words(np.random.PCG64(seed), shots)
+    s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], words[None])
     keys, first, freq = np.unique(s[0], return_index=True, return_counts=True)
     order = np.argsort(first)
     names = _bit_strings(n)
@@ -237,8 +286,7 @@ def trace_security(h, excluded_party):
     """Trace distance of the remaining parties' marginal from maximal
     mixedness; zero means the coalition learns nothing."""
     n = h.n_qubits
-    integer = isinstance(excluded_party, (int, np.integer)) and not isinstance(excluded_party, bool)
-    if not integer or not 0 <= excluded_party < n:
+    if not _is_integer(excluded_party) or not 0 <= excluded_party < n:
         raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
     d, _ = h.parts
     return float(_marginal_distances(d, excluded_party))
@@ -264,9 +312,9 @@ def _decode_table(probability, fidelity):
 
 def _draw(cdf, seed):
     """The outcome `default_rng(seed).choice(4, p=p)` draws, for the cdf
-    `_decode_table` built from p: choice makes one `random()` draw and
-    searches the cdf from the right."""
-    return cdf.searchsorted(np.random.default_rng(seed).random(), side="right")
+    `_decode_table` built from p and any seed `np.random.PCG64` takes:
+    choice makes one `random()` draw and searches the cdf from the right."""
+    return cdf.searchsorted(_uniform(np.random.PCG64(seed).random_raw()), side="right")
 
 
 def decode_by_unlock(h, seed=0):
@@ -285,28 +333,40 @@ def decode_by_unlock(h, seed=0):
 def run_demo(n, trials, seed=0, shots=500):
     """Full protocol simulation: hide, attack, security check, unlock-decode.
 
-    Deterministic per seed; returns aggregate rates.  Trial t draws its
-    secret from the seed (seed, t), its attack words from (seed, t, 1) and
-    its decode uniform from (seed, t, 2); those seeded draws are the only
-    per-trial work.  The attack statistics of all trials are one `_shots`
-    batch, the security check is one marginal pass over the family's
-    diagonal stack for every party, and each label seen gets its decode
-    table once, from the family's unlock table.
+    Deterministic per seed; returns aggregate rates.  The seed is a
+    non-negative Python or numpy integer, and a report is the same for
+    equal seeds of either type; a bool, a negative number, a tuple or any
+    other seed raises BadParam naming it.  Trial t draws its secret from
+    the seed (seed, t), its attack words from (seed, t, 1) and its decode
+    uniform from (seed, t, 2), the streams `default_rng` makes of those
+    tuples: the seed becomes its entropy words once, and each draw reads
+    raw PCG64 outputs.  Those seeded draws are the only per-trial work.
+    The attack statistics of all trials are one `_shots` batch, the
+    security check is one marginal pass over the family's diagonal stack
+    for every party, and each label seen gets its decode table once, from
+    the family's unlock table.
     """
     _check_count("trials", trials)
     _check_count("shots", shots)
+    if not _is_integer(seed) or seed < 0:
+        raise BadParam(f"seed must be a non-negative integer, got {seed!r}")
     trials, shots = int(trials), int(shots)  # a numpy product could wrap below MAX_SHOTS
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > MAX_SHOTS:
         raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
     fam = be_family(n)
-    secrets = np.array([np.random.default_rng((seed, t)).integers(4) for t in range(trials)])
-    _check_shots(shots)  # after the first secret, where a trial's attack checks it
+    _check_shots(shots)
+    seed_words = _seed_words(seed)
+    heads = np.empty((2, trials), dtype=np.uint64)  # first outputs of the secret and uniform streams
     words = np.empty((trials, shots, 2), dtype=np.uint32)
     for t in range(trials):
-        words[t] = _shot_words((seed, t, 1), shots)
-    uniforms = np.array([np.random.default_rng((seed, t, 2)).random() for t in range(trials)])
+        first, attack, last = _trial_streams(seed_words, t)
+        heads[0, t] = first.random_raw()
+        words[t] = _shot_words(attack, shots)
+        heads[1, t] = last.random_raw()
+    secrets = _secret(heads[0]).astype(np.int64)
+    uniforms = _uniform(heads[1])
 
     # CODEBOOK holds the rho family at secrets 0, 1 and sigma at 2, 3
     _, family_bit, _, pm_matches = _shots(n, secrets >> 1, secrets & 1, words)

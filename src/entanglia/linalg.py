@@ -41,13 +41,6 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(mats):
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def _check_dims(rho, dims):
     if dims is None:
         raise MissingDims("matrix carries no subsystem dimensions")

@@ -93,15 +93,6 @@ def random_pure(dim, seed):
     return fix_phase(v / np.linalg.norm(v))
 
 
-def random_density(dim, seed, rank=None):
-    """Ginibre-induced random density matrix (test/search utility)."""
-    rng = np.random.default_rng(seed)
-    k = dim if rank is None else rank
-    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_unitary(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -43,6 +43,33 @@ def test_rejects_bad_n():
         be_family_direct(12)
 
 
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+def test_rejects_a_bool_qubit_number(build):
+    for n in (True, False, np.True_):
+        with pytest.raises(BadParam, match="qubit number must be an integer"):
+            build(n)
+    with pytest.raises(BadParam, match="qubit number must be an integer"):
+        BEFamily(True, be_family(4).parts)
+
+
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+def test_constructions_hold_their_own_stacks(build):
+    """A construction's family holds the stacks it built, read-only, with
+    `parts` as views of them; the checked constructor, given the same rows,
+    stores the same family byte for byte."""
+    for n in (4, 6, 8, 10):
+        fam = build(n)
+        checked = BEFamily(n, fam.parts)
+        assert fam.n_qubits == n and fam.d.shape == fam.o.shape == (4, 1 << n)
+        for got, want in ((fam.d, checked.d), (fam.o, checked.o)):
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        for lab in LABELS:
+            d, o = fam.parts[lab]
+            assert np.shares_memory(d, fam.d) and np.shares_memory(o, fam.o)
+            assert not d.flags.writeable and not o.flags.writeable
+
+
 @pytest.mark.parametrize(
     "n, parts, error",
     [

@@ -46,7 +46,6 @@ from entanglia.hiding import CODEBOOK, decode_by_unlock, decode_global, hide, tr
 from entanglia.linalg import (
     eigvals_hermitian,
     kron,
-    kron_all,
     partial_trace,
     partial_transpose,
     projector,
@@ -139,6 +138,13 @@ def dense_unlock(rho, label):
         cond = partial_trace(op @ rho @ op, (2,) * n, keep=[n - 2, n - 1])
         outcomes.append((prob, cond / np.trace(cond).real))
     return outcomes
+
+
+def kron_all(mats):
+    out = np.asarray(mats[0], dtype=complex)
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
 
 
 def dense_pauli(rho, u, k):

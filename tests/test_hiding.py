@@ -37,6 +37,25 @@ def test_hide_validation():
         hide(0, 6, family=be_family(4))
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, "1", None])
+def test_hide_rejects_a_non_integer_secret(bad):
+    with pytest.raises(BadSecret):
+        hide(bad, 4)
+
+
+def test_hide_takes_a_numpy_integer_secret():
+    h = hide(np.int64(3), 4)
+    assert h.label == "sigma-" and decode_global(h) == 3
+
+
+@pytest.mark.parametrize("bad", [True, False, 4.0, "4", None])
+def test_hide_rejects_a_non_integer_qubit_number(bad):
+    with pytest.raises(BadParam, match="qubit number must be an integer"):
+        hide(0, bad)
+    with pytest.raises(BadParam, match="qubit number must be an integer"):
+        run_demo(bad, 2, shots=10)
+
+
 def test_decode_global_all_secrets():
     for n in (4, 6):
         fam = be_family(n)
@@ -226,6 +245,46 @@ def test_non_integer_counts_raise_bad_param(bad):
         run_demo(4, 3, shots=bad)
     with pytest.raises(BadParam, match="trials must be an integer"):
         run_demo(5, bad, shots=0)  # the types are tested before n and the values
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, -1, np.int64(-1), (5, 2), [5], 2.0, "3", None])
+def test_run_demo_rejects_a_seed_that_is_not_a_non_negative_integer(bad):
+    with pytest.raises(BadParam, match="seed must be a non-negative integer"):
+        run_demo(4, 2, seed=bad, shots=10)
+
+
+SEED_CORPUS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
+
+
+def test_trial_streams_draw_what_the_seeded_generators_draw():
+    """The demo's seeding contract: `_trial_streams` of the seed's words
+    are the streams of `default_rng((seed, t, *tail))`, and its raw reads
+    are that generator's `integers(4)`, uint32 shot words and `random()`."""
+    for seed in SEED_CORPUS:
+        words = hiding._seed_words(seed)
+        want = np.random.SeedSequence(seed).generate_state(8)
+        assert np.array_equal(np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(8), want)
+        for t in (0, 1, 2**16):
+            first, attack, last = hiding._trial_streams(words, t)
+            assert hiding._secret(first.random_raw()) == np.random.default_rng((seed, t)).integers(4)
+            want = np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=(9, 2), dtype=np.uint32)
+            got = hiding._shot_words(attack, 9)
+            assert got.dtype == np.uint32 and np.array_equal(got, want)
+            want = np.random.default_rng((seed, t, 2)).random()
+            assert hiding._uniform(last.random_raw()).hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32, np.int32])
+def test_run_demo_reports_a_numpy_integer_seed_as_its_python_value(kind):
+    info = np.iinfo(kind)
+    for seed in (0, 1, 2**31 - 1, 2**32 - 1, 2**40 + 3, 2**63 - 1, 2**64 - 1):
+        if seed > info.max:
+            continue
+        got = run_demo(6, 7, seed=kind(seed), shots=30)
+        assert type(got.pop("seed")) is kind
+        want = run_demo(6, 7, seed=seed, shots=30)
+        del want["seed"]
+        _same(got, want)
 
 
 def test_numpy_integer_counts_are_accepted():
