@@ -291,10 +291,10 @@ def cmd_split2(args):
     r = split_two_copies(a, b)
     return {
         "case": r.case,
-        "subcase": r.subcase,
         "param_interval": list(r.param_interval),
         "eta": r.eta,
         **_sum_table(vec_kron(a, a), vec_kron(b, r.eta), ("joint_source", "joint_target")),
+        "diagnostics": {"window": r.window, "margin": r.margin},
     }
 
 

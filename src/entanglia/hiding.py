@@ -189,6 +189,18 @@ def _seed_words(seed):
     return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
 
 
+def _stream(seed):
+    """np.random.PCG64(seed), for any seed it takes (an int, a sequence of
+    ints, a SeedSequence) but None, which reads OS entropy, and a bool.
+    Those and every seed PCG64 rejects raise BadParam naming the seed."""
+    if seed is None or isinstance(seed, (bool, np.bool_)):
+        raise BadParam(f"seed must be an integer, a sequence of integers or a SeedSequence, got {seed!r}")
+    try:
+        return np.random.PCG64(seed)
+    except (TypeError, ValueError) as exc:
+        raise BadParam(f"seed {seed!r} is not a PCG64 seed: {exc}") from None
+
+
 def _trial_streams(words, t):
     """Trial t's three fresh PCG64 streams for the seed whose `_seed_words`
     are words: those of `default_rng((seed, t))`, `default_rng((seed, t,
@@ -249,13 +261,13 @@ def parity_attack(h, seed=0, shots=1000):
     protocol's documented leak); the +/- guess (taken from each string's
     first bit) stays at chance.  The shots are `_shots` on a batch of one
     trial, and the counts keep the strings in first-seen order.  The seed is
-    any seed `np.random.PCG64` takes (an int, a sequence of ints, a
-    SeedSequence): every seed `default_rng` turns into a PCG64 stream.
+    any seed `_stream` takes: every seed `default_rng` turns into a PCG64
+    stream but None and a bool.
     """
     _check_shots(shots)
     n = h.n_qubits
     kind = _KINDS[h.label[:-1]]
-    words = _shot_words(np.random.PCG64(seed), shots)
+    words = _shot_words(_stream(seed), shots)
     s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], words[None])
     keys, first, freq = np.unique(s[0], return_index=True, return_counts=True)
     order = np.argsort(first)
@@ -312,9 +324,9 @@ def _decode_table(probability, fidelity):
 
 def _draw(cdf, seed):
     """The outcome `default_rng(seed).choice(4, p=p)` draws, for the cdf
-    `_decode_table` built from p and any seed `np.random.PCG64` takes:
-    choice makes one `random()` draw and searches the cdf from the right."""
-    return cdf.searchsorted(_uniform(np.random.PCG64(seed).random_raw()), side="right")
+    `_decode_table` built from p and any seed `_stream` takes: choice
+    makes one `random()` draw and searches the cdf from the right."""
+    return cdf.searchsorted(_uniform(_stream(seed).random_raw()), side="right")
 
 
 def decode_by_unlock(h, seed=0):
@@ -324,7 +336,8 @@ def decode_by_unlock(h, seed=0):
     on the last pair pins the secret through the recursion pairing.  The
     outcome is drawn from the held state's row of the unlock table (the
     family's own, unless a matrix is assigned), and the Bell state is the
-    one of highest fidelity in that row.
+    one of highest fidelity in that row.  The seed is any seed `_stream`
+    takes.
     """
     cdf, secrets = _decode_table(*h._unlock_row())
     return secrets[_draw(cdf, seed)]

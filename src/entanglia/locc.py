@@ -581,10 +581,12 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
 
 @dataclass(frozen=True)
 class SplitRange:
-    case: int  # 1: eta = (x, x, 1-2x); 2: eta = (1-2x, x, x)
-    param_interval: tuple
-    eta: np.ndarray  # validated representative (interval midpoint)
-    subcase: str
+    case: int  # 1: x in ((a1+a2)/2, a1), 2: x in (a3, (1-a1)/2)
+    param_interval: tuple  # the widest piece of window
+    eta: np.ndarray  # validated representative (param_interval's midpoint)
+    window: list  # every admissible (start, end) piece, sorted
+    # min over k < 9 of S_k(b (x) eta) - S_k(a (x) a), as CoopPlan.margin
+    margin: float
 
 
 def _split_eta(case, x):
@@ -594,12 +596,23 @@ def _split_eta(case, x):
 
 
 def split_two_copies(a, b):
-    """Admissible eta range with psi^(x2) -> chi (x) eta and eta
-    incomparable with the source psi (Schmidt vectors a and b here).
+    """The x for which psi^(x2) -> chi (x) eta(x) converts and eta(x), with
+    entries x, x and 1 - 2x, is incomparable with the source psi (Schmidt
+    vectors a and b here).
 
-    Case-1 (a1 < b1) uses eta = (x, x, 1-2x); Case-2 (a1 > b1) uses
-    eta = (1-2x, x, x).  The returned representative is re-validated by the
-    direct 9-entry majorization check.
+    eta(x) is incomparable with a exactly for x in (a3, (1-a1)/2), case 2,
+    eta = (1-2x, x, x), or for x in ((a1+a2)/2, a1), case 1, eta = (x, x,
+    1-2x).  Only one side can pass the joint check a (x) a < b (x) eta.  If
+    a1 < b1, incomparability forces a3 < b3, and case 2's last partial sum
+    needs b3 x <= a3^2 with x > a3.  If a1 > b1, case 1's first partial sum
+    needs b1 x >= a1^2 with x < a1.  So case = 1 iff a1 < b1.
+
+    The first and last partial sums read only the largest and smallest
+    entries of b (x) eta and narrow the case's interval in closed form.
+    Every partial sum is affine in x, so the exact set is the window of the
+    joint check over what is left (majorization.window_affine), without
+    the pieces narrower than INTERVAL_MARGIN.  param_interval is the widest
+    piece, and its midpoint eta is re-validated by the direct checks.
     """
     sa, sb = _require_incomparable_3x3(a, b)
     a1, a2, a3 = sa
@@ -607,41 +620,38 @@ def split_two_copies(a, b):
     if a1 - a2 <= TIE_TOL or a2 - a3 <= TIE_TOL:
         raise Degenerate("source Schmidt coefficients must be strictly distinct")
 
-    shared = [a1**2 / b1, a1 * (a1 + 2.0 * a2) / (2.0 * b1 + b2), a1 - (a1**2 - a2**2) / 2.0]
-    if a1 < b1:
-        case = 1
-        if a2**2 >= a1 * a3:
-            subcase = "a2^2 >= a1*a3"
-            if (a1 + a2) ** 2 / (2.0 * (b1 + b2)) >= a1:
-                raise EmptyRange("(a1+a2)^2 / (2(b1+b2)) >= a1: no admissible eta")
-            lo = max(*shared, (a1 + a2) ** 2 / (2.0 * (b1 + b2)), (a1 + a2) / 2.0)
-        else:
-            subcase = "a2^2 < a1*a3"
-            if a1 + 2.0 * a2 >= 2.0 * b1 + b2:
-                raise EmptyRange("a1 + 2 a2 >= 2 b1 + b2: no admissible eta")
-            lo = max(*shared, a1 * (2.0 - a1) / (2.0 - b3), (a1 + a2) / 2.0)
+    case = 1 if a1 < b1 else 2
+    if case == 1:
+        lo = max((a1 + a2) / 2.0, a1**2 / b1, (1.0 - a3**2 / b3) / 2.0)
         hi = min(a1, 0.5 - INTERVAL_MARGIN)
     else:
-        case = 2
-        if a3 >= 0.5 * (1.0 - a1**2 / b1):
-            raise EmptyRange("a3 >= (1 - a1^2/b1)/2: no admissible eta")
-        bounds = [a3**2 / b3, a3 * (2.0 * a2 + a3) / (b2 + 2.0 * b3)]
-        if a2**2 >= a1 * a3:
-            subcase = "a2^2 >= a1*a3"
-            bounds.append(a1 * a3 / b1)
-        else:
-            subcase = "a2^2 < a1*a3"
-            bounds.append(a3 + (a2**2 - a3**2) / 2.0)
         lo = a3
-        hi = min(*bounds, (1.0 - a1) / 2.0, 1.0 / 3.0)
+        hi = min((1.0 - a1) / 2.0, (1.0 - a1**2 / b1) / 2.0, a3**2 / b3)
     if lo >= hi - INTERVAL_MARGIN:
         raise EmptyRange(f"empty parameter interval ({lo}, {hi})")
 
-    # probes in order of preference, all checked in one pass
-    eta = _split_eta(case, lo + np.array((0.5, 0.25, 0.75, 0.1, 0.9)) * (hi - lo))
-    ok = compare_rows(vec_kron(sa, sa), vec_kron(sb, eta)).fwd & compare_rows(sa, eta).incomparable
-    if not ok.any():
-        raise EmptyRange("interval candidates failed the direct validation checks")
+    e0 = _split_eta(case, 0.0)
+    e1 = _split_eta(case, 1.0) - e0
+    source = vec_kron(sa, sa)
+    window = _window_affine(
+        np.stack((source, vec_kron(sb, e0))),
+        np.stack((np.zeros_like(source), vec_kron(sb, e1))),
+        lo,
+        hi,
+        MAJ_TOL,
+    )
+    window = [(start, end) for start, end in window if start < end - INTERVAL_MARGIN]
+    if not window:
+        raise EmptyRange(f"no eta(x) with x in ({lo}, {hi}) passes the joint check")
+    start, end = max(window, key=lambda piece: piece[1] - piece[0])
+    eta = _split_eta(case, start + 0.5 * (end - start))
+    target = vec_kron(sb, eta)
+    if not (majorizes(source, target) and compare(sa, eta) is MajVerdict.Incomparable):
+        raise EmptyRange("the interval midpoint failed the direct validation checks")
     return SplitRange(
-        case=case, param_interval=(float(lo), float(hi)), eta=eta[ok.argmax()], subcase=subcase
+        case=case,
+        param_interval=(start, end),
+        eta=eta,
+        window=window,
+        margin=_min_slack(source, target),
     )

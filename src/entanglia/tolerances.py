@@ -43,7 +43,8 @@ PHASE_TOL = 1e-12
 TIE_TOL = 1e-9
 
 # Open interval ends are kept this far away: the catalyst grid stops below
-# c = 1, split2's interval stays below 1/2 and is empty unless lo < hi - this.
+# c = 1, split2's interval stays below 1/2, and it and each piece of its
+# window are empty unless start < end - this.
 INTERVAL_MARGIN = 1e-12
 
 # cardan_roots accepts G >= -CARDAN_TOL and H^2 <= 4 G^3 + CARDAN_TOL.

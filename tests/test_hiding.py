@@ -253,6 +253,23 @@ def test_run_demo_rejects_a_seed_that_is_not_a_non_negative_integer(bad):
         run_demo(4, 2, seed=bad, shots=10)
 
 
+@pytest.mark.parametrize("bad", [True, np.False_, None, -1, 2.5, "7", [5, -2]])
+@pytest.mark.parametrize("draw", [decode_by_unlock, parity_attack])
+def test_seeded_draws_reject_a_seed_that_is_not_a_pcg64_seed(draw, bad):
+    # None would read OS entropy and a bool passes as 0 or 1: neither is a
+    # deterministic seed; the rest are numpy's errors, named as BadParam
+    with pytest.raises(BadParam, match="seed"):
+        draw(hide(1, 4), seed=bad)
+
+
+@pytest.mark.parametrize("seed", [(5, 2), [17, 0, 1], np.uint64(9), 2**70])
+def test_seeded_draws_take_every_pcg64_seed(seed):
+    h = hide(2, 4)
+    assert decode_by_unlock(h, seed=seed) == 2
+    want = parity_attack(h, seed=np.random.SeedSequence(seed), shots=20)
+    assert parity_attack(h, seed=seed, shots=20) == want
+
+
 SEED_CORPUS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
 
 

@@ -26,7 +26,7 @@ from entanglia.locc import (
     tensor_power,
     vec_kron,
 )
-from entanglia.majorization import MajVerdict, compare
+from entanglia.majorization import MajVerdict, compare, compare_rows
 from entanglia.measures import binary_entropy, shannon
 
 from conftest import brute_majorized, random_prob, rng_for
@@ -336,24 +336,40 @@ def test_split_two_copies_degenerate():
         split_two_copies([0.4, 0.4, 0.2], [0.48, 0.26, 0.26])
 
 
-def test_split_two_copies_entropy_guard():
-    # target pair far out of entropy reach comes back empty
-    rng = rng_for("split-empty")
-    raised = 0
-    for k in range(400):
-        a = random_prob(3, rng)
-        b = random_prob(3, rng)
-        if compare(a, b) is not MajVerdict.Incomparable:
+def test_split_window_matches_direct_scan():
+    # on a grid of x in (0, 1/2), eta(x) = (x, x, 1-2x) passes the direct
+    # checks (a (x) a majorized by b (x) eta, eta incomparable with a)
+    # exactly inside the window; points within 1e-9 of a piece's end, where
+    # the tolerances decide, are skipped
+    rng = rng_for("split-scan")
+    grid = np.linspace(0.0, 0.5, 2003)[1:-1]
+    eta = np.stack((grid, grid, 1.0 - 2.0 * grid), axis=-1)
+    found = {1: 0, 2: 0}
+    pairs = 0
+    while pairs < 200:
+        a, b = random_prob(3, rng), random_prob(3, rng)
+        if compare(a, b) is not MajVerdict.Incomparable or min(a[0] - a[1], a[1] - a[2]) <= 1e-9:
             continue
-        if a[0] - a[1] <= 1e-9 or a[1] - a[2] <= 1e-9:
-            continue
+        pairs += 1
+        passes = compare_rows(vec_kron(a, a), vec_kron(b, eta)).fwd & compare_rows(a, eta).incomparable
         try:
             r = split_two_copies(a, b)
-            assert brute_majorized(vec_kron(a, a), vec_kron(b, r.eta))
-            assert compare(a, r.eta) is MajVerdict.Incomparable
         except EmptyRange:
-            raised += 1
-    assert raised >= 0  # EmptyRange is a legitimate outcome ("not always successful")
+            assert not passes.any(), (a, b)
+            continue
+        found[r.case] += 1
+        assert passes.any(), (a, b, r.window)
+        inside = np.zeros(grid.size, dtype=bool)
+        near_end = np.zeros(grid.size, dtype=bool)
+        for start, end in r.window:
+            inside |= (start <= grid) & (grid <= end)
+            near_end |= (abs(grid - start) <= 1e-9) | (abs(grid - end) <= 1e-9)
+        assert np.array_equal(passes[~near_end], inside[~near_end]), (a, b, r.window)
+        lo, hi = r.param_interval
+        assert r.param_interval in r.window and lo < hi
+        assert brute_majorized(vec_kron(a, a), vec_kron(b, r.eta))
+        assert compare(a, r.eta) is MajVerdict.Incomparable
+    assert min(found.values()) >= 10, found
 
 
 def test_plans_self_certifying_property():
