@@ -108,6 +108,8 @@ def load_any(path):
 
 
 def _jsonify(obj):
+    """The report as a JSON document: the one place that reads numpy, enum
+    and dataclass values."""
     if is_dataclass(obj):
         return _jsonify(asdict(obj))
     if isinstance(obj, enum.Enum):
@@ -116,72 +118,63 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return [_jsonify(complex(v)) for v in obj.reshape(-1)]
-        return [_jsonify(float(v)) for v in obj.reshape(-1)]
+    if isinstance(obj, np.ndarray):  # flattened, as floats or [re, im] pairs
+        return _jsonify(obj.astype(complex if np.iscomplexobj(obj) else float).ravel().tolist())
     if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return [_jsonify(c.real), _jsonify(c.imag)]
+        return [_jsonify(obj.real), _jsonify(obj.imag)]
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (int, bool, str)) or obj is None:
         return obj
     return str(obj)
 
 
-def _human(obj, indent=0):
+def _human(doc, indent=0):
+    """Print a JSON document as an outline: a dict one key a line, a list
+    one item a line, and a list of numbers inline."""
     pad = "  " * indent
-    if is_dataclass(obj):
-        obj = asdict(obj)
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple, np.ndarray)) and not _is_number_seq(v):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            if isinstance(v, (dict, list)) and not _is_number_seq(v):
                 print(f"{pad}{k}:")
                 _human(v, indent + 1)
             else:
                 print(f"{pad}{k}: {_fmt(v)}")
         return
-    if isinstance(obj, (list, tuple)):
-        for v in obj:
-            if isinstance(v, (dict, list, tuple)) and not _is_number_seq(v):
-                _human(v, indent + 1)
-            else:
-                print(f"{pad}- {_fmt(v)}")
-        return
-    print(f"{pad}{_fmt(obj)}")
+    for v in doc:
+        if isinstance(v, (dict, list)) and not _is_number_seq(v):
+            _human(v, indent + 1)
+        else:
+            print(f"{pad}- {_fmt(v)}")
 
 
 def _is_number_seq(v):
-    if isinstance(v, np.ndarray):
-        return v.ndim == 1
-    return isinstance(v, (list, tuple)) and all(
-        isinstance(x, (int, float, np.integer, np.floating)) for x in v
-    )
+    return isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
 
 
 def _fmt(v):
-    if isinstance(v, enum.Enum):
-        return v.value
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.6g}"
-    if isinstance(v, np.ndarray) or _is_number_seq(v):
-        return "[" + ", ".join(_fmt(x) for x in np.asarray(v).reshape(-1)) + "]"
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    if isinstance(v, list):  # beside a float, an int prints as one, as in an array
+        spec = ".6g" if any(isinstance(x, float) for x in v) else ""
+        return "[" + ", ".join(format(x, spec) for x in v) + "]"
     return str(v)
 
 
 def emit(report, args):
-    """Print a report; its `diagnostics` block goes to structured output
-    only, so human output stays stable."""
+    """Print a report from its one JSON document.  Structured output adds
+    the seed and the tolerances; human output prints the document without
+    its `diagnostics` block, as an outline, then a footer."""
+    doc = _jsonify(report)
     if args.output == "structured":
-        doc = _jsonify(report)
         doc["seed"] = args.seed
         doc["tolerances"] = tolerances.as_dict()
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
-        if isinstance(report, dict):
-            report = {k: v for k, v in report.items() if k != "diagnostics"}
-        _human(report)
+        doc.pop("diagnostics", None)
+        _human(doc)
         tol = " ".join(f"{k}={v:g}" for k, v in tolerances.as_dict().items())
         print(f"[seed {args.seed}; {tol}]")
 
@@ -303,32 +296,25 @@ def cmd_measure(args):
     cut = parse_cut(args.cut)
     what = args.kind
     if what == "entropy":
-        if kind == "state":
-            value = entanglement_entropy(obj, dims, cut)
-        else:
-            value = von_neumann_entropy(obj)
+        value = entanglement_entropy(obj, dims, cut) if kind == "state" else von_neumann_entropy(obj)
         return {"measure": what, "value": value}
     if what == "concurrence":
-        if kind == "state":
-            return {"measure": what, "value": concurrence_pure(obj, dims, cut)}
-        return {"measure": what, "value": concurrence_2q(obj)}
+        value = concurrence_pure(obj, dims, cut) if kind == "state" else concurrence_2q(obj)
+        return {"measure": what, "value": value}
     rho = projector(obj) if kind == "state" else obj
     if what == "eof":
         return {"measure": what, "value": eof_2q(rho)}
-    if what == "negativity":
-        return {
-            "measure": what,
-            "negativity": negativity(rho, dims, cut),
-            "log_negativity": log_negativity(rho, dims, cut),
-        }
-    raise BadParam(f"unknown measure {what!r}")
+    return {
+        "measure": what,
+        "negativity": negativity(rho, dims, cut),
+        "log_negativity": log_negativity(rho, dims, cut),
+    }
 
 
 def cmd_witness(args):
     kind, obj, dims = load_any(args.file)
     rho = projector(obj) if kind == "state" else obj
-    rep = witness_report(rho, dims, cut=parse_cut(args.cut), seed=args.seed, copies=args.copies)
-    return rep
+    return witness_report(rho, dims, cut=parse_cut(args.cut), seed=args.seed, copies=args.copies)
 
 
 def _gadget_report(res):
@@ -344,14 +330,12 @@ def _gadget_report(res):
         "B_final": res.b_final,
         "cardan_initial": res.cardan_initial,
         "cardan_final": res.cardan_final,
-        "cardan_max_delta": float(
-            max(
-                np.max(np.abs(res.cardan_initial - res.initial_schmidt)),
-                np.max(np.abs(res.cardan_final - res.final_schmidt)),
-            )
+        "cardan_max_delta": max(
+            np.abs(res.cardan_initial - res.initial_schmidt).max(),
+            np.abs(res.cardan_final - res.final_schmidt).max(),
         ),
     }
-    out.update({k: v for k, v in res.diagnostics.items()})
+    out.update(res.diagnostics)
     return out
 
 
@@ -447,28 +431,24 @@ def cmd_bound(args):
             "insep_part_min_pt_eigenvalue": ins_min,
             "insep_part_npt": not ins_ppt,
         }
-    if args.action == "upb":
-        states = tiles_upb()
-        gram = np.array([[abs(np.vdot(x, y)) for y in states] for x in states])
-        comp = upb_complement()
-        ppt, pt_min = is_ppt(comp, (3, 3), (1,))
-        score = upb_unextendibility_score(trials=args.trials, seed=args.seed)
-        trunc = upb_unextendibility_score(trials=args.trials, seed=args.seed, states=states[:4])
-        return {
-            "pairwise_orthogonal": bool(np.max(np.abs(gram - np.eye(5))) < ORTHO_TOL),
-            "complement_rank": int(np.linalg.matrix_rank(comp, tol=ZERO_TOL, hermitian=True)),
-            "complement_min_pt_eigenvalue": pt_min,
-            "complement_ppt": ppt,
-            "seesaw_score": score,
-            "truncated_seesaw_score": trunc,
-            "restarts": args.trials,
-        }
-    raise BadParam(f"unknown bound action {args.action!r}")
+    states = tiles_upb()
+    gram = np.array([[abs(np.vdot(x, y)) for y in states] for x in states])
+    comp = upb_complement()
+    ppt, pt_min = is_ppt(comp, (3, 3), (1,))
+    score = upb_unextendibility_score(trials=args.trials, seed=args.seed)
+    trunc = upb_unextendibility_score(trials=args.trials, seed=args.seed, states=states[:4])
+    return {
+        "pairwise_orthogonal": bool(np.max(np.abs(gram - np.eye(5))) < ORTHO_TOL),
+        "complement_rank": int(np.linalg.matrix_rank(comp, tol=ZERO_TOL, hermitian=True)),
+        "complement_min_pt_eigenvalue": pt_min,
+        "complement_ppt": ppt,
+        "seesaw_score": score,
+        "truncated_seesaw_score": trunc,
+        "restarts": args.trials,
+    }
 
 
 def cmd_hide(args):
-    if args.action != "demo":
-        raise BadParam(f"unknown hide action {args.action!r}")
     return run_demo(args.n, args.trials, seed=args.seed, shots=args.shots)
 
 
