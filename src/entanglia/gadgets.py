@@ -84,7 +84,7 @@ def _verdict(spec_i, spec_f):
     return "NoViolation"
 
 
-def _result(psi_i, psi_f, diagnostics=None):
+def _result(psi_i, psi_f, diagnostics=None, verdict=None):
     rho_i = reduced_density(psi_i, DIMS, keep=[0])
     rho_f = reduced_density(psi_f, DIMS, keep=[0])
     spec_i = np.clip(eigvals_hermitian(rho_i), 0.0, None)
@@ -94,7 +94,7 @@ def _result(psi_i, psi_f, diagnostics=None):
     return GadgetResult(
         initial_schmidt=spec_i,
         final_schmidt=spec_f,
-        verdict=_verdict(spec_i, spec_f),
+        verdict=verdict or _verdict(spec_i, spec_f),
         a_initial=a_i,
         b_initial=b_i,
         a_final=a_f,
@@ -130,7 +130,12 @@ def flip_gadget(a, b, c, d, theta, mu=0.0, nu=0.0):
     """Probe the exact flipper defined on |0>, a|0>+b|1>, c|0>+d e^{i theta}|1>.
 
     The three states sit on one great circle exactly when a b c d sin(theta)
-    vanishes; anywhere else the initial/final spectra are incomparable.
+    vanishes; anywhere else the initial/final spectra are incomparable.  The
+    verdict is decided on that rule, not on the spectra: the flip keeps A
+    (the purity) and moves B by the coplanarity gap, so off the circle the
+    spectra differ with equal sum(lambda^2), which is strictly Schur-convex.
+    Near the circle they differ by less than MAJ_TOL (theta = 1e-4 at
+    a = c = 1/sqrt 2), and the float gap at theta = pi is 3.7e-33, not 0.
     """
     psi, phi = _flip_states(a, b, c, d, theta)
     _require_finite(mu=mu, nu=nu)
@@ -147,7 +152,8 @@ def flip_gadget(a, b, c, d, theta, mu=0.0, nu=0.0):
         "closed_form_B_final": 2.0 * a * a * c * c * (ip * ip).real,
         "coplanarity_gap": coplanarity_gap(a, b, c, d, theta),
     }
-    return _result(initial, final, diag)
+    coplanar = 0.0 in (a, b, c, d) or theta in (0.0, math.pi)
+    return _result(initial, final, diag, "NoViolation" if coplanar else "Incomparable")
 
 
 def coplanarity_gap(a, b, c, d, theta):

@@ -107,6 +107,28 @@ def test_great_circle_dichotomy():
         assert res.verdict == "Incomparable", (a, c, theta)
 
 
+def test_flip_off_the_circle_is_incomparable_at_small_theta():
+    # the spectra differ by less than MAJ_TOL here; the verdict reads the inputs
+    rng = rng_for("flip-small-theta")
+    for k in range(60):
+        a = math.sqrt(rng.uniform(0.05, 0.95))
+        c = math.sqrt(rng.uniform(0.05, 0.95))
+        theta = 10.0 ** rng.uniform(-8, -3)
+        mu, nu = rng.uniform(0, 2 * math.pi, 2)
+        res = flip_gadget(a, math.sqrt(1 - a * a), c, math.sqrt(1 - c * c), theta, mu, nu)
+        assert res.verdict == "Incomparable", (a, c, theta)
+    assert flip_gadget(S2, S2, S2, S2, 1e-8).verdict == "Incomparable"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(S2, S2, S2, S2, 0.0), (S2, S2, S2, S2, math.pi), (0.6, 0.8, 0.8, 0.6, math.pi),
+     (1.0, 0.0, S2, S2, 1e-4), (S2, S2, 0.0, 1.0, 1.0), (0.0, 1.0, 0.6, 0.8, 2.0)],
+)
+def test_flip_on_the_circle_is_no_violation(args):
+    assert flip_gadget(*args).verdict == "NoViolation"
+
+
 def test_antiunitary_special_cases():
     res = antiunitary_gadget(math.pi / 2, 0.0, 0.0)  # the universal flipper point
     assert np.max(np.abs(res.initial_schmidt - [2 / 3, 1 / 6, 1 / 6])) < 1e-9
