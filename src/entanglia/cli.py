@@ -37,7 +37,7 @@ from .bound_entangled import (
 from .errors import BadParam, EntangliaError, TooLarge
 from .gadgets import angle_preserving_gadget, antiunitary_gadget, flip_gadget
 from .hiding import run_demo
-from .linalg import min_eigenvalue, projector, read_matrix, write_matrix
+from .linalg import min_eigenvalue, projector, write_matrix
 from .locc import (
     assist_max_entangled,
     assist_max_entangled_direct,
@@ -60,7 +60,6 @@ from .measures import (
     negativity,
     von_neumann_entropy,
 )
-from .states import read_state
 from .tolerances import ORTHO_TOL, ZERO_TOL
 from .witness import is_ppt, witness_report
 
@@ -93,18 +92,41 @@ def parse_cut(text):
         raise BadParam(f"cannot parse cut {text!r}: {exc}") from None
 
 
+def _numbers(value):
+    """A JSON array of numbers (no strings, bools or nulls) as a float array,
+    or None."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        return None
+    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+
+
 def load_any(path):
-    """Load either a state file ('amp') or a matrix file ('re'/'im')."""
+    """Load either a state file ('amp': [re, im] pairs) or a matrix file
+    ('re'/'im': one square matrix each), with its dims (null or a list of
+    positive integers).  Any other content is a BadParam naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if "amp" in doc:
-            amp, dims = read_state(path)
-            return "state", amp, dims
-        mat, dims = read_matrix(path)
-        return "matrix", mat, dims
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise BadParam(f"cannot load state/matrix file {path!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise BadParam(f"state/matrix file {path!r} must hold a JSON object")
+    dims = doc.get("dims")
+    if dims is not None:
+        if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
+            raise BadParam(f"dims in {path!r} must be null or a list of positive integers, got {dims!r}")
+        dims = tuple(dims)
+    if "amp" in doc:
+        amp = _numbers(doc["amp"])
+        if amp is None or amp.ndim != 2 or amp.shape[1] != 2:
+            raise BadParam(f"amp in {path!r} must be a list of [re, im] pairs of numbers")
+        return "state", amp.view(complex)[:, 0], dims
+    re_, im = _numbers(doc.get("re")), _numbers(doc.get("im"))
+    if re_ is None or im is None or re_.ndim != 2 or re_.shape[0] != re_.shape[1] or im.shape != re_.shape:
+        raise BadParam(f"re and im in {path!r} must be square matrices of numbers, of one shape")
+    return "matrix", re_ + 1j * im, dims
 
 
 def _jsonify(obj):
@@ -387,10 +409,13 @@ def cmd_bound(args):
             "support_sizes": {lab: len(strings[lab[:-1]]) for lab in LABELS},
         }
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            for lab in LABELS:
-                fname = os.path.join(args.out, lab.replace("+", "p").replace("-", "m") + ".json")
-                write_matrix(fname, fam.states[lab], dims=fam.dims)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+                for lab in LABELS:
+                    fname = os.path.join(args.out, lab.replace("+", "p").replace("-", "m") + ".json")
+                    write_matrix(fname, fam.states[lab], dims=fam.dims)
+            except OSError as exc:
+                raise BadParam(f"cannot write the family to directory {args.out!r}: {exc}") from None
             report["written_to"] = args.out
         return report
     if args.action == "verify":
@@ -489,50 +514,25 @@ def build_parser():
     p = _Parser(prog="entanglia", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("majorize", parents=[common], help="compare two vectors")
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sp.set_defaults(fn=cmd_majorize)
+    def vector_pair(name, fn, text, names=("a", "b")):
+        """A subcommand that reads two vectors."""
+        sp = sub.add_parser(name, parents=[common], help=text)
+        for arg in names:
+            sp.add_argument(arg)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("nielsen", parents=[common], help="deterministic LOCC convertibility")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(fn=cmd_nielsen)
-
-    sp = sub.add_parser("classify", parents=[common], help="incomparability classification")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(fn=cmd_classify)
-
-    sp = sub.add_parser(
-        "catalyst", parents=[common], help="2x2 catalyst: first certified grid point in the exact window"
-    )
-    sp.add_argument("a")
-    sp.add_argument("b")
+    vector_pair("majorize", cmd_majorize, "compare two vectors", ("x", "y"))
+    vector_pair("nielsen", cmd_nielsen, "deterministic LOCC convertibility")
+    vector_pair("classify", cmd_classify, "incomparability classification")
+    sp = vector_pair("catalyst", cmd_catalyst, "2x2 catalyst: first certified grid point in the exact window")
     sp.add_argument("--step", type=float, default=1e-3)
-    sp.set_defaults(fn=cmd_catalyst)
-
-    sp = sub.add_parser("multicopy", parents=[common], help="k-copy joint conversion")
-    sp.add_argument("a")
-    sp.add_argument("b")
+    sp = vector_pair("multicopy", cmd_multicopy, "k-copy joint conversion")
     sp.add_argument("k", type=int)
-    sp.set_defaults(fn=cmd_multicopy)
-
-    sp = sub.add_parser("assist", parents=[common], help="entanglement-assisted conversion")
-    sp.add_argument("a")
-    sp.add_argument("b")
+    sp = vector_pair("assist", cmd_assist, "entanglement-assisted conversion")
     sp.add_argument("--min", action="store_true", help="cheapest 2x2 assisting state (3x3 pairs)")
-    sp.set_defaults(fn=cmd_assist)
-
-    sp = sub.add_parser("coop", parents=[common], help="mutual-cooperation auxiliary pair")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(fn=cmd_coop)
-
-    sp = sub.add_parser("split2", parents=[common], help="two copies into two incomparable targets")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.set_defaults(fn=cmd_split2)
+    vector_pair("coop", cmd_coop, "mutual-cooperation auxiliary pair")
+    vector_pair("split2", cmd_split2, "two copies into two incomparable targets")
 
     sp = sub.add_parser("measure", parents=[common], help="entropy/entanglement measures")
     sp.add_argument("kind", choices=("entropy", "concurrence", "eof", "negativity"))

@@ -1,16 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 import entanglia
 
-from entanglia.cli import main
+from entanglia.cli import emit, main
 from entanglia.linalg import write_matrix
 from entanglia.states import bell, werner, write_state
 
@@ -472,3 +474,20 @@ def test_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("ENTANGLIA_SEED", "123")
     code, out, _ = run_cli(capsys, "nielsen", ".5,.5", "1,0", "--output", "structured")
     assert json.loads(out)["seed"] == 123
+
+
+@dataclass
+class _WitnessLike:
+    verdict: str
+    spectrum: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
+
+
+def test_emit_prints_a_dataclass_diagnostics_block_only_in_structured_output(capsys):
+    report = _WitnessLike("Incomparable", np.array([0.75, 0.25]), {"restarts": np.int64(3)})
+    emit(report, argparse.Namespace(output="human", seed=0))
+    human = capsys.readouterr().out
+    assert human.startswith("verdict: Incomparable\nspectrum: [0.75, 0.25]\n[seed 0; ")
+    assert "diagnostics" not in human and "restarts" not in human
+    emit(report, argparse.Namespace(output="structured", seed=0))
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {"restarts": 3}

@@ -3,9 +3,12 @@
 Each run is a child process with a timeout, so a hang fails the test
 instead of stalling the suite.  Every argv must end in exit 0 (answer),
 2 (usage error) or 3 (named precondition), never in a traceback.  The two
-tests together start 44 children.
+tests together start 44 children.  The malformed state and matrix files at
+the end run in-process, where a traceback would raise in the test.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,7 +16,10 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import entanglia
+from entanglia.cli import main
 
 N_VALUES = ["-4", "-1", "0", "2", "3", "4", "5", "6", "7", "11", "12", "64", "four"]
 COUNTS = ["-5", "-1", "0", "1", "3", "2.5"]
@@ -152,3 +158,61 @@ def test_other_subcommands_argv_fuzz(tmp_path):
     rng = random.Random(19990401)
     codes = {run_child(other_argv(rng, KINDS[i % len(KINDS)], files)) for i in range(OTHER_RUNS)}
     assert {0, 3} <= codes
+
+
+# ---------------------------------------------------------------------------
+# malformed state and matrix files, run in-process: a traceback would raise
+
+
+def _malformed_docs():
+    h = 1 / math.sqrt(2)
+    werner = [[0.1, 0, 0, 0], [0, 0.4, -0.3, 0], [0, -0.3, 0.4, 0], [0, 0, 0, 0.1]]
+    zero = [[0.0] * 4 for _ in range(4)]
+    bell = [[h, 0], [0, 0], [0, 0], [h, 0]]
+    return {
+        "ragged-re": {"dims": [2, 2], "re": [row[:3] if i == 0 else row for i, row in enumerate(werner)], "im": zero},
+        "string-re": {"dims": [2, 2], "re": [["x", 0, 0, 0]] + werner[1:], "im": zero},
+        "numeric-string-re": {"dims": [2, 2], "re": [["0.1", 0, 0, 0]] + werner[1:], "im": zero},
+        "flat-re": {"dims": [2, 2], "re": [0.5, 0, 0, 0.5], "im": [0, 0, 0, 0]},
+        "non-square-re": {"dims": [2, 2], "re": werner[:3], "im": zero[:3]},
+        "im-shape": {"dims": [2, 2], "re": werner, "im": [[0, 0], [0, 0]]},
+        "amp-singles": {"dims": [2, 2], "amp": [[h], [0], [0], [h]]},
+        "amp-triples": {"dims": [2, 2], "amp": [[h, 0, 0], [0, 0, 0], [0, 0, 0], [h, 0, 0]]},
+        "amp-string": {"dims": [2, 2], "amp": "abcd"},
+        "dims-string": {"dims": [2, "x"], "re": werner, "im": zero},
+        "dims-negative": {"dims": [-2, -2], "re": werner, "im": zero},
+        "dims-float": {"dims": [2.9, 2.1], "re": werner, "im": zero},
+        "dims-bool": {"dims": [True, True], "amp": bell},
+        "dims-scalar": {"dims": 4, "amp": bell},
+        "not-an-object": [werner, zero],
+    }
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(_malformed_docs()))
+def test_malformed_file_names_the_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_malformed_docs()[name]))
+    for argv in (*(["measure", kind] for kind in ("entropy", "concurrence", "eof", "negativity")), ["witness"]):
+        code, out, err = run_in_process([*argv, str(path)])
+        assert code in (2, 3), (argv, code)
+        assert out == "" and err.startswith("error [") and err.count("\n") == 1, (argv, err)
+        assert str(path) in err, (argv, err)
+
+
+def test_bound_build_out_onto_a_file_names_the_directory(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    for out_dir in (target, target / "sub"):
+        code, out, err = run_in_process(["bound", "build", "--out", str(out_dir)])
+        assert code == 3 and out == ""
+        assert err.startswith("error [BadParam]") and err.count("\n") == 1 and str(out_dir) in err, err
