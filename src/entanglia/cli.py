@@ -37,7 +37,7 @@ from .bound_entangled import (
 from .errors import BadParam, EntangliaError, TooLarge
 from .gadgets import angle_preserving_gadget, antiunitary_gadget, flip_gadget
 from .hiding import run_demo
-from .linalg import min_eigenvalue, projector, write_matrix
+from .linalg import load_doc, matrix_from_doc, min_eigenvalue, projector, write_matrix
 from .locc import (
     assist_max_entangled,
     assist_max_entangled_direct,
@@ -60,6 +60,7 @@ from .measures import (
     negativity,
     von_neumann_entropy,
 )
+from .states import state_from_doc
 from .tolerances import ORTHO_TOL, ZERO_TOL
 from .witness import is_ppt, witness_report
 
@@ -92,41 +93,13 @@ def parse_cut(text):
         raise BadParam(f"cannot parse cut {text!r}: {exc}") from None
 
 
-def _numbers(value):
-    """A JSON array of numbers (no strings, bools or nulls) as a float array,
-    or None."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged rows
-        return None
-    return arr.astype(float) if arr.dtype.kind in "iuf" else None
-
-
 def load_any(path):
-    """Load either a state file ('amp': [re, im] pairs) or a matrix file
-    ('re'/'im': one square matrix each), with its dims (null or a list of
-    positive integers).  Any other content is a BadParam naming the file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise BadParam(f"cannot load state/matrix file {path!r}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise BadParam(f"state/matrix file {path!r} must hold a JSON object")
-    dims = doc.get("dims")
-    if dims is not None:
-        if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
-            raise BadParam(f"dims in {path!r} must be null or a list of positive integers, got {dims!r}")
-        dims = tuple(dims)
+    """Load either a state file ('amp') or a matrix file ('re'/'im'), with
+    its dims; malformed content is a BadParam naming the file."""
+    doc = load_doc(path)
     if "amp" in doc:
-        amp = _numbers(doc["amp"])
-        if amp is None or amp.ndim != 2 or amp.shape[1] != 2:
-            raise BadParam(f"amp in {path!r} must be a list of [re, im] pairs of numbers")
-        return "state", amp.view(complex)[:, 0], dims
-    re_, im = _numbers(doc.get("re")), _numbers(doc.get("im"))
-    if re_ is None or im is None or re_.ndim != 2 or re_.shape[0] != re_.shape[1] or im.shape != re_.shape:
-        raise BadParam(f"re and im in {path!r} must be square matrices of numbers, of one shape")
-    return "matrix", re_ + 1j * im, dims
+        return ("state", *state_from_doc(doc, path))
+    return ("matrix", *matrix_from_doc(doc, path))
 
 
 def _jsonify(obj):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSubset, ComplexRoots, MissingDims, NotHermitian, NotPSD
+from .errors import BadParam, BadSubset, ComplexRoots, MissingDims, NotHermitian, NotPSD
 from .tolerances import CARDAN_TOL, HERM_TOL, PHASE_TOL, PSD_CLAMP
 
 
@@ -224,10 +224,51 @@ def write_matrix(path, a, dims=None):
         json.dump(doc, fh)
 
 
+def load_doc(path):
+    """The JSON object of a matrix or state file; anything else is a
+    BadParam naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadParam(f"cannot load state/matrix file {path!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise BadParam(f"state/matrix file {path!r} must hold a JSON object")
+    return doc
+
+
+def doc_numbers(value):
+    """A JSON array of numbers (no strings, bools or nulls, anywhere) as a
+    float array, or None."""
+    try:
+        arr = np.asarray(value, dtype=object)
+        if all(type(x) in (int, float) for x in arr.flat):
+            return arr.astype(float)
+    except (ValueError, OverflowError):  # a nesting numpy refuses, an int beyond float
+        pass
+    return None
+
+
+def doc_dims(doc, path):
+    """The file's dims: null, or a non-empty list of positive ints."""
+    dims = doc.get("dims")
+    if dims is None:
+        return None
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
+        raise BadParam(f"dims in {path!r} must be null or a list of positive integers, got {dims!r}")
+    return tuple(dims)
+
+
+def matrix_from_doc(doc, path):
+    """(matrix, dims) from a matrix file's JSON object: `re` and `im` are
+    square arrays of numbers of one shape."""
+    dims = doc_dims(doc, path)
+    re_, im = doc_numbers(doc.get("re")), doc_numbers(doc.get("im"))
+    if re_ is None or im is None or re_.ndim != 2 or re_.shape[0] != re_.shape[1] or im.shape != re_.shape:
+        raise BadParam(f"re and im in {path!r} must be square matrices of numbers, of one shape")
+    return re_ + 1j * im, dims
+
+
 def read_matrix(path):
     """Returns (matrix, dims); dims may be None."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    a = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    dims = doc.get("dims")
-    return a, (None if dims is None else tuple(int(d) for d in dims))
+    return matrix_from_doc(load_doc(path), path)

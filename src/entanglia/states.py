@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBloch, BadParam, BadSplit, MissingDims, NotDensity
-from .linalg import eig_hermitian, partial_trace, projector
+from .linalg import doc_dims, doc_numbers, eig_hermitian, load_doc, partial_trace, projector
 from .tolerances import BLOCH_TOL, RANK_TOL, TRACE_TOL
 
 ID2 = np.eye(2, dtype=complex)
@@ -200,9 +200,16 @@ def write_state(path, psi, dims=None):
         json.dump(doc, fh)
 
 
+def state_from_doc(doc, path):
+    """(amplitudes, dims) from a state file's JSON object: `amp` is a list
+    of [re, im] number pairs, read bit for bit."""
+    dims = doc_dims(doc, path)
+    amp = doc_numbers(doc.get("amp"))
+    if amp is None or amp.ndim != 2 or amp.shape[1] != 2:
+        raise BadParam(f"amp in {path!r} must be a list of [re, im] pairs of numbers")
+    return amp.view(complex)[:, 0], dims
+
+
 def read_state(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    amp = np.array([complex(re, im) for re, im in doc["amp"]])
-    dims = doc.get("dims")
-    return amp, (None if dims is None else tuple(int(d) for d in dims))
+    """Returns (amplitudes, dims); dims may be None."""
+    return state_from_doc(load_doc(path), path)

@@ -4,7 +4,8 @@ Each run is a child process with a timeout, so a hang fails the test
 instead of stalling the suite.  Every argv must end in exit 0 (answer),
 2 (usage error) or 3 (named precondition), never in a traceback.  The two
 tests together start 44 children.  The malformed state and matrix files at
-the end run in-process, where a traceback would raise in the test.
+the end run in-process, where a traceback would raise in the test, through
+the CLI and through the library readers.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -20,6 +22,9 @@ import pytest
 
 import entanglia
 from entanglia.cli import main
+from entanglia.errors import BadParam
+from entanglia.linalg import read_matrix
+from entanglia.states import read_state
 
 N_VALUES = ["-4", "-1", "0", "2", "3", "4", "5", "6", "7", "11", "12", "64", "four"]
 COUNTS = ["-5", "-1", "0", "1", "3", "2.5"]
@@ -173,12 +178,14 @@ def _malformed_docs():
         "ragged-re": {"dims": [2, 2], "re": [row[:3] if i == 0 else row for i, row in enumerate(werner)], "im": zero},
         "string-re": {"dims": [2, 2], "re": [["x", 0, 0, 0]] + werner[1:], "im": zero},
         "numeric-string-re": {"dims": [2, 2], "re": [["0.1", 0, 0, 0]] + werner[1:], "im": zero},
+        "bool-re": {"dims": [2, 2], "re": [[True, 0, 0, 0.5]] + werner[1:], "im": zero},
         "flat-re": {"dims": [2, 2], "re": [0.5, 0, 0, 0.5], "im": [0, 0, 0, 0]},
         "non-square-re": {"dims": [2, 2], "re": werner[:3], "im": zero[:3]},
         "im-shape": {"dims": [2, 2], "re": werner, "im": [[0, 0], [0, 0]]},
         "amp-singles": {"dims": [2, 2], "amp": [[h], [0], [0], [h]]},
         "amp-triples": {"dims": [2, 2], "amp": [[h, 0, 0], [0, 0, 0], [0, 0, 0], [h, 0, 0]]},
         "amp-string": {"dims": [2, 2], "amp": "abcd"},
+        "amp-bool": {"dims": [2, 2], "amp": [[True, 0], [0, 0], [0, 0], [h, 0]]},
         "dims-string": {"dims": [2, "x"], "re": werner, "im": zero},
         "dims-negative": {"dims": [-2, -2], "re": werner, "im": zero},
         "dims-float": {"dims": [2.9, 2.1], "re": werner, "im": zero},
@@ -207,6 +214,16 @@ def test_malformed_file_names_the_file(tmp_path, name):
         assert code in (2, 3), (argv, code)
         assert out == "" and err.startswith("error [") and err.count("\n") == 1, (argv, err)
         assert str(path) in err, (argv, err)
+
+
+@pytest.mark.parametrize("name", list(_malformed_docs()))
+def test_library_readers_name_the_file(tmp_path, name):
+    doc = _malformed_docs()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    read = read_state if isinstance(doc, dict) and "amp" in doc else read_matrix
+    with pytest.raises(BadParam, match=re.escape(repr(str(path)))):
+        read(str(path))
 
 
 def test_bound_build_out_onto_a_file_names_the_directory(tmp_path):
