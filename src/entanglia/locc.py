@@ -27,8 +27,15 @@ from .errors import (
     TraceMismatch,
 )
 from .majorization import (
+    _SHORT,
     MajVerdict,
     _check_totals,
+    _padded,
+    _pair_flags,
+    _prob_sorted,
+    _sorted_pair,
+    _vectors,
+    _verdict,
     _window_affine,
     _zero_pad,
     as_prob_vector,
@@ -38,7 +45,7 @@ from .majorization import (
     sorted_padded,
 )
 from .measures import binary_entropy
-from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
+from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
@@ -63,11 +70,22 @@ def _schmidt_sorted(v):
     return np.sort(as_prob_vector(v))[::-1]
 
 
+def _rank(s):
+    """Schmidt rank of a validated descending vector: the number of its
+    leading entries above ZERO_TOL, at least 1."""
+    n = sum(map(ZERO_TOL.__lt__, s)) if type(s) is list else int(np.count_nonzero(s > ZERO_TOL))
+    return max(n, 1)
+
+
+def _stripped(v):
+    """_strip(v) as the pair core sorts it: Python floats for a short v."""
+    s = _prob_sorted(np.asarray(v, dtype=float))
+    return s[: _rank(s)]
+
+
 def _strip(v):
     """Descending sort with trailing zeros removed."""
-    v = _schmidt_sorted(v)
-    nz = np.nonzero(v > ZERO_TOL)[0]
-    return v[: nz[-1] + 1] if nz.size else v[:1]
+    return np.asarray(_stripped(v))
 
 
 def vec_kron(a, b):
@@ -82,7 +100,9 @@ def vec_kron(a, b):
 def nielsen(a, b):
     """True iff the state with Schmidt vector a converts to b under
     deterministic LOCC (a majorized by b)."""
-    return majorizes(as_prob_vector(a), as_prob_vector(b))
+    sa = _prob_sorted(np.asarray(a, dtype=float))
+    sb = _prob_sorted(np.asarray(b, dtype=float))
+    return bool(_pair_flags(*_padded(sa, sb))[0])
 
 
 @dataclass(frozen=True)
@@ -103,33 +123,53 @@ def _catalysis_filter(a1, ad, b1, bd):
     return (a1 <= b1 + TIE_TOL) and (ad >= bd - TIE_TOL)
 
 
-def classify(a, b):
-    """Full pair classification: verdict, 3x3 interleaving pattern, strong
-    incomparability, and the first/last-coefficient catalysis filter."""
-    verdict = compare(a, b)
-    ra, rb = _strip(a), _strip(b)
-    d = max(ra.size, rb.size)
-    sa, sb = _zero_pad(ra, d), _zero_pad(rb, d)
-    a1, ad = float(sa[0]), float(sa[-1])
-    b1, bd = float(sb[0]), float(sb[-1])
+def _classified(a, b):
+    """classify(a, b), and a and b validated and sorted descending (zero
+    padded to a common length).
+
+    Each raw input is sorted once, by the pair core: the compare verdict
+    reads the sorted copies (so malformed input fails there first), and the
+    validated vectors are those copies unless an entry needs the clamp.
+    """
+    x, y = _vectors(a, b)
+    xs, ys = _sorted_pair(x, y)
+    verdict = _verdict(*_pair_flags(xs, ys))
+    sa, sb = _padded(_prob_sorted(x, xs), _prob_sorted(y, ys))
+    ra, rb = _rank(sa), _rank(sb)
+    d = max(ra, rb)
+    # the stripped vectors zero-padded to d entries: ends a1, ad and b1, bd
+    a1, ad = float(sa[0]), (float(sa[d - 1]) if ra == d else 0.0)
+    b1, bd = float(sb[0]), (float(sb[d - 1]) if rb == d else 0.0)
     strong = (a1 < b1 - TIE_TOL and ad < bd - TIE_TOL) or (a1 > b1 + TIE_TOL and ad > bd + TIE_TOL)
     cat = _catalysis_filter(a1, ad, b1, bd)
     pattern = None
-    if verdict is MajVerdict.Incomparable and ra.size == 3 and rb.size == 3:
+    if verdict is MajVerdict.Incomparable and ra == rb == 3:
         if _chain_ge([a1, b1, sb[1], sa[1], sa[2], sb[2]]):
             pattern = "A"
         elif _chain_ge([b1, a1, sa[1], sb[1], sb[2], sa[2]]):
             pattern = "B"
-    return PairClass(verdict=verdict, pattern_3x3=pattern, strong=strong, catalysis_possible=cat)
+    pair = PairClass(verdict=verdict, pattern_3x3=pattern, strong=strong, catalysis_possible=cat)
+    return pair, sa, sb
+
+
+def classify(a, b):
+    """Full pair classification: verdict, 3x3 interleaving pattern, strong
+    incomparability, and the first/last-coefficient catalysis filter."""
+    return _classified(a, b)[0]
 
 
 def _require_copies(k):
+    """k as a Python int; BadParam unless it is a Python or numpy integer
+    (not a bool) of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise BadParam(f"k must be an integer, got {k!r}")
     if k < 1:
         raise BadParam(f"k = {k} copies: at least one copy is required")
+    return int(k)
 
 
 def tensor_power(a, k):
-    _require_copies(k)
+    k = _require_copies(k)
     out = np.asarray(a, dtype=float)
     for _ in range(k - 1):
         out = vec_kron(out, a)
@@ -143,24 +183,40 @@ def multicopy(a, b, k):
     large k: r^20 > 10^6 for every r >= 2, and r = 1 (two product states)
     is the same comparison for every k.
     """
-    _require_copies(k)
-    sa, sb = _strip(a), _strip(b)
-    r = sa.size * sb.size
+    k = _require_copies(k)
+    sa, sb = _stripped(a), _stripped(b)
+    r = len(sa) * len(sb)
     if r ** min(k, 20) > 10**6:
         raise TooLarge(f"(rank_a * rank_b)^k = {r}^{k} exceeds 10^6")
     if r == 1:
         k = 1
-    return majorizes(tensor_power(sa, k), tensor_power(sb, k))
+    return bool(_pair_flags(*_padded(_power(sa, k), _power(sb, k)))[0])
+
+
+def _power(s, k):
+    """The k-fold tensor power of a stripped vector s, sorted descending.
+    A power of at most _SHORT entries is formed from a list as Python
+    products in vec_kron's order: entry i * len(s) + j of each step is
+    out[i] * s[j]."""
+    if type(s) is list and len(s) ** k <= _SHORT:
+        out = s
+        for _ in range(k - 1):
+            out = [p * q for p in out for q in s]
+        return sorted(out, reverse=True)
+    return np.sort(tensor_power(np.asarray(s), k))[::-1]
 
 
 def _catalyst_window(sa, sb, slack):
     """The window of the affine stacks v0 + c * v1 whose rows hold the
-    entries of a (x) (c, 1-c) and b (x) (c, 1-c): v (1-c) and v c."""
-    d = max(sa.size, sb.size)
-    s = np.stack((_zero_pad(sa, d), _zero_pad(sb, d)))
+    entries of a (x) (c, 1-c) and b (x) (c, 1-c): v (1-c) and v c.
+
+    sa and sb are descending vectors, lists or arrays; each stack is built
+    from Python lists in one call."""
+    d = max(len(sa), len(sb))
+    pa, pb = list(sa) + [0.0] * (d - len(sa)), list(sb) + [0.0] * (d - len(sb))
     return _window_affine(
-        np.concatenate((s, np.zeros_like(s)), axis=-1),
-        np.concatenate((-s, s), axis=-1),
+        np.array((pa + [0.0] * d, pb + [0.0] * d)),
+        np.array(([-x for x in pa] + pa, [-x for x in pb] + pb)),
         0.5,
         1.0 - INTERVAL_MARGIN,
         slack,
@@ -200,38 +256,11 @@ def _grid_span(lo, hi, step):
     return start, last + 1
 
 
-def _catalysis_sorted(a, b):
-    """classify(a, b).catalysis_possible, with a and b validated and sorted
-    (descending) once.
-
-    classify runs instead, raising what it raises, unless both inputs are
-    nonempty 1-d vectors with entries in [0, 1 + TRACE_TOL] (read off the
-    sorted ends, so a NaN fails too and the sums cannot overflow) and
-    totals within TRACE_TOL of 1 and within TRACE_TOL / 2 of each other.
-    Then classify's compare of the raw inputs cannot raise, whatever its
-    summation order, and as_prob_vector returns each input as it is.
-    """
-    va, vb = np.array(a, dtype=float), np.array(b, dtype=float)
-    if va.ndim == vb.ndim == 1 and va.size and vb.size:
-        sa, sb = np.sort(va)[::-1], np.sort(vb)[::-1]
-        top = 1.0 + TRACE_TOL
-        if sa[-1] >= 0 and sb[-1] >= 0 and sa[0] <= top and sb[0] <= top:
-            ta, tb = sa.sum(), sb.sum()
-            near_one = abs(ta - 1.0) <= TRACE_TOL and abs(tb - 1.0) <= TRACE_TOL
-            if near_one and abs(ta - tb) <= TRACE_TOL / 2:
-                # stripped lengths: the entries above ZERO_TOL lead each vector
-                na, nb = (max(int(np.count_nonzero(v > ZERO_TOL)), 1) for v in (sa, sb))
-                ad = float(sa[na - 1]) if na >= nb else 0.0
-                bd = float(sb[nb - 1]) if nb >= na else 0.0
-                return _catalysis_filter(float(sa[0]), ad, float(sb[0]), bd), sa, sb
-    return classify(a, b).catalysis_possible, _schmidt_sorted(a), _schmidt_sorted(b)
-
-
 def _catalyst_grid_search(a, b, step):
     """find_catalyst_2x2's answer, with the number of grid points certified
     up to it (counted as a one-by-one scan of the window would)."""
-    possible, sa, sb = _catalysis_sorted(a, b)
-    if not possible:
+    pair, sa, sb = _classified(a, b)
+    if not pair.catalysis_possible:
         return None, 0
     sizes = _chunk_sizes(_CATALYST_FIRST_CHUNK)
     certified = 0
@@ -302,12 +331,15 @@ def assist_max_entangled(a, b):
     zeros are stripped.  Costs O(d), against O(d^2) for the product
     vectors of assist_max_entangled_direct.
     """
-    sa, sb = _strip(a), _strip(b)
-    if sa.size != sb.size or sa.size < 3:
+    sa, sb = _stripped(a), _stripped(b)
+    if len(sa) != len(sb) or len(sa) < 3:
         raise RankMismatch(
-            f"equal Schmidt rank >= 3 required, got ranks {sa.size} and {sb.size}"
+            f"equal Schmidt rank >= 3 required, got ranks {len(sa)} and {len(sb)}"
         )
-    d = sa.size
+    d = len(sa)
+    if type(sb) is list:  # the same steps on Python floats
+        sums = itertools.accumulate(sb)
+        return all(k * sa[0] / (d - 1) <= s + MAJ_TOL for k, s in zip(range(1, d), sums))
     sums = np.cumsum(sb)
     return bool((np.arange(1, d) * sa[0] / (d - 1) <= sums[:-1] + MAJ_TOL).all())
 

@@ -3,7 +3,9 @@
 Vectors are accepted unsorted and possibly of unequal length; operations
 sort descending and zero-pad internally, so callers never pre-sort.  One
 kernel, compare_rows, does the partial-sum work for whole (..., d) stacks;
-majorizes and compare are its single-row views.
+majorizes and compare are its single-row views.  One pair of vectors runs
+on the pair core (_sorted_pair, _pair_flags, _prob_sorted), which sorts and
+sums a short pair as Python floats.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +75,16 @@ class RowFlags(NamedTuple):
         return ~(self.fwd | self.bwd | self.equal)
 
 
+def _verdict(fwd, bwd, equal):
+    if equal:
+        return MajVerdict.Equal
+    if fwd:
+        return MajVerdict.XPrecY
+    if bwd:
+        return MajVerdict.YPrecX
+    return MajVerdict.Incomparable
+
+
 def _zero_pad(v, d):
     if v.shape[-1] == d:
         return v
@@ -123,6 +136,136 @@ def _check_ends(xs, ys):
         raise TraceMismatch(f"a total is past the float range: {tx} vs {ty}")
 
 
+# A pair of at most _SHORT entries (after zero padding) is sorted and summed
+# as Python floats, where numpy's fixed cost of about 1 us a call outweighs
+# the work.  Per call, numpy against Python floats (2-core x86, numpy 2.4.6,
+# best of 7): at d = 32 compare took 12.0 against 8.6 us, classify 17.9
+# against 15.0 us and assist_max_entangled 13.3 against 12.8 us; at d = 40
+# assist loses (13.3 against 14.8 us), and at d = 48 classify too.
+_SHORT = 32
+
+
+def _vectors(x, y):
+    """x and y as float arrays; TraceMismatch naming the shape of an
+    argument that is not a 1-d vector."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for v in (x, y):
+        if v.ndim != 1:
+            raise TraceMismatch(f"expected a 1-d vector, got an array of shape {v.shape}")
+    return x, y
+
+
+def _short_sorted(s, d):
+    """The list s of Python floats zero-padded to d entries and sorted
+    descending, in place."""
+    s += [0.0] * (d - len(s))
+    s.sort(reverse=True)
+    return s
+
+
+def _sorted_pair(x, y):
+    """The 1-d float arrays x and y zero-padded to a common length d and
+    sorted descending, as lists of Python floats when d <= _SHORT and every
+    entry is finite and at most _SUM_BOUND / d in size, else as arrays.
+
+    The sum of magnitudes bounds every entry and is NaN or inf if an entry
+    is, so it is tested before Python's sort, which leaves a NaN anywhere.
+    A pair that fails it runs on numpy, which raises as compare_rows always
+    has.
+    """
+    d = max(x.size, y.size, 1)
+    if d <= _SHORT:
+        xs, ys = x.tolist(), y.tolist()
+        if sum(map(abs, xs)) + sum(map(abs, ys)) <= _SUM_BOUND / d:
+            return _short_sorted(xs, d), _short_sorted(ys, d)
+    return np.sort(_zero_pad(x, d))[::-1], np.sort(_zero_pad(y, d))[::-1]
+
+
+def _padded(xs, ys):
+    """Two descending vectors with no entry below zero, zero-padded to a
+    common length: lists if both are lists, else arrays."""
+    d = max(len(xs), len(ys))
+    if type(xs) is list and type(ys) is list:
+        return xs + [0.0] * (d - len(xs)), ys + [0.0] * (d - len(ys))
+    return _zero_pad(np.asarray(xs), d), _zero_pad(np.asarray(ys), d)
+
+
+def _pair_flags(xs, ys):
+    """compare_rows' (fwd, bwd, equal) for one pair, sorted and padded as
+    _sorted_pair leaves it: Python bools for lists, numpy bools for arrays.
+
+    Lists take numpy's steps in numpy's order on Python floats: sequential
+    partial sums as cumsum makes them, the totals within TRACE_TOL,
+    cx <= cy + MAJ_TOL and the close rule, so the flags and errors are the
+    array path's, bit for bit.  Their entries are finite and bounded, so only
+    unequal totals can raise.
+    """
+    if type(xs) is list:
+        cx, cy = list(accumulate(xs)), list(accumulate(ys))
+        if not abs(cx[-1] - cy[-1]) <= TRACE_TOL:
+            _check_totals(np.float64(cx[-1]), np.float64(cy[-1]))
+        fwd = bwd = close = True
+        for sx, sy, ex, ey in zip(cx, cy, xs, ys):
+            fwd = fwd and sx <= sy + MAJ_TOL
+            bwd = bwd and sy <= sx + MAJ_TOL
+            close = close and abs(ex - ey) <= MAJ_TOL
+        return fwd, bwd, close or (fwd and bwd)
+    lim = _SUM_BOUND / xs.size  # a NaN fails every comparison
+    x_in = -lim <= float(xs[-1]) and float(xs[0]) <= lim
+    if not (x_in and -lim <= float(ys[-1]) and float(ys[0]) <= lim):
+        _check_ends(xs, ys)
+    cx, cy = xs.cumsum(), ys.cumsum()
+    _check_totals(cx[-1], cy[-1])
+    fwd = (cx <= cy + MAJ_TOL).all()
+    bwd = (cy <= cx + MAJ_TOL).all()
+    close = abs(xs - ys).max() <= MAJ_TOL
+    return fwd, bwd, close | (fwd & bwd)
+
+
+def _sums_to_one(v, s):
+    """as_prob_vector's gate abs(v.sum() - 1.0) <= TRACE_TOL, for a float
+    array v whose entries, sorted into s, lie in [0, 2].
+
+    numpy's total (pairwise above 8 entries, in v's own order) and
+    math.fsum's correctly rounded one are each within (n - 1) u and u
+    times the exact sum of it (n entries, u = epsilon / 2), so together
+    within len(s) * epsilon * total.  A list is summed by fsum, and numpy
+    sums it only when its gap to 1 is that close to TRACE_TOL; the answer
+    is numpy's either way.
+    """
+    if type(s) is list:
+        t = math.fsum(s)
+        gap = abs(t - 1.0)
+        if abs(gap - TRACE_TOL) > len(s) * sys.float_info.epsilon * t:
+            return gap <= TRACE_TOL
+    return abs(v.sum() - 1.0) <= TRACE_TOL
+
+
+def _prob_sorted(v, s=None):
+    """as_prob_vector(v) sorted descending, for a float array v: a list of
+    Python floats when v has at most _SHORT entries, else an array.
+
+    s, if given, is v as _sorted_pair sorted it (maybe zero-padded), and is
+    returned as it is when v needs no clamp, so that v is sorted once.  A v
+    whose sorted ends lie in [0, 2] (no NaN, no clamp, a total that cannot
+    overflow) and that passes the total gate is valid as it is; any other v
+    goes through as_prob_vector, which raises or clamps.
+    """
+    if s is None and v.ndim == 1:
+        if v.size > _SHORT:
+            s = np.sort(v)[::-1]  # a NaN sorts first
+        else:
+            s = v.tolist()
+            if all(map(math.isfinite, s)):  # Python's sort leaves a NaN anywhere
+                s.sort(reverse=True)
+            else:
+                s = None
+    if s is not None and len(s) and s[-1] >= 0.0 and s[0] <= 2.0 and _sums_to_one(v, s):
+        return s
+    v = as_prob_vector(v)
+    return sorted(v.tolist(), reverse=True) if v.size <= _SHORT else np.sort(v)[::-1]
+
+
 def compare_rows(x, y):
     """Majorization flags for every row of two (..., d) stacks.
 
@@ -131,29 +274,24 @@ def compare_rows(x, y):
     sort and one cumsum per side; every row's totals must be finite and
     agree within the trace tolerance.
 
-    One pair of vectors, as every verdict and CLI command passes, with a NaN
-    or infinity raises NonFinite without a numpy warning.  Four scalar tests
-    on the sorted ends catch every entry that would make the cumsum or the
-    totals meet inf - inf: a NaN or +inf sorts first and -inf last, zero
-    padding included.  The same tests bound every end by _SUM_BOUND / d, so an
-    overflowing total is reported, again without a warning, as a
-    TraceMismatch naming it.  Stacks, which the searches build from validated
-    vectors, skip those tests (testing a stack's ends, or an np.errstate
-    around its cumsum, added 2% or more to a catalyst call), so a stack
-    holding inf and -inf raises NonFinite after numpy's invalid-value
-    warning.
+    One pair of vectors, as every verdict and CLI command passes, runs on
+    the pair core and raises NonFinite for a NaN or infinity without a numpy
+    warning.  On numpy, four scalar tests on the sorted ends catch every
+    entry that would make the cumsum or the totals meet inf - inf: a NaN or
+    +inf sorts first and -inf last, zero padding included.  The same tests
+    bound every end by _SUM_BOUND / d, so an overflowing total is reported,
+    again without a warning, as a TraceMismatch naming it.  Stacks, which the
+    searches build from validated vectors, skip those tests (testing a
+    stack's ends, or an np.errstate around its cumsum, added 2% or more to a
+    catalyst call), so a stack holding inf and -inf raises NonFinite after
+    numpy's invalid-value warning.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == y.ndim == 1:
+        return RowFlags(*map(np.bool_, _pair_flags(*_sorted_pair(x, y))))
     xs, ys = sorted_padded(x, y)
-    if xs.ndim == ys.ndim == 1:
-        lim = _SUM_BOUND / xs.size  # a NaN fails every comparison
-        x_in = -lim <= float(xs[-1]) and float(xs[0]) <= lim
-        if not (x_in and -lim <= float(ys[-1]) and float(ys[0]) <= lim):
-            _check_ends(xs, ys)
-        cx, cy = xs.cumsum(), ys.cumsum()
-        _check_totals(cx[-1], cy[-1])
-    else:
-        cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
-        _check_totals(cx[..., -1], cy[..., -1])
+    cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
+    _check_totals(cx[..., -1], cy[..., -1])
     fwd = (cx <= cy + MAJ_TOL).all(axis=-1)
     bwd = (cy <= cx + MAJ_TOL).all(axis=-1)
     close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
@@ -164,21 +302,16 @@ def majorizes(x, y):
     """True iff x is majorized by y (x more mixed than y).
 
     Every descending partial sum of x must stay <= the corresponding sum of
-    y within MAJ_TOL; totals must agree within the trace tolerance.
+    y within MAJ_TOL; totals must agree within the trace tolerance.  Raises
+    TraceMismatch for an argument that is not a 1-d vector.
     """
-    return bool(compare_rows(x, y).fwd)
+    return bool(_pair_flags(*_sorted_pair(*_vectors(x, y)))[0])
 
 
 def compare(x, y):
-    """Classify the pair: XPrecY, YPrecX, Equal or Incomparable."""
-    flags = compare_rows(x, y)
-    if flags.equal:
-        return MajVerdict.Equal
-    if flags.fwd:
-        return MajVerdict.XPrecY
-    if flags.bwd:
-        return MajVerdict.YPrecX
-    return MajVerdict.Incomparable
+    """Classify the pair: XPrecY, YPrecX, Equal or Incomparable.  Raises
+    TraceMismatch for an argument that is not a 1-d vector."""
+    return _verdict(*_pair_flags(*_sorted_pair(*_vectors(x, y))))
 
 
 def _window_affine(v0, v1, lo, hi, slack):
@@ -253,7 +386,9 @@ def ds_witness(x, y):
 
     Classical Hardy-Littlewood-Polya construction: each step mixes the
     identity with one transposition, fixing at least one coordinate, so at
-    most d-1 factors are needed.
+    most d-1 factors are needed.  A step changes only rows j and k, so it
+    is applied to those two rows of A and entries of the vector in place:
+    O(d) a step instead of a d x d product.
     """
     if not majorizes(x, y):
         raise NotMajorized("x is not majorized by y")
@@ -272,11 +407,9 @@ def ds_witness(x, y):
         k = j + 1 + int(ks[0])
         delta = min(v[j] - xs[j], xs[k] - v[k])
         t = 1.0 - delta / (v[j] - v[k])
-        step = np.eye(d)
-        step[j, j] = step[k, k] = t
-        step[j, k] = step[k, j] = 1.0 - t
-        v = step @ v
-        a = step @ a
+        u = 1.0 - t
+        v[j], v[k] = t * v[j] + u * v[k], t * v[k] + u * v[j]
+        a[j], a[k] = t * a[j] + u * a[k], t * a[k] + u * a[j]
     return a
 
 
