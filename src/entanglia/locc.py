@@ -258,10 +258,11 @@ def _grid_span(lo, hi, step):
 
 def _catalyst_grid_search(a, b, step):
     """find_catalyst_2x2's answer, with the number of grid points certified
-    up to it (counted as a one-by-one scan of the window would)."""
+    up to it (counted as a one-by-one scan of the window would), and a and
+    b validated and sorted as `_classified` leaves them."""
     pair, sa, sb = _classified(a, b)
     if not pair.catalysis_possible:
-        return None, 0
+        return None, 0, sa, sb
     sizes = _chunk_sizes(_CATALYST_FIRST_CHUNK)
     certified = 0
     # every grid point compare_rows passes lies in the window at twice its
@@ -274,10 +275,10 @@ def _catalyst_grid_search(a, b, step):
             hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
             if hit.any():
                 first = int(hit.argmax())
-                return float(c[first]), certified + first + 1
+                return float(c[first]), certified + first + 1, sa, sb
             certified += c.size
             start += c.size
-    return None, certified
+    return None, certified, sa, sb
 
 
 def find_catalyst_2x2(a, b, grid_step=1e-3):
@@ -307,17 +308,18 @@ def catalyst_search(a, b, grid_step=1e-3):
     MAJ_TOL, whether a grid point lies in it, and the number of grid points
     certified.  When the window is nonempty but holds no grid point,
     off_grid_c is the midpoint of its widest interval, certified by
-    compare_rows (None if that check fails); it is never returned as c."""
+    compare_rows (None if that check fails); it is never returned as c.
+    Each input is validated and sorted once, by the grid search."""
     step = _grid_step(grid_step)
-    c, certified = _catalyst_grid_search(a, b, step)
-    window = catalyst_window_2x2(a, b)
+    c, certified, sa, sb = _catalyst_grid_search(a, b, step)
+    window = _catalyst_window(sa, sb, MAJ_TOL)
     on_grid = any(start < stop for start, stop in (_grid_span(lo, hi, step) for lo, hi in window))
     off_grid_c = None
     if window and not on_grid:
         lo, hi = max(window, key=lambda w: w[1] - w[0])
         mid = 0.5 * (lo + hi)
         chi = (mid, 1.0 - mid)
-        if majorizes(vec_kron(_schmidt_sorted(a), chi), vec_kron(_schmidt_sorted(b), chi)):
+        if majorizes(vec_kron(sa, chi), vec_kron(sb, chi)):
             off_grid_c = mid
     return CatalystSearch(c, window, on_grid, certified, off_grid_c)
 

@@ -284,11 +284,14 @@ def compare_rows(x, y):
     searches build from validated vectors, skip those tests (testing a
     stack's ends, or an np.errstate around its cumsum, added 2% or more to a
     catalyst call), so a stack holding inf and -inf raises NonFinite after
-    numpy's invalid-value warning.
+    numpy's invalid-value warning.  A 0-d argument, which has no rows, raises
+    TraceMismatch naming its shape.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == y.ndim == 1:
         return RowFlags(*map(np.bool_, _pair_flags(*_sorted_pair(x, y))))
+    if not (x.ndim and y.ndim):
+        raise TraceMismatch("expected a vector or a stack of rows, got an array of shape ()")
     xs, ys = sorted_padded(x, y)
     cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
     _check_totals(cx[..., -1], cy[..., -1])

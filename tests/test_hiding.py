@@ -270,25 +270,49 @@ def test_seeded_draws_take_every_pcg64_seed(seed):
     assert parity_attack(h, seed=seed, shots=20) == want
 
 
-SEED_CORPUS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5)
+SEED_CORPUS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 7)
 
 
 def test_trial_streams_draw_what_the_seeded_generators_draw():
-    """The demo's seeding contract: `_trial_streams` of the seed's words
-    are the streams of `default_rng((seed, t, *tail))`, and its raw reads
-    are that generator's `integers(4)`, uint32 shot words and `random()`."""
+    """The demo's seeding contract: `_trial_seeds` of the seed's words are
+    the states of `default_rng((seed, t, *tail))`, and the draws read from
+    them are that generator's `integers(4)`, uint32 shot words and
+    `random()`."""
+    stream = np.random.PCG64(0)
     for seed in SEED_CORPUS:
         words = hiding._seed_words(seed)
         want = np.random.SeedSequence(seed).generate_state(8)
         assert np.array_equal(np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(8), want)
-        for t in (0, 1, 2**16):
-            first, attack, last = hiding._trial_streams(words, t)
-            assert hiding._secret(first.random_raw()) == np.random.default_rng((seed, t)).integers(4)
+        ts = (0, 1, 2**16)
+        for t, first, attack, last in zip(ts, *hiding._trial_seeds(words, ts)):
+            assert hiding._secret(hiding._first_output(*first)) == np.random.default_rng((seed, t)).integers(4)
             want = np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=(9, 2), dtype=np.uint32)
-            got = hiding._shot_words(attack, 9)
+            hiding._seat(stream, *attack)
+            got = hiding._shot_words(stream, 9)
             assert got.dtype == np.uint32 and np.array_equal(got, want)
             want = np.random.default_rng((seed, t, 2)).random()
-            assert hiding._uniform(last.random_raw()).hex() == want.hex()
+            assert hiding._uniform(hiding._first_output(*last)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_pcg64_seeds_equal_numpy_seeding(rows):
+    """The vectorized seeding kernel against numpy's own, lane by lane, on
+    random entropy of 1 to `rows` words (zero-padded to a block): at most
+    four words fill SeedSequence's pool, and each word past the fourth is
+    mixed into the lanes that have it only."""
+    rng = np.random.default_rng(rows)
+    lengths = rng.integers(1, rows + 1, size=40)
+    lengths[0] = rows
+    entropy = rng.integers(0, 2**32, size=(rows, lengths.size), dtype=np.uint64).astype(np.uint32)
+    entropy[:, 1] = 0  # an all-zero lane
+    entropy[:, 2] = 2**32 - 1  # and one of all-ones words
+    entropy[np.arange(rows)[:, None] >= lengths] = 0
+    got = hiding._pcg64_seeds(entropy, lengths)
+    assert len(got) == lengths.size
+    for (state, inc), e, length in zip(got, entropy.T, lengths):
+        want = np.random.PCG64(np.random.SeedSequence(e[:length])).state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), e[:length]
+        assert type(state) is int and type(inc) is int
 
 
 @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32, np.int32])
@@ -556,8 +580,17 @@ def _same(got, want):
 def test_run_demo_equals_the_per_trial_loop(n):
     for trials in (1, 2, 7, 40):
         for shots in (1, 2, 3, 500, 1001):
-            for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5):
+            for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 7):
                 _same(run_demo(n, trials, seed=seed, shots=shots), loop_run_demo(n, trials, seed=seed, shots=shots))
+
+
+def test_run_demo_seeds_its_trials_in_blocks(monkeypatch):
+    """Blocks of `_SEED_BLOCK` trials, the last one short, give the draws
+    of one pass."""
+    monkeypatch.setattr(hiding, "_SEED_BLOCK", 3)
+    for trials in (1, 3, 4, 7):
+        for seed in (0, 2**64 + 5, 2**96 + 7):
+            _same(run_demo(6, trials, seed=seed, shots=40), loop_run_demo(6, trials, seed=seed, shots=40))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -192,6 +193,15 @@ def test_compare_rows_rejects_bad_rows():
             compare(good[0], rows[1])
         with pytest.raises(NonFinite):
             as_prob_vector(rows[1])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1.0, [1.0]), ([1.0], 1.0), (1.0, 1.0), (np.float64(1.0), [[0.5, 0.5]]), ([[0.5, 0.5]], 0.5)],
+)
+def test_compare_rows_names_a_0d_argument(x, y):
+    with pytest.raises(TraceMismatch, match=re.escape("got an array of shape ()")):
+        compare_rows(x, y)
 
 
 def test_compare_rows_nonfinite_pair_raises_without_warning():
