@@ -36,22 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDims, BadLabel, BadParam, NotDyadic, NotGHZDiagonal, OddN, TooLarge
+from .family_labels import CHECKS, LABELS
 from .linalg import projector
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
 from .tolerances import UPB_SEESAW_TOL
-
-LABELS = ("rho+", "rho-", "sigma+", "sigma-")
-
-# The seven family checks, in report order: the flags of a FamilyReport.
-CHECKS = (
-    "orthogonal",
-    "permutation_symmetric",
-    "even_cut_ppt",
-    "single_vs_rest_npt",
-    "pauli_connected",
-    "reduced_max_mixed",
-    "unlock_ok",
-)
 
 # Bell state paired with each measurement outcome, per family label.
 PAIRING = {
@@ -493,14 +481,15 @@ def _unlock_table(d, o):
     matrix assigned in `hiding`, its last bits may depend on the order.  The
     conditionals are one stacked ghz_dense and their fidelities with the four
     Bell states one batched matmul; an outcome of probability 0 gets a NaN
-    conditional and fidelity.
+    conditional and fidelity, or an infinite one with nonzero entries,
+    without a numpy warning.
     """
     pd, po = _outcome_parts(d.shape[-1].bit_length() - 1)
     diag = pd @ d.reshape(len(d), -1, 4)  # (row, outcome, j)
     probability = diag.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = ghz_dense(diag, po @ o.reshape(len(o), -1, 4)) / probability[..., None, None]
-    fidelity = (_BELLS.conj()[:, None, :] @ conditional[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
+        fidelity = (_BELLS.conj()[:, None, :] @ conditional[:, :, None] @ _BELLS[:, :, None])[..., 0, 0].real
     return _UnlockTable(*_read_only(probability, conditional, fidelity))
 
 

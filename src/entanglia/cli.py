@@ -8,7 +8,6 @@ array file); matrices and states are given by file path only.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import enum
 import json
 import math
@@ -16,60 +15,31 @@ import os
 import re
 import sys
 from dataclasses import asdict, is_dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from . import tolerances
-from .bound_entangled import (
-    CHECKS,
-    LABELS,
-    be_family,
-    be_family_direct,
-    horodecki_insep,
-    horodecki_state,
-    support_strings,
-    tiles_upb,
-    unlock,
-    upb_complement,
-    upb_unextendibility_score,
-    verify_family,
-)
 from .errors import BadParam, EntangliaError, TooLarge
-from .gadgets import angle_preserving_gadget, antiunitary_gadget, flip_gadget
-from .hiding import run_demo
-from .linalg import load_doc, matrix_from_doc, min_eigenvalue, projector, write_matrix
-from .locc import (
-    assist_max_entangled,
-    assist_max_entangled_direct,
-    classify,
-    coop_construct,
-    catalyst_search,
-    min_assist_3x3,
-    multicopy,
-    nielsen,
-    split_two_copies,
-    vec_kron,
-)
-from .majorization import compare, sorted_padded
-from .measures import (
-    concurrence_2q,
-    concurrence_pure,
-    eof_2q,
-    entanglement_entropy,
-    log_negativity,
-    negativity,
-    von_neumann_entropy,
-)
-from .states import state_from_doc
+from .family_labels import CHECKS, LABELS
+from .pairs import _SHORT, pair_class, pair_flags, power, power_copies, prob_sorted, rank, require_copies
+from .pairs import sorted_pair, verdict
 from .tolerances import ORTHO_TOL, ZERO_TOL
-from .witness import is_ppt, witness_report
 
 # Points of one `angle --sweep` CSV (under a millisecond each).
 MAX_SWEEP = 10**4
 
 
+def _floats(text):
+    """Inline comma-separated decimals as Python floats."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise BadParam(f"cannot parse vector {text!r}: {exc}") from None
+
+
 def parse_vector(text):
     """Inline comma-separated decimals, or a JSON-array file path."""
+    import numpy as np
+
     if os.path.exists(text):
         try:
             with open(text) as fh:
@@ -79,10 +49,45 @@ def parse_vector(text):
         if v.ndim != 1:
             raise BadParam(f"vector file {text!r} must hold a flat JSON array of numbers")
         return v
-    try:
-        return np.asarray([float(x) for x in text.split(",") if x.strip()], dtype=float)
-    except ValueError as exc:
-        raise BadParam(f"cannot parse vector {text!r}: {exc}") from None
+    return np.asarray(_floats(text), dtype=float)
+
+
+# Each subcommand imports the modules it needs when it runs.  majorize,
+# nielsen, classify and multicopy answer inline vectors of at most _SHORT
+# entries on the pair core (pairs), which imports no numpy.  The input
+# alone sends them to numpy instead, which then raises and warns as it
+# always has: a vector file, more than _SHORT entries, a -0.0 entry, a
+# multicopy power of more than _LONG_POWER entries, or what the pair core
+# leaves to numpy (a NaN or an infinity, an entry past _SUM_BOUND / d, a
+# total too close to TRACE_TOL for fsum to decide, or a probability
+# vector whose total fails, since its message prints numpy's sum).
+
+
+class _ArrayPath(Exception):
+    """The pair core leaves this input to numpy."""
+
+
+def _short(value):
+    """A pair-core answer; _ArrayPath for its None."""
+    if value is None:
+        raise _ArrayPath
+    return value
+
+
+def _short_vectors(*texts):
+    """The vectors as lists of Python floats for the pair core: each given
+    inline, with at most _SHORT entries and no -0.0, else _ArrayPath.
+    np.sort and Python's sort order 0.0 and -0.0 differently, which a
+    printed partial sum can show."""
+    vectors = []
+    for text in texts:
+        if os.path.exists(text):
+            raise _ArrayPath
+        v = _floats(text)
+        if len(v) > _SHORT or any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in v):
+            raise _ArrayPath
+        vectors.append(v)
+    return vectors
 
 
 def parse_cut(text):
@@ -96,6 +101,9 @@ def parse_cut(text):
 def load_any(path):
     """Load either a state file ('amp') or a matrix file ('re'/'im'), with
     its dims; malformed content is a BadParam naming the file."""
+    from .linalg import load_doc, matrix_from_doc
+    from .states import state_from_doc
+
     doc = load_doc(path)
     if "amp" in doc:
         return ("state", *state_from_doc(doc, path))
@@ -104,7 +112,9 @@ def load_any(path):
 
 def _jsonify(obj):
     """The report as a JSON document: the one place that reads numpy, enum
-    and dataclass values."""
+    and dataclass values.  A numpy value exists only once numpy is loaded,
+    so numpy is read from sys.modules and never imported here."""
+    np = sys.modules.get("numpy")
     if is_dataclass(obj):
         return _jsonify(asdict(obj))
     if isinstance(obj, enum.Enum):
@@ -113,13 +123,13 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):  # flattened, as floats or [re, im] pairs
+    if np is not None and isinstance(obj, np.ndarray):  # flattened, as floats or [re, im] pairs
         return _jsonify(obj.astype(complex if np.iscomplexobj(obj) else float).ravel().tolist())
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex) or (np is not None and isinstance(obj, np.complexfloating)):
         return [_jsonify(obj.real), _jsonify(obj.imag)]
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or (np is not None and isinstance(obj, np.floating)):
         return float(obj)
-    if isinstance(obj, np.integer):
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (int, bool, str)) or obj is None:
         return obj
@@ -177,6 +187,10 @@ def emit(report, args):
 def _sum_table(a, b, names=("source", "target")):
     """The partial sums every verdict reads: both vectors zero-padded to a
     common length, then sorted descending."""
+    import numpy as np
+
+    from .majorization import sorted_padded
+
     xs, ys = sorted_padded(a, b)
     return {
         f"{names[0]}_partial_sums": np.cumsum(xs),
@@ -184,33 +198,69 @@ def _sum_table(a, b, names=("source", "target")):
     }
 
 
+def _short_sums(xs, ys, names=("source", "target")):
+    """_sum_table of a pair sorted_pair sorted: accumulate adds in
+    np.cumsum's order."""
+    return {f"{names[0]}_partial_sums": list(accumulate(xs)), f"{names[1]}_partial_sums": list(accumulate(ys))}
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: majorize, nielsen, classify and multicopy take the
+# pair core's steps in the library's order, so each raises what the library
+# raises, and any _ArrayPath on the way runs the whole command on numpy
 
 
 def cmd_majorize(args):
-    x, y = parse_vector(args.x), parse_vector(args.y)
-    return {"verdict": compare(x, y), **_sum_table(x, y, ("x", "y"))}
+    try:
+        xs, ys = _short(sorted_pair(*_short_vectors(args.x, args.y)))
+    except _ArrayPath:
+        from .majorization import compare
+
+        x, y = parse_vector(args.x), parse_vector(args.y)
+        return {"verdict": compare(x, y), **_sum_table(x, y, ("x", "y"))}
+    return {"verdict": verdict(*pair_flags(xs, ys)), **_short_sums(xs, ys, ("x", "y"))}
 
 
 def cmd_nielsen(args):
-    a, b = parse_vector(args.a), parse_vector(args.b)
-    return {"convertible": nielsen(a, b), **_sum_table(a, b)}
+    try:
+        a, b = _short_vectors(args.a, args.b)
+        sa, sb = _short(prob_sorted(a)), _short(prob_sorted(b))
+    except _ArrayPath:
+        from .locc import nielsen
+
+        a, b = parse_vector(args.a), parse_vector(args.b)
+        return {"convertible": nielsen(a, b), **_sum_table(a, b)}
+    convertible = pair_flags(sa, sb)[0]
+    return {"convertible": convertible, **_short_sums(*sorted_pair(a, b))}  # valid entries are bounded
 
 
 def cmd_classify(args):
-    a, b = parse_vector(args.a), parse_vector(args.b)
-    pc = classify(a, b)
+    try:
+        a, b = _short_vectors(args.a, args.b)
+        xs, ys = _short(sorted_pair(a[:], b[:]))
+        v = verdict(*pair_flags(xs, ys))
+        sa, sb = _short(prob_sorted(a, xs)), _short(prob_sorted(b, ys))
+    except _ArrayPath:
+        from .locc import classify
+
+        a, b = parse_vector(args.a), parse_vector(args.b)
+        pc, table = classify(a, b), _sum_table(a, b)
+    else:
+        pc, table = pair_class(v, sa, sb, rank(sa), rank(sb)), _short_sums(xs, ys)
     return {
         "verdict": pc.verdict,
         "pattern_3x3": pc.pattern_3x3,
         "strong": pc.strong,
         "catalysis_possible": pc.catalysis_possible,
-        **_sum_table(a, b),
+        **table,
     }
 
 
 def cmd_catalyst(args):
+    import numpy as np
+
+    from .locc import catalyst_search, nielsen, vec_kron
+
     a, b = parse_vector(args.a), parse_vector(args.b)
     search = catalyst_search(a, b, grid_step=args.step)
     c = search.c
@@ -232,12 +282,36 @@ def cmd_catalyst(args):
     return report
 
 
+# A k-fold power of more than _LONG_POWER entries is formed and sorted
+# sooner on numpy, its import included: a multicopy whose larger power had
+# 1.2 * 10^5 entries took 91 ms as Python floats against 140 ms on numpy,
+# and at 2.6 * 10^5 entries both took 142 ms (2-core x86, numpy 2.4.6,
+# median of 5 runs).
+_LONG_POWER = 2**17
+
+
 def cmd_multicopy(args):
-    a, b = parse_vector(args.a), parse_vector(args.b)
-    return {"k": args.k, "convertible": multicopy(a, b, args.k)}
+    try:
+        a, b = _short_vectors(args.a, args.b)
+        k = require_copies(args.k)
+        sa, sb = _short(prob_sorted(a)), _short(prob_sorted(b))
+        sa, sb = sa[: rank(sa)], sb[: rank(sb)]
+        k = power_copies(len(sa), len(sb), k)
+        if max(len(sa), len(sb)) ** k > _LONG_POWER:
+            raise _ArrayPath
+    except _ArrayPath:
+        from .locc import multicopy
+
+        a, b = parse_vector(args.a), parse_vector(args.b)
+        return {"k": args.k, "convertible": multicopy(a, b, args.k)}
+    return {"k": args.k, "convertible": pair_flags(power(sa, k), power(sb, k))[0]}
 
 
 def cmd_assist(args):
+    import numpy as np
+
+    from .locc import assist_max_entangled, assist_max_entangled_direct, min_assist_3x3, nielsen, vec_kron
+
     a, b = parse_vector(args.a), parse_vector(args.b)
     if args.min:
         plan = min_assist_3x3(a, b)
@@ -262,6 +336,8 @@ def cmd_assist(args):
 
 
 def cmd_coop(args):
+    from .locc import coop_construct, vec_kron
+
     a, b = parse_vector(args.a), parse_vector(args.b)
     plan = coop_construct(a, b, seed=args.seed)
     return {
@@ -275,6 +351,8 @@ def cmd_coop(args):
 
 
 def cmd_split2(args):
+    from .locc import split_two_copies, vec_kron
+
     a, b = parse_vector(args.a), parse_vector(args.b)
     r = split_two_copies(a, b)
     return {
@@ -287,6 +365,10 @@ def cmd_split2(args):
 
 
 def cmd_measure(args):
+    from .linalg import projector
+    from .measures import concurrence_2q, concurrence_pure, entanglement_entropy, eof_2q, log_negativity
+    from .measures import negativity, von_neumann_entropy
+
     kind, obj, dims = load_any(args.file)
     cut = parse_cut(args.cut)
     what = args.kind
@@ -307,12 +389,17 @@ def cmd_measure(args):
 
 
 def cmd_witness(args):
+    from .linalg import projector
+    from .witness import witness_report
+
     kind, obj, dims = load_any(args.file)
     rho = projector(obj) if kind == "state" else obj
     return witness_report(rho, dims, cut=parse_cut(args.cut), seed=args.seed, copies=args.copies)
 
 
 def _gadget_report(res):
+    import numpy as np
+
     out = {
         "verdict": res.verdict,
         "initial_schmidt": res.initial_schmidt,
@@ -335,19 +422,27 @@ def _gadget_report(res):
 
 
 def cmd_flip(args):
+    from .gadgets import flip_gadget
+
     return _gadget_report(flip_gadget(args.a, args.b, args.c, args.d, args.theta, args.mu, args.nu))
 
 
 def cmd_antiunitary(args):
+    from .gadgets import antiunitary_gadget
+
     return _gadget_report(antiunitary_gadget(args.theta, args.alpha, args.beta))
 
 
 def cmd_angle(args):
+    from .gadgets import angle_preserving_gadget
+
     if args.sweep < 0:
         raise BadParam(f"--sweep must be >= 0, got {args.sweep}")
     if args.sweep > MAX_SWEEP:
         raise TooLarge(f"--sweep = {args.sweep} exceeds {MAX_SWEEP}")
     if args.sweep:
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["alpha", "beta", "A", "B", "verdict", "entropy_initial", "entropy_final"])
         for i in range(args.sweep):
@@ -369,6 +464,13 @@ def cmd_angle(args):
 
 
 def cmd_bound(args):
+    import numpy as np
+
+    from .bound_entangled import be_family, be_family_direct, horodecki_insep, horodecki_state, support_strings
+    from .bound_entangled import tiles_upb, unlock, upb_complement, upb_unextendibility_score, verify_family
+    from .linalg import min_eigenvalue, write_matrix
+    from .witness import is_ppt
+
     if args.action == "build":
         fam = be_family(args.n)
         direct = be_family_direct(args.n)
@@ -447,6 +549,8 @@ def cmd_bound(args):
 
 
 def cmd_hide(args):
+    from .hiding import run_demo
+
     return run_demo(args.n, args.trials, seed=args.seed, shots=args.shots)
 
 

@@ -27,15 +27,11 @@ from .errors import (
     TraceMismatch,
 )
 from .majorization import (
-    _SHORT,
-    MajVerdict,
     _check_totals,
-    _padded,
     _pair_flags,
     _prob_sorted,
     _sorted_pair,
     _vectors,
-    _verdict,
     _window_affine,
     _zero_pad,
     as_prob_vector,
@@ -45,6 +41,17 @@ from .majorization import (
     sorted_padded,
 )
 from .measures import binary_entropy
+from .pairs import (  # PairClass is exported from here
+    _SHORT,
+    MajVerdict,
+    PairClass,
+    pair_class,
+    power,
+    power_copies,
+    rank,
+    require_copies,
+    verdict,
+)
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
@@ -72,9 +79,8 @@ def _schmidt_sorted(v):
 
 def _rank(s):
     """Schmidt rank of a validated descending vector: the number of its
-    leading entries above ZERO_TOL, at least 1."""
-    n = sum(map(ZERO_TOL.__lt__, s)) if type(s) is list else int(np.count_nonzero(s > ZERO_TOL))
-    return max(n, 1)
+    leading entries above ZERO_TOL, at least 1 (pairs.rank for a list)."""
+    return rank(s) if type(s) is list else max(int(np.count_nonzero(s > ZERO_TOL)), 1)
 
 
 def _stripped(v):
@@ -102,30 +108,11 @@ def nielsen(a, b):
     deterministic LOCC (a majorized by b)."""
     sa = _prob_sorted(np.asarray(a, dtype=float))
     sb = _prob_sorted(np.asarray(b, dtype=float))
-    return bool(_pair_flags(*_padded(sa, sb))[0])
-
-
-@dataclass(frozen=True)
-class PairClass:
-    verdict: MajVerdict
-    pattern_3x3: str | None  # "A", "B" or None
-    strong: bool
-    catalysis_possible: bool
-
-
-def _chain_ge(seq):
-    return all(seq[i] >= seq[i + 1] - TIE_TOL for i in range(len(seq) - 1))
-
-
-def _catalysis_filter(a1, ad, b1, bd):
-    """The necessary condition for any catalyst: a1 <= b1 and ad >= bd, read
-    off the stripped vectors zero-padded to a common length."""
-    return (a1 <= b1 + TIE_TOL) and (ad >= bd - TIE_TOL)
+    return bool(_pair_flags(sa, sb)[0])
 
 
 def _classified(a, b):
-    """classify(a, b), and a and b validated and sorted descending (zero
-    padded to a common length).
+    """classify(a, b), and a and b validated and sorted descending.
 
     Each raw input is sorted once, by the pair core: the compare verdict
     reads the sorted copies (so malformed input fails there first), and the
@@ -133,23 +120,9 @@ def _classified(a, b):
     """
     x, y = _vectors(a, b)
     xs, ys = _sorted_pair(x, y)
-    verdict = _verdict(*_pair_flags(xs, ys))
-    sa, sb = _padded(_prob_sorted(x, xs), _prob_sorted(y, ys))
-    ra, rb = _rank(sa), _rank(sb)
-    d = max(ra, rb)
-    # the stripped vectors zero-padded to d entries: ends a1, ad and b1, bd
-    a1, ad = float(sa[0]), (float(sa[d - 1]) if ra == d else 0.0)
-    b1, bd = float(sb[0]), (float(sb[d - 1]) if rb == d else 0.0)
-    strong = (a1 < b1 - TIE_TOL and ad < bd - TIE_TOL) or (a1 > b1 + TIE_TOL and ad > bd + TIE_TOL)
-    cat = _catalysis_filter(a1, ad, b1, bd)
-    pattern = None
-    if verdict is MajVerdict.Incomparable and ra == rb == 3:
-        if _chain_ge([a1, b1, sb[1], sa[1], sa[2], sb[2]]):
-            pattern = "A"
-        elif _chain_ge([b1, a1, sa[1], sb[1], sb[2], sa[2]]):
-            pattern = "B"
-    pair = PairClass(verdict=verdict, pattern_3x3=pattern, strong=strong, catalysis_possible=cat)
-    return pair, sa, sb
+    v = verdict(*_pair_flags(xs, ys))
+    sa, sb = _prob_sorted(x, xs), _prob_sorted(y, ys)
+    return pair_class(v, sa, sb, _rank(sa), _rank(sb)), sa, sb
 
 
 def classify(a, b):
@@ -158,18 +131,8 @@ def classify(a, b):
     return _classified(a, b)[0]
 
 
-def _require_copies(k):
-    """k as a Python int; BadParam unless it is a Python or numpy integer
-    (not a bool) of at least 1."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise BadParam(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise BadParam(f"k = {k} copies: at least one copy is required")
-    return int(k)
-
-
 def tensor_power(a, k):
-    k = _require_copies(k)
+    k = require_copies(k)
     out = np.asarray(a, dtype=float)
     for _ in range(k - 1):
         out = vec_kron(out, a)
@@ -183,26 +146,18 @@ def multicopy(a, b, k):
     large k: r^20 > 10^6 for every r >= 2, and r = 1 (two product states)
     is the same comparison for every k.
     """
-    k = _require_copies(k)
+    k = require_copies(k)
     sa, sb = _stripped(a), _stripped(b)
-    r = len(sa) * len(sb)
-    if r ** min(k, 20) > 10**6:
-        raise TooLarge(f"(rank_a * rank_b)^k = {r}^{k} exceeds 10^6")
-    if r == 1:
-        k = 1
-    return bool(_pair_flags(*_padded(_power(sa, k), _power(sb, k)))[0])
+    k = power_copies(len(sa), len(sb), k)
+    return bool(_pair_flags(_power(sa, k), _power(sb, k))[0])
 
 
 def _power(s, k):
     """The k-fold tensor power of a stripped vector s, sorted descending.
-    A power of at most _SHORT entries is formed from a list as Python
-    products in vec_kron's order: entry i * len(s) + j of each step is
-    out[i] * s[j]."""
+    A power of at most _SHORT entries is formed from a list, by
+    pairs.power."""
     if type(s) is list and len(s) ** k <= _SHORT:
-        out = s
-        for _ in range(k - 1):
-            out = [p * q for p in out for q in s]
-        return sorted(out, reverse=True)
+        return power(s, k)
     return np.sort(tensor_power(np.asarray(s), k))[::-1]
 
 

@@ -4,31 +4,22 @@ Vectors are accepted unsorted and possibly of unequal length; operations
 sort descending and zero-pad internally, so callers never pre-sort.  One
 kernel, compare_rows, does the partial-sum work for whole (..., d) stacks;
 majorizes and compare are its single-row views.  One pair of vectors runs
-on the pair core (_sorted_pair, _pair_flags, _prob_sorted), which sorts and
-sums a short pair as Python floats.
+through _sorted_pair, _pair_flags and _prob_sorted, which hand a short pair
+to the numpy-free pair core (pairs) as Python floats.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-import sys
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, NotMajorized, TraceMismatch
 from .linalg import eigvals_hermitian
+# MajVerdict is defined in the numpy-free pair core and exported from here
+from .pairs import _SHORT, _SUM_BOUND, MajVerdict, pair_flags, prob_sorted, sorted_pair, verdict
 from .tolerances import IMAG_TOL, MAJ_TOL, NOISE_TOL, TRACE_TOL
-
-
-class MajVerdict(enum.Enum):
-    XPrecY = "XPrecY"  # x majorized by y
-    YPrecX = "YPrecX"
-    Equal = "Equal"
-    Incomparable = "Incomparable"
-
 
 _TWO_BITS = np.float64(2.0).view(np.uint64)
 
@@ -75,16 +66,6 @@ class RowFlags(NamedTuple):
         return ~(self.fwd | self.bwd | self.equal)
 
 
-def _verdict(fwd, bwd, equal):
-    if equal:
-        return MajVerdict.Equal
-    if fwd:
-        return MajVerdict.XPrecY
-    if bwd:
-        return MajVerdict.YPrecX
-    return MajVerdict.Incomparable
-
-
 def _zero_pad(v, d):
     if v.shape[-1] == d:
         return v
@@ -115,11 +96,6 @@ def _check_totals(tx, ty):
         raise TraceMismatch(f"totals differ: {tx.flat[row]} vs {ty.flat[row]}")
 
 
-# d entries each at most _SUM_BOUND / d in magnitude have every partial sum
-# inside the float range.
-_SUM_BOUND = sys.float_info.max / 2
-
-
 def _check_ends(xs, ys):
     """compare_rows' slow path for a sorted, padded pair with an end that
     is not finite or so large that the sums could overflow.  Raises
@@ -136,15 +112,6 @@ def _check_ends(xs, ys):
         raise TraceMismatch(f"a total is past the float range: {tx} vs {ty}")
 
 
-# A pair of at most _SHORT entries (after zero padding) is sorted and summed
-# as Python floats, where numpy's fixed cost of about 1 us a call outweighs
-# the work.  Per call, numpy against Python floats (2-core x86, numpy 2.4.6,
-# best of 7): at d = 32 compare took 12.0 against 8.6 us, classify 17.9
-# against 15.0 us and assist_max_entangled 13.3 against 12.8 us; at d = 40
-# assist loses (13.3 against 14.8 us), and at d = 48 classify too.
-_SHORT = 32
-
-
 def _vectors(x, y):
     """x and y as float arrays; TraceMismatch naming the shape of an
     argument that is not a 1-d vector."""
@@ -155,61 +122,29 @@ def _vectors(x, y):
     return x, y
 
 
-def _short_sorted(s, d):
-    """The list s of Python floats zero-padded to d entries and sorted
-    descending, in place."""
-    s += [0.0] * (d - len(s))
-    s.sort(reverse=True)
-    return s
-
-
 def _sorted_pair(x, y):
     """The 1-d float arrays x and y zero-padded to a common length d and
-    sorted descending, as lists of Python floats when d <= _SHORT and every
-    entry is finite and at most _SUM_BOUND / d in size, else as arrays.
-
-    The sum of magnitudes bounds every entry and is NaN or inf if an entry
-    is, so it is tested before Python's sort, which leaves a NaN anywhere.
-    A pair that fails it runs on numpy, which raises as compare_rows always
-    has.
+    sorted descending: as lists of Python floats when d <= _SHORT and
+    pairs.sorted_pair takes them (every entry finite and at most
+    _SUM_BOUND / d in size), else as arrays.  A pair that runs on numpy
+    raises as compare_rows always has.
     """
+    if x.size <= _SHORT and y.size <= _SHORT:
+        pair = sorted_pair(x.tolist(), y.tolist())
+        if pair is not None:
+            return pair
     d = max(x.size, y.size, 1)
-    if d <= _SHORT:
-        xs, ys = x.tolist(), y.tolist()
-        if sum(map(abs, xs)) + sum(map(abs, ys)) <= _SUM_BOUND / d:
-            return _short_sorted(xs, d), _short_sorted(ys, d)
     return np.sort(_zero_pad(x, d))[::-1], np.sort(_zero_pad(y, d))[::-1]
 
 
-def _padded(xs, ys):
-    """Two descending vectors with no entry below zero, zero-padded to a
-    common length: lists if both are lists, else arrays."""
-    d = max(len(xs), len(ys))
-    if type(xs) is list and type(ys) is list:
-        return xs + [0.0] * (d - len(xs)), ys + [0.0] * (d - len(ys))
-    return _zero_pad(np.asarray(xs), d), _zero_pad(np.asarray(ys), d)
-
-
 def _pair_flags(xs, ys):
-    """compare_rows' (fwd, bwd, equal) for one pair, sorted and padded as
-    _sorted_pair leaves it: Python bools for lists, numpy bools for arrays.
-
-    Lists take numpy's steps in numpy's order on Python floats: sequential
-    partial sums as cumsum makes them, the totals within TRACE_TOL,
-    cx <= cy + MAJ_TOL and the close rule, so the flags and errors are the
-    array path's, bit for bit.  Their entries are finite and bounded, so only
-    unequal totals can raise.
-    """
-    if type(xs) is list:
-        cx, cy = list(accumulate(xs)), list(accumulate(ys))
-        if not abs(cx[-1] - cy[-1]) <= TRACE_TOL:
-            _check_totals(np.float64(cx[-1]), np.float64(cy[-1]))
-        fwd = bwd = close = True
-        for sx, sy, ex, ey in zip(cx, cy, xs, ys):
-            fwd = fwd and sx <= sy + MAJ_TOL
-            bwd = bwd and sy <= sx + MAJ_TOL
-            close = close and abs(ex - ey) <= MAJ_TOL
-        return fwd, bwd, close or (fwd and bwd)
+    """compare_rows' (fwd, bwd, equal) for one pair of descending vectors,
+    the shorter zero-padded: Python bools for two lists (pairs.pair_flags),
+    else numpy bools."""
+    if type(xs) is list and type(ys) is list:
+        return pair_flags(xs, ys)
+    d = max(len(xs), len(ys))
+    xs, ys = _zero_pad(np.asarray(xs), d), _zero_pad(np.asarray(ys), d)
     lim = _SUM_BOUND / xs.size  # a NaN fails every comparison
     x_in = -lim <= float(xs[-1]) and float(xs[0]) <= lim
     if not (x_in and -lim <= float(ys[-1]) and float(ys[0]) <= lim):
@@ -222,46 +157,26 @@ def _pair_flags(xs, ys):
     return fwd, bwd, close | (fwd & bwd)
 
 
-def _sums_to_one(v, s):
-    """as_prob_vector's gate abs(v.sum() - 1.0) <= TRACE_TOL, for a float
-    array v whose entries, sorted into s, lie in [0, 2].
-
-    numpy's total (pairwise above 8 entries, in v's own order) and
-    math.fsum's correctly rounded one are each within (n - 1) u and u
-    times the exact sum of it (n entries, u = epsilon / 2), so together
-    within len(s) * epsilon * total.  A list is summed by fsum, and numpy
-    sums it only when its gap to 1 is that close to TRACE_TOL; the answer
-    is numpy's either way.
-    """
-    if type(s) is list:
-        t = math.fsum(s)
-        gap = abs(t - 1.0)
-        if abs(gap - TRACE_TOL) > len(s) * sys.float_info.epsilon * t:
-            return gap <= TRACE_TOL
-    return abs(v.sum() - 1.0) <= TRACE_TOL
-
-
 def _prob_sorted(v, s=None):
     """as_prob_vector(v) sorted descending, for a float array v: a list of
     Python floats when v has at most _SHORT entries, else an array.
 
     s, if given, is v as _sorted_pair sorted it (maybe zero-padded), and is
-    returned as it is when v needs no clamp, so that v is sorted once.  A v
-    whose sorted ends lie in [0, 2] (no NaN, no clamp, a total that cannot
-    overflow) and that passes the total gate is valid as it is; any other v
-    goes through as_prob_vector, which raises or clamps.
+    returned as it is when v needs no clamp, so that v is sorted once.  A
+    short v with no s, or with a list s, is pairs.prob_sorted's to answer.
+    A long one whose sorted ends lie in [0, 2] (no NaN, no clamp, a total
+    that cannot overflow) and that passes the total gate is valid as it
+    is.  Any other v goes through as_prob_vector, which raises or clamps.
     """
-    if s is None and v.ndim == 1:
-        if v.size > _SHORT:
+    if v.ndim == 1 and v.size <= _SHORT and (s is None or type(s) is list):
+        p = prob_sorted(v.tolist(), s)
+        if p is not None:
+            return p
+    else:
+        if s is None and v.ndim == 1:
             s = np.sort(v)[::-1]  # a NaN sorts first
-        else:
-            s = v.tolist()
-            if all(map(math.isfinite, s)):  # Python's sort leaves a NaN anywhere
-                s.sort(reverse=True)
-            else:
-                s = None
-    if s is not None and len(s) and s[-1] >= 0.0 and s[0] <= 2.0 and _sums_to_one(v, s):
-        return s
+        if s is not None and s.size and s[-1] >= 0.0 and s[0] <= 2.0 and abs(v.sum() - 1.0) <= TRACE_TOL:
+            return s
     v = as_prob_vector(v)
     return sorted(v.tolist(), reverse=True) if v.size <= _SHORT else np.sort(v)[::-1]
 
@@ -314,7 +229,7 @@ def majorizes(x, y):
 def compare(x, y):
     """Classify the pair: XPrecY, YPrecX, Equal or Incomparable.  Raises
     TraceMismatch for an argument that is not a 1-d vector."""
-    return _verdict(*_pair_flags(*_sorted_pair(*_vectors(x, y))))
+    return verdict(*_pair_flags(*_sorted_pair(*_vectors(x, y))))
 
 
 def _window_affine(v0, v1, lo, hi, slack):

@@ -100,6 +100,21 @@ def test_family_rejects_a_complex_diagonal(n):
     assert verify_family(BEFamily(n, parts)).all_pass
 
 
+def test_verify_family_reports_on_a_family_that_is_not_psd():
+    """sigma+ with Hamming-weight class values D = [0, 1, -1, 0, 0, 1, 0]
+    and O = [0, 1, 0, 2, 0, 1, 0] (times 2^(1-n)) at n = 6: one unlock
+    outcome has probability 0 but nonzero entries, so its conditional is
+    infinite.  Under tier-1's error::RuntimeWarning filter a numpy warning
+    from the fidelity product would raise; the checks report instead."""
+    n = 6
+    weight = np.array([bin(i).count("1") for i in range(1 << n)])
+    d = np.array([0, 1, -1, 0, 0, 1, 0])[weight] * 2.0 ** (1 - n)
+    o = np.array([0, 1, 0, 2, 0, 1, 0])[weight] * 2.0 ** (1 - n)
+    rep = verify_family(BEFamily(n, {**be_family(n).parts, "sigma+": (d, o)}))
+    assert isinstance(rep, FamilyReport)
+    assert not rep.unlock_ok and not rep.all_pass
+
+
 def test_family_takes_number_lists_and_rejects_a_non_integer_n():
     fam = be_family(4)
     lists = {lab: tuple(v.tolist() for v in pair) for lab, pair in fam.parts.items()}
