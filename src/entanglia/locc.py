@@ -20,6 +20,7 @@ from .errors import (
     BadParam,
     Degenerate,
     EmptyRange,
+    NonFinite,
     NoPlanFound,
     NotIncomparable3x3,
     RankMismatch,
@@ -28,28 +29,29 @@ from .errors import (
 )
 from .majorization import (
     _check_totals,
+    _fwd_rows,
     _pair_flags,
     _prob_sorted,
     _sorted_pair,
     _vectors,
     _window_affine,
-    _zero_pad,
     as_prob_vector,
     compare,
     compare_rows,
     majorizes,
-    sorted_padded,
 )
 from .measures import binary_entropy
 from .pairs import (  # PairClass is exported from here
     _SHORT,
     MajVerdict,
     PairClass,
+    min_slack,
     pair_class,
     power,
     power_copies,
     rank,
     require_copies,
+    require_integer,
     verdict,
 )
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
@@ -57,8 +59,10 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
 # keeps its arrays small.  A cooperation chunk's fixed cost is that of about
-# 500 more rows, so the first chunk holds all of the recipe's candidates and
-# a long scan takes few chunks.  The catalyst search certifies only the grid
+# 250 more rows (2-core x86, numpy 2.4.6: a fallback chunk of m draws takes
+# about 25 + 0.11 m us once the search holds a valid plan, 42 + 0.13 m us
+# before), so the first chunk holds all of the recipe's candidates and a
+# long scan takes few chunks.  The catalyst search certifies only the grid
 # points inside its window, whose first point nearly always passes, so its
 # chunks start at _CATALYST_FIRST_CHUNK points.
 _FIRST_CHUNK = 256
@@ -388,36 +392,40 @@ class CoopPlan:
 
 def coop_validate(a, b, chi, eta):
     """Evaluate a proposed auxiliary pair: the joint conversion check plus
-    all four cross-incomparability flags."""
-    sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
-    sc, se = _schmidt_sorted(chi), _schmidt_sorted(eta)
-    src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
+    all four cross-incomparability flags.
+
+    Each vector is validated and sorted once, and each check is one pair
+    call, on the numpy-free pair core for short vectors; the first check
+    that fails raises, the joint one before the cross pairs."""
+    sa, sb, sc, se = (_prob_sorted(np.asarray(v, dtype=float)) for v in (a, b, chi, eta))
+    src, tgt = _kron(sa, sc), _kron(sb, se)
     joint_ok = majorizes(src, tgt)
-    # the four cross pairs as rows of one comparison; padding zeros only
-    # repeat a row's total, so each row's flags are those of its own pair
     pairs = ((sa, sb), (sc, se), (sa, se), (sc, sb))
-    d = max(sa.size, sb.size, sc.size, se.size)
-    x, y = (np.stack([_zero_pad(v, d) for v in side]) for side in zip(*pairs))
-    try:
-        inc = compare_rows(x, y).incomparable
-    except TraceMismatch:
-        for p, q in pairs:  # name the first mismatched pair, not the worst
-            compare(p, q)
-        raise
+    inc = [compare(p, q) is MajVerdict.Incomparable for p, q in pairs]
     return CoopPlan(
-        chi=sc,
-        eta=se,
+        chi=np.array(sc),
+        eta=np.array(se),
         joint_ok=joint_ok,
-        cross_incomparable=dict(zip(("psi_phi", "chi_eta", "psi_eta", "chi_phi"), map(bool, inc))),
+        cross_incomparable=dict(zip(("psi_phi", "chi_eta", "psi_eta", "chi_phi"), inc)),
         margin=_min_slack(src, tgt),
     )
 
 
+def _listed(v):
+    """A vector as a list of Python floats."""
+    return v if type(v) is list else v.tolist()
+
+
+def _kron(s, t):
+    """vec_kron of two validated vectors, as Python products in its order."""
+    s, t = _listed(s), _listed(t)
+    return [p * q for p in s for q in t]
+
+
 def _min_slack(x, y):
-    """min over k < d of S_k(y) - S_k(x); the totals (k = d) are left out."""
-    xs, ys = sorted_padded(x, y)
-    slack = np.cumsum(ys)[:-1] - np.cumsum(xs)[:-1]
-    return float(slack.min()) if slack.size else 0.0
+    """min over k < d of S_k(y) - S_k(x); the totals (k = d) are left out.
+    Summed on the pair core, in np.cumsum's order."""
+    return min_slack(sorted(_listed(x), reverse=True), sorted(_listed(y), reverse=True))
 
 
 def _sorted_columns(v):
@@ -449,31 +457,68 @@ def _incomparable_columns(x, y):
     return ~(fwd | bwd | close)
 
 
-def _coop_flags(sa, sb, chi, eta):
-    """coop_validate over (n, 3) stacks of candidates: which rows are valid,
-    and which are valid with all four cross pairs incomparable (psi_phi
-    holds for every pair coop_construct accepts).
+def _cross_flags(sa, sb, chi, eta):
+    """The chi_eta, psi_eta and chi_phi flags of (n, 3) stacks of
+    candidates, in one pass of _incomparable_columns.
 
-    The cross pairs are compared as sorted columns; the 9-entry joint check
-    runs only on the rows whose chi and eta are incomparable (about a
-    quarter of random draws), as a row is valid only if both hold.
+    Incomparability is symmetric, so the pairs (a, eta), (eta, chi) and
+    (chi, b) are the overlapping blocks of one stack [a, eta, chi, b] of n
+    rows each: x is its first three blocks and y its last three.  A total
+    that fails raises as the pairs checked one at a time in the order
+    chi_eta, psi_eta, chi_phi do.
     """
-    sc, se = _sorted_columns(chi), _sorted_columns(eta)
-    chi_eta = _incomparable_columns(sc, se)
-    psi_eta = _incomparable_columns(sa, se)
-    chi_phi = _incomparable_columns(sc, sb)
-    valid = chi_eta.copy()
-    (rows,) = chi_eta.nonzero()
-    if rows.size:
-        valid[rows] = compare_rows(vec_kron(sa, chi[rows]), vec_kron(sb, eta[rows])).fwd
-    return valid, valid & psi_eta & chi_phi
+    n = len(chi)
+    v = np.empty((4 * n, 3))
+    v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :] = sa, eta, chi, sb
+    cols = _sorted_columns(v)
+    try:
+        psi_eta, chi_eta, chi_phi = _incomparable_columns(
+            [c[:-n] for c in cols], [c[n:] for c in cols]
+        ).reshape(3, n)
+    except (NonFinite, TraceMismatch):
+        se, sc = ([c[k * n : (k + 1) * n] for c in cols] for k in (1, 2))
+        for x, y in ((sc, se), (sa, se), (sc, sb)):
+            _incomparable_columns(x, y)
+        raise
+    return chi_eta, psi_eta, chi_phi
+
+
+def _coop_flags(sa, sb, chi, eta, first, late):
+    """coop_validate over (n, 3) stacks of candidates: which rows are valid,
+    and which are full, valid with all four cross pairs incomparable
+    (psi_phi holds for every pair coop_construct accepts).
+
+    A row is valid only if its chi and eta are incomparable and its
+    9-entry joint check passes.  The joint check runs first on the rows
+    whose three cross pairs are incomparable.  The other rows whose chi
+    and eta are incomparable are checked only where a row that is valid but
+    not full can change the search: while it has no valid plan yet (first)
+    and no row is full, or when the rows from index late on end it at
+    their first valid row.  Elsewhere valid is returned as full.
+    """
+    chi_eta, psi_eta, chi_phi = _cross_flags(sa, sb, chi, eta)
+    cross = psi_eta & chi_phi
+    full = _joint_ok(sa, sb, chi, eta, chi_eta & cross)
+    if late < len(chi) or (first and not full.any()):
+        return full | _joint_ok(sa, sb, chi, eta, chi_eta & ~cross), full
+    return full, full
+
+
+def _joint_ok(sa, sb, chi, eta, rows):
+    """The mask rows with every row whose joint check a (x) chi -> b (x) eta
+    fails (compare_rows' fwd flag) cleared, in place."""
+    (index,) = rows.nonzero()
+    if index.size:
+        rows[index] = _fwd_rows(vec_kron(sa, chi[index]), vec_kron(sb, eta[index]))
+    return rows
 
 
 def _coop_case1_candidates(sa, sb):
-    """Recipe for a1 > b1: chi = (b1, b1, b2), eta = (a1, a2, a2) shapes."""
-    a1, _, a3 = sa
-    b1, b2, b3 = sb
-    ratio0 = max(a1 / sa[1], b1 / b3)
+    """Recipe for a1 > b1: chi = (b1, b1, b2), eta = (a1, a2, a2) shapes, as
+    tuples of Python floats."""
+    a1, a2, a3 = map(float, sa)
+    b1, b2, b3 = map(float, sb)
+    ratio0 = max(a1 / a2, b1 / b3)
     for margin in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0):
         ratio = ratio0 * margin
         alpha2 = 1.0 / (ratio + 2.0)
@@ -492,12 +537,21 @@ def _coop_case1_candidates(sa, sb):
         for frac in (0.05, 0.25, 0.5, 0.75, 0.95):
             beta2 = lower + frac * (upper - lower)
             beta1 = (1.0 - beta2) / 2.0
-            yield np.array([beta1, beta1, beta2]), np.array([alpha1, alpha2, alpha2])
+            yield (beta1, beta1, beta2), (alpha1, alpha2, alpha2)
 
 
 def _coop_found(sa, sb, chi, eta, branch, candidates):
     """coop_validate's plan, tagged with how coop_construct found it."""
     return replace(coop_validate(sa, sb, chi, eta), branch=branch, candidates=int(candidates))
+
+
+def _nonnegative(name, v):
+    """v as a Python int; BadParam naming v unless it is an integer
+    (pairs.require_integer) of at least 0."""
+    n = require_integer(name, v)
+    if n < 0:
+        raise BadParam(f"{name} = {v} must be at least 0")
+    return n
 
 
 def coop_construct(a, b, seed=0, fallback_samples=10**5):
@@ -510,6 +564,8 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     The plan records which branch found it and how many candidates were
     certified up to it.
     """
+    seed = _nonnegative("seed", seed)
+    fallback_samples = _nonnegative("fallback_samples", fallback_samples)
     sa, sb = _require_incomparable_3x3(a, b)
     if sa[0] - sa[1] <= TIE_TOL or sa[1] - sa[2] <= TIE_TOL:
         raise Degenerate("source vector must have strictly distinct entries")
@@ -526,7 +582,7 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     sizes = _chunk_sizes(_FIRST_CHUNK)
     while chunk := list(itertools.islice(candidates, next(sizes))):
         chi, eta = (np.array(side) for side in zip(*chunk))
-        valid, full = _coop_flags(sa, sb, chi, eta)
+        valid, full = _coop_flags(sa, sb, chi, eta, first_valid is None, len(chunk))
         if full.any():
             j = full.argmax()
             return _coop_found(sa, sb, chi[j], eta[j], "recipe", tried + j + 1)
@@ -546,7 +602,7 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
         m = min(next(sizes), fallback_samples - start)
         draws = rng.dirichlet(np.ones(3), size=(m, 2))  # chi_i, eta_i in draw order
         chi, eta = draws[:, 0], draws[:, 1]
-        valid, full = _coop_flags(sa, sb, chi, eta)
+        valid, full = _coop_flags(sa, sb, chi, eta, first_valid is None, late - start)
         if first_valid is None and valid.any():
             j = valid.argmax()
             first_valid = chi[j], eta[j], "fallback"

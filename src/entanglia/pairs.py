@@ -106,6 +106,15 @@ def pair_flags(xs, ys):
     return fwd, bwd, close or (fwd and bwd)
 
 
+def min_slack(xs, ys):
+    """min over k < d of S_k(ys) - S_k(xs) for two descending lists, the
+    shorter zero-padded, with the totals (k = d) left out, and 0.0 for d =
+    1: the sums np.cumsum makes, subtracted and compared in its order."""
+    d = max(len(xs), len(ys))
+    xs, ys = xs + [0.0] * (d - len(xs)), ys + [0.0] * (d - len(ys))
+    return min((sy - sx for sx, sy in zip(accumulate(xs[:-1]), accumulate(ys[:-1]))), default=0.0)
+
+
 def sums_to_one(s):
     """as_prob_vector's gate abs(v.sum() - 1.0) <= TRACE_TOL, for the list
     s of v's entries (sorted, maybe zero-padded), each in [0, 2]: True or
@@ -181,15 +190,22 @@ def pair_class(verdict, sa, sb, ra, rb):
     return PairClass(verdict=verdict, pattern_3x3=pattern, strong=strong, catalysis_possible=cat)
 
 
-def require_copies(k):
-    """k as a Python int; BadParam unless it is an integer, Python's or
-    numpy's but not a bool, of at least 1."""
+def require_integer(name, v):
+    """v as a Python int; BadParam naming v unless it is an integer,
+    Python's or numpy's but not a bool."""
     # int first: it answers at once, and the ABC check costs about 0.3 us
-    if isinstance(k, bool) or not isinstance(k, (int, numbers.Integral)):
-        raise BadParam(f"k must be an integer, got {k!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, numbers.Integral)):
+        raise BadParam(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def require_copies(k):
+    """k as a Python int; BadParam unless it is an integer (require_integer)
+    of at least 1."""
+    k = require_integer("k", k)
     if k < 1:
         raise BadParam(f"k = {k} copies: at least one copy is required")
-    return int(k)
+    return k
 
 
 def power_copies(ra, rb, k):

@@ -309,6 +309,30 @@ def test_coop_construct_rejects_ties_and_comparable():
         coop_construct([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
 
 
+def test_coop_construct_checks_seed_and_samples():
+    a, b = [0.5, 0.3, 0.2], [0.55, 0.24, 0.21]
+    bad = (
+        ({"seed": -1}, "seed = -1 must be at least 0"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"fallback_samples": -5}, "fallback_samples = -5 must be at least 0"),
+        ({"fallback_samples": 100.0}, "fallback_samples must be an integer, got 100.0"),
+        ({"fallback_samples": "10"}, "fallback_samples must be an integer, got '10'"),
+        ({"fallback_samples": True}, "fallback_samples must be an integer, got True"),
+    )
+    for kwargs, message in bad:
+        with pytest.raises(BadParam) as caught:
+            coop_construct(a, b, **kwargs)
+        assert str(caught.value) == message
+    # numpy integers count as integers, and 0 samples leave the recipe alone
+    want = coop_construct(a, b, seed=1, fallback_samples=300)
+    got = coop_construct(a, b, seed=np.int64(1), fallback_samples=np.int32(300))
+    assert (got.chi.tolist(), got.eta.tolist(), got.candidates) == (want.chi.tolist(), want.eta.tolist(), want.candidates)
+    recipe = coop_construct([0.51, 0.26, 0.23], [0.46, 0.34, 0.2], fallback_samples=0)
+    assert recipe.branch == "recipe"
+
+
 def test_coop_examples_4x4():
     # 4x4 validation path: known strongly incomparable quadruples
     a = [0.4, 0.3, 0.2, 0.1]

@@ -161,8 +161,17 @@ def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):
     return replace(first_valid, candidates=tried)
 
 
+def _min_slack_reference(x, y):
+    """The joint margin as numpy computes it: sorted, padded, summed by
+    cumsum, totals left out."""
+    xs, ys = majorization.sorted_padded(x, y)
+    slack = np.cumsum(ys)[:-1] - np.cumsum(xs)[:-1]
+    return float(slack.min()) if slack.size else 0.0
+
+
 def _coop_validate_reference(a, b, chi, eta):
-    """coop_validate as it stood with one compare call per cross pair."""
+    """coop_validate as it stood with one compare call per cross pair, on
+    arrays."""
     sa, sb = locc._schmidt_sorted(a), locc._schmidt_sorted(b)
     sc, se = locc._schmidt_sorted(chi), locc._schmidt_sorted(eta)
     src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
@@ -177,7 +186,7 @@ def _coop_validate_reference(a, b, chi, eta):
             "psi_eta": inc(sa, se),
             "chi_phi": inc(sc, sb),
         },
-        margin=locc._min_slack(src, tgt),
+        margin=_min_slack_reference(src, tgt),
     )
 
 
@@ -225,9 +234,26 @@ def _incomparable_pairs(key, count, a1_below_b1=False):
     return pairs
 
 
+def _bits(v):
+    return np.asarray(v).tobytes()
+
+
+def _same_validation(got, want):
+    """Plans equal bit for bit: chi and eta as float64 arrays, the flags as
+    Python bools, and the margin."""
+    return (
+        got.chi.dtype == got.eta.dtype == np.float64
+        and (_bits(got.chi), _bits(got.eta)) == (_bits(want.chi), _bits(want.eta))
+        and got.joint_ok is bool(want.joint_ok)
+        and got.cross_incomparable == want.cross_incomparable
+        and [type(v) for v in got.cross_incomparable.values()] == [bool] * 4
+        and _bits(got.margin) == _bits(want.margin)
+    )
+
+
 def test_coop_validate_matches_reference():
-    """One stacked comparison gives each candidate the four cross flags the
-    per-pair compare calls gave, down to the margin bits and flag types."""
+    """The one-pair calls on the pair core give each candidate the plan
+    the array checks gave, down to the bits of chi, eta and the margin."""
     seen = set()
     for k, (a, b) in enumerate(_incomparable_pairs("coop-validate", 12)):
         rng = rng_for("coop-validate-draws", k)
@@ -235,34 +261,69 @@ def test_coop_validate_matches_reference():
         candidates += [tuple(rng.dirichlet(np.ones(3), size=2)) for _ in range(40)]
         for chi, eta in candidates:
             got = coop_validate(a, b, chi, eta)
-            want = _coop_validate_reference(a, b, chi, eta)
-            assert _same_plan(got, want)
-            assert [type(v) for v in got.cross_incomparable.values()] == [bool] * 4
-            assert got.margin == want.margin
-            seen.add(tuple(got.cross_incomparable.values()))
-    assert len(seen) >= 4
-    # unequal lengths: the rows are zero-padded to the longest vector
-    ragged = ([0.6, 0.3, 0.1], [0.5, 0.5], [0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.1, 0.0])
-    got, want = coop_validate(*ragged), _coop_validate_reference(*ragged)
-    assert _same_plan(got, want) and got.margin == want.margin
+            assert _same_validation(got, _coop_validate_reference(a, b, chi, eta))
+            seen.add(tuple(got.cross_incomparable.values()) + (got.joint_ok,))
+    assert len({s[:4] for s in seen}) >= 4
+    assert len(seen) >= 6
+    rng = rng_for("coop-validate-long")
+    odd = [
+        # unequal lengths: each pair is zero-padded to its longer vector
+        ([0.6, 0.3, 0.1], [0.5, 0.5], [0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.1, 0.0]),
+        # a negative entry within the noise is clamped to 0
+        ([0.5, 0.3, 0.2 + 1e-13, -1e-13], [0.55, 0.24, 0.21], [0.45, 0.34, 0.21], [0.48, 0.309, 0.211]),
+        # signed zeros keep their order
+        ([0.5, 0.3, 0.2], [0.55, 0.24, 0.21], [0.5, 0.5, -0.0, 0.0], [0.5, 0.5, 0.0, -0.0]),
+        # joint vectors of 36 and 35 entries, past the pair core's 32
+        tuple(random_prob(d, rng) for d in (6, 5, 6, 7)),
+        (random_prob(6, rng), random_prob(6, rng), [0.5, 0.3, 0.2], random_prob(40, rng)),
+    ]
+    for args in odd:
+        assert _same_validation(coop_validate(*args), _coop_validate_reference(*args)), args
 
 
 def test_coop_validate_names_the_first_mismatched_pair():
     # each total is within the trace tolerance of 1 and the joint totals
     # agree, but psi/phi and (by more) chi/eta differ: the per-pair scan
-    # stops at psi/phi, so the stacked check must name that pair too
+    # stops at psi/phi, so coop_validate must name that pair too
     a = [0.5 + 0.5e-9, 0.3, 0.2]
     b = [0.4 - 0.7e-9, 0.35, 0.25]
     chi = [0.5 - 0.9e-9, 0.3, 0.2]
     eta = [0.6 + 0.9e-9, 0.3, 0.1]
-    with pytest.raises(TraceMismatch) as want:
-        _coop_validate_reference(a, b, chi, eta)
-    with pytest.raises(TraceMismatch) as got:
-        coop_validate(a, b, chi, eta)
-    assert str(got.value) == str(want.value)
+    # the joint totals differ by about 1.8e-9 and psi/phi by 0.9e-9: the
+    # joint check runs first and names its own totals
+    up = [0.5 + 0.9e-9, 0.3, 0.2]
+    joint = (up, [0.4, 0.35, 0.25], up, [0.6, 0.3, 0.1])
+    for args in ((a, b, chi, eta), joint):
+        with pytest.raises(TraceMismatch) as want:
+            _coop_validate_reference(*args)
+        with pytest.raises(TraceMismatch) as got:
+            coop_validate(*args)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(TraceMismatch) as first:
+        compare(a, b)
     with pytest.raises(TraceMismatch) as worst:
         compare(chi, eta)
-    assert str(worst.value) != str(want.value)
+    assert str(first.value) != str(worst.value)
+    compare(*joint[:2])  # psi/phi alone passes its total check
+    with pytest.raises(TraceMismatch) as first:
+        majorizes(vec_kron(up, up), vec_kron(*joint[1::2]))
+    assert str(first.value) == str(got.value)
+
+
+def test_min_slack_matches_cumsum():
+    """The margin summed on the pair core is numpy's, bit for bit, for
+    short lists and arrays, unequal lengths and long vectors."""
+    rng = rng_for("min-slack")
+    for d, e in ((1, 1), (1, 3), (3, 3), (3, 4), (9, 9), (32, 30), (33, 9), (36, 36)):
+        for _ in range(20):
+            x, y = random_prob(d, rng), random_prob(e, rng)
+            want = _min_slack_reference(x, y)
+            for args in ((x, y), (x.tolist(), y.tolist()), (x[::-1].tolist(), y.tolist())):
+                assert _bits(locc._min_slack(*args)) == _bits(want)
+    for a, b, *_ in SPLIT_GOLDEN:
+        r = split_two_copies(a, b)
+        sa, sb = np.sort(a)[::-1], np.sort(b)[::-1]
+        assert _bits(r.margin) == _bits(_min_slack_reference(vec_kron(sa, sa), vec_kron(sb, r.eta)))
 
 
 def test_coop_matches_one_by_one_scan():
@@ -452,6 +513,71 @@ def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
     assert str(got.value) == str(want.value)
 
 
+def _coop_kernel_cases():
+    """(a, b, chi, eta) for the chunk kernel: seeded candidates for
+    incomparable pairs, and boundary rows, where chi and eta are ties,
+    permutations or partial-sum shifts of 0-2 MAJ_TOL of each other, and
+    of a and b, against pairs (a, b) shifted alike."""
+    rng = rng_for("coop-kernel")
+    cases = []
+    for a, b in [pair[:2] for pair in COOP_GOLDEN[:4]] + _incomparable_pairs("coop-kernel", 4):
+        draws = rng.dirichlet(np.ones(3), size=(300, 2))
+        cases.append((a, b, draws[:, 0], draws[:, 1]))
+    x, y = _boundary_rows(TRACE_TOL)
+    x, y = np.concatenate((x[:28], x[28::9])), np.concatenate((y[:28], y[28::9]))
+    steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * MAJ_TOL
+    for v in ([0.5, 0.3, 0.2], [0.45, 0.35, 0.2]):
+        for d1, d2 in itertools.product(steps, steps):
+            w = [v[0] + d1, v[1] + d2 - d1, v[2] - d2]
+            cases.append((v, w, x, y))
+            cases.append((v, w, np.array([w] * len(x)), y))  # chi = b
+            cases.append((v, w, x, np.array([v] * len(x))))  # eta = a
+    return cases
+
+
+def test_coop_flags_match_per_row_validate():
+    """The chunk kernel's (valid, full) flags are coop_validate's, row by
+    row: valid, and valid with the three cross pairs it checks all
+    incomparable.  With a valid plan known and the rows before late, valid
+    is only needed where full, and the kernel may return full for it."""
+    kinds = set()
+    for a, b, chi, eta in _coop_kernel_cases():
+        sa, sb = locc._strip(a), locc._strip(b)
+        plans = [coop_validate(sa, sb, c, e) for c, e in zip(chi, eta)]
+        valid = np.array([p.valid for p in plans])
+        cross = np.array([p.cross_incomparable["psi_eta"] and p.cross_incomparable["chi_phi"] for p in plans])
+        full = valid & cross
+        kinds |= {(bool(v), bool(f)) for v, f in zip(valid, full)}
+        n = len(chi)
+        for first, late in itertools.product((True, False), (0, n // 2, n - 1, n)):
+            got_valid, got_full = locc._coop_flags(sa, sb, chi, eta, first, late)
+            assert got_valid.dtype == got_full.dtype == bool
+            assert np.array_equal(got_full, full)
+            exact = late < n or (first and not full.any())
+            assert np.array_equal(got_valid, valid if exact else full), (a, b, first, late)
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_coop_late_stop_across_chunks(monkeypatch):
+    """On a 16/32 schedule with 300 fallback samples, late = 60 falls inside
+    the third chunk, [48, 80).  These a1 < b1 pairs find their first valid
+    plan, not full, in the first or second chunk, and a valid row at index
+    60-79 ends the search before any full row: the chunk that holds late
+    must check the rows that are valid but not full."""
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
+    pairs = _incomparable_pairs("coop-a1-below-b1", 200, a1_below_b1=True)
+    for k in (172, 186, 199):
+        a, b = pairs[k]
+        want = _coop_one_by_one(a, b, k, 300, candidates=iter(()))
+        got = coop_construct(a, b, seed=k, fallback_samples=300)
+        assert _same_plan(got, want) and _same_diagnostics(got, want), k
+        assert got.branch == "fallback" and 60 < got.candidates <= 80
+        assert not all(got.cross_incomparable.values())
+        draws = np.random.default_rng((k, 99)).dirichlet(np.ones(3), size=(48, 2))
+        assert any(coop_validate(a, b, chi, eta).valid for chi, eta in draws)
+
+
 def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch):
     corpus = [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
     for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
@@ -483,8 +609,15 @@ def test_coop_misnormalised_recipe_candidate_raises(monkeypatch):
     for bad in ((chi * 1.1, eta), (chi, eta * (1 + 3 * MAJ_TOL)), (chi * 1.1, eta * 1.1)):
         stream = fillers + [bad] + [(chi, eta)]
         monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
-        with pytest.raises(TraceMismatch):
+        with pytest.raises(TraceMismatch) as got:
             coop_construct(a, b, seed=1)
+        # the chunk names the row compare_rows names in the first of the
+        # cross pairs chi/eta, psi/eta and chi/phi that fails
+        chis, etas = (np.array(side) for side in zip(*stream))
+        with pytest.raises(TraceMismatch) as want:
+            for x, y in ((chis, etas), (a, etas), (chis, b)):
+                compare_rows(x, y)
+        assert str(got.value) == str(want.value)
 
 
 def test_catalyst_matches_one_by_one_scan():
