@@ -8,15 +8,14 @@ the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
 assigned to `HiddenState.state`.  Without such a matrix, hiding, the
 attack, the security check and both decodes never build the family's
 dense view, and the unlock decode reads a row of the family's unlock
-table, built once per family.  A demo seeds the three PCG64 streams of
-its trials in vectorized passes of `SeedSequence`'s hash, one for up to
-`_SEED_BLOCK` trials, which give each stream's exact 128-bit state: a
-trial's secret and decode uniform are one step of their streams' states,
-on Python ints, and its attack words are raw outputs of one generator
-set to its attack state.  The attack statistics of all trials are one
-batch of the shot kernel that `parity_attack` runs on one trial, the
-security check is one marginal pass over the family's diagonal stack,
-and each label seen turns its unlock row into a decode table once.
+table, built once per family.  A demo reads one PCG64 stream of its seed
+in one block, trial-major: trial t's row of shots + 2 raw outputs holds
+its secret, its decode uniform and its attack words, so a trial's draws
+do not depend on how many trials the demo runs.  The attack statistics
+of all trials are one batch of the shot kernel that `parity_attack` runs
+on one trial, the security check is one marginal pass over the family's
+diagonal stack, and each label seen turns its unlock row into a decode
+table once.
 """
 
 from __future__ import annotations
@@ -49,8 +48,9 @@ _DECODE = {(out, PAIRING[lab][out]): s for s, lab in CODEBOOK.items() for out in
 # rejects the probabilities that choice rejected.
 _CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
 
-# Shots are drawn in one batch of two 8-byte words each (16 bytes a shot),
-# so this caps the draw buffer of an attack and the shots of a whole demo.
+# Caps the shots of an attack and of a whole demo, and so their draw
+# buffers: one raw 8-byte output a shot, and a demo reads two more a trial,
+# 8 * trials * (shots + 2) bytes, at most 24 MB (10^6 one-shot trials).
 MAX_SHOTS = 10**6
 
 
@@ -154,19 +154,20 @@ def _check_shots(shots):
         raise TooLarge(f"shots = {shots} exceeds {MAX_SHOTS}")
 
 
-# Every draw reads raw 64-bit outputs of a fresh PCG64 stream, and each read
-# equals the Generator call that would draw from the same stream.
+# Every draw reads raw 64-bit outputs of a PCG64 stream, and each read
+# equals the Generator call that would draw the same outputs from a stream
+# with no buffered 32-bit half.
 
 
 def _secret(raw):
-    """`integers(4)` of a stream whose first raw output is raw (an int or a
+    """`integers(4)` of a stream whose next raw output is raw (an int or a
     uint64 array): Lemire's bounded draw on the output's low 32-bit half
     keeps its top two bits and never rejects."""
     return (raw & 0xFFFFFFFF) >> 30
 
 
 def _uniform(raw):
-    """`random()` of a stream whose first raw output is raw (an int or a
+    """`random()` of a stream whose next raw output is raw (an int or a
     uint64 array): its top 53 bits over 2^53."""
     return (raw >> 11) * 2.0**-53
 
@@ -185,13 +186,6 @@ def _shot_words(stream, shots):
     return stream.random_raw(shots).view(np.uint32).reshape(shots, 2)
 
 
-def _seed_words(seed):
-    """The uint32 entropy words `SeedSequence` makes of a non-negative
-    integer seed: its little-endian 32-bit words, one zero word for 0."""
-    seed = int(seed)
-    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-
-
 def _stream(seed):
     """np.random.PCG64(seed), for any seed it takes (an int, a sequence of
     ints, a SeedSequence) but None, which reads OS entropy, and a bool.
@@ -204,139 +198,16 @@ def _stream(seed):
         raise BadParam(f"seed {seed!r} is not a PCG64 seed: {exc}") from None
 
 
-# SeedSequence's hash and PCG64's seeding (numpy's bit_generator.pyx and
-# pcg64.h, both kept stable by NEP 19).  SeedSequence hashes its entropy
-# words into a pool of four uint32 words, the k-th hash of a call xor-ing
-# with constant h_k and multiplying by h_(k+1) = h_k * mult (mod 2^32);
-# every constant is independent of the data, so one sequence serves every
-# stream.  The uint32 arithmetic stays on arrays, which wrap silently
-# where numpy scalars warn.
-_POOL = 4
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_MIX_L, _MIX_R = np.array([0xCA01F9DD], dtype=np.uint32), np.array([0x4973F715], dtype=np.uint32)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-
-
-def _hash_consts(h, mult, count):
-    """h and the count constants after it, h_k = h * mult^k (mod 2^32), as
-    a (count + 1, 1) uint32 column."""
-    out = [h]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix on a uint32 array with its constants h_k, h_(k+1)."""
-    value = value ^ xor
-    value *= mult
-    value ^= value >> 16
-    return value
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 arrays."""
-    out = _MIX_L * x
-    out -= _MIX_R * y
-    out ^= out >> 16
-    return out
-
-
-def _cross_rounds(hashes):
-    """The constants of the pool's pair hashes, one round per source word:
-    round src hashes pool word src into each other word dst in turn, with
-    hashes k, k + 1, k + 2 (k = _POOL + 3 src).  Each round is (xor, mult,
-    others): (_POOL, 1) columns holding h_k, h_(k+1) at the rows dst (0 at
-    row src), and the mask of those rows."""
-    rounds = []
-    for src in range(_POOL):
-        xor, mult = np.zeros((2, _POOL, 1), dtype=np.uint32)
-        k = _POOL + 3 * src
-        dst = [i for i in range(_POOL) if i != src]
-        xor[dst], mult[dst] = hashes[k : k + 3], hashes[k + 1 : k + 4]
-        rounds.append((xor, mult, np.arange(_POOL)[:, None] != src))
-    return rounds
-
-
-# mix_entropy's constants: one hash per pool word, then one per ordered
-# pair of pool words; generate_state(4, np.uint64) reads the pool twice
-# over with a chain of its own.
-_MULT_A = 0x931E8875
-_HASH_A = _hash_consts(0x43B0D7E5, _MULT_A, _POOL * _POOL)
-_CROSS = _cross_rounds(_HASH_A)
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
-
-
-def _pcg64_seeds(entropy, lengths):
-    """(state, inc) of `np.random.PCG64(np.random.SeedSequence(e))` for
-    each lane e: column j of the (L, lanes) uint32 block entropy, whose
-    first lengths[j] >= 1 words are the lane's and the rest zeros.
-
-    A lane shorter than the pool hashes its zeros, as SeedSequence pads it;
-    word i >= _POOL is mixed into the lanes longer than i only.  PCG64
-    takes initstate and initseq from the four 64-bit words of the pool's
-    `generate_state(4, np.uint64)` and sets inc = initseq << 1 | 1 and
-    state = (inc + initstate) * _PCG_MULT + inc (mod 2^128), on Python ints.
-    """
-    rows, lanes = entropy.shape
-    pool = np.zeros((_POOL, lanes), dtype=np.uint32)
-    pool[: min(rows, _POOL)] = entropy[:_POOL]
-    pool = _hashmix(pool, _HASH_A[:_POOL], _HASH_A[1 : _POOL + 1])
-    for src, (xor, mult, others) in enumerate(_CROSS):
-        np.copyto(pool, _mix(pool, _hashmix(pool[src], xor, mult)), where=others)
-    if rows > _POOL:
-        hashes = _hash_consts(int(_HASH_A[-1, 0]), _MULT_A, _POOL * (rows - _POOL))
-        lengths = np.asarray(lengths)
-        for i in range(_POOL, rows):
-            k = _POOL * (i - _POOL)
-            word = _hashmix(entropy[i], hashes[k : k + _POOL], hashes[k + 1 : k + _POOL + 1])
-            np.copyto(pool, _mix(pool, word), where=lengths > i)
-    state = _hashmix(np.concatenate((pool, pool)), _HASH_B[:-1], _HASH_B[1:])
-    # each lane's eight words as four 64-bit ones, the low word first
-    seeds = []
-    for s0, s1, q0, q1 in np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8").tolist():
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        seeds.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
-
-
-def _trial_seeds(words, ts):
-    """(state, inc) of trial t's three PCG64 streams, for each t in ts
-    (< 2^32, one word) and the seed whose `_seed_words` are words: three
-    lists, the streams of `default_rng((seed, t))`, `default_rng((seed, t,
-    1))` and `default_rng((seed, t, 2))`, whose `SeedSequence` entropy is
-    [*words, t], [*words, t, 1] and [*words, t, 2]."""
-    ts = np.asarray(ts, dtype=np.uint32)
-    n, trials = len(words), ts.size
-    entropy = np.zeros((n + 2, 3, trials), dtype=np.uint32)
-    entropy[:n] = np.array(words, dtype=np.uint32)[:, None, None]
-    entropy[n] = ts
-    entropy[n + 1] = np.arange(3, dtype=np.uint32)[:, None]  # the tail; a zero pads ()
-    lengths = np.repeat([n + 1, n + 2, n + 2], trials)
-    seeds = _pcg64_seeds(entropy.reshape(n + 2, 3 * trials), lengths)
-    return seeds[:trials], seeds[trials : 2 * trials], seeds[2 * trials :]
-
-
-# Trials seeded by one `_trial_seeds` pass of a demo.  A pass holds about
-# 1.4 KB of Python ints a trial at its peak (0.5 KB in the (state, inc)
-# pairs it returns), so a block bounds it at about 6 MB however many
-# trials a demo runs.
-_SEED_BLOCK = 4096
-
-
-def _first_output(state, inc):
-    """The first raw output of a PCG64 stream at (state, inc): one step of
-    its 128-bit LCG, then the XSL-RR output, the xor of the new state's
-    64-bit halves rotated right by the state's top 6 bits."""
-    state = (state * _PCG_MULT + inc) & _MASK128
-    x = (state >> 64 ^ state) & _MASK64
-    r = state >> 122
-    return (x >> r | x << (64 - r)) & _MASK64
-
-
-def _seat(stream, state, inc):
-    """Set a PCG64 stream to (state, inc), with no buffered 32-bit half."""
-    stream.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+def _draws(seed, trials, shots):
+    """The draws of a demo's trials, from one read of `np.random.PCG64(seed)`
+    (seed a non-negative int) in trial-major order: row t of its
+    (trials, shots + 2) raw outputs is trial t's secret, decode uniform and
+    attack words, so the first k rows are a k-trial demo's.  Returns the
+    secrets (int64), the uniforms and the (trials, shots, 2) uint32 words,
+    each trial's laid out as `_shot_words` lays them out."""
+    raw = np.random.PCG64(seed).random_raw(trials * (shots + 2)).reshape(trials, shots + 2)
+    words = raw[:, 2:].view(np.uint32).reshape(trials, shots, 2)
+    return _secret(raw[:, 0]).astype(np.int64), _uniform(raw[:, 1]), words
 
 
 # Block of _pair_table per family, the label without its sign: each support
@@ -476,15 +347,12 @@ def run_demo(n, trials, seed=0, shots=500):
     Deterministic per seed; returns aggregate rates.  The seed is a
     non-negative Python or numpy integer, and a report is the same for
     equal seeds of either type; a bool, a negative number, a tuple or any
-    other seed raises BadParam naming it.  Trial t draws its secret from
-    the seed (seed, t), its attack words from (seed, t, 1) and its decode
-    uniform from (seed, t, 2), the streams `default_rng` makes of those
-    tuples: the seed becomes its entropy words once, `_trial_seeds` gives
-    the states of the streams of up to `_SEED_BLOCK` trials in one array
-    pass, and each draw reads raw PCG64 outputs (the secret and uniform
-    computed from their streams' states, the attack words from one
-    generator set to each trial's attack state).  Those attack draws are
-    the only per-trial numpy calls.
+    other seed raises BadParam naming it.  Every draw is one read of the
+    stream `np.random.PCG64(seed)` (`_draws`): trial t reads its raw
+    outputs t * (shots + 2) onward, its secret (`integers(4)` of the
+    first), its decode uniform (`random()` of the second) and its attack
+    words (the 32-bit halves of the next `shots`), so trial t draws the
+    same whatever the number of trials.
     The attack statistics of all trials are one `_shots` batch, the
     security check is one marginal pass over the family's diagonal stack
     for every party, and each label seen gets its decode table once, from
@@ -501,19 +369,7 @@ def run_demo(n, trials, seed=0, shots=500):
         raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
     fam = be_family(n)
     _check_shots(shots)
-    seed_words = _seed_words(seed)
-    secrets = np.empty(trials, dtype=np.int64)
-    uniforms = np.empty(trials)
-    stream = np.random.PCG64(0)  # seated at each trial's attack stream in turn
-    words = np.empty((trials, shots, 2), dtype=np.uint32)
-    for start in range(0, trials, _SEED_BLOCK):
-        stop = min(start + _SEED_BLOCK, trials)
-        first, attack, last = _trial_seeds(seed_words, np.arange(start, stop))
-        secrets[start:stop] = [_secret(_first_output(*seeded)) for seeded in first]
-        uniforms[start:stop] = [_uniform(_first_output(*seeded)) for seeded in last]
-        for t, seeded in enumerate(attack, start):
-            _seat(stream, *seeded)
-            words[t] = _shot_words(stream, shots)
+    secrets, uniforms, words = _draws(int(seed), trials, shots)
 
     # CODEBOOK holds the rho family at secrets 0, 1 and sigma at 2, 3
     _, family_bit, _, pm_matches = _shots(n, secrets >> 1, secrets & 1, words)

@@ -273,46 +273,38 @@ def test_seeded_draws_take_every_pcg64_seed(seed):
 SEED_CORPUS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**96 + 7)
 
 
-def test_trial_streams_draw_what_the_seeded_generators_draw():
-    """The demo's seeding contract: `_trial_seeds` of the seed's words are
-    the states of `default_rng((seed, t, *tail))`, and the draws read from
-    them are that generator's `integers(4)`, uint32 shot words and
-    `random()`."""
-    stream = np.random.PCG64(0)
+def trial_stream(seed, t, shots, word=0):
+    """PCG64(seed) seated at raw output `word` of trial t's row: advanced
+    past the shots + 2 outputs of each trial before t, then `word` more."""
+    return np.random.PCG64(seed).advance(t * (shots + 2) + word)
+
+
+def test_demo_draws_are_the_generator_draws_of_each_trial_row():
+    """The demo's draw contract: trial t's secret is `integers(4)` of its
+    row's first output, its uniform `random()` of the second, and its words
+    the uint32 shot draw of the rest, each read by a Generator seated on
+    its own stream, so that no buffered 32-bit half carries over."""
     for seed in SEED_CORPUS:
-        words = hiding._seed_words(seed)
-        want = np.random.SeedSequence(seed).generate_state(8)
-        assert np.array_equal(np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(8), want)
-        ts = (0, 1, 2**16)
-        for t, first, attack, last in zip(ts, *hiding._trial_seeds(words, ts)):
-            assert hiding._secret(hiding._first_output(*first)) == np.random.default_rng((seed, t)).integers(4)
-            want = np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=(9, 2), dtype=np.uint32)
-            hiding._seat(stream, *attack)
-            got = hiding._shot_words(stream, 9)
-            assert got.dtype == np.uint32 and np.array_equal(got, want)
-            want = np.random.default_rng((seed, t, 2)).random()
-            assert hiding._uniform(hiding._first_output(*last)).hex() == want.hex()
+        for trials, shots in ((1, 1), (3, 9), (5, 2)):
+            secrets, uniforms, words = hiding._draws(seed, trials, shots)
+            assert secrets.dtype == np.int64 and words.dtype == np.uint32
+            assert words.shape == (trials, shots, 2)
+            for t in range(trials):
+                want = np.random.default_rng(trial_stream(seed, t, shots)).integers(4)
+                assert secrets[t] == want
+                want = np.random.default_rng(trial_stream(seed, t, shots, 1)).random()
+                assert float(uniforms[t]).hex() == want.hex()
+                rng = np.random.default_rng(trial_stream(seed, t, shots, 2))
+                assert np.array_equal(words[t], rng.integers(0, 2**32, size=(shots, 2), dtype=np.uint32))
 
 
-@pytest.mark.parametrize("rows", range(1, 9))
-def test_pcg64_seeds_equal_numpy_seeding(rows):
-    """The vectorized seeding kernel against numpy's own, lane by lane, on
-    random entropy of 1 to `rows` words (zero-padded to a block): at most
-    four words fill SeedSequence's pool, and each word past the fourth is
-    mixed into the lanes that have it only."""
-    rng = np.random.default_rng(rows)
-    lengths = rng.integers(1, rows + 1, size=40)
-    lengths[0] = rows
-    entropy = rng.integers(0, 2**32, size=(rows, lengths.size), dtype=np.uint64).astype(np.uint32)
-    entropy[:, 1] = 0  # an all-zero lane
-    entropy[:, 2] = 2**32 - 1  # and one of all-ones words
-    entropy[np.arange(rows)[:, None] >= lengths] = 0
-    got = hiding._pcg64_seeds(entropy, lengths)
-    assert len(got) == lengths.size
-    for (state, inc), e, length in zip(got, entropy.T, lengths):
-        want = np.random.PCG64(np.random.SeedSequence(e[:length])).state["state"]
-        assert (state, inc) == (want["state"], want["inc"]), e[:length]
-        assert type(state) is int and type(inc) is int
+def test_the_first_trials_of_a_demo_draw_what_a_shorter_demo_draws():
+    for seed in (0, 2**64 + 5):
+        for shots in (1, 7, 500):
+            longer = hiding._draws(seed, 9, shots)
+            for k in (1, 4, 8):
+                for got, want in zip(longer, hiding._draws(seed, k, shots)):
+                    assert got[:k].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32, np.int32])
@@ -380,13 +372,13 @@ def test_parity_attack_matches_per_shot_draws(n):
                 assert type(got["pm_match_rate"]) is float
 
 
-# captured from the per-shot implementation (commit 5af9442); the n = 10 row
-# from the dense-view hiding path (commit 5a05ccb)
+# captured from the one-stream, trial-major demo, whose layout
+# test_run_demo_equals_the_per_trial_loop checks trial by trial
 DEMO_GOLDEN = [
-    ((4, 25, 3, 200), {"pm_bit_rate": 0.4972, "trace_security_max": 0.0}),
-    ((6, 20, 7, 300), {"pm_bit_rate": 0.49700000000000005, "trace_security_max": 0.0}),
-    ((8, 12, 11, 500), {"pm_bit_rate": 0.4958333333333334, "trace_security_max": 0.0}),
-    ((10, 8, 5, 500), {"pm_bit_rate": 0.51275, "trace_security_max": 0.0}),
+    ((4, 25, 3, 200), {"pm_bit_rate": 0.5, "trace_security_max": 0.0}),
+    ((6, 20, 7, 300), {"pm_bit_rate": 0.5108333333333334, "trace_security_max": 0.0}),
+    ((8, 12, 11, 500), {"pm_bit_rate": 0.49999999999999983, "trace_security_max": 0.0}),
+    ((10, 8, 5, 500), {"pm_bit_rate": 0.5025000000000001, "trace_security_max": 0.0}),
 ]
 
 
@@ -423,7 +415,7 @@ def test_run_demo_checks_each_label_once(monkeypatch):
 
     monkeypatch.setattr(hiding, "_marginal_distances", counted)
     for n, trials, seed in ((4, 40, 2), (6, 3, 2), (8, 2, 5)):
-        seen = {CODEBOOK[int(np.random.default_rng((seed, t)).integers(4))] for t in range(trials)}
+        seen = {CODEBOOK[int(np.random.default_rng(trial_stream(seed, t, 50)).integers(4))] for t in range(trials)}
         unseen = sorted(set(LABELS) - seen)
         fam = _random_family(n, seed, far=unseen[0] if unseen else None)
         monkeypatch.setattr(hiding, "be_family", lambda n, fam=fam: fam)
@@ -470,7 +462,7 @@ def test_unlock_draw_equals_generator_choice_on_a_seed_corpus(row):
     probs = DRAW_ROWS[row]
     cdf, _ = hiding._decode_table(probs, np.eye(4))
     for seed in range(10**4):
-        seed = (seed >> 1, 3, 2) if seed & 1 else seed  # run_demo's seeds and plain ones
+        seed = (seed >> 1, 3, 2) if seed & 1 else seed  # tuple seeds and plain ones
         want = np.random.default_rng(seed).choice(len(LABELS), p=probs / probs.sum())
         assert hiding._draw(cdf, seed) == want, seed
 
@@ -528,7 +520,8 @@ def loop_trace_security(h, excluded_party):
 
 def loop_run_demo(n, trials, seed=0, shots=500):
     """run_demo as it was before the trials were batched: every trial
-    hides, attacks and decodes on its own."""
+    hides, attacks and decodes on its own, each draw from a Generator on
+    PCG64(seed) advanced to its place in the trial's row (`trial_stream`)."""
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > hiding.MAX_SHOTS:
@@ -540,18 +533,20 @@ def loop_run_demo(n, trials, seed=0, shots=500):
     sec_max = 0.0
     per_label = {}
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        secret = int(rng.integers(4))
+        secret = int(np.random.default_rng(trial_stream(seed, t, shots)).integers(4))
         h = hide(secret, n, family=fam)
-        _, family_bit, _, pm_matches = loop_attack(h, (seed, t, 1), shots)
+        _, family_bit, _, pm_matches = loop_attack(h, trial_stream(seed, t, shots, 2), shots)
         family_hits += family_bit == (secret >> 1)
         pm_rate_total += pm_matches / shots
         if h.label not in per_label:
             security = max(loop_trace_security(h, p) for p in range(n))
-            per_label[h.label] = (security, *hiding._decode_table(*h._unlock_row()))
-        security, cdf, secrets = per_label[h.label]
+            probability, fidelity = h._unlock_row()
+            _, secrets = hiding._decode_table(probability, fidelity)
+            per_label[h.label] = (security, probability / probability.sum(), secrets)
+        security, p, secrets = per_label[h.label]
         sec_max = max(sec_max, security)
-        if secrets[hiding._draw(cdf, (seed, t, 2))] == secret:
+        outcome = np.random.default_rng(trial_stream(seed, t, shots, 1)).choice(len(LABELS), p=p)
+        if secrets[outcome] == secret:
             unlock_hits += 1
     return {
         "n": n,
@@ -584,13 +579,11 @@ def test_run_demo_equals_the_per_trial_loop(n):
                 _same(run_demo(n, trials, seed=seed, shots=shots), loop_run_demo(n, trials, seed=seed, shots=shots))
 
 
-def test_run_demo_seeds_its_trials_in_blocks(monkeypatch):
-    """Blocks of `_SEED_BLOCK` trials, the last one short, give the draws
-    of one pass."""
-    monkeypatch.setattr(hiding, "_SEED_BLOCK", 3)
-    for trials in (1, 3, 4, 7):
-        for seed in (0, 2**64 + 5, 2**96 + 7):
-            _same(run_demo(6, trials, seed=seed, shots=40), loop_run_demo(6, trials, seed=seed, shots=40))
+def test_run_demo_at_the_cap_of_one_shot_trials():
+    """10^6 one-shot trials: the largest draw buffer a demo reads (24 MB)."""
+    rep = run_demo(4, 10**6, seed=3, shots=1)
+    assert rep["unlock_rate"] == 1.0
+    assert rep["family_leak_rate"] == 1.0
 
 
 @pytest.mark.parametrize(
