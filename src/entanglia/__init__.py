@@ -30,7 +30,7 @@ _EXPORTS = {
 }
 # the module that defines each exported name
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = (*_EXPORTS, "cli", "errors", "family_labels", "pairs", "tolerances")
+_SUBMODULES = (*_EXPORTS, "cli", "errors", "family_classes", "family_labels", "pairs", "tolerances")
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

@@ -9,45 +9,38 @@ Every member of the 2N-qubit family is a uniform mixture of
 (|p> +/- |pbar>)/sqrt(2), where pbar flips every bit of p.  Its matrix is
 nonzero only on the diagonal and the anti-diagonal: it is GHZ-diagonal
 (Dür & Cirac, PRA 61, 042314 (2000)); at n = 4, rho+ is Smolin's state.
-A family holds its four states as two read-only (4, 2^n) stacks in label
-order, the diagonals d and anti-diagonals o, which the family checks,
-unlock and the hiding protocol read directly; the constructions hand over
-the stacks they build, and `BEFamily(n, parts)` copies the given rows in
-once.  `parts` holds the stacks' row views and the dense matrices are a
-read-only view built on first use.
-Both constructions store exact float64 parts, every entry k 2^(1-n) with k
-in {0, +/-1}, so they are the same bit for bit.  The family checks certify
-only dyadic parts (else NotDyadic) and decide all seven checks exactly, on
-the stacks and, for a symmetric family, on one value per Hamming-weight
-class.  Each family's unlock table is built once, on first use, and
-read-only: the family check, `unlock` and the hiding decodes read its rows.
+Each entry depends only on the Hamming weight of its index, so both
+constructions build the four states as (4, n + 1) class values in Python
+ints (`family_classes`), and `verify_family` decides all seven checks on
+them exactly, without an array.  A family's two read-only (4, 2^n) stacks
+in label order, the diagonals d and anti-diagonals o, which unlock and the
+hiding protocol read, are gathered from the class values on first use;
+`parts` holds the stacks' row views, and the dense matrices are a
+read-only view built on first use.  `BEFamily(n, parts)` copies the given
+rows in once; `verify_family` sends such a family to the class checks when
+it is permutation symmetric, real and on the dyadic grid (the gate raises
+NotDyadic off it), and decides any other on the stacks, exactly.  Each
+family's unlock table is built once, on first use, and read-only: `unlock`,
+the hiding decodes and the stack checks read its rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDims, BadLabel, BadParam, NotDyadic, NotGHZDiagonal, OddN, TooLarge
-from .family_labels import CHECKS, LABELS
+from .errors import BadDims, BadLabel, BadParam, NotDyadic, NotGHZDiagonal, TooLarge
+from .family_classes import FamilyReport, even_cuts  # re-exported
+from .family_classes import _check_n, direct_classes, recursive_classes, verify_classes, verify_cuts
+from .family_labels import LABELS, PAIRING
 from .linalg import projector
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
 from .tolerances import UPB_SEESAW_TOL
-
-# Bell state paired with each measurement outcome, per family label.
-PAIRING = {
-    "rho+": {"rho+": "phi+", "rho-": "phi-", "sigma+": "psi+", "sigma-": "psi-"},
-    "rho-": {"rho+": "phi-", "rho-": "phi+", "sigma+": "psi-", "sigma-": "psi+"},
-    "sigma+": {"rho+": "psi+", "rho-": "psi-", "sigma+": "phi+", "sigma-": "phi-"},
-    "sigma-": {"rho+": "psi-", "rho-": "psi+", "sigma+": "phi-", "sigma-": "phi+"},
-}
 
 # Conjugating rho+ by this Pauli on any single qubit yields the sibling.
 PAULI_CONNECTION = {"rho+": ID2, "rho-": SIGMA_Z, "sigma+": SIGMA_X, "sigma-": 1j * SIGMA_Y}
@@ -59,43 +52,70 @@ _PREDICTED = np.array([[BELL_KINDS.index(PAIRING[lab][out]) for out in LABELS] f
 _TRIU = np.triu_indices(4, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BEFamily:
-    n_qubits: int
-    parts: Mapping  # label -> (d, o), see ghz_parts; read-only rows of d and o
-    d: np.ndarray = field(init=False, repr=False)  # (4, 2^n) diagonals in LABELS order
-    o: np.ndarray = field(init=False, repr=False)  # (4, 2^n) anti-diagonals, one dtype
+    """The four states of an n-qubit family, as class values (a
+    construction's) or as stacks (`BEFamily(n, parts)`); `d`, `o`, `parts`,
+    `states` and the unlock table are read-only, each built on first use."""
 
-    def __post_init__(self):
+    n_qubits: int
+
+    def __init__(self, n_qubits, parts):
         # parts must fit n_qubits, with a real d (shape and dtype tests only,
         # no scan of the entries); they are copied once into the read-only
         # stacks d and o, so the cached dense view and unlock table stay fixed
-        _check_n(self.n_qubits)
-        if self.parts.keys() != set(LABELS):
-            raise BadLabel(f"family labels {sorted(map(str, self.parts))}, want {LABELS}")
-        dim = 1 << self.n_qubits
-        rows = [tuple(map(np.asarray, self.parts[lab])) for lab in LABELS]
+        _check_n(n_qubits)
+        if parts.keys() != set(LABELS):
+            raise BadLabel(f"family labels {sorted(map(str, parts))}, want {LABELS}")
+        dim = 1 << n_qubits
+        rows = [tuple(map(np.asarray, parts[lab])) for lab in LABELS]
         for lab, (d, o) in zip(LABELS, rows):
             if d.shape != (dim,) or o.shape != (dim,):
                 raise BadDims(f"{lab}: d and o need shape ({dim},), got {d.shape} and {o.shape}")
             if np.iscomplexobj(d):
                 raise BadParam(f"{lab}: d is a density matrix's diagonal and must be real, got dtype {d.dtype}")
-        self._hold(*(np.array(col) for col in zip(*rows)))
+        d, o = _read_only(*(np.array(col) for col in zip(*rows)))
+        for name, value in (("n_qubits", n_qubits), ("d", d), ("o", o)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of_stacks(cls, n, d, o):
-        """The family of the constructions' own fresh (4, 2^n) float64
-        stacks in LABELS order, held as they are: no check and no copy."""
+    def _of_classes(cls, n, classes):
+        """The family of a construction's class values (D, O), as
+        `family_classes` builds them: no check and no copy."""
         fam = object.__new__(cls)
         object.__setattr__(fam, "n_qubits", n)
-        fam._hold(d, o)
+        object.__setattr__(fam, "_classes", classes)
         return fam
 
-    def _hold(self, d, o):
-        d, o = _read_only(d, o)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "parts", MappingProxyType(dict(zip(LABELS, zip(d, o)))))
+    @cached_property
+    def _classes(self):
+        """The class values (D, O): a construction's own, else
+        `_stack_classes` of the stacks."""
+        return _stack_classes(self.n_qubits, self.d, self.o)
+
+    @cached_property
+    def _stacks(self):
+        """d and o gathered from the class values, as read-only views of one
+        (2, 4, 2^n) float64 block: entry q of a row is its class value at
+        the weight of q."""
+        block = np.take(_class_floats(self._classes), _class_table(self.n_qubits)[0], axis=-1)
+        block.flags.writeable = False
+        return tuple(block)
+
+    @cached_property
+    def d(self):
+        """(4, 2^n) diagonals in LABELS order."""
+        return self._stacks[0]
+
+    @cached_property
+    def o(self):
+        """(4, 2^n) anti-diagonals in LABELS order, one dtype."""
+        return self._stacks[1]
+
+    @cached_property
+    def parts(self):
+        """label -> (d, o), see ghz_parts: read-only row views of d and o."""
+        return MappingProxyType(dict(zip(LABELS, zip(self.d, self.o))))
 
     @property
     def dims(self):
@@ -112,18 +132,47 @@ class BEFamily:
 
     @cached_property
     def _unlock(self):
-        """`_unlock_table` of the stacks, built on first use: verify_family,
-        unlock and the hiding decodes read its rows."""
+        """`_unlock_table` of the stacks, built on first use: unlock, the
+        hiding decodes and verify_family on the stacks read its rows."""
         return _unlock_table(self.d, self.o)
 
 
-def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise BadParam(f"qubit number must be an integer, got {n!r}")
-    if n % 2 != 0:
-        raise OddN(f"family exists only for even qubit numbers, got {n}")
-    if not 4 <= n <= 10:
-        raise TooLarge(f"n = {n} outside supported range 4..10")
+@cache
+def _class_table(n):
+    """Read-only weight[q], the Hamming weight of q, and rep[w] = 2^w - 1,
+    the least index of weight w."""
+    return _read_only(np.bitwise_count(np.arange(1 << n)), (1 << np.arange(n + 1)) - 1)
+
+
+@cache
+def _class_floats(classes):
+    """Class values (D, O) in units of 4^-n as one read-only (2, 4, n + 1)
+    float64 block, exactly: one per construction and n."""
+    n = len(classes[0][0]) - 1
+    return _read_only(np.array(classes, dtype=float) * 4.0**-n)[0]
+
+
+def _stack_classes(n, d, o):
+    """The class values (D, O), (4, n + 1) ints in units of 4^-n, of stacks
+    d and o that are permutation symmetric and real, once _check_dyadic
+    passes their class values (else it raises NotDyadic); None for other
+    stacks."""
+    if not _symmetric(n, d, o):
+        return None
+    _, rep = _class_table(n)
+    for x in (d, o):
+        _check_dyadic(x[:, rep], n)
+    if np.iscomplexobj(o):
+        return None
+    return tuple(tuple(map(tuple, (x[:, rep] * 4.0**n).astype(np.int64).tolist())) for x in (d, o))
+
+
+def _symmetric(n, d, o):
+    """Whether stacks d and o are invariant under every qubit permutation,
+    so constant on each Hamming-weight class: one gather, each entry
+    against its class representative."""
+    weight, rep = _class_table(n)
+    return all(np.array_equal(x, x[:, rep][:, weight]) for x in (d, o))
 
 
 @cache
@@ -212,27 +261,24 @@ def _cut_masks(n, cuts):
     return np.array([sum(1 << (n - 1 - k) for k in cut) for cut in cuts])
 
 
-def _pt_minima(d, dbar, c2):
-    """Smallest eigenvalue (d + dbar)/2 - sqrt(((d - dbar)/2)^2 + c2) of the
-    2x2 blocks [[d, c], [c*, dbar]], c2 = |c|^2 (a fresh array, overwritten),
-    minimized over the last axis.  On verify_family's gated parts the root's
-    argument is exact and IEEE sqrt correctly rounded: each sign is exact."""
-    half = (d - dbar) / 2
-    np.sqrt(np.add(half * half, c2, out=c2), out=c2)
-    return np.subtract((d + dbar) / 2, c2, out=c2).min(axis=-1)
-
-
 def pt_min_eigenvalues(parts, cuts):
     """Smallest partial-transpose eigenvalue of a GHZ-diagonal state per cut.
 
     Transposing the qubits in a cut with bit mask S moves the entry at
     (q, qbar) to (q ^ S, qbar ^ S), so the PT splits into 2x2 blocks
-    {r, rbar} with off-diagonal o[r ^ S], whose minima _pt_minima takes.
+    {r, rbar} with off-diagonal o[r ^ S].  Each block's smallest eigenvalue
+    is (d + dbar)/2 - sqrt(((d - dbar)/2)^2 + |c|^2).  On verify_family's
+    gated parts at n <= 10 the root's argument is exact and IEEE sqrt
+    correctly rounded: each sign is exact.
     """
     d, o = parts
     dim = d.shape[-1]
     index = np.arange(dim) ^ _cut_masks(dim.bit_length() - 1, cuts)[:, None]
-    return _pt_minima(d[..., None, :], d[..., None, ::-1], np.take((o * o.conj()).real, index, axis=-1))
+    d, dbar = d[..., None, :], d[..., None, ::-1]
+    root = np.take((o * o.conj()).real, index, axis=-1)
+    half = (d - dbar) / 2
+    np.sqrt(np.add(half * half, root, out=root), out=root)
+    return np.subtract((d + dbar) / 2, root, out=root).min(axis=-1)
 
 
 def _pauli_conjugate(parts, u, k):
@@ -265,23 +311,9 @@ def _read_only(*arrays):
 
 @cache
 def _cut_table(n):
-    """verify_family's cuts, read-only: every even:even cut, then every
-    single qubit; and each cut's size."""
-    cuts = even_cuts(n) + [(j,) for j in range(n)]
-    return tuple(cuts), *_read_only(np.array([len(cut) for cut in cuts]))
-
-
-@cache
-def _class_table(n):
-    """Read-only rep[w] = 2^w - 1, the least index of weight w; cls[q] =
-    rep[weight of q]; and per cut size s, the (a, b) rows of verify_family's
-    weights a + b, n - a - b, s - a + b, padded by repeating the first."""
-    rep = (1 << np.arange(n + 1)) - 1
-    cls = rep[np.bitwise_count(np.arange(1 << n))]
-    rows = [[(a + b, n - a - b, s - a + b) for a in range(s + 1) for b in range(n - s + 1)] for s in range(n + 1)]
-    width = max(map(len, rows))
-    weights = np.array([row + row[:1] * (width - len(row)) for row in rows]).transpose(2, 0, 1).copy()
-    return _read_only(rep, cls, *weights)
+    """verify_family's cuts (`verify_cuts`) and each cut's size, read-only."""
+    cuts = verify_cuts(n)
+    return cuts, *_read_only(np.array([len(cut) for cut in cuts]))
 
 
 @cache
@@ -297,21 +329,13 @@ def _pauli_table(n):
 
 
 @cache
-def _bell_table():
-    """Read-only (label, outcome, 4) diagonals and anti-diagonals of the
-    Bell projector PAIRING pairs with each (label, outcome), as exact real
-    parts (d, o in {0, +/-1/2}): the two-qubit support projectors, which
-    are the Bell projectors of the rho+ row of PAIRING."""
-    bells = {PAIRING["rho+"][lab]: _support_parts(2, lab) for lab in LABELS}
-    tables = (np.array([[bells[PAIRING[lab][out]][i] for out in LABELS] for lab in LABELS]) for i in (0, 1))
-    return _read_only(*tables)
-
-
-@cache
 def _bell_projectors():
-    """The (label, outcome, 4, 4) Bell projectors of _bell_table as one
-    read-only block: exactly the conditionals unlock leaves on a family."""
-    return _read_only(ghz_dense(*_bell_table()))[0]
+    """The (label, outcome, 4, 4) Bell projectors PAIRING pairs with each
+    (label, outcome), as one read-only block of exact entries (0, +/-1/2):
+    exactly the conditionals unlock leaves on a family.  The two-qubit
+    support projectors are the Bell projectors of the rho+ row of PAIRING."""
+    bells = {PAIRING["rho+"][lab]: ghz_dense(*_support_parts(2, lab)) for lab in LABELS}
+    return _read_only(np.array([[bells[PAIRING[lab][out]] for out in LABELS] for lab in LABELS]))[0]
 
 
 @cache
@@ -328,111 +352,70 @@ def _outcome_parts(n):
 
 def be_family_direct(n):
     """Support-set construction: each state is the uniform mixture of its
-    2^(n-2) support vectors."""
+    2^(n-2) support vectors, as class values (`direct_classes`)."""
     _check_n(n)
-    d, o = (np.array(col) / (1 << (n - 2)) for col in zip(*(_support_parts(n, lab) for lab in LABELS)))
-    return BEFamily._of_stacks(n, d, o)
+    return BEFamily._of_classes(n, direct_classes(int(n)))
 
 
 def be_family(n):
     """Recursive construction: Bell-correlate the four (n-2)-qubit states
-    with the four Bell projectors on two appended qubits.
+    with the four Bell projectors on two appended qubits, as class values
+    (`recursive_classes`).
 
     The two-qubit members are the Bell states themselves (rho+ -> phi+,
     rho- -> phi-, sigma+ -> psi+, sigma- -> psi-, the rho+ row of PAIRING).
-    The recursion runs on (d, o): kron(A, B) has diagonal kron(d_A, d_B)
-    and anti-diagonal kron(o_A, o_B), and the entries of each kron off
-    both diagonals cancel in the sum over outcomes.  Each level is one
-    matrix product of the four states, stacked in label order, with the
-    (label, outcome, 4) table of exact Bell parts (built once per process):
-    new[lab, (x, j)] = sum over outcomes of level[out, x] table[lab, out, j],
-    over 4.  Every product and sum is exact, so the parts are float64 and
-    equal be_family_direct's bit for bit.
+    kron(A, B) has diagonal kron(d_A, d_B) and anti-diagonal kron(o_A, o_B),
+    and the entries of each kron off both diagonals cancel in the sum over
+    outcomes.  Every value is an exact integer in units of 4^-n, so the
+    stacks gathered from them equal be_family_direct's bit for bit.
     """
     _check_n(n)
-    stacks = []
-    for table in _bell_table():
-        level = table[0]  # the two-qubit members: the rho+ row of PAIRING
-        for _ in range(n // 2 - 1):
-            # new[lab, (x, j)] = sum_out level[out, x] table[lab, out, j] / 4
-            level = (level.T @ table / 4.0).reshape(4, -1)
-        stacks.append(level)
-    return BEFamily._of_stacks(n, *stacks)
-
-
-def even_cuts(n):
-    """Canonical even:even bipartitions (side containing qubit 0)."""
-    cuts = []
-    for size in range(2, n - 1, 2):
-        for rest in combinations(range(1, n), size - 1):
-            cuts.append((0,) + rest)
-    return cuts
-
-
-@dataclass
-class FamilyReport:
-    n_qubits: int
-    orthogonal: bool
-    permutation_symmetric: bool
-    even_cut_ppt: bool
-    single_vs_rest_npt: bool
-    pauli_connected: bool
-    reduced_max_mixed: bool
-    unlock_ok: bool
-    cut_evidence: list = field(default_factory=list)  # (label, cut, min PT eig)
-
-    @property
-    def all_pass(self):
-        return all(getattr(self, check) for check in CHECKS)
+    return BEFamily._of_classes(n, recursive_classes(int(n)))
 
 
 def verify_family(fam, quick=False):
-    """Run the seven family checks and collect per-cut PT evidence on the
-    family's stacks fam.d and fam.o, in place; none builds a dense matrix.
+    """Run the seven family checks, collecting per-cut PT evidence; none
+    builds a dense matrix.
 
-    A stack invariant under every qubit permutation is constant on each
-    Hamming-weight class, so symmetry is one gather: each entry against its
-    class representative.  Then _check_dyadic gates the n + 1 class values
-    of a symmetric stack, or every entry of another.  On gated parts at
-    n <= 10 every product and sum below is an integer under 2^51 in units
-    of 16^-n, so all seven checks are exact comparisons.
+    A family with class values (`BEFamily._classes`) is decided on them by
+    `verify_classes`, in Python ints: a construction's own, and those of
+    given stacks that are permutation symmetric and real.  Symmetry is one
+    gather, each entry against its class representative, and _check_dyadic
+    gates the n + 1 class values of a symmetric stack (once per family), or
+    every entry of another, before any check runs.
 
-    Orthogonality is the Gram matrix d d^T + Re(o o_rev^T) against 0.  On a
-    symmetric stack the marginals and PT minima read the class values: an
-    index with a ones inside a cut of size s and b outside has diagonal
-    weights a + b and n - a - b and coupling weight s - a + b, so all cuts
-    of one size share the minimum over (a, b); else pt_min_eigenvalues
-    gives each cut's minimum and reduced_diagonal every marginal, in one
-    gather.  The PT flags read each minimum's sign, the Pauli connection on
-    qubits 0 and n - 1 is a gather times +/-1, and unlock reads the
-    family's unlock table.  quick=True only leaves `cut_evidence` empty.
+    Any other family is decided on its stacks fam.d and fam.o.  At n <= 10 every product and
+    sum below is an integer under 2^51 in units of 16^-n, so all seven
+    checks are exact comparisons.  Orthogonality is the Gram matrix
+    d d^T + Re(o o_rev^T) against 0, pt_min_eigenvalues gives each cut's
+    minimum and reduced_diagonal every marginal, in one gather.  The PT
+    flags read each minimum's sign, the Pauli connection on qubits 0 and
+    n - 1 is a gather times +/-1, and unlock reads the family's unlock
+    table.  quick=True only leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
+    classes = fam._classes
+    if classes is not None:
+        return verify_classes(n, *classes, quick=quick)
     d, o = fam.d, fam.o
-
-    rep, cls, w, wbar, wcut = _class_table(n)
-    permutation_symmetric = all(np.array_equal(x, x[:, cls]) for x in (d, o))
-    for x in (d, o):
-        _check_dyadic(x[:, rep] if permutation_symmetric else x, n)
+    permutation_symmetric = _symmetric(n, d, o)
+    if not permutation_symmetric:  # a symmetric family's class values passed in _classes
+        for x in (d, o):
+            _check_dyadic(x, n)
 
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
     orthogonal = bool((gram[_TRIU] == 0).all())
 
     cuts, size = _cut_table(n)
-    flat = 1.0 / (1 << (n - 1))
-    if permutation_symmetric:
-        cd, co = d[:, rep], o[:, rep]
-        mins = _pt_minima(cd[:, w], cd[:, wbar], (co * co.conj()).real[:, wcut])[:, size]
-        reduced_max_mixed = bool((cd[:, :-1] + cd[:, 1:] == flat).all())
-    else:
-        mins = pt_min_eigenvalues((d, o), cuts)
-        reduced_max_mixed = bool((reduced_diagonal(d, slice(None)) == flat).all())
+    mins = pt_min_eigenvalues((d, o), cuts)
     single = size == 1
     even_cut_ppt = bool((mins[:, ~single] >= 0).all())
     single_vs_rest_npt = bool((mins[:, single] < 0).all())
     evidence = []
     if not quick:
         evidence = [(lab, cut, m) for cut, row in zip(cuts, mins.T.tolist()) for lab, m in zip(LABELS, row)]
+
+    reduced_max_mixed = bool((reduced_diagonal(d, slice(None)) == 1.0 / (1 << (n - 1))).all())
 
     src, phase = _pauli_table(n)
     pauli_connected = bool((d[0][src] == d).all() and (phase * o[0][src] == o).all())

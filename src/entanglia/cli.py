@@ -464,14 +464,14 @@ def cmd_angle(args):
 
 
 def cmd_bound(args):
-    import numpy as np
-
-    from .bound_entangled import be_family, be_family_direct, horodecki_insep, horodecki_state, support_strings
-    from .bound_entangled import tiles_upb, unlock, upb_complement, upb_unextendibility_score, verify_family
-    from .linalg import min_eigenvalue, write_matrix
-    from .witness import is_ppt
-
+    # each action imports what it reads: verify decides the family on its
+    # class values, without numpy
     if args.action == "build":
+        import numpy as np
+
+        from .bound_entangled import be_family, be_family_direct, support_strings
+        from .linalg import write_matrix
+
         fam = be_family(args.n)
         direct = be_family_direct(args.n)
         # the dense delta: every entry off the diagonal and anti-diagonal is 0 in both
@@ -494,8 +494,10 @@ def cmd_bound(args):
             report["written_to"] = args.out
         return report
     if args.action == "verify":
-        fam = be_family(args.n)
-        rep = verify_family(fam, quick=args.quick)
+        from .family_classes import _check_n, recursive_classes, verify_classes
+
+        _check_n(args.n)
+        rep = verify_classes(args.n, *recursive_classes(args.n), quick=args.quick)
         out = {"n": rep.n_qubits, **{check: getattr(rep, check) for check in CHECKS}, "all_pass": rep.all_pass}
         if rep.cut_evidence:
             out["cuts"] = [
@@ -504,6 +506,8 @@ def cmd_bound(args):
             ]
         return out
     if args.action == "unlock":
+        from .bound_entangled import be_family, unlock
+
         fam = be_family(args.n)
         outs = unlock(fam, args.state)
         return {
@@ -519,7 +523,12 @@ def cmd_bound(args):
                 for o in outs
             ],
         }
+    from .witness import is_ppt
+
     if args.action == "horodecki":
+        from .bound_entangled import horodecki_insep, horodecki_state
+        from .linalg import min_eigenvalue
+
         rho = horodecki_state(args.a)
         ppt, pt_min = is_ppt(rho, (3, 3), (1,))
         ins_ppt, ins_min = is_ppt(horodecki_insep(), (3, 3), (1,))
@@ -531,6 +540,10 @@ def cmd_bound(args):
             "insep_part_min_pt_eigenvalue": ins_min,
             "insep_part_npt": not ins_ppt,
         }
+    import numpy as np
+
+    from .bound_entangled import tiles_upb, upb_complement, upb_unextendibility_score
+
     states = tiles_upb()
     gram = np.array([[abs(np.vdot(x, y)) for y in states] for x in states])
     comp = upb_complement()

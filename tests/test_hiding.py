@@ -586,6 +586,20 @@ def test_run_demo_at_the_cap_of_one_shot_trials():
     assert rep["family_leak_rate"] == 1.0
 
 
+@pytest.mark.parametrize("trials, shots", [(10**6, 1), (2000, 500), (40, 1001), (7, 3)])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 3])
+def test_pm_bit_rate_sums_the_trials_in_order(trials, shots, seed):
+    """The +/- rate is the trials' rates summed in trial order: bit for bit
+    the Python loop over them."""
+    secrets, _, words = hiding._draws(seed, trials, shots)
+    _, _, _, pm_matches = hiding._shots(4, secrets >> 1, secrets & 1, words)
+    total = 0.0
+    for matches in pm_matches.tolist():
+        total += matches / shots
+    got = run_demo(4, trials, seed=seed, shots=shots)["pm_bit_rate"]
+    assert type(got) is float and got.hex() == (total / trials).hex()
+
+
 @pytest.mark.parametrize(
     "args",
     [

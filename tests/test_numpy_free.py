@@ -1,12 +1,13 @@
-"""The short decide subcommands answer without numpy, and say what the
-array path says, byte for byte.
+"""The short decide subcommands and `bound verify` answer without numpy,
+and say what the array path says, byte for byte.
 
 majorize, nielsen, classify and multicopy run inline vectors of at most
 _SHORT entries on the pair core, which imports no numpy; the input alone
-sends them to numpy.  Child processes show which inputs load numpy, and
-every output is checked against an in-process run or against the array
-path's own report: the library on numpy arrays, with np.cumsum partial
-sums, printed by the same emit.  The package imports each export on first
+sends them to numpy.  `bound verify` decides the family on its class
+values (family_classes), without numpy too.  Child processes show which
+inputs load numpy, and every output is checked against an in-process run,
+a golden file or the array path's own report: the library on numpy arrays,
+with np.cumsum partial sums, printed by the same emit.  The package imports each export on first
 access, so a bare `import entanglia` loads no numpy either.
 """
 
@@ -17,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -140,6 +142,42 @@ def test_a_submodule_is_an_attribute_after_a_bare_import():
     script = "import entanglia; print(entanglia.hiding.run_demo(4, 5, seed=3)['unlock_rate'])"
     done = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60)
     assert done.stdout == "1.0\n" and done.stderr == ""
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_form(out, fmt):
+    """stdout as tests/golden holds it: without the human footer line or
+    the structured `tolerances` key."""
+    if fmt == "structured":
+        doc = json.loads(out)
+        del doc["tolerances"]
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    body, footer = out.rstrip("\n").rsplit("\n", 1)
+    assert footer.startswith("[seed ")
+    return body + "\n"
+
+
+@pytest.mark.parametrize("fmt", ("human", "structured"))
+@pytest.mark.parametrize("quick", (False, True))
+@pytest.mark.parametrize("n", (4, 6, 8, 10))
+def test_bound_verify_imports_no_numpy(n, quick, fmt):
+    """`bound verify` decides the family on its class values: numpy is
+    never loaded, and the report is the golden file's, byte for byte."""
+    argv = ("bound", "verify", "--n", str(n), *(("--quick",) if quick else ()), "--output", fmt)
+    out, err, code, loaded = child(*argv)
+    assert (err, code, loaded) == ("", 0, False)
+    assert out == in_process(*argv)[0]
+    name = f"verify{'-quick' if quick else ''}-n{n}-{fmt}.txt"
+    assert golden_form(out, fmt) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("argv", (("bound", "unlock", "--state", "sigma-"), ("bound", "build")))
+def test_bound_unlock_and_build_answer_on_numpy(argv):
+    argv = (*argv, "--n", "6", "--output", "structured")
+    out, err, code, loaded = child(*argv)
+    assert loaded and (out, err, code) == in_process(*argv)
 
 
 # the package's exports, by defining module

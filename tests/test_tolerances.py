@@ -13,7 +13,7 @@ import pkgutil
 import tokenize
 
 import entanglia
-from entanglia import tolerances
+from entanglia import family_classes, tolerances
 from entanglia.bound_entangled import verify_family
 
 PACKAGE = pathlib.Path(entanglia.__file__).parent
@@ -113,20 +113,31 @@ def test_every_error_class_is_named_elsewhere():
 
 
 def test_family_checks_read_no_tolerance():
-    """verify_family, the unlock table it reads through `BEFamily._unlock`,
-    and every function of their module that they call, at any depth
-    (cached ones included), name no tolerance constant: the family decision
-    stays exact."""
-    module = inspect.getmodule(verify_family)
-    unwrapped = {name: inspect.unwrap(obj) for name, obj in vars(module).items() if callable(obj)}
-    functions = {name: obj for name, obj in unwrapped.items() if inspect.isfunction(obj)}
-    names, todo = {}, ["verify_family", "_unlock_table"]
+    """verify_family, the unlock table and the class values it reads
+    through `BEFamily._unlock` and `BEFamily._classes`, and every function
+    of their module and of `family_classes` (the class checks) that they
+    call, at any depth (cached ones included), name no tolerance constant:
+    the family decision stays exact."""
+    functions = {}
+    for module in (inspect.getmodule(verify_family), family_classes):
+        unwrapped = {name: inspect.unwrap(obj) for name, obj in vars(module).items() if callable(obj)}
+        functions |= {name: obj for name, obj in unwrapped.items() if inspect.isfunction(obj)}
+    names, todo = {}, ["verify_family", "_unlock_table", "_stack_classes"]
     while todo:
         name = todo.pop()
         source = io.StringIO(inspect.getsource(functions[name]))
         names[name] = {tok.string for tok in tokenize.generate_tokens(source.readline) if tok.type == tokenize.NAME}
         todo += [f for f in names[name] & functions.keys() if f not in names and f not in todo]
-    assert {"_check_dyadic", "_pt_minima", "pt_min_eigenvalues", "_class_table", "_outcome_parts"} <= names.keys()
+    assert {
+        "_check_dyadic",
+        "pt_min_eigenvalues",
+        "_class_table",
+        "_outcome_parts",
+        "verify_classes",
+        "_coupling_table",
+        "_outcome_classes",
+        "_unlocks",
+    } <= names.keys()
     read = {name: sorted(found & set(_constants())) for name, found in names.items()}
     assert not any(read.values()), read
 
