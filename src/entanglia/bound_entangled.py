@@ -18,7 +18,8 @@ hiding protocol read, are gathered from the class values on first use;
 `parts` holds the stacks' row views, and the dense matrices are a
 read-only view built on first use.  `BEFamily(n, parts)` copies the given
 rows in once; `verify_family` sends such a family to the class checks when
-it is permutation symmetric, real and on the dyadic grid (the gate raises
+it is permutation symmetric, real (o may have a complex dtype with every
+imaginary part 0) and on the dyadic grid (the gate raises
 NotDyadic off it), and decides any other on the stacks, exactly.  Each
 family's unlock table is built once, on first use, and read-only: `unlock`,
 the hiding decodes and the stack checks read its rows.
@@ -154,17 +155,20 @@ def _class_floats(classes):
 
 def _stack_classes(n, d, o):
     """The class values (D, O), (4, n + 1) ints in units of 4^-n, of stacks
-    d and o that are permutation symmetric and real, once _check_dyadic
-    passes their class values (else it raises NotDyadic); None for other
-    stacks."""
+    d and o that are permutation symmetric with a real o (of a complex
+    dtype too, when every imaginary part is 0), once _check_dyadic passes
+    their class values (else it raises NotDyadic); None for other stacks."""
     if not _symmetric(n, d, o):
         return None
     _, rep = _class_table(n)
+    d, o = d[:, rep], o[:, rep]
     for x in (d, o):
-        _check_dyadic(x[:, rep], n)
+        _check_dyadic(x, n)
     if np.iscomplexobj(o):
-        return None
-    return tuple(tuple(map(tuple, (x[:, rep] * 4.0**n).astype(np.int64).tolist())) for x in (d, o))
+        if o.imag.any():
+            return None
+        o = o.real
+    return tuple(tuple(map(tuple, (x * 4.0**n).astype(np.int64).tolist())) for x in (d, o))
 
 
 def _symmetric(n, d, o):
@@ -379,7 +383,8 @@ def verify_family(fam, quick=False):
 
     A family with class values (`BEFamily._classes`) is decided on them by
     `verify_classes`, in Python ints: a construction's own, and those of
-    given stacks that are permutation symmetric and real.  Symmetry is one
+    given stacks that are permutation symmetric with a real o (a complex
+    dtype with every imaginary part 0 counts as real).  Symmetry is one
     gather, each entry against its class representative, and _check_dyadic
     gates the n + 1 class values of a symmetric stack (once per family), or
     every entry of another, before any check runs.

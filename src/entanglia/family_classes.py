@@ -209,12 +209,18 @@ def _outcome_classes(n):
     return table
 
 
+def _outcome_sums(rows, weights, slices):
+    """One state's twelve unlock class sums (a row of _outcome_classes),
+    read from the eight rows D, then O, laid end to end."""
+    return list(map(sum, map(map, repeat(mul), weights, map(rows.__getitem__, slices))))
+
+
 def _unlocks(rows, table):
     """Whether each state's class sums, read from the eight rows laid end
     to end, are the ones its unlock needs (see _outcome_classes); stops at
     the first state that fails."""
     for weights, slices, want in table:
-        if list(map(sum, map(map, repeat(mul), weights, map(rows.__getitem__, slices)))) != want:
+        if _outcome_sums(rows, weights, slices) != want:
             return False
     return True
 

@@ -13,14 +13,21 @@ in one block, trial-major: trial t's row of shots + 2 raw outputs holds
 its secret, its decode uniform and its attack words, so a trial's draws
 do not depend on how many trials the demo runs.  The attack statistics
 of all trials are one batch of the shot kernel that `parity_attack` runs
-on one trial, the security check is one marginal pass over the family's
-diagonal stack, and each label seen turns its unlock row into a decode
-table once.
+on one trial, which computes each sampled support string by bit
+arithmetic.  The decode and security figures of a demo are constants of
+n: one table per n, built once from the recursive construction's
+Hamming-weight class values (`family_classes`) in Python ints, holds each
+label's decode cdf, the secret each unlock outcome decodes to and the
+label's largest marginal distance, so a demo builds no family and no
+array whose size depends on 2^n besides its draws.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +39,9 @@ from .bound_entangled import (
     ghz_overlap,
     ghz_parts,
     reduced_diagonal,
-    support_strings,
 )
 from .errors import BadDims, BadParam, BadParty, BadSecret, OddN, TooLarge
+from .family_classes import _check_n, _outcome_classes, _outcome_sums, recursive_classes
 from .states import BELL_KINDS
 
 CODEBOOK = dict(enumerate(LABELS))  # secret s -> LABELS[s], row s of a family's stacks
@@ -210,19 +217,9 @@ def _draws(seed, trials, shots):
     return _secret(raw[:, 0]).astype(np.int64), _uniform(raw[:, 1]), words
 
 
-# Block of _pair_table per family, the label without its sign: each support
+# The family bit of each label, the label without its sign: each support
 # vector of "rho+" or "rho-" is (|p> +/- |pbar>)/sqrt(2) for a "rho" pair.
 _KINDS = {"rho": 0, "sigma": 1}
-
-
-@cache
-def _pair_table(n):
-    """support_strings(n) of both families in one flat read-only table:
-    side b of pair r of family block k is entry ((k * pairs + r) << 1) | b."""
-    strings = support_strings(n)
-    table = np.concatenate([strings[kind].reshape(-1) for kind in _KINDS])
-    table.flags.writeable = False
-    return table
 
 
 @cache
@@ -234,16 +231,20 @@ def _bit_strings(n):
 def _shots(n, kind, pm_bit, words):
     """The parity attack on a batch of trials.  Trial t reads row t of
     `words` ((trials, shots, 2), see _shot_words) as shots on the support
-    strings of family block kind[t].  Returns the sampled strings
-    (trials, shots) and, per trial, the family-bit guess, the count of
-    strings with an even number of zeros, and the count of first bits
-    equal to pm_bit[t]."""
+    strings of family kind[t] (0 rho, 1 sigma).  Returns the sampled
+    strings (trials, shots) and, per trial, the family-bit guess, the count
+    of strings with an even number of zeros, and the count of first bits
+    equal to pm_bit[t].
+
+    Shot (r, side) reads pair r of `support_strings(n)[kind]` at side: its
+    strings p with first bit 0 run in increasing order, and of 2r and
+    2r + 1 exactly one has the kind's zero-count parity (n is even), so
+    p = 2r + ((popcount(r) ^ kind) & 1), and side 1 is its complement.
+    """
     side = words[..., 1] >> 31  # the pair's side is the string's first bit
-    index = words[..., 0] >> (34 - n)  # the pair, of 2^(n-2)
-    index += (np.asarray(kind, dtype=np.uint32) << (n - 2))[:, None]
-    index <<= 1
-    index |= side
-    s = _pair_table(n)[index]
+    r = words[..., 0] >> (34 - n)  # the pair, of 2^(n-2)
+    s = (r << 1) | ((np.bitwise_count(r) ^ np.asarray(kind, dtype=np.uint8)[:, None]) & 1)
+    s ^= side * np.uint32((1 << n) - 1)
     shots = words.shape[1]
     even_count = shots - ((np.bitwise_count(s) & 1) ^ (n & 1)).sum(axis=-1, dtype=np.int64)
     ones = side.sum(axis=-1, dtype=np.int64)
@@ -341,6 +342,64 @@ def decode_by_unlock(h, seed=0):
     return secrets[_draw(cdf, seed)]
 
 
+class _DemoTable(NamedTuple):
+    """The demo's per-label constants, read-only, rows in LABELS order."""
+
+    cdf: np.ndarray  # (label, outcome): the decode draw's cdf
+    decoded: np.ndarray  # (label, outcome): the secret the outcome decodes to
+    security: np.ndarray  # (label,): the largest marginal distance over the parties
+
+
+def _class_demo_table(n, d, o):
+    """The demo table of an n-qubit permutation-symmetric family from its
+    class values d and o (four rows of n + 1 ints, LABELS order, units of
+    4^-n), in Python ints.
+
+    Unlock outcome `out` of parity p leaves, in units of 4^-n / 2, the
+    conditional entries cond[j, j] = S_D(t) and cond[j, jbar] = +/- S_O(t)
+    (the sign of out) on the last pair j of weight t, with S_X(t) =
+    sum_v C(n - 2, v) X[v + t] over v = p, p + 2, ..., n - 2, the class sums
+    `_outcome_classes` lays out.  So its probability is P = S_D(0) +
+    2 S_D(1) + S_D(2), and 2P times its fidelity with phi+/- is S_D(0) +
+    S_D(2) +/- (S_O(0) + S_O(2)), with psi+/- 2 (S_D(1) +/- S_O(1)), the
+    signs of the O sums those of out; the decode reads only which Bell
+    state is largest.  `_decode_table` then makes the cdf, with choice's
+    checks on p.
+
+    Tracing out any one party leaves D[w] + D[w + 1] on the C(n - 1, w)
+    strings of weight w, so each party's distance is sum_w C(n - 1, w)
+    |D[w] + D[w + 1] - 2^(n + 1)| in units of 4^-n, exactly the float sum
+    `_marginal_distances` makes of the stacks."""
+    rows = list(chain(*d, *o))
+    flat = 1 << (n + 1)  # 2^(1-n)
+    binom = [comb(n - 1, w) for w in range(n)]
+    cdfs, decoded, security = [], [], []
+    for dl, (weights, slices, _) in zip(d, _outcome_classes(n)):
+        sums = _outcome_sums(rows, weights, slices)
+        probability, fidelity = [], []
+        for out in LABELS:
+            d0, d1, d2, o0, o1, o2 = sums[:6] if out.startswith("rho") else sums[6:]
+            if out.endswith("-"):
+                o0, o1, o2 = -o0, -o1, -o2
+            probability.append(d0 + 2 * d1 + d2)
+            fidelity.append([d0 + d2 + o0 + o2, d0 + d2 - o0 - o2, 2 * (d1 + o1), 2 * (d1 - o1)])  # BELL_KINDS
+        cdf, secrets = _decode_table(np.array(probability), np.array(fidelity))
+        cdfs.append(cdf)
+        decoded.append(secrets)
+        security.append(sum(b * abs(x + y - flat) for b, x, y in zip(binom, dl, dl[1:])) * 4.0**-n)
+    arrays = np.array(cdfs), np.array(decoded), np.array(security)
+    for a in arrays:
+        a.flags.writeable = False
+    return _DemoTable(*arrays)
+
+
+@cache
+def _demo_table(n):
+    """The demo table of the recursive construction on n qubits (an int
+    _check_n passed), built once per n."""
+    return _class_demo_table(n, *recursive_classes(n))
+
+
 def run_demo(n, trials, seed=0, shots=500):
     """Full protocol simulation: hide, attack, security check, unlock-decode.
 
@@ -353,10 +412,13 @@ def run_demo(n, trials, seed=0, shots=500):
     first), its decode uniform (`random()` of the second) and its attack
     words (the 32-bit halves of the next `shots`), so trial t draws the
     same whatever the number of trials.
-    The attack statistics of all trials are one `_shots` batch, the
-    security check is one marginal pass over the family's diagonal stack
-    for every party, and each label seen gets its decode table once, from
-    the family's unlock table.
+    The attack statistics of all trials are one `_shots` batch.  The
+    decodes and the security check read the per-n table of the family's
+    class values (`_demo_table`): each trial's outcome is the count of its
+    label's cdf entries at or below its uniform, the outcome
+    `Generator.choice` draws, and the security figure is the largest
+    marginal distance over the labels seen, each equal to `trace_security`
+    of the family's stacks at any party.  No family is built.
     """
     _check_count("trials", trials)
     _check_count("shots", shots)
@@ -367,7 +429,8 @@ def run_demo(n, trials, seed=0, shots=500):
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > MAX_SHOTS:
         raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
-    fam = be_family(n)
+    _check_n(n)
+    table = _demo_table(int(n))
     _check_shots(shots)
     secrets, uniforms, words = _draws(int(seed), trials, shots)
 
@@ -375,20 +438,16 @@ def run_demo(n, trials, seed=0, shots=500):
     _, family_bit, _, pm_matches = _shots(n, secrets >> 1, secrets & 1, words)
     pm_rate_total = float(np.cumsum(pm_matches / shots)[-1])  # summed in trial order, as a loop would
 
-    seen = np.flatnonzero(np.bincount(secrets, minlength=4))
-    distances = _marginal_distances(fam.d, slice(None))
-    unlock_hits = 0
-    for secret in seen.tolist():
-        cdf, decoded = _decode_table(fam._unlock.probability[secret], fam._unlock.fidelity[secret])
-        drawn = cdf.searchsorted(uniforms[secrets == secret], side="right")
-        unlock_hits += int(np.count_nonzero(np.array(decoded)[drawn] == secret))
+    # cdf.searchsorted(u, side="right") of each trial's label, one column
+    # at a time: no (trials, 4) gather; the last entry, 1.0, is above every u
+    drawn = sum((column[secrets] <= uniforms).view(np.int8) for column in table.cdf.T[:3])
     return {
         "n": n,
         "trials": trials,
         "seed": seed,
         "shots": shots,
-        "unlock_rate": unlock_hits / trials,
+        "unlock_rate": int(np.count_nonzero(table.decoded[secrets, drawn] == secrets)) / trials,
         "family_leak_rate": int(np.count_nonzero(family_bit == secrets >> 1)) / trials,
         "pm_bit_rate": pm_rate_total / trials,
-        "trace_security_max": float(distances[seen].max()),
+        "trace_security_max": float(table.security[secrets].max()),
     }

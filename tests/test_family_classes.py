@@ -177,10 +177,48 @@ def test_given_stacks_are_gathered_into_classes_once(monkeypatch):
     assert calls == [4, 6, 8, 10]
 
 
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_a_complex_dtype_anti_diagonal_with_no_imaginary_part_is_decided_on_classes(build, n):
+    """`o.astype(complex)` of a construction gets the real copy's report
+    from the same class values: every flag, and each evidence value to the
+    last bit."""
+    fam = build(n)
+    real = BEFamily(n, fam.parts)
+    cplx = BEFamily(n, {lab: (d, o.astype(complex)) for lab, (d, o) in fam.parts.items()})
+    assert cplx.o.dtype == np.complex128
+    assert cplx._classes == real._classes == fam._classes
+    for quick in (False, True):
+        got, want = verify_family(cplx, quick=quick), verify_family(real, quick=quick)
+        assert_same_report(got, want)
+        assert [m.hex() for *_, m in got.cut_evidence] == [m.hex() for *_, m in want.cut_evidence]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_a_genuinely_complex_symmetric_anti_diagonal_stays_on_the_stacks(monkeypatch, n):
+    """rho+ with o times i below weight n/2 and times -i above it (still
+    hermitian and permutation symmetric) has no real class values: the
+    stacks decide it, as the loop oracle does."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("decided on class values")
+
+    monkeypatch.setattr(bound_entangled, "verify_classes", refused)
+    weight = np.bitwise_count(np.arange(1 << n))
+    parts = dict(be_family(n).parts)
+    d, o = parts["rho+"]
+    parts["rho+"] = (d, o * np.where(weight < n // 2, 1j, np.where(weight > n // 2, -1j, 1)))
+    fam = BEFamily(n, parts)
+    assert fam._classes is None and fam.o[0].imag.any()
+    assert_same_report(verify_family(fam), loop_verify_family(fam))
+
+
 def on_the_stacks(fam):
-    """The same family with a complex anti-diagonal (every imaginary part
-    0), which verify_family decides on its stacks."""
-    return BEFamily(fam.n_qubits, {lab: (d, o.astype(complex)) for lab, (d, o) in fam.parts.items()})
+    """A hand-built copy of the family that verify_family decides on its
+    stacks: its class values are None, as an asymmetric family's are."""
+    copy = BEFamily(fam.n_qubits, fam.parts)
+    object.__setattr__(copy, "_classes", None)
+    return copy
 
 
 def negated(j):

@@ -5,6 +5,7 @@ import entanglia.bound_entangled as bound_entangled
 import entanglia.hiding as hiding
 from entanglia.bound_entangled import LABELS, BEFamily, be_family, be_family_direct, reduced_diagonal, support_strings
 from entanglia.errors import BadDims, BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
+from entanglia.family_classes import recursive_classes
 from entanglia.hiding import (
     CODEBOOK,
     HiddenState,
@@ -74,15 +75,24 @@ def test_protocol_builds_no_dense_view():
 
 
 def test_run_demo_builds_no_dense_view(monkeypatch):
-    built = []
+    """A demo, its table's build included, reads the class values alone: it
+    builds no family, so no dense view, and never gathers a family's
+    stacks, a marginal or an unlock table."""
 
-    def capture(n):
-        built.append(be_family(n))
-        return built[-1]
+    def refused(*args):
+        raise AssertionError("run_demo built a family or read a stack")
 
-    monkeypatch.setattr(hiding, "be_family", capture)
-    assert run_demo(8, trials=6, seed=1, shots=50)["unlock_rate"] == 1.0
-    assert len(built) == 1 and "states" not in built[0].__dict__
+    monkeypatch.setattr(hiding, "be_family", refused)
+    for name in ("states", "_stacks"):
+        monkeypatch.setattr(BEFamily, name, property(refused))
+    for module in (hiding, bound_entangled):
+        for name in ("reduced_diagonal", "_unlock_table"):
+            monkeypatch.setattr(module, name, refused)
+    hiding._demo_table.cache_clear()
+    for n in (4, 6, 8, 10):
+        for seed in range(3):
+            rep = run_demo(n, 25, seed=seed, shots=40)
+            assert rep["unlock_rate"] == rep["family_leak_rate"] == 1.0 and rep["trace_security_max"] == 0.0
 
 
 def test_assigned_state_regated_on_every_call():
@@ -392,60 +402,103 @@ def test_run_demo_golden(args, rates):
     assert list(got) == list(want)
 
 
-def _random_family(n, seed, far=None):
-    """A family of random non-dyadic diagonals (o = 0): no marginal is
-    flat, and the one of label `far` is the farthest from flat."""
+def _random_family(n, seed):
+    """A family of random non-dyadic diagonals (o = 0): no marginal is flat."""
     rng = np.random.default_rng(seed)
     parts = {}
     for lab in LABELS:
-        d = rng.random(1 << n) + (50.0 * np.eye(1 << n)[0] if lab == far else 0.0)
+        d = rng.random(1 << n)
         parts[lab] = (d / d.sum(), np.zeros(1 << n))
     return BEFamily(n, parts)
 
 
+def tilted_classes(n, tilts):
+    """The recursive construction's class values with D[0] of each label in
+    `tilts` raised by its tilt (units of 4^-n): that label's marginals are
+    no longer flat, at a distance of tilt 4^-n for every party."""
+    d, o = recursive_classes(n)
+    return tuple((row[0] + tilts.get(lab, 0), *row[1:]) for lab, row in zip(LABELS, d)), o
+
+
 def test_run_demo_checks_each_label_once(monkeypatch):
-    """One marginal pass per demo, and trace_security_max is the largest
-    trace_security over the labels the trials saw, not over all four."""
-    passes = []
-    stacked = hiding._marginal_distances
-
-    def counted(d, parties):
-        passes.append(d.shape)
-        return stacked(d, parties)
-
-    monkeypatch.setattr(hiding, "_marginal_distances", counted)
+    """trace_security_max is the largest trace_security over the labels the
+    trials saw, not over all four: on tables of hand-made symmetric class
+    values, an unseen label's non-flat marginal never shows."""
     for n, trials, seed in ((4, 40, 2), (6, 3, 2), (8, 2, 5)):
         seen = {CODEBOOK[int(np.random.default_rng(trial_stream(seed, t, 50)).integers(4))] for t in range(trials)}
         unseen = sorted(set(LABELS) - seen)
-        fam = _random_family(n, seed, far=unseen[0] if unseen else None)
-        monkeypatch.setattr(hiding, "be_family", lambda n, fam=fam: fam)
-        passes.clear()
-        rep = run_demo(n, trials, seed=seed, shots=50)
-        assert passes == [(4, 1 << n)]
-        want = max(trace_security(hide(s, n, family=fam), p) for s in range(4) if CODEBOOK[s] in seen for p in range(n))
-        assert rep["trace_security_max"] == want > 0.0
+        cases = [{lab: 2 + 2 * i for i, lab in enumerate(sorted(seen))}]  # each seen label tilted, no two alike
         if unseen:
-            assert want < max(trace_security(hide(LABELS.index(unseen[0]), n, family=fam), p) for p in range(n))
+            cases += [{unseen[0]: 6}, {unseen[0]: 99, min(seen): 3}]  # only the unseen label, or it the farthest
+        for tilts in cases:
+            classes = tilted_classes(n, tilts)
+            fam = BEFamily._of_classes(n, classes)
+            table = hiding._class_demo_table(n, *classes)
+            monkeypatch.setattr(hiding, "_demo_table", lambda n, table=table: table)
+            rep = run_demo(n, trials, seed=seed, shots=50)
+            security = {lab: max(trace_security(hide(s, n, family=fam), p) for p in range(n)) for s, lab in CODEBOOK.items()}
+            assert security == {lab: tilts.get(lab, 0) * 4.0**-n for lab in LABELS}
+            assert table.security.tolist() == [security[lab] for lab in LABELS]
+            assert rep["trace_security_max"] == max(security[lab] for lab in seen)
+            assert rep["unlock_rate"] == 1.0
 
 
 def test_run_demo_builds_the_unlock_table_once(monkeypatch):
-    tables, decodes = [], []
-    build, decode = bound_entangled._unlock_table, hiding._decode_table
+    """No demo builds a family's unlock table, and each n turns its four
+    labels into decode tables once, however many demos run."""
+    decodes = []
+    decode = hiding._decode_table
 
-    def counted_table(d, o):
-        tables.append(len(d))
-        return build(d, o)
+    def refused(d, o):
+        raise AssertionError("run_demo built an unlock table")
 
     def counted_decode(probability, fidelity):
         decodes.append(len(probability))
         return decode(probability, fidelity)
 
-    monkeypatch.setattr(bound_entangled, "_unlock_table", counted_table)
+    monkeypatch.setattr(bound_entangled, "_unlock_table", refused)
     monkeypatch.setattr(hiding, "_decode_table", counted_decode)
-    rep = run_demo(4, 40, seed=2, shots=50)
-    assert rep["unlock_rate"] == 1.0
-    assert tables == [4]  # one table of all four states, not a row per trial
-    assert 1 <= len(decodes) <= 4  # one decode table per label seen
+    hiding._demo_table.cache_clear()
+    for n in (4, 6, 8, 10):
+        decodes.clear()
+        for seed in range(20):
+            assert run_demo(n, 40, seed=seed, shots=50)["unlock_rate"] == 1.0
+        assert decodes == [4] * 4  # one decode table per label, all outcomes at once
+
+
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_the_class_table_is_the_stack_built_one(build, n):
+    """The demo table from class values against the one the stacks give:
+    each label's decode table from its row of the family's unlock table,
+    and its largest marginal distance from the marginal pass, bit for bit."""
+    fam = build(n)
+    table = hiding._class_demo_table(n, *fam._classes)
+    distances = hiding._marginal_distances(fam.d, slice(None))
+    for row, lab in enumerate(LABELS):
+        cdf, secrets = hiding._decode_table(fam._unlock.probability[row], fam._unlock.fidelity[row])
+        assert table.cdf[row].tobytes() == cdf.tobytes()
+        assert table.decoded[row].tolist() == secrets
+        assert float(table.security[row]).hex() == float(distances[row].max()).hex()
+    assert all(not a.flags.writeable for a in table)
+    if build is be_family:
+        assert [a.tobytes() for a in hiding._demo_table(n)] == [a.tobytes() for a in table]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_shot_strings_equal_the_support_string_gather(n):
+    """The strings `_shots` computes by bit arithmetic are the entries of
+    `support_strings(n)` the shots pick: pair r, at side b, of the
+    trial's family."""
+    strings = support_strings(n)
+    for seed in range(200):
+        trials, shots = 1 + seed % 5, 1 + (seed * 7) % 60
+        secrets, _, words = hiding._draws(seed, trials, shots)
+        got = hiding._shots(n, secrets >> 1, secrets & 1, words)[0]
+        pair, side = words[..., 0] >> (34 - n), words[..., 1] >> 31
+        for t, secret in enumerate(secrets.tolist()):
+            want = strings[CODEBOOK[secret][:-1]][pair[t], side[t]]
+            assert got[t].tolist() == want.tolist(), (seed, t)
 
 
 # Outcome probabilities the unlock draw sees: the family's rows (each 1/4
