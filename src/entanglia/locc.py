@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +23,10 @@ from .errors import (
     BadParam,
     Degenerate,
     EmptyRange,
-    NonFinite,
     NoPlanFound,
     NotIncomparable3x3,
     RankMismatch,
     TooLarge,
-    TraceMismatch,
 )
 from .majorization import (
     _check_totals,
@@ -54,20 +55,31 @@ from .pairs import (  # PairClass is exported from here
     require_integer,
     verdict,
 )
-from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
+from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
-# keeps its arrays small.  A cooperation chunk's fixed cost is that of about
-# 250 more rows (2-core x86, numpy 2.4.6: a fallback chunk of m draws takes
-# about 25 + 0.11 m us once the search holds a valid plan, 42 + 0.13 m us
-# before), so the first chunk holds all of the recipe's candidates and a
-# long scan takes few chunks.  The catalyst search certifies only the grid
-# points inside its window, whose first point nearly always passes, so its
-# chunks start at _CATALYST_FIRST_CHUNK points.
+# keeps its arrays small.  A cooperation chunk keeps only the rows whose chi
+# and eta are incomparable, about a quarter of the fallback draws.  Its
+# fixed cost is large against its per-row cost (2-core x86, numpy 2.4.6, on
+# the paper's pairs: a kept chunk of m draws takes about 35 + 0.01 m us to
+# certify, most of the per-row cost the joint check on its few candidate
+# rows, and 47 + 0.07 m us more to draw and keep; checking every drawn row
+# took 37 + 0.17 m us with the draw), so the first chunk holds all of the
+# recipe's candidates and a long scan takes few chunks.
+# The catalyst search certifies only the grid points inside its window, whose
+# first point nearly always passes, so its chunks start at
+# _CATALYST_FIRST_CHUNK points.
 _FIRST_CHUNK = 256
 _MAX_CHUNK = 2048
 _CATALYST_FIRST_CHUNK = 4
+# The cooperation fallback keeps the chunks of its first _STREAM_DRAWS draws
+# (the first four) for each of the last _STREAM_SEEDS seeds searched: 16
+# bytes of totals a draw and 88 of column sums and stream index a kept row,
+# so at most 104 bytes a draw, 390 KiB a seed and 3.1 MiB in all; seeds 0-3
+# keep 142-144 KiB each.
+_STREAM_DRAWS = 3840
+_STREAM_SEEDS = 8
 
 
 def _chunk_sizes(first):
@@ -429,78 +441,132 @@ def _min_slack(x, y):
 
 
 def _sorted_columns(v):
-    """The rows of an (n, 3) stack sorted descending, as three columns.
+    """The rows of a (..., 3) stack sorted descending, as three columns.
 
     A three-comparator min/max network: the values are exactly np.sort's.
     """
-    hi, lo = np.maximum(v[:, 0], v[:, 1]), np.minimum(v[:, 0], v[:, 1])
-    mid, low = np.maximum(lo, v[:, 2]), np.minimum(lo, v[:, 2])
+    hi, lo = np.maximum(v[..., 0], v[..., 1]), np.minimum(v[..., 0], v[..., 1])
+    mid, low = np.maximum(lo, v[..., 2]), np.minimum(lo, v[..., 2])
     return np.maximum(hi, mid), np.minimum(hi, mid), low
 
 
-def _incomparable_columns(x, y):
-    """compare_rows(x, y).incomparable for 3-entry rows given as sorted
-    columns (x1, x2, x3) and (y1, y2, y3), each an array or a scalar.
+def _column_sums(x1, x2, x3):
+    """Sorted columns x1 >= x2 >= x3 of one shape as one stack (x2, x3, x1,
+    x1 + x2, (x1 + x2) + x3): rows 0-2 are the entries and rows 2-4 the
+    partial sums that compare_rows' cumsum makes."""
+    cx = x1 + x2
+    return np.array((x2, x3, x1, cx, cx + x3))
+
+
+def _incomparable_sums(x, y):
+    """compare_rows(x, y).incomparable for 3-entry rows given as two
+    _column_sums stacks of one shape, once their totals have passed
+    _check_totals: neither side's partial sums all within MAJ_TOL of the
+    other's, nor every entry.
 
     On sorted 3-vectors majorization is x1 <= y1 and x1 + x2 <= y1 + y2 once
     the totals agree.  The partial sums, tolerance tests and close rule are
-    compare_rows' own, so every flag is bit for bit its flag, and a
-    non-finite or mismatched total raises as it does.
+    compare_rows' own, so every flag is bit for bit its flag.
     """
-    (x1, x2, x3), (y1, y2, y3) = x, y
-    cx, cy = x1 + x2, y1 + y2
-    tx, ty = cx + x3, cy + y3
-    _check_totals(tx, ty)
-    fwd = (x1 <= y1 + MAJ_TOL) & (cx <= cy + MAJ_TOL) & (tx <= ty + MAJ_TOL)
-    bwd = (y1 <= x1 + MAJ_TOL) & (cy <= cx + MAJ_TOL) & (ty <= tx + MAJ_TOL)
-    close = (abs(x1 - y1) <= MAJ_TOL) & (abs(x2 - y2) <= MAJ_TOL) & (abs(x3 - y3) <= MAJ_TOL)
+    fwd = (x[2:] <= y[2:] + MAJ_TOL).all(axis=0)
+    bwd = (y[2:] <= x[2:] + MAJ_TOL).all(axis=0)
+    close = (abs(x[:3] - y[:3]) <= MAJ_TOL).all(axis=0)
     return ~(fwd | bwd | close)
 
 
-def _cross_flags(sa, sb, chi, eta):
-    """The chi_eta, psi_eta and chi_phi flags of (n, 3) stacks of
-    candidates, in one pass of _incomparable_columns.
+class _CoopChunk(NamedTuple):
+    """Rows start to start + size - 1 of a stream of cooperation candidates,
+    of which only the rows whose chi and eta are incomparable are kept: no
+    other row can be valid."""
 
-    Incomparability is symmetric, so the pairs (a, eta), (eta, chi) and
-    (chi, b) are the overlapping blocks of one stack [a, eta, chi, b] of n
-    rows each: x is its first three blocks and y its last three.  A total
-    that fails raises as the pairs checked one at a time in the order
-    chi_eta, psi_eta, chi_phi do.
-    """
-    n = len(chi)
-    v = np.empty((4 * n, 3))
-    v[:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n :] = sa, eta, chi, sb
-    cols = _sorted_columns(v)
-    try:
-        psi_eta, chi_eta, chi_phi = _incomparable_columns(
-            [c[:-n] for c in cols], [c[n:] for c in cols]
-        ).reshape(3, n)
-    except (NonFinite, TraceMismatch):
-        se, sc = ([c[k * n : (k + 1) * n] for c in cols] for k in (1, 2))
-        for x, y in ((sc, se), (sa, se), (sc, sb)):
-            _incomparable_columns(x, y)
-        raise
-    return chi_eta, psi_eta, chi_phi
+    start: int
+    size: int
+    index: np.ndarray  # the kept rows' stream indices, ascending
+    # (5, 2, k): the _column_sums of the kept rows' chi ([:, 0]) and eta
+    # ([:, 1]), so that their entries are rows 0-2, in the order x2, x3, x1
+    sums: np.ndarray
+    # the smallest chi and eta totals of all rows, then the largest
+    bounds: tuple
+    totals: np.ndarray  # (2, size): every row's chi and eta totals
+
+    @property
+    def chi(self):
+        return self.sums[:3, 0].T
+
+    @property
+    def eta(self):
+        return self.sums[:3, 1].T
+
+    def head(self, m):
+        """The chunk cut to its first m rows."""
+        if m >= self.size:
+            return self
+        k = int(np.searchsorted(self.index, self.start + m))
+        return self._replace(
+            size=m, index=self.index[:k], sums=self.sums[:, :, :k], totals=self.totals[:, :m]
+        )
 
 
-def _coop_flags(sa, sb, chi, eta, first, late):
-    """coop_validate over (n, 3) stacks of candidates: which rows are valid,
-    and which are full, valid with all four cross pairs incomparable
+def _coop_chunk(pairs, start=0):
+    """The chunk of an (n, 2, 3) stack of candidates (chi_i, eta_i) whose
+    first row is row start of its stream.  Raises as compare_rows(chi, eta)
+    does for a chi/eta total that is not finite or not within TRACE_TOL."""
+    sums = _column_sums(*_sorted_columns(pairs.transpose(1, 0, 2)))
+    chi, eta = sums[:, 0], sums[:, 1]
+    _check_totals(chi[4], eta[4])
+    (index,) = _incomparable_sums(chi, eta).nonzero()
+    totals = sums[4].copy()  # a view would keep all of sums alive
+    bounds = (*totals.min(axis=1).tolist(), *totals.max(axis=1).tolist())
+    # take, unlike sums[:, :, index], returns a C-ordered stack, which the
+    # kernel reads several times faster
+    return _CoopChunk(start, len(pairs), index + start, sums.take(index, axis=2), bounds, totals)
+
+
+def _check_chunk_totals(chunk, ta, tb):
+    """_check_totals(ta, eta totals), then _check_totals(chi totals, tb), over
+    all of the chunk's rows, kept or not: the psi/eta and chi/phi total
+    checks as compare_rows makes them on the whole chunk.  The chunk's
+    total bounds settle them without a pass over its rows when both pass."""
+    c_lo, e_lo, c_hi, e_hi = chunk.bounds
+    if max(abs(ta - e_lo), abs(ta - e_hi), abs(c_lo - tb), abs(c_hi - tb)) <= TRACE_TOL:
+        return
+    _check_totals(ta, chunk.totals[1])
+    _check_totals(chunk.totals[0], tb)
+
+
+def _coop_flags(sa, sb, chunk, first, late):
+    """coop_validate over a chunk of candidates: which of its kept rows are
+    valid, and which are full, valid with all four cross pairs incomparable
     (psi_phi holds for every pair coop_construct accepts).
 
-    A row is valid only if its chi and eta are incomparable and its
-    9-entry joint check passes.  The joint check runs first on the rows
-    whose three cross pairs are incomparable.  The other rows whose chi
-    and eta are incomparable are checked only where a row that is valid but
-    not full can change the search: while it has no valid plan yet (first)
-    and no row is full, or when the rows from index late on end it at
-    their first valid row.  Elsewhere valid is returned as full.
+    Every kept row has chi and eta incomparable, so it is valid iff its
+    9-entry joint check passes, and full if psi/eta and chi/phi are
+    incomparable too.  The joint check runs first on the rows whose cross
+    pairs are incomparable.  The other rows are checked only where a row
+    that is valid but not full can change the search: while it has no valid
+    plan yet (first) and no row is full, or when the chunk reaches stream
+    index late, from which on the first valid row ends the search.
+    Elsewhere valid is returned as full.
+
+    Totals rule: before any flag, the chunk raises as compare_rows on all
+    of its rows, dropped ones included, would, in the order chi/eta (when
+    the chunk was built), psi/eta, chi/phi; so a search raises
+    TraceMismatch, naming the same row, on exactly the inputs and chunks
+    where checking every drawn row raises.  The joint check then raises for
+    the rows it checks, as it did on the chunk's rows before any was
+    dropped.
     """
-    chi_eta, psi_eta, chi_phi = _cross_flags(sa, sb, chi, eta)
-    cross = psi_eta & chi_phi
-    full = _joint_ok(sa, sb, chi, eta, chi_eta & cross)
-    if late < len(chi) or (first and not full.any()):
-        return full | _joint_ok(sa, sb, chi, eta, chi_eta & ~cross), full
+    ends = _column_sums(*np.array((sb, sa)).T)  # b's against chi, a's against eta
+    tb, ta = ends[4].tolist()
+    _check_chunk_totals(chunk, ta, tb)
+    sums, chi, eta = chunk.sums, chunk.chi, chunk.eta
+    against = np.empty_like(sums)  # of one shape: broadcasting is slower
+    against[...] = ends[..., None]
+    cross = _incomparable_sums(sums, against).all(axis=0)
+    rest = ~cross
+    full = _joint_ok(sa, sb, chi, eta, cross)
+    if late < chunk.start + chunk.size or (first and not full.any()):
+        return full | _joint_ok(sa, sb, chi, eta, rest), full
     return full, full
 
 
@@ -511,6 +577,84 @@ def _joint_ok(sa, sb, chi, eta, rows):
     if index.size:
         rows[index] = _fwd_rows(vec_kron(sa, chi[index]), vec_kron(sb, eta[index]))
     return rows
+
+
+def _draw(rng, m):
+    """The next m fallback candidates: an (m, 2, 3) stack of (chi_i, eta_i)."""
+    return rng.dirichlet(np.ones(3), size=(m, 2))
+
+
+def _generator_at(state):
+    """A generator that continues from a saved bit generator state."""
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
+
+
+class _CoopStream:
+    """The fallback candidates of one seed, drawn from default_rng((seed,
+    99)) in the search's chunks.  The chunks of its first _STREAM_DRAWS
+    rows are kept, each when a search first reaches it; later ones are
+    drawn from a generator that continues from the state after them, and
+    are not kept.  Generator.dirichlet draws row by row, so every chunk
+    holds the rows one draw of the whole stream holds.
+
+    Whatever fallback_samples is, a stream keeps at most _STREAM_DRAWS
+    draws of at most 104 bytes, 390 KiB, and _coop_stream keeps the streams
+    of the last _STREAM_SEEDS = 8 seeds, 3.1 MiB."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng((seed, 99))
+        self.kept = []  # chunks, in stream order
+        self.end = 0  # rows kept
+        self.size = _FIRST_CHUNK  # the next chunk's
+        self.lock = threading.Lock()
+
+    def _fill(self, k):
+        """Keep chunk k unless it would end past _STREAM_DRAWS rows; whether
+        it is kept.  The generator moves only when the chunk is kept."""
+        with self.lock:
+            if k < len(self.kept):
+                return True
+            if self.end + self.size > _STREAM_DRAWS:
+                return False
+            state = self.rng.bit_generator.state
+            try:
+                chunk = _coop_chunk(_draw(self.rng, self.size), self.end)
+            except Exception:
+                self.rng.bit_generator.state = state
+                raise
+            self.kept.append(chunk)
+            self.end += self.size
+            self.size = min(2 * self.size, _MAX_CHUNK)
+            return True
+
+    def chunks(self, stop):
+        """The chunks of rows 0 to stop - 1, the last one cut at stop."""
+        k = start = 0
+        while start < stop and (k < len(self.kept) or self._fill(k)):
+            chunk = self.kept[k]
+            yield chunk.head(stop - start)
+            k += 1
+            start += chunk.size
+        if start < stop:  # past the kept chunks, which no longer grow
+            rng = _generator_at(self.rng.bit_generator.state)
+            sizes = _chunk_sizes(self.size)
+            while start < stop:
+                m = min(next(sizes), stop - start)
+                yield _coop_chunk(_draw(rng, m), start)
+                start += m
+
+
+# 8 seeds is a memory bound, not a measured working set: every workload
+# and the CLI search one seed per process
+@lru_cache(maxsize=_STREAM_SEEDS)
+def _coop_stream(seed):
+    """The stream of a seed, kept for the last _STREAM_SEEDS seeds.  Its
+    kept chunks follow the chunk schedule (_FIRST_CHUNK, _MAX_CHUNK,
+    _STREAM_DRAWS) of when they were drawn; _coop_stream.cache_clear()
+    drops them once the schedule is changed."""
+    return _CoopStream(seed)
 
 
 def _coop_case1_candidates(sa, sb):
@@ -563,6 +707,15 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     candidate whose four cross pairs are all incomparable is preferred.
     The plan records which branch found it and how many candidates were
     certified up to it.
+
+    The randomized candidates of a seed, and which of them have chi and eta
+    incomparable, do not depend on a and b: the first _STREAM_DRAWS are
+    drawn once and kept for the last _STREAM_SEEDS seeds (_CoopStream).
+    The gain needs the seed to repeat, as the default seed does: the first
+    search with a seed draws and keeps the chunks it reaches, and takes
+    about as long as checking every drawn row does (a short search about
+    3% longer, a long one less).  Plans, diagnostics and errors do not
+    depend on the cache.
     """
     seed = _nonnegative("seed", seed)
     fallback_samples = _nonnegative("fallback_samples", fallback_samples)
@@ -581,42 +734,39 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     tried = 0
     sizes = _chunk_sizes(_FIRST_CHUNK)
     while chunk := list(itertools.islice(candidates, next(sizes))):
-        chi, eta = (np.array(side) for side in zip(*chunk))
-        valid, full = _coop_flags(sa, sb, chi, eta, first_valid is None, len(chunk))
+        # np.fromiter on the flat entries: np.array on the nested tuples
+        # takes twice as long
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(chunk))
+        rows = _coop_chunk(np.fromiter(flat, float).reshape(-1, 2, 3))
+        valid, full = _coop_flags(sa, sb, rows, first_valid is None, len(chunk))
         if full.any():
             j = full.argmax()
-            return _coop_found(sa, sb, chi[j], eta[j], "recipe", tried + j + 1)
+            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", tried + rows.index[j] + 1)
         if first_valid is None and valid.any():
             j = valid.argmax()
-            first_valid = chi[j], eta[j], "recipe"
+            first_valid = rows.chi[j], rows.eta[j], "recipe"
         tried += len(chunk)
 
     # randomized search; a plan whose four cross pairs are all incomparable
     # wins over the recipe's partially-comparable one, and once a fifth of
     # the samples are spent the next valid plan ends the search
-    rng = np.random.default_rng((seed, 99))
     late = fallback_samples // 5
-    sizes = _chunk_sizes(_FIRST_CHUNK)
-    start = 0
-    while start < fallback_samples:
-        m = min(next(sizes), fallback_samples - start)
-        draws = rng.dirichlet(np.ones(3), size=(m, 2))  # chi_i, eta_i in draw order
-        chi, eta = draws[:, 0], draws[:, 1]
-        valid, full = _coop_flags(sa, sb, chi, eta, first_valid is None, late - start)
+    stream = _coop_stream(seed)
+    drawn = fallback_samples
+    for rows in stream.chunks(fallback_samples):
+        valid, full = _coop_flags(sa, sb, rows, first_valid is None, late)
         if first_valid is None and valid.any():
             j = valid.argmax()
-            first_valid = chi[j], eta[j], "fallback"
-        stop = full | (valid & (np.arange(start, start + m) >= late))
+            first_valid = rows.chi[j], rows.eta[j], "fallback"
+        stop = full | (valid & (rows.index >= late))
         if stop.any():
             j = stop.argmax()
-            tried += j + 1
             if full[j]:
-                return _coop_found(sa, sb, chi[j], eta[j], "fallback", tried)
+                return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "fallback", tried + rows.index[j] + 1)
+            drawn = rows.index[j] + 1
             break
-        start += m
-        tried += m
     if first_valid is not None:
-        return _coop_found(sa, sb, *first_valid, tried)
+        return _coop_found(sa, sb, *first_valid, tried + drawn)
     raise NoPlanFound("no auxiliary pair found by recipe or randomized search")
 
 

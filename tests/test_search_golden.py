@@ -7,7 +7,9 @@ over the scalar checks, so any pair can be compared bit for bit.
 """
 
 import itertools
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -121,6 +123,16 @@ def _coop_case2_candidates(sa, sb, seed):
     keep = (beta[:, 0] > a1) & (beta[:, 2] >= 1e-3) & (lo < hi)
     for chi, alpha1 in zip(beta[keep], rng.uniform(lo[keep], hi[keep])):
         yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
+
+
+@pytest.fixture
+def fresh_streams():
+    """An empty cache of cooperation streams, emptied again afterwards, so
+    that no stream kept under a patched chunk schedule or cap reaches
+    another test."""
+    locc._coop_stream.cache_clear()
+    yield
+    locc._coop_stream.cache_clear()
 
 
 def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):
@@ -378,7 +390,7 @@ def test_coop_a1_below_b1_goes_straight_to_fallback():
     assert yielded_in_all > 60000
 
 
-def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
+def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch, fresh_streams):
     # a1 > b1: the recipe's candidates count before the fallback's
     pairs = [(a, b) for a, b in _incomparable_pairs("coop-recipe", 40) if a[0] > b[0]]
     assert len(pairs) >= 10
@@ -420,7 +432,7 @@ def test_coop_golden_diagnostics():
     assert sum(a[0] < b[0] for a, b, _, _ in COOP_GOLDEN) == 3
 
 
-def test_coop_recipe_winner_across_chunks(monkeypatch):
+def test_coop_recipe_winner_across_chunks(monkeypatch, fresh_streams):
     # recipe streams for the cooperation pair built from invalid fillers, a
     # valid but partially comparable plan, and a fully incomparable one,
     # placed in the second and third chunks of a 16/32 schedule
@@ -483,6 +495,16 @@ def _boundary_rows(trace_tol):
     return np.array(x), np.array(y)
 
 
+def _incomparable_columns(x, y):
+    """The cooperation kernel's cross flags for sorted columns (x1, x2, x3)
+    and (y1, y2, y3), each an array or a scalar: both sides as
+    _column_sums stacks, their totals checked, then _incomparable_sums."""
+    columns = np.broadcast_arrays(*x, *y)
+    x, y = locc._column_sums(*columns[:3]), locc._column_sums(*columns[3:])
+    majorization._check_totals(x[4], y[4])
+    return locc._incomparable_sums(x, y)
+
+
 @pytest.mark.parametrize("trace_tol", [TRACE_TOL, 4 * MAJ_TOL])
 def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
     """The sorted-column cross flags are compare_rows' Incomparable flags
@@ -495,13 +517,13 @@ def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
     for x, y in stacks:
         sx, sy = locc._sorted_columns(x), locc._sorted_columns(y)
         assert np.array_equal(np.stack(sx, axis=-1), np.sort(x)[:, ::-1])
-        got = locc._incomparable_columns(sx, sy)
+        got = _incomparable_columns(sx, sy)
         assert got.dtype == bool
         assert np.array_equal(got, compare_rows(x, y).incomparable)
         for v in x[::37]:
             sv = np.sort(v)[::-1]
-            assert np.array_equal(locc._incomparable_columns(sv, sy), compare_rows(v, y).incomparable)
-            assert np.array_equal(locc._incomparable_columns(sx, sv), compare_rows(x, v).incomparable)
+            assert np.array_equal(_incomparable_columns(sv, sy), compare_rows(v, y).incomparable)
+            assert np.array_equal(_incomparable_columns(sx, sv), compare_rows(x, v).incomparable)
     x, y = _boundary_rows(trace_tol)
     assert 0 < compare_rows(x, y).incomparable.sum() < len(x)
     # a total outside the trace tolerance raises with compare_rows' message
@@ -509,7 +531,7 @@ def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
     with pytest.raises(TraceMismatch) as want:
         compare_rows(x, y)
     with pytest.raises(TraceMismatch) as got:
-        locc._incomparable_columns(locc._sorted_columns(x), locc._sorted_columns(y))
+        _incomparable_columns(locc._sorted_columns(x), locc._sorted_columns(y))
     assert str(got.value) == str(want.value)
 
 
@@ -523,6 +545,12 @@ def _coop_kernel_cases():
     for a, b in [pair[:2] for pair in COOP_GOLDEN[:4]] + _incomparable_pairs("coop-kernel", 4):
         draws = rng.dirichlet(np.ones(3), size=(300, 2))
         cases.append((a, b, draws[:, 0], draws[:, 1]))
+    # totals 1 + 5e-10 and 1 - 4.995e-10: every total check passes, and the
+    # joint totals differ by up to about TRACE_TOL
+    for a, b in [pair[:2] for pair in COOP_GOLDEN[:4]]:
+        draws = rng.dirichlet(np.ones(3), size=(300, 2))
+        a, b = np.array(a), np.array(b)
+        cases.append((a * (1 + 5e-10), b * (1 - 4.995e-10), draws[:, 0], draws[:, 1]))
     x, y = _boundary_rows(TRACE_TOL)
     x, y = np.concatenate((x[:28], x[28::9])), np.concatenate((y[:28], y[28::9]))
     steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * MAJ_TOL
@@ -537,9 +565,11 @@ def _coop_kernel_cases():
 
 def test_coop_flags_match_per_row_validate():
     """The chunk kernel's (valid, full) flags are coop_validate's, row by
-    row: valid, and valid with the three cross pairs it checks all
-    incomparable.  With a valid plan known and the rows before late, valid
-    is only needed where full, and the kernel may return full for it."""
+    row, on the rows the chunk keeps: valid, and valid with the three cross
+    pairs it checks all incomparable; a row it drops, chi and eta not
+    incomparable, is never valid.  With a valid plan known and the rows
+    before late, valid is only needed where full, and the kernel may
+    return full for it."""
     kinds = set()
     for a, b, chi, eta in _coop_kernel_cases():
         sa, sb = locc._strip(a), locc._strip(b)
@@ -549,16 +579,20 @@ def test_coop_flags_match_per_row_validate():
         full = valid & cross
         kinds |= {(bool(v), bool(f)) for v, f in zip(valid, full)}
         n = len(chi)
+        chunk = locc._coop_chunk(np.stack((chi, eta), axis=1))
+        kept = chunk.index
+        assert np.array_equal(kept, np.flatnonzero([p.cross_incomparable["chi_eta"] for p in plans]))
+        assert not np.delete(valid, kept).any()
         for first, late in itertools.product((True, False), (0, n // 2, n - 1, n)):
-            got_valid, got_full = locc._coop_flags(sa, sb, chi, eta, first, late)
+            got_valid, got_full = locc._coop_flags(sa, sb, chunk, first, late)
             assert got_valid.dtype == got_full.dtype == bool
-            assert np.array_equal(got_full, full)
+            assert np.array_equal(got_full, full[kept])
             exact = late < n or (first and not full.any())
-            assert np.array_equal(got_valid, valid if exact else full), (a, b, first, late)
+            assert np.array_equal(got_valid, (valid if exact else full)[kept]), (a, b, first, late)
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
-def test_coop_late_stop_across_chunks(monkeypatch):
+def test_coop_late_stop_across_chunks(monkeypatch, fresh_streams):
     """On a 16/32 schedule with 300 fallback samples, late = 60 falls inside
     the third chunk, [48, 80).  These a1 < b1 pairs find their first valid
     plan, not full, in the first or second chunk, and a valid row at index
@@ -578,7 +612,7 @@ def test_coop_late_stop_across_chunks(monkeypatch):
         assert any(coop_validate(a, b, chi, eta).valid for chi, eta in draws)
 
 
-def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch):
+def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch, fresh_streams):
     corpus = [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
     for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
         corpus += [(a, b, k, 37), (a, b, k, 300)]
@@ -618,6 +652,230 @@ def test_coop_misnormalised_recipe_candidate_raises(monkeypatch):
             for x, y in ((chis, etas), (a, etas), (chis, b)):
                 compare_rows(x, y)
         assert str(got.value) == str(want.value)
+
+
+def _coop_or_none(a, b, seed, fallback):
+    try:
+        return coop_construct(a, b, seed=seed, fallback_samples=fallback)
+    except NoPlanFound:
+        return None
+
+
+def test_coop_stream_cache_states_match_one_by_one_scan(monkeypatch, fresh_streams):
+    """Plans and diagnostics are the one-by-one scan's whatever the state of
+    the seed's kept stream: not drawn yet, kept from earlier searches,
+    dropped by the cache after other seeds, or capped so low that searches
+    run into the draws past the kept ones (under the default chunks and
+    under 16/32 chunks, of which three are kept)."""
+    pairs = [pair[:2] for pair in COOP_GOLDEN] + _incomparable_pairs("coop-scan", 3)
+    cases = [(a, b, seed, fallback) for a, b in pairs for seed in range(4) for fallback in (0, 37, 300, 10**5)]
+    # a1 < b1 goes straight to the fallback
+    wants = [_coop_one_by_one(*case, candidates=None if case[0][0] > case[1][0] else iter(())) for case in cases]
+    assert {w.branch for w in wants if w is not None} == {"recipe", "fallback"}
+    assert max(w.candidates for w in wants if w is not None) > locc._STREAM_DRAWS
+
+    def check(state, prepare=lambda seed: None):
+        for case, want in zip(cases, wants):
+            prepare(case[2])
+            got = _coop_or_none(*case)
+            assert _same_plan(got, want) and _same_diagnostics(got, want), (state, case)
+
+    check("empty", lambda seed: locc._coop_stream.cache_clear())
+    check("kept")  # the first pass may still keep more chunks
+    check("kept")
+
+    def evict(seed):
+        stream = locc._coop_stream(seed)
+        _coop_or_none(*cases[0][:2], seed, 10**5)
+        for other in range(100, 100 + locc._STREAM_SEEDS):
+            locc._coop_stream(other)
+        assert locc._coop_stream(seed) is not stream
+
+    check("evicted", evict)
+    monkeypatch.setattr(locc, "_STREAM_DRAWS", 64)
+    locc._coop_stream.cache_clear()
+    check("capped")
+    assert locc._coop_stream(0).kept == []
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
+    locc._coop_stream.cache_clear()
+    check("capped 16/32")
+    assert locc._coop_stream(0).end == 48
+
+
+def test_coop_stream_keeps_the_incomparable_rows_of_one_draw(fresh_streams):
+    """A seed's kept chunks hold, in stream order, exactly the rows whose chi
+    and eta compare_rows finds incomparable in one Generator.dirichlet draw
+    of the whole stream, and the draws past them continue that draw:
+    dirichlet output does not depend on how the draw is chunked, which the
+    kept stream relies on."""
+    n, more = locc._STREAM_DRAWS, 3000
+    for seed in range(4):
+        stream = locc._coop_stream(seed)
+        chunks = list(stream.chunks(n + more))
+        assert [c.size for c in stream.kept] == [256, 512, 1024, 2048]
+        assert [(c.start, c.size) for c in chunks[4:]] == [(n, 2048), (n + 2048, more - 2048)]
+        draws = np.random.default_rng((seed, 99)).dirichlet(np.ones(3), size=(n + more, 2))
+        keep = compare_rows(draws[:, 0], draws[:, 1]).incomparable
+        assert 0.2 < keep.mean() < 0.3
+        assert np.array_equal(np.concatenate([c.index for c in chunks]), np.flatnonzero(keep))
+        for side, rows in enumerate((np.concatenate([c.chi for c in chunks]), np.concatenate([c.eta for c in chunks]))):
+            assert np.array_equal(np.sort(rows)[:, ::-1], np.sort(draws[keep, side])[:, ::-1])
+        assert all(c.totals.shape == (2, c.size) for c in stream.kept)
+
+
+def _coop_chunked_reference(a, b, seed, fallback_samples):
+    """coop_construct as a one-by-one scan of whole chunks: the recipe's
+    candidates, then the fallback draws in the default chunks.  Before its
+    rows are scanned, each chunk has its cross pairs' totals checked by
+    compare_rows over all of its rows, in the order chi/eta, psi/eta,
+    chi/phi; a plan, None, or the TraceMismatch message."""
+    sa, sb = locc._strip(a), locc._strip(b)
+    recipe = list(locc._coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
+
+    def chunks():
+        if recipe:
+            yield "recipe", recipe
+        rng, start, sizes = np.random.default_rng((seed, 99)), 0, locc._chunk_sizes(locc._FIRST_CHUNK)
+        while start < fallback_samples:
+            m = min(next(sizes), fallback_samples - start)
+            yield "fallback", list(rng.dirichlet(np.ones(3), size=(m, 2)))
+            start += m
+
+    first_valid, tried = None, 0
+    for branch, rows in chunks():
+        chi, eta = (np.array(side) for side in zip(*rows))
+        try:
+            for x, y in ((chi, eta), (sa, eta), (chi, sb)):
+                compare_rows(x, y)
+        except TraceMismatch as exc:
+            return str(exc)
+        for chi_i, eta_i in rows:
+            tried += 1
+            plan = coop_validate(sa, sb, chi_i, eta_i)
+            if plan.valid:
+                if all(plan.cross_incomparable.values()):
+                    return replace(plan, branch=branch, candidates=tried)
+                if first_valid is None:
+                    first_valid = replace(plan, branch=branch)
+                if branch == "fallback" and tried - len(recipe) > fallback_samples // 5:
+                    return replace(first_valid, candidates=tried)
+    return None if first_valid is None else replace(first_valid, candidates=tried)
+
+
+def _edge_total_pairs():
+    """Pairs whose totals sit within a few ulps of 1 +- TRACE_TOL: a's and
+    b's last entries moved alike (or b's by half as much), kept where
+    coop_construct accepts the pair.  The joint totals then agree, and
+    rows whose eta or chi total lies an ulp or two on the far side of 1
+    fail the psi/eta or chi/phi total check."""
+    pairs = []
+    for a, b, *_ in COOP_GOLDEN[:4]:
+        for d in (TRACE_TOL, TRACE_TOL - 2**-51, -TRACE_TOL, 2**-51 - TRACE_TOL):
+            for scale in (1.0, 0.5):
+                a2, b2 = [a[0], a[1], a[2] + d], [b[0], b[1], b[2] + scale * d]
+                try:
+                    locc._require_incomparable_3x3(a2, b2)
+                except TraceMismatch:
+                    continue
+                pairs.append((a2, b2))
+    return pairs
+
+
+def test_coop_edge_totals_raise_as_every_drawn_row_is_checked(fresh_streams):
+    """A pair whose total sits at the edge of TRACE_TOL raises TraceMismatch,
+    with compare_rows' message, exactly where checking the psi/eta and
+    chi/phi totals of every row of every chunk up to the search's end
+    raises, dropped rows included; elsewhere its plan is the scan's."""
+    outcomes = set()
+    for a, b in _edge_total_pairs():
+        for seed in (0, 1):
+            for fallback in (37, 300, 5000):
+                want = _coop_chunked_reference(a, b, seed, fallback)
+                try:
+                    got = _coop_or_none(a, b, seed, fallback)
+                except TraceMismatch as exc:
+                    got = str(exc)
+                if isinstance(want, str):
+                    assert got == want, (a, b, seed, fallback)
+                else:
+                    assert _same_plan(got, want) and _same_diagnostics(got, want), (a, b, seed, fallback)
+                outcomes.add(type(want).__name__)
+    assert outcomes == {"str", "CoopPlan", "NoneType"}
+
+
+def test_coop_edge_totals_of_a_cut_chunk(fresh_streams):
+    """A kept chunk cut short by fallback_samples checks the totals of its
+    first rows only.  With these edge totals some row of seed 0's first
+    chunk fails a total check and its first 21 rows do not: the kept
+    chunk's bounds fail, its totals are checked up to fallback_samples, and
+    the search returns the plan of the scan of the drawn rows."""
+    a, b = [0.41, 0.38, 0.21 - TRACE_TOL], [0.4, 0.4, 0.2 - 0.5 * TRACE_TOL]
+    sa, sb = locc._strip(a), locc._strip(b)
+    draws = np.random.default_rng((0, 99)).dirichlet(np.ones(3), size=(locc._FIRST_CHUNK, 2))
+    with pytest.raises(TraceMismatch):
+        for x, y in ((sa, draws[:, 1]), (draws[:, 0], sb)):
+            compare_rows(x, y)
+    for fallback in (1, 8, 21):
+        for x, y in ((sa, draws[:fallback, 1]), (draws[:fallback, 0], sb)):
+            compare_rows(x, y)
+        want = _coop_chunked_reference(a, b, 0, fallback)
+        assert isinstance(want, CoopPlan)
+        got = _coop_or_none(a, b, 0, fallback)
+        assert _same_plan(got, want) and _same_diagnostics(got, want)
+    assert locc._coop_stream(0).kept[0].size == locc._FIRST_CHUNK
+
+
+def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
+    """With no valid plan in 5000 samples, a search draws past the cap;
+    whatever fallback_samples is and however many seeds are searched, each
+    kept stream holds at most _STREAM_DRAWS rows, and at most
+    _STREAM_SEEDS streams are kept."""
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
+    monkeypatch.setattr(locc, "_STREAM_DRAWS", 200)
+    a, b = (0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457)
+    with pytest.raises(NoPlanFound):
+        coop_construct(a, b, seed=0, fallback_samples=5000)
+    seeds = range(locc._STREAM_SEEDS + 2)
+    for fallback in (5000, 10**4):
+        for seed in seeds:
+            _coop_or_none(a, b, seed, fallback)
+            assert locc._coop_stream.cache_info().currsize <= locc._STREAM_SEEDS
+    for seed in seeds[-locc._STREAM_SEEDS :]:
+        stream = locc._coop_stream(seed)
+        assert stream.end == 176  # 16 + 5 * 32 rows, the most chunks within 200
+        assert sum(c.index.size for c in stream.kept) <= stream.end <= locc._STREAM_DRAWS
+        # 16 bytes of totals a draw, 80 of column sums and 8 of index a kept row
+        held = sum((x if x.base is None else x.base).nbytes for c in stream.kept for x in (c.index, c.sums, c.totals))
+        assert held == sum(16 * c.size + 88 * c.index.size for c in stream.kept) <= 104 * locc._STREAM_DRAWS
+    assert locc._coop_stream.cache_info().currsize == locc._STREAM_SEEDS
+
+
+def test_coop_streams_shared_by_threads_give_the_one_thread_plans(fresh_streams):
+    """Four threads search the same seeds from an empty stream cache, ten
+    times over, with a short switch interval: each search returns the plan
+    one thread returns, and each kept stream holds its chunks once, in
+    stream order, which a chunk kept twice or out of turn would break."""
+    pairs = [pair[:2] for pair in COOP_GOLDEN[:3]] + _incomparable_pairs("coop-scan", 2)
+    cases = [(a, b, seed, fallback) for seed in range(2) for a, b in pairs for fallback in (300, 10**4)]
+    wants = [_coop_or_none(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(10):
+                locc._coop_stream.cache_clear()
+                futures = [pool.submit(_coop_or_none, *case) for case in cases for _ in range(4)]
+                for future, want in zip(futures, [w for w in wants for _ in range(4)]):
+                    got = future.result(timeout=120)
+                    assert _same_plan(got, want) and _same_diagnostics(got, want)
+                for seed in range(2):
+                    kept = locc._coop_stream(seed).kept
+                    assert len(kept) >= 2
+                    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)][: len(kept)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_catalyst_matches_one_by_one_scan():
