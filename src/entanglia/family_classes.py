@@ -143,7 +143,7 @@ def _binomials(n):
 
 
 @cache
-def _coupling_table(n, quick):
+def _coupling_table(n):
     """Where verify_classes reads each PT block's largest |c|^2.
 
     An index of weight w with a of its ones inside a cut of size s has
@@ -152,16 +152,10 @@ def _coupling_table(n, quick):
     the cut sizes (1, then each even size), the distinct ranges of more
     than one class as slices, and a getter that picks, per size and then
     per w, the range's largest |c|^2 from the n + 1 values |c|^2 followed
-    by the maxima over those slices.  With quick, one range per w stands
-    for every even size, the union of theirs (each range moves either end
-    of the last by at most 2, so the union is one stride-2 range): the
-    flags need only each weight's largest coupling over all even cuts.
+    by the maxima over those slices.
     """
     sizes = (1, *range(2, n - 1, 2))
     ranges = {s: [(abs(s - w), min(s + w, 2 * n - s - w)) for w in range(n + 1)] for s in sizes}
-    if quick:
-        evens = zip(*(ranges[s] for s in sizes[1:]))
-        ranges = {1: ranges[1], 2: [(min(lo for lo, _ in col), max(hi for _, hi in col)) for col in evens]}
     wide = list(dict.fromkeys((lo, hi) for row in ranges.values() for lo, hi in row if lo < hi))
     at = {pair: n + 1 + i for i, pair in enumerate(wide)}
     pick = itemgetter(*(lo if lo == hi else at[lo, hi] for row in ranges.values() for lo, hi in row))
@@ -258,7 +252,7 @@ def verify_classes(n, d, o, quick=False):
 
     # PT: each weight's block (x, y) = (D[w], D[n - w]) at its largest
     # |c|^2; states with equal D and |O| (the +/- siblings) share one pass
-    sizes, wide, pick = _coupling_table(n, quick)
+    sizes, wide, pick = _coupling_table(n)
     k = len(sizes)
     half, unit2 = 0.5 * 4.0**-n, 16.0**-n
     even_cut_ppt = single_vs_rest_npt = True
@@ -274,8 +268,6 @@ def verify_classes(n, d, o, quick=False):
         single_vs_rest_npt &= not (traces_ok and all(map(ge, dets, worst[: n + 1])))
         even_cut_ppt &= traces_ok and all(map(ge, dets * (k - 1), worst[n + 1 :]))
         if quick:
-            if not (even_cut_ppt or single_vs_rest_npt):
-                break  # no other state can change either flag
             minima[dl, c2] = None
             continue
         # the stacks' float64 steps on exact values, every size at once

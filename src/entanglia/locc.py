@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -65,19 +64,20 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 # the paper's pairs: a kept chunk of m draws takes about 35 + 0.01 m us to
 # certify, most of the per-row cost the joint check on its few candidate
 # rows, and 47 + 0.07 m us more to draw and keep; checking every drawn row
-# took 37 + 0.17 m us with the draw), so the first chunk holds all of the
-# recipe's candidates and a long scan takes few chunks.
+# took 37 + 0.17 m us with the draw), so a long scan takes few chunks, and
+# the recipe's at most 35 candidates take one.
 # The catalyst search certifies only the grid points inside its window, whose
 # first point nearly always passes, so its chunks start at
 # _CATALYST_FIRST_CHUNK points.
 _FIRST_CHUNK = 256
 _MAX_CHUNK = 2048
 _CATALYST_FIRST_CHUNK = 4
-# The cooperation fallback keeps the chunks of its first _STREAM_DRAWS draws
-# (the first four) for each of the last _STREAM_SEEDS seeds searched: 16
-# bytes of totals a draw and 88 of column sums and stream index a kept row,
-# so at most 104 bytes a draw, 390 KiB a seed and 3.1 MiB in all; seeds 0-3
-# keep 142-144 KiB each.
+# The cooperation fallback draws and keeps the chunks of its first
+# _STREAM_DRAWS draws (the first four) at once, when a search first asks
+# for its seed (0.5-0.8 ms), for each of the last _STREAM_SEEDS seeds
+# searched: 16 bytes of totals a draw and 88 of column sums and stream index
+# a kept row, so at most 104 bytes a draw, 390 KiB a seed and 3.1 MiB in
+# all; seeds 0-3 keep 142-144 KiB each.
 _STREAM_DRAWS = 3840
 _STREAM_SEEDS = 8
 
@@ -584,62 +584,28 @@ def _draw(rng, m):
     return rng.dirichlet(np.ones(3), size=(m, 2))
 
 
-def _generator_at(state):
-    """A generator that continues from a saved bit generator state."""
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
-class _CoopStream:
+class _CoopStream(NamedTuple):
     """The fallback candidates of one seed, drawn from default_rng((seed,
-    99)) in the search's chunks.  The chunks of its first _STREAM_DRAWS
-    rows are kept, each when a search first reaches it; later ones are
-    drawn from a generator that continues from the state after them, and
-    are not kept.  Generator.dirichlet draws row by row, so every chunk
-    holds the rows one draw of the whole stream holds.
+    99)) in the search's chunks: the kept chunks of its first end rows,
+    then chunks drawn from a generator that continues from the state after
+    them, which are not kept.  Generator.dirichlet draws row by row, so
+    every chunk holds the rows one draw of the whole stream holds."""
 
-    Whatever fallback_samples is, a stream keeps at most _STREAM_DRAWS
-    draws of at most 104 bytes, 390 KiB, and _coop_stream keeps the streams
-    of the last _STREAM_SEEDS = 8 seeds, 3.1 MiB."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng((seed, 99))
-        self.kept = []  # chunks, in stream order
-        self.end = 0  # rows kept
-        self.size = _FIRST_CHUNK  # the next chunk's
-        self.lock = threading.Lock()
-
-    def _fill(self, k):
-        """Keep chunk k unless it would end past _STREAM_DRAWS rows; whether
-        it is kept.  The generator moves only when the chunk is kept."""
-        with self.lock:
-            if k < len(self.kept):
-                return True
-            if self.end + self.size > _STREAM_DRAWS:
-                return False
-            state = self.rng.bit_generator.state
-            try:
-                chunk = _coop_chunk(_draw(self.rng, self.size), self.end)
-            except Exception:
-                self.rng.bit_generator.state = state
-                raise
-            self.kept.append(chunk)
-            self.end += self.size
-            self.size = min(2 * self.size, _MAX_CHUNK)
-            return True
+    kept: tuple  # chunks, in stream order
+    end: int  # rows kept
+    state: dict  # the bit generator's state after them
+    size: int  # the size of the chunk after them
 
     def chunks(self, stop):
         """The chunks of rows 0 to stop - 1, the last one cut at stop."""
-        k = start = 0
-        while start < stop and (k < len(self.kept) or self._fill(k)):
-            chunk = self.kept[k]
-            yield chunk.head(stop - start)
-            k += 1
-            start += chunk.size
-        if start < stop:  # past the kept chunks, which no longer grow
-            rng = _generator_at(self.rng.bit_generator.state)
-            sizes = _chunk_sizes(self.size)
+        for chunk in self.kept:
+            if chunk.start >= stop:
+                return
+            yield chunk.head(stop - chunk.start)
+        if self.end < stop:
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = self.state
+            sizes, start = _chunk_sizes(self.size), self.end
             while start < stop:
                 m = min(next(sizes), stop - start)
                 yield _coop_chunk(_draw(rng, m), start)
@@ -650,11 +616,18 @@ class _CoopStream:
 # and the CLI search one seed per process
 @lru_cache(maxsize=_STREAM_SEEDS)
 def _coop_stream(seed):
-    """The stream of a seed, kept for the last _STREAM_SEEDS seeds.  Its
-    kept chunks follow the chunk schedule (_FIRST_CHUNK, _MAX_CHUNK,
-    _STREAM_DRAWS) of when they were drawn; _coop_stream.cache_clear()
-    drops them once the schedule is changed."""
-    return _CoopStream(seed)
+    """The stream of a seed, kept for the last _STREAM_SEEDS seeds: its
+    chunks (_FIRST_CHUNK rows, doubling up to _MAX_CHUNK) while they end
+    within _STREAM_DRAWS rows.  Whatever fallback_samples is, it keeps at
+    most _STREAM_DRAWS draws of at most 104 bytes, 390 KiB.  A stream
+    follows the chunk schedule it was built under;
+    _coop_stream.cache_clear() drops it once the schedule is changed."""
+    rng = np.random.default_rng((seed, 99))
+    kept, end, sizes = [], 0, _chunk_sizes(_FIRST_CHUNK)
+    while end + (size := next(sizes)) <= _STREAM_DRAWS:
+        kept.append(_coop_chunk(_draw(rng, size), end))
+        end += size
+    return _CoopStream(tuple(kept), end, rng.bit_generator.state, size)
 
 
 def _coop_case1_candidates(sa, sb):
@@ -708,14 +681,12 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     The plan records which branch found it and how many candidates were
     certified up to it.
 
-    The randomized candidates of a seed, and which of them have chi and eta
-    incomparable, do not depend on a and b: the first _STREAM_DRAWS are
-    drawn once and kept for the last _STREAM_SEEDS seeds (_CoopStream).
-    The gain needs the seed to repeat, as the default seed does: the first
-    search with a seed draws and keeps the chunks it reaches, and takes
-    about as long as checking every drawn row does (a short search about
-    3% longer, a long one less).  Plans, diagnostics and errors do not
-    depend on the cache.
+    The recipe's at most 35 candidates are certified as one chunk, the
+    randomized ones a chunk at a time.  Those of a seed, and which of them
+    have chi and eta incomparable, do not depend on a and b: the first
+    _STREAM_DRAWS are drawn at once, when a search first asks for the
+    seed, and kept for the last _STREAM_SEEDS seeds (_coop_stream).  Plans,
+    diagnostics and errors do not depend on the cache.
     """
     seed = _nonnegative("seed", seed)
     fallback_samples = _nonnegative("fallback_samples", fallback_samples)
@@ -726,26 +697,24 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     # a1 <= b1 goes straight to the randomized search: the recipe shape
     # chi = beta, eta = (alpha, alpha, 1 - 2 alpha) with alpha <= min(beta1,
     # (beta1 + beta2)/2) has eta majorized by chi, never incomparable
-    candidates = _coop_case1_candidates(sa, sb) if sa[0] > sb[0] else iter(())
+    recipe = list(_coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
 
-    # Candidates are certified a chunk at a time; the winner is the one the
-    # one-by-one scan would stop at, re-certified by coop_validate.
+    # The winner is the candidate the one-by-one scan would stop at,
+    # re-certified by coop_validate.
     first_valid = None
-    tried = 0
-    sizes = _chunk_sizes(_FIRST_CHUNK)
-    while chunk := list(itertools.islice(candidates, next(sizes))):
+    if recipe:
         # np.fromiter on the flat entries: np.array on the nested tuples
         # takes twice as long
-        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(chunk))
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(recipe))
         rows = _coop_chunk(np.fromiter(flat, float).reshape(-1, 2, 3))
-        valid, full = _coop_flags(sa, sb, rows, first_valid is None, len(chunk))
+        valid, full = _coop_flags(sa, sb, rows, True, len(recipe))
         if full.any():
             j = full.argmax()
-            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", tried + rows.index[j] + 1)
-        if first_valid is None and valid.any():
+            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
+        if valid.any():
             j = valid.argmax()
             first_valid = rows.chi[j], rows.eta[j], "recipe"
-        tried += len(chunk)
+    tried = len(recipe)
 
     # randomized search; a plan whose four cross pairs are all incomparable
     # wins over the recipe's partially-comparable one, and once a fifth of

@@ -86,12 +86,10 @@ def test_a_block_with_a_negative_trace_is_not_psd():
 def test_coupling_table_reads_the_largest_coupling_of_each_block(n):
     """Per cut size and weight w, the picked |c|^2 is the largest over the
     coupling weights s - a + b of the indices with a ones inside the cut
-    and b outside, a + b = w; quick's even row is the largest over every
-    even size."""
+    and b outside, a + b = w."""
     rng = random.Random(n)
-    sizes, wide, pick = _coupling_table(n, False)
-    quick_sizes, quick_wide, quick_pick = _coupling_table(n, True)
-    assert sizes == (1, *range(2, n - 1, 2)) and quick_sizes == (1, 2)
+    sizes, wide, pick = _coupling_table(n)
+    assert sizes == (1, *range(2, n - 1, 2))
     for _ in range(20):
         c2 = tuple(rng.randrange(100) for _ in range(n + 1))
         full = pick(c2 + tuple(max(c2[sl]) for sl in wide))
@@ -101,9 +99,6 @@ def test_coupling_table_reads_the_largest_coupling_of_each_block(n):
             for w in range(n + 1)
         ]
         assert list(full) == want
-        quick = quick_pick(c2 + tuple(max(c2[sl]) for sl in quick_wide))
-        rows = [want[i : i + n + 1] for i in range(0, len(want), n + 1)]
-        assert list(quick) == rows[0] + [max(col) for col in zip(*rows[1:])]
 
 
 def sparse_classes(n, rng):

@@ -390,7 +390,7 @@ def test_coop_a1_below_b1_goes_straight_to_fallback():
     assert yielded_in_all > 60000
 
 
-def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch, fresh_streams):
+def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
     # a1 > b1: the recipe's candidates count before the fallback's
     pairs = [(a, b) for a, b in _incomparable_pairs("coop-recipe", 40) if a[0] > b[0]]
     assert len(pairs) >= 10
@@ -402,10 +402,8 @@ def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch, fresh_stream
             except NoPlanFound:
                 got = None
             assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
-    # a fully incomparable recipe plan in the second chunk of a 16/32
-    # schedule: 16 + 5 candidates
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
+    # a fully incomparable recipe plan after 20 invalid fillers, all 21
+    # candidates certified as one chunk
     a, b = COOP_GOLDEN[0][:2]
     fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(20, 2)))
     stream = fillers + [COOP_GOLDEN[0][2:]]
@@ -433,9 +431,10 @@ def test_coop_golden_diagnostics():
 
 
 def test_coop_recipe_winner_across_chunks(monkeypatch, fresh_streams):
-    # recipe streams for the cooperation pair built from invalid fillers, a
-    # valid but partially comparable plan, and a fully incomparable one,
-    # placed in the second and third chunks of a 16/32 schedule
+    # recipes of 100-102 candidates for the cooperation pair built from
+    # invalid fillers, a valid but partially comparable plan at index 20,
+    # and a fully incomparable one at index 61, each recipe certified as one
+    # chunk; the fallback after it runs on a 16/32 schedule
     monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
     monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
     a, b = COOP_GOLDEN[0][:2]
@@ -663,10 +662,10 @@ def _coop_or_none(a, b, seed, fallback):
 
 def test_coop_stream_cache_states_match_one_by_one_scan(monkeypatch, fresh_streams):
     """Plans and diagnostics are the one-by-one scan's whatever the state of
-    the seed's kept stream: not drawn yet, kept from earlier searches,
-    dropped by the cache after other seeds, or capped so low that searches
-    run into the draws past the kept ones (under the default chunks and
-    under 16/32 chunks, of which three are kept)."""
+    the seed's kept stream: built by this search or an earlier one, dropped
+    by the cache after other seeds, or capped so low that searches run into
+    the draws past the kept ones (under the default chunks, of which none
+    is kept, and under 16/32 chunks, of which two are kept)."""
     pairs = [pair[:2] for pair in COOP_GOLDEN] + _incomparable_pairs("coop-scan", 3)
     cases = [(a, b, seed, fallback) for a, b in pairs for seed in range(4) for fallback in (0, 37, 300, 10**5)]
     # a1 < b1 goes straight to the fallback
@@ -681,7 +680,6 @@ def test_coop_stream_cache_states_match_one_by_one_scan(monkeypatch, fresh_strea
             assert _same_plan(got, want) and _same_diagnostics(got, want), (state, case)
 
     check("empty", lambda seed: locc._coop_stream.cache_clear())
-    check("kept")  # the first pass may still keep more chunks
     check("kept")
 
     def evict(seed):
@@ -695,12 +693,22 @@ def test_coop_stream_cache_states_match_one_by_one_scan(monkeypatch, fresh_strea
     monkeypatch.setattr(locc, "_STREAM_DRAWS", 64)
     locc._coop_stream.cache_clear()
     check("capped")
-    assert locc._coop_stream(0).kept == []
+    assert locc._coop_stream(0).kept == ()
     monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
     monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
     locc._coop_stream.cache_clear()
     check("capped 16/32")
     assert locc._coop_stream(0).end == 48
+
+
+def test_coop_stream_is_built_whole_by_a_search_that_stops_early(fresh_streams):
+    """A search that ends in the first chunk of its fallback still leaves
+    the seed's stream with all four kept chunks, drawn when it was built."""
+    plan = coop_construct((0.5, 0.3, 0.2), (0.55, 0.24, 0.21), seed=1)
+    assert (plan.branch, plan.candidates) == ("fallback", 197)
+    kept = locc._coop_stream(1).kept
+    assert type(kept) is tuple
+    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)]
 
 
 def test_coop_stream_keeps_the_incomparable_rows_of_one_draw(fresh_streams):
@@ -855,8 +863,8 @@ def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
 def test_coop_streams_shared_by_threads_give_the_one_thread_plans(fresh_streams):
     """Four threads search the same seeds from an empty stream cache, ten
     times over, with a short switch interval: each search returns the plan
-    one thread returns, and each kept stream holds its chunks once, in
-    stream order, which a chunk kept twice or out of turn would break."""
+    one thread returns, and each kept stream holds its four chunks once, in
+    stream order."""
     pairs = [pair[:2] for pair in COOP_GOLDEN[:3]] + _incomparable_pairs("coop-scan", 2)
     cases = [(a, b, seed, fallback) for seed in range(2) for a, b in pairs for fallback in (300, 10**4)]
     wants = [_coop_or_none(*case) for case in cases]
@@ -872,8 +880,7 @@ def test_coop_streams_shared_by_threads_give_the_one_thread_plans(fresh_streams)
                     assert _same_plan(got, want) and _same_diagnostics(got, want)
                 for seed in range(2):
                     kept = locc._coop_stream(seed).kept
-                    assert len(kept) >= 2
-                    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)][: len(kept)]
+                    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)]
     finally:
         sys.setswitchinterval(interval)
 
