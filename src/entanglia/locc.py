@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -61,11 +61,13 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 # keeps its arrays small.  A cooperation chunk keeps only the rows whose chi
 # and eta are incomparable, about a quarter of the fallback draws.  Its
 # fixed cost is large against its per-row cost (2-core x86, numpy 2.4.6, on
-# the paper's pairs: a kept chunk of m draws takes about 35 + 0.01 m us to
-# certify, most of the per-row cost the joint check on its few candidate
-# rows, and 47 + 0.07 m us more to draw and keep; checking every drawn row
-# took 37 + 0.17 m us with the draw), so a long scan takes few chunks, and
-# the recipe's at most 35 candidates take one.
+# the paper's pairs: a kept chunk of m draws takes about 30 + 0.01 m us to
+# find its full rows, the joint check of its other kept rows, which a search
+# runs only where they can change its answer, 25 + 0.065 m us more, and
+# drawing and keeping it 60 + 0.06 m us; checking every drawn row took
+# 37 + 0.17 m us with the draw), so a long scan takes few chunks.  The
+# recipe's at most 35 candidates take one, about 80 us to build and certify
+# against 10-15 us to show that its pass can wait.
 # The catalyst search certifies only the grid points inside its window, whose
 # first point nearly always passes, so its chunks start at
 # _CATALYST_FIRST_CHUNK points.
@@ -80,6 +82,11 @@ _CATALYST_FIRST_CHUNK = 4
 # all; seeds 0-3 keep 142-144 KiB each.
 _STREAM_DRAWS = 3840
 _STREAM_SEEDS = 8
+# A check waits only if its totals clear TRACE_TOL by this much, about
+# 9e-13: a rounding margin, not a tolerance.  It is far more than the
+# rounding of the totals, such as the joint ones, sums of nine products
+# near 1/9 that lie within about 10 ulps of ta tc and tb te.
+_TOTALS_SLACK = 4096 * math.ulp(1.0)
 
 
 def _chunk_sizes(first):
@@ -534,19 +541,36 @@ def _check_chunk_totals(chunk, ta, tb):
     _check_totals(chunk.totals[0], tb)
 
 
-def _coop_flags(sa, sb, chunk, first, late):
-    """coop_validate over a chunk of candidates: which of its kept rows are
-    valid, and which are full, valid with all four cross pairs incomparable
-    (psi_phi holds for every pair coop_construct accepts).
+class _CoopPair(NamedTuple):
+    """The pair (a, b) of one cooperation search, in the forms its chunk
+    checks read, computed once a search."""
+
+    sa: np.ndarray
+    sb: np.ndarray
+    # (5, 2): the _column_sums of b ([:, 0], against chi) and of a ([:, 1],
+    # against eta)
+    ends: np.ndarray
+    ta: float
+    tb: float
+
+
+def _coop_pair(sa, sb):
+    ends = _column_sums(*np.array((sb, sa)).T)
+    tb, ta = ends[4].tolist()
+    return _CoopPair(sa, sb, ends, ta, tb)
+
+
+def _coop_flags(pair, chunk):
+    """coop_validate over a chunk of candidates, as far as every search
+    needs it: the masks full and rest of its kept rows.  full holds the
+    rows that are valid with all four cross pairs incomparable (psi_phi
+    holds for every pair coop_construct accepts), rest the rows whose
+    psi/eta and chi/phi are not both incomparable.
 
     Every kept row has chi and eta incomparable, so it is valid iff its
-    9-entry joint check passes, and full if psi/eta and chi/phi are
-    incomparable too.  The joint check runs first on the rows whose cross
-    pairs are incomparable.  The other rows are checked only where a row
-    that is valid but not full can change the search: while it has no valid
-    plan yet (first) and no row is full, or when the chunk reaches stream
-    index late, from which on the first valid row ends the search.
-    Elsewhere valid is returned as full.
+    9-entry joint check passes.  That check runs here on the other rows
+    only; a row of rest is valid iff _joint_ok passes it, which the search
+    asks only where a row that is valid but not full can change its answer.
 
     Totals rule: before any flag, the chunk raises as compare_rows on all
     of its rows, dropped ones included, would, in the order chi/eta (when
@@ -556,27 +580,61 @@ def _coop_flags(sa, sb, chunk, first, late):
     the rows it checks, as it did on the chunk's rows before any was
     dropped.
     """
-    ends = _column_sums(*np.array((sb, sa)).T)  # b's against chi, a's against eta
-    tb, ta = ends[4].tolist()
-    _check_chunk_totals(chunk, ta, tb)
-    sums, chi, eta = chunk.sums, chunk.chi, chunk.eta
-    against = np.empty_like(sums)  # of one shape: broadcasting is slower
-    against[...] = ends[..., None]
-    cross = _incomparable_sums(sums, against).all(axis=0)
+    _check_chunk_totals(chunk, pair.ta, pair.tb)
+    against = np.empty_like(chunk.sums)  # of one shape: broadcasting is slower
+    against[...] = pair.ends[..., None]
+    cross = _incomparable_sums(chunk.sums, against).all(axis=0)
     rest = ~cross
-    full = _joint_ok(sa, sb, chi, eta, cross)
-    if late < chunk.start + chunk.size or (first and not full.any()):
-        return full | _joint_ok(sa, sb, chi, eta, rest), full
-    return full, full
+    return _joint_ok(pair, chunk, cross), rest
 
 
-def _joint_ok(sa, sb, chi, eta, rows):
-    """The mask rows with every row whose joint check a (x) chi -> b (x) eta
-    fails (compare_rows' fwd flag) cleared, in place."""
+def _joint_ok(pair, chunk, rows):
+    """The mask rows of the chunk's kept rows with every row whose joint
+    check a (x) chi -> b (x) eta fails (compare_rows' fwd flag) cleared, in
+    place."""
     (index,) = rows.nonzero()
     if index.size:
-        rows[index] = _fwd_rows(vec_kron(sa, chi[index]), vec_kron(sb, eta[index]))
+        rows[index] = _fwd_rows(vec_kron(pair.sa, chunk.chi[index]), vec_kron(pair.sb, chunk.eta[index]))
     return rows
+
+
+def _totals_clear(pair, bounds):
+    """Whether every total check of coop_validate passes with _TOTALS_SLACK
+    to spare on rows whose chi and eta totals lie within bounds (finite, as
+    _CoopChunk.bounds): chi/eta, psi/eta, chi/phi and the joint one, whose
+    totals are ta tc and tb te up to rounding.  Then none of them can
+    raise."""
+    c_lo, e_lo, c_hi, e_hi = bounds
+    ta, tb = pair.ta, pair.tb
+    gap = max(
+        c_hi - e_lo,
+        e_hi - c_lo,
+        ta - e_lo,
+        e_hi - ta,
+        c_hi - tb,
+        tb - c_lo,
+        ta * c_hi - tb * e_lo,
+        tb * e_hi - ta * c_lo,
+    )
+    return gap <= TRACE_TOL - _TOTALS_SLACK
+
+
+def _first_valid(pair, chunk, branch, rows=None):
+    """The first valid row of the mask rows of the chunk's kept rows (all
+    of them by default), as (chi, eta, branch), or None."""
+    if rows is None:
+        rows = np.ones(chunk.index.size, dtype=bool)
+    valid = _joint_ok(pair, chunk, rows)
+    if valid.any():
+        j = valid.argmax()
+        return chunk.chi[j], chunk.eta[j], branch
+    return None
+
+
+def _settle(waiting):
+    """The first valid plan of the waiting checks, run in scan order up to
+    it, or None."""
+    return next(filter(None, (check() for check in waiting)), None)
 
 
 def _draw(rng, m):
@@ -632,7 +690,7 @@ def _coop_stream(seed):
 
 def _coop_case1_candidates(sa, sb):
     """Recipe for a1 > b1: chi = (b1, b1, b2), eta = (a1, a2, a2) shapes, as
-    tuples of Python floats."""
+    tuples of Python floats; the candidates of one margin share one eta."""
     a1, a2, a3 = map(float, sa)
     b1, b2, b3 = map(float, sb)
     ratio0 = max(a1 / a2, b1 / b3)
@@ -651,10 +709,50 @@ def _coop_case1_candidates(sa, sb):
         upper = min(a3 / (2.0 * a1 + a3), 1.0 / 3.0, alpha2)
         if lower >= upper:
             continue
+        eta = (alpha1, alpha2, alpha2)
         for frac in (0.05, 0.25, 0.5, 0.75, 0.95):
             beta2 = lower + frac * (upper - lower)
             beta1 = (1.0 - beta2) / 2.0
-            yield (beta1, beta1, beta2), (alpha1, alpha2, alpha2)
+            yield (beta1, beta1, beta2), eta
+
+
+def _recipe_can_wait(pair, recipe):
+    """Whether the recipe's whole pass can wait until the search ends
+    without a full row: no recipe row can be full, and no check of the
+    pass can raise.
+
+    A row is full only if a and its eta are incomparable; here a must be
+    majorized by each distinct eta, tested as the chunk tests it (the
+    partial sums of the sorted eta against a's, within MAJ_TOL).  The
+    recipe yields one eta object per margin, so comparing each eta with the
+    one before by identity finds the distinct ones.  Every entry must be
+    finite and nonnegative, so that the totals, summed in the recipe's
+    order, are the chunk's up to rounding, and _totals_clear must hold for
+    them.
+    """
+    chis, etas = zip(*recipe)
+    etas = [sorted(eta, reverse=True) for eta, last in zip(etas, (None,) + etas) if eta is not last]
+    tc, te = [x + y + z for x, y, z in chis], [x + y + z for x, y, z in etas]
+    if not (
+        math.isfinite(sum(tc) + sum(te))
+        and min(itertools.chain.from_iterable(chis)) >= 0.0
+        and min(eta[2] for eta in etas) >= 0.0
+        and _totals_clear(pair, (min(tc), min(te), max(tc), max(te)))
+    ):
+        return False
+    a1, a12, ta = pair.ends[2:, 1].tolist()
+    return all(
+        a1 <= e1 + MAJ_TOL and a12 <= e1 + e2 + MAJ_TOL and ta <= t + MAJ_TOL
+        for (e1, e2, _), t in zip(etas, te)
+    )
+
+
+def _recipe_rows(recipe):
+    """The recipe's candidates as one chunk."""
+    # np.fromiter on the flat entries: np.array on the nested tuples takes
+    # twice as long
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(recipe))
+    return _coop_chunk(np.fromiter(flat, float).reshape(-1, 2, 3))
 
 
 def _coop_found(sa, sb, chi, eta, branch, candidates):
@@ -687,6 +785,19 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     _STREAM_DRAWS are drawn at once, when a search first asks for the
     seed, and kept for the last _STREAM_SEEDS seeds (_coop_stream).  Plans,
     diagnostics and errors do not depend on the cache.
+
+    The answer is the first full candidate in scan order (the recipe, then
+    the randomized ones), else the first valid one; from a fifth of the
+    samples on, the first valid candidate ends the search.  So while no
+    valid plan is known, a check that can only find candidates that are
+    valid but not full waits, in scan order, and runs only if the search
+    ends without a full plan or reaches a chunk that needs the first valid
+    plan: the recipe's whole pass when a is majorized by each of its etas
+    (no recipe candidate can then be full), and the joint check of a kept
+    chunk's candidates whose psi/eta or chi/phi are comparable.  A check
+    waits only when its totals clear TRACE_TOL by _TOTALS_SLACK, so that it
+    cannot raise; otherwise it runs in its place, and the search raises the
+    TraceMismatch the chunk-by-chunk scan raises.
     """
     seed = _nonnegative("seed", seed)
     fallback_samples = _nonnegative("fallback_samples", fallback_samples)
@@ -698,22 +809,22 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     # chi = beta, eta = (alpha, alpha, 1 - 2 alpha) with alpha <= min(beta1,
     # (beta1 + beta2)/2) has eta majorized by chi, never incomparable
     recipe = list(_coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
+    pair = _coop_pair(sa, sb)
 
     # The winner is the candidate the one-by-one scan would stop at,
-    # re-certified by coop_validate.
-    first_valid = None
+    # re-certified by coop_validate; waiting holds the checks that wait, in
+    # scan order, while first_valid is None
+    first_valid, waiting = None, []
     if recipe:
-        # np.fromiter on the flat entries: np.array on the nested tuples
-        # takes twice as long
-        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(recipe))
-        rows = _coop_chunk(np.fromiter(flat, float).reshape(-1, 2, 3))
-        valid, full = _coop_flags(sa, sb, rows, True, len(recipe))
-        if full.any():
-            j = full.argmax()
-            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
-        if valid.any():
-            j = valid.argmax()
-            first_valid = rows.chi[j], rows.eta[j], "recipe"
+        if _recipe_can_wait(pair, recipe):
+            waiting.append(lambda: _first_valid(pair, _recipe_rows(recipe), "recipe"))
+        else:
+            rows = _recipe_rows(recipe)
+            full, rest = _coop_flags(pair, rows)
+            if full.any():
+                j = full.argmax()
+                return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
+            first_valid = _first_valid(pair, rows, "recipe", rest)
     tried = len(recipe)
 
     # randomized search; a plan whose four cross pairs are all incomparable
@@ -723,17 +834,31 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     stream = _coop_stream(seed)
     drawn = fallback_samples
     for rows in stream.chunks(fallback_samples):
-        valid, full = _coop_flags(sa, sb, rows, first_valid is None, late)
-        if first_valid is None and valid.any():
-            j = valid.argmax()
-            first_valid = rows.chi[j], rows.eta[j], "fallback"
-        stop = full | (valid & (rows.index >= late))
+        full, rest = _coop_flags(pair, rows)
+        end = rows.start + rows.size
+        stop = full
+        if late < end:  # from late on, the first valid row ends the search
+            if first_valid is None:
+                first_valid, waiting = _settle(waiting), []
+            valid = full | _joint_ok(pair, rows, rest)
+            if first_valid is None and valid.any():
+                j = valid.argmax()
+                first_valid = rows.chi[j], rows.eta[j], "fallback"
+            stop = full | (valid & (rows.index >= late))
+        elif first_valid is None and not full.any():
+            waiting.append(partial(_first_valid, pair, rows, "fallback", rest))
+            # a chunk past the kept draws is not held; a check that could
+            # raise runs in its place in the scan
+            if end > stream.end or not _totals_clear(pair, rows.bounds):
+                first_valid, waiting = _settle(waiting), []
         if stop.any():
             j = stop.argmax()
             if full[j]:
                 return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "fallback", tried + rows.index[j] + 1)
             drawn = rows.index[j] + 1
             break
+    if first_valid is None:
+        first_valid = _settle(waiting)
     if first_valid is not None:
         return _coop_found(sa, sb, *first_valid, tried + drawn)
     raise NoPlanFound("no auxiliary pair found by recipe or randomized search")

@@ -11,6 +11,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -563,12 +564,12 @@ def _coop_kernel_cases():
 
 
 def test_coop_flags_match_per_row_validate():
-    """The chunk kernel's (valid, full) flags are coop_validate's, row by
-    row, on the rows the chunk keeps: valid, and valid with the three cross
-    pairs it checks all incomparable; a row it drops, chi and eta not
-    incomparable, is never valid.  With a valid plan known and the rows
-    before late, valid is only needed where full, and the kernel may
-    return full for it."""
+    """The chunk kernel's flags are coop_validate's, row by row, on the rows
+    the chunk keeps: full is valid with the three cross pairs it checks all
+    incomparable, rest holds the kept rows whose psi/eta and chi/phi are
+    not both incomparable, and a row of rest is valid iff _joint_ok passes
+    it; a row the chunk drops, chi and eta not incomparable, is never
+    valid.  _first_valid finds the first valid kept row."""
     kinds = set()
     for a, b, chi, eta in _coop_kernel_cases():
         sa, sb = locc._strip(a), locc._strip(b)
@@ -577,17 +578,23 @@ def test_coop_flags_match_per_row_validate():
         cross = np.array([p.cross_incomparable["psi_eta"] and p.cross_incomparable["chi_phi"] for p in plans])
         full = valid & cross
         kinds |= {(bool(v), bool(f)) for v, f in zip(valid, full)}
-        n = len(chi)
         chunk = locc._coop_chunk(np.stack((chi, eta), axis=1))
         kept = chunk.index
         assert np.array_equal(kept, np.flatnonzero([p.cross_incomparable["chi_eta"] for p in plans]))
         assert not np.delete(valid, kept).any()
-        for first, late in itertools.product((True, False), (0, n // 2, n - 1, n)):
-            got_valid, got_full = locc._coop_flags(sa, sb, chunk, first, late)
-            assert got_valid.dtype == got_full.dtype == bool
-            assert np.array_equal(got_full, full[kept])
-            exact = late < n or (first and not full.any())
-            assert np.array_equal(got_valid, (valid if exact else full)[kept]), (a, b, first, late)
+        pair = locc._coop_pair(sa, sb)
+        got_full, rest = locc._coop_flags(pair, chunk)
+        assert got_full.dtype == rest.dtype == bool
+        assert np.array_equal(got_full, full[kept])
+        assert np.array_equal(rest, ~cross[kept])
+        assert np.array_equal(got_full | locc._joint_ok(pair, chunk, rest.copy()), valid[kept]), (a, b)
+        first = locc._first_valid(pair, chunk, "fallback")
+        if valid.any():
+            j = np.flatnonzero(valid[kept])[0]
+            assert first[2] == "fallback"
+            assert np.array_equal(first[0], chunk.chi[j]) and np.array_equal(first[1], chunk.eta[j])
+        else:
+            assert first is None
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
@@ -832,6 +839,152 @@ def test_coop_edge_totals_of_a_cut_chunk(fresh_streams):
         got = _coop_or_none(a, b, 0, fallback)
         assert _same_plan(got, want) and _same_diagnostics(got, want)
     assert locc._coop_stream(0).kept[0].size == locc._FIRST_CHUNK
+
+
+NO_PLAN = ("NoPlanFound", "no auxiliary pair found by recipe or randomized search")
+
+
+def _coop_outcome(search, *args):
+    """What a search or a reference scan returns: a plan, else the type and
+    message of its error (a reference's None is NoPlanFound, its message
+    string a TraceMismatch)."""
+    try:
+        got = search(*args)
+    except (NoPlanFound, TraceMismatch) as exc:
+        return type(exc).__name__, str(exc)
+    if got is None:
+        return NO_PLAN
+    return ("TraceMismatch", got) if isinstance(got, str) else got
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, CoopPlan) and _same_validation(got, want) and _same_diagnostics(got, want)
+
+
+def _recipe_eta_incomparable(a, b):
+    """Whether a is incomparable with the eta of some a1 > b1 recipe row."""
+    sa, sb = locc._strip(a), locc._strip(b)
+    return any(compare(sa, eta) is MajVerdict.Incomparable for _, eta in locc._coop_case1_candidates(sa, sb))
+
+
+# (a, b, seed, fallback_samples) whose first full row, fallback row 6891, lies
+# in the second chunk past the kept draws; its first valid row is row 270
+PAST_KEPT = (
+    (0.47970400372939864, 0.42380589464668905, 0.0964901016239124),
+    (0.5445177942340744, 0.259691617001975, 0.19579058876395064),
+    0,
+    10**5,
+)
+
+
+def _waiting_corpus():
+    """a1 > b1 pairs with and without a recipe eta incomparable with a (about
+    3 in 100 have one), and a1 < b1 pairs."""
+    rng = rng_for("coop-waiting")
+    groups = {True: [], False: [], None: []}
+    while min(len(g) for g in groups.values()) < 3:
+        a, b = random_prob(3, rng), random_prob(3, rng)
+        if compare(a, b) is not MajVerdict.Incomparable or min(a[0] - a[1], a[1] - a[2]) <= 1e-9:
+            continue
+        key = _recipe_eta_incomparable(a, b) if a[0] > b[0] else None
+        if len(groups[key]) < 3:
+            groups[key].append((a, b))
+    return groups
+
+
+def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
+    """Every path of the search gives the outcome of the one-by-one scan,
+    bit for bit: plan, diagnostics, or error type and message.  The recipe
+    is certified first where one of its etas is incomparable with a, and
+    last otherwise; a chunk's rows that are valid but not full are checked
+    as it is scanned where late falls inside it (fallback 37, 300, 1000,
+    5000) and where the totals sit at the edges of TRACE_TOL (checked
+    against the chunked scan, which raises as the search must), and last
+    otherwise; the pair with no valid plan in 5000 samples checks them all,
+    and PAST_KEPT's search checks the waiting ones when it reaches the first
+    chunk past the kept draws.  The seed-1 searches of the paper's pairs
+    and the perfbench anchors find a full row after chunks whose checks
+    waited (in kept chunk 2 for the first two)."""
+    groups = _waiting_corpus()
+    cases = [(a, b, seed, fallback) for g in groups.values() for a, b in g for seed in (0, 1) for fallback in (0, 37, 300, 1000, 5000)]
+    cases += [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
+    cases += [((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457), 0, 5000), PAST_KEPT]
+    outcomes = set()
+    for a, b, seed, fallback in cases:
+        one_by_one = _coop_one_by_one if a[0] > b[0] else partial(_coop_one_by_one, candidates=iter(()))
+        want = _coop_outcome(one_by_one, a, b, seed, fallback)
+        got = _coop_outcome(coop_construct, a, b, seed, fallback)
+        assert _same_outcome(got, want), (a, b, seed, fallback)
+        outcomes.add(want[0] if isinstance(want, tuple) else (want.branch, all(want.cross_incomparable.values())))
+    plans = {("recipe", False), ("fallback", False), ("fallback", True)}
+    assert plans <= outcomes and "NoPlanFound" in outcomes
+    edge = [(a * (1 + 5e-10), b * (1 - 4.995e-10)) for a, b in groups[True] + groups[None]]
+    edge += [(a * (1 - 5e-10), b * (1 + 4.995e-10)) for a, b in groups[False]]
+    edge += _edge_total_pairs()[::3]
+    for a, b in edge:
+        for seed, fallback in ((0, 0), (0, 1000), (1, 5000)):
+            want = _coop_outcome(_coop_chunked_reference, a, b, seed, fallback)
+            got = _coop_outcome(coop_construct, a, b, seed, fallback)
+            assert _same_outcome(got, want), (a, b, seed, fallback)
+            outcomes.add(want[0] if isinstance(want, tuple) else want.branch)
+    assert {"TraceMismatch", "recipe", "fallback"} <= outcomes
+    # a - b sits a few ulps inside TRACE_TOL, so that the joint totals of some
+    # rows fail while every cross pair passes: a kept row of the first chunk,
+    # valid but not full, raises as it is scanned, where a wait would let the
+    # search return the full row at 483 first
+    a, b = (np.array(v) for v in COOP_GOLDEN[6][:2])
+    a, b = a * (1 + 5e-10), b * (1 - 5e-10 + 4 * 2**-53)
+    for fallback in (5000, 10**5):
+        want = _coop_outcome(_coop_chunked_reference, a, b, 1, fallback)
+        assert want[0] == "TraceMismatch"
+        assert _coop_outcome(coop_construct, a, b, 1, fallback) == want
+
+
+def _joint_checks(monkeypatch):
+    """Every _joint_ok call from here on, as (chunk, rows checked)."""
+    calls = []
+    joint_ok = locc._joint_ok
+
+    def spy(pair, chunk, rows):
+        calls.append((chunk, rows.copy()))
+        return joint_ok(pair, chunk, rows)
+
+    monkeypatch.setattr(locc, "_joint_ok", spy)
+    return calls
+
+
+def test_coop_checks_that_cannot_change_the_answer_wait(monkeypatch, fresh_streams):
+    """The mechanism: with seed 1, the four a1 > b1 pairs of the paper and
+    perfbench joint-check no recipe row, and the anchor (.602, .357, .041)
+    -> (.696, .171, .133) checks only the cross rows of its first chunk
+    before its full row in the second; where late falls in that chunk, or
+    the totals sit at the edge of TRACE_TOL, the chunk's other kept rows
+    are checked as it is scanned."""
+    kept = locc._coop_stream(1).kept
+    calls = _joint_checks(monkeypatch)
+    for k in (0, 1, 3, 4):
+        a, b = COOP_GOLDEN[k][:2]
+        calls.clear()
+        plan = coop_construct(a, b, seed=1)
+        assert plan.branch == "fallback" and all(plan.cross_incomparable.values())
+        assert calls and all(any(chunk is c for c in kept) for chunk, _ in calls), k
+    a, b = COOP_GOLDEN[6][:2]
+    cross = ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), kept[0])[1]
+    for kw, rows in (({}, cross), ({"fallback_samples": 1000}, np.ones_like(cross))):
+        calls.clear()
+        coop_construct(a, b, seed=1, **kw)
+        first = [r for chunk, r in calls if chunk.start == 0]
+        assert np.array_equal(np.logical_or.reduce(first), rows), kw
+    calls.clear()
+    coop_construct(np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10), seed=1)
+    assert np.array_equal(np.logical_or.reduce([r for chunk, r in calls if chunk.start == 0]), np.ones_like(cross))
+    # a recipe eta incomparable with a: the recipe is checked first
+    a, b = _waiting_corpus()[True][0]
+    calls.clear()
+    plan = coop_construct(a, b, seed=1)
+    assert calls[0][0].start == 0 and not any(calls[0][0] is c for c in kept)
 
 
 def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
