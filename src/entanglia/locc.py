@@ -28,8 +28,6 @@ from .errors import (
     TooLarge,
 )
 from .majorization import (
-    _check_totals,
-    _fwd_rows,
     _pair_flags,
     _prob_sorted,
     _sorted_pair,
@@ -39,6 +37,7 @@ from .majorization import (
     compare,
     compare_rows,
     majorizes,
+    sorted_padded,
 )
 from .measures import binary_entropy
 from .pairs import (  # PairClass is exported from here
@@ -54,7 +53,7 @@ from .pairs import (  # PairClass is exported from here
     require_integer,
     verdict,
 )
-from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
+from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
 # Searches certify candidates a chunk at a time; chunks double from the
 # first size up to the cap, so an early winner costs little and a long scan
@@ -77,16 +76,10 @@ _CATALYST_FIRST_CHUNK = 4
 # The cooperation fallback draws and keeps the chunks of its first
 # _STREAM_DRAWS draws (the first four) at once, when a search first asks
 # for its seed (0.5-0.8 ms), for each of the last _STREAM_SEEDS seeds
-# searched: 16 bytes of totals a draw and 88 of column sums and stream index
-# a kept row, so at most 104 bytes a draw, 390 KiB a seed and 3.1 MiB in
-# all; seeds 0-3 keep 142-144 KiB each.
+# searched: 88 bytes of column sums and stream index a kept row, so at most
+# 330 KiB a seed and 2.6 MiB in all; seeds 0-3 keep 82-84 KiB each.
 _STREAM_DRAWS = 3840
 _STREAM_SEEDS = 8
-# A check waits only if its totals clear TRACE_TOL by this much, about
-# 9e-13: a rounding margin, not a tolerance.  It is far more than the
-# rounding of the totals, such as the joint ones, sums of nine products
-# near 1/9 that lie within about 10 ulps of ta tc and tb te.
-_TOTALS_SLACK = 4096 * math.ulp(1.0)
 
 
 def _chunk_sizes(first):
@@ -467,13 +460,14 @@ def _column_sums(x1, x2, x3):
 
 def _incomparable_sums(x, y):
     """compare_rows(x, y).incomparable for 3-entry rows given as two
-    _column_sums stacks of one shape, once their totals have passed
-    _check_totals: neither side's partial sums all within MAJ_TOL of the
-    other's, nor every entry.
+    _column_sums stacks of one shape, wherever the totals of a row agree
+    within TRACE_TOL (compare_rows raises elsewhere; no total is checked
+    here): neither side's partial sums all within MAJ_TOL of the other's,
+    nor every entry.
 
     On sorted 3-vectors majorization is x1 <= y1 and x1 + x2 <= y1 + y2 once
     the totals agree.  The partial sums, tolerance tests and close rule are
-    compare_rows' own, so every flag is bit for bit its flag.
+    compare_rows' own, so every such flag is bit for bit its flag.
     """
     fwd = (x[2:] <= y[2:] + MAJ_TOL).all(axis=0)
     bwd = (y[2:] <= x[2:] + MAJ_TOL).all(axis=0)
@@ -492,9 +486,6 @@ class _CoopChunk(NamedTuple):
     # (5, 2, k): the _column_sums of the kept rows' chi ([:, 0]) and eta
     # ([:, 1]), so that their entries are rows 0-2, in the order x2, x3, x1
     sums: np.ndarray
-    # the smallest chi and eta totals of all rows, then the largest
-    bounds: tuple
-    totals: np.ndarray  # (2, size): every row's chi and eta totals
 
     @property
     def chi(self):
@@ -509,36 +500,17 @@ class _CoopChunk(NamedTuple):
         if m >= self.size:
             return self
         k = int(np.searchsorted(self.index, self.start + m))
-        return self._replace(
-            size=m, index=self.index[:k], sums=self.sums[:, :, :k], totals=self.totals[:, :m]
-        )
+        return self._replace(size=m, index=self.index[:k], sums=self.sums[:, :, :k])
 
 
 def _coop_chunk(pairs, start=0):
     """The chunk of an (n, 2, 3) stack of candidates (chi_i, eta_i) whose
-    first row is row start of its stream.  Raises as compare_rows(chi, eta)
-    does for a chi/eta total that is not finite or not within TRACE_TOL."""
+    first row is row start of its stream."""
     sums = _column_sums(*_sorted_columns(pairs.transpose(1, 0, 2)))
-    chi, eta = sums[:, 0], sums[:, 1]
-    _check_totals(chi[4], eta[4])
-    (index,) = _incomparable_sums(chi, eta).nonzero()
-    totals = sums[4].copy()  # a view would keep all of sums alive
-    bounds = (*totals.min(axis=1).tolist(), *totals.max(axis=1).tolist())
+    (index,) = _incomparable_sums(sums[:, 0], sums[:, 1]).nonzero()
     # take, unlike sums[:, :, index], returns a C-ordered stack, which the
     # kernel reads several times faster
-    return _CoopChunk(start, len(pairs), index + start, sums.take(index, axis=2), bounds, totals)
-
-
-def _check_chunk_totals(chunk, ta, tb):
-    """_check_totals(ta, eta totals), then _check_totals(chi totals, tb), over
-    all of the chunk's rows, kept or not: the psi/eta and chi/phi total
-    checks as compare_rows makes them on the whole chunk.  The chunk's
-    total bounds settle them without a pass over its rows when both pass."""
-    c_lo, e_lo, c_hi, e_hi = chunk.bounds
-    if max(abs(ta - e_lo), abs(ta - e_hi), abs(c_lo - tb), abs(c_hi - tb)) <= TRACE_TOL:
-        return
-    _check_totals(ta, chunk.totals[1])
-    _check_totals(chunk.totals[0], tb)
+    return _CoopChunk(start, len(pairs), index + start, sums.take(index, axis=2))
 
 
 class _CoopPair(NamedTuple):
@@ -550,14 +522,10 @@ class _CoopPair(NamedTuple):
     # (5, 2): the _column_sums of b ([:, 0], against chi) and of a ([:, 1],
     # against eta)
     ends: np.ndarray
-    ta: float
-    tb: float
 
 
 def _coop_pair(sa, sb):
-    ends = _column_sums(*np.array((sb, sa)).T)
-    tb, ta = ends[4].tolist()
-    return _CoopPair(sa, sb, ends, ta, tb)
+    return _CoopPair(sa, sb, _column_sums(*np.array((sb, sa)).T))
 
 
 def _coop_flags(pair, chunk):
@@ -572,15 +540,11 @@ def _coop_flags(pair, chunk):
     only; a row of rest is valid iff _joint_ok passes it, which the search
     asks only where a row that is valid but not full can change its answer.
 
-    Totals rule: before any flag, the chunk raises as compare_rows on all
-    of its rows, dropped ones included, would, in the order chi/eta (when
-    the chunk was built), psi/eta, chi/phi; so a search raises
-    TraceMismatch, naming the same row, on exactly the inputs and chunks
-    where checking every drawn row raises.  The joint check then raises for
-    the rows it checks, as it did on the chunk's rows before any was
-    dropped.
+    No total is checked: the flags read partial sums alone, and are
+    coop_validate's on every row whose totals agree within TRACE_TOL.
+    coop_construct re-certifies its winner with coop_validate, which raises
+    TraceMismatch for a winner whose totals do not.
     """
-    _check_chunk_totals(chunk, pair.ta, pair.tb)
     against = np.empty_like(chunk.sums)  # of one shape: broadcasting is slower
     against[...] = pair.ends[..., None]
     cross = _incomparable_sums(chunk.sums, against).all(axis=0)
@@ -590,33 +554,13 @@ def _coop_flags(pair, chunk):
 
 def _joint_ok(pair, chunk, rows):
     """The mask rows of the chunk's kept rows with every row whose joint
-    check a (x) chi -> b (x) eta fails (compare_rows' fwd flag) cleared, in
-    place."""
+    check a (x) chi -> b (x) eta fails cleared, in place: compare_rows' fwd
+    flag on partial sums alone, the total check left out."""
     (index,) = rows.nonzero()
     if index.size:
-        rows[index] = _fwd_rows(vec_kron(pair.sa, chunk.chi[index]), vec_kron(pair.sb, chunk.eta[index]))
+        xs, ys = sorted_padded(vec_kron(pair.sa, chunk.chi[index]), vec_kron(pair.sb, chunk.eta[index]))
+        rows[index] = (xs.cumsum(axis=-1) <= ys.cumsum(axis=-1) + MAJ_TOL).all(axis=-1)
     return rows
-
-
-def _totals_clear(pair, bounds):
-    """Whether every total check of coop_validate passes with _TOTALS_SLACK
-    to spare on rows whose chi and eta totals lie within bounds (finite, as
-    _CoopChunk.bounds): chi/eta, psi/eta, chi/phi and the joint one, whose
-    totals are ta tc and tb te up to rounding.  Then none of them can
-    raise."""
-    c_lo, e_lo, c_hi, e_hi = bounds
-    ta, tb = pair.ta, pair.tb
-    gap = max(
-        c_hi - e_lo,
-        e_hi - c_lo,
-        ta - e_lo,
-        e_hi - ta,
-        c_hi - tb,
-        tb - c_lo,
-        ta * c_hi - tb * e_lo,
-        tb * e_hi - ta * c_lo,
-    )
-    return gap <= TRACE_TOL - _TOTALS_SLACK
 
 
 def _first_valid(pair, chunk, branch, rows=None):
@@ -677,7 +621,7 @@ def _coop_stream(seed):
     """The stream of a seed, kept for the last _STREAM_SEEDS seeds: its
     chunks (_FIRST_CHUNK rows, doubling up to _MAX_CHUNK) while they end
     within _STREAM_DRAWS rows.  Whatever fallback_samples is, it keeps at
-    most _STREAM_DRAWS draws of at most 104 bytes, 390 KiB.  A stream
+    most _STREAM_DRAWS rows of 88 bytes, 330 KiB.  A stream
     follows the chunk schedule it was built under;
     _coop_stream.cache_clear() drops it once the schedule is changed."""
     rng = np.random.default_rng((seed, 99))
@@ -718,32 +662,17 @@ def _coop_case1_candidates(sa, sb):
 
 def _recipe_can_wait(pair, recipe):
     """Whether the recipe's whole pass can wait until the search ends
-    without a full row: no recipe row can be full, and no check of the
-    pass can raise.
-
-    A row is full only if a and its eta are incomparable; here a must be
-    majorized by each distinct eta, tested as the chunk tests it (the
-    partial sums of the sorted eta against a's, within MAJ_TOL).  The
-    recipe yields one eta object per margin, so comparing each eta with the
-    one before by identity finds the distinct ones.  Every entry must be
-    finite and nonnegative, so that the totals, summed in the recipe's
-    order, are the chunk's up to rounding, and _totals_clear must hold for
-    them.
-    """
-    chis, etas = zip(*recipe)
-    etas = [sorted(eta, reverse=True) for eta, last in zip(etas, (None,) + etas) if eta is not last]
-    tc, te = [x + y + z for x, y, z in chis], [x + y + z for x, y, z in etas]
-    if not (
-        math.isfinite(sum(tc) + sum(te))
-        and min(itertools.chain.from_iterable(chis)) >= 0.0
-        and min(eta[2] for eta in etas) >= 0.0
-        and _totals_clear(pair, (min(tc), min(te), max(tc), max(te)))
-    ):
-        return False
+    without a full row: a is majorized by each distinct recipe eta, tested
+    as the chunk tests it (the partial sums of the sorted eta against a's,
+    within MAJ_TOL), so that no recipe row can be full.  The recipe yields
+    one eta object per margin, so comparing each eta with the one before
+    by identity finds the distinct ones."""
+    etas = [eta for _, eta in recipe]
+    etas = [sorted(eta, reverse=True) for eta, last in zip(etas, [None] + etas) if eta is not last]
     a1, a12, ta = pair.ends[2:, 1].tolist()
     return all(
-        a1 <= e1 + MAJ_TOL and a12 <= e1 + e2 + MAJ_TOL and ta <= t + MAJ_TOL
-        for (e1, e2, _), t in zip(etas, te)
+        a1 <= e1 + MAJ_TOL and a12 <= e1 + e2 + MAJ_TOL and ta <= e1 + e2 + e3 + MAJ_TOL
+        for e1, e2, e3 in etas
     )
 
 
@@ -794,10 +723,14 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     ends without a full plan or reaches a chunk that needs the first valid
     plan: the recipe's whole pass when a is majorized by each of its etas
     (no recipe candidate can then be full), and the joint check of a kept
-    chunk's candidates whose psi/eta or chi/phi are comparable.  A check
-    waits only when its totals clear TRACE_TOL by _TOTALS_SLACK, so that it
-    cannot raise; otherwise it runs in its place, and the search raises the
-    TraceMismatch the chunk-by-chunk scan raises.
+    chunk's candidates whose psi/eta or chi/phi are comparable.
+
+    Candidates are ranked on partial sums alone; the only totals check is
+    coop_validate's re-certification of the winner.  Where every total
+    agrees within TRACE_TOL the answer is that of a scan that checks each
+    candidate's totals.  Where a or b sits at the edge of TRACE_TOL, the
+    answer is a plan coop_validate certifies, NoPlanFound, or
+    coop_validate's TraceMismatch for the winner; never an uncertified plan.
     """
     seed = _nonnegative("seed", seed)
     fallback_samples = _nonnegative("fallback_samples", fallback_samples)
@@ -847,9 +780,8 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
             stop = full | (valid & (rows.index >= late))
         elif first_valid is None and not full.any():
             waiting.append(partial(_first_valid, pair, rows, "fallback", rest))
-            # a chunk past the kept draws is not held; a check that could
-            # raise runs in its place in the scan
-            if end > stream.end or not _totals_clear(pair, rows.bounds):
+            # a chunk past the kept draws is not held
+            if end > stream.end:
                 first_valid, waiting = _settle(waiting), []
         if stop.any():
             j = stop.argmax()

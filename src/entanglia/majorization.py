@@ -207,32 +207,13 @@ def compare_rows(x, y):
         return RowFlags(*map(np.bool_, _pair_flags(*_sorted_pair(x, y))))
     if not (x.ndim and y.ndim):
         raise TraceMismatch("expected a vector or a stack of rows, got an array of shape ()")
-    xs, ys, cx, cy = _row_sums(x, y)
-    fwd, bwd = _below(cx, cy), _below(cy, cx)
-    close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
-    return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
-
-
-def _row_sums(x, y):
-    """compare_rows' steps for two stacks up to its flags: the rows
-    zero-padded and sorted descending, their partial sums, and every pair
-    of totals checked."""
     xs, ys = sorted_padded(x, y)
     cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
     _check_totals(cx[..., -1], cy[..., -1])
-    return xs, ys, cx, cy
-
-
-def _below(cx, cy):
-    """The rows whose partial sums cx all stay <= cy + MAJ_TOL."""
-    return (cx <= cy + MAJ_TOL).all(axis=-1)
-
-
-def _fwd_rows(x, y):
-    """compare_rows(x, y).fwd for two stacks of rows, without the bwd and
-    equal flags: the same sums, total check and tolerance test."""
-    _, _, cx, cy = _row_sums(x, y)
-    return _below(cx, cy)
+    fwd = (cx <= cy + MAJ_TOL).all(axis=-1)
+    bwd = (cy <= cx + MAJ_TOL).all(axis=-1)
+    close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
+    return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
 
 
 def majorizes(x, y):

@@ -124,6 +124,30 @@ def test_coop_diagnostics_structured_only(capsys):
     assert "diagnostics" not in out and "branch" not in out
 
 
+@pytest.mark.parametrize(
+    "a, b, seed",
+    [
+        ("0.41,0.38,0.209999999", "0.4,0.4,0.199999999", 0),
+        ("0.41,0.38,0.209999999", "0.4,0.4,0.199999999", 1),
+        ("0.564,0.309,0.126999999", "0.557,0.399,0.043999999", 0),
+        ("0.41,0.38,0.21000000099999955", "0.4,0.4,0.2000000004999998", 1),
+    ],
+)
+def test_coop_at_edge_totals_answers_or_names_the_error(a, b, seed):
+    # totals at 1 - TRACE_TOL or 1 + TRACE_TOL: a plan with every flag true,
+    # or exit 3 naming the error, never a traceback
+    done = run_cli_child("coop", a, b, "--seed", str(seed), "--output", "structured")
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        doc = json.loads(done.stdout)
+        assert doc["joint_ok"] is True and all(doc["cross_incomparable"].values())
+        assert done.stderr == ""
+    else:
+        assert done.returncode == 3
+        assert done.stderr.startswith(("error [TraceMismatch]", "error [NoPlanFound]"))
+        assert done.stderr.count("\n") == 1
+
+
 def test_trace_mismatch_exit_code(capsys):
     code, _, err = run_cli(capsys, "nielsen", ".5,.5", ".7,.2")
     assert code == 3

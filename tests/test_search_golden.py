@@ -7,6 +7,7 @@ over the scalar checks, so any pair can be compared bit for bit.
 """
 
 import itertools
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entanglia import locc, majorization
+from entanglia import locc, majorization, pairs
 from entanglia.errors import BadParam, EmptyRange, NoPlanFound, TraceMismatch
 from entanglia.locc import (
     _MAX_CHUNK,
@@ -619,45 +620,51 @@ def test_coop_late_stop_across_chunks(monkeypatch, fresh_streams):
 
 
 def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch, fresh_streams):
+    """Plans, diagnostics and errors are the same under 1/1, 16/32 and the
+    default chunks, for pairs whose totals sit at the edge of TRACE_TOL
+    too."""
     corpus = [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
     for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
         corpus += [(a, b, k, 37), (a, b, k, 300)]
+    corpus += [(a, b, seed, fallback) for a, b in _edge_corpus() for seed in range(3) for fallback in (37, 300)]
     runs = []
-    for first, cap in ((1, 1), (16, 512), (locc._FIRST_CHUNK, locc._MAX_CHUNK)):
+    for first, cap in ((1, 1), (16, 32), (locc._FIRST_CHUNK, locc._MAX_CHUNK)):
         monkeypatch.setattr(locc, "_FIRST_CHUNK", first)
         monkeypatch.setattr(locc, "_MAX_CHUNK", cap)
-        plans = []
-        for a, b, seed, fallback in corpus:
-            try:
-                plans.append(coop_construct(a, b, seed=seed, fallback_samples=fallback))
-            except NoPlanFound:
-                plans.append(None)
-        runs.append(plans)
+        locc._coop_stream.cache_clear()
+        runs.append([_coop_outcome(coop_construct, *case) for case in corpus])
     default = runs[-1]
-    assert {p.branch for p in default if p is not None} == {"recipe", "fallback"}
-    for plans in runs[:-1]:
-        for got, want in zip(plans, default):
-            assert _same_plan(got, want) and _same_diagnostics(got, want)
+    kinds = {got[0] if isinstance(got, tuple) else got.branch for got in default}
+    assert kinds == {"recipe", "fallback", "TraceMismatch", "NoPlanFound"}
+    for outcomes in runs[:-1]:
+        for got, want, case in zip(outcomes, default, corpus):
+            assert _same_outcome(got, want), case
 
 
-def test_coop_misnormalised_recipe_candidate_raises(monkeypatch):
+def test_coop_misnormalised_recipe_candidate_is_never_returned(monkeypatch, fresh_streams):
+    """A recipe row whose chi or eta total is off is ranked on its partial
+    sums like any other row, and never returned: the search returns the
+    golden row after it, certified, or raises that row's own coop_validate
+    error when it wins, as the totals-free scan does."""
     a, b = COOP_GOLDEN[0][:2]
     chi, eta = (np.array(v) for v in COOP_GOLDEN[0][2:])
     fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(5, 2)))
+    outcomes = set()
     # chi off, eta off, and both off alike (only the cross pairs with psi
     # and phi see that)
     for bad in ((chi * 1.1, eta), (chi, eta * (1 + 3 * MAJ_TOL)), (chi * 1.1, eta * 1.1)):
         stream = fillers + [bad] + [(chi, eta)]
         monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
-        with pytest.raises(TraceMismatch) as got:
-            coop_construct(a, b, seed=1)
-        # the chunk names the row compare_rows names in the first of the
-        # cross pairs chi/eta, psi/eta and chi/phi that fails
-        chis, etas = (np.array(side) for side in zip(*stream))
-        with pytest.raises(TraceMismatch) as want:
-            for x, y in ((chis, etas), (a, etas), (chis, b)):
-                compare_rows(x, y)
-        assert str(got.value) == str(want.value)
+        got = _edge_outcome(a, b, 1, 10**5)
+        assert _same_outcome(got, _coop_outcome(_coop_totals_free, a, b, 1, 10**5, iter(stream)))
+        if isinstance(got, CoopPlan):
+            assert (_floats(got.chi), _floats(got.eta), got.candidates) == (*COOP_GOLDEN[0][2:], 7)
+        else:
+            with pytest.raises(TraceMismatch) as own:
+                coop_validate(a, b, *bad)
+            assert got == ("TraceMismatch", str(own.value))
+        outcomes.add(type(got).__name__)
+    assert outcomes == {"CoopPlan", "tuple"}
 
 
 def _coop_or_none(a, b, seed, fallback):
@@ -723,7 +730,8 @@ def test_coop_stream_keeps_the_incomparable_rows_of_one_draw(fresh_streams):
     and eta compare_rows finds incomparable in one Generator.dirichlet draw
     of the whole stream, and the draws past them continue that draw:
     dirichlet output does not depend on how the draw is chunked, which the
-    kept stream relies on."""
+    kept stream relies on.  A kept chunk holds nothing for its dropped rows:
+    only its kept rows' stream indices and column sums."""
     n, more = locc._STREAM_DRAWS, 3000
     for seed in range(4):
         stream = locc._coop_stream(seed)
@@ -736,46 +744,29 @@ def test_coop_stream_keeps_the_incomparable_rows_of_one_draw(fresh_streams):
         assert np.array_equal(np.concatenate([c.index for c in chunks]), np.flatnonzero(keep))
         for side, rows in enumerate((np.concatenate([c.chi for c in chunks]), np.concatenate([c.eta for c in chunks]))):
             assert np.array_equal(np.sort(rows)[:, ::-1], np.sort(draws[keep, side])[:, ::-1])
-        assert all(c.totals.shape == (2, c.size) for c in stream.kept)
+        assert all(c.sums.shape == (5, 2, c.index.size) for c in stream.kept)
+    assert locc._CoopChunk._fields == ("start", "size", "index", "sums")
 
 
-def _coop_chunked_reference(a, b, seed, fallback_samples):
-    """coop_construct as a one-by-one scan of whole chunks: the recipe's
-    candidates, then the fallback draws in the default chunks.  Before its
-    rows are scanned, each chunk has its cross pairs' totals checked by
-    compare_rows over all of its rows, in the order chi/eta, psi/eta,
-    chi/phi; a plan, None, or the TraceMismatch message."""
-    sa, sb = locc._strip(a), locc._strip(b)
-    recipe = list(locc._coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
-
-    def chunks():
-        if recipe:
-            yield "recipe", recipe
-        rng, start, sizes = np.random.default_rng((seed, 99)), 0, locc._chunk_sizes(locc._FIRST_CHUNK)
-        while start < fallback_samples:
-            m = min(next(sizes), fallback_samples - start)
-            yield "fallback", list(rng.dirichlet(np.ones(3), size=(m, 2)))
-            start += m
-
-    first_valid, tried = None, 0
-    for branch, rows in chunks():
-        chi, eta = (np.array(side) for side in zip(*rows))
-        try:
-            for x, y in ((chi, eta), (sa, eta), (chi, sb)):
-                compare_rows(x, y)
-        except TraceMismatch as exc:
-            return str(exc)
-        for chi_i, eta_i in rows:
-            tried += 1
-            plan = coop_validate(sa, sb, chi_i, eta_i)
-            if plan.valid:
-                if all(plan.cross_incomparable.values()):
-                    return replace(plan, branch=branch, candidates=tried)
-                if first_valid is None:
-                    first_valid = replace(plan, branch=branch)
-                if branch == "fallback" and tried - len(recipe) > fallback_samples // 5:
-                    return replace(first_valid, candidates=tried)
-    return None if first_valid is None else replace(first_valid, candidates=tried)
+def _coop_totals_free(a, b, seed, fallback_samples, candidates=None):
+    """The search's contract at any totals: the one-by-one scan with every
+    totals check off (TRACE_TOL infinite), so that it ranks candidates on
+    partial sums alone, then its winner re-certified by coop_validate; a
+    plan, None, or the winner's TraceMismatch message.  Where every total
+    agrees within TRACE_TOL it is the one-by-one scan."""
+    if candidates is None and locc._strip(a)[0] <= locc._strip(b)[0]:
+        candidates = iter(())  # a1 < b1 goes straight to the fallback
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (majorization, pairs):
+            patch.setattr(module, "TRACE_TOL", math.inf)
+        winner = _coop_one_by_one(a, b, seed, fallback_samples, candidates)
+    if winner is None:
+        return None
+    try:
+        plan = coop_validate(a, b, winner.chi, winner.eta)
+    except TraceMismatch as exc:
+        return str(exc)
+    return replace(plan, branch=winner.branch, candidates=winner.candidates)
 
 
 def _edge_total_pairs():
@@ -797,34 +788,70 @@ def _edge_total_pairs():
     return pairs
 
 
-def test_coop_edge_totals_raise_as_every_drawn_row_is_checked(fresh_streams):
-    """A pair whose total sits at the edge of TRACE_TOL raises TraceMismatch,
-    with compare_rows' message, exactly where checking the psi/eta and
-    chi/phi totals of every row of every chunk up to the search's end
-    raises, dropped rows included; elsewhere its plan is the scan's."""
+def _joint_edge_pair():
+    """COOP_GOLDEN[6] with a - b a few ulps inside TRACE_TOL: the joint
+    totals of some rows fail while every cross pair passes."""
+    a, b = (np.array(v) for v in COOP_GOLDEN[6][:2])
+    return a * (1 + 5e-10), b * (1 - 5e-10 + 4 * 2**-53)
+
+
+def _edge_corpus():
+    """_edge_total_pairs, the golden pairs scaled to totals 1 +- 5e-10 and 1
+    -+ 4.995e-10, and the joint-edge pair."""
+    scaled = [
+        (np.array(a) * (1 + s * 5e-10), np.array(b) * (1 - s * 4.995e-10)) for a, b, *_ in COOP_GOLDEN for s in (1, -1)
+    ]
+    return _edge_total_pairs() + scaled + [_joint_edge_pair()]
+
+
+def _edge_outcome(a, b, seed, fallback_samples):
+    """coop_construct's outcome, held to its contract at any totals: a plan
+    that coop_validate re-certifies as valid with the same flags and
+    margin, NoPlanFound, or the TraceMismatch that coop_validate raised for
+    the search's winner."""
+    raised, validate = [], locc.coop_validate
+
+    def spy(*args):
+        try:
+            return validate(*args)
+        except TraceMismatch as exc:
+            raised.append(str(exc))
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locc, "coop_validate", spy)
+        got = _coop_outcome(coop_construct, a, b, seed, fallback_samples)
+    if isinstance(got, CoopPlan):
+        assert got.valid and _same_validation(coop_validate(a, b, got.chi, got.eta), got)
+    elif got[0] == "TraceMismatch":
+        assert raised == [got[1]]
+    else:
+        assert got == NO_PLAN
+    return got
+
+
+def test_coop_edge_totals_give_a_certified_plan_or_the_winners_error(fresh_streams):
+    """A pair whose totals sit at the edge of TRACE_TOL: the search ranks
+    its candidates on partial sums alone and re-certifies the winner, so it
+    returns a plan coop_validate certifies, raises NoPlanFound, or raises
+    coop_validate's TraceMismatch for the winner; bit for bit the outcome
+    of the totals-free scan."""
     outcomes = set()
-    for a, b in _edge_total_pairs():
+    for a, b in _edge_corpus():
         for seed in (0, 1):
             for fallback in (37, 300, 5000):
-                want = _coop_chunked_reference(a, b, seed, fallback)
-                try:
-                    got = _coop_or_none(a, b, seed, fallback)
-                except TraceMismatch as exc:
-                    got = str(exc)
-                if isinstance(want, str):
-                    assert got == want, (a, b, seed, fallback)
-                else:
-                    assert _same_plan(got, want) and _same_diagnostics(got, want), (a, b, seed, fallback)
-                outcomes.add(type(want).__name__)
-    assert outcomes == {"str", "CoopPlan", "NoneType"}
+                got = _edge_outcome(a, b, seed, fallback)
+                want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
+                assert _same_outcome(got, want), (a, b, seed, fallback)
+                outcomes.add(type(got).__name__ if isinstance(got, CoopPlan) else got[0])
+    assert outcomes == {"CoopPlan", "TraceMismatch", "NoPlanFound"}
 
 
 def test_coop_edge_totals_of_a_cut_chunk(fresh_streams):
-    """A kept chunk cut short by fallback_samples checks the totals of its
-    first rows only.  With these edge totals some row of seed 0's first
-    chunk fails a total check and its first 21 rows do not: the kept
-    chunk's bounds fail, its totals are checked up to fallback_samples, and
-    the search returns the plan of the scan of the drawn rows."""
+    """A kept chunk cut short by fallback_samples ranks its first rows only.
+    With these edge totals some row of seed 0's first chunk fails a total
+    check and its first 21 rows do not: the search returns the plan of the
+    one-by-one scan of the drawn rows, which checks every row's totals."""
     a, b = [0.41, 0.38, 0.21 - TRACE_TOL], [0.4, 0.4, 0.2 - 0.5 * TRACE_TOL]
     sa, sb = locc._strip(a), locc._strip(b)
     draws = np.random.default_rng((0, 99)).dirichlet(np.ones(3), size=(locc._FIRST_CHUNK, 2))
@@ -834,10 +861,9 @@ def test_coop_edge_totals_of_a_cut_chunk(fresh_streams):
     for fallback in (1, 8, 21):
         for x, y in ((sa, draws[:fallback, 1]), (draws[:fallback, 0], sb)):
             compare_rows(x, y)
-        want = _coop_chunked_reference(a, b, 0, fallback)
-        assert isinstance(want, CoopPlan)
-        got = _coop_or_none(a, b, 0, fallback)
-        assert _same_plan(got, want) and _same_diagnostics(got, want)
+        want = _coop_one_by_one(a, b, 0, fallback)
+        got = _edge_outcome(a, b, 0, fallback)
+        assert isinstance(got, CoopPlan) and _same_plan(got, want) and _same_diagnostics(got, want)
     assert locc._coop_stream(0).kept[0].size == locc._FIRST_CHUNK
 
 
@@ -900,13 +926,13 @@ def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
     is certified first where one of its etas is incomparable with a, and
     last otherwise; a chunk's rows that are valid but not full are checked
     as it is scanned where late falls inside it (fallback 37, 300, 1000,
-    5000) and where the totals sit at the edges of TRACE_TOL (checked
-    against the chunked scan, which raises as the search must), and last
-    otherwise; the pair with no valid plan in 5000 samples checks them all,
-    and PAST_KEPT's search checks the waiting ones when it reaches the first
-    chunk past the kept draws.  The seed-1 searches of the paper's pairs
-    and the perfbench anchors find a full row after chunks whose checks
-    waited (in kept chunk 2 for the first two)."""
+    5000), and last otherwise; the pair with no valid plan in 5000 samples
+    checks them all, and PAST_KEPT's search checks the waiting ones when it
+    reaches the first chunk past the kept draws.  The seed-1 searches of
+    the paper's pairs and the perfbench anchors find a full row after
+    chunks whose checks waited (in kept chunk 2 for the first two).  Where
+    the totals sit at the edges of TRACE_TOL the checks wait alike, and the
+    outcome is the totals-free scan's."""
     groups = _waiting_corpus()
     cases = [(a, b, seed, fallback) for g in groups.values() for a, b in g for seed in (0, 1) for fallback in (0, 37, 300, 1000, 5000)]
     cases += [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
@@ -923,23 +949,23 @@ def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
     edge = [(a * (1 + 5e-10), b * (1 - 4.995e-10)) for a, b in groups[True] + groups[None]]
     edge += [(a * (1 - 5e-10), b * (1 + 4.995e-10)) for a, b in groups[False]]
     edge += _edge_total_pairs()[::3]
+    outcomes = set()
     for a, b in edge:
         for seed, fallback in ((0, 0), (0, 1000), (1, 5000)):
-            want = _coop_outcome(_coop_chunked_reference, a, b, seed, fallback)
-            got = _coop_outcome(coop_construct, a, b, seed, fallback)
+            want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
+            got = _edge_outcome(a, b, seed, fallback)
             assert _same_outcome(got, want), (a, b, seed, fallback)
             outcomes.add(want[0] if isinstance(want, tuple) else want.branch)
-    assert {"TraceMismatch", "recipe", "fallback"} <= outcomes
-    # a - b sits a few ulps inside TRACE_TOL, so that the joint totals of some
-    # rows fail while every cross pair passes: a kept row of the first chunk,
-    # valid but not full, raises as it is scanned, where a wait would let the
-    # search return the full row at 483 first
-    a, b = (np.array(v) for v in COOP_GOLDEN[6][:2])
-    a, b = a * (1 + 5e-10), b * (1 - 5e-10 + 4 * 2**-53)
-    for fallback in (5000, 10**5):
-        want = _coop_outcome(_coop_chunked_reference, a, b, 1, fallback)
-        assert want[0] == "TraceMismatch"
-        assert _coop_outcome(coop_construct, a, b, 1, fallback) == want
+    assert outcomes == {"recipe", "fallback", "NoPlanFound"}
+    # some kept rows of the joint-edge pair's first chunk fail their joint
+    # totals; the checks of its valid but not full rows wait as they do
+    # elsewhere, so with seed 1 the search returns the full row at 483
+    a, b = _joint_edge_pair()
+    for seed in range(3):
+        for fallback in (5000, 10**5):
+            want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
+            assert _same_outcome(_edge_outcome(a, b, seed, fallback), want), (seed, fallback)
+    assert coop_construct(a, b, seed=1).candidates == 483
 
 
 def _joint_checks(monkeypatch):
@@ -959,9 +985,10 @@ def test_coop_checks_that_cannot_change_the_answer_wait(monkeypatch, fresh_strea
     """The mechanism: with seed 1, the four a1 > b1 pairs of the paper and
     perfbench joint-check no recipe row, and the anchor (.602, .357, .041)
     -> (.696, .171, .133) checks only the cross rows of its first chunk
-    before its full row in the second; where late falls in that chunk, or
-    the totals sit at the edge of TRACE_TOL, the chunk's other kept rows
-    are checked as it is scanned."""
+    before its full row in the second, edge totals or not; where late falls
+    in that chunk, the chunk's other kept rows are checked as it is
+    scanned; the waiting checks run at the first chunk past the kept
+    draws."""
     kept = locc._coop_stream(1).kept
     calls = _joint_checks(monkeypatch)
     for k in (0, 1, 3, 4):
@@ -977,14 +1004,26 @@ def test_coop_checks_that_cannot_change_the_answer_wait(monkeypatch, fresh_strea
         coop_construct(a, b, seed=1, **kw)
         first = [r for chunk, r in calls if chunk.start == 0]
         assert np.array_equal(np.logical_or.reduce(first), rows), kw
-    calls.clear()
-    coop_construct(np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10), seed=1)
-    assert np.array_equal(np.logical_or.reduce([r for chunk, r in calls if chunk.start == 0]), np.ones_like(cross))
+    for edge in ((np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10)), _joint_edge_pair()):
+        edge_cross = ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(*edge)), kept[0])[1]
+        calls.clear()
+        coop_construct(*edge, seed=1)
+        assert np.array_equal(np.logical_or.reduce([r for chunk, r in calls if chunk.start == 0]), edge_cross)
     # a recipe eta incomparable with a: the recipe is checked first
     a, b = _waiting_corpus()[True][0]
     calls.clear()
     plan = coop_construct(a, b, seed=1)
     assert calls[0][0].start == 0 and not any(calls[0][0] is c for c in kept)
+    # a search holds no chunk past the kept draws: PAST_KEPT's waiting checks
+    # run when it reaches the first one, and find the first valid row, 270,
+    # in kept chunk 1, before the full row 6891 ends the search
+    a, b, seed, fallback = PAST_KEPT
+    kept = locc._coop_stream(seed).kept
+    rest = locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), kept[1])[1]
+    calls.clear()
+    plan = coop_construct(a, b, seed=seed, fallback_samples=fallback)
+    assert (plan.branch, plan.candidates) == ("fallback", 6892)
+    assert any(chunk is kept[1] and np.array_equal(rows, rest) for chunk, rows in calls)
 
 
 def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
@@ -1007,9 +1046,9 @@ def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
         stream = locc._coop_stream(seed)
         assert stream.end == 176  # 16 + 5 * 32 rows, the most chunks within 200
         assert sum(c.index.size for c in stream.kept) <= stream.end <= locc._STREAM_DRAWS
-        # 16 bytes of totals a draw, 80 of column sums and 8 of index a kept row
-        held = sum((x if x.base is None else x.base).nbytes for c in stream.kept for x in (c.index, c.sums, c.totals))
-        assert held == sum(16 * c.size + 88 * c.index.size for c in stream.kept) <= 104 * locc._STREAM_DRAWS
+        # 80 bytes of column sums and 8 of index a kept row, nothing a dropped one
+        held = sum((x if x.base is None else x.base).nbytes for c in stream.kept for x in (c.index, c.sums))
+        assert held == 88 * sum(c.index.size for c in stream.kept) <= 88 * locc._STREAM_DRAWS
     assert locc._coop_stream.cache_info().currsize == locc._STREAM_SEEDS
 
 
