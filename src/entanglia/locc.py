@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +66,7 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 # drawing and keeping it 60 + 0.06 m us; checking every drawn row took
 # 37 + 0.17 m us with the draw), so a long scan takes few chunks.  The
 # recipe's at most 35 candidates take one, about 80 us to build and certify
-# against 10-15 us to show that its pass can wait.
+# against 10-15 us to show that none of them can be full.
 # The catalyst search certifies only the grid points inside its window, whose
 # first point nearly always passes, so its chunks start at
 # _CATALYST_FIRST_CHUNK points.
@@ -563,22 +563,14 @@ def _joint_ok(pair, chunk, rows):
     return rows
 
 
-def _first_valid(pair, chunk, branch, rows=None):
-    """The first valid row of the mask rows of the chunk's kept rows (all
-    of them by default), as (chi, eta, branch), or None."""
-    if rows is None:
-        rows = np.ones(chunk.index.size, dtype=bool)
-    valid = _joint_ok(pair, chunk, rows)
+def _first_valid(pair, chunk, branch):
+    """The first valid row of the chunk's kept rows, as (chi, eta, branch),
+    or None."""
+    valid = _joint_ok(pair, chunk, np.ones(chunk.index.size, dtype=bool))
     if valid.any():
         j = valid.argmax()
         return chunk.chi[j], chunk.eta[j], branch
     return None
-
-
-def _settle(waiting):
-    """The first valid plan of the waiting checks, run in scan order up to
-    it, or None."""
-    return next(filter(None, (check() for check in waiting)), None)
 
 
 def _draw(rng, m):
@@ -661,12 +653,12 @@ def _coop_case1_candidates(sa, sb):
 
 
 def _recipe_can_wait(pair, recipe):
-    """Whether the recipe's whole pass can wait until the search ends
-    without a full row: a is majorized by each distinct recipe eta, tested
-    as the chunk tests it (the partial sums of the sorted eta against a's,
-    within MAJ_TOL), so that no recipe row can be full.  The recipe yields
-    one eta object per margin, so comparing each eta with the one before
-    by identity finds the distinct ones."""
+    """Whether the recipe can be left to the search's second pass, which
+    runs only when no full row ends it: a is majorized by each distinct
+    recipe eta, tested as the chunk tests it (the partial sums of the
+    sorted eta against a's, within MAJ_TOL), so that no recipe row can be
+    full.  The recipe yields one eta object per margin, so comparing each
+    eta with the one before by identity finds the distinct ones."""
     etas = [eta for _, eta in recipe]
     etas = [sorted(eta, reverse=True) for eta, last in zip(etas, [None] + etas) if eta is not last]
     a1, a12, ta = pair.ends[2:, 1].tolist()
@@ -717,13 +709,14 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
 
     The answer is the first full candidate in scan order (the recipe, then
     the randomized ones), else the first valid one; from a fifth of the
-    samples on, the first valid candidate ends the search.  So while no
-    valid plan is known, a check that can only find candidates that are
-    valid but not full waits, in scan order, and runs only if the search
-    ends without a full plan or reaches a chunk that needs the first valid
-    plan: the recipe's whole pass when a is majorized by each of its etas
-    (no recipe candidate can then be full), and the joint check of a kept
-    chunk's candidates whose psi/eta or chi/phi are comparable.
+    samples on, the first valid candidate ends the search.  So the search
+    runs in two passes.  The first finds the candidate that ends it: the
+    recipe's full ones (unless a is majorized by each recipe eta, when none
+    can be full), then each chunk's full ones and, from a fifth of the
+    samples on, its valid ones.  The second runs only when no full
+    candidate ends the search, and re-checks the recipe and the candidates
+    before a fifth of the samples (drawn again past the kept draws) for
+    the first valid one.
 
     Candidates are ranked on partial sums alone; the only totals check is
     coop_validate's re-certification of the winner.  Where every total
@@ -744,55 +737,40 @@ def coop_construct(a, b, seed=0, fallback_samples=10**5):
     recipe = list(_coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
     pair = _coop_pair(sa, sb)
 
-    # The winner is the candidate the one-by-one scan would stop at,
-    # re-certified by coop_validate; waiting holds the checks that wait, in
-    # scan order, while first_valid is None
-    first_valid, waiting = None, []
-    if recipe:
-        if _recipe_can_wait(pair, recipe):
-            waiting.append(lambda: _first_valid(pair, _recipe_rows(recipe), "recipe"))
-        else:
-            rows = _recipe_rows(recipe)
-            full, rest = _coop_flags(pair, rows)
-            if full.any():
-                j = full.argmax()
-                return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
-            first_valid = _first_valid(pair, rows, "recipe", rest)
+    # pass 1: the first full row, or from late on the first valid row; a
+    # plan whose four cross pairs are all incomparable wins over the
+    # recipe's partially-comparable one
+    if recipe and not _recipe_can_wait(pair, recipe):
+        rows = _recipe_rows(recipe)
+        full = _coop_flags(pair, rows)[0]
+        if full.any():
+            j = full.argmax()
+            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
     tried = len(recipe)
-
-    # randomized search; a plan whose four cross pairs are all incomparable
-    # wins over the recipe's partially-comparable one, and once a fifth of
-    # the samples are spent the next valid plan ends the search
     late = fallback_samples // 5
     stream = _coop_stream(seed)
-    drawn = fallback_samples
+    drawn, stopped = fallback_samples, None
     for rows in stream.chunks(fallback_samples):
         full, rest = _coop_flags(pair, rows)
-        end = rows.start + rows.size
         stop = full
-        if late < end:  # from late on, the first valid row ends the search
-            if first_valid is None:
-                first_valid, waiting = _settle(waiting), []
-            valid = full | _joint_ok(pair, rows, rest)
-            if first_valid is None and valid.any():
-                j = valid.argmax()
-                first_valid = rows.chi[j], rows.eta[j], "fallback"
-            stop = full | (valid & (rows.index >= late))
-        elif first_valid is None and not full.any():
-            waiting.append(partial(_first_valid, pair, rows, "fallback", rest))
-            # a chunk past the kept draws is not held
-            if end > stream.end:
-                first_valid, waiting = _settle(waiting), []
+        if late < rows.start + rows.size:
+            stop = full | _joint_ok(pair, rows, rest & (rows.index >= late))
         if stop.any():
             j = stop.argmax()
             if full[j]:
                 return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "fallback", tried + rows.index[j] + 1)
             drawn = rows.index[j] + 1
+            stopped = rows.chi[j], rows.eta[j], "fallback"
             break
-    if first_valid is None:
-        first_valid = _settle(waiting)
-    if first_valid is not None:
-        return _coop_found(sa, sb, *first_valid, tried + drawn)
+
+    # pass 2, without a full row: the first valid row in scan order, a
+    # recipe row, a row before late or the row that ended pass 1
+    firsts = (_first_valid(pair, rows, "fallback") for rows in stream.chunks(late))
+    if recipe:
+        firsts = itertools.chain([_first_valid(pair, _recipe_rows(recipe), "recipe")], firsts)
+    found = next(filter(None, firsts), stopped)
+    if found is not None:
+        return _coop_found(sa, sb, *found, tried + drawn)
     raise NoPlanFound("no auxiliary pair found by recipe or randomized search")
 
 

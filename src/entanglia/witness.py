@@ -23,6 +23,7 @@ from .linalg import (
     permute_subsystems,
 )
 from .measures import check_density
+from .pairs import require_integer
 from .states import PAULI, random_unitary
 from .tolerances import FMAX_TOL, FRACTION_SEESAW_TOL, PPT_TOL, PSD_CLAMP, RANK2_SEESAW_TOL
 
@@ -79,6 +80,15 @@ def reduction_check(rho, dims, cut):
     return min(m1, m2) < -PSD_CLAMP
 
 
+def _restarts(restarts):
+    """restarts as a Python int; BadParam unless it is an integer
+    (pairs.require_integer) of at least 1."""
+    n = require_integer("restarts", restarts)
+    if n < 1:
+        raise BadParam(f"restarts = {restarts}: at least one restart is required")
+    return n
+
+
 def _polar_unitary(m):
     u, _, vh = np.linalg.svd(m)
     return u @ vh
@@ -91,6 +101,7 @@ def max_entangled_fraction(rho, dims, restarts=16, seed=0):
     polar-decomposition updates from `restarts` seeded starts (the first
     start is U = I).  Monotone in restarts by construction.
     """
+    restarts = _restarts(restarts)
     if dims is None:
         raise MissingDims("max_entangled_fraction needs subsystem dimensions")
     rho = check_density(rho)
@@ -132,6 +143,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, seed=0):
     """
     if copies < 1:
         raise BadParam(f"copies = {copies}: at least one copy is required")
+    restarts = _restarts(restarts)
     if dims is None:
         raise MissingDims("distillable_rank2 needs subsystem dimensions")
     rho = check_density(rho)

@@ -923,16 +923,16 @@ def _waiting_corpus():
 def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
     """Every path of the search gives the outcome of the one-by-one scan,
     bit for bit: plan, diagnostics, or error type and message.  The recipe
-    is certified first where one of its etas is incomparable with a, and
-    last otherwise; a chunk's rows that are valid but not full are checked
-    as it is scanned where late falls inside it (fallback 37, 300, 1000,
-    5000), and last otherwise; the pair with no valid plan in 5000 samples
-    checks them all, and PAST_KEPT's search checks the waiting ones when it
-    reaches the first chunk past the kept draws.  The seed-1 searches of
-    the paper's pairs and the perfbench anchors find a full row after
-    chunks whose checks waited (in kept chunk 2 for the first two).  Where
-    the totals sit at the edges of TRACE_TOL the checks wait alike, and the
-    outcome is the totals-free scan's."""
+    is certified first where one of its etas is incomparable with a, and in
+    the second pass otherwise; a chunk's rows that are valid but not full
+    are checked as it is scanned from late on (late falls inside a chunk at
+    fallback 37, 300, 1000, 5000), and in the second pass before late; the
+    pair with no valid plan in 5000 samples checks them all, and PAST_KEPT's
+    search ends at its full row past the kept draws without checking them.
+    The seed-1 searches of the paper's pairs and the perfbench anchors find
+    a full row after chunks whose other rows went unchecked (in kept chunk
+    2 for the first two).  Where the totals sit at the edges of TRACE_TOL
+    the passes run alike, and the outcome is the totals-free scan's."""
     groups = _waiting_corpus()
     cases = [(a, b, seed, fallback) for g in groups.values() for a, b in g for seed in (0, 1) for fallback in (0, 37, 300, 1000, 5000)]
     cases += [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
@@ -958,8 +958,9 @@ def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
             outcomes.add(want[0] if isinstance(want, tuple) else want.branch)
     assert outcomes == {"recipe", "fallback", "NoPlanFound"}
     # some kept rows of the joint-edge pair's first chunk fail their joint
-    # totals; the checks of its valid but not full rows wait as they do
-    # elsewhere, so with seed 1 the search returns the full row at 483
+    # totals; its valid but not full rows are left to the second pass as
+    # they are elsewhere, so with seed 1 the search returns the full row at
+    # 483
     a, b = _joint_edge_pair()
     for seed in range(3):
         for fallback in (5000, 10**5):
@@ -982,48 +983,85 @@ def _joint_checks(monkeypatch):
 
 
 def test_coop_checks_that_cannot_change_the_answer_wait(monkeypatch, fresh_streams):
-    """The mechanism: with seed 1, the four a1 > b1 pairs of the paper and
-    perfbench joint-check no recipe row, and the anchor (.602, .357, .041)
-    -> (.696, .171, .133) checks only the cross rows of its first chunk
-    before its full row in the second, edge totals or not; where late falls
-    in that chunk, the chunk's other kept rows are checked as it is
-    scanned; the waiting checks run at the first chunk past the kept
-    draws."""
+    """The mechanism, two passes: the first joint-checks each scanned
+    chunk's cross rows, and its other kept rows only from late on; the
+    second, which runs only when no full row ends the search, re-checks the
+    rows before late.  With seed 1, the four a1 > b1 pairs of the paper and
+    perfbench check only the cross rows of kept chunks and no recipe row;
+    the anchor (.602, .357, .041) -> (.696, .171, .133) checks only those
+    of chunks 0-1 and returns its full row there, edge totals or not.
+    With late = 200 the anchor also checks chunk 0's other rows from 200
+    on, stops at a valid one, and re-checks the kept rows of [0, 200).
+    PAST_KEPT's full row, 6891, ends its search with no other row
+    checked."""
     kept = locc._coop_stream(1).kept
     calls = _joint_checks(monkeypatch)
+
+    def checks(a, b, seed=1, **kw):
+        calls.clear()
+        plan = coop_construct(a, b, seed=seed, **kw)
+        return plan, list(calls)
+
+    def cross(a, b, chunk):
+        return ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), chunk)[1]
+
     for k in (0, 1, 3, 4):
         a, b = COOP_GOLDEN[k][:2]
-        calls.clear()
-        plan = coop_construct(a, b, seed=1)
+        plan, seen = checks(a, b)
         assert plan.branch == "fallback" and all(plan.cross_incomparable.values())
-        assert calls and all(any(chunk is c for c in kept) for chunk, _ in calls), k
+        assert seen and all(any(chunk is c for c in kept) for chunk, _ in seen), k
+        assert all(np.array_equal(rows, cross(a, b, chunk)) for chunk, rows in seen), k
     a, b = COOP_GOLDEN[6][:2]
-    cross = ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), kept[0])[1]
-    for kw, rows in (({}, cross), ({"fallback_samples": 1000}, np.ones_like(cross))):
-        calls.clear()
-        coop_construct(a, b, seed=1, **kw)
-        first = [r for chunk, r in calls if chunk.start == 0]
-        assert np.array_equal(np.logical_or.reduce(first), rows), kw
-    for edge in ((np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10)), _joint_edge_pair()):
-        edge_cross = ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(*edge)), kept[0])[1]
-        calls.clear()
-        coop_construct(*edge, seed=1)
-        assert np.array_equal(np.logical_or.reduce([r for chunk, r in calls if chunk.start == 0]), edge_cross)
+    for pair in ((a, b), (np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10)), _joint_edge_pair()):
+        plan, seen = checks(*pair)
+        assert plan.candidates == 483 and all(plan.cross_incomparable.values())
+        assert len(seen) == 2 and all(chunk is c for (chunk, _), c in zip(seen, kept))
+        assert all(np.array_equal(rows, cross(*pair, chunk)) for chunk, rows in seen)
+    plan, seen = checks(a, b, fallback_samples=1000)
+    assert plan.candidates == 215 and not all(plan.cross_incomparable.values())
+    first = cross(a, b, kept[0])
+    (c0, r0), (c1, r1), (c2, r2) = seen
+    assert c0 is kept[0] and np.array_equal(r0, first)
+    assert c1 is kept[0] and np.array_equal(r1, ~first & (kept[0].index >= 200))
+    # pass 2 re-checks the 52 kept rows of [0, 200), and finds a valid one
+    assert (c2.start, c2.size, r2.size) == (0, 200, 52) and r2.all()
+    assert np.array_equal(c2.index, kept[0].index[:52])
     # a recipe eta incomparable with a: the recipe is checked first
     a, b = _waiting_corpus()[True][0]
-    calls.clear()
-    plan = coop_construct(a, b, seed=1)
-    assert calls[0][0].start == 0 and not any(calls[0][0] is c for c in kept)
-    # a search holds no chunk past the kept draws: PAST_KEPT's waiting checks
-    # run when it reaches the first one, and find the first valid row, 270,
-    # in kept chunk 1, before the full row 6891 ends the search
+    plan, seen = checks(a, b)
+    assert seen[0][0].start == 0 and not any(seen[0][0] is c for c in kept)
     a, b, seed, fallback = PAST_KEPT
-    kept = locc._coop_stream(seed).kept
-    rest = locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), kept[1])[1]
-    calls.clear()
-    plan = coop_construct(a, b, seed=seed, fallback_samples=fallback)
+    plan, seen = checks(a, b, seed=seed, fallback_samples=fallback)
     assert (plan.branch, plan.candidates) == ("fallback", 6892)
-    assert any(chunk is kept[1] and np.array_equal(rows, rest) for chunk, rows in calls)
+    assert all(np.array_equal(rows, cross(a, b, chunk)) for chunk, rows in seen)
+
+
+def test_coop_second_pass_redraws_rows_past_the_kept_draws(monkeypatch, fresh_streams):
+    """On a 16/32 schedule with 64 draws kept, a stream keeps rows [0, 48);
+    with 300 fallback samples late = 60, so a search that ends without a
+    full row draws rows [48, 60) again in its second pass, as one chunk cut
+    at late.  The pair with no valid plan raises NoPlanFound, and a pair
+    whose first valid row, 54, lies in those rows returns it after its
+    first pass stops at row 226, as the one-by-one scan does."""
+    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
+    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
+    monkeypatch.setattr(locc, "_STREAM_DRAWS", 64)
+    calls = _joint_checks(monkeypatch)
+    redraw = _incomparable_pairs("coop-redraw", 36, a1_below_b1=True)[35]
+    outcomes = []
+    for a, b, seed in (((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457), 0), (*redraw, 35)):
+        calls.clear()
+        want = _coop_outcome(_coop_one_by_one, a, b, seed, 300, iter(()))
+        got = _coop_outcome(coop_construct, a, b, seed, 300)
+        assert _same_outcome(got, want), seed
+        assert locc._coop_stream(seed).end == 48
+        assert sum((chunk.start, chunk.size) == (48, 12) for chunk, _ in calls) == 1, seed
+        outcomes.append(got)
+    assert outcomes[0] == NO_PLAN
+    got = outcomes[1]
+    assert (got.branch, got.candidates) == ("fallback", 227) and not all(got.cross_incomparable.values())
+    row = np.random.default_rng((35, 99)).dirichlet(np.ones(3), size=(55, 2))[54]
+    assert np.array_equal(np.stack((got.chi, got.eta)), np.sort(row)[:, ::-1])
 
 
 def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):

@@ -156,6 +156,19 @@ def test_distillable_copies_bounds():
         distillable_rank2(np.ones((1, 1)), (1, 1), [0], copies=13)
 
 
+def test_seesaws_need_one_restart():
+    """Without a restart neither seesaw has a value: both raise BadParam
+    naming restarts, as they do for a count that is not an integer."""
+    rho = werner(0.6)
+    for restarts in (0, -3, 2.0, True):
+        with pytest.raises(BadParam, match="restarts"):
+            max_entangled_fraction(rho, (2, 2), restarts=restarts)
+        with pytest.raises(BadParam, match="restarts"):
+            distillable_rank2(rho, (2, 2), [0], restarts=restarts)
+    assert 0.0 <= max_entangled_fraction(rho, (2, 2), restarts=1) <= 1.0
+    assert distillable_rank2(rho, (2, 2), [0], restarts=np.int64(1)).found
+
+
 def test_reduction_equivalent_to_ppt_low_dims():
     # in 2x2 and 2x3 the reduction criterion detects exactly the NPT states
     rng = rng_for("red-iff")
