@@ -40,6 +40,7 @@ from .family_classes import FamilyReport, even_cuts  # re-exported
 from .family_classes import _check_n, direct_classes, recursive_classes, verify_classes, verify_cuts
 from .family_labels import LABELS, PAIRING
 from .linalg import projector
+from .pairs import require_integer
 from .states import BELL_KINDS, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell, ket
 from .tolerances import UPB_SEESAW_TOL
 
@@ -569,7 +570,10 @@ UPB_SEESAW_ITERS = 200
 
 def upb_unextendibility_score(trials=64, seed=0, states=None):
     """Seesaw-maximized overlap of a product state with the complement
-    subspace; a value bounded away from 1 evidences unextendibility."""
+    subspace; a value bounded away from 1 evidences unextendibility.
+    BadParam unless trials is an integer (pairs.require_integer) of at
+    least 1."""
+    trials = require_integer("trials", trials)
     if trials < 1:
         raise BadParam("trials must be >= 1")
     if trials > MAX_UPB_TRIALS:

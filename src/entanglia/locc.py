@@ -34,7 +34,6 @@ from .majorization import (
     _vectors,
     _window_affine,
     as_prob_vector,
-    compare,
     compare_rows,
     majorizes,
     sorted_padded,
@@ -46,11 +45,13 @@ from .pairs import (  # PairClass is exported from here
     PairClass,
     min_slack,
     pair_class,
+    pair_flags,
     power,
     power_copies,
     rank,
     require_copies,
     require_integer,
+    sorted_pair,
     verdict,
 )
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
@@ -67,9 +68,13 @@ from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 # 37 + 0.17 m us with the draw), so a long scan takes few chunks.  The
 # recipe's at most 35 candidates take one, about 80 us to build and certify
 # against 10-15 us to show that none of them can be full.
-# The catalyst search certifies only the grid points inside its window, whose
-# first point nearly always passes, so its chunks start at
-# _CATALYST_FIRST_CHUNK points.
+# The catalyst search certifies only the grid points inside its window.  The
+# first point of each window interval nearly always passes, so it is
+# certified alone, on the pair core; the points after it go in chunks of
+# _CATALYST_FIRST_CHUNK points, doubling.  One pair call a point would be
+# about 4x slower than the chunks on a long span.  The window itself
+# (_window_affine, about 45 us of a 60 us miss) is now most of every
+# catalyst op's cost and of split_two_copies'.
 _FIRST_CHUNK = 256
 _MAX_CHUNK = 2048
 _CATALYST_FIRST_CHUNK = 4
@@ -117,6 +122,30 @@ def vec_kron(a, b):
     """
     out = np.asarray(a, dtype=float)[..., :, None] * np.asarray(b, dtype=float)[..., None, :]
     return out.reshape(out.shape[:-2] + (-1,))
+
+
+def _listed(v):
+    """A vector as a list of Python floats."""
+    return v if type(v) is list else v.tolist()
+
+
+def _kron(s, t):
+    """vec_kron of two validated vectors, as Python products in its order."""
+    s, t = _listed(s), _listed(t)
+    return [p * q for p in s for q in t]
+
+
+def _flags(x, y):
+    """compare_rows' (fwd, bwd, equal) for two validated vectors, lists or
+    arrays, sorted or not.  Two lists of at most _SHORT entries go straight
+    to the pair core (pairs.sorted_pair on copies, then pairs.pair_flags),
+    without the array round trip of majorizes and compare; anything else
+    takes their path."""
+    if type(x) is list and type(y) is list and len(x) <= _SHORT and len(y) <= _SHORT:
+        pair = sorted_pair(x[:], y[:])
+        if pair is not None:
+            return pair_flags(*pair)
+    return _pair_flags(*_sorted_pair(*_vectors(x, y)))
 
 
 def nielsen(a, b):
@@ -227,6 +256,13 @@ def _grid_span(lo, hi, step):
     return start, last + 1
 
 
+def _catalyst_passes(sa, sb, c):
+    """compare_rows' fwd flag for a (x) (c, 1-c) and b (x) (c, 1-c), on the
+    pair core."""
+    chi = [c, 1.0 - c]
+    return _flags(_kron(sa, chi), _kron(sb, chi))[0]
+
+
 def _catalyst_grid_search(a, b, step):
     """find_catalyst_2x2's answer, with the number of grid points certified
     up to it (counted as a one-by-one scan of the window would), and a and
@@ -240,6 +276,12 @@ def _catalyst_grid_search(a, b, step):
     # slack, which leaves room for the rounding of both computations
     for lo, hi in _catalyst_window(sa, sb, 2 * MAJ_TOL):
         start, stop = _grid_span(lo, hi, step)
+        if start < stop:
+            c = 0.5 + start * step  # as numpy forms the grid point
+            certified += 1
+            if _catalyst_passes(sa, sb, c):
+                return c, certified, sa, sb
+            start += 1
         while start < stop:
             c = 0.5 + np.arange(start, min(start + next(sizes), stop)) * step
             chi = np.stack((c, 1.0 - c), axis=-1)
@@ -258,7 +300,8 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
     condition fails or no grid point works.
 
     Only the grid points inside the exact catalyst window (computed with
-    twice compare_rows' slack) are certified, a few at a time, so the
+    twice compare_rows' slack) are certified: the first of each window
+    interval alone, on the pair core, the others a few at a time.  So the
     answer is the one a scan of the whole grid returns, and a pair whose
     window holds no grid point certifies none.
     """
@@ -289,8 +332,7 @@ def catalyst_search(a, b, grid_step=1e-3):
     if window and not on_grid:
         lo, hi = max(window, key=lambda w: w[1] - w[0])
         mid = 0.5 * (lo + hi)
-        chi = (mid, 1.0 - mid)
-        if majorizes(vec_kron(sa, chi), vec_kron(sb, chi)):
+        if _catalyst_passes(sa, sb, mid):
             off_grid_c = mid
     return CatalystSearch(c, window, on_grid, certified, off_grid_c)
 
@@ -348,10 +390,12 @@ class AssistPlan:
 
 
 def _require_incomparable_3x3(a, b):
-    sa, sb = _strip(a), _strip(b)
-    if sa.size != 3 or sb.size != 3:
-        raise NotIncomparable3x3(f"need rank-3 vectors, got ranks {sa.size}, {sb.size}")
-    if compare(sa, sb) is not MajVerdict.Incomparable:
+    """a and b stripped (lists of Python floats for short input); raises
+    NotIncomparable3x3 unless both have rank 3 and are incomparable."""
+    sa, sb = _stripped(a), _stripped(b)
+    if len(sa) != 3 or len(sb) != 3:
+        raise NotIncomparable3x3(f"need rank-3 vectors, got ranks {len(sa)}, {len(sb)}")
+    if verdict(*_flags(sa, sb)) is not MajVerdict.Incomparable:
         raise NotIncomparable3x3("pair is comparable")
     return sa, sb
 
@@ -408,12 +452,19 @@ def coop_validate(a, b, chi, eta):
 
     Each vector is validated and sorted once, and each check is one pair
     call, on the numpy-free pair core for short vectors; the first check
-    that fails raises, the joint one before the cross pairs."""
+    that fails raises, the joint one before the cross pairs.  Four 3-entry
+    vectors, sorted by the validation, and their two krons, sorted once
+    here, are the pair core's input as they are."""
     sa, sb, sc, se = (_prob_sorted(np.asarray(v, dtype=float)) for v in (a, b, chi, eta))
     src, tgt = _kron(sa, sc), _kron(sb, se)
-    joint_ok = majorizes(src, tgt)
+    flags = _flags
+    if all(type(v) is list and len(v) == 3 for v in (sa, sb, sc, se)):
+        src.sort(reverse=True)
+        tgt.sort(reverse=True)
+        flags = pair_flags
+    joint_ok = bool(flags(src, tgt)[0])
     pairs = ((sa, sb), (sc, se), (sa, se), (sc, sb))
-    inc = [compare(p, q) is MajVerdict.Incomparable for p, q in pairs]
+    inc = [verdict(*flags(p, q)) is MajVerdict.Incomparable for p, q in pairs]
     return CoopPlan(
         chi=np.array(sc),
         eta=np.array(se),
@@ -421,17 +472,6 @@ def coop_validate(a, b, chi, eta):
         cross_incomparable=dict(zip(("psi_phi", "chi_eta", "psi_eta", "chi_phi"), inc)),
         margin=_min_slack(src, tgt),
     )
-
-
-def _listed(v):
-    """A vector as a list of Python floats."""
-    return v if type(v) is list else v.tolist()
-
-
-def _kron(s, t):
-    """vec_kron of two validated vectors, as Python products in its order."""
-    s, t = _listed(s), _listed(t)
-    return [p * q for p in s for q in t]
 
 
 def _min_slack(x, y):
@@ -789,9 +829,9 @@ class SplitRange:
 
 
 def _split_eta(case, x):
-    """eta for every parameter in x, one row each."""
+    """eta(x) as a list of Python floats."""
     edge = 1.0 - 2.0 * x
-    return np.stack((x, x, edge) if case == 1 else (edge, x, x), axis=-1)
+    return [x, x, edge] if case == 1 else [edge, x, x]
 
 
 def split_two_copies(a, b):
@@ -830,11 +870,11 @@ def split_two_copies(a, b):
         raise EmptyRange(f"empty parameter interval ({lo}, {hi})")
 
     e0 = _split_eta(case, 0.0)
-    e1 = _split_eta(case, 1.0) - e0
-    source = vec_kron(sa, sa)
+    e1 = [p - q for p, q in zip(_split_eta(case, 1.0), e0)]
+    source = _kron(sa, sa)
     window = _window_affine(
-        np.stack((source, vec_kron(sb, e0))),
-        np.stack((np.zeros_like(source), vec_kron(sb, e1))),
+        np.array((source, _kron(sb, e0))),
+        np.array(([0.0] * len(source), _kron(sb, e1))),
         lo,
         hi,
         MAJ_TOL,
@@ -844,13 +884,13 @@ def split_two_copies(a, b):
         raise EmptyRange(f"no eta(x) with x in ({lo}, {hi}) passes the joint check")
     start, end = max(window, key=lambda piece: piece[1] - piece[0])
     eta = _split_eta(case, start + 0.5 * (end - start))
-    target = vec_kron(sb, eta)
-    if not (majorizes(source, target) and compare(sa, eta) is MajVerdict.Incomparable):
+    target = _kron(sb, eta)
+    if not (_flags(source, target)[0] and verdict(*_flags(sa, eta)) is MajVerdict.Incomparable):
         raise EmptyRange("the interval midpoint failed the direct validation checks")
     return SplitRange(
         case=case,
         param_interval=(start, end),
-        eta=eta,
+        eta=np.array(eta),
         window=window,
         margin=_min_slack(source, target),
     )

@@ -441,3 +441,12 @@ def test_upb_restarts_bounded():
     for trials in (MAX_UPB_TRIALS + 1, 10**9):
         with pytest.raises(TooLarge):
             upb_unextendibility_score(trials=trials)
+
+
+def test_upb_trials_must_be_an_integer():
+    # 2.5 passed `trials < 1` and failed in range() with a raw TypeError;
+    # True ran one trial
+    for trials in (2.5, True):
+        with pytest.raises(BadParam, match="trials must be an integer"):
+            upb_unextendibility_score(trials=trials)
+    assert upb_unextendibility_score(trials=np.int64(2), seed=3) == upb_unextendibility_score(trials=2, seed=3)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from entanglia import locc, majorization, pairs
-from entanglia.errors import BadParam, EmptyRange, NoPlanFound, TraceMismatch
+from entanglia.errors import BadParam, Degenerate, EmptyRange, NoPlanFound, NotIncomparable3x3, TraceMismatch
 from entanglia.locc import (
     _MAX_CHUNK,
     CoopPlan,
@@ -32,7 +32,7 @@ from entanglia.locc import (
     vec_kron,
 )
 from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes
-from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL
+from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 
 from conftest import random_prob, rng_for
 
@@ -1138,12 +1138,14 @@ BAND_B = [0.45, 0.25 - 1.2e-9, 0.25 - 1.2e-9, 0.05 + 2.4e-9]
 
 def test_catalyst_grid_across_chunks(monkeypatch):
     # a 16-point cap splits a long certification into many chunks; the
-    # incomparable pairs that pass the necessary condition include misses
+    # incomparable pairs that pass the necessary condition include misses.
+    # Each window interval's first grid point is certified alone, on the
+    # pair core; the chunks start at the point after it
     monkeypatch.setattr(locc, "_MAX_CHUNK", 16)
     chunks = []
 
     def counting(x, y):
-        chunks.append(len(x))
+        chunks.append(x)
         return compare_rows(x, y)
 
     monkeypatch.setattr(locc, "compare_rows", counting)
@@ -1163,7 +1165,13 @@ def test_catalyst_grid_across_chunks(monkeypatch):
     chunks.clear()
     want = _catalyst_one_by_one(BAND_A, BAND_B, 1e-12)
     assert find_catalyst_2x2(BAND_A, BAND_B, grid_step=1e-12) == want == 0.5 + 400 * 1e-12
-    assert chunks[:4] == [4, 8, 16, 16] and sum(chunks) > 400
+    # BAND's window starts below the grid, so its first point is c_0 = 1/2,
+    # which fails; the chunks certify c_1, c_2, ... and the last holds c_400
+    sizes = [len(x) for x in chunks]
+    c1 = 0.5 + 1e-12
+    assert np.array_equal(chunks[0][0], vec_kron(np.sort(BAND_A)[::-1], [c1, 1.0 - c1]))
+    assert sizes[:4] == [4, 8, 16, 16] and 1 + sum(sizes[:-1]) <= 400 < 1 + sum(sizes)
+    assert locc.catalyst_search(BAND_A, BAND_B, 1e-12).certified == 401
 
 
 def _catalyst_corpus(key, per_dim):
@@ -1317,3 +1325,166 @@ def test_split_matches_one_by_one_scan():
             ):
                 break
         assert np.array_equal(r.eta, eta)
+
+
+# ---------------------------------------------------------------------------
+# construct's short-vector checks on the pair core
+
+
+def _row_flags(x, y):
+    """compare_rows' flags for one pair, through its stack path."""
+    return tuple(bool(f[0]) for f in compare_rows(np.asarray(x, float)[None], np.asarray(y, float)[None]))
+
+
+def _stripped_stack(v):
+    s = _schmidt_sorted(v)
+    return s[: max(int(np.count_nonzero(s > ZERO_TOL)), 1)]
+
+
+def _require_3x3_stacks(a, b):
+    """_require_incomparable_3x3 on arrays and compare_rows' stack path."""
+    sa, sb = _stripped_stack(a), _stripped_stack(b)
+    if sa.size != 3 or sb.size != 3:
+        raise NotIncomparable3x3(f"need rank-3 vectors, got ranks {sa.size}, {sb.size}")
+    if pairs.verdict(*_row_flags(sa, sb)) is not MajVerdict.Incomparable:
+        raise NotIncomparable3x3("pair is comparable")
+    return sa, sb
+
+
+def _coop_validate_stacks(a, b, chi, eta):
+    """coop_validate with each check a one-row compare_rows stack, in its
+    order: the joint check, then the cross pairs."""
+    sa, sb, sc, se = map(_schmidt_sorted, (a, b, chi, eta))
+    src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
+    joint_ok = _row_flags(src, tgt)[0]
+    names = ("psi_phi", "chi_eta", "psi_eta", "chi_phi")
+    inc = {k: pairs.verdict(*_row_flags(p, q)) is MajVerdict.Incomparable
+           for k, (p, q) in zip(names, ((sa, sb), (sc, se), (sa, se), (sc, sb)))}
+    return CoopPlan(sc, se, joint_ok, inc, _min_slack_reference(src, tgt))
+
+
+def _split_stacks(a, b):
+    """split_two_copies on arrays: the window by majorization.window_affine,
+    the midpoint's checks by compare_rows' stack path."""
+    sa, sb = _require_3x3_stacks(a, b)
+    a1, a2, a3 = sa
+    b1, b2, b3 = sb
+    if a1 - a2 <= TIE_TOL or a2 - a3 <= TIE_TOL:
+        raise Degenerate("source Schmidt coefficients must be strictly distinct")
+    case = 1 if a1 < b1 else 2
+    if case == 1:
+        lo = max((a1 + a2) / 2.0, a1**2 / b1, (1.0 - a3**2 / b3) / 2.0)
+        hi = min(a1, 0.5 - INTERVAL_MARGIN)
+    else:
+        lo = a3
+        hi = min((1.0 - a1) / 2.0, (1.0 - a1**2 / b1) / 2.0, a3**2 / b3)
+    if lo >= hi - INTERVAL_MARGIN:
+        raise EmptyRange(f"empty parameter interval ({lo}, {hi})")
+
+    def eta_of(x):
+        return np.array([x, x, 1.0 - 2.0 * x] if case == 1 else [1.0 - 2.0 * x, x, x])
+
+    source = vec_kron(sa, sa)
+    e0 = eta_of(0.0)
+    window = majorization.window_affine(source, np.zeros(9), vec_kron(sb, e0), vec_kron(sb, eta_of(1.0) - e0), lo, hi)
+    window = [(p, q) for p, q in window if p < q - INTERVAL_MARGIN]
+    if not window:
+        raise EmptyRange(f"no eta(x) with x in ({lo}, {hi}) passes the joint check")
+    start, end = max(window, key=lambda piece: piece[1] - piece[0])
+    eta = eta_of(start + 0.5 * (end - start))
+    target = vec_kron(sb, eta)
+    if not (_row_flags(source, target)[0] and pairs.verdict(*_row_flags(sa, eta)) is MajVerdict.Incomparable):
+        raise EmptyRange("the interval midpoint failed the direct validation checks")
+    return locc.SplitRange(case, (start, end), eta, window, _min_slack_reference(source, target))
+
+
+def _plan_key(p):
+    return (p.chi.dtype, _bits(p.chi), _bits(p.eta), p.joint_ok, type(p.joint_ok),
+            tuple(p.cross_incomparable.items()), _bits(p.margin))
+
+
+def _split_key(r):
+    return (r.case, r.param_interval, r.window, r.eta.dtype, _bits(r.eta), _bits(r.margin))
+
+
+def _short_vector_inputs(count):
+    """Seeded (a, b, chi, eta) of 3-vectors: every other (a, b) incomparable,
+    a fifth of chi or eta with a zero entry, a sixth of the pairs with a
+    total at the TRACE_TOL edge and a tenth of the a rank 3 but 40 entries
+    long."""
+    rng = rng_for("short-vector-checks")
+    edge = TRACE_TOL - 2.0**-51
+    for i in range(count):
+        a, b = random_prob(3, rng), random_prob(3, rng)
+        while i % 2 and compare(a, b) is not MajVerdict.Incomparable:
+            a, b = random_prob(3, rng), random_prob(3, rng)
+        chi, eta = random_prob(3, rng), random_prob(3, rng)
+        if i % 5 == 0:
+            p = float(rng.uniform(0.5, 1.0))
+            chi, eta = (np.array([p, 1.0 - p, 0.0]), eta) if i % 10 else (chi, np.array([p, 1.0 - p, 0.0]))
+        if i % 6 == 1:  # a gap of up to twice TRACE_TOL between the totals
+            a, b = a * (1.0 + (i % 4) * 2.5e-10), b * (1.0 - (i % 3) * 4.99e-10)
+        elif i % 6 == 3:
+            a = a + np.array([0.0, 0.0, edge if i % 4 == 1 else -edge])
+        if i % 10 == 7:
+            a = np.concatenate((a, np.zeros(37)))
+        yield a, b, chi, eta
+
+
+def test_short_vector_checks_match_compare_rows_stacks():
+    """The pair-core checks of coop_validate, the 3x3 precondition and
+    split2, and the helper under them, give the flags, margins, errors and
+    messages of compare_rows and window_affine on numpy stacks."""
+    seen = set()
+    for a, b, chi, eta in _short_vector_inputs(1200):
+        sa, sb, sc, se = (majorization._prob_sorted(np.asarray(v, dtype=float)) for v in (a, b, chi, eta))
+        for x, y in ((sa, sb), (sc, se), (locc._kron(sa, sc), locc._kron(sb, se)), (np.asarray(sa), sb)):
+            got = _outcome(lambda: tuple(map(bool, locc._flags(x, y))))
+            assert got == _outcome(_row_flags, x, y), (x, y)
+        got = _outcome(lambda: _plan_key(coop_validate(a, b, chi, eta)))
+        assert got == _outcome(lambda: _plan_key(_coop_validate_stacks(a, b, chi, eta))), (a, b, chi, eta)
+        got = _outcome(lambda: tuple(map(_bits, locc._require_incomparable_3x3(a, b))))
+        assert got == _outcome(lambda: tuple(map(_bits, _require_3x3_stacks(a, b)))), (a, b)
+        split = _outcome(lambda: _split_key(split_two_copies(a, b)))
+        assert split == _outcome(lambda: _split_key(_split_stacks(a, b))), (a, b)
+        seen.add(split[0][0])
+        seen.add(got[0][0])
+        if got[0][0] == "value":
+            seen.add(type(locc._require_incomparable_3x3(a, b)[0]))
+        seen.add(_outcome(coop_validate, a, b, chi, eta)[0][0])
+    # answers and both NotIncomparable3x3 messages, split2's EmptyRange and
+    # TraceMismatch, and a stripped vector on each path
+    assert {"value", "NotIncomparable3x3", "EmptyRange", "TraceMismatch", list, np.ndarray} <= seen
+
+
+def test_short_vector_checks_make_no_numpy_comparison(monkeypatch):
+    """A catalyst hit at its first grid point, split2 and coop_validate on
+    3-vectors go straight to the pair core: no compare_rows, no majorizes
+    or compare (majorization._pair_flags) and no array round trip
+    (locc._pair_flags), but for the catalyst filter's one classification.
+    A rank-3 vector longer than _SHORT takes the round trip."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(locc, "compare_rows", counted("compare_rows", compare_rows))
+    monkeypatch.setattr(majorization, "_pair_flags", counted("majorization", majorization._pair_flags))
+    monkeypatch.setattr(locc, "_pair_flags", counted("locc", locc._pair_flags))
+    search = locc.catalyst_search(CAT_A, CAT_B)
+    assert (search.c, search.certified) == (0.6, 1)
+    assert find_catalyst_2x2(CAT_A, CAT_B) == 0.6
+    assert calls == ["locc", "locc"]
+    calls.clear()
+    a, b, case, interval, eta = SPLIT_GOLDEN[0]
+    assert split_two_copies(a, b).param_interval == interval
+    a, b, chi, eta = COOP_GOLDEN[0]
+    assert coop_validate(a, b, chi, eta).valid
+    assert calls == []
+    long_a = list(a) + [0.0] * (pairs._SHORT + 5)
+    assert coop_validate(long_a, b, chi, eta).valid
+    assert "locc" in calls
