@@ -346,7 +346,7 @@ def cmd_coop(args):
         "joint_ok": plan.joint_ok,
         "cross_incomparable": plan.cross_incomparable,
         **_sum_table(vec_kron(a, plan.chi), vec_kron(b, plan.eta), ("joint_source", "joint_target")),
-        "diagnostics": {"branch": plan.branch, "candidates": plan.candidates, "margin": plan.margin},
+        "diagnostics": {"cell": plan.cell, "margin": plan.margin},
     }
 
 

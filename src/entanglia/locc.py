@@ -4,8 +4,9 @@ entanglement assistance and mutual cooperation.
 
 States enter as Schmidt vectors (descending probabilities).  Every plan
 emitted by the constructive routines is certified by the direct
-product-vector majorization check before it is returned, so search
-heuristics affect completeness, never soundness.
+product-vector majorization check before it is returned: the catalyst
+grid and the cooperation LP decide which plan is found, the check whether
+it is returned.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .majorization import (
     as_prob_vector,
     compare_rows,
     majorizes,
-    sorted_padded,
 )
 from .measures import binary_entropy
 from .pairs import (  # PairClass is exported from here
@@ -56,35 +54,16 @@ from .pairs import (  # PairClass is exported from here
 )
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
 
-# Searches certify candidates a chunk at a time; chunks double from the
-# first size up to the cap, so an early winner costs little and a long scan
-# keeps its arrays small.  A cooperation chunk keeps only the rows whose chi
-# and eta are incomparable, about a quarter of the fallback draws.  Its
-# fixed cost is large against its per-row cost (2-core x86, numpy 2.4.6, on
-# the paper's pairs: a kept chunk of m draws takes about 30 + 0.01 m us to
-# find its full rows, the joint check of its other kept rows, which a search
-# runs only where they can change its answer, 25 + 0.065 m us more, and
-# drawing and keeping it 60 + 0.06 m us; checking every drawn row took
-# 37 + 0.17 m us with the draw), so a long scan takes few chunks.  The
-# recipe's at most 35 candidates take one, about 80 us to build and certify
-# against 10-15 us to show that none of them can be full.
 # The catalyst search certifies only the grid points inside its window.  The
 # first point of each window interval nearly always passes, so it is
 # certified alone, on the pair core; the points after it go in chunks of
-# _CATALYST_FIRST_CHUNK points, doubling.  One pair call a point would be
-# about 4x slower than the chunks on a long span.  The window itself
-# (_window_affine, about 45 us of a 60 us miss) is now most of every
+# _CATALYST_FIRST_CHUNK points, doubling up to _MAX_CHUNK, so an early hit
+# costs little and a long span keeps its arrays small.  One pair call a
+# point would be about 4x slower than the chunks on a long span.  The window
+# itself (_window_affine, about 45 us of a 60 us miss) is now most of every
 # catalyst op's cost and of split_two_copies'.
-_FIRST_CHUNK = 256
 _MAX_CHUNK = 2048
 _CATALYST_FIRST_CHUNK = 4
-# The cooperation fallback draws and keeps the chunks of its first
-# _STREAM_DRAWS draws (the first four) at once, when a search first asks
-# for its seed (0.5-0.8 ms), for each of the last _STREAM_SEEDS seeds
-# searched: 88 bytes of column sums and stream index a kept row, so at most
-# 330 KiB a seed and 2.6 MiB in all; seeds 0-3 keep 82-84 KiB each.
-_STREAM_DRAWS = 3840
-_STREAM_SEEDS = 8
 
 
 def _chunk_sizes(first):
@@ -436,10 +415,9 @@ class CoopPlan:
     # min over k < d of S_k(b (x) eta) - S_k(a (x) chi): how far the joint
     # conversion is from failing (joint_ok needs it >= -MAJ_TOL)
     margin: float | None = None
-    # set by coop_construct: "recipe" or "fallback", whichever found the
-    # plan, and how many candidates a one-by-one scan certifies up to it
-    branch: str | None = None
-    candidates: int = 0
+    # set by coop_construct: the order cell whose LP gave the plan, as its
+    # chain of b (x) eta entries and the signs of chi/eta, psi/eta, chi/phi
+    cell: str | None = None
 
     @property
     def valid(self):
@@ -480,338 +458,201 @@ def _min_slack(x, y):
     return min_slack(sorted(_listed(x), reverse=True), sorted(_listed(y), reverse=True))
 
 
-def _sorted_columns(v):
-    """The rows of a (..., 3) stack sorted descending, as three columns.
+# The cooperation LP.  For sorted 3-vectors of one total, x is majorized by
+# y iff x1 <= y1 and x1 + x2 <= y1 + y2, so each cross pair is incomparable
+# with a fixed sign when two partial-sum differences are positive.  The k
+# largest entries of v (x) x, for sorted v and x, form an order ideal of the
+# 3x3 grid of products v_i x_j, so S_k(a (x) chi) <= s iff every ideal of
+# size k sums to at most s; S_k(b (x) eta) is at least the sum over any one
+# ideal of size k, and equals it for the ideal of a chain that follows the
+# order of b (x) eta's entries.  An order cell fixes a chain and the three
+# signs; every check g >= t with margin t is then linear in sorted chi =
+# (c1, c2, c3) and eta = (e1, e2, e3), and is the LP row t - g <= 0.  The
+# variables are s1 = c1 - c2, s2 = c2 - c3, s3 = e1 - e2, s4 = e2 - e3 and
+# s5 = t + 1, all >= 0, so s = 0 (chi and eta uniform, t = -1) is a vertex
+# of every cell's LP.
 
-    A three-comparator min/max network: the values are exactly np.sort's.
-    """
-    hi, lo = np.maximum(v[..., 0], v[..., 1]), np.minimum(v[..., 0], v[..., 1])
-    mid, low = np.maximum(lo, v[..., 2]), np.minimum(lo, v[..., 2])
-    return np.maximum(hi, mid), np.minimum(hi, mid), low
+# Affine forms in s as (coefficients of s1..s5, constant): t, and the
+# partial sums X_l, l = 0..3, of chi = (1 + 2 s1 + s2, 1 - s1 + s2, 1 - s1 -
+# 2 s2) / 3 and of eta, the same in s3 and s4.
+_T = np.array((0.0, 0.0, 0.0, 0.0, 1.0, -1.0))
+_X_CHI = np.array(((0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 1), (1, 2, 0, 0, 0, 2), (0, 0, 0, 0, 0, 3))) / 3.0
+_X_ETA = _X_CHI[:, [2, 3, 0, 1, 4, 5]]
 
+# The 18 nonempty proper order ideals of the 3x3 grid, as row lengths: cell
+# (i, j) lies in ideal lam iff j < lam[i], so the ideal sums v_i x_j to
+# sum_i v_i X_{lam[i]}(x); as those forms, without v, for chi and for eta.
+_IDEALS = [lam for lam in itertools.product(range(4), repeat=3) if lam[0] >= lam[1] >= lam[2] and 0 < sum(lam) < 9]
+_IDEAL_SUMS = np.array((_X_CHI[np.array(_IDEALS)], _X_ETA[np.array(_IDEALS)]))
 
-def _column_sums(x1, x2, x3):
-    """Sorted columns x1 >= x2 >= x3 of one shape as one stack (x2, x3, x1,
-    x1 + x2, (x1 + x2) + x3): rows 0-2 are the entries and rows 2-4 the
-    partial sums that compare_rows' cumsum makes."""
-    cx = x1 + x2
-    return np.array((x2, x3, x1, cx, cx + x3))
-
-
-def _incomparable_sums(x, y):
-    """compare_rows(x, y).incomparable for 3-entry rows given as two
-    _column_sums stacks of one shape, wherever the totals of a row agree
-    within TRACE_TOL (compare_rows raises elsewhere; no total is checked
-    here): neither side's partial sums all within MAJ_TOL of the other's,
-    nor every entry.
-
-    On sorted 3-vectors majorization is x1 <= y1 and x1 + x2 <= y1 + y2 once
-    the totals agree.  The partial sums, tolerance tests and close rule are
-    compare_rows' own, so every such flag is bit for bit its flag.
-    """
-    fwd = (x[2:] <= y[2:] + MAJ_TOL).all(axis=0)
-    bwd = (y[2:] <= x[2:] + MAJ_TOL).all(axis=0)
-    close = (abs(x[:3] - y[:3]) <= MAJ_TOL).all(axis=0)
-    return ~(fwd | bwd | close)
-
-
-class _CoopChunk(NamedTuple):
-    """Rows start to start + size - 1 of a stream of cooperation candidates,
-    of which only the rows whose chi and eta are incomparable are kept: no
-    other row can be valid."""
-
-    start: int
-    size: int
-    index: np.ndarray  # the kept rows' stream indices, ascending
-    # (5, 2, k): the _column_sums of the kept rows' chi ([:, 0]) and eta
-    # ([:, 1]), so that their entries are rows 0-2, in the order x2, x3, x1
-    sums: np.ndarray
-
-    @property
-    def chi(self):
-        return self.sums[:3, 0].T
-
-    @property
-    def eta(self):
-        return self.sums[:3, 1].T
-
-    def head(self, m):
-        """The chunk cut to its first m rows."""
-        if m >= self.size:
-            return self
-        k = int(np.searchsorted(self.index, self.start + m))
-        return self._replace(size=m, index=self.index[:k], sums=self.sums[:, :, :k])
+# The cross pairs' differences with sign +, X_1(x) - X_1(y) and X_2(y) -
+# X_2(x) for (x, y) = (chi, eta), (psi, eta), (chi, phi), without psi's and
+# phi's entries; c3 >= 0 and e3 >= 0 as rows X_2 - X_3 <= 0.
+_CROSS = (np.array((_X_CHI[1:3] - _X_ETA[1:3], -_X_ETA[1:3], _X_CHI[1:3])) * ((1.0,), (-1.0,))).reshape(6, 6)
+_SIMPLEX = np.array((_X_CHI[2] - _X_CHI[3], _X_ETA[2] - _X_ETA[3]))
 
 
-def _coop_chunk(pairs, start=0):
-    """The chunk of an (n, 2, 3) stack of candidates (chi_i, eta_i) whose
-    first row is row start of its stream."""
-    sums = _column_sums(*_sorted_columns(pairs.transpose(1, 0, 2)))
-    (index,) = _incomparable_sums(sums[:, 0], sums[:, 1]).nonzero()
-    # take, unlike sums[:, :, index], returns a C-ordered stack, which the
-    # kernel reads several times faster
-    return _CoopChunk(start, len(pairs), index + start, sums.take(index, axis=2))
+def _chains(lam=(0, 0, 0)):
+    """The chains of ideals from lam up to the whole grid, as the cells (i,
+    j) they add one at a time: from the empty ideal, the 42 orders of b (x)
+    eta's entries that sorted b and eta allow."""
+    if lam == (3, 3, 3):
+        yield ()
+    for i in range(3):
+        if lam[i] < 3 and (i == 0 or lam[i - 1] > lam[i]):
+            for rest in _chains(lam[:i] + (lam[i] + 1,) + lam[i + 1 :]):
+                yield ((i, lam[i]),) + rest
 
 
-class _CoopPair(NamedTuple):
-    """The pair (a, b) of one cooperation search, in the forms its chunk
-    checks read, computed once a search."""
-
-    sa: np.ndarray
-    sb: np.ndarray
-    # (5, 2): the _column_sums of b ([:, 0], against chi) and of a ([:, 1],
-    # against eta)
-    ends: np.ndarray
+def _chain_rows(cells):
+    """For each ideal J, the index of the chain's ideal of J's size."""
+    lam, grown = [0, 0, 0], []
+    for i, _ in cells[:-1]:
+        lam[i] += 1
+        grown.append(_IDEALS.index(tuple(lam)))
+    return np.array([grown[sum(lam) - 1] for lam in _IDEALS])
 
 
-def _coop_pair(sa, sb):
-    return _CoopPair(sa, sb, _column_sums(*np.array((sb, sa)).T))
+# every chain, named by its order of the entries b_i eta_j as "ij>ij>...",
+# and every sign pattern of (chi/eta, psi/eta, chi/phi), "+" where the
+# first vector's largest entry is the larger, with its sign for each row
+_CHAINS = {">".join(f"{i + 1}{j + 1}" for i, j in cells): _chain_rows(cells) for cells in _chains()}
+_SIGNS = {
+    "".join(signs): np.repeat([1.0 if c == "+" else -1.0 for c in signs], 2)[:, None]
+    for signs in itertools.product("+-", repeat=3)
+}
+# The cells that hold a plan wherever any cell does, by whether a1 > b1,
+# in the order tried: the first holds one for nearly every pair, the others
+# the best plan of pairs near comparability, where the first may hold none
+# (measured on seeded pairs; the sweep over every cell is the guarantee).
+_FAST_CELLS = {
+    True: tuple(
+        (chain, "--+")
+        for chain in ("11>21>31>12>13>22>23>32>33", "11>21>12>13>31>22>23>32>33", "11>21>12>13>22>23>31>32>33")
+    ),
+    False: tuple((chain, "++-") for chain in ("11>12>21>22>31>32>13>23>33", "11>12>21>31>22>32>13>23>33")),
+}
 
 
-def _coop_flags(pair, chunk):
-    """coop_validate over a chunk of candidates, as far as every search
-    needs it: the masks full and rest of its kept rows.  full holds the
-    rows that are valid with all four cross pairs incomparable (psi_phi
-    holds for every pair coop_construct accepts), rest the rows whose
-    psi/eta and chi/phi are not both incomparable.
+def _lp_max(rows, rhs):
+    """max s[-1] over s >= 0 with rows s <= rhs, for rhs >= 0 and a bounded
+    feasible set: (s, y), an optimal s and a dual certificate y >= 0 with
+    rows^T y >= e_last and rhs . y = s[-1].
 
-    Every kept row has chi and eta incomparable, so it is valid iff its
-    9-entry joint check passes.  That check runs here on the other rows
-    only; a row of rest is valid iff _joint_ok passes it, which the search
-    asks only where a row that is valid but not full can change its answer.
+    A dense tableau simplex from the vertex s = 0, which needs no phase 1.
+    The entering column has the most negative reduced cost, and after the
+    first pivot that does not move, the lowest index (Bland's rule, which
+    cannot cycle), as does the leaving row among ties.  Entries within
+    ZERO_TOL of 0 count as 0.  Every product is elementwise, with no BLAS
+    call, so the answer does not depend on the BLAS build."""
+    m, n = rows.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = rows
+    tab[:m, n:-1].flat[:: m + 1] = 1.0
+    tab[:m, -1] = rhs
+    tab[m, n - 1] = -1.0
+    cost, bound = tab[m, :-1], tab[:m, -1]
+    basis = np.arange(n, n + m)
+    ratio = np.empty(m)
+    bland = False
+    while True:
+        e = (cost < -ZERO_TOL).argmax() if bland else cost.argmin()
+        if cost[e] >= -ZERO_TOL:
+            break
+        col = tab[:m, e]
+        ratio.fill(np.inf)
+        np.divide(bound, col, out=ratio, where=col > ZERO_TOL)
+        r = ratio.argmin()
+        if bland:
+            ties = np.flatnonzero(ratio == ratio[r])
+            r = ties[basis[ties].argmin()]
+        bland = bland or ratio[r] <= ZERO_TOL
+        row = tab[r] / col[r]
+        tab -= tab[:, e, None] * row
+        tab[r] = row
+        basis[r] = e
+    s = np.zeros(n + m)
+    s[basis] = bound
+    return s[:n], tab[m, n:-1]
 
-    No total is checked: the flags read partial sums alone, and are
-    coop_validate's on every row whose totals agree within TRACE_TOL.
-    coop_construct re-certifies its winner with coop_validate, which raises
-    TraceMismatch for a winner whose totals do not.
-    """
-    against = np.empty_like(chunk.sums)  # of one shape: broadcasting is slower
-    against[...] = pair.ends[..., None]
-    cross = _incomparable_sums(chunk.sums, against).all(axis=0)
-    rest = ~cross
-    return _joint_ok(pair, chunk, cross), rest
+
+def _coop_tables(sa, sb):
+    """A pair's forms of every cell's checks: the ideals' sums of a (x) chi
+    and of b (x) eta, which a chain pairs by size, and the cross pairs'
+    differences with sign +."""
+    a1, a2, _ = sa
+    b1, b2, _ = sb
+    ideal_a, ideal_b = (np.array((sa, sb), dtype=float)[:, None, :, None] * _IDEAL_SUMS).sum(axis=2)
+    cross = _CROSS.copy()
+    cross[2:, 5] += (a1, -(a1 + a2), -b1, b1 + b2)
+    return ideal_a, ideal_b, cross
 
 
-def _joint_ok(pair, chunk, rows):
-    """The mask rows of the chunk's kept rows with every row whose joint
-    check a (x) chi -> b (x) eta fails cleared, in place: compare_rows' fwd
-    flag on partial sums alone, the total check left out."""
-    (index,) = rows.nonzero()
-    if index.size:
-        xs, ys = sorted_padded(vec_kron(pair.sa, chunk.chi[index]), vec_kron(pair.sb, chunk.eta[index]))
-        rows[index] = (xs.cumsum(axis=-1) <= ys.cumsum(axis=-1) + MAJ_TOL).all(axis=-1)
-    return rows
+def _coop_cell(tables, chain, signs):
+    """The best plan of one cell: (t, chi, eta, y), with chi and eta as
+    lists of Python floats, and y the LP's dual certificate."""
+    ideal_a, ideal_b, cross = tables
+    rows = np.concatenate((_T - ideal_b[_CHAINS[chain]] + ideal_a, _T - _SIGNS[signs] * cross, _SIMPLEX))
+    s, y = _lp_max(rows[:, :5], -rows[:, 5])
+    s1, s2, s3, s4, s5 = s.tolist()
+    chi = [(1.0 + 2.0 * s1 + s2) / 3.0, (1.0 - s1 + s2) / 3.0, (1.0 - s1 - 2.0 * s2) / 3.0]
+    eta = [(1.0 + 2.0 * s3 + s4) / 3.0, (1.0 - s3 + s4) / 3.0, (1.0 - s3 - 2.0 * s4) / 3.0]
+    return s5 - 1.0, chi, eta, y
 
 
-def _first_valid(pair, chunk, branch):
-    """The first valid row of the chunk's kept rows, as (chi, eta, branch),
-    or None."""
-    valid = _joint_ok(pair, chunk, np.ones(chunk.index.size, dtype=bool))
-    if valid.any():
-        j = valid.argmax()
-        return chunk.chi[j], chunk.eta[j], branch
+def _coop_plan(sa, sb, found, cell):
+    """coop_validate's plan of a cell's optimum found = (t, chi, eta, y),
+    tagged with the cell, if t > MAJ_TOL and the plan is valid with all four
+    cross pairs incomparable; else None."""
+    t, chi, eta, _ = found
+    if t <= MAJ_TOL:
+        return None
+    plan = coop_validate(sa, sb, chi, eta)
+    if plan.joint_ok and all(plan.cross_incomparable.values()):
+        return replace(plan, cell=" ".join(cell))
     return None
 
 
-def _draw(rng, m):
-    """The next m fallback candidates: an (m, 2, 3) stack of (chi_i, eta_i)."""
-    return rng.dirichlet(np.ones(3), size=(m, 2))
+def coop_construct(a, b, seed=0):
+    """Auxiliary pair (chi, eta) making the joint conversion a (x) chi ->
+    b (x) eta pass with certainty, with all four cross pairs incomparable.
 
+    Each order cell (a chain of b (x) eta's entries and the signs of the
+    three cross pairs with chi or eta) makes every check linear, and a
+    small LP finds the cell's plan of largest margin t, the least slack of
+    its checks.  A plan needs t > MAJ_TOL, so that each incomparability
+    holds beyond compare's tolerance, and coop_validate's certificate with
+    all four cross pairs incomparable.  The cells that _FAST_CELLS picks by
+    whether a1 > b1 are tried first; only when none of them gives a plan
+    are all 42 x 8 cells solved, and their plans tried in order of margin.
+    The plan is coop_validate's and names its cell; NoPlanFound names the
+    best margin over all cells.  Where a total sits at the edge of
+    TRACE_TOL, coop_validate may raise TraceMismatch for the plan: no
+    uncertified plan is returned.
 
-class _CoopStream(NamedTuple):
-    """The fallback candidates of one seed, drawn from default_rng((seed,
-    99)) in the search's chunks: the kept chunks of its first end rows,
-    then chunks drawn from a generator that continues from the state after
-    them, which are not kept.  Generator.dirichlet draws row by row, so
-    every chunk holds the rows one draw of the whole stream holds."""
-
-    kept: tuple  # chunks, in stream order
-    end: int  # rows kept
-    state: dict  # the bit generator's state after them
-    size: int  # the size of the chunk after them
-
-    def chunks(self, stop):
-        """The chunks of rows 0 to stop - 1, the last one cut at stop."""
-        for chunk in self.kept:
-            if chunk.start >= stop:
-                return
-            yield chunk.head(stop - chunk.start)
-        if self.end < stop:
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = self.state
-            sizes, start = _chunk_sizes(self.size), self.end
-            while start < stop:
-                m = min(next(sizes), stop - start)
-                yield _coop_chunk(_draw(rng, m), start)
-                start += m
-
-
-# 8 seeds is a memory bound, not a measured working set: every workload
-# and the CLI search one seed per process
-@lru_cache(maxsize=_STREAM_SEEDS)
-def _coop_stream(seed):
-    """The stream of a seed, kept for the last _STREAM_SEEDS seeds: its
-    chunks (_FIRST_CHUNK rows, doubling up to _MAX_CHUNK) while they end
-    within _STREAM_DRAWS rows.  Whatever fallback_samples is, it keeps at
-    most _STREAM_DRAWS rows of 88 bytes, 330 KiB.  A stream
-    follows the chunk schedule it was built under;
-    _coop_stream.cache_clear() drops it once the schedule is changed."""
-    rng = np.random.default_rng((seed, 99))
-    kept, end, sizes = [], 0, _chunk_sizes(_FIRST_CHUNK)
-    while end + (size := next(sizes)) <= _STREAM_DRAWS:
-        kept.append(_coop_chunk(_draw(rng, size), end))
-        end += size
-    return _CoopStream(tuple(kept), end, rng.bit_generator.state, size)
-
-
-def _coop_case1_candidates(sa, sb):
-    """Recipe for a1 > b1: chi = (b1, b1, b2), eta = (a1, a2, a2) shapes, as
-    tuples of Python floats; the candidates of one margin share one eta."""
-    a1, a2, a3 = map(float, sa)
-    b1, b2, b3 = map(float, sb)
-    ratio0 = max(a1 / a2, b1 / b3)
-    for margin in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0):
-        ratio = ratio0 * margin
-        alpha2 = 1.0 / (ratio + 2.0)
-        alpha1 = ratio * alpha2
-        lower = max(
-            alpha2 * b3 / a3,
-            alpha2 * (b2 + 2.0 * b3),
-            (alpha2 * (2.0 - b1) - a3) / (1.0 - a3),
-            1.0 - alpha1 * (b1 + b2) / a1,
-            1.0 - 2.0 * alpha1,
-            0.0,
-        )
-        upper = min(a3 / (2.0 * a1 + a3), 1.0 / 3.0, alpha2)
-        if lower >= upper:
-            continue
-        eta = (alpha1, alpha2, alpha2)
-        for frac in (0.05, 0.25, 0.5, 0.75, 0.95):
-            beta2 = lower + frac * (upper - lower)
-            beta1 = (1.0 - beta2) / 2.0
-            yield (beta1, beta1, beta2), eta
-
-
-def _recipe_can_wait(pair, recipe):
-    """Whether the recipe can be left to the search's second pass, which
-    runs only when no full row ends it: a is majorized by each distinct
-    recipe eta, tested as the chunk tests it (the partial sums of the
-    sorted eta against a's, within MAJ_TOL), so that no recipe row can be
-    full.  The recipe yields one eta object per margin, so comparing each
-    eta with the one before by identity finds the distinct ones."""
-    etas = [eta for _, eta in recipe]
-    etas = [sorted(eta, reverse=True) for eta, last in zip(etas, [None] + etas) if eta is not last]
-    a1, a12, ta = pair.ends[2:, 1].tolist()
-    return all(
-        a1 <= e1 + MAJ_TOL and a12 <= e1 + e2 + MAJ_TOL and ta <= e1 + e2 + e3 + MAJ_TOL
-        for e1, e2, e3 in etas
-    )
-
-
-def _recipe_rows(recipe):
-    """The recipe's candidates as one chunk."""
-    # np.fromiter on the flat entries: np.array on the nested tuples takes
-    # twice as long
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(recipe))
-    return _coop_chunk(np.fromiter(flat, float).reshape(-1, 2, 3))
-
-
-def _coop_found(sa, sb, chi, eta, branch, candidates):
-    """coop_validate's plan, tagged with how coop_construct found it."""
-    return replace(coop_validate(sa, sb, chi, eta), branch=branch, candidates=int(candidates))
-
-
-def _nonnegative(name, v):
-    """v as a Python int; BadParam naming v unless it is an integer
-    (pairs.require_integer) of at least 0."""
-    n = require_integer(name, v)
-    if n < 0:
-        raise BadParam(f"{name} = {v} must be at least 0")
-    return n
-
-
-def coop_construct(a, b, seed=0, fallback_samples=10**5):
-    """Auxiliary incomparable pair (chi, eta) making the joint conversion
-    a (x) chi -> b (x) eta pass with certainty.
-
-    Tries the a1 > b1 recipe first, then a seeded randomized search; every
-    candidate is certified by the direct majorization check, and a
-    candidate whose four cross pairs are all incomparable is preferred.
-    The plan records which branch found it and how many candidates were
-    certified up to it.
-
-    The recipe's at most 35 candidates are certified as one chunk, the
-    randomized ones a chunk at a time.  Those of a seed, and which of them
-    have chi and eta incomparable, do not depend on a and b: the first
-    _STREAM_DRAWS are drawn at once, when a search first asks for the
-    seed, and kept for the last _STREAM_SEEDS seeds (_coop_stream).  Plans,
-    diagnostics and errors do not depend on the cache.
-
-    The answer is the first full candidate in scan order (the recipe, then
-    the randomized ones), else the first valid one; from a fifth of the
-    samples on, the first valid candidate ends the search.  So the search
-    runs in two passes.  The first finds the candidate that ends it: the
-    recipe's full ones (unless a is majorized by each recipe eta, when none
-    can be full), then each chunk's full ones and, from a fifth of the
-    samples on, its valid ones.  The second runs only when no full
-    candidate ends the search, and re-checks the recipe and the candidates
-    before a fifth of the samples (drawn again past the kept draws) for
-    the first valid one.
-
-    Candidates are ranked on partial sums alone; the only totals check is
-    coop_validate's re-certification of the winner.  Where every total
-    agrees within TRACE_TOL the answer is that of a scan that checks each
-    candidate's totals.  Where a or b sits at the edge of TRACE_TOL, the
-    answer is a plan coop_validate certifies, NoPlanFound, or
-    coop_validate's TraceMismatch for the winner; never an uncertified plan.
+    seed must be an integer of at least 0; the search is deterministic and
+    reads no seed.
     """
-    seed = _nonnegative("seed", seed)
-    fallback_samples = _nonnegative("fallback_samples", fallback_samples)
+    if require_integer("seed", seed) < 0:
+        raise BadParam(f"seed = {seed} must be at least 0")
     sa, sb = _require_incomparable_3x3(a, b)
     if sa[0] - sa[1] <= TIE_TOL or sa[1] - sa[2] <= TIE_TOL:
         raise Degenerate("source vector must have strictly distinct entries")
-
-    # a1 <= b1 goes straight to the randomized search: the recipe shape
-    # chi = beta, eta = (alpha, alpha, 1 - 2 alpha) with alpha <= min(beta1,
-    # (beta1 + beta2)/2) has eta majorized by chi, never incomparable
-    recipe = list(_coop_case1_candidates(sa, sb)) if sa[0] > sb[0] else []
-    pair = _coop_pair(sa, sb)
-
-    # pass 1: the first full row, or from late on the first valid row; a
-    # plan whose four cross pairs are all incomparable wins over the
-    # recipe's partially-comparable one
-    if recipe and not _recipe_can_wait(pair, recipe):
-        rows = _recipe_rows(recipe)
-        full = _coop_flags(pair, rows)[0]
-        if full.any():
-            j = full.argmax()
-            return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "recipe", rows.index[j] + 1)
-    tried = len(recipe)
-    late = fallback_samples // 5
-    stream = _coop_stream(seed)
-    drawn, stopped = fallback_samples, None
-    for rows in stream.chunks(fallback_samples):
-        full, rest = _coop_flags(pair, rows)
-        stop = full
-        if late < rows.start + rows.size:
-            stop = full | _joint_ok(pair, rows, rest & (rows.index >= late))
-        if stop.any():
-            j = stop.argmax()
-            if full[j]:
-                return _coop_found(sa, sb, rows.chi[j], rows.eta[j], "fallback", tried + rows.index[j] + 1)
-            drawn = rows.index[j] + 1
-            stopped = rows.chi[j], rows.eta[j], "fallback"
-            break
-
-    # pass 2, without a full row: the first valid row in scan order, a
-    # recipe row, a row before late or the row that ended pass 1
-    firsts = (_first_valid(pair, rows, "fallback") for rows in stream.chunks(late))
-    if recipe:
-        firsts = itertools.chain([_first_valid(pair, _recipe_rows(recipe), "recipe")], firsts)
-    found = next(filter(None, firsts), stopped)
-    if found is not None:
-        return _coop_found(sa, sb, *found, tried + drawn)
-    raise NoPlanFound("no auxiliary pair found by recipe or randomized search")
+    tables = _coop_tables(sa, sb)
+    for cell in _FAST_CELLS[sa[0] > sb[0]]:
+        plan = _coop_plan(sa, sb, _coop_cell(tables, *cell), cell)
+        if plan is not None:
+            return plan
+    solved = [(_coop_cell(tables, *cell), cell) for cell in itertools.product(_CHAINS, _SIGNS)]
+    solved.sort(key=lambda found: -found[0][0])
+    for found, cell in solved:
+        plan = _coop_plan(sa, sb, found, cell)
+        if plan is not None:
+            return plan
+    raise NoPlanFound(
+        "no auxiliary pair with all four cross pairs incomparable: the best margin"
+        f" over all {len(solved)} order cells is {solved[0][0][0]:.3g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,11 @@ def test_coop_diagnostics_structured_only(capsys):
     assert code == 0
     doc = json.loads(out)
     slack = np.array(doc["joint_target_partial_sums"]) - np.array(doc["joint_source_partial_sums"])
-    assert doc["diagnostics"]["branch"] == "fallback"
-    assert doc["diagnostics"]["candidates"] >= 1
+    assert doc["diagnostics"]["cell"] == "11>12>21>22>31>32>13>23>33 ++-"
     assert doc["diagnostics"]["margin"] == pytest.approx(slack[:-1].min(), abs=1e-15)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert "diagnostics" not in out and "branch" not in out
+    assert "diagnostics" not in out and "cell" not in out
 
 
 @pytest.mark.parametrize(

@@ -61,8 +61,10 @@ ARGVS = {
     "assist": ("assist", ".4,.4,.2", ".48,.26,.26"),
     "assist-min": ("assist", ".4,.4,.2", ".48,.26,.26", "--min"),
     "assist-bad": ("assist", ".5,.5", ".5,.5"),
-    "coop-fallback": ("coop", ".5,.3,.2", ".55,.24,.21"),
-    "coop-recipe": ("coop", ".51,.26,.23", ".46,.34,.2"),
+    "coop-a1-below-b1": ("coop", ".5,.3,.2", ".55,.24,.21"),
+    "coop-a1-above-b1": ("coop", ".51,.26,.23", ".46,.34,.2"),
+    "coop-small-margin": ("coop", ".4641,.4309,.105", ".4643,.39,.1457"),
+    "coop-no-plan": ("coop", ".5,.3,.2", ".500000002,.299999996,.200000002"),
     "coop-bad": ("coop", ".5,.3,.2", ".6,.3,.1"),
     "split2-case1": ("split2", ".5,.3,.2", ".55,.24,.21"),
     "split2-case2": ("split2", ".41,.38,.21", ".4,.4,.2"),

@@ -1,18 +1,17 @@
-"""The batched LOCC searches return exactly what one-candidate-at-a-time
-scans return.
+"""The LOCC searches return what their references return: the batched
+catalyst and split2 searches what one-candidate-at-a-time scans return,
+and the cooperation LP's fast cells a certified plan wherever any of the
+42 x 8 order cells has one.
 
-The golden values below were produced by the scans that certified one
-candidate per majorization call; the reference scans restate those loops
-over the scalar checks, so any pair can be compared bit for bit.
+The catalyst and split2 golden values were produced by the scans that
+certified one candidate per majorization call; the reference scans restate
+those loops over the scalar checks, so any pair can be compared bit for
+bit.
 """
 
 import itertools
 import math
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -36,16 +35,16 @@ from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, Z
 
 from conftest import random_prob, rng_for
 
-# (a, b) -> (chi, eta) of coop_construct(a, b, seed=1): the paper's
-# cooperation pair, the tests' pairs and four search-branch anchors
+# (a, b) -> (chi, eta) of coop_construct(a, b): the paper's cooperation
+# pair, the tests' pairs and four benchmark anchors
 COOP_GOLDEN = (
-    ((0.41, 0.38, 0.21), (0.4, 0.4, 0.2), (0.43017329816897043, 0.3429542484376294, 0.22687245339340026), (0.4460651841937968, 0.3244209899531391, 0.22951382585306404)),
-    ((0.51, 0.3, 0.19), (0.49, 0.36, 0.15), (0.5090655760559673, 0.33724855482977334, 0.1536858691142594), (0.5800083730345618, 0.22847063302151419, 0.19152099394392402)),
-    ((0.5, 0.3, 0.2), (0.55, 0.24, 0.21), (0.4502208454775324, 0.3819397048796664, 0.16783944964280115), (0.4442935219330637, 0.4187788409107579, 0.1369276371561784)),
-    ((0.564, 0.309, 0.127), (0.557, 0.399, 0.044), (0.6285477998731315, 0.2983968945571754, 0.07305530556969307), (0.6709416676983274, 0.1959751997583246, 0.13308313254334792)),
-    ((0.705, 0.227, 0.068), (0.685, 0.272, 0.043), (0.6928303832067322, 0.23756485595302723, 0.06960476084024057), (0.7900616082781261, 0.12550696948248208, 0.08443142223939175)),
-    ((0.713, 0.236, 0.051), (0.841, 0.082, 0.077), (0.7406152532071648, 0.19152253191077373, 0.06786221488206151), (0.6593957519296845, 0.3109197427315675, 0.029684505338747932)),
-    ((0.602, 0.357, 0.041), (0.696, 0.171, 0.133), (0.6189711044054802, 0.28025510448735075, 0.10077379110716893), (0.5728753908960587, 0.4199096472006697, 0.007214961903271627)),
+    ((0.41, 0.38, 0.21), (0.4, 0.4, 0.2), (0.4776705619938899, 0.271832420113466, 0.2504970178926441), (0.49483101391650103, 0.2525844930417495, 0.2525844930417495)),
+    ((0.51, 0.3, 0.19), (0.49, 0.36, 0.15), (0.49742062848179996, 0.28923630266645023, 0.2133430688517498), (0.5584726053329007, 0.2207636973335497, 0.2207636973335497)),
+    ((0.5, 0.3, 0.2), (0.55, 0.24, 0.21), (0.5000000000000001, 0.3061290322580645, 0.19387096774193543), (0.48387096774193566, 0.48387096774193566, 0.032258064516128705)),
+    ((0.564, 0.309, 0.127), (0.557, 0.399, 0.044), (0.5693476368380078, 0.27533991907910066, 0.1553124440828916), (0.6646798381582012, 0.16766008092089937, 0.16766008092089937)),
+    ((0.705, 0.227, 0.068), (0.685, 0.272, 0.043), (0.6874302398099083, 0.21118015532072779, 0.10138960486936403), (0.7923603106414557, 0.10381984467927212, 0.10381984467927212)),
+    ((0.713, 0.236, 0.051), (0.841, 0.082, 0.077), (0.5037364414843007, 0.4229999999999999, 0.07326355851569939), (0.5, 0.5, 0.0)),
+    ((0.602, 0.357, 0.041), (0.696, 0.171, 0.133), (0.5052382324687801, 0.367, 0.1277617675312199), (0.5, 0.5, 0.0)),
 )
 
 # (a, b) -> (case, interval, eta) of split_two_copies; each window is its
@@ -68,7 +67,7 @@ def _floats(v):
 
 def test_coop_golden():
     for a, b, chi, eta in COOP_GOLDEN:
-        plan = coop_construct(a, b, seed=1)
+        plan = coop_construct(a, b)
         assert (_floats(plan.chi), _floats(plan.eta)) == (chi, eta)
         assert all(plan.cross_incomparable.values()) and plan.joint_ok
 
@@ -96,83 +95,7 @@ def test_split_golden():
 
 
 # ---------------------------------------------------------------------------
-# one-candidate-at-a-time reference scans
-
-# the open ends of the a1 < b1 search's alpha interval
-COOP_MARGIN = 1e-6
-
-
-def _coop_case2_candidates(sa, sb, seed):
-    """Structured search for a1 < b1: chi = (b1, b2, b3), eta = (a1, a1, a2)."""
-    a1 = sa[0]
-    b1 = sb[0]
-    rng = np.random.default_rng((seed, 2))
-    # first guesses: chi with its two small entries tied
-    for beta1 in np.linspace(max(a1, 1.0 / 3.0) + 0.005, min(0.95, a1 + 0.25), 12):
-        tail = (1.0 - beta1) / 2.0
-        chi = np.array([beta1, tail, tail])
-        lo = max(1.0 / 3.0 + COOP_MARGIN, a1 * beta1 / b1 + COOP_MARGIN)
-        hi = min(beta1, (beta1 + tail) / 2.0, 0.5 - COOP_MARGIN)
-        if lo >= hi:
-            continue
-        for alpha1 in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
-            yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
-    # loosen the tie: 4000 betas in one draw, then one uniform alpha for
-    # each beta that leaves a nonempty interval
-    beta = np.sort(rng.dirichlet(np.ones(3), size=4000), axis=1)[:, ::-1]
-    lo = np.maximum(1.0 / 3.0 + COOP_MARGIN, a1 * beta[:, 0] / b1 + COOP_MARGIN)
-    hi = np.minimum(np.minimum(beta[:, 0], (beta[:, 0] + beta[:, 1]) / 2.0), 0.5 - COOP_MARGIN)
-    keep = (beta[:, 0] > a1) & (beta[:, 2] >= 1e-3) & (lo < hi)
-    for chi, alpha1 in zip(beta[keep], rng.uniform(lo[keep], hi[keep])):
-        yield chi, np.array([alpha1, alpha1, 1.0 - 2.0 * alpha1])
-
-
-@pytest.fixture
-def fresh_streams():
-    """An empty cache of cooperation streams, emptied again afterwards, so
-    that no stream kept under a patched chunk schedule or cap reaches
-    another test."""
-    locc._coop_stream.cache_clear()
-    yield
-    locc._coop_stream.cache_clear()
-
-
-def _coop_one_by_one(a, b, seed, fallback_samples, candidates=None):
-    """The search as it stood before the a1 < b1 structured candidates were
-    removed from coop_construct: the recipe or that search, then the
-    fallback, one candidate per coop_validate call."""
-    sa, sb = locc._strip(a), locc._strip(b)
-    if candidates is None:
-        if sa[0] > sb[0]:
-            candidates = locc._coop_case1_candidates(sa, sb)
-        else:
-            candidates = _coop_case2_candidates(sa, sb, seed)
-    first_valid = None
-    tried = 0
-    for chi, eta in candidates:
-        tried += 1
-        plan = coop_validate(sa, sb, chi, eta)
-        if plan.valid:
-            if all(plan.cross_incomparable.values()):
-                return replace(plan, branch="recipe", candidates=tried)
-            if first_valid is None:
-                first_valid = replace(plan, branch="recipe")
-    rng = np.random.default_rng((seed, 99))
-    for i in range(fallback_samples):
-        tried += 1
-        chi = np.sort(rng.dirichlet(np.ones(3)))[::-1]
-        eta = np.sort(rng.dirichlet(np.ones(3)))[::-1]
-        plan = coop_validate(sa, sb, chi, eta)
-        if plan.valid:
-            if all(plan.cross_incomparable.values()):
-                return replace(plan, branch="fallback", candidates=tried)
-            if first_valid is None:
-                first_valid = replace(plan, branch="fallback")
-            if i >= fallback_samples // 5:
-                break
-    if first_valid is None:
-        return None
-    return replace(first_valid, candidates=tried)
+# references
 
 
 def _min_slack_reference(x, y):
@@ -219,23 +142,6 @@ def _catalyst_one_by_one(a, b, grid_step):
         i += 1
 
 
-def _same_diagnostics(got, want):
-    if want is None:
-        return got is None
-    return (got.branch, got.candidates, got.margin) == (want.branch, want.candidates, want.margin)
-
-
-def _same_plan(got, want):
-    if want is None:
-        return got is None
-    return (
-        np.array_equal(got.chi, want.chi)
-        and np.array_equal(got.eta, want.eta)
-        and got.cross_incomparable == want.cross_incomparable
-        and got.joint_ok == want.joint_ok
-    )
-
-
 def _incomparable_pairs(key, count, a1_below_b1=False):
     rng = rng_for(key)
     pairs = []
@@ -265,13 +171,20 @@ def _same_validation(got, want):
     )
 
 
+def _fast_optima(a, b):
+    """The optima (t, chi, eta, y) of the pair's fast cells, in order."""
+    sa, sb = locc._require_incomparable_3x3(a, b)
+    tables = locc._coop_tables(sa, sb)
+    return [locc._coop_cell(tables, *cell) for cell in locc._FAST_CELLS[sa[0] > sb[0]]]
+
+
 def test_coop_validate_matches_reference():
     """The one-pair calls on the pair core give each candidate the plan
     the array checks gave, down to the bits of chi, eta and the margin."""
     seen = set()
     for k, (a, b) in enumerate(_incomparable_pairs("coop-validate", 12)):
         rng = rng_for("coop-validate-draws", k)
-        candidates = list(locc._coop_case1_candidates(a, b)) if a[0] > b[0] else []
+        candidates = [found[1:3] for found in _fast_optima(a, b)]
         candidates += [tuple(rng.dirichlet(np.ones(3), size=2)) for _ in range(40)]
         for chi, eta in candidates:
             got = coop_validate(a, b, chi, eta)
@@ -340,779 +253,243 @@ def test_min_slack_matches_cumsum():
         assert _bits(r.margin) == _bits(_min_slack_reference(vec_kron(sa, sa), vec_kron(sb, r.eta)))
 
 
-def test_coop_matches_one_by_one_scan():
-    # small fallbacks end in the first valid plan or in no plan at all
-    for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
-        for fallback in (0, 37, 300):
-            want = _coop_one_by_one(a, b, k, fallback)
-            try:
-                got = coop_construct(a, b, seed=k, fallback_samples=fallback)
-            except NoPlanFound:
-                got = None
-            assert _same_plan(got, want), (k, fallback)
-    # with seed 1 this pair's first fully incomparable fallback plan is
-    # sample 1189; with 1500 samples the valid plan at sample 505
-    # (>= 1500 // 5) ends the search first
-    a, b = COOP_GOLDEN[1][:2]
-    for fallback, full in ((1500, False), (6000, True)):
-        want = _coop_one_by_one(a, b, 1, fallback)
-        assert all(want.cross_incomparable.values()) is full
-        assert _same_plan(coop_construct(a, b, seed=1, fallback_samples=fallback), want)
-
-
-def test_coop_a1_below_b1_goes_straight_to_fallback():
-    # The removed a1 < b1 search paired chi = beta with eta = (alpha, alpha,
-    # 1 - 2 alpha), alpha <= min(beta1, (beta1 + beta2)/2), so eta is
-    # majorized by chi.  Every candidate it yields is invalid, its one-by-one
-    # scan ends with no plan, and the old search returns what the fallback
-    # alone returns: the reference scan below starts there.
-    outcomes = set()
-    yielded_in_all = 0
-    for k, (a, b) in enumerate(_incomparable_pairs("coop-a1-below-b1", 200, a1_below_b1=True)):
-        sa, sb = locc._strip(a), locc._strip(b)
-        yielded = list(_coop_case2_candidates(sa, sb, k))
-        yielded_in_all += len(yielded)
-        if yielded:
-            chi, eta = (np.array(side) for side in zip(*yielded))
-            # compare's Incomparable verdict, row by row
-            assert not compare_rows(chi, eta).incomparable.any(), k
-        for fallback in (0, 37, 300):
-            want = _coop_one_by_one(a, b, k, fallback, candidates=iter(()))
-            try:
-                got = coop_construct(a, b, seed=k, fallback_samples=fallback)
-            except NoPlanFound:
-                got = None
-            assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
-            if got is not None:
-                assert got.branch == "fallback"
-                outcomes.add(all(got.cross_incomparable.values()))
-            else:
-                outcomes.add(None)
-    assert outcomes == {True, False, None}
-    assert yielded_in_all > 60000
-
-
-def test_coop_recipe_diagnostics_match_one_by_one_scan(monkeypatch):
-    # a1 > b1: the recipe's candidates count before the fallback's
-    pairs = [(a, b) for a, b in _incomparable_pairs("coop-recipe", 40) if a[0] > b[0]]
-    assert len(pairs) >= 10
-    for k, (a, b) in enumerate(pairs[:10]):
-        for fallback in (0, 37, 300):
-            want = _coop_one_by_one(a, b, k, fallback)
-            try:
-                got = coop_construct(a, b, seed=k, fallback_samples=fallback)
-            except NoPlanFound:
-                got = None
-            assert _same_plan(got, want) and _same_diagnostics(got, want), (k, fallback)
-    # a fully incomparable recipe plan after 20 invalid fillers, all 21
-    # candidates certified as one chunk
-    a, b = COOP_GOLDEN[0][:2]
-    fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(20, 2)))
-    stream = fillers + [COOP_GOLDEN[0][2:]]
-    monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
-    got = coop_construct(a, b, seed=1)
-    assert (got.branch, got.candidates) == ("recipe", 21)
-    assert _same_diagnostics(got, _coop_one_by_one(a, b, 1, 0, candidates=iter(stream)))
-
-
 def partial_sums(v):
     return np.cumsum(np.sort(np.asarray(v, dtype=float))[::-1])
 
 
 def test_coop_golden_diagnostics():
-    # the three a1 < b1 goldens come from the fallback; every golden's margin
-    # is the smallest gap between the joint partial sums below the total
+    # every golden plan comes from the first fast cell of its order of a1
+    # and b1, and its margin is the smallest gap between the joint partial
+    # sums below the total
     for a, b, chi, eta in COOP_GOLDEN:
-        plan = coop_construct(a, b, seed=1)
-        if a[0] < b[0]:
-            assert plan.branch == "fallback"
+        plan = coop_construct(a, b)
+        assert plan.cell == " ".join(locc._FAST_CELLS[a[0] > b[0]][0])
         gap = partial_sums(vec_kron(b, eta)) - partial_sums(vec_kron(a, chi))
         assert plan.margin == pytest.approx(gap[:-1].min(), abs=1e-15)
-        assert plan.margin >= -MAJ_TOL
+        assert plan.margin > MAJ_TOL
     assert sum(a[0] < b[0] for a, b, _, _ in COOP_GOLDEN) == 3
 
 
-def test_coop_recipe_winner_across_chunks(monkeypatch, fresh_streams):
-    # recipes of 100-102 candidates for the cooperation pair built from
-    # invalid fillers, a valid but partially comparable plan at index 20,
-    # and a fully incomparable one at index 61, each recipe certified as one
-    # chunk; the fallback after it runs on a 16/32 schedule
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
-    a, b = COOP_GOLDEN[0][:2]
-    sa, sb = locc._strip(a), locc._strip(b)
-    partial = (
-        np.array([0.6426869721866002, 0.11134931571537954, 0.24596371209802015]),
-        np.array([0.7212899060419857, 0.11529402315000901, 0.1634160708080052]),
-    )
-    full = COOP_GOLDEN[0][2:]
-    # the first 100 fallback draws of seed 1 are all invalid
-    fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(100, 2)))
-    assert not any(coop_validate(sa, sb, *f).valid for f in fillers)
-    plan = coop_validate(sa, sb, *partial)
-    assert plan.valid and not all(plan.cross_incomparable.values())
+# ---------------------------------------------------------------------------
+# the cooperation LP
 
-    streams = (
-        (fillers[:20] + [partial] + fillers[20:60] + [full] + fillers[60:], 0, "full"),
-        (fillers[:20] + [partial] + fillers[20:], 0, "partial"),
-        (fillers[:20] + [partial] + fillers[20:], 1000, "full"),  # fallback index 844
-        (fillers, 0, None),
-    )
-    for stream, fallback, kind in streams:
-        monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
-        want = _coop_one_by_one(a, b, 1, fallback, candidates=iter(stream))
+
+def _best_margin(a, b):
+    """The best margin over all 42 x 8 cells."""
+    sa, sb = locc._require_incomparable_3x3(a, b)
+    tables = locc._coop_tables(sa, sb)
+    return max(locc._coop_cell(tables, *cell)[0] for cell in itertools.product(locc._CHAINS, locc._SIGNS))
+
+
+def _fast_plan(a, b):
+    """coop_construct's fast path: the plan of the first fast cell that
+    gives one, with that cell's index, else (None, None)."""
+    sa, sb = locc._require_incomparable_3x3(a, b)
+    for k, (found, cell) in enumerate(zip(_fast_optima(a, b), locc._FAST_CELLS[sa[0] > sb[0]])):
+        plan = locc._coop_plan(sa, sb, found, cell)
+        if plan is not None:
+            return plan, k
+    return None, None
+
+
+def _near(a, d1, d12):
+    """b = a + (d1, d12 - d1, -d12): S_1 and S_2 moved by d1 and d12."""
+    return np.asarray(a) + (d1, d12 - d1, -d12)
+
+
+def _coop_corpus():
+    """Seeded pairs coop_construct accepts, as (kind, a, b): 1200
+    incomparable pairs (a1 > b1 and a1 < b1 alike), 800 near comparability
+    (b = a -+ eps (1, -2, 1), and b with S_1 and S_2 moved by independent
+    amounts, each drawn log-uniform in [1e-8, 3e-2], a1 > b1 and a1 < b1
+    alike), and the TRACE_TOL-edge pairs."""
+    corpus = [("random", a, b) for a, b in _incomparable_pairs("coop-corpus", 1200)]
+    rng = rng_for("coop-corpus-near")
+    near = []
+    while len(near) < 800:
+        a = random_prob(3, rng)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        e1, e12 = 10.0 ** rng.uniform(math.log10(1e-8), math.log10(3e-2), size=2)
+        if len(near) % 2:
+            b = _near(a, sign * e1, -sign * e1)
+        else:
+            b = _near(a, sign * e1, -sign * e12)
+        if min(a[0] - a[1], a[1] - a[2], b.min()) <= 1e-9 or compare(a, b) is not MajVerdict.Incomparable:
+            continue
+        near.append(("near", a, b))
+    return corpus + near + [("edge", a, b) for a, b in _edge_total_pairs()]
+
+
+def test_coop_fast_cells_reach_a_plan_wherever_a_cell_has_one():
+    """Wherever the best margin over all 42 x 8 cells exceeds MAJ_TOL, the
+    fast cells give a plan that coop_validate certifies with all four cross
+    pairs incomparable, and coop_construct returns it; elsewhere
+    coop_construct raises NoPlanFound naming that margin.  At the TRACE_TOL
+    edge, coop_validate's TraceMismatch for the plan is the other outcome.
+    Both orders of a1 and b1 get plans from the first fast cell and from a
+    later one."""
+    plans, errors = set(), set()
+    for kind, a, b in _coop_corpus():
         try:
-            got = coop_construct(a, b, seed=1, fallback_samples=fallback)
-        except NoPlanFound:
-            got = None
-        assert _same_plan(got, want)
-        if kind == "full":
-            assert (_floats(got.chi), _floats(got.eta)) == full
-        elif kind == "partial":
-            assert np.array_equal(got.chi, np.sort(partial[0])[::-1])
-        else:
-            assert got is None
+            plan, k = _fast_plan(a, b)
+        except TraceMismatch as exc:
+            assert kind == "edge"
+            with pytest.raises(TraceMismatch) as caught:
+                coop_construct(a, b)
+            assert str(caught.value) == str(exc)
+            errors.add((kind, "TraceMismatch"))
+            continue
+        if plan is None:
+            best = _best_margin(a, b)
+            assert best <= MAJ_TOL, (a, b)
+            with pytest.raises(NoPlanFound) as caught:
+                coop_construct(a, b)
+            assert str(caught.value).endswith(f" {best:.3g}")
+            errors.add((kind, "NoPlanFound"))
+            continue
+        assert plan.valid and all(plan.cross_incomparable.values())
+        assert _same_validation(coop_validate(a, b, plan.chi, plan.eta), plan)
+        got = coop_construct(a, b)
+        assert _same_validation(got, plan) and got.cell == plan.cell
+        plans.add((kind, bool(a[0] > b[0]), k > 0))
+    assert {(kind, above, False) for kind in ("random", "near") for above in (True, False)} <= plans
+    assert {above for _, above, later in plans if later} == {True, False}
+    assert ("near", "NoPlanFound") in errors
 
 
-def _boundary_rows(trace_tol):
-    """(x, y) rows of 3-vectors on and around the majorization boundaries:
-    equal vectors, permutations, ties, zero entries, and partial sums moved
-    by fractions of MAJ_TOL, with totals moved by up to trace_tol / 2."""
-    x, y = [], []
-    base = ([0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2], [1 / 3] * 3, [0.5, 0.5, 0.0], [1.0, 0.0, 0.0])
-    for v in base:
-        for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)):
-            x.append(v)
-            y.append([v[i] for i in perm])
-    x += [[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.4, 0.4, 0.2], [0.45, 0.35, 0.2]]
-    y += [[0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.45, 0.2, 0.35]]
-    steps = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]) * MAJ_TOL
-    for v in ([0.5, 0.3, 0.2], [0.45, 0.35, 0.2], [0.4, 0.3, 0.3]):
-        for d1 in steps:
-            for d2 in steps:
-                for dt in steps[abs(steps) <= trace_tol / 2]:
-                    x.append(v)
-                    y.append([v[0] + d1, v[1] + d2 - d1, v[2] - d2 + dt])
-    return np.array(x), np.array(y)
+# a pair near comparability, a1 and b1 2e-4 apart, with a plan of margin 6.3e-5
+PINNED = ((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457))
 
 
-def _incomparable_columns(x, y):
-    """The cooperation kernel's cross flags for sorted columns (x1, x2, x3)
-    and (y1, y2, y3), each an array or a scalar: both sides as
-    _column_sums stacks, their totals checked, then _incomparable_sums."""
-    columns = np.broadcast_arrays(*x, *y)
-    x, y = locc._column_sums(*columns[:3]), locc._column_sums(*columns[3:])
-    majorization._check_totals(x[4], y[4])
-    return locc._incomparable_sums(x, y)
+def test_coop_lp_optima_carry_dual_certificates(monkeypatch):
+    """Every cell's LP optimum s is feasible and carries the final
+    tableau's dual y: y >= 0, rows^T y >= e_5 and rhs . y = s_5 = t + 1,
+    within 1e-12, so no point of the cell has a larger margin.  The cells
+    are the 42 chains of the 18 ideals of the 3x3 grid, nested by size,
+    with the 8 sign patterns."""
+    assert len(locc._IDEALS) == 18 and len(locc._CHAINS) == 42 and len(locc._SIGNS) == 8
+    sizes = np.array([sum(lam) for lam in locc._IDEALS])
+    for rows in locc._CHAINS.values():
+        assert np.array_equal(sizes[rows], sizes)
+        chain = sorted({locc._IDEALS[i] for i in rows}, key=sum)
+        assert all(all(p <= q for p, q in zip(x, y)) for x, y in zip(chain, chain[1:]))
+    solved, lp_max = [], locc._lp_max
+
+    def spy(rows, rhs):
+        s, y = lp_max(rows, rhs)
+        solved.append((rows, rhs, s, y))
+        return s, y
+
+    monkeypatch.setattr(locc, "_lp_max", spy)
+    cases = _incomparable_pairs("coop-dual", 6) + [COOP_GOLDEN[0][:2], PINNED, ((0.5, 0.3, 0.2), _near((0.5, 0.3, 0.2), 2e-9, -2e-9))]
+    for a, b in cases:
+        _best_margin(a, b)
+    assert len(solved) == 336 * len(cases)
+    e5 = np.eye(5)[4]
+    for rows, rhs, s, y in solved:
+        assert (s >= 0).all() and ((rows * s).sum(axis=1) <= rhs + 1e-12).all()
+        assert (y >= -1e-12).all()
+        assert ((rows * y[:, None]).sum(axis=0) >= e5 - 1e-12).all()
+        assert abs((rhs * y).sum() - s[-1]) <= 1e-12
 
 
-@pytest.mark.parametrize("trace_tol", [TRACE_TOL, 4 * MAJ_TOL])
-def test_coop_column_flags_match_compare_rows(monkeypatch, trace_tol):
-    """The sorted-column cross flags are compare_rows' Incomparable flags
-    bit for bit, with a stack on either side or a vector on one; also under
-    a trace tolerance looser than MAJ_TOL, where the totals' own partial-sum
-    test decides some rows."""
-    monkeypatch.setattr(majorization, "TRACE_TOL", trace_tol)
-    rng = rng_for("coop-columns")
-    stacks = [tuple(rng.dirichlet(np.ones(3), size=(2, 400))), _boundary_rows(trace_tol)]
-    for x, y in stacks:
-        sx, sy = locc._sorted_columns(x), locc._sorted_columns(y)
-        assert np.array_equal(np.stack(sx, axis=-1), np.sort(x)[:, ::-1])
-        got = _incomparable_columns(sx, sy)
-        assert got.dtype == bool
-        assert np.array_equal(got, compare_rows(x, y).incomparable)
-        for v in x[::37]:
-            sv = np.sort(v)[::-1]
-            assert np.array_equal(_incomparable_columns(sv, sy), compare_rows(v, y).incomparable)
-            assert np.array_equal(_incomparable_columns(sx, sv), compare_rows(x, v).incomparable)
-    x, y = _boundary_rows(trace_tol)
-    assert 0 < compare_rows(x, y).incomparable.sum() < len(x)
-    # a total outside the trace tolerance raises with compare_rows' message
-    y[7] *= 1.0 + 2 * trace_tol
-    with pytest.raises(TraceMismatch) as want:
-        compare_rows(x, y)
-    with pytest.raises(TraceMismatch) as got:
-        _incomparable_columns(locc._sorted_columns(x), locc._sorted_columns(y))
-    assert str(got.value) == str(want.value)
+def test_lp_max_leaves_degenerate_vertices_by_blands_rule():
+    """Beale's LP, on which the largest-coefficient rule alone cycles, as
+    max z with z <= 3/4 x1 - 150 x2 + x3 / 50 - 6 x4: the first pivot from
+    s = 0 is degenerate, and Bland's rule then finds the optimum 1/20 at
+    x = (1/25, 0, 1, 0), with its dual certificate."""
+    rows = np.array(((-0.75, 150.0, -0.02, 6.0, 1.0), (0.25, -60.0, -0.04, 9.0, 0.0), (0.5, -90.0, -0.02, 3.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0)))
+    rhs = np.array((0.0, 0.0, 0.0, 1.0))
+    s, y = locc._lp_max(rows, rhs)
+    assert s == pytest.approx((0.04, 0.0, 1.0, 0.0, 0.05), abs=1e-12)
+    assert (y >= 0).all() and ((rows * y[:, None]).sum(axis=0) >= np.eye(5)[4] - 1e-12).all()
+    assert (rhs * y).sum() == pytest.approx(0.05, abs=1e-12)
 
 
-def _coop_kernel_cases():
-    """(a, b, chi, eta) for the chunk kernel: seeded candidates for
-    incomparable pairs, and boundary rows, where chi and eta are ties,
-    permutations or partial-sum shifts of 0-2 MAJ_TOL of each other, and
-    of a and b, against pairs (a, b) shifted alike."""
-    rng = rng_for("coop-kernel")
-    cases = []
-    for a, b in [pair[:2] for pair in COOP_GOLDEN[:4]] + _incomparable_pairs("coop-kernel", 4):
-        draws = rng.dirichlet(np.ones(3), size=(300, 2))
-        cases.append((a, b, draws[:, 0], draws[:, 1]))
-    # totals 1 + 5e-10 and 1 - 4.995e-10: every total check passes, and the
-    # joint totals differ by up to about TRACE_TOL
-    for a, b in [pair[:2] for pair in COOP_GOLDEN[:4]]:
-        draws = rng.dirichlet(np.ones(3), size=(300, 2))
-        a, b = np.array(a), np.array(b)
-        cases.append((a * (1 + 5e-10), b * (1 - 4.995e-10), draws[:, 0], draws[:, 1]))
-    x, y = _boundary_rows(TRACE_TOL)
-    x, y = np.concatenate((x[:28], x[28::9])), np.concatenate((y[:28], y[28::9]))
-    steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * MAJ_TOL
-    for v in ([0.5, 0.3, 0.2], [0.45, 0.35, 0.2]):
-        for d1, d2 in itertools.product(steps, steps):
-            w = [v[0] + d1, v[1] + d2 - d1, v[2] - d2]
-            cases.append((v, w, x, y))
-            cases.append((v, w, np.array([w] * len(x)), y))  # chi = b
-            cases.append((v, w, x, np.array([v] * len(x))))  # eta = a
-    return cases
+def test_coop_pins():
+    """The pinned pair has a plan with margin 6.3e-5; b = a + eps (1, -2,
+    1) at a = (.5, .3, .2) has one with margin eps / 3 at eps = 1e-7, and
+    at eps = 2e-9 none of margin above MAJ_TOL (best eps / 3)."""
+    a = (0.5, 0.3, 0.2)
+    for pair, margin in ((PINNED, 6.34e-5), ((a, _near(a, 1e-7, -1e-7)), 1e-7 / 3)):
+        plan = coop_construct(*pair)
+        assert plan.joint_ok and all(plan.cross_incomparable.values())
+        assert plan.margin == pytest.approx(margin, rel=1e-3)
+    with pytest.raises(NoPlanFound) as caught:
+        coop_construct(a, _near(a, 2e-9, -2e-9))
+    best = float(str(caught.value).rsplit(" ", 1)[1])
+    assert best == pytest.approx(2e-9 / 3, rel=1e-2) and best <= MAJ_TOL
 
 
-def test_coop_flags_match_per_row_validate():
-    """The chunk kernel's flags are coop_validate's, row by row, on the rows
-    the chunk keeps: full is valid with the three cross pairs it checks all
-    incomparable, rest holds the kept rows whose psi/eta and chi/phi are
-    not both incomparable, and a row of rest is valid iff _joint_ok passes
-    it; a row the chunk drops, chi and eta not incomparable, is never
-    valid.  _first_valid finds the first valid kept row."""
-    kinds = set()
-    for a, b, chi, eta in _coop_kernel_cases():
-        sa, sb = locc._strip(a), locc._strip(b)
-        plans = [coop_validate(sa, sb, c, e) for c, e in zip(chi, eta)]
-        valid = np.array([p.valid for p in plans])
-        cross = np.array([p.cross_incomparable["psi_eta"] and p.cross_incomparable["chi_phi"] for p in plans])
-        full = valid & cross
-        kinds |= {(bool(v), bool(f)) for v, f in zip(valid, full)}
-        chunk = locc._coop_chunk(np.stack((chi, eta), axis=1))
-        kept = chunk.index
-        assert np.array_equal(kept, np.flatnonzero([p.cross_incomparable["chi_eta"] for p in plans]))
-        assert not np.delete(valid, kept).any()
-        pair = locc._coop_pair(sa, sb)
-        got_full, rest = locc._coop_flags(pair, chunk)
-        assert got_full.dtype == rest.dtype == bool
-        assert np.array_equal(got_full, full[kept])
-        assert np.array_equal(rest, ~cross[kept])
-        assert np.array_equal(got_full | locc._joint_ok(pair, chunk, rest.copy()), valid[kept]), (a, b)
-        first = locc._first_valid(pair, chunk, "fallback")
-        if valid.any():
-            j = np.flatnonzero(valid[kept])[0]
-            assert first[2] == "fallback"
-            assert np.array_equal(first[0], chunk.chi[j]) and np.array_equal(first[1], chunk.eta[j])
-        else:
-            assert first is None
-    assert kinds == {(False, False), (True, False), (True, True)}
-
-
-def test_coop_late_stop_across_chunks(monkeypatch, fresh_streams):
-    """On a 16/32 schedule with 300 fallback samples, late = 60 falls inside
-    the third chunk, [48, 80).  These a1 < b1 pairs find their first valid
-    plan, not full, in the first or second chunk, and a valid row at index
-    60-79 ends the search before any full row: the chunk that holds late
-    must check the rows that are valid but not full."""
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
-    pairs = _incomparable_pairs("coop-a1-below-b1", 200, a1_below_b1=True)
-    for k in (172, 186, 199):
-        a, b = pairs[k]
-        want = _coop_one_by_one(a, b, k, 300, candidates=iter(()))
-        got = coop_construct(a, b, seed=k, fallback_samples=300)
-        assert _same_plan(got, want) and _same_diagnostics(got, want), k
-        assert got.branch == "fallback" and 60 < got.candidates <= 80
-        assert not all(got.cross_incomparable.values())
-        draws = np.random.default_rng((k, 99)).dirichlet(np.ones(3), size=(48, 2))
-        assert any(coop_validate(a, b, chi, eta).valid for chi, eta in draws)
-
-
-def test_coop_plans_do_not_depend_on_chunk_schedule(monkeypatch, fresh_streams):
-    """Plans, diagnostics and errors are the same under 1/1, 16/32 and the
-    default chunks, for pairs whose totals sit at the edge of TRACE_TOL
-    too."""
-    corpus = [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
-    for k, (a, b) in enumerate(_incomparable_pairs("coop-scan", 10)):
-        corpus += [(a, b, k, 37), (a, b, k, 300)]
-    corpus += [(a, b, seed, fallback) for a, b in _edge_corpus() for seed in range(3) for fallback in (37, 300)]
-    runs = []
-    for first, cap in ((1, 1), (16, 32), (locc._FIRST_CHUNK, locc._MAX_CHUNK)):
-        monkeypatch.setattr(locc, "_FIRST_CHUNK", first)
-        monkeypatch.setattr(locc, "_MAX_CHUNK", cap)
-        locc._coop_stream.cache_clear()
-        runs.append([_coop_outcome(coop_construct, *case) for case in corpus])
-    default = runs[-1]
-    kinds = {got[0] if isinstance(got, tuple) else got.branch for got in default}
-    assert kinds == {"recipe", "fallback", "TraceMismatch", "NoPlanFound"}
-    for outcomes in runs[:-1]:
-        for got, want, case in zip(outcomes, default, corpus):
-            assert _same_outcome(got, want), case
-
-
-def test_coop_misnormalised_recipe_candidate_is_never_returned(monkeypatch, fresh_streams):
-    """A recipe row whose chi or eta total is off is ranked on its partial
-    sums like any other row, and never returned: the search returns the
-    golden row after it, certified, or raises that row's own coop_validate
-    error when it wins, as the totals-free scan does."""
-    a, b = COOP_GOLDEN[0][:2]
-    chi, eta = (np.array(v) for v in COOP_GOLDEN[0][2:])
-    fillers = list(np.random.default_rng((1, 99)).dirichlet(np.ones(3), size=(5, 2)))
-    outcomes = set()
-    # chi off, eta off, and both off alike (only the cross pairs with psi
-    # and phi see that)
-    for bad in ((chi * 1.1, eta), (chi, eta * (1 + 3 * MAJ_TOL)), (chi * 1.1, eta * 1.1)):
-        stream = fillers + [bad] + [(chi, eta)]
-        monkeypatch.setattr(locc, "_coop_case1_candidates", lambda sa, sb: iter(stream))
-        got = _edge_outcome(a, b, 1, 10**5)
-        assert _same_outcome(got, _coop_outcome(_coop_totals_free, a, b, 1, 10**5, iter(stream)))
-        if isinstance(got, CoopPlan):
-            assert (_floats(got.chi), _floats(got.eta), got.candidates) == (*COOP_GOLDEN[0][2:], 7)
-        else:
-            with pytest.raises(TraceMismatch) as own:
-                coop_validate(a, b, *bad)
-            assert got == ("TraceMismatch", str(own.value))
-        outcomes.add(type(got).__name__)
-    assert outcomes == {"CoopPlan", "tuple"}
-
-
-def _coop_or_none(a, b, seed, fallback):
-    try:
-        return coop_construct(a, b, seed=seed, fallback_samples=fallback)
-    except NoPlanFound:
-        return None
-
-
-def test_coop_stream_cache_states_match_one_by_one_scan(monkeypatch, fresh_streams):
-    """Plans and diagnostics are the one-by-one scan's whatever the state of
-    the seed's kept stream: built by this search or an earlier one, dropped
-    by the cache after other seeds, or capped so low that searches run into
-    the draws past the kept ones (under the default chunks, of which none
-    is kept, and under 16/32 chunks, of which two are kept)."""
-    pairs = [pair[:2] for pair in COOP_GOLDEN] + _incomparable_pairs("coop-scan", 3)
-    cases = [(a, b, seed, fallback) for a, b in pairs for seed in range(4) for fallback in (0, 37, 300, 10**5)]
-    # a1 < b1 goes straight to the fallback
-    wants = [_coop_one_by_one(*case, candidates=None if case[0][0] > case[1][0] else iter(())) for case in cases]
-    assert {w.branch for w in wants if w is not None} == {"recipe", "fallback"}
-    assert max(w.candidates for w in wants if w is not None) > locc._STREAM_DRAWS
-
-    def check(state, prepare=lambda seed: None):
-        for case, want in zip(cases, wants):
-            prepare(case[2])
-            got = _coop_or_none(*case)
-            assert _same_plan(got, want) and _same_diagnostics(got, want), (state, case)
-
-    check("empty", lambda seed: locc._coop_stream.cache_clear())
-    check("kept")
-
-    def evict(seed):
-        stream = locc._coop_stream(seed)
-        _coop_or_none(*cases[0][:2], seed, 10**5)
-        for other in range(100, 100 + locc._STREAM_SEEDS):
-            locc._coop_stream(other)
-        assert locc._coop_stream(seed) is not stream
-
-    check("evicted", evict)
-    monkeypatch.setattr(locc, "_STREAM_DRAWS", 64)
-    locc._coop_stream.cache_clear()
-    check("capped")
-    assert locc._coop_stream(0).kept == ()
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
-    locc._coop_stream.cache_clear()
-    check("capped 16/32")
-    assert locc._coop_stream(0).end == 48
-
-
-def test_coop_stream_is_built_whole_by_a_search_that_stops_early(fresh_streams):
-    """A search that ends in the first chunk of its fallback still leaves
-    the seed's stream with all four kept chunks, drawn when it was built."""
-    plan = coop_construct((0.5, 0.3, 0.2), (0.55, 0.24, 0.21), seed=1)
-    assert (plan.branch, plan.candidates) == ("fallback", 197)
-    kept = locc._coop_stream(1).kept
-    assert type(kept) is tuple
-    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)]
-
-
-def test_coop_stream_keeps_the_incomparable_rows_of_one_draw(fresh_streams):
-    """A seed's kept chunks hold, in stream order, exactly the rows whose chi
-    and eta compare_rows finds incomparable in one Generator.dirichlet draw
-    of the whole stream, and the draws past them continue that draw:
-    dirichlet output does not depend on how the draw is chunked, which the
-    kept stream relies on.  A kept chunk holds nothing for its dropped rows:
-    only its kept rows' stream indices and column sums."""
-    n, more = locc._STREAM_DRAWS, 3000
-    for seed in range(4):
-        stream = locc._coop_stream(seed)
-        chunks = list(stream.chunks(n + more))
-        assert [c.size for c in stream.kept] == [256, 512, 1024, 2048]
-        assert [(c.start, c.size) for c in chunks[4:]] == [(n, 2048), (n + 2048, more - 2048)]
-        draws = np.random.default_rng((seed, 99)).dirichlet(np.ones(3), size=(n + more, 2))
-        keep = compare_rows(draws[:, 0], draws[:, 1]).incomparable
-        assert 0.2 < keep.mean() < 0.3
-        assert np.array_equal(np.concatenate([c.index for c in chunks]), np.flatnonzero(keep))
-        for side, rows in enumerate((np.concatenate([c.chi for c in chunks]), np.concatenate([c.eta for c in chunks]))):
-            assert np.array_equal(np.sort(rows)[:, ::-1], np.sort(draws[keep, side])[:, ::-1])
-        assert all(c.sums.shape == (5, 2, c.index.size) for c in stream.kept)
-    assert locc._CoopChunk._fields == ("start", "size", "index", "sums")
-
-
-def _coop_totals_free(a, b, seed, fallback_samples, candidates=None):
-    """The search's contract at any totals: the one-by-one scan with every
-    totals check off (TRACE_TOL infinite), so that it ranks candidates on
-    partial sums alone, then its winner re-certified by coop_validate; a
-    plan, None, or the winner's TraceMismatch message.  Where every total
-    agrees within TRACE_TOL it is the one-by-one scan."""
-    if candidates is None and locc._strip(a)[0] <= locc._strip(b)[0]:
-        candidates = iter(())  # a1 < b1 goes straight to the fallback
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (majorization, pairs):
-            patch.setattr(module, "TRACE_TOL", math.inf)
-        winner = _coop_one_by_one(a, b, seed, fallback_samples, candidates)
-    if winner is None:
-        return None
-    try:
-        plan = coop_validate(a, b, winner.chi, winner.eta)
-    except TraceMismatch as exc:
-        return str(exc)
-    return replace(plan, branch=winner.branch, candidates=winner.candidates)
+def _accepted(pairs):
+    """The pairs whose totals coop_construct's precondition accepts."""
+    kept = []
+    for a, b in pairs:
+        try:
+            locc._require_incomparable_3x3(a, b)
+        except TraceMismatch:
+            continue
+        kept.append((a, b))
+    return kept
 
 
 def _edge_total_pairs():
     """Pairs whose totals sit within a few ulps of 1 +- TRACE_TOL: a's and
     b's last entries moved alike (or b's by half as much), kept where
-    coop_construct accepts the pair.  The joint totals then agree, and
-    rows whose eta or chi total lies an ulp or two on the far side of 1
-    fail the psi/eta or chi/phi total check."""
-    pairs = []
-    for a, b, *_ in COOP_GOLDEN[:4]:
-        for d in (TRACE_TOL, TRACE_TOL - 2**-51, -TRACE_TOL, 2**-51 - TRACE_TOL):
-            for scale in (1.0, 0.5):
-                a2, b2 = [a[0], a[1], a[2] + d], [b[0], b[1], b[2] + scale * d]
-                try:
-                    locc._require_incomparable_3x3(a2, b2)
-                except TraceMismatch:
-                    continue
-                pairs.append((a2, b2))
-    return pairs
-
-
-def _joint_edge_pair():
-    """COOP_GOLDEN[6] with a - b a few ulps inside TRACE_TOL: the joint
-    totals of some rows fail while every cross pair passes."""
-    a, b = (np.array(v) for v in COOP_GOLDEN[6][:2])
-    return a * (1 + 5e-10), b * (1 - 5e-10 + 4 * 2**-53)
+    coop_construct accepts the pair.  The joint totals then agree, and a
+    plan whose eta or chi total lies an ulp or two on the far side of 1
+    fails the psi/eta or chi/phi total check."""
+    return _accepted(
+        ([a[0], a[1], a[2] + d], [b[0], b[1], b[2] + scale * d])
+        for a, b, *_ in COOP_GOLDEN[:4]
+        for d in (TRACE_TOL, TRACE_TOL - 2**-51, -TRACE_TOL, 2**-51 - TRACE_TOL)
+        for scale in (1.0, 0.5)
+    )
 
 
 def _edge_corpus():
-    """_edge_total_pairs, the golden pairs scaled to totals 1 +- 5e-10 and 1
-    -+ 4.995e-10, and the joint-edge pair."""
+    """_edge_total_pairs, the golden pairs scaled to totals 1 +- 5e-10 and
+    1 -+ 4.995e-10 or 1 -+ 5e-10, and COOP_GOLDEN[6] with a - b a few ulps
+    inside TRACE_TOL: the joint totals of a plan can fail while every cross
+    pair passes."""
     scaled = [
-        (np.array(a) * (1 + s * 5e-10), np.array(b) * (1 - s * 4.995e-10)) for a, b, *_ in COOP_GOLDEN for s in (1, -1)
+        (np.array(a) * (1 + s * 5e-10), np.array(b) * (1 - s * gap))
+        for a, b, *_ in COOP_GOLDEN
+        for s in (1, -1)
+        for gap in (4.995e-10, 5e-10)
     ]
-    return _edge_total_pairs() + scaled + [_joint_edge_pair()]
+    a, b = (np.array(v) for v in COOP_GOLDEN[6][:2])
+    return _edge_total_pairs() + _accepted(scaled) + [(a * (1 + 5e-10), b * (1 - 5e-10 + 4 * 2**-53))]
 
 
-def _edge_outcome(a, b, seed, fallback_samples):
-    """coop_construct's outcome, held to its contract at any totals: a plan
-    that coop_validate re-certifies as valid with the same flags and
-    margin, NoPlanFound, or the TraceMismatch that coop_validate raised for
-    the search's winner."""
-    raised, validate = [], locc.coop_validate
-
-    def spy(*args):
-        try:
-            return validate(*args)
-        except TraceMismatch as exc:
-            raised.append(str(exc))
-            raise
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locc, "coop_validate", spy)
-        got = _coop_outcome(coop_construct, a, b, seed, fallback_samples)
-    if isinstance(got, CoopPlan):
-        assert got.valid and _same_validation(coop_validate(a, b, got.chi, got.eta), got)
-    elif got[0] == "TraceMismatch":
-        assert raised == [got[1]]
-    else:
-        assert got == NO_PLAN
-    return got
-
-
-def test_coop_edge_totals_give_a_certified_plan_or_the_winners_error(fresh_streams):
-    """A pair whose totals sit at the edge of TRACE_TOL: the search ranks
-    its candidates on partial sums alone and re-certifies the winner, so it
-    returns a plan coop_validate certifies, raises NoPlanFound, or raises
-    coop_validate's TraceMismatch for the winner; bit for bit the outcome
-    of the totals-free scan."""
+def test_coop_edge_totals_give_a_certified_plan_or_the_winners_error():
+    """A pair whose totals sit at the edge of TRACE_TOL: the LP reads only
+    partial sums, so coop_construct returns a plan that coop_validate
+    re-certifies bit for bit, or raises the TraceMismatch that
+    coop_validate raised for the plan it found."""
     outcomes = set()
     for a, b in _edge_corpus():
-        for seed in (0, 1):
-            for fallback in (37, 300, 5000):
-                got = _edge_outcome(a, b, seed, fallback)
-                want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
-                assert _same_outcome(got, want), (a, b, seed, fallback)
-                outcomes.add(type(got).__name__ if isinstance(got, CoopPlan) else got[0])
-    assert outcomes == {"CoopPlan", "TraceMismatch", "NoPlanFound"}
+        raised, validate = [], locc.coop_validate
 
+        def spy(*args):
+            try:
+                return validate(*args)
+            except TraceMismatch as exc:
+                raised.append(str(exc))
+                raise
 
-def test_coop_edge_totals_of_a_cut_chunk(fresh_streams):
-    """A kept chunk cut short by fallback_samples ranks its first rows only.
-    With these edge totals some row of seed 0's first chunk fails a total
-    check and its first 21 rows do not: the search returns the plan of the
-    one-by-one scan of the drawn rows, which checks every row's totals."""
-    a, b = [0.41, 0.38, 0.21 - TRACE_TOL], [0.4, 0.4, 0.2 - 0.5 * TRACE_TOL]
-    sa, sb = locc._strip(a), locc._strip(b)
-    draws = np.random.default_rng((0, 99)).dirichlet(np.ones(3), size=(locc._FIRST_CHUNK, 2))
-    with pytest.raises(TraceMismatch):
-        for x, y in ((sa, draws[:, 1]), (draws[:, 0], sb)):
-            compare_rows(x, y)
-    for fallback in (1, 8, 21):
-        for x, y in ((sa, draws[:fallback, 1]), (draws[:fallback, 0], sb)):
-            compare_rows(x, y)
-        want = _coop_one_by_one(a, b, 0, fallback)
-        got = _edge_outcome(a, b, 0, fallback)
-        assert isinstance(got, CoopPlan) and _same_plan(got, want) and _same_diagnostics(got, want)
-    assert locc._coop_stream(0).kept[0].size == locc._FIRST_CHUNK
-
-
-NO_PLAN = ("NoPlanFound", "no auxiliary pair found by recipe or randomized search")
-
-
-def _coop_outcome(search, *args):
-    """What a search or a reference scan returns: a plan, else the type and
-    message of its error (a reference's None is NoPlanFound, its message
-    string a TraceMismatch)."""
-    try:
-        got = search(*args)
-    except (NoPlanFound, TraceMismatch) as exc:
-        return type(exc).__name__, str(exc)
-    if got is None:
-        return NO_PLAN
-    return ("TraceMismatch", got) if isinstance(got, str) else got
-
-
-def _same_outcome(got, want):
-    if isinstance(want, tuple):
-        return got == want
-    return isinstance(got, CoopPlan) and _same_validation(got, want) and _same_diagnostics(got, want)
-
-
-def _recipe_eta_incomparable(a, b):
-    """Whether a is incomparable with the eta of some a1 > b1 recipe row."""
-    sa, sb = locc._strip(a), locc._strip(b)
-    return any(compare(sa, eta) is MajVerdict.Incomparable for _, eta in locc._coop_case1_candidates(sa, sb))
-
-
-# (a, b, seed, fallback_samples) whose first full row, fallback row 6891, lies
-# in the second chunk past the kept draws; its first valid row is row 270
-PAST_KEPT = (
-    (0.47970400372939864, 0.42380589464668905, 0.0964901016239124),
-    (0.5445177942340744, 0.259691617001975, 0.19579058876395064),
-    0,
-    10**5,
-)
-
-
-def _waiting_corpus():
-    """a1 > b1 pairs with and without a recipe eta incomparable with a (about
-    3 in 100 have one), and a1 < b1 pairs."""
-    rng = rng_for("coop-waiting")
-    groups = {True: [], False: [], None: []}
-    while min(len(g) for g in groups.values()) < 3:
-        a, b = random_prob(3, rng), random_prob(3, rng)
-        if compare(a, b) is not MajVerdict.Incomparable or min(a[0] - a[1], a[1] - a[2]) <= 1e-9:
-            continue
-        key = _recipe_eta_incomparable(a, b) if a[0] > b[0] else None
-        if len(groups[key]) < 3:
-            groups[key].append((a, b))
-    return groups
-
-
-def test_coop_waiting_checks_give_the_one_by_one_outcome(fresh_streams):
-    """Every path of the search gives the outcome of the one-by-one scan,
-    bit for bit: plan, diagnostics, or error type and message.  The recipe
-    is certified first where one of its etas is incomparable with a, and in
-    the second pass otherwise; a chunk's rows that are valid but not full
-    are checked as it is scanned from late on (late falls inside a chunk at
-    fallback 37, 300, 1000, 5000), and in the second pass before late; the
-    pair with no valid plan in 5000 samples checks them all, and PAST_KEPT's
-    search ends at its full row past the kept draws without checking them.
-    The seed-1 searches of the paper's pairs and the perfbench anchors find
-    a full row after chunks whose other rows went unchecked (in kept chunk
-    2 for the first two).  Where the totals sit at the edges of TRACE_TOL
-    the passes run alike, and the outcome is the totals-free scan's."""
-    groups = _waiting_corpus()
-    cases = [(a, b, seed, fallback) for g in groups.values() for a, b in g for seed in (0, 1) for fallback in (0, 37, 300, 1000, 5000)]
-    cases += [(a, b, 1, 10**5) for a, b, _, _ in COOP_GOLDEN]
-    cases += [((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457), 0, 5000), PAST_KEPT]
-    outcomes = set()
-    for a, b, seed, fallback in cases:
-        one_by_one = _coop_one_by_one if a[0] > b[0] else partial(_coop_one_by_one, candidates=iter(()))
-        want = _coop_outcome(one_by_one, a, b, seed, fallback)
-        got = _coop_outcome(coop_construct, a, b, seed, fallback)
-        assert _same_outcome(got, want), (a, b, seed, fallback)
-        outcomes.add(want[0] if isinstance(want, tuple) else (want.branch, all(want.cross_incomparable.values())))
-    plans = {("recipe", False), ("fallback", False), ("fallback", True)}
-    assert plans <= outcomes and "NoPlanFound" in outcomes
-    edge = [(a * (1 + 5e-10), b * (1 - 4.995e-10)) for a, b in groups[True] + groups[None]]
-    edge += [(a * (1 - 5e-10), b * (1 + 4.995e-10)) for a, b in groups[False]]
-    edge += _edge_total_pairs()[::3]
-    outcomes = set()
-    for a, b in edge:
-        for seed, fallback in ((0, 0), (0, 1000), (1, 5000)):
-            want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
-            got = _edge_outcome(a, b, seed, fallback)
-            assert _same_outcome(got, want), (a, b, seed, fallback)
-            outcomes.add(want[0] if isinstance(want, tuple) else want.branch)
-    assert outcomes == {"recipe", "fallback", "NoPlanFound"}
-    # some kept rows of the joint-edge pair's first chunk fail their joint
-    # totals; its valid but not full rows are left to the second pass as
-    # they are elsewhere, so with seed 1 the search returns the full row at
-    # 483
-    a, b = _joint_edge_pair()
-    for seed in range(3):
-        for fallback in (5000, 10**5):
-            want = _coop_outcome(_coop_totals_free, a, b, seed, fallback)
-            assert _same_outcome(_edge_outcome(a, b, seed, fallback), want), (seed, fallback)
-    assert coop_construct(a, b, seed=1).candidates == 483
-
-
-def _joint_checks(monkeypatch):
-    """Every _joint_ok call from here on, as (chunk, rows checked)."""
-    calls = []
-    joint_ok = locc._joint_ok
-
-    def spy(pair, chunk, rows):
-        calls.append((chunk, rows.copy()))
-        return joint_ok(pair, chunk, rows)
-
-    monkeypatch.setattr(locc, "_joint_ok", spy)
-    return calls
-
-
-def test_coop_checks_that_cannot_change_the_answer_wait(monkeypatch, fresh_streams):
-    """The mechanism, two passes: the first joint-checks each scanned
-    chunk's cross rows, and its other kept rows only from late on; the
-    second, which runs only when no full row ends the search, re-checks the
-    rows before late.  With seed 1, the four a1 > b1 pairs of the paper and
-    perfbench check only the cross rows of kept chunks and no recipe row;
-    the anchor (.602, .357, .041) -> (.696, .171, .133) checks only those
-    of chunks 0-1 and returns its full row there, edge totals or not.
-    With late = 200 the anchor also checks chunk 0's other rows from 200
-    on, stops at a valid one, and re-checks the kept rows of [0, 200).
-    PAST_KEPT's full row, 6891, ends its search with no other row
-    checked."""
-    kept = locc._coop_stream(1).kept
-    calls = _joint_checks(monkeypatch)
-
-    def checks(a, b, seed=1, **kw):
-        calls.clear()
-        plan = coop_construct(a, b, seed=seed, **kw)
-        return plan, list(calls)
-
-    def cross(a, b, chunk):
-        return ~locc._coop_flags(locc._coop_pair(*locc._require_incomparable_3x3(a, b)), chunk)[1]
-
-    for k in (0, 1, 3, 4):
-        a, b = COOP_GOLDEN[k][:2]
-        plan, seen = checks(a, b)
-        assert plan.branch == "fallback" and all(plan.cross_incomparable.values())
-        assert seen and all(any(chunk is c for c in kept) for chunk, _ in seen), k
-        assert all(np.array_equal(rows, cross(a, b, chunk)) for chunk, rows in seen), k
-    a, b = COOP_GOLDEN[6][:2]
-    for pair in ((a, b), (np.array(a) * (1 + 5e-10), np.array(b) * (1 - 4.995e-10)), _joint_edge_pair()):
-        plan, seen = checks(*pair)
-        assert plan.candidates == 483 and all(plan.cross_incomparable.values())
-        assert len(seen) == 2 and all(chunk is c for (chunk, _), c in zip(seen, kept))
-        assert all(np.array_equal(rows, cross(*pair, chunk)) for chunk, rows in seen)
-    plan, seen = checks(a, b, fallback_samples=1000)
-    assert plan.candidates == 215 and not all(plan.cross_incomparable.values())
-    first = cross(a, b, kept[0])
-    (c0, r0), (c1, r1), (c2, r2) = seen
-    assert c0 is kept[0] and np.array_equal(r0, first)
-    assert c1 is kept[0] and np.array_equal(r1, ~first & (kept[0].index >= 200))
-    # pass 2 re-checks the 52 kept rows of [0, 200), and finds a valid one
-    assert (c2.start, c2.size, r2.size) == (0, 200, 52) and r2.all()
-    assert np.array_equal(c2.index, kept[0].index[:52])
-    # a recipe eta incomparable with a: the recipe is checked first
-    a, b = _waiting_corpus()[True][0]
-    plan, seen = checks(a, b)
-    assert seen[0][0].start == 0 and not any(seen[0][0] is c for c in kept)
-    a, b, seed, fallback = PAST_KEPT
-    plan, seen = checks(a, b, seed=seed, fallback_samples=fallback)
-    assert (plan.branch, plan.candidates) == ("fallback", 6892)
-    assert all(np.array_equal(rows, cross(a, b, chunk)) for chunk, rows in seen)
-
-
-def test_coop_second_pass_redraws_rows_past_the_kept_draws(monkeypatch, fresh_streams):
-    """On a 16/32 schedule with 64 draws kept, a stream keeps rows [0, 48);
-    with 300 fallback samples late = 60, so a search that ends without a
-    full row draws rows [48, 60) again in its second pass, as one chunk cut
-    at late.  The pair with no valid plan raises NoPlanFound, and a pair
-    whose first valid row, 54, lies in those rows returns it after its
-    first pass stops at row 226, as the one-by-one scan does."""
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
-    monkeypatch.setattr(locc, "_STREAM_DRAWS", 64)
-    calls = _joint_checks(monkeypatch)
-    redraw = _incomparable_pairs("coop-redraw", 36, a1_below_b1=True)[35]
-    outcomes = []
-    for a, b, seed in (((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457), 0), (*redraw, 35)):
-        calls.clear()
-        want = _coop_outcome(_coop_one_by_one, a, b, seed, 300, iter(()))
-        got = _coop_outcome(coop_construct, a, b, seed, 300)
-        assert _same_outcome(got, want), seed
-        assert locc._coop_stream(seed).end == 48
-        assert sum((chunk.start, chunk.size) == (48, 12) for chunk, _ in calls) == 1, seed
-        outcomes.append(got)
-    assert outcomes[0] == NO_PLAN
-    got = outcomes[1]
-    assert (got.branch, got.candidates) == ("fallback", 227) and not all(got.cross_incomparable.values())
-    row = np.random.default_rng((35, 99)).dirichlet(np.ones(3), size=(55, 2))[54]
-    assert np.array_equal(np.stack((got.chi, got.eta)), np.sort(row)[:, ::-1])
-
-
-def test_coop_stream_memory_is_bounded(monkeypatch, fresh_streams):
-    """With no valid plan in 5000 samples, a search draws past the cap;
-    whatever fallback_samples is and however many seeds are searched, each
-    kept stream holds at most _STREAM_DRAWS rows, and at most
-    _STREAM_SEEDS streams are kept."""
-    monkeypatch.setattr(locc, "_FIRST_CHUNK", 16)
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 32)
-    monkeypatch.setattr(locc, "_STREAM_DRAWS", 200)
-    a, b = (0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457)
-    with pytest.raises(NoPlanFound):
-        coop_construct(a, b, seed=0, fallback_samples=5000)
-    seeds = range(locc._STREAM_SEEDS + 2)
-    for fallback in (5000, 10**4):
-        for seed in seeds:
-            _coop_or_none(a, b, seed, fallback)
-            assert locc._coop_stream.cache_info().currsize <= locc._STREAM_SEEDS
-    for seed in seeds[-locc._STREAM_SEEDS :]:
-        stream = locc._coop_stream(seed)
-        assert stream.end == 176  # 16 + 5 * 32 rows, the most chunks within 200
-        assert sum(c.index.size for c in stream.kept) <= stream.end <= locc._STREAM_DRAWS
-        # 80 bytes of column sums and 8 of index a kept row, nothing a dropped one
-        held = sum((x if x.base is None else x.base).nbytes for c in stream.kept for x in (c.index, c.sums))
-        assert held == 88 * sum(c.index.size for c in stream.kept) <= 88 * locc._STREAM_DRAWS
-    assert locc._coop_stream.cache_info().currsize == locc._STREAM_SEEDS
-
-
-def test_coop_streams_shared_by_threads_give_the_one_thread_plans(fresh_streams):
-    """Four threads search the same seeds from an empty stream cache, ten
-    times over, with a short switch interval: each search returns the plan
-    one thread returns, and each kept stream holds its four chunks once, in
-    stream order."""
-    pairs = [pair[:2] for pair in COOP_GOLDEN[:3]] + _incomparable_pairs("coop-scan", 2)
-    cases = [(a, b, seed, fallback) for seed in range(2) for a, b in pairs for fallback in (300, 10**4)]
-    wants = [_coop_or_none(*case) for case in cases]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for _ in range(10):
-                locc._coop_stream.cache_clear()
-                futures = [pool.submit(_coop_or_none, *case) for case in cases for _ in range(4)]
-                for future, want in zip(futures, [w for w in wants for _ in range(4)]):
-                    got = future.result(timeout=120)
-                    assert _same_plan(got, want) and _same_diagnostics(got, want)
-                for seed in range(2):
-                    kept = locc._coop_stream(seed).kept
-                    assert [(c.start, c.size) for c in kept] == [(0, 256), (256, 512), (768, 1024), (1792, 2048)]
-    finally:
-        sys.setswitchinterval(interval)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locc, "coop_validate", spy)
+            try:
+                got = coop_construct(a, b)
+            except TraceMismatch as exc:
+                assert raised == [str(exc)], (a, b)
+                outcomes.add("TraceMismatch")
+                continue
+        assert got.valid and all(got.cross_incomparable.values())
+        assert _same_validation(coop_validate(a, b, got.chi, got.eta), got)
+        outcomes.add("CoopPlan")
+    assert outcomes == {"CoopPlan", "TraceMismatch"}
 
 
 def test_catalyst_matches_one_by_one_scan():
