@@ -42,6 +42,7 @@ from .bound_entangled import (
 )
 from .errors import BadDims, BadParam, BadParty, BadSecret, OddN, TooLarge
 from .family_classes import _check_n, _outcome_classes, _outcome_sums, recursive_classes
+from .pairs import require_integer
 from .states import BELL_KINDS
 
 CODEBOOK = dict(enumerate(LABELS))  # secret s -> LABELS[s], row s of a family's stacks
@@ -147,14 +148,8 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_count(name, value):
-    """Raise BadParam unless value is an integer: a Python or numpy int, not a bool."""
-    if not _is_integer(value):
-        raise BadParam(f"{name} must be an integer, got {value!r}")
-
-
 def _check_shots(shots):
-    _check_count("shots", shots)
+    require_integer("shots", shots)
     if shots < 1:
         raise BadParam(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
@@ -420,11 +415,10 @@ def run_demo(n, trials, seed=0, shots=500):
     marginal distance over the labels seen, each equal to `trace_security`
     of the family's stacks at any party.  No family is built.
     """
-    _check_count("trials", trials)
-    _check_count("shots", shots)
+    trials = require_integer("trials", trials)
+    shots = require_integer("shots", shots)
     if not _is_integer(seed) or seed < 0:
         raise BadParam(f"seed must be a non-negative integer, got {seed!r}")
-    trials, shots = int(trials), int(shots)  # a numpy product could wrap below MAX_SHOTS
     if trials < 1:
         raise BadParam(f"trials must be >= 1, got {trials}")
     if trials * shots > MAX_SHOTS:

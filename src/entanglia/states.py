@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBloch, BadParam, BadSplit, MissingDims, NotDensity
-from .linalg import doc_dims, doc_numbers, eig_hermitian, load_doc, partial_trace, projector
+from .linalg import doc_dims, doc_numbers, eig_hermitian, load_doc, projector
 from .tolerances import BLOCH_TOL, RANK_TOL, TRACE_TOL
 
 ID2 = np.eye(2, dtype=complex)
@@ -180,11 +180,6 @@ def schmidt_vector(psi, dims, split):
         rho = m.conj().T @ m
     lam = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, None)
     return lam / lam.sum()
-
-
-def reduced_density(psi, dims, keep):
-    """Reduced density matrix of a pure state."""
-    return partial_trace(projector(check_pure(psi, dims)), dims, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,7 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, seed=0):
     A negative best value certifies distillability; a nonnegative one is
     inconclusive (never "undistillable").
     """
+    copies = require_integer("copies", copies)
     if copies < 1:
         raise BadParam(f"copies = {copies}: at least one copy is required")
     restarts = _restarts(restarts)

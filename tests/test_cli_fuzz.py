@@ -157,6 +157,8 @@ def test_other_subcommands_argv_fuzz(tmp_path):
         ["angle", "0", "1", "--sweep", "1000000000"],
         ["flip", "nan", "0", "1", "0", "1"],
         ["angle", "nan", "0"],
+        ["angle", "0", "1e160"],
+        ["flip", "1e200", "0", "1", "0", "1"],
     ]
     for argv in fixed:
         assert run_child(argv) == 3, argv

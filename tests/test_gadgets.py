@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entanglia import gadgets
 from entanglia.errors import BadParam, NonFinite
 from entanglia.gadgets import (
     angle_preserving_gadget,
@@ -10,7 +11,9 @@ from entanglia.gadgets import (
     coplanarity_gap,
     flip_gadget,
 )
+from entanglia.linalg import partial_trace, projector
 from entanglia.majorization import MajVerdict, compare
+from entanglia.states import ket
 
 from conftest import rng_for
 
@@ -224,6 +227,57 @@ def test_angle_preserving_real_closed_forms():
 def test_angle_preserving_normalization_required():
     with pytest.raises(BadParam):
         angle_preserving_gadget(1.0, 1.0)
+    # |beta|^2 overflows a float power; the gate must still name BadParam
+    for alpha, beta in ((0.0, 1e160), (1e200, 0.0), (0.0, complex(0, 1e160))):
+        with pytest.raises(BadParam, match="must be 1"):
+            angle_preserving_gadget(alpha, beta)
+
+
+def _probe_oracle(states_b1, states_b2):
+    """The paper's construction: the 12-dimensional probe
+    (1/sqrt 3) sum_i |i> (x) |b1_i> (x) |b2_i> on dims (3, 2, 2), its
+    projector traced down to the qutrit."""
+    psi = np.zeros(12, dtype=complex)
+    for i in range(3):
+        psi += np.kron(ket(i, 3), np.kron(states_b1[i], states_b2[i]))
+    psi /= math.sqrt(3.0)
+    return partial_trace(projector(psi), (3, 2, 2), keep=[0])
+
+
+def test_probe_is_the_twelve_dimensional_partial_trace_bit_for_bit():
+    rng = rng_for("probe-oracle")
+    for k in range(1200):
+        kets = rng.normal(size=(6, 2))
+        if k % 2:
+            kets = kets + 1j * rng.normal(size=(6, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        b1, b2 = kets[:3], kets[3:]
+        assert np.array_equal(gadgets._probe(b1, b2), _probe_oracle(b1, b2)), k
+
+
+def test_each_gadget_probes_the_twelve_dimensional_partial_trace(monkeypatch):
+    probe = gadgets._probe
+    calls = []
+
+    def checked(states_b1, states_b2):
+        rho = probe(states_b1, states_b2)
+        assert np.array_equal(rho, _probe_oracle(states_b1, states_b2))
+        calls.append(rho)
+        return rho
+
+    monkeypatch.setattr(gadgets, "_probe", checked)
+    rng = rng_for("probe-oracle-gadgets")
+    for k in range(20):
+        a, c = np.sqrt(rng.uniform(0.05, 0.95, 2))
+        theta, mu, nu = rng.uniform(0, math.pi, 3)
+        flip_gadget(a, math.sqrt(1 - a * a), c, math.sqrt(1 - c * c), theta, mu, nu)
+        antiunitary_gadget(*rng.uniform(0, 2 * math.pi, 3))
+        t, phase = rng.uniform(0, 2 * math.pi, 2)
+        angle_preserving_gadget(math.cos(t), math.sin(t) * np.exp(1j * phase * (k % 2)))
+    flip_gadget(S2, S2, S2, S2, math.pi / 2)
+    antiunitary_gadget(math.pi / 2, 0.0, 0.0)
+    angle_preserving_gadget(0.6, 0.8)
+    assert len(calls) == 21 * (2 + 3 + 2)
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,15 @@ def test_seesaws_need_one_restart():
     assert distillable_rank2(rho, (2, 2), [0], restarts=np.int64(1)).found
 
 
+def test_distillable_copies_must_be_an_integer():
+    """A fraction once reached range() as a TypeError, and True ran one copy."""
+    rho = werner(0.6)
+    for copies in (1.5, 2.0, True):
+        with pytest.raises(BadParam, match="copies must be an integer"):
+            distillable_rank2(rho, (2, 2), [0], copies=copies)
+    assert distillable_rank2(rho, (2, 2), [0], copies=np.int64(1), restarts=1).found
+
+
 def test_reduction_equivalent_to_ppt_low_dims():
     # in 2x2 and 2x3 the reduction criterion detects exactly the NPT states
     rng = rng_for("red-iff")
