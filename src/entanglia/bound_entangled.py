@@ -17,12 +17,11 @@ in label order, the diagonals d and anti-diagonals o, which unlock and the
 hiding protocol read, are gathered from the class values on first use;
 `parts` holds the stacks' row views, and the dense matrices are a
 read-only view built on first use.  `BEFamily(n, parts)` copies the given
-rows in once; `verify_family` sends such a family to the class checks when
-it is permutation symmetric, real (o may have a complex dtype with every
-imaginary part 0) and on the dyadic grid (the gate raises
-NotDyadic off it), and decides any other on the stacks, exactly.  Each
-family's unlock table is built once, on first use, and read-only: `unlock`,
-the hiding decodes and the stack checks read its rows.
+rows in once and has no class values: `verify_family` decides such a
+family on its stacks, exactly, once the dyadic gate passes them (it raises
+NotDyadic off the grid).  Each family's unlock table is built once, on
+first use, and read-only: `unlock`, the hiding decodes and the stack
+checks read its rows.
 """
 
 from __future__ import annotations
@@ -57,8 +56,9 @@ _TRIU = np.triu_indices(4, 1)
 @dataclass(frozen=True, eq=False, init=False)
 class BEFamily:
     """The four states of an n-qubit family, as class values (a
-    construction's) or as stacks (`BEFamily(n, parts)`); `d`, `o`, `parts`,
-    `states` and the unlock table are read-only, each built on first use."""
+    construction's) or as stacks (`BEFamily(n, parts)`, whose `_classes` is
+    None); `d`, `o`, `parts`, `states` and the unlock table are read-only,
+    each built on first use."""
 
     n_qubits: int
 
@@ -77,7 +77,7 @@ class BEFamily:
             if np.iscomplexobj(d):
                 raise BadParam(f"{lab}: d is a density matrix's diagonal and must be real, got dtype {d.dtype}")
         d, o = _read_only(*(np.array(col) for col in zip(*rows)))
-        for name, value in (("n_qubits", n_qubits), ("d", d), ("o", o)):
+        for name, value in (("n_qubits", n_qubits), ("_classes", None), ("d", d), ("o", o)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -88,12 +88,6 @@ class BEFamily:
         object.__setattr__(fam, "n_qubits", n)
         object.__setattr__(fam, "_classes", classes)
         return fam
-
-    @cached_property
-    def _classes(self):
-        """The class values (D, O): a construction's own, else
-        `_stack_classes` of the stacks."""
-        return _stack_classes(self.n_qubits, self.d, self.o)
 
     @cached_property
     def _stacks(self):
@@ -152,24 +146,6 @@ def _class_floats(classes):
     float64 block, exactly: one per construction and n."""
     n = len(classes[0][0]) - 1
     return _read_only(np.array(classes, dtype=float) * 4.0**-n)[0]
-
-
-def _stack_classes(n, d, o):
-    """The class values (D, O), (4, n + 1) ints in units of 4^-n, of stacks
-    d and o that are permutation symmetric with a real o (of a complex
-    dtype too, when every imaginary part is 0), once _check_dyadic passes
-    their class values (else it raises NotDyadic); None for other stacks."""
-    if not _symmetric(n, d, o):
-        return None
-    _, rep = _class_table(n)
-    d, o = d[:, rep], o[:, rep]
-    for x in (d, o):
-        _check_dyadic(x, n)
-    if np.iscomplexobj(o):
-        if o.imag.any():
-            return None
-        o = o.real
-    return tuple(tuple(map(tuple, (x * 4.0**n).astype(np.int64).tolist())) for x in (d, o))
 
 
 def _symmetric(n, d, o):
@@ -382,32 +358,26 @@ def verify_family(fam, quick=False):
     """Run the seven family checks, collecting per-cut PT evidence; none
     builds a dense matrix.
 
-    A family with class values (`BEFamily._classes`) is decided on them by
-    `verify_classes`, in Python ints: a construction's own, and those of
-    given stacks that are permutation symmetric with a real o (a complex
-    dtype with every imaginary part 0 counts as real).  Symmetry is one
-    gather, each entry against its class representative, and _check_dyadic
-    gates the n + 1 class values of a symmetric stack (once per family), or
-    every entry of another, before any check runs.
-
-    Any other family is decided on its stacks fam.d and fam.o.  At n <= 10 every product and
-    sum below is an integer under 2^51 in units of 16^-n, so all seven
-    checks are exact comparisons.  Orthogonality is the Gram matrix
-    d d^T + Re(o o_rev^T) against 0, pt_min_eigenvalues gives each cut's
-    minimum and reduced_diagonal every marginal, in one gather.  The PT
-    flags read each minimum's sign, the Pauli connection on qubits 0 and
-    n - 1 is a gather times +/-1, and unlock reads the family's unlock
+    A construction carries class values (`BEFamily._classes`) and is
+    decided on them by `verify_classes`, in Python ints.  A family built by
+    hand is decided on its stacks fam.d and fam.o, symmetric or not:
+    _check_dyadic gates every entry before any check runs, and symmetry is
+    one gather, each entry against its class representative.  At n <= 10
+    every product and sum below is an integer under 2^51 in units of
+    16^-n, so all seven checks are exact comparisons.  Orthogonality is the
+    Gram matrix d d^T + Re(o o_rev^T) against 0, pt_min_eigenvalues gives
+    each cut's minimum and reduced_diagonal every marginal, in one gather.
+    The PT flags read each minimum's sign, the Pauli connection on qubits 0
+    and n - 1 is a gather times +/-1, and unlock reads the family's unlock
     table.  quick=True only leaves `cut_evidence` empty.
     """
     n = fam.n_qubits
-    classes = fam._classes
-    if classes is not None:
-        return verify_classes(n, *classes, quick=quick)
+    if fam._classes is not None:
+        return verify_classes(n, *fam._classes, quick=quick)
     d, o = fam.d, fam.o
+    for x in (d, o):
+        _check_dyadic(x, n)
     permutation_symmetric = _symmetric(n, d, o)
-    if not permutation_symmetric:  # a symmetric family's class values passed in _classes
-        for x in (d, o):
-            _check_dyadic(x, n)
 
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
     orthogonal = bool((gram[_TRIU] == 0).all())

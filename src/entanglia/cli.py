@@ -497,13 +497,11 @@ def cmd_bound(args):
         from .family_classes import _check_n, recursive_classes, verify_classes
 
         _check_n(args.n)
-        rep = verify_classes(args.n, *recursive_classes(args.n), quick=args.quick)
+        rep = verify_classes(args.n, *recursive_classes(args.n))
         out = {"n": rep.n_qubits, **{check: getattr(rep, check) for check in CHECKS}, "all_pass": rep.all_pass}
-        if rep.cut_evidence:
-            out["cuts"] = [
-                {"state": lab, "cut": list(cut), "min_pt_eigenvalue": m}
-                for lab, cut, m in rep.cut_evidence
-            ]
+        out["cuts"] = [
+            {"state": lab, "cut": list(cut), "min_pt_eigenvalue": m} for lab, cut, m in rep.cut_evidence
+        ]
         return out
     if args.action == "unlock":
         from .bound_entangled import be_family, unlock
@@ -661,11 +659,6 @@ def build_parser():
     sp.add_argument("--a", type=float, default=0.5, help="parameter of the 3x3 state")
     sp.add_argument("--out", default=None, help="directory for written matrices (build)")
     sp.add_argument("--trials", type=int, default=64, help="seesaw restarts (upb)")
-    sp.add_argument(
-        "--quick",
-        action="store_true",
-        help="leave the per-cut PT list out; the PPT flags are the same as without it",
-    )
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("hide", parents=[common], help="data-hiding protocol demo")

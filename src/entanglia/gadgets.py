@@ -163,6 +163,7 @@ def antiunitary_gadget(theta, alpha, beta):
     dependence; a plain-U leg confirms nothing signals without the
     conjugation."""
     _require_finite(theta=theta, alpha=alpha, beta=beta)
+    _require_finite(**{"alpha + beta": alpha + beta})  # 1e308 + 1e308 overflows
     u = np.array(
         [
             [math.cos(theta), cmath.exp(1j * alpha) * math.sin(theta)],

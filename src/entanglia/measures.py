@@ -33,8 +33,9 @@ def _xlog2x(p):
 
 
 def shannon(p):
-    """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0."""
-    return float(-np.sum(_xlog2x(as_prob_vector(p))))
+    """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0 (and +0.0, not -0.0, for
+    a pure p)."""
+    return float(0.0 - np.sum(_xlog2x(as_prob_vector(p))))
 
 
 def binary_entropy(x):
@@ -50,6 +51,11 @@ def check_density(rho):
         raise NotDensity("density matrix must be hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise NotDensity(f"trace {np.trace(rho).real} != 1")
+    # |rho_ij| <= tr rho for a PSD rho: larger entries are no density matrix
+    # and would overflow the eigensolvers downstream
+    largest = np.abs(rho).max()
+    if largest > 1.0 + TRACE_TOL:
+        raise NotDensity(f"an entry has modulus {float(largest)!r} > 1")
     return rho
 
 
@@ -59,7 +65,7 @@ def von_neumann_entropy(rho):
     if vals[-1] < -PSD_CLAMP:
         raise NotDensity(f"negative eigenvalue {vals[-1]:.3e}")
     vals = np.clip(vals, 0.0, None)
-    return float(-np.sum(_xlog2x(vals / vals.sum())))
+    return float(0.0 - np.sum(_xlog2x(vals / vals.sum())))
 
 
 def entanglement_entropy(psi, dims, split):

@@ -441,12 +441,8 @@ def test_bound_verify_n10(capsys):
     )
     code, out, _ = run_cli(capsys, "bound", "verify", "--n", "10", "--output", "structured")
     full = json.loads(out)
-    assert code == 0 and full["all_pass"] is True
+    assert code == 0 and all(full[k] is True for k in flags)
     assert len(full["cuts"]) == 4 * (255 + 10)
-    code, out, _ = run_cli(capsys, "bound", "verify", "--n", "10", "--quick", "--output", "structured")
-    quick = json.loads(out)
-    assert code == 0 and "cuts" not in quick
-    assert {k: quick[k] for k in flags} == {k: full[k] for k in flags}
 
 
 def test_bound_unlock(capsys):

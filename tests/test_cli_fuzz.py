@@ -3,7 +3,7 @@
 Each run is a child process with a timeout, so a hang fails the test
 instead of stalling the suite.  Every argv must end in exit 0 (answer),
 2 (usage error) or 3 (named precondition), never in a traceback.  The two
-tests together start 44 children.  The malformed state and matrix files at
+tests together start 49 children.  The malformed state and matrix files at
 the end run in-process, where a traceback would raise in the test, through
 the CLI and through the library readers.
 """
@@ -147,7 +147,16 @@ OTHER_RUNS = 19
 
 def test_other_subcommands_argv_fuzz(tmp_path):
     files = write_inputs(tmp_path)
+    # hermitian with trace 1, but no density matrix: |rho_ij| <= tr rho fails
+    huge = tmp_path / "huge.json"
+    diagonal = [[0.0] * 4 for _ in range(4)]
+    for i, x in enumerate((1e308, -1e308, 1.0, 0.0)):
+        diagonal[i][i] = x
+    huge.write_text(json.dumps({"dims": [2, 2], "re": diagonal, "im": [[0.0] * 4 for _ in range(4)]}))
     fixed = [
+        ["witness", str(huge)],
+        ["measure", "negativity", str(huge)],
+        ["antiunitary", "0", "1e308", "1e308"],
         ["multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "100000"],
         ["multicopy", ".4,.4,.1,.1", ".5,.25,.25,0", "1000000000000"],
         ["hide", "demo", "--n", "4", "--trials", "1", "--shots", "1000000000"],

@@ -32,7 +32,6 @@ def _file_label(lab):  # the file names `bound build --out` writes
 # the bound entangled family commands, each run at every n in FAMILY_NS
 FAMILY = {
     "verify": ("bound", "verify"),
-    "verify-quick": ("bound", "verify", "--quick"),
     **{f"unlock-{_file_label(lab)}": ("bound", "unlock", "--state", lab) for lab in LABELS},
     "build": ("bound", "build"),
     "demo": ("hide", "demo", "--trials", "40", "--seed", "7"),

@@ -1,6 +1,7 @@
 """The family as Hamming-weight class values (entanglia.family_classes),
-against the stacks it replaced in `verify_family`, the loop oracle of
-tests/test_ghz_oracle.py, and exact arithmetic where float64 rounds."""
+against the stack checks `verify_family` runs on a hand-built family, the
+loop oracle of tests/test_ghz_oracle.py, and exact arithmetic where
+float64 rounds."""
 
 import math
 import random
@@ -13,7 +14,13 @@ from conftest import rng_for
 from entanglia import bound_entangled
 from entanglia.bound_entangled import LABELS, BEFamily, be_family, be_family_direct, verify_family
 from entanglia.family_classes import PAIRING, _coupling_table, direct_classes, recursive_classes, verify_classes
-from test_ghz_oracle import CHECKS, assert_same_report, loop_verify_family, random_symmetric_family
+from test_ghz_oracle import (
+    CHECKS,
+    assert_same_report,
+    from_classes,
+    loop_verify_family,
+    random_symmetric_classes,
+)
 
 
 @pytest.mark.parametrize("n", range(4, 22, 2))
@@ -76,10 +83,12 @@ def test_a_block_with_a_negative_trace_is_not_psd():
     """x y >= |c|^2 holds for x = y = -1, c = 0, but the block is not PSD:
     the x + y >= 0 clause decides it, as the stacks do."""
     n = 4
-    fam = from_classes(n, [(-(1 << (n + 1)),) * (n + 1)] * 4, [(0,) * (n + 1)] * 4)
-    rep = verify_family(fam)
-    assert fam._classes is not None and not rep.even_cut_ppt and rep.single_vs_rest_npt
-    assert_same_report(rep, verify_family(on_the_stacks(fam)))
+    d, o = [(-(1 << (n + 1)),) * (n + 1)] * 4, [(0,) * (n + 1)] * 4
+    rep = verify_classes(n, d, o)
+    assert not rep.even_cut_ppt and rep.single_vs_rest_npt
+    fam = from_classes(n, d, o)
+    assert_same_report(rep, verify_family(fam))
+    assert_same_report(rep, loop_verify_family(fam))
 
 
 @pytest.mark.parametrize("n", range(4, 22, 2))
@@ -120,10 +129,9 @@ def test_sparse_signed_classes_match_the_stacks(n):
     rng = random.Random(n)
     seen = set()
     for _ in range(40):
-        fam = from_classes(n, *sparse_classes(n, rng))
-        got = verify_family(fam)
-        assert fam._classes is not None
-        assert_same_report(got, verify_family(on_the_stacks(fam)))
+        d, o = sparse_classes(n, rng)
+        got = verify_classes(n, d, o)
+        assert_same_report(got, verify_family(from_classes(n, d, o)))
         seen.add(got.orthogonal)
     assert seen == {True, False}
 
@@ -155,38 +163,46 @@ def test_a_construction_is_verified_without_its_stacks(build):
         assert fam.d.shape == (4, 1 << n) and not fam.d.flags.writeable
 
 
-def test_given_stacks_are_gathered_into_classes_once(monkeypatch):
-    calls = []
-    gather = bound_entangled._stack_classes
-
-    def counted(n, d, o):
-        calls.append(n)
-        return gather(n, d, o)
-
-    monkeypatch.setattr(bound_entangled, "_stack_classes", counted)
-    for n in (4, 6, 8, 10):
-        fam = BEFamily(n, be_family(n).parts)
-        for quick in (False, True, False):
-            verify_family(fam, quick=quick)
-        assert fam._classes == recursive_classes(n)
-    assert calls == [4, 6, 8, 10]
-
-
 @pytest.mark.parametrize("build", [be_family, be_family_direct])
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
-def test_a_complex_dtype_anti_diagonal_with_no_imaginary_part_is_decided_on_classes(build, n):
-    """`o.astype(complex)` of a construction gets the real copy's report
-    from the same class values: every flag, and each evidence value to the
-    last bit."""
+def test_a_complex_dtype_anti_diagonal_with_no_imaginary_part_gets_the_real_copys_report(build, n):
+    """`o.astype(complex)` of a construction gets the real copy's report:
+    every flag, and each evidence value to the last bit."""
     fam = build(n)
     real = BEFamily(n, fam.parts)
     cplx = BEFamily(n, {lab: (d, o.astype(complex)) for lab, (d, o) in fam.parts.items()})
     assert cplx.o.dtype == np.complex128
-    assert cplx._classes == real._classes == fam._classes
     for quick in (False, True):
         got, want = verify_family(cplx, quick=quick), verify_family(real, quick=quick)
         assert_same_report(got, want)
         assert [m.hex() for *_, m in got.cut_evidence] == [m.hex() for *_, m in want.cut_evidence]
+
+
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_only_a_construction_is_decided_on_class_values(monkeypatch, build, n):
+    """A construction goes to `verify_classes` on every call; its parts
+    built by hand, real or with a complex-dtype o, never do, although they
+    are permutation symmetric."""
+    calls = []
+    decide = bound_entangled.verify_classes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(bound_entangled, "verify_classes", counted)
+    fam = build(n)
+    real = BEFamily(n, fam.parts)
+    cplx = BEFamily(n, {lab: (d, o.astype(complex)) for lab, (d, o) in fam.parts.items()})
+    assert fam._classes is not None and real._classes is None and cplx._classes is None
+    for quick in (False, True):
+        assert verify_family(real, quick=quick).permutation_symmetric
+        assert verify_family(cplx, quick=quick).permutation_symmetric
+    assert calls == []
+    for quick in (False, True):
+        verify_family(fam, quick=quick)
+    assert calls == [n, n]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
@@ -206,14 +222,6 @@ def test_a_genuinely_complex_symmetric_anti_diagonal_stays_on_the_stacks(monkeyp
     fam = BEFamily(n, parts)
     assert fam._classes is None and fam.o[0].imag.any()
     assert_same_report(verify_family(fam), loop_verify_family(fam))
-
-
-def on_the_stacks(fam):
-    """A hand-built copy of the family that verify_family decides on its
-    stacks: its class values are None, as an asymmetric family's are."""
-    copy = BEFamily(fam.n_qubits, fam.parts)
-    object.__setattr__(copy, "_classes", None)
-    return copy
 
 
 def negated(j):
@@ -272,13 +280,6 @@ CLASS_TAMPERS = {
 }
 
 
-def from_classes(n, d, o):
-    """The hand-built family whose stacks hold class values d and o."""
-    weight = np.bitwise_count(np.arange(1 << n))
-    rows = (tuple(np.array(row, dtype=float)[weight] * 4.0**-n for row in pair) for pair in zip(d, o))
-    return BEFamily(n, dict(zip(LABELS, rows)))
-
-
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_class_tampers_fail_where_the_loop_oracle_does(n):
     failed = set()
@@ -287,19 +288,20 @@ def test_class_tampers_fail_where_the_loop_oracle_does(n):
         change(d, o)
         fam = from_classes(n, d, o)
         want = loop_verify_family(fam)
-        assert fam._classes is not None, name  # the class path decides it
+        assert_same_report(verify_classes(n, d, o), want)
         assert_same_report(verify_family(fam), want)
-        assert_same_report(verify_family(on_the_stacks(fam)), want)
         failed |= {check for check in CHECKS if not getattr(want, check)}
     assert failed == set(CHECKS) - {"permutation_symmetric"}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_class_path_equals_the_stacks(n):
-    """verify_family on class values against the same families decided on
-    their stacks: every flag, evidence value and sign bit."""
+    """verify_classes on class values against the same families built by
+    hand and decided on their stacks: every flag, evidence value and sign
+    bit."""
     rng = rng_for("class-path", n)
-    families = [be_family(n), be_family_direct(n)] + [random_symmetric_family(n, rng) for _ in range(3)]
-    for fam in families:
+    classes = [recursive_classes(n), direct_classes(n)] + [random_symmetric_classes(n, rng) for _ in range(3)]
+    for d, o in classes:
+        fam = from_classes(n, d, o)
         for quick in (False, True):
-            assert_same_report(verify_family(fam, quick=quick), verify_family(on_the_stacks(fam), quick=quick))
+            assert_same_report(verify_classes(n, d, o, quick=quick), verify_family(fam, quick=quick))

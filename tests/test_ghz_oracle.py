@@ -42,6 +42,7 @@ from entanglia.bound_entangled import (
     verify_family,
 )
 from entanglia.errors import NotDyadic, NotGHZDiagonal
+from entanglia.family_classes import verify_classes
 from entanglia.hiding import CODEBOOK, decode_by_unlock, decode_global, hide, trace_security
 from entanglia.linalg import (
     eigvals_hermitian,
@@ -697,34 +698,49 @@ def test_nan_at_an_end_fails_the_symmetry(n, part):
         assert "_unlock" not in fam.__dict__
 
 
-def random_symmetric_family(n, rng):
-    """Four random states constant on each Hamming-weight class, on the
-    4^-n grid, with cd[w] != cd[n - w], so that PT blocks have unequal
-    diagonals.  The couplings are drawn up to a bound per family, about
-    half the time below every diagonal entry, so some families are PPT on
-    every cut and others are not."""
-    weight = np.bitwise_count(np.arange(1 << n))
+def random_symmetric_classes(n, rng):
+    """Class values (D, O) of four random states, four rows of n + 1 ints
+    each in units of 4^-n, with cd[w] != cd[n - w], so that PT blocks have
+    unequal diagonals.  The couplings are drawn up to a bound per family,
+    about half the time below every diagonal entry, so some families are
+    PPT on every cut and others are not."""
     quarter = 1 << (2 * n - 2)  # 1/4 in units of 4^-n
     bound = int(rng.integers(1, 2 * quarter))
-    parts = {}
-    for lab in LABELS:
+    d, o = [], []
+    for _ in LABELS:
         cd, co = rng.integers(quarter, 2 * quarter, n + 1), rng.integers(-bound, bound + 1, n + 1)
-        parts[lab] = (cd[weight] / (4 * quarter), co[weight] / (4 * quarter))
         assert (cd != cd[::-1]).any()
-    return BEFamily(n, parts)
+        d.append(cd.tolist())
+        o.append(co.tolist())
+    return d, o
+
+
+def from_classes(n, d, o):
+    """The hand-built family whose stacks hold class values d and o."""
+    weight = np.bitwise_count(np.arange(1 << n))
+    rows = (tuple(np.array(row, dtype=float)[weight] * 4.0**-n for row in pair) for pair in zip(d, o))
+    return BEFamily(n, dict(zip(LABELS, rows)))
+
+
+def random_symmetric_family(n, rng):
+    """The hand-built family of random_symmetric_classes, on the 4^-n grid."""
+    return from_classes(n, *random_symmetric_classes(n, rng))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_random_symmetric_families_match_the_loop_oracle(n):
-    """The weight-class path against the loop oracle on states that no
+    """The class checks on the class values and the stack checks on the
+    hand-built family, each against the loop oracle, on states that no
     family member resembles: every flag, evidence value and sign bit."""
     rng = rng_for("symmetric-classes", n)
     for _ in range(3):
-        fam = random_symmetric_family(n, rng)
+        d, o = random_symmetric_classes(n, rng)
+        fam = from_classes(n, d, o)
         want = loop_verify_family(fam)
-        got = verify_family(fam)
+        got = verify_classes(n, d, o)
         assert got.permutation_symmetric
         assert_same_report(got, want)
+        assert_same_report(verify_family(fam), want)
         quick = verify_family(fam, quick=True)
         assert quick.cut_evidence == []
         assert all(getattr(quick, c) == getattr(want, c) for c in CHECKS)
@@ -816,8 +832,8 @@ def test_few_ulp_changes_fail_the_exact_checks(n, name):
 # rational arithmetic.
 
 # name -> (part, index, value per n) of rho+; indices 0 and -1 are classes
-# of one string each, so a change there keeps the family symmetric and the
-# gate reads class values, while index 1 breaks the symmetry.
+# of one string each, so a change there keeps the family symmetric, while
+# index 1 breaks the symmetry.  The gate reads every entry either way.
 NOT_DYADIC = {
     "nan": ("d", 0, lambda n: np.nan),
     "inf": ("o", 0, lambda n: np.inf),

@@ -8,6 +8,7 @@ from entanglia.linalg import kron, partial_trace, projector
 from entanglia.majorization import spectra_majorized
 from entanglia.measures import (
     binary_entropy,
+    check_density,
     concurrence_2q,
     concurrence_pure,
     entanglement_entropy,
@@ -48,6 +49,26 @@ def test_von_neumann_entropy():
     assert abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho)) < 1e-9
     with pytest.raises(NotDensity):
         von_neumann_entropy(np.eye(3))
+
+
+def test_entropy_of_a_pure_distribution_is_plus_zero():
+    """0 log 0 and 1 log 1 sum to 0.0, whose negation would print as -0."""
+    values = [shannon([1, 0]), binary_entropy(1.0), binary_entropy(0.0), von_neumann_entropy(projector(bell("phi+")))]
+    assert values == [0.0] * 4
+    assert not any(math.copysign(1.0, v) < 0 for v in values)
+
+
+def test_check_density_refuses_entries_above_the_trace():
+    """|rho_ij| <= tr rho for any density matrix: a hermitian trace-1
+    matrix with entries far above 1 is refused by name, before an
+    eigensolver sees it; modulus 1 itself passes."""
+    huge = np.diag([1e308, -1e308, 1.0, 0.0])
+    for measure in (von_neumann_entropy, concurrence_2q, lambda r: negativity(r, (2, 2), [0])):
+        with pytest.raises(NotDensity, match="modulus 1e\\+308"):
+            measure(huge)
+    with pytest.raises(NotDensity, match="modulus 2.0"):
+        check_density(np.diag([2.0, -1.0]))
+    assert check_density(np.diag([1.0, 0.0])).shape == (2, 2)
 
 
 def test_entanglement_entropy_examples():

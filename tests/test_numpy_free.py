@@ -164,13 +164,17 @@ def golden_form(out, fmt):
 @pytest.mark.parametrize("n", (4, 6, 8, 10))
 def test_bound_verify_imports_no_numpy(n, quick, fmt):
     """`bound verify` decides the family on its class values: numpy is
-    never loaded, and the report is the golden file's, byte for byte."""
+    never loaded, and the report is the golden file's, byte for byte.  The
+    removed `--quick` flag is a usage error, raised before numpy loads."""
     argv = ("bound", "verify", "--n", str(n), *(("--quick",) if quick else ()), "--output", fmt)
     out, err, code, loaded = child(*argv)
+    if quick:
+        assert (out, code, loaded) == ("", 2, False)
+        assert err.endswith("error: unrecognized arguments: --quick\n"), err
+        return
     assert (err, code, loaded) == ("", 0, False)
     assert out == in_process(*argv)[0]
-    name = f"verify{'-quick' if quick else ''}-n{n}-{fmt}.txt"
-    assert golden_form(out, fmt) == (GOLDEN / name).read_text()
+    assert golden_form(out, fmt) == (GOLDEN / f"verify-n{n}-{fmt}.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", (("bound", "unlock", "--state", "sigma-"), ("bound", "build")))

@@ -113,16 +113,15 @@ def test_every_error_class_is_named_elsewhere():
 
 
 def test_family_checks_read_no_tolerance():
-    """verify_family, the unlock table and the class values it reads
-    through `BEFamily._unlock` and `BEFamily._classes`, and every function
-    of their module and of `family_classes` (the class checks) that they
-    call, at any depth (cached ones included), name no tolerance constant:
-    the family decision stays exact."""
+    """verify_family, the unlock table it reads through `BEFamily._unlock`,
+    and every function of their module and of `family_classes` (the class
+    checks) that they call, at any depth (cached ones included), name no
+    tolerance constant: the family decision stays exact."""
     functions = {}
     for module in (inspect.getmodule(verify_family), family_classes):
         unwrapped = {name: inspect.unwrap(obj) for name, obj in vars(module).items() if callable(obj)}
         functions |= {name: obj for name, obj in unwrapped.items() if inspect.isfunction(obj)}
-    names, todo = {}, ["verify_family", "_unlock_table", "_stack_classes"]
+    names, todo = {}, ["verify_family", "_unlock_table"]
     while todo:
         name = todo.pop()
         source = io.StringIO(inspect.getsource(functions[name]))
