@@ -364,8 +364,16 @@ def cmd_split2(args):
     }
 
 
-def cmd_measure(args):
+def _density(kind, obj):
+    """A loaded file's density matrix: a state file's amplitudes pass the
+    norm check before their projector is formed."""
     from .linalg import projector
+    from .states import check_pure
+
+    return projector(check_pure(obj)) if kind == "state" else obj
+
+
+def cmd_measure(args):
     from .measures import concurrence_2q, concurrence_pure, entanglement_entropy, eof_2q, log_negativity
     from .measures import negativity, von_neumann_entropy
 
@@ -378,7 +386,7 @@ def cmd_measure(args):
     if what == "concurrence":
         value = concurrence_pure(obj, dims, cut) if kind == "state" else concurrence_2q(obj)
         return {"measure": what, "value": value}
-    rho = projector(obj) if kind == "state" else obj
+    rho = _density(kind, obj)
     if what == "eof":
         return {"measure": what, "value": eof_2q(rho)}
     return {
@@ -389,11 +397,10 @@ def cmd_measure(args):
 
 
 def cmd_witness(args):
-    from .linalg import projector
     from .witness import witness_report
 
     kind, obj, dims = load_any(args.file)
-    rho = projector(obj) if kind == "state" else obj
+    rho = _density(kind, obj)
     return witness_report(rho, dims, cut=parse_cut(args.cut), seed=args.seed, copies=args.copies)
 
 

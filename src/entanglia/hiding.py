@@ -7,23 +7,30 @@ Every protocol step reads the GHZ-diagonal form (d, o) of the held state:
 the family's stored parts, or `bound_entangled.ghz_parts` of a dense matrix
 assigned to `HiddenState.state`.  Without such a matrix, hiding, the
 attack, the security check and both decodes never build the family's
-dense view, and the unlock decode reads a row of the family's unlock
-table, built once per family.  A demo reads one PCG64 stream of its seed
-in one block, trial-major: trial t's row of shots + 2 raw outputs holds
-its secret, its decode uniform and its attack words, so a trial's draws
-do not depend on how many trials the demo runs.  The attack statistics
-of all trials are one batch of the shot kernel that `parity_attack` runs
-on one trial, which computes each sampled support string by bit
-arithmetic.  The decode and security figures of a demo are constants of
-n: one table per n, built once from the recursive construction's
+dense view.  A demo reads one PCG64 stream of its seed in one block,
+trial-major: trial t's row of shots + 2 raw outputs holds its secret, its
+decode uniform and its attack words, so a trial's draws do not depend on
+how many trials the demo runs.  The attack statistics of all trials are
+one batch of the shot kernel that `parity_attack` runs on one trial,
+which computes each sampled support string by bit arithmetic.
+
+The decode and security figures of a construction's state are constants
+of (n, label): one demo table, built once per n and set of
 Hamming-weight class values (`family_classes`) in Python ints, holds each
 label's decode cdf, the secret each unlock outcome decodes to and the
-label's largest marginal distance, so a demo builds no family and no
-array whose size depends on 2^n besides its draws.
+label's largest marginal distance.  A demo reads the recursive
+construction's table, so it builds no family and no array whose size
+depends on 2^n besides its draws.  The security check and the unlock
+decode of a construction's own state read its label's row of the same
+table (both constructions have equal class values, so they share it),
+with no stack read.  An assigned matrix is read on every call, its parts
+and its unlock table, and a hand-built family's state reads the family's
+stacks and the family's unlock table, built once per family.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import chain
 from math import comb
@@ -102,6 +109,15 @@ class HiddenState:
     @property
     def dims(self):
         return (2,) * self.n_qubits
+
+    def _class_row(self):
+        """The demo table of the held state's construction and the state's
+        row in it, or None for an assigned matrix or a family built by hand
+        (which has no class values)."""
+        fam = self.family
+        if self._held is not None or fam._classes is None:
+            return None
+        return _demo_table(fam.n_qubits, *fam._classes), LABELS.index(self.label)
 
     def _unlock_row(self):
         """(probability, fidelity) of the held state's unlock outcomes: a
@@ -263,8 +279,6 @@ def parity_attack(h, seed=0, shots=1000):
     kind = _KINDS[h.label[:-1]]
     words = _shot_words(_stream(seed), shots)
     s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], words[None])
-    keys, first, freq = np.unique(s[0], return_index=True, return_counts=True)
-    order = np.argsort(first)
     names = _bit_strings(n)
     family_bit = int(family_bit[0])
     return {
@@ -272,7 +286,7 @@ def parity_attack(h, seed=0, shots=1000):
         "family_bit_correct": family_bit == (h.secret >> 1),
         "even_parity_fraction": int(even_count[0]) / shots,
         "pm_match_rate": int(pm_matches[0]) / shots,
-        "counts": {names[k]: f for k, f in zip(keys[order].tolist(), freq[order].tolist())},
+        "counts": {names[k]: f for k, f in Counter(s[0].tolist()).items()},
     }
 
 
@@ -290,10 +304,20 @@ def _marginal_distances(d, parties):
 
 def trace_security(h, excluded_party):
     """Trace distance of the remaining parties' marginal from maximal
-    mixedness; zero means the coalition learns nothing."""
+    mixedness; zero means the coalition learns nothing.
+
+    A construction's own state is permutation symmetric, so every party
+    gives the same distance: its label's entry of the demo table, equal
+    bit for bit to the marginal pass over its stacks.  An assigned matrix
+    and a hand-built family's state take that pass over their diagonal.
+    """
     n = h.n_qubits
     if not _is_integer(excluded_party) or not 0 <= excluded_party < n:
         raise BadParty(f"party index {excluded_party} outside 0..{n - 1}")
+    held = h._class_row()
+    if held is not None:
+        table, row = held
+        return float(table.security[row])
     d, _ = h.parts
     return float(_marginal_distances(d, excluded_party))
 
@@ -328,11 +352,17 @@ def decode_by_unlock(h, seed=0):
 
     They measure the four (n-2)-qubit supports; the conditional Bell state
     on the last pair pins the secret through the recursion pairing.  The
-    outcome is drawn from the held state's row of the unlock table (the
-    family's own, unless a matrix is assigned), and the Bell state is the
-    one of highest fidelity in that row.  The seed is any seed `_stream`
-    takes.
+    outcome is drawn from the held state's decode table, and the Bell state
+    is the one of highest fidelity for that outcome.  A construction's own
+    state reads its label's row of the demo table; an assigned matrix and a
+    hand-built family's state turn their row of the unlock table into one
+    (`_decode_table`), with equal draws and answers.  The seed is any seed
+    `_stream` takes.
     """
+    held = h._class_row()
+    if held is not None:
+        table, row = held
+        return int(table.decoded[row][_draw(table.cdf[row], seed)])
     cdf, secrets = _decode_table(*h._unlock_row())
     return secrets[_draw(cdf, seed)]
 
@@ -345,10 +375,12 @@ class _DemoTable(NamedTuple):
     security: np.ndarray  # (label,): the largest marginal distance over the parties
 
 
-def _class_demo_table(n, d, o):
+@cache
+def _demo_table(n, d, o):
     """The demo table of an n-qubit permutation-symmetric family from its
     class values d and o (four rows of n + 1 ints, LABELS order, units of
-    4^-n), in Python ints.
+    4^-n), in Python ints, built once per (n, d, o): equal class values,
+    such as the two constructions', share one table.
 
     Unlock outcome `out` of parity p leaves, in units of 4^-n / 2, the
     conditional entries cond[j, j] = S_D(t) and cond[j, jbar] = +/- S_O(t)
@@ -388,13 +420,6 @@ def _class_demo_table(n, d, o):
     return _DemoTable(*arrays)
 
 
-@cache
-def _demo_table(n):
-    """The demo table of the recursive construction on n qubits (an int
-    _check_n passed), built once per n."""
-    return _class_demo_table(n, *recursive_classes(n))
-
-
 def run_demo(n, trials, seed=0, shots=500):
     """Full protocol simulation: hide, attack, security check, unlock-decode.
 
@@ -408,8 +433,10 @@ def run_demo(n, trials, seed=0, shots=500):
     words (the 32-bit halves of the next `shots`), so trial t draws the
     same whatever the number of trials.
     The attack statistics of all trials are one `_shots` batch.  The
-    decodes and the security check read the per-n table of the family's
-    class values (`_demo_table`): each trial's outcome is the count of its
+    decodes and the security check read the recursive construction's demo
+    table (`_demo_table` of `recursive_classes(n)`), the one
+    `trace_security` and `decode_by_unlock` read for a construction's own
+    state: each trial's outcome is the count of its
     label's cdf entries at or below its uniform, the outcome
     `Generator.choice` draws, and the security figure is the largest
     marginal distance over the labels seen, each equal to `trace_security`
@@ -424,7 +451,7 @@ def run_demo(n, trials, seed=0, shots=500):
     if trials * shots > MAX_SHOTS:
         raise TooLarge(f"trials * shots = {trials} * {shots} exceeds {MAX_SHOTS}")
     _check_n(n)
-    table = _demo_table(int(n))
+    table = _demo_table(int(n), *recursive_classes(int(n)))
     _check_shots(shots)
     secrets, uniforms, words = _draws(int(seed), trials, shots)
 

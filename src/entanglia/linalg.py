@@ -33,7 +33,8 @@ def dag(a):
 
 def is_hermitian(a):
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dag(a))) <= HERM_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past the float range, or NaN, is not <= HERM_TOL
+        return a.shape[0] == a.shape[1] and np.max(np.abs(a - dag(a))) <= HERM_TOL
 
 
 def kron(a, b):

@@ -40,8 +40,10 @@ def fix_phase(psi):
 
 def check_pure(psi, dims=None):
     psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > TRACE_TOL:
-        raise NotDensity(f"amplitude vector has norm {np.linalg.norm(psi)}")
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf and is refused
+        norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > TRACE_TOL:
+        raise NotDensity(f"amplitude vector has norm {norm}")
     if dims is not None and math.prod(dims) != psi.size:
         raise MissingDims(f"product of dims {tuple(dims)} != length {psi.size}")
     return psi

@@ -5,7 +5,8 @@ instead of stalling the suite.  Every argv must end in exit 0 (answer),
 2 (usage error) or 3 (named precondition), never in a traceback.  The two
 tests together start 49 children.  The malformed state and matrix files at
 the end run in-process, where a traceback would raise in the test, through
-the CLI and through the library readers.
+the CLI and through the library readers, and so do the well-formed files
+whose arithmetic overflows, which must warn nothing.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -225,6 +227,31 @@ def test_malformed_file_names_the_file(tmp_path, name):
         assert code in (2, 3), (argv, code)
         assert out == "" and err.startswith("error [") and err.count("\n") == 1, (argv, err)
         assert str(path) in err, (argv, err)
+
+
+def _overflowing_docs():
+    """Well-formed files whose arithmetic leaves the float range, with the
+    fault each must be refused for: an amplitude whose norm overflows, and
+    a matrix whose Hermitian difference does."""
+    zero = [[0.0] * 4 for _ in range(4)]
+    skew = [[0.25, 1e308, 0, 0], [-1e308, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
+    return {
+        "amp-norm-overflow": ({"dims": [2, 2], "amp": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}, "amplitude vector has norm inf"),
+        "re-difference-overflow": ({"dims": [2, 2], "re": skew, "im": zero}, "density matrix must be hermitian"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_overflowing_docs()))
+def test_overflowing_file_gives_one_error_line(tmp_path, name):
+    doc, fault = _overflowing_docs()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    for argv in (*(["measure", kind] for kind in ("entropy", "eof", "negativity")), ["witness"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_in_process([*argv, str(path)])
+        assert code == 3 and out == "" and caught == [], (argv, code, [str(w.message) for w in caught])
+        assert err.startswith("error [NotDensity]") and err.count("\n") == 1 and fault in err, (argv, err)
 
 
 @pytest.mark.parametrize("name", list(_malformed_docs()))

@@ -184,10 +184,15 @@ def test_trace_security_exact():
         h = hide(s, 4, family=fam)
         for p in range(4):
             assert trace_security(h, p) < 1e-9
-    for party in (4, -1, True, 1.0, "1", None):  # the party indexes a table: only an integer in range
-        with pytest.raises(BadParty):
-            trace_security(hide(0, 4, family=fam), party)
-    assert trace_security(hide(0, 4, family=fam), np.int64(3)) == 0.0
+    by_hand = BEFamily(4, fam.parts)  # on the stacks, where fam reads its class table
+    for party in (4, 7, -1, True, 1.0, "1", None, np.int64(-1)):  # only an integer in range
+        errors = []
+        for family in (fam, by_hand):
+            with pytest.raises(BadParty) as err:
+                trace_security(hide(0, 4, family=family), party)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    assert trace_security(hide(0, 4, family=fam), np.int64(3)) == trace_security(hide(0, 4, family=by_hand), 3) == 0.0
 
 
 def test_marginals_secret_independent():
@@ -367,6 +372,23 @@ def per_shot_parity_attack(h, seed, shots):
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_parity_attack_counts_equal_the_first_seen_unique_reference(n):
+    """The counts dict, items in order, against np.unique's counts of the
+    drawn strings ordered by first index."""
+    names = hiding._bit_strings(n)
+    for secret in range(4):
+        h = hide(secret, n)
+        for seed in (*range(20), 2**40 + 3, (5, 2)):
+            for shots in (1, 2, 37, 500):
+                words = hiding._shot_words(hiding._stream(seed), shots)
+                s = hiding._shots(n, [secret >> 1], [secret & 1], words[None])[0][0]
+                keys, first, freq = np.unique(s, return_index=True, return_counts=True)
+                order = np.argsort(first)
+                want = [(names[k], f) for k, f in zip(keys[order].tolist(), freq[order].tolist())]
+                assert list(parity_attack(h, seed=seed, shots=shots)["counts"].items()) == want
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_parity_attack_matches_per_shot_draws(n):
     fam = be_family(n)
     for secret in range(4):
@@ -424,6 +446,7 @@ def test_run_demo_checks_each_label_once(monkeypatch):
     """trace_security_max is the largest trace_security over the labels the
     trials saw, not over all four: on tables of hand-made symmetric class
     values, an unseen label's non-flat marginal never shows."""
+    demo_table = hiding._demo_table
     for n, trials, seed in ((4, 40, 2), (6, 3, 2), (8, 2, 5)):
         seen = {CODEBOOK[int(np.random.default_rng(trial_stream(seed, t, 50)).integers(4))] for t in range(trials)}
         unseen = sorted(set(LABELS) - seen)
@@ -432,11 +455,11 @@ def test_run_demo_checks_each_label_once(monkeypatch):
             cases += [{unseen[0]: 6}, {unseen[0]: 99, min(seen): 3}]  # only the unseen label, or it the farthest
         for tilts in cases:
             classes = tilted_classes(n, tilts)
-            fam = BEFamily._of_classes(n, classes)
-            table = hiding._class_demo_table(n, *classes)
-            monkeypatch.setattr(hiding, "_demo_table", lambda n, table=table: table)
+            by_hand = BEFamily(n, BEFamily._of_classes(n, classes).parts)  # the stack path
+            table = demo_table(n, *classes)
+            monkeypatch.setattr(hiding, "_demo_table", lambda *key, table=table: table)
             rep = run_demo(n, trials, seed=seed, shots=50)
-            security = {lab: max(trace_security(hide(s, n, family=fam), p) for p in range(n)) for s, lab in CODEBOOK.items()}
+            security = {lab: max(trace_security(hide(s, n, family=by_hand), p) for p in range(n)) for s, lab in CODEBOOK.items()}
             assert security == {lab: tilts.get(lab, 0) * 4.0**-n for lab in LABELS}
             assert table.security.tolist() == [security[lab] for lab in LABELS]
             assert rep["trace_security_max"] == max(security[lab] for lab in seen)
@@ -473,7 +496,7 @@ def test_the_class_table_is_the_stack_built_one(build, n):
     each label's decode table from its row of the family's unlock table,
     and its largest marginal distance from the marginal pass, bit for bit."""
     fam = build(n)
-    table = hiding._class_demo_table(n, *fam._classes)
+    table = hiding._demo_table(n, *fam._classes)
     distances = hiding._marginal_distances(fam.d, slice(None))
     for row, lab in enumerate(LABELS):
         cdf, secrets = hiding._decode_table(fam._unlock.probability[row], fam._unlock.fidelity[row])
@@ -481,8 +504,76 @@ def test_the_class_table_is_the_stack_built_one(build, n):
         assert table.decoded[row].tolist() == secrets
         assert float(table.security[row]).hex() == float(distances[row].max()).hex()
     assert all(not a.flags.writeable for a in table)
-    if build is be_family:
-        assert [a.tobytes() for a in hiding._demo_table(n)] == [a.tobytes() for a in table]
+    assert hiding._demo_table(n, *recursive_classes(n)) is table  # both constructions share the demo's table
+
+
+# Seeds of the decode corpus: plain, tuple and beyond 64 bits.
+DECODE_SEEDS = [*range(150), *((seed, 3, 2) for seed in range(150)), 2**64 + 5, 2**70]
+
+
+def _class_valued_families(n):
+    """Both constructions, and the recursive one with tilted marginals."""
+    yield be_family(n)
+    yield be_family_direct(n)
+    for tilts in ({"rho+": 2}, {"rho-": 4, "sigma+": 6}, {lab: 2 + 2 * i for i, lab in enumerate(LABELS)}):
+        yield BEFamily._of_classes(n, tilted_classes(n, tilts))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_a_constructions_state_answers_as_its_stacks_do(n):
+    """trace_security and decode_by_unlock of a class-valued family's own
+    state (read from the demo table) against the same family built by
+    hand from its stacks (the marginal pass and the unlock table), for
+    every label, party and seed: equal float bits, answers and types."""
+    for fam in _class_valued_families(n):
+        by_hand = BEFamily(n, fam.parts)
+        for s in CODEBOOK:
+            h, oracle = hide(s, n, family=fam), hide(s, n, family=by_hand)
+            for p in range(n):
+                got, want = trace_security(h, p), trace_security(oracle, p)
+                assert type(got) is float and got.hex() == want.hex(), (s, p)
+            for seed in DECODE_SEEDS:
+                got, want = decode_by_unlock(h, seed=seed), decode_by_unlock(oracle, seed=seed)
+                assert type(got) is int and got == want, (s, seed)
+
+
+class _StackRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize("build", [be_family, be_family_direct])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_a_constructions_state_reads_its_demo_table_alone(monkeypatch, build, n):
+    """Once the demo table of n is built, the security check and the unlock
+    decode of a construction's state build no decode table, unlock table,
+    marginal or stack; an assigned matrix and a hand-built family's state
+    go back to the stacks."""
+    fam = build(n)
+    rho = fam.states["sigma+"]
+    by_hand = BEFamily(n, fam.parts)
+    hiding._demo_table(n, *fam._classes)
+
+    def refused(*args):
+        raise _StackRead
+
+    monkeypatch.setattr(hiding, "_decode_table", refused)
+    monkeypatch.setattr(BEFamily, "_stacks", property(refused))
+    for module in (hiding, bound_entangled):
+        for name in ("reduced_diagonal", "_unlock_table"):
+            monkeypatch.setattr(module, name, refused)
+    for s in CODEBOOK:
+        h = hide(s, n, family=fam)
+        assert [trace_security(h, p) for p in range(n)] == [0.0] * n
+        assert decode_by_unlock(h, seed=s) == s
+        for read in (lambda h: trace_security(h, 0), decode_by_unlock):
+            with pytest.raises(_StackRead):
+                read(hide(s, n, family=by_hand))
+        h.state = rho
+        for read in (lambda h: trace_security(h, 0), decode_by_unlock):
+            with pytest.raises(_StackRead):
+                read(h)
+        h.state = None  # the family's own state again
+        assert decode_by_unlock(h, seed=s) == s
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

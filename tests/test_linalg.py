@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from entanglia.errors import ComplexRoots, MissingDims, NotHermitian, NotPSD
 from entanglia.linalg import (
     cardan_roots,
     eig_hermitian,
+    is_hermitian,
     kron,
     partial_trace,
     partial_transpose,
@@ -19,6 +21,19 @@ from entanglia.linalg import (
 from entanglia.states import SIGMA_X, SIGMA_Z, bell
 
 from conftest import random_density, rng_for
+
+
+def test_a_non_finite_hermitian_difference_is_not_hermitian_and_warns_nothing():
+    skew = np.diag([0.25] * 4).astype(complex)
+    skew[0, 1], skew[1, 0] = 1e308, -1e308  # the difference overflows to inf
+    nan = np.diag([0.25] * 4).astype(complex)
+    nan[0, 1] = nan[1, 0] = np.inf  # inf - inf is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(skew) and not is_hermitian(skew.real) and not is_hermitian(nan)
+        assert is_hermitian(np.diag([1e308, -1e308, 0.0]))
+        with pytest.raises(NotHermitian):
+            eig_hermitian(skew)
 
 
 def test_kron_identity():
