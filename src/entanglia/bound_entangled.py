@@ -291,25 +291,6 @@ def _read_only(*arrays):
 
 
 @cache
-def _cut_table(n):
-    """verify_family's cuts (`verify_cuts`) and each cut's size, read-only."""
-    cuts = verify_cuts(n)
-    return cuts, *_read_only(np.array([len(cut) for cut in cuts]))
-
-
-@cache
-def _pauli_table(n):
-    """Read-only source indices and phases, both (2, 4, 2^n): conjugating
-    rho+ by PAULI_CONNECTION[LABELS[j]] on qubit (0, n - 1)[i] gives
-    d[src[i, j]] and phase[i, j] * o[src[i, j]].  Every phase is +/-1, so
-    the table holds them as float64."""
-    unit = (np.arange(1 << n), np.ones(1 << n))  # _pauli_conjugate of these is (src, phase)
-    table = [_pauli_conjugate(unit, PAULI_CONNECTION[lab], k) for k in (0, n - 1) for lab in LABELS]
-    src, phase = (np.array(col).reshape(2, 4, -1) for col in zip(*table))
-    return _read_only(src, phase.real.copy())
-
-
-@cache
 def _bell_projectors():
     """The (label, outcome, 4, 4) Bell projectors PAIRING pairs with each
     (label, outcome), as one read-only block of exact entries (0, +/-1/2):
@@ -382,9 +363,9 @@ def verify_family(fam, quick=False):
     gram = d @ d.T + (o @ o[:, ::-1].T).real  # o[:, ::-1][q] = o[qbar]
     orthogonal = bool((gram[_TRIU] == 0).all())
 
-    cuts, size = _cut_table(n)
+    cuts = verify_cuts(n)
     mins = pt_min_eigenvalues((d, o), cuts)
-    single = size == 1
+    single = np.array([len(cut) == 1 for cut in cuts])
     even_cut_ppt = bool((mins[:, ~single] >= 0).all())
     single_vs_rest_npt = bool((mins[:, single] < 0).all())
     evidence = []
@@ -393,8 +374,12 @@ def verify_family(fam, quick=False):
 
     reduced_max_mixed = bool((reduced_diagonal(d, slice(None)) == 1.0 / (1 << (n - 1))).all())
 
-    src, phase = _pauli_table(n)
-    pauli_connected = bool((d[0][src] == d).all() and (phase * o[0][src] == o).all())
+    pauli_connected = all(
+        np.array_equal(x, y)
+        for k in (0, n - 1)
+        for j, lab in enumerate(LABELS)
+        for x, y in zip(_pauli_conjugate((d[0], o[0]), PAULI_CONNECTION[lab], k), (d[j], o[j]))
+    )
 
     table = fam._unlock
     unlock_ok = bool((table.probability == 0.25).all()) and np.array_equal(table.conditional, _bell_projectors())

@@ -52,10 +52,6 @@ class BadParam(EntangliaError):
     pass
 
 
-class BadBloch(EntangliaError):
-    pass
-
-
 class NotDensity(EntangliaError):
     pass
 

@@ -33,7 +33,6 @@ from .majorization import (
     _vectors,
     _window_affine,
     as_prob_vector,
-    compare_rows,
     majorizes,
 )
 from .measures import binary_entropy
@@ -53,25 +52,6 @@ from .pairs import (  # PairClass is exported from here
     verdict,
 )
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
-
-# The catalyst search certifies only the grid points inside its window.  The
-# first point of each window interval nearly always passes, so it is
-# certified alone, on the pair core; the points after it go in chunks of
-# _CATALYST_FIRST_CHUNK points, doubling up to _MAX_CHUNK, so an early hit
-# costs little and a long span keeps its arrays small.  One pair call a
-# point would be about 4x slower than the chunks on a long span.  The window
-# itself (_window_affine, about 45 us of a 60 us miss) is now most of every
-# catalyst op's cost and of split_two_copies'.
-_MAX_CHUNK = 2048
-_CATALYST_FIRST_CHUNK = 4
-
-
-def _chunk_sizes(first):
-    size = first
-    while True:
-        yield size
-        size = min(2 * size, _MAX_CHUNK)
-
 
 def _schmidt_sorted(v):
     return np.sort(as_prob_vector(v))[::-1]
@@ -249,27 +229,15 @@ def _catalyst_grid_search(a, b, step):
     pair, sa, sb = _classified(a, b)
     if not pair.catalysis_possible:
         return None, 0, sa, sb
-    sizes = _chunk_sizes(_CATALYST_FIRST_CHUNK)
     certified = 0
     # every grid point compare_rows passes lies in the window at twice its
     # slack, which leaves room for the rounding of both computations
     for lo, hi in _catalyst_window(sa, sb, 2 * MAJ_TOL):
-        start, stop = _grid_span(lo, hi, step)
-        if start < stop:
-            c = 0.5 + start * step  # as numpy forms the grid point
+        for i in range(*_grid_span(lo, hi, step)):
+            c = 0.5 + i * step  # as numpy forms the grid point
             certified += 1
             if _catalyst_passes(sa, sb, c):
                 return c, certified, sa, sb
-            start += 1
-        while start < stop:
-            c = 0.5 + np.arange(start, min(start + next(sizes), stop)) * step
-            chi = np.stack((c, 1.0 - c), axis=-1)
-            hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
-            if hit.any():
-                first = int(hit.argmax())
-                return float(c[first]), certified + first + 1, sa, sb
-            certified += c.size
-            start += c.size
     return None, certified, sa, sb
 
 
@@ -279,10 +247,9 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
     condition fails or no grid point works.
 
     Only the grid points inside the exact catalyst window (computed with
-    twice compare_rows' slack) are certified: the first of each window
-    interval alone, on the pair core, the others a few at a time.  So the
-    answer is the one a scan of the whole grid returns, and a pair whose
-    window holds no grid point certifies none.
+    twice compare_rows' slack) are certified, one at a time, on the pair
+    core.  So the answer is the one a scan of the whole grid returns, and a
+    pair whose window holds no grid point certifies none.
     """
     return _catalyst_grid_search(a, b, _grid_step(grid_step))[0]
 

@@ -1,17 +1,16 @@
-"""State construction and decomposition: Bell/Werner states, Bloch-sphere
-conversions, Schmidt decomposition of pure states."""
+"""State construction and decomposition: Bell/Werner states, random pure
+states and unitaries, Schmidt vectors of pure states, state file I/O."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBloch, BadParam, BadSplit, MissingDims, NotDensity
-from .linalg import doc_dims, doc_numbers, eig_hermitian, load_doc, projector
-from .tolerances import BLOCH_TOL, RANK_TOL, TRACE_TOL
+from .errors import BadParam, BadSplit, MissingDims, NotDensity
+from .linalg import doc_dims, doc_numbers, load_doc, projector
+from .tolerances import TRACE_TOL
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,7 +41,11 @@ def check_pure(psi, dims=None):
     psi = np.asarray(psi, dtype=complex)
     with np.errstate(over="ignore"):  # a norm past the float range reads inf and is refused
         norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > TRACE_TOL:
+    if not abs(norm - 1.0) <= TRACE_TOL:  # a NaN norm fails this test too
+        bad = ~np.isfinite(psi)
+        if bad.any():
+            i = int(bad.argmax())
+            raise NotDensity(f"amplitude {i} = {psi[i]} is not finite")
         raise NotDensity(f"amplitude vector has norm {norm}")
     if dims is not None and math.prod(dims) != psi.size:
         raise MissingDims(f"product of dims {tuple(dims)} != length {psi.size}")
@@ -69,25 +72,6 @@ def werner(p):
     return p * projector(bell("psi-")) + (1.0 - p) / 4.0 * np.eye(4, dtype=complex)
 
 
-def bloch_to_qubit(n):
-    """rho = (I + n . sigma) / 2 for a Bloch vector with |n| <= 1."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise BadBloch("Bloch vector must have 3 real components")
-    if np.linalg.norm(n) > 1.0 + BLOCH_TOL:
-        raise BadBloch(f"|n| = {np.linalg.norm(n)} exceeds 1")
-    return 0.5 * (ID2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
-
-
-def qubit_to_bloch(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise NotDensity("expected a 2x2 density matrix")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise NotDensity(f"trace {np.trace(rho)} != 1")
-    return np.array([float(np.trace(rho @ s).real) for s in PAULI])
-
-
 def random_pure(dim, seed):
     """Unit-norm complex vector, deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -102,32 +86,6 @@ def random_unitary(dim, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Squared Schmidt coefficients (descending) with aligned bases.
-
-    `coefficients` are probabilities (they sum to 1 and feed majorization
-    directly); amplitude coefficients are their square roots.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray  # columns over the split side
-    right_basis: np.ndarray  # columns over the complement
-    rank: int
-
-    def reconstruct(self):
-        """Amplitudes in (split, complement) ordering."""
-        k = self.coefficients.size
-        psi = np.zeros(self.left_basis.shape[0] * self.right_basis.shape[0], dtype=complex)
-        for i in range(k):
-            if self.coefficients[i] <= 0:
-                continue
-            psi += math.sqrt(self.coefficients[i]) * np.kron(
-                self.left_basis[:, i], self.right_basis[:, i]
-            )
-        return psi
-
-
 def _split_matrix(psi, dims, split):
     """Reshape amplitudes into a (split side) x (complement) matrix."""
     dims = tuple(int(d) for d in dims)
@@ -139,38 +97,6 @@ def _split_matrix(psi, dims, split):
     t = np.transpose(np.asarray(psi, dtype=complex).reshape(dims), split + rest)
     da = math.prod(dims[i] for i in split)
     return t.reshape(da, -1), split, rest
-
-
-def schmidt(psi, dims, split):
-    """Schmidt decomposition of a pure state across the given split.
-
-    Uses the eigendecomposition of the reduced density matrix on the
-    smaller side; the other side's vectors follow by applying the state.
-    """
-    psi = check_pure(psi, dims)
-    m, split, rest = _split_matrix(psi, dims, split)
-    da, db = m.shape
-    if da <= db:
-        rho = m @ m.conj().T
-        eig = eig_hermitian(rho)
-        lam = np.clip(eig.values, 0.0, None)
-        left = eig.vectors
-        right = np.zeros((db, da), dtype=complex)
-        for i in range(da):
-            if lam[i] > RANK_TOL:
-                right[:, i] = (m.T @ left[:, i].conj()) / math.sqrt(lam[i])
-    else:
-        rho = (m.conj().T @ m).conj()  # reduced state on the complement
-        eig = eig_hermitian(rho)
-        lam = np.clip(eig.values, 0.0, None)
-        right = eig.vectors
-        left = np.zeros((da, db), dtype=complex)
-        for i in range(db):
-            if lam[i] > RANK_TOL:
-                left[:, i] = (m @ right[:, i].conj()) / math.sqrt(lam[i])
-    lam = lam / lam.sum()
-    rank = int(np.sum(lam > RANK_TOL))
-    return SchmidtDecomposition(coefficients=lam, left_basis=left, right_basis=right, rank=rank)
 
 
 def schmidt_vector(psi, dims, split):

@@ -20,12 +20,8 @@ MAJ_TOL = 1e-9
 # (squared) norms against 1.
 TRACE_TOL = 1e-9
 
-# Schmidt coefficients below this count as zero rank (Schmidt decomposition).
-RANK_TOL = 1e-10
-
 # Entries at or below this count as zero where a support is read off:
 # stripped trailing Schmidt coefficients in locc, the Tiles complement rank.
-# A separate decision from RANK_TOL, kept at its own value.
 ZERO_TOL = 1e-12
 
 # Negative probability entries down to -NOISE_TOL are rounding noise and
@@ -53,9 +49,6 @@ CARDAN_TOL = 1e-12
 # Angle gadget cases: B within this of 0 is "B=0", A within this of 1/4 is
 # "A=1/4".
 CASE_TOL = 1e-12
-
-# Bloch vectors: |n| <= 1 + BLOCH_TOL.
-BLOCH_TOL = 1e-9
 
 # Maximally entangled fraction above 1/d + FMAX_TOL flags entanglement.
 FMAX_TOL = 1e-9

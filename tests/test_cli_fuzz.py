@@ -231,12 +231,14 @@ def test_malformed_file_names_the_file(tmp_path, name):
 
 def _overflowing_docs():
     """Well-formed files whose arithmetic leaves the float range, with the
-    fault each must be refused for: an amplitude whose norm overflows, and
-    a matrix whose Hermitian difference does."""
+    fault each must be refused for: an amplitude whose norm overflows, a NaN
+    amplitude (its norm is NaN), and a matrix whose Hermitian difference
+    overflows."""
     zero = [[0.0] * 4 for _ in range(4)]
     skew = [[0.25, 1e308, 0, 0], [-1e308, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
     return {
         "amp-norm-overflow": ({"dims": [2, 2], "amp": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}, "amplitude vector has norm inf"),
+        "amp-nan": ({"dims": [2, 2], "amp": [[math.nan, 0], [0, 0], [0, 0], [0, 0]]}, "amplitude 0 = (nan+0j) is not finite"),
         "re-difference-overflow": ({"dims": [2, 2], "re": skew, "im": zero}, "density matrix must be hermitian"),
     }
 
@@ -246,7 +248,7 @@ def test_overflowing_file_gives_one_error_line(tmp_path, name):
     doc, fault = _overflowing_docs()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-    for argv in (*(["measure", kind] for kind in ("entropy", "eof", "negativity")), ["witness"]):
+    for argv in (*(["measure", kind] for kind in ("entropy", "concurrence", "eof", "negativity")), ["witness"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_in_process([*argv, str(path)])

@@ -660,6 +660,20 @@ def test_tampered_families_fail_where_the_oracle_does(n):
     assert failed == set(CHECKS)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_pauli_connection_is_checked_on_both_end_qubits(n):
+    """Rows made from an asymmetric rho+ by the Pauli connection on one end
+    qubit connect there but not on the other, and the check fails as the
+    oracle's does."""
+    rho = tampered(n, "one_cut_npt").parts["rho+"]
+    for k in (0, n - 1):
+        fam = BEFamily(n, {lab: _pauli_conjugate(rho, PAULI_CONNECTION[lab], k) for lab in LABELS})
+        with np.errstate(divide="ignore", invalid="ignore"):  # the oracle divides by an outcome of probability 0
+            want = loop_verify_family(fam)
+        assert not want.pauli_connected
+        assert_same_report(verify_family(fam), want)
+
+
 def test_zero_probability_outcome_is_nan_and_never_drawn():
     """The GHZ state in place of rho+ leaves two unlock outcomes at
     probability 0: they condition to NaN without a numpy warning, and no

@@ -200,8 +200,7 @@ EXPORTS = {
     "majorizes spectra_majorized window_affine",
     "measures": "binary_entropy concurrence_2q concurrence_pure entanglement_entropy eof_2q log_negativity "
     "negativity shannon von_neumann_entropy",
-    "states": "SchmidtDecomposition bell bloch_to_qubit qubit_to_bloch random_pure read_state schmidt "
-    "schmidt_vector werner write_state",
+    "states": "bell random_pure read_state schmidt_vector werner write_state",
     "witness": "WitnessReport chsh_M distillable_rank2 is_ppt max_entangled_fraction reduction_check "
     "witness_report",
 }

@@ -20,7 +20,6 @@ import pytest
 from entanglia import locc, majorization, pairs
 from entanglia.errors import BadParam, Degenerate, EmptyRange, NoPlanFound, NotIncomparable3x3, TraceMismatch
 from entanglia.locc import (
-    _MAX_CHUNK,
     CoopPlan,
     _schmidt_sorted,
     classify,
@@ -513,19 +512,17 @@ BAND_A = [0.4, 0.3, 0.2, 0.1]
 BAND_B = [0.45, 0.25 - 1.2e-9, 0.25 - 1.2e-9, 0.05 + 2.4e-9]
 
 
-def test_catalyst_grid_across_chunks(monkeypatch):
-    # a 16-point cap splits a long certification into many chunks; the
-    # incomparable pairs that pass the necessary condition include misses.
-    # Each window interval's first grid point is certified alone, on the
-    # pair core; the chunks start at the point after it
-    monkeypatch.setattr(locc, "_MAX_CHUNK", 16)
-    chunks = []
+def test_catalyst_grid_point_by_point(monkeypatch):
+    # each grid point of a window interval is certified alone, on the pair
+    # core; the incomparable pairs that pass the necessary condition
+    # include misses
+    points, passes = [], locc._catalyst_passes
 
-    def counting(x, y):
-        chunks.append(x)
-        return compare_rows(x, y)
+    def counting(sa, sb, c):
+        points.append(c)
+        return passes(sa, sb, c)
 
-    monkeypatch.setattr(locc, "compare_rows", counting)
+    monkeypatch.setattr(locc, "_catalyst_passes", counting)
     rng = rng_for("catalyst-chunks")
     pairs = [(CAT_A, CAT_B)]
     while len(pairs) < 5:
@@ -539,15 +536,12 @@ def test_catalyst_grid_across_chunks(monkeypatch):
             assert find_catalyst_2x2(a, b, grid_step=step) == want
             outcomes.add(want)
     assert {None, 0.6} <= outcomes
-    chunks.clear()
+    points.clear()
     want = _catalyst_one_by_one(BAND_A, BAND_B, 1e-12)
     assert find_catalyst_2x2(BAND_A, BAND_B, grid_step=1e-12) == want == 0.5 + 400 * 1e-12
-    # BAND's window starts below the grid, so its first point is c_0 = 1/2,
-    # which fails; the chunks certify c_1, c_2, ... and the last holds c_400
-    sizes = [len(x) for x in chunks]
-    c1 = 0.5 + 1e-12
-    assert np.array_equal(chunks[0][0], vec_kron(np.sort(BAND_A)[::-1], [c1, 1.0 - c1]))
-    assert sizes[:4] == [4, 8, 16, 16] and 1 + sum(sizes[:-1]) <= 400 < 1 + sum(sizes)
+    # BAND's window starts below the grid, so the search certifies c_0 = 1/2,
+    # c_1, ... in turn, one call each, and c_400 is the first that passes
+    assert points == [0.5 + i * 1e-12 for i in range(401)]
     assert locc.catalyst_search(BAND_A, BAND_B, 1e-12).certified == 401
 
 
@@ -611,6 +605,9 @@ def test_catalyst_off_grid_window():
     assert fine.on_grid and fine.certified == 1 and fine.off_grid_c is None
 
 
+_REF_CHUNK = 2048  # grid points a chunk of the verbatim search
+
+
 def ref_find_catalyst_2x2(a, b, grid_step=1e-3):
     """find_catalyst_2x2 before the window, verbatim: classify's filter,
     then the whole grid a chunk at a time."""
@@ -622,7 +619,7 @@ def ref_find_catalyst_2x2(a, b, grid_step=1e-3):
     sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
     # at most 0.5 / step + 1 grid points lie below c = 1, so a chunk one
     # larger holds a whole grid that fits under the cap and shows its end
-    size = int(min(_MAX_CHUNK, 0.5 / step + 2))
+    size = int(min(_REF_CHUNK, 0.5 / step + 2))
     for start in itertools.count(0, size):
         c = 0.5 + np.arange(start, start + size) * step
         c = c[c < 1.0 - INTERVAL_MARGIN]
@@ -849,7 +846,7 @@ def test_short_vector_checks_make_no_numpy_comparison(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(locc, "compare_rows", counted("compare_rows", compare_rows))
+    monkeypatch.setattr(majorization, "compare_rows", counted("compare_rows", compare_rows))
     monkeypatch.setattr(majorization, "_pair_flags", counted("majorization", majorization._pair_flags))
     monkeypatch.setattr(locc, "_pair_flags", counted("locc", locc._pair_flags))
     search = locc.catalyst_search(CAT_A, CAT_B)

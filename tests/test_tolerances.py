@@ -1,8 +1,8 @@
 """Guards that keep `entanglia.tolerances` the only tolerance knob: no gate
 literal elsewhere in the package, no per-call tolerance parameter, no
 constant nobody reads, a report block and a README table that list every
-constant, no tolerance in the family decision; and no error class nobody
-raises."""
+constant, no tolerance in the family decision; no error class nobody
+raises, and no exported function nobody reads."""
 
 import ast
 import importlib
@@ -20,7 +20,8 @@ PACKAGE = pathlib.Path(entanglia.__file__).parent
 TOLERANCES = PACKAGE / "tolerances.py"
 ERRORS = PACKAGE / "errors.py"
 OTHER_SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p != TOLERANCES)
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _tokens(path):
@@ -110,6 +111,48 @@ def test_every_error_class_is_named_elsewhere():
     names = _names(p for p in OTHER_SOURCES if p != ERRORS)
     unnamed = [c for c in classes if c != "EntangliaError" and c not in names]
     assert not unnamed, unnamed
+
+
+# Exported functions that no package module, perfbench workload or
+# acceptance test reads, each kept for the reason given.
+KEPT = {
+    "read_matrix": "file I/O: loads what write_matrix and `bound build --out` write",
+    "read_state": "file I/O: loads what write_state writes",
+    "write_state": "file I/O: the state file format the CLI reads",
+    "random_pure": "seeded random pure states for callers' own experiments",
+    "compare_rows": "the batched majorization kernel over (..., d) stacks, the pair core's reference",
+    "window_affine": "the exact majorization window in t, public form of _window_affine",
+    "catalyst_window_2x2": "the exact 2x2 catalyst window that catalyst_search reports",
+    "ds_witness": "ROADMAP item 12: the T-transform chain certificate",
+    "ensemble_exists": "ROADMAP item 12: a yes/no question the paper asks",
+    "is_doubly_stochastic": "ROADMAP item 12: checks item 12's certificate",
+}
+
+
+def _reads(paths):
+    """Every name the files read: loaded names, attributes and imports
+    (a def or class statement names what it defines, and is not a read)."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+    return found
+
+
+def test_every_exported_function_is_read_elsewhere():
+    """A function in entanglia.__all__ is read by a package module (its own
+    included: witness_report reads reduction_check), by perfbench or by the
+    acceptance tests; else it is listed in KEPT, and KEPT lists nothing
+    else."""
+    functions = [n for n in entanglia.__all__ if inspect.isfunction(inspect.unwrap(getattr(entanglia, n)))]
+    assert "schmidt_vector" in functions
+    read = _reads([*PACKAGE.glob("*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "tests" / "test_acceptance.py"])
+    assert sorted(n for n in functions if n not in read) == sorted(KEPT)
 
 
 def test_family_checks_read_no_tolerance():
