@@ -366,11 +366,15 @@ def cmd_split2(args):
 
 def _density(kind, obj):
     """A loaded file's density matrix: a state file's amplitudes pass the
-    norm check before their projector is formed."""
-    from .linalg import projector
+    size cap and the norm check before their projector is formed."""
+    from .linalg import MAX_DIM, projector
     from .states import check_pure
 
-    return projector(check_pure(obj)) if kind == "state" else obj
+    if kind != "state":
+        return obj
+    if obj.size > MAX_DIM:
+        raise TooLarge(f"a state of {obj.size} amplitudes exceeds the {MAX_DIM} x {MAX_DIM} density-matrix cap")
+    return projector(check_pure(obj))
 
 
 def cmd_measure(args):

@@ -47,10 +47,11 @@ from .bound_entangled import (
     ghz_parts,
     reduced_diagonal,
 )
-from .errors import BadDims, BadParam, BadParty, BadSecret, OddN, TooLarge
+from .errors import BadDims, BadParam, BadParty, BadSecret, NotDensity, OddN, TooLarge
 from .family_classes import _check_n, _outcome_classes, _outcome_sums, recursive_classes
 from .pairs import require_integer
 from .states import BELL_KINDS
+from .tolerances import HERM_TOL, TRACE_TOL
 
 CODEBOOK = dict(enumerate(LABELS))  # secret s -> LABELS[s], row s of a family's stacks
 
@@ -74,10 +75,11 @@ class HiddenState:
 
     `state` is the family's dense matrix until a matrix is assigned to it
     (a noisy or tampered copy); `parts` is the family's stored (d, o), or
-    `ghz_parts` of the assigned matrix, gated again on every read (its
-    size too).  One of the two must be given: a state with neither raises
-    BadParam when it is built, and `state = None` raises it when the
-    state has no family to fall back on.
+    `ghz_parts` of the assigned matrix, gated again on every read: its
+    GHZ-diagonal form, its size, then NotDensity for a NaN or infinite
+    entry, a matrix that is not Hermitian or a trace off 1.  One of the two must be
+    given: a state with neither raises BadParam when it is built, and
+    `state = None` raises it when the state has no family to fall back on.
     """
 
     def __init__(self, n_qubits, secret, label, state=None, family=None):
@@ -104,6 +106,14 @@ class HiddenState:
         d, o = ghz_parts(self._held)
         if d.size != 1 << self.n_qubits:
             raise BadDims(f"assigned matrix is {d.size} x {d.size}, the state is on {self.n_qubits} qubits")
+        diag = self._held.diagonal()
+        if not (np.isfinite(diag).all() and np.isfinite(o).all()):
+            raise NotDensity("assigned matrix has a NaN or infinite entry")
+        # check_density's checks on the bands: Hermitian iff diag real, o[qbar] = conj(o[q])
+        if max(2 * abs(diag.imag).max(), abs(o - o[::-1].conj()).max()) > HERM_TOL:
+            raise NotDensity("density matrix must be hermitian")
+        if abs(d.sum() - 1.0) > TRACE_TOL:
+            raise NotDensity(f"trace {d.sum()} != 1")
         return d, o
 
     @property
@@ -243,9 +253,7 @@ def _shots(n, kind, pm_bit, words):
     """The parity attack on a batch of trials.  Trial t reads row t of
     `words` ((trials, shots, 2), see _shot_words) as shots on the support
     strings of family kind[t] (0 rho, 1 sigma).  Returns the sampled
-    strings (trials, shots) and, per trial, the family-bit guess, the count
-    of strings with an even number of zeros, and the count of first bits
-    equal to pm_bit[t].
+    strings (trials, shots) and their `_tally`.
 
     Shot (r, side) reads pair r of `support_strings(n)[kind]` at side: its
     strings p with first bit 0 run in increasing order, and of 2r and
@@ -256,29 +264,43 @@ def _shots(n, kind, pm_bit, words):
     r = words[..., 0] >> (34 - n)  # the pair, of 2^(n-2)
     s = (r << 1) | ((np.bitwise_count(r) ^ np.asarray(kind, dtype=np.uint8)[:, None]) & 1)
     s ^= side * np.uint32((1 << n) - 1)
-    shots = words.shape[1]
+    return s, *_tally(n, s, side, pm_bit)
+
+
+def _tally(n, s, side, pm_bit):
+    """Per trial, from the sampled strings s (trials, shots) and their
+    first bits `side`: the family-bit guess, the count of strings with an
+    even number of zeros, and the count of first bits equal to pm_bit[t]."""
+    shots = s.shape[1]
     even_count = shots - ((np.bitwise_count(s) & 1) ^ (n & 1)).sum(axis=-1, dtype=np.int64)
     ones = side.sum(axis=-1, dtype=np.int64)
     pm_matches = np.where(np.asarray(pm_bit) == 1, ones, shots - ones)
     family_bit = (even_count * 2 < shots).astype(np.int64)
-    return s, family_bit, even_count, pm_matches
+    return family_bit, even_count, pm_matches
 
 
 def parity_attack(h, seed=0, shots=1000):
     """Sample basis strings and read the zero-count parity.
 
-    The returned family bit always equals the secret's high bit (the
-    protocol's documented leak); the +/- guess (taken from each string's
-    first bit) stays at chance.  The shots are `_shots` on a batch of one
-    trial, and the counts keep the strings in first-seen order.  The seed is
-    any seed `_stream` takes: every seed `default_rng` turns into a PCG64
-    stream but None and a bool.
+    For a codebook state the family bit equals the secret's high bit (the
+    protocol's documented leak); the +/- guess (each string's first bit)
+    stays at chance.  A construction's own state runs `_shots` on a batch
+    of one trial; any other held state samples its own diagonal (negative
+    entries read as 0) as `Generator.choice` draws, one `random()` a shot.
+    The counts keep the strings in first-seen order.  The seed is any seed
+    `_stream` takes: every seed `default_rng` turns into a PCG64 stream but
+    None and a bool.
     """
     _check_shots(shots)
     n = h.n_qubits
-    kind = _KINDS[h.label[:-1]]
-    words = _shot_words(_stream(seed), shots)
-    s, family_bit, even_count, pm_matches = _shots(n, [kind], [h.secret & 1], words[None])
+    pm_bit = [h.secret & 1]
+    if h._held is None and h.family._classes is not None:
+        words = _shot_words(_stream(seed), shots)
+        s, family_bit, even_count, pm_matches = _shots(n, [_KINDS[h.label[:-1]]], pm_bit, words[None])
+    else:
+        cdf = np.maximum(h.parts[0], 0.0).cumsum()
+        s = (cdf / cdf[-1]).searchsorted(_uniform(_stream(seed).random_raw(shots)), side="right")[None]
+        family_bit, even_count, pm_matches = _tally(n, s, s >> (n - 1), pm_bit)
     names = _bit_strings(n)
     family_bit = int(family_bit[0])
     return {

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParam, BadSubset, ComplexRoots, MissingDims, NotHermitian, NotPSD
+from .errors import BadParam, BadSubset, ComplexRoots, MissingDims, NotHermitian, NotPSD, TooLarge
 from .tolerances import CARDAN_TOL, HERM_TOL, PHASE_TOL, PSD_CLAMP
+
+MAX_DIM = 1024  # the largest matrix side a file or a dense path may reach
 
 
 def projector(v):
@@ -262,9 +264,12 @@ def doc_dims(doc, path):
 
 def matrix_from_doc(doc, path):
     """(matrix, dims) from a matrix file's JSON object: `re` and `im` are
-    square arrays of numbers of one shape."""
+    square arrays of numbers of one shape, of side at most MAX_DIM."""
     dims = doc_dims(doc, path)
-    re_, im = doc_numbers(doc.get("re")), doc_numbers(doc.get("im"))
+    rows = doc.get("re")
+    if isinstance(rows, list) and len(rows) > MAX_DIM:
+        raise TooLarge(f"a matrix of {len(rows)} rows in {path!r} exceeds the {MAX_DIM} x {MAX_DIM} cap")
+    re_, im = doc_numbers(rows), doc_numbers(doc.get("im"))
     if re_ is None or im is None or re_.ndim != 2 or re_.shape[0] != re_.shape[1] or im.shape != re_.shape:
         raise BadParam(f"re and im in {path!r} must be square matrices of numbers, of one shape")
     return re_ + 1j * im, dims

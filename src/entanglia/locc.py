@@ -32,7 +32,6 @@ from .majorization import (
     _sorted_pair,
     _vectors,
     _window_affine,
-    as_prob_vector,
     majorizes,
 )
 from .measures import binary_entropy
@@ -52,9 +51,6 @@ from .pairs import (  # PairClass is exported from here
     verdict,
 )
 from .tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, ZERO_TOL
-
-def _schmidt_sorted(v):
-    return np.sort(as_prob_vector(v))[::-1]
 
 
 def _rank(s):
@@ -95,11 +91,11 @@ def _kron(s, t):
 
 
 def _flags(x, y):
-    """compare_rows' (fwd, bwd, equal) for two validated vectors, lists or
-    arrays, sorted or not.  Two lists of at most _SHORT entries go straight
-    to the pair core (pairs.sorted_pair on copies, then pairs.pair_flags),
-    without the array round trip of majorizes and compare; anything else
-    takes their path."""
+    """compare's (fwd, bwd, equal) flags (majorization._pair_flags) for two
+    validated vectors, lists or arrays, sorted or not.  Two lists of at
+    most _SHORT entries go straight to the pair core (pairs.sorted_pair on
+    copies, then pairs.pair_flags), without the array round trip of
+    majorizes and compare; anything else takes their path."""
     if type(x) is list and type(y) is list and len(x) <= _SHORT and len(y) <= _SHORT:
         pair = sorted_pair(x[:], y[:])
         if pair is not None:
@@ -182,13 +178,6 @@ def _catalyst_window(sa, sb, slack):
     )
 
 
-def catalyst_window_2x2(a, b):
-    """The c in [1/2, 1 - INTERVAL_MARGIN] whose 2x2 catalyst (c, 1-c) makes
-    a (x) (c, 1-c) majorized by b (x) (c, 1-c) within MAJ_TOL, as sorted
-    disjoint closed intervals (majorization.window_affine in c)."""
-    return _catalyst_window(_schmidt_sorted(a), _schmidt_sorted(b), MAJ_TOL)
-
-
 def _grid_step(grid_step):
     step = float(grid_step)
     # also rejects NaN and infinity; a finer grid has grid indices that a
@@ -216,8 +205,8 @@ def _grid_span(lo, hi, step):
 
 
 def _catalyst_passes(sa, sb, c):
-    """compare_rows' fwd flag for a (x) (c, 1-c) and b (x) (c, 1-c), on the
-    pair core."""
+    """Whether a (x) (c, 1-c) is majorized by b (x) (c, 1-c), on the pair
+    core."""
     chi = [c, 1.0 - c]
     return _flags(_kron(sa, chi), _kron(sb, chi))[0]
 
@@ -230,8 +219,8 @@ def _catalyst_grid_search(a, b, step):
     if not pair.catalysis_possible:
         return None, 0, sa, sb
     certified = 0
-    # every grid point compare_rows passes lies in the window at twice its
-    # slack, which leaves room for the rounding of both computations
+    # every grid point _catalyst_passes passes lies in the window at twice
+    # MAJ_TOL, which leaves room for the rounding of both computations
     for lo, hi in _catalyst_window(sa, sb, 2 * MAJ_TOL):
         for i in range(*_grid_span(lo, hi, step)):
             c = 0.5 + i * step  # as numpy forms the grid point
@@ -247,7 +236,7 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
     condition fails or no grid point works.
 
     Only the grid points inside the exact catalyst window (computed with
-    twice compare_rows' slack) are certified, one at a time, on the pair
+    twice MAJ_TOL as slack) are certified, one at a time, on the pair
     core.  So the answer is the one a scan of the whole grid returns, and a
     pair whose window holds no grid point certifies none.
     """
@@ -257,7 +246,7 @@ def find_catalyst_2x2(a, b, grid_step=1e-3):
 @dataclass(frozen=True)
 class CatalystSearch:
     c: float | None  # find_catalyst_2x2's answer
-    window: list  # catalyst_window_2x2's intervals
+    window: list  # the exact window in c at MAJ_TOL, sorted disjoint intervals
     on_grid: bool  # some grid point lies in the window
     certified: int  # grid points certified up to c (all of them on a miss)
     off_grid_c: float | None  # see catalyst_search
@@ -267,9 +256,10 @@ def catalyst_search(a, b, grid_step=1e-3):
     """find_catalyst_2x2 with the evidence behind its answer: the window at
     MAJ_TOL, whether a grid point lies in it, and the number of grid points
     certified.  When the window is nonempty but holds no grid point,
-    off_grid_c is the midpoint of its widest interval, certified by
-    compare_rows (None if that check fails); it is never returned as c.
-    Each input is validated and sorted once, by the grid search."""
+    off_grid_c is the midpoint of its widest interval, certified by the
+    direct majorization check (None if that check fails); it is never
+    returned as c.  Each input is validated and sorted once, by the grid
+    search."""
     step = _grid_step(grid_step)
     c, certified, sa, sb = _catalyst_grid_search(a, b, step)
     window = _catalyst_window(sa, sb, MAJ_TOL)
@@ -657,7 +647,7 @@ def split_two_copies(a, b):
     The first and last partial sums read only the largest and smallest
     entries of b (x) eta and narrow the case's interval in closed form.
     Every partial sum is affine in x, so the exact set is the window of the
-    joint check over what is left (majorization.window_affine), without
+    joint check over what is left (majorization._window_affine), without
     the pieces narrower than INTERVAL_MARGIN.  param_interval is the widest
     piece, and its midpoint eta is re-validated by the direct checks.
     """

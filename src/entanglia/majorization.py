@@ -2,16 +2,15 @@
 
 Vectors are accepted unsorted and possibly of unequal length; operations
 sort descending and zero-pad internally, so callers never pre-sort.  One
-kernel, compare_rows, does the partial-sum work for whole (..., d) stacks;
-majorizes and compare are its single-row views.  One pair of vectors runs
-through _sorted_pair, _pair_flags and _prob_sorted, which hand a short pair
-to the numpy-free pair core (pairs) as Python floats.
+pair of vectors runs through _sorted_pair, _pair_flags and _prob_sorted,
+which hand a short pair to the numpy-free pair core (pairs) as Python
+floats; _pair_flags is the one place numpy computes majorization flags.
+_window_affine gives the exact window of an affine family of pairs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,18 +53,6 @@ def as_prob_vector(v):
     return v
 
 
-class RowFlags(NamedTuple):
-    """Row-wise outcome of compare_rows; each field has the batch shape."""
-
-    fwd: np.ndarray  # x majorized by y: the majorizes result
-    bwd: np.ndarray  # y majorized by x
-    equal: np.ndarray  # compare's Equal verdict
-
-    @property
-    def incomparable(self):
-        return ~(self.fwd | self.bwd | self.equal)
-
-
 def _zero_pad(v, d):
     if v.shape[-1] == d:
         return v
@@ -85,19 +72,17 @@ def sorted_padded(x, y):
 
 
 def _check_totals(tx, ty):
-    """Raise unless every pair of row totals is finite and agrees within
-    TRACE_TOL: NonFinite first, else TraceMismatch naming the worst row."""
-    gap = abs(tx - ty)  # NaN or inf whenever either row is not finite
-    if not (gap <= TRACE_TOL).all():
-        if not np.isfinite(gap).all():
+    """Raise unless the totals tx and ty are finite and agree within
+    TRACE_TOL: NonFinite first, else TraceMismatch naming them."""
+    gap = abs(tx - ty)  # NaN or inf whenever either total is not finite
+    if not gap <= TRACE_TOL:
+        if not np.isfinite(gap):
             raise NonFinite("majorization input has a NaN or infinite component")
-        row = gap.argmax()
-        tx, ty = np.broadcast_arrays(tx, ty)
-        raise TraceMismatch(f"totals differ: {tx.flat[row]} vs {ty.flat[row]}")
+        raise TraceMismatch(f"totals differ: {tx} vs {ty}")
 
 
 def _check_ends(xs, ys):
-    """compare_rows' slow path for a sorted, padded pair with an end that
+    """_pair_flags' slow path for a sorted, padded pair with an end that
     is not finite or so large that the sums could overflow.  Raises
     NonFinite for a NaN or infinite entry, else TraceMismatch unless the
     totals, summed scaled down so that numpy never overflows, agree within
@@ -126,8 +111,7 @@ def _sorted_pair(x, y):
     """The 1-d float arrays x and y zero-padded to a common length d and
     sorted descending: as lists of Python floats when d <= _SHORT and
     pairs.sorted_pair takes them (every entry finite and at most
-    _SUM_BOUND / d in size), else as arrays.  A pair that runs on numpy
-    raises as compare_rows always has.
+    _SUM_BOUND / d in size), else as arrays, for _pair_flags to check.
     """
     if x.size <= _SHORT and y.size <= _SHORT:
         pair = sorted_pair(x.tolist(), y.tolist())
@@ -138,9 +122,13 @@ def _sorted_pair(x, y):
 
 
 def _pair_flags(xs, ys):
-    """compare_rows' (fwd, bwd, equal) for one pair of descending vectors,
-    the shorter zero-padded: Python bools for two lists (pairs.pair_flags),
-    else numpy bools."""
+    """(x majorized by y, y majorized by x, compare's Equal) for one pair
+    of descending vectors, the shorter zero-padded: Python bools for two
+    lists (pairs.pair_flags), else numpy bools.  On numpy, four scalar
+    tests on the sorted ends (a NaN or +inf sorts first, -inf last) send
+    every entry that is not finite or above _SUM_BOUND / d to _check_ends,
+    so no cumsum or total meets inf - inf or overflows with a warning.
+    """
     if type(xs) is list and type(ys) is list:
         return pair_flags(xs, ys)
     d = max(len(xs), len(ys))
@@ -181,41 +169,6 @@ def _prob_sorted(v, s=None):
     return sorted(v.tolist(), reverse=True) if v.size <= _SHORT else np.sort(v)[::-1]
 
 
-def compare_rows(x, y):
-    """Majorization flags for every row of two (..., d) stacks.
-
-    Row lengths may differ (the shorter side is zero-padded) and the leading
-    shapes broadcast, so one vector can be compared with a whole stack.  One
-    sort and one cumsum per side; every row's totals must be finite and
-    agree within the trace tolerance.
-
-    One pair of vectors, as every verdict and CLI command passes, runs on
-    the pair core and raises NonFinite for a NaN or infinity without a numpy
-    warning.  On numpy, four scalar tests on the sorted ends catch every
-    entry that would make the cumsum or the totals meet inf - inf: a NaN or
-    +inf sorts first and -inf last, zero padding included.  The same tests
-    bound every end by _SUM_BOUND / d, so an overflowing total is reported,
-    again without a warning, as a TraceMismatch naming it.  Stacks, which the
-    searches build from validated vectors, skip those tests (testing a
-    stack's ends, or an np.errstate around its cumsum, added 2% or more to a
-    catalyst call), so a stack holding inf and -inf raises NonFinite after
-    numpy's invalid-value warning.  A 0-d argument, which has no rows, raises
-    TraceMismatch naming its shape.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim == y.ndim == 1:
-        return RowFlags(*map(np.bool_, _pair_flags(*_sorted_pair(x, y))))
-    if not (x.ndim and y.ndim):
-        raise TraceMismatch("expected a vector or a stack of rows, got an array of shape ()")
-    xs, ys = sorted_padded(x, y)
-    cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
-    _check_totals(cx[..., -1], cy[..., -1])
-    fwd = (cx <= cy + MAJ_TOL).all(axis=-1)
-    bwd = (cy <= cx + MAJ_TOL).all(axis=-1)
-    close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
-    return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
-
-
 def majorizes(x, y):
     """True iff x is majorized by y (x more mixed than y).
 
@@ -233,8 +186,13 @@ def compare(x, y):
 
 
 def _window_affine(v0, v1, lo, hi, slack):
-    """window_affine on the (2, d) stacks v0 = (x0, y0) and v1 = (x1, y1),
-    with partial-sum slack `slack` in place of MAJ_TOL."""
+    """The t in [lo, hi] (lo <= hi) where x0 + t * x1 is majorized by
+    y0 + t * y1 within partial-sum slack `slack`, for the (2, d) stacks
+    v0 = (x0, y0) and v1 = (x1, y1), as sorted disjoint closed intervals
+    [(start, end), ...] (Jonathan & Plenio, PRL 83, 3566 (1999)).  All
+    nodes are sorted and summed as one stack.  Like _pair_flags' fwd
+    flag, the full sums need only S_d(x) <= S_d(y) + slack.
+    """
     # nodes: lo, hi and every t in (lo, hi) where two entries of one side
     # cross; parallel entries (equal rise) never cross
     rise = v1[:, None, :] - v1[:, :, None]
@@ -261,26 +219,6 @@ def _window_affine(v0, v1, lo, hi, slack):
         else:
             intervals.append((float(left[j]), float(right[j])))
     return intervals
-
-
-def window_affine(x0, x1, y0, y1, lo, hi):
-    """The t in [lo, hi] (lo <= hi) where x0 + t * x1 is majorized by y0 + t * y1,
-    within compare_rows' MAJ_TOL slack, as sorted disjoint closed
-    intervals [(start, end), ...].
-
-    The nodes are lo, hi and every t between them where two entries of one
-    side cross.  Between adjacent nodes both sort orders are fixed, so each
-    partial-sum gap S_k(y) - S_k(x) is linear and the piece's feasible set
-    is one interval, read off the gaps at its two nodes (Jonathan & Plenio,
-    PRL 83, 3566 (1999)).  All nodes are sorted and summed as one stack.
-    Like compare_rows' fwd flag, the full sums only need S_d(x) <= S_d(y)
-    + MAJ_TOL; the totals are not required to agree.  The shorter side is
-    zero-padded before the sort, as in compare_rows.
-    """
-    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
-    d = max(x0.shape[-1], y0.shape[-1])
-    x0, x1, y0, y1 = (_zero_pad(v, d) for v in (x0, x1, y0, y1))
-    return _window_affine(np.stack((x0, y0)), np.stack((x1, y1)), lo, hi, MAJ_TOL)
 
 
 def is_doubly_stochastic(a):

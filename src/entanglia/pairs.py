@@ -83,8 +83,8 @@ def sorted_pair(xs, ys):
 
 
 def pair_flags(xs, ys):
-    """compare_rows' (fwd, bwd, equal) for one pair of descending lists,
-    the shorter zero-padded, as Python bools.
+    """majorization._pair_flags' (fwd, bwd, equal) for one pair of
+    descending lists, the shorter zero-padded, as Python bools.
 
     numpy's steps in numpy's order on Python floats: sequential partial
     sums as cumsum makes them, the totals within TRACE_TOL, cx <= cy +

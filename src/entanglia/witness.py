@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BadDims, BadParam, MissingDims, TooLarge
 from .linalg import (
+    MAX_DIM,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -149,10 +150,10 @@ def distillable_rank2(rho, dims, cut, copies=1, restarts=8, seed=0):
         raise MissingDims("distillable_rank2 needs subsystem dimensions")
     rho = check_density(rho)
     dim = rho.shape[0]
-    # copies > 12 already exceeds 2^12 for dim >= 2, so no larger power is
-    # formed; it also bounds the copy loop of a 1x1 state
-    if copies > 12 or dim**copies > 2**12:
-        raise TooLarge(f"{copies} copies of dimension {dim} exceed the 2^12 size guard")
+    # copies > 10 already exceeds MAX_DIM = 2^10 for dim >= 2, so no larger
+    # power is formed; it also bounds the copy loop of a 1x1 state
+    if copies > 10 or dim**copies > MAX_DIM:
+        raise TooLarge(f"{copies} copies of dimension {dim} exceed the {MAX_DIM} x {MAX_DIM} cap")
     cut = sorted({int(c) for c in cut})
     n = len(dims)
     rest = [i for i in range(n) if i not in cut]

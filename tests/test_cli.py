@@ -340,6 +340,31 @@ def test_measure_entropy_state_file(tmp_path, capsys):
     assert abs(json.loads(out)["value"] - 1.0) < 1e-9
 
 
+def test_dense_paths_refuse_a_state_past_the_cap(tmp_path, capsys):
+    # 2^11 amplitudes: entropy and concurrence read the state as it is, the
+    # commands that form its density matrix refuse it at once
+    path = tmp_path / "ghz11.json"
+    amp = np.zeros(2**11)
+    amp[0] = amp[-1] = 2**-0.5
+    write_state(path, amp, dims=(2,) * 11)
+    code, out, _ = run_cli(capsys, "measure", "entropy", str(path), "--output", "structured")
+    assert code == 0 and abs(json.loads(out)["value"] - 1.0) < 1e-9
+    for argv in (("measure", "eof", str(path)), ("measure", "negativity", str(path)), ("witness", str(path))):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "TooLarge" in err and "the 1024 x 1024" in err
+
+
+def test_witness_copies_past_the_cap_exit_3(capsys):
+    # 64^2 = 4096 > 1024: refused before the two-copy partial transpose
+    path = os.path.join(os.path.dirname(__file__), "golden", "build-out-n6", "rhop.json")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "witness", path, "--copies", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "TooLarge" in err and "the 1024 x 1024" in err
+
+
 def test_measure_negativity_matrix_file(tmp_path, capsys):
     path = tmp_path / "werner.json"
     write_matrix(path, werner(1.0), dims=(2, 2))

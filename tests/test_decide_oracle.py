@@ -5,8 +5,9 @@ classify and assist_max_entangled, copied verbatim with the helpers they
 called (renamed with a ``ref_`` prefix).  They validate and sort each
 vector several times and check assist's d-1 conditions one by one; the
 library now validates and sorts each vector once and checks the conditions
-in one comparison.  The earlier compare_rows, compare, majorizes and
-multicopy follow them, also verbatim: they sort and sum every pair on
+in one comparison.  The earlier compare, majorizes and multicopy follow
+them, also verbatim, over the earlier batched kernel (conftest's
+ref_compare_rows): they sort and sum every pair on
 numpy, where the library now sorts and sums a pair of at most _SHORT
 entries as Python floats.  Verdicts, returned arrays, exception classes and
 exception messages must all be identical, and so must the warnings, but
@@ -35,19 +36,16 @@ from entanglia.majorization import (
     _SHORT,
     _SUM_BOUND,
     MajVerdict,
-    RowFlags,
-    _check_ends,
-    _check_totals,
     _pair_flags,
     as_prob_vector,
     compare,
-    compare_rows,
     majorizes,
     sorted_padded,
 )
+from entanglia.pairs import verdict
 from entanglia.tolerances import MAJ_TOL, NOISE_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 
-from conftest import rng_for
+from conftest import ref_compare_rows, rng_for
 
 # ---------------------------------------------------------------------------
 # reference implementations (verbatim)
@@ -119,25 +117,6 @@ def ref_assist_max_entangled(a, b):
     d = sa.size
     sums = np.cumsum(sb)
     return bool(all(k * sa[0] / (d - 1) <= sums[k - 1] + MAJ_TOL for k in range(1, d)))
-
-
-def ref_compare_rows(x, y):
-    """Majorization flags for every row of two (..., d) stacks."""
-    xs, ys = sorted_padded(x, y)
-    if xs.ndim == ys.ndim == 1:
-        lim = _SUM_BOUND / xs.size  # a NaN fails every comparison
-        x_in = -lim <= float(xs[-1]) and float(xs[0]) <= lim
-        if not (x_in and -lim <= float(ys[-1]) and float(ys[0]) <= lim):
-            _check_ends(xs, ys)
-        cx, cy = xs.cumsum(), ys.cumsum()
-        _check_totals(cx[-1], cy[-1])
-    else:
-        cx, cy = xs.cumsum(axis=-1), ys.cumsum(axis=-1)
-        _check_totals(cx[..., -1], cy[..., -1])
-    fwd = (cx <= cy + MAJ_TOL).all(axis=-1)
-    bwd = (cy <= cx + MAJ_TOL).all(axis=-1)
-    close = abs(xs - ys).max(axis=-1) <= MAJ_TOL
-    return RowFlags(fwd=fwd, bwd=bwd, equal=close | (fwd & bwd))
 
 
 def ref_majorizes(x, y):
@@ -424,35 +403,22 @@ def tied_pairs(rng, d):
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 16, _SHORT, _SHORT + 1, 256))
 def test_short_and_long_paths_agree(d):
-    """compare_rows on one pair (Python floats up to _SHORT entries) gives
-    the flags of the (1, d) stack path on numpy, and _pair_flags gives the
-    same flags on lists and on arrays, bit for bit."""
+    """_pair_flags gives the flags of the (1, d) stack reference on lists
+    (Python floats, as compare and majorizes run a pair of at most _SHORT
+    entries) and on arrays, bit for bit, and compare and majorizes read
+    them."""
     rng = rng_for("decide-paths", d)
     pairs = [related_pair(rng, d, relation) for relation in RELATIONS for _ in range(5)]
     pairs += list(tied_pairs(rng, d))
     for x, y in pairs:
-        one = compare_rows(x, y)
-        stack = compare_rows(x[None], y[None])
+        stack = ref_compare_rows(x[None], y[None])
         xs, ys = sorted_padded(x, y)
         arrays, lists = _pair_flags(xs, ys), _pair_flags(xs.tolist(), ys.tolist())
-        for flag, row, array_flag, list_flag in zip(one, stack, arrays, lists):
-            assert type(flag) is np.bool_ and type(array_flag) is np.bool_
-            assert type(list_flag) is bool
-            assert flag == row[0] == array_flag == list_flag
-
-
-def test_incomparable_of_one_pair_is_a_numpy_bool():
-    """~ on a Python bool is an int (~True == -2), so every field of a
-    single pair's RowFlags, and incomparable, must be numpy bools."""
-    for x, y in (
-        ([0.4, 0.4, 0.2], [0.48, 0.26, 0.26]),  # incomparable, short
-        ([0.5, 0.3, 0.2], [0.5, 0.3, 0.2]),  # equal, short
-        (np.full(256, 1 / 256), np.eye(1, 256, 0).ravel()),  # comparable, long
-    ):
-        flags = compare_rows(x, y)
-        for flag in (*flags, flags.incomparable):
-            assert type(flag) is np.bool_
-        assert flags.incomparable == (compare(x, y) is MajVerdict.Incomparable)
+        for row, array_flag, list_flag in zip(stack, arrays, lists):
+            assert type(array_flag) is np.bool_ and type(list_flag) is bool
+            assert row[0] == array_flag == list_flag
+        assert compare(x, y) is verdict(*lists)
+        assert majorizes(x, y) is bool(stack.fwd[0])
 
 
 @pytest.mark.parametrize("k", (2.5, 2.0, None, True, False, np.bool_(True), "2"))

@@ -4,7 +4,7 @@ import pytest
 import entanglia.bound_entangled as bound_entangled
 import entanglia.hiding as hiding
 from entanglia.bound_entangled import LABELS, BEFamily, be_family, be_family_direct, reduced_diagonal, support_strings
-from entanglia.errors import BadDims, BadParam, BadParty, BadSecret, NotGHZDiagonal, OddN, TooLarge
+from entanglia.errors import BadDims, BadParam, BadParty, BadSecret, NotDensity, NotGHZDiagonal, OddN, TooLarge
 from entanglia.family_classes import recursive_classes
 from entanglia.hiding import (
     CODEBOOK,
@@ -107,6 +107,8 @@ def test_assigned_state_regated_on_every_call():
         decode_global(h)
     with pytest.raises(NotGHZDiagonal):
         decode_by_unlock(h)
+    with pytest.raises(NotGHZDiagonal):
+        parity_attack(h)
     h = hide(2, 6, family=fam)
     assert h.state is fam.states["sigma+"] and h.parts is fam.parts["sigma+"]
 
@@ -121,6 +123,64 @@ def test_decode_by_unlock_reads_an_assigned_matrix():
     for read in (decode_global, decode_by_unlock, lambda h: trace_security(h, 0)):
         with pytest.raises(BadDims):
             read(h)
+
+
+def test_an_assigned_matrix_must_be_a_density_matrix():
+    # a NaN entry, twice the state and a non-Hermitian anti-diagonal entry
+    # are each GHZ-diagonal and of the right size, but no density matrix
+    fam = be_family(4)
+    rho = fam.states["rho+"]
+    nan, skew = rho.copy(), rho.astype(complex)
+    nan[5, 5] = np.nan
+    skew[0, 15] = 5j
+    for bad, fault in ((nan, "NaN"), (2 * rho, "trace 2"), (skew, "hermitian")):
+        h = hide(0, 4, family=fam)
+        h.state = bad
+        for read in (lambda h: trace_security(h, 0), decode_global, decode_by_unlock, parity_attack):
+            with pytest.raises(NotDensity, match=fault):
+                read(h)
+
+
+def _choice_attack(h, seed, shots):
+    """The strings of an attack on the held state's own diagonal, drawn by
+    `Generator.choice` with the clipped, normalised diagonal."""
+    p = np.maximum(np.asarray(h.state).diagonal().real, 0.0)
+    return np.random.default_rng(seed).choice(p.size, size=shots, p=p / p.sum())
+
+
+def test_parity_attack_samples_the_state_it_holds():
+    n, shots = 4, 200
+    fam = be_family(n)
+    h = hide(0, n, family=fam)
+    h.state = fam.states["sigma+"]  # a rho+ secret holding sigma+
+    rep = parity_attack(h, seed=1, shots=shots)
+    assert rep["family_bit"] == 1 and not rep["family_bit_correct"]
+    assert rep["even_parity_fraction"] == 0.0
+    assert all((n - k.count("1")) % 2 == 1 for k in rep["counts"])
+    basis = np.zeros((16, 16))
+    basis[0, 0] = 1.0
+    h.state = basis
+    assert parity_attack(h, seed=1, shots=shots)["counts"] == {"0000": shots}
+    basis[0, 0], basis[1, 1], basis[2, 2] = 0.6, -0.1, 0.5  # a negative entry reads as 0
+    assert parity_attack(h, seed=1, shots=shots)["counts"].keys() == {"0000", "0010"}
+    # a hand-built family's state and a noisy copy draw as choice does
+    names = hiding._bit_strings(n)
+    by_hand = BEFamily(n, fam.parts)
+    for secret in CODEBOOK:
+        noisy = hide(secret, n, family=fam)
+        noisy.state = 0.9 * noisy.state + 0.1 * np.eye(16) / 16
+        for h in (hide(secret, n, family=by_hand), noisy):
+            for seed in range(10):
+                strings = _choice_attack(h, seed, shots)
+                rep = parity_attack(h, seed=seed, shots=shots)
+                assert sum(rep["counts"].values()) == shots
+                assert rep["counts"] == {names[k]: int(f) for k, f in zip(*np.unique(strings, return_counts=True))}
+                even = sum((n - names[k].count("1")) % 2 == 0 for k in strings.tolist())
+                assert rep["even_parity_fraction"] == even / shots
+                first = sum(k >> (n - 1) == secret & 1 for k in strings.tolist())
+                assert rep["pm_match_rate"] == first / shots
+                assert rep["family_bit"] == int(2 * even < shots)
+        assert parity_attack(hide(secret, n, family=by_hand), seed=3)["family_bit_correct"]
 
 
 def test_hidden_state_needs_a_family_or_a_matrix():

@@ -1,11 +1,13 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from entanglia.errors import ComplexRoots, MissingDims, NotHermitian, NotPSD
+from entanglia.errors import ComplexRoots, MissingDims, NotHermitian, NotPSD, TooLarge
 from entanglia.linalg import (
+    MAX_DIM,
     cardan_roots,
     eig_hermitian,
     is_hermitian,
@@ -240,3 +242,12 @@ def test_matrix_file_roundtrip(tmp_path):
     back, dims = read_matrix(path)
     assert dims == (2, 2)
     assert np.max(np.abs(back - m)) < 1e-15
+
+
+def test_matrix_file_side_is_capped(tmp_path):
+    # a side of MAX_DIM + 1 is refused from the row count, before any array
+    path = tmp_path / "big.json"
+    rows = [[0.0]] * (MAX_DIM + 1)
+    path.write_text(json.dumps({"dims": None, "re": rows, "im": rows}))
+    with pytest.raises(TooLarge, match=f"{MAX_DIM + 1} rows"):
+        read_matrix(path)

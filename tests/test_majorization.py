@@ -9,18 +9,16 @@ from entanglia.errors import NonFinite, NotMajorized, TraceMismatch
 from entanglia.linalg import eigvals_hermitian, projector
 from entanglia.majorization import (
     MajVerdict,
+    _window_affine,
     as_prob_vector,
     compare,
-    compare_rows,
     ds_witness,
     ensemble_exists,
     is_doubly_stochastic,
     majorizes,
     sorted_padded,
     spectra_majorized,
-    window_affine,
 )
-from entanglia import majorization
 from entanglia.locc import vec_kron
 from entanglia.measures import von_neumann_entropy
 from entanglia.states import bell
@@ -32,6 +30,7 @@ from conftest import (
     random_doubly_stochastic,
     random_prob,
     random_unitary,
+    ref_compare_rows,
     rng_for,
 )
 
@@ -141,14 +140,15 @@ def _related_rows(rng, n, dx, dy):
 
 
 def test_compare_rows_matches_partial_sum_definition():
+    # compare and majorizes on each pair of the rows that the batched
+    # kernel once took as stacks
     rng = rng_for("maj-rows")
     seen = set()
     for dx, dy in ((3, 3), (3, 5), (6, 4), (1, 7), (9, 9)):
         xs, ys = _related_rows(rng, 48, dx, dy)
-        flags = compare_rows(np.array(xs), np.array(ys))
-        for i, (x, y) in enumerate(zip(xs, ys)):
+        for x, y in zip(xs, ys):
             fwd, bwd, equal = _brute_flags(list(x), list(y))
-            assert (flags.fwd[i], flags.bwd[i], flags.equal[i]) == (fwd, bwd, equal)
+            assert (majorizes(x, y), majorizes(y, x)) == (fwd, bwd)
             verdict = (
                 MajVerdict.Equal if equal
                 else MajVerdict.XPrecY if fwd
@@ -157,51 +157,33 @@ def test_compare_rows_matches_partial_sum_definition():
             )
             assert compare(x, y) is verdict
             seen.add(verdict)
-        # leading shapes broadcast: one row against the whole stack, and a
-        # (2, 24, d) stack row for row
-        one = compare_rows(xs[0], np.array(ys))
-        for i, y in enumerate(ys):
-            assert one.fwd[i] == brute_majorized(list(xs[0]), list(y))
-        deep = compare_rows(np.array(xs).reshape(2, 24, dx), np.array(ys).reshape(2, 24, dy))
-        assert np.array_equal(deep.fwd.reshape(-1), flags.fwd)
-        assert np.array_equal(deep.incomparable.reshape(-1), flags.incomparable)
     assert seen == set(MajVerdict)
 
 
 def test_compare_rows_catalysis_boundary():
     # the .80 = .80 partial sum of the catalysed textbook pair passes under
-    # MAJ_TOL inside a stack exactly as it does alone
+    # MAJ_TOL
     chi = np.array([[0.6, 0.4], [0.5, 0.5], [0.6, 0.4]])
     a = vec_kron([0.4, 0.4, 0.1, 0.1], chi)
     b = vec_kron([0.5, 0.25, 0.25, 0.0], chi)
-    flags = compare_rows(a, b)
-    assert flags.fwd.tolist() == [True, False, True]
-    assert flags.fwd.tolist() == [brute_majorized(list(x), list(y)) for x, y in zip(a, b)]
-    assert majorizes(a[0], b[0])
+    passes = [majorizes(x, y) for x, y in zip(a, b)]
+    assert passes == [True, False, True]
+    assert passes == [brute_majorized(list(x), list(y)) for x, y in zip(a, b)]
 
 
 def test_compare_rows_rejects_bad_rows():
     good = np.array([[0.5, 0.5], [0.7, 0.3]])
     with pytest.raises(TraceMismatch, match="0.9"):
-        compare_rows(np.array([[0.5, 0.5], [0.5, 0.4]]), good)
+        compare([0.5, 0.4], good[1])
     for bad in (np.nan, np.inf):
         rows = good.copy()
         rows[1, 0] = bad
         with pytest.raises(NonFinite):
-            compare_rows(rows, good)
+            compare(rows[1], good[1])
         with pytest.raises(NonFinite):
             compare(good[0], rows[1])
         with pytest.raises(NonFinite):
             as_prob_vector(rows[1])
-
-
-@pytest.mark.parametrize(
-    "x, y",
-    [(1.0, [1.0]), ([1.0], 1.0), (1.0, 1.0), (np.float64(1.0), [[0.5, 0.5]]), ([[0.5, 0.5]], 0.5)],
-)
-def test_compare_rows_names_a_0d_argument(x, y):
-    with pytest.raises(TraceMismatch, match=re.escape("got an array of shape ()")):
-        compare_rows(x, y)
 
 
 def test_compare_rows_nonfinite_pair_raises_without_warning():
@@ -223,8 +205,6 @@ def test_compare_rows_nonfinite_pair_raises_without_warning():
         for x, y in pairs:
             for args in ((x, y), (y, x)):
                 with pytest.raises(NonFinite):
-                    compare_rows(*args)
-                with pytest.raises(NonFinite):
                     compare(*args)
 
 
@@ -234,9 +214,9 @@ def test_compare_rows_overflowing_totals_raise_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TraceMismatch, match=r"a total is past the float range: inf vs 1\.0"):
-            compare_rows([1e308, 1e308, 0.0], [0.5, 0.3, 0.2])
+            compare([1e308, 1e308, 0.0], [0.5, 0.3, 0.2])
         with pytest.raises(TraceMismatch, match=r"totals differ: 1e\+308 vs -1e\+308"):
-            compare_rows([1e308], [-1e308])
+            majorizes([1e308], [-1e308])
         # large ends whose totals agree go on to the partial sums
         assert compare([1e308, -1e308], [0.0, 0.0]) is MajVerdict.YPrecX
 
@@ -362,6 +342,14 @@ def _in_window(t, intervals):
     return any(lo <= t <= hi for lo, hi in intervals)
 
 
+def _window(x0, x1, y0, y1, lo, hi, slack=MAJ_TOL):
+    """_window_affine on the (2, d) stacks (x0, y0) and (x1, y1), each
+    vector zero-padded to the longer length d."""
+    d = max(len(x0), len(y0))
+    x0, x1, y0, y1 = (np.concatenate((v, np.zeros(d - len(v)))) for v in (x0, x1, y0, y1))
+    return _window_affine(np.stack((x0, y0)), np.stack((x1, y1)), lo, hi, slack)
+
+
 def test_window_affine_matches_dense_scan():
     # x0 + t x1 against y0 + t y1 on [-1, 1], with zero tails and unequal
     # lengths; each entry v0_i (1 + t (u_i - m)) stays nonnegative and the
@@ -378,11 +366,11 @@ def test_window_affine_matches_dense_scan():
     for _ in range(60):
         dx, dy = rng.integers(2, 6, size=2)
         (x0, x1), (y0, y1) = affine(dx, 1.0), affine(dy, 0.3)
-        window = window_affine(x0, x1, y0, y1, -1.0, 1.0)
+        window = _window(x0, x1, y0, y1, -1.0, 1.0)
         assert all(lo <= hi for lo, hi in window)
         assert all(a[1] < b[0] for a, b in zip(window, window[1:]))  # sorted, disjoint
         x, y = x0 + ts[:, None] * x1, y0 + ts[:, None] * y1
-        flags = compare_rows(x, y).fwd
+        flags = ref_compare_rows(x, y).fwd
         xs, ys = sorted_padded(x, y)
         worst = (ys.cumsum(axis=-1) - xs.cumsum(axis=-1)).min(axis=-1) + MAJ_TOL
         for t, flag, slack in zip(ts, flags, worst):
@@ -396,23 +384,17 @@ def test_window_affine_tangent_and_zero_width_pieces():
     # x(t) = (1 + t, 1 - t) against y = (1, 1): the first partial sum's gap
     # is -|t|, which touches 0 at the node t = 0 only
     x0, x1, y0, y1 = [1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 0.0]
-    assert majorization._window_affine(
-        np.stack((x0, y0)), np.stack((x1, y1)), -1.0, 1.0, 0.0
-    ) == [(0.0, 0.0)]
-    ((lo, hi),) = window_affine(x0, x1, y0, y1, -1.0, 1.0)
+    assert _window(x0, x1, y0, y1, -1.0, 1.0, 0.0) == [(0.0, 0.0)]
+    ((lo, hi),) = _window(x0, x1, y0, y1, -1.0, 1.0)
     assert lo == pytest.approx(-MAJ_TOL, rel=1e-6) and hi == pytest.approx(MAJ_TOL, rel=1e-6)
     # lo == hi is one zero-width piece
-    assert window_affine(x0, x1, y0, y1, 0.0, 0.0) == [(0.0, 0.0)]
-    assert window_affine(x0, x1, y0, y1, 0.5, 0.5) == []
+    assert _window(x0, x1, y0, y1, 0.0, 0.0) == [(0.0, 0.0)]
+    assert _window(x0, x1, y0, y1, 0.5, 0.5) == []
     # swapping the sides makes every t work: the two pieces meeting at the
     # node t = 0 join into one interval
-    assert window_affine(y0, y1, x0, x1, -1.0, 1.0) == [(-1.0, 1.0)]
+    assert _window(y0, y1, x0, x1, -1.0, 1.0) == [(-1.0, 1.0)]
     # two tangents from zero-tail vectors: (t, -t, 0) against (0, 0, 0) at t = 0
-    assert majorization._window_affine(
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]),
-        -2.0, 2.0, 0.0,
-    ) == [(0.0, 0.0)]
+    assert _window([0.0] * 3, [1.0, -1.0, 0.0], [0.0] * 3, [0.0] * 3, -2.0, 2.0, 0.0) == [(0.0, 0.0)]
 
 
 def test_window_affine_piece_feasible_only_inside():
@@ -420,12 +402,12 @@ def test_window_affine_piece_feasible_only_inside():
     # partial sum needs |t| <= 0 at slack 0, the rest hold, so adding slack
     # s opens [-s, s]; against (0.6, 0.4, 0) every |t| <= 0.1 works
     x0, x1 = [0.5, 0.5, 0.0], [1.0, -1.0, 0.0]
-    ((lo, hi),) = window_affine(x0, x1, [0.6, 0.4, 0.0], [0.0, 0.0, 0.0], -1.0, 1.0)
+    ((lo, hi),) = _window(x0, x1, [0.6, 0.4, 0.0], [0.0, 0.0, 0.0], -1.0, 1.0)
     assert lo == pytest.approx(-0.1 - MAJ_TOL) and hi == pytest.approx(0.1 + MAJ_TOL)
     # a gap negative at both ends of a piece but never inside drops it,
     # also when it is the only gap
-    assert window_affine(x0, x1, [0.4, 0.4, 0.2], [0.0, 0.0, 0.0], -1.0, 1.0) == []
-    assert window_affine([2.0], [0.0], [1.0], [0.0], 0.0, 1.0) == []
+    assert _window(x0, x1, [0.4, 0.4, 0.2], [0.0, 0.0, 0.0], -1.0, 1.0) == []
+    assert _window([2.0], [0.0], [1.0], [0.0], 0.0, 1.0) == []
 
 
 def test_window_affine_single_point_inside_a_piece():
@@ -433,8 +415,7 @@ def test_window_affine_single_point_inside_a_piece():
     # entries cross on [-1/100, 1/100], and the gaps -t (k = 1) and t (k = 2)
     # leave only t = 0, in the middle of the one piece
     x0, x1, y0, y1 = [0.5, 0.3, 0.2], [1.0, -2.0, 1.0], [0.5, 0.3, 0.2], [0.0, 0.0, 0.0]
-    stacks = np.stack((x0, y0)), np.stack((x1, y1))
-    ((lo, hi),) = majorization._window_affine(*stacks, -0.01, 0.01, 0.0)
+    ((lo, hi),) = _window(x0, x1, y0, y1, -0.01, 0.01, 0.0)
     assert lo == hi == pytest.approx(0.0, abs=1e-15)
-    ((lo, hi),) = window_affine(x0, x1, y0, y1, -0.01, 0.01)
+    ((lo, hi),) = _window(x0, x1, y0, y1, -0.01, 0.01)
     assert lo == pytest.approx(-MAJ_TOL, rel=1e-6) and hi == pytest.approx(MAJ_TOL, rel=1e-6)

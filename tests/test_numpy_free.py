@@ -194,10 +194,10 @@ EXPORTS = {
     "linalg": "EigResult cardan_roots eig_hermitian eigvals_hermitian kron partial_trace partial_transpose "
     "permute_subsystems projector psd_sqrt read_matrix trace_norm write_matrix",
     "locc": "AssistPlan CatalystSearch CoopPlan PairClass SplitRange assist_max_entangled catalyst_search "
-    "catalyst_window_2x2 classify coop_construct coop_validate find_catalyst_2x2 min_assist_3x3 multicopy "
-    "nielsen split_two_copies vec_kron",
-    "majorization": "MajVerdict RowFlags compare compare_rows ds_witness ensemble_exists is_doubly_stochastic "
-    "majorizes spectra_majorized window_affine",
+    "classify coop_construct coop_validate find_catalyst_2x2 min_assist_3x3 multicopy nielsen "
+    "split_two_copies vec_kron",
+    "majorization": "MajVerdict compare ds_witness ensemble_exists is_doubly_stochastic majorizes "
+    "spectra_majorized",
     "measures": "binary_entropy concurrence_2q concurrence_pure entanglement_entropy eof_2q log_negativity "
     "negativity shannon von_neumann_entropy",
     "states": "bell random_pure read_state schmidt_vector werner write_state",

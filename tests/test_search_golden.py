@@ -21,7 +21,6 @@ from entanglia import locc, majorization, pairs
 from entanglia.errors import BadParam, Degenerate, EmptyRange, NoPlanFound, NotIncomparable3x3, TraceMismatch
 from entanglia.locc import (
     CoopPlan,
-    _schmidt_sorted,
     classify,
     coop_construct,
     coop_validate,
@@ -29,10 +28,10 @@ from entanglia.locc import (
     split_two_copies,
     vec_kron,
 )
-from entanglia.majorization import MajVerdict, compare, compare_rows, majorizes
+from entanglia.majorization import MajVerdict, as_prob_vector, compare, majorizes
 from entanglia.tolerances import INTERVAL_MARGIN, MAJ_TOL, TIE_TOL, TRACE_TOL, ZERO_TOL
 
-from conftest import random_prob, rng_for
+from conftest import random_prob, ref_compare_rows, rng_for
 
 # (a, b) -> (chi, eta) of coop_construct(a, b): the paper's cooperation
 # pair, the tests' pairs and four benchmark anchors
@@ -97,6 +96,11 @@ def test_split_golden():
 # references
 
 
+def _schmidt_sorted(v):
+    """A validated probability vector, sorted descending, as an array."""
+    return np.sort(as_prob_vector(v))[::-1]
+
+
 def _min_slack_reference(x, y):
     """The joint margin as numpy computes it: sorted, padded, summed by
     cumsum, totals left out."""
@@ -108,8 +112,8 @@ def _min_slack_reference(x, y):
 def _coop_validate_reference(a, b, chi, eta):
     """coop_validate as it stood with one compare call per cross pair, on
     arrays."""
-    sa, sb = locc._schmidt_sorted(a), locc._schmidt_sorted(b)
-    sc, se = locc._schmidt_sorted(chi), locc._schmidt_sorted(eta)
+    sa, sb = _schmidt_sorted(a), _schmidt_sorted(b)
+    sc, se = _schmidt_sorted(chi), _schmidt_sorted(eta)
     src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
     inc = lambda x, y: compare(x, y) is MajVerdict.Incomparable
     return CoopPlan(
@@ -356,6 +360,30 @@ def test_coop_fast_cells_reach_a_plan_wherever_a_cell_has_one():
     assert ("near", "NoPlanFound") in errors
 
 
+def test_coop_sweep_returns_a_certified_plan_of_no_smaller_margin(monkeypatch):
+    """With no fast cell, coop_construct sweeps all 42 x 8 cells: on the
+    golden pairs and seeded ones, the sweep's plan is certified with all
+    four cross pairs incomparable, and its cell's LP margin is at least the
+    fast plan's."""
+    cases = [(a, b) for a, b, _, _ in COOP_GOLDEN] + _incomparable_pairs("coop-sweep", 6)
+    fast = {}
+    for a, b in cases:
+        try:
+            fast[tuple(a), tuple(b)] = coop_construct(a, b)
+        except NoPlanFound:
+            continue
+    assert len(fast) >= len(COOP_GOLDEN) + 3
+    monkeypatch.setattr(locc, "_FAST_CELLS", {True: (), False: ()})
+    for (a, b), first in fast.items():
+        plan = coop_construct(a, b)
+        assert plan.joint_ok and all(plan.cross_incomparable.values())
+        assert _same_validation(coop_validate(a, b, plan.chi, plan.eta), plan)
+        sa, sb = locc._require_incomparable_3x3(a, b)
+        tables = locc._coop_tables(sa, sb)
+        t = locc._coop_cell(tables, *plan.cell.split())[0]
+        assert t >= locc._coop_cell(tables, *first.cell.split())[0] > MAJ_TOL
+
+
 # a pair near comparability, a1 and b1 2e-4 apart, with a plan of margin 6.3e-5
 PINNED = ((0.4641, 0.4309, 0.105), (0.4643, 0.39, 0.1457))
 
@@ -506,7 +534,7 @@ def test_catalyst_matches_one_by_one_scan():
 
 # a1 <= b1 and a4 >= b4, but S_2(b) = S_2(a) - 1.2e-9: at c = 1/2 the gap
 # is -1.2 MAJ_TOL, inside the search window (twice MAJ_TOL) but failing
-# compare_rows, and it closes at rate 1/2 in c, so the first 400 points of
+# compare, and it closes at rate 1/2 in c, so the first 400 points of
 # a 1e-12 grid fail before one passes
 BAND_A = [0.4, 0.3, 0.2, 0.1]
 BAND_B = [0.45, 0.25 - 1.2e-9, 0.25 - 1.2e-9, 0.05 + 2.4e-9]
@@ -576,10 +604,11 @@ def test_catalyst_window_search_matches_one_by_one_scan():
 
 def test_catalyst_window_midpoints_pass_compare_rows():
     # a nonempty window at MAJ_TOL never comes with a rejected midpoint, and
-    # a miss off the grid reports that midpoint
+    # a miss off the grid reports that midpoint; the window does not depend
+    # on the grid
     nonempty = 0
     for a, b in _catalyst_corpus("catalyst-window-midpoints", 15) + [(CAT_A, CAT_B)]:
-        window = locc.catalyst_window_2x2(a, b)
+        window = locc.catalyst_search(a, b).window
         for lo, hi in window:
             mid = 0.5 * (lo + hi)
             chi = [mid, 1.0 - mid]
@@ -625,7 +654,7 @@ def ref_find_catalyst_2x2(a, b, grid_step=1e-3):
         c = c[c < 1.0 - INTERVAL_MARGIN]
         if c.size:
             chi = np.stack((c, 1.0 - c), axis=-1)
-            hit = compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
+            hit = ref_compare_rows(vec_kron(sa, chi), vec_kron(sb, chi)).fwd
             if hit.any():
                 return float(c[hit.argmax()])
         if c.size < size:
@@ -706,8 +735,8 @@ def test_split_matches_one_by_one_scan():
 
 
 def _row_flags(x, y):
-    """compare_rows' flags for one pair, through its stack path."""
-    return tuple(bool(f[0]) for f in compare_rows(np.asarray(x, float)[None], np.asarray(y, float)[None]))
+    """The stacked reference's flags for one pair, as a one-row stack."""
+    return tuple(bool(f[0]) for f in ref_compare_rows(np.asarray(x, float)[None], np.asarray(y, float)[None]))
 
 
 def _stripped_stack(v):
@@ -716,7 +745,7 @@ def _stripped_stack(v):
 
 
 def _require_3x3_stacks(a, b):
-    """_require_incomparable_3x3 on arrays and compare_rows' stack path."""
+    """_require_incomparable_3x3 on arrays and one-row reference stacks."""
     sa, sb = _stripped_stack(a), _stripped_stack(b)
     if sa.size != 3 or sb.size != 3:
         raise NotIncomparable3x3(f"need rank-3 vectors, got ranks {sa.size}, {sb.size}")
@@ -726,7 +755,7 @@ def _require_3x3_stacks(a, b):
 
 
 def _coop_validate_stacks(a, b, chi, eta):
-    """coop_validate with each check a one-row compare_rows stack, in its
+    """coop_validate with each check a one-row reference stack, in its
     order: the joint check, then the cross pairs."""
     sa, sb, sc, se = map(_schmidt_sorted, (a, b, chi, eta))
     src, tgt = vec_kron(sa, sc), vec_kron(sb, se)
@@ -738,8 +767,8 @@ def _coop_validate_stacks(a, b, chi, eta):
 
 
 def _split_stacks(a, b):
-    """split_two_copies on arrays: the window by majorization.window_affine,
-    the midpoint's checks by compare_rows' stack path."""
+    """split_two_copies on arrays: the window by majorization._window_affine
+    on (2, 9) stacks, the midpoint's checks by one-row reference stacks."""
     sa, sb = _require_3x3_stacks(a, b)
     a1, a2, a3 = sa
     b1, b2, b3 = sb
@@ -760,7 +789,9 @@ def _split_stacks(a, b):
 
     source = vec_kron(sa, sa)
     e0 = eta_of(0.0)
-    window = majorization.window_affine(source, np.zeros(9), vec_kron(sb, e0), vec_kron(sb, eta_of(1.0) - e0), lo, hi)
+    v0 = np.stack((source, vec_kron(sb, e0)))
+    v1 = np.stack((np.zeros(9), vec_kron(sb, eta_of(1.0) - e0)))
+    window = majorization._window_affine(v0, v1, lo, hi, MAJ_TOL)
     window = [(p, q) for p, q in window if p < q - INTERVAL_MARGIN]
     if not window:
         raise EmptyRange(f"no eta(x) with x in ({lo}, {hi}) passes the joint check")
@@ -808,7 +839,8 @@ def _short_vector_inputs(count):
 def test_short_vector_checks_match_compare_rows_stacks():
     """The pair-core checks of coop_validate, the 3x3 precondition and
     split2, and the helper under them, give the flags, margins, errors and
-    messages of compare_rows and window_affine on numpy stacks."""
+    messages of the stacked reference and of _window_affine on numpy
+    arrays."""
     seen = set()
     for a, b, chi, eta in _short_vector_inputs(1200):
         sa, sb, sc, se = (majorization._prob_sorted(np.asarray(v, dtype=float)) for v in (a, b, chi, eta))
@@ -833,8 +865,7 @@ def test_short_vector_checks_match_compare_rows_stacks():
 
 def test_short_vector_checks_make_no_numpy_comparison(monkeypatch):
     """A catalyst hit at its first grid point, split2 and coop_validate on
-    3-vectors go straight to the pair core: no compare_rows, no majorizes
-    or compare (majorization._pair_flags) and no array round trip
+    3-vectors go straight to the pair core: no majorizes or compare (majorization._pair_flags) and no array round trip
     (locc._pair_flags), but for the catalyst filter's one classification.
     A rank-3 vector longer than _SHORT takes the round trip."""
     calls = []
@@ -846,7 +877,6 @@ def test_short_vector_checks_make_no_numpy_comparison(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(majorization, "compare_rows", counted("compare_rows", compare_rows))
     monkeypatch.setattr(majorization, "_pair_flags", counted("majorization", majorization._pair_flags))
     monkeypatch.setattr(locc, "_pair_flags", counted("locc", locc._pair_flags))
     search = locc.catalyst_search(CAT_A, CAT_B)

@@ -120,9 +120,6 @@ KEPT = {
     "read_state": "file I/O: loads what write_state writes",
     "write_state": "file I/O: the state file format the CLI reads",
     "random_pure": "seeded random pure states for callers' own experiments",
-    "compare_rows": "the batched majorization kernel over (..., d) stacks, the pair core's reference",
-    "window_affine": "the exact majorization window in t, public form of _window_affine",
-    "catalyst_window_2x2": "the exact 2x2 catalyst window that catalyst_search reports",
     "ds_witness": "ROADMAP item 12: the T-transform chain certificate",
     "ensemble_exists": "ROADMAP item 12: a yes/no question the paper asks",
     "is_doubly_stochastic": "ROADMAP item 12: checks item 12's certificate",

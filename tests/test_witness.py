@@ -156,6 +156,12 @@ def test_distillable_copies_bounds():
         distillable_rank2(np.ones((1, 1)), (1, 1), [0], copies=13)
 
 
+def test_distillable_copies_past_the_dense_cap():
+    # 4^6 = 4096 > 1024 = MAX_DIM, refused before any power is formed
+    with pytest.raises(TooLarge, match="6 copies of dimension 4 exceed the 1024 x 1024 cap"):
+        distillable_rank2(werner(0.6), (2, 2), [0], copies=6)
+
+
 def test_seesaws_need_one_restart():
     """Without a restart neither seesaw has a value: both raise BadParam
     naming restarts, as they do for a count that is not an integer."""
